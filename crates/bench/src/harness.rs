@@ -1,15 +1,15 @@
-//! A minimal benchmark harness with a Criterion-shaped API, so the bench
-//! targets compile and run without the `criterion` crate (offline-build
-//! policy — see the workspace `Cargo.toml`).
+//! A minimal benchmark harness (offline-build policy — no `criterion`
+//! crate; see the workspace `Cargo.toml`): [`measure`] is what
+//! `bench::baseline` times every stat with.
 //!
-//! Semantics: each `bench_function` warms up once, then times individual
-//! iterations of the body until a wall-clock budget (default ~300 ms) or
-//! a sample-count cap, whichever comes first, with a hard floor of
-//! [`MIN_SAMPLES`] timed iterations so no result ever rests on fewer
-//! than three samples. Every per-iteration wall time is recorded, so
-//! results carry a full sample vector (median / p95 / min / max), and a
-//! run reports whether the *budget* — not the sample cap — terminated
-//! sampling. That is enough to compare algorithm variants and catch
+//! Semantics: [`measure`] warms up once, then times individual
+//! iterations of the body until a wall-clock budget or a sample-count
+//! cap, whichever comes first, with a hard floor of [`MIN_SAMPLES`]
+//! timed iterations so no result ever rests on fewer than three
+//! samples. Every per-iteration wall time is recorded, so results carry
+//! a full sample vector (median / p95 / min / max), and a run reports
+//! whether the *budget* — not the sample cap — terminated sampling.
+//! That is enough to compare algorithm variants and catch
 //! order-of-magnitude regressions; it makes no claim to criterion's
 //! statistical rigor, and the per-iteration `Instant` reads put a
 //! ~20-40 ns floor under nanosecond-scale bodies.
@@ -19,9 +19,6 @@ use std::time::{Duration, Instant};
 /// Hard floor on timed iterations: a benchmark result never rests on
 /// fewer than this many samples, even when the body blows the budget.
 pub const MIN_SAMPLES: usize = 3;
-
-/// Default wall-clock sampling budget per benchmark.
-pub const DEFAULT_BUDGET: Duration = Duration::from_millis(300);
 
 /// Opaque value barrier: prevents the optimizer from deleting a benchmark
 /// body whose result is unused.
@@ -87,8 +84,7 @@ impl BenchResult {
 }
 
 /// Time `sample`d iterations of `f` under `budget`, recording each
-/// iteration. The programmatic entry point used by the bench baselines;
-/// [`BenchmarkGroup::bench_function`] routes through the same logic.
+/// iteration. The entry point the bench baselines use.
 pub fn measure<O, F: FnMut() -> O>(
     id: &str,
     sample_cap: usize,
@@ -116,197 +112,9 @@ pub fn measure<O, F: FnMut() -> O>(
     BenchResult { id: id.to_string(), samples_ns, budget_limited }
 }
 
-/// Top-level harness handle, one per bench binary. Collects every
-/// [`BenchResult`] it runs so callers (the baseline emitter) can read
-/// them back instead of scraping stdout.
-#[derive(Default)]
-pub struct Criterion {
-    results: Vec<BenchResult>,
-}
-
-impl Criterion {
-    pub fn new() -> Criterion {
-        Criterion::default()
-    }
-
-    /// Start a named group of related benchmarks.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        println!("{name}");
-        BenchmarkGroup {
-            c: self,
-            group: name.to_string(),
-            sample_cap: 1000,
-            budget: DEFAULT_BUDGET,
-        }
-    }
-
-    /// Every result recorded so far, in run order.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
-    }
-
-    /// Drain the recorded results.
-    pub fn take_results(&mut self) -> Vec<BenchResult> {
-        std::mem::take(&mut self.results)
-    }
-}
-
-/// Benchmark id with an optional parameter, printed as `name/param`.
-pub struct BenchmarkId {
-    label: String,
-}
-
-impl BenchmarkId {
-    pub fn new(name: impl Into<String>, param: impl std::fmt::Display) -> BenchmarkId {
-        BenchmarkId { label: format!("{}/{}", name.into(), param) }
-    }
-}
-
-/// A group of benchmarks sharing configuration.
-pub struct BenchmarkGroup<'a> {
-    c: &'a mut Criterion,
-    group: String,
-    sample_cap: usize,
-    budget: Duration,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Upper bound on timed iterations (criterion's sample count knob).
-    /// The [`MIN_SAMPLES`] floor still applies.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_cap = n.max(1);
-        self
-    }
-
-    /// Wall-clock sampling budget per benchmark (criterion's
-    /// `measurement_time` knob).
-    pub fn measurement_time(&mut self, d: Duration) -> &mut Self {
-        self.budget = d;
-        self
-    }
-
-    pub fn bench_function<F>(&mut self, id: &str, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let mut b = Bencher { sample_cap: self.sample_cap, budget: self.budget, result: None };
-        f(&mut b);
-        self.record(id, b);
-        self
-    }
-
-    pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut f: F) -> &mut Self
-    where
-        I: ?Sized,
-        F: FnMut(&mut Bencher, &I),
-    {
-        let mut b = Bencher { sample_cap: self.sample_cap, budget: self.budget, result: None };
-        f(&mut b, input);
-        self.record(&id.label, b);
-        self
-    }
-
-    pub fn finish(&mut self) {
-        println!();
-    }
-
-    fn record(&mut self, id: &str, b: Bencher) {
-        match b.result {
-            Some(mut r) => {
-                r.id = format!("{}/{id}", self.group);
-                let tail = if r.budget_limited { ", budget-limited" } else { "" };
-                println!(
-                    "  {id:<40} {:>12} median {:>12} p95 {:>12} min  ({} iters{tail})",
-                    fmt_ns(r.median_ns()),
-                    fmt_ns(r.p95_ns()),
-                    fmt_ns(r.min_ns()),
-                    r.iters(),
-                );
-                self.c.results.push(r);
-            }
-            None => println!("  {id:<40} (no measurement)"),
-        }
-    }
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns < 10_000 {
-        format!("{ns} ns")
-    } else if ns < 10_000_000 {
-        format!("{:.2} µs", ns as f64 / 1e3)
-    } else if ns < 10_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.2} s", ns as f64 / 1e9)
-    }
-}
-
-/// Passed to each benchmark body; [`Bencher::iter`] does the timing.
-pub struct Bencher {
-    sample_cap: usize,
-    budget: Duration,
-    result: Option<BenchResult>,
-}
-
-impl Bencher {
-    /// Time repeated calls of `f`, recording every iteration.
-    pub fn iter<O, F: FnMut() -> O>(&mut self, f: F) {
-        self.result = Some(measure("", self.sample_cap, self.budget, f));
-    }
-}
-
-/// Criterion-compatible: `criterion_group!(benches, fn_a, fn_b)` defines
-/// `fn benches()` running each benchmark function in order.
-#[macro_export]
-macro_rules! criterion_group {
-    ($name:ident, $($target:path),+ $(,)?) => {
-        fn $name() {
-            let mut c = $crate::harness::Criterion::new();
-            $( $target(&mut c); )+
-        }
-    };
-}
-
-/// Criterion-compatible: `criterion_main!(benches)` defines `main`.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $( $group(); )+
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bencher_records_samples_and_result() {
-        let mut c = Criterion::new();
-        {
-            let mut g = c.benchmark_group("t");
-            g.sample_size(10);
-            let mut ran = 0u64;
-            g.bench_function("noop", |b| {
-                b.iter(|| {
-                    ran += 1;
-                    black_box(ran)
-                })
-            });
-            g.finish();
-            assert!(ran > 1);
-        }
-        let results = c.results();
-        assert_eq!(results.len(), 1);
-        let r = &results[0];
-        assert_eq!(r.id, "t/noop");
-        assert!(r.iters() >= MIN_SAMPLES as u64 && r.iters() <= 10);
-        assert_eq!(r.samples_ns.len() as u64, r.iters());
-        assert!(r.min_ns() <= r.median_ns());
-        assert!(r.median_ns() <= r.p95_ns());
-        assert!(r.p95_ns() <= r.max_ns());
-    }
 
     #[test]
     fn minimum_three_samples_even_over_budget() {

@@ -1,6 +1,6 @@
-//! Shared plumbing for the figure-regeneration binaries and the
-//! benches: canonical datasets, table printing, PPM output, and the
-//! in-repo criterion-shaped bench harness ([`harness`]).
+//! Shared plumbing for the figure-regeneration binaries and the perf
+//! baselines: canonical datasets, table printing, PPM output, and the
+//! in-repo sampling harness ([`harness`]).
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
 //! paper; EXPERIMENTS.md records the paper-vs-measured comparison. The

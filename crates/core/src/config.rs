@@ -113,10 +113,6 @@ pub struct PipelineConfig {
     /// distribution (paper §4: "quantization (from 32-bit to 8-bit)") —
     /// quarters the block-distribution traffic for a ≤1/255 value error.
     pub quantize: bool,
-    /// Partition blocks with view-dependent weights (projected area ×
-    /// marching depth) instead of static cell counts — the paper's
-    /// future-work "fine-grain load redistribution".
-    pub view_balance: bool,
     /// Octree level at which blocks are cut for distribution.
     pub block_level: u8,
     /// Keep the rendered frames in the report (memory!).
@@ -191,8 +187,9 @@ pub struct PipelineConfig {
     pub wire: Option<WireSpec>,
     /// Closed-loop elastic control plane: a controller on the output rank
     /// watches the live phase spans and periodically commits epoch-stamped
-    /// rebalance plans (see [`crate::control`]). `None` (the default) runs
-    /// the static partition. Excluded from the checkpoint fingerprint —
+    /// rebalance plans (see [`crate::control`]). `None` (the default) keeps
+    /// the controller from ever ticking: the run stays on the static
+    /// partition (epoch 0). Excluded from the checkpoint fingerprint —
     /// elastic and static runs produce bit-identical frames, so their
     /// checkpoints are interchangeable.
     pub control: Option<ControlConfig>,
@@ -242,7 +239,6 @@ impl Default for PipelineConfig {
             enhancement: false,
             lic: false,
             quantize: false,
-            view_balance: false,
             block_level: 2,
             keep_frames: true,
             io_delay_scale: None,
@@ -334,11 +330,6 @@ impl PipelineBuilder {
 
     pub fn quantize(mut self, on: bool) -> Self {
         self.config.quantize = on;
-        self
-    }
-
-    pub fn view_balance(mut self, on: bool) -> Self {
-        self.config.view_balance = on;
         self
     }
 

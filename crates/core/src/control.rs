@@ -1,12 +1,13 @@
 //! Closed-loop elastic control plane: epoch-clocked rebalancing that
 //! generalizes failover from "react to death" to "react to load".
 //!
-//! The failover machinery (survivor re-partition, `FrameInfo::restrict_to`,
-//! communicator regroup) is already a mechanism for changing the active
-//! rank set at runtime; this module drives the *same* actuation path from
-//! measured load instead of detected death. A controller hosted on the
-//! output rank watches the live `rt::obs` phase spans and periodically
-//! emits an epoch-stamped [`ControlPlan`]:
+//! The membership machinery (`crate::membership`: one block-ownership
+//! function over the committed epoch state, one communicator regrouped
+//! when the live active set changes) is already a mechanism for changing
+//! who renders what at runtime; this module drives the *same* actuation
+//! path from measured load instead of detected death. A controller
+//! hosted on the output rank watches the live `rt::obs` phase spans and
+//! periodically emits an epoch-stamped [`ControlPlan`]:
 //!
 //! * **rebalance** — shift octree blocks between render ranks using a
 //!   capacity-aware variant of the LPT balancer (a rank measured 4× slower
@@ -37,8 +38,9 @@
 //! propose/ack/commit wire protocol lives in `core::pipeline` next to the
 //! other tag traffic.
 
-/// Elastic control-plane configuration (off unless
-/// `PipelineConfig::control` is set).
+/// Elastic control-plane configuration. Every run hosts a controller;
+/// unless `PipelineConfig::control` is set its period is 0 and it never
+/// ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControlConfig {
     /// Tick period: the controller evaluates a plan before every step `S`
@@ -60,7 +62,9 @@ impl ControlConfig {
     }
 
     /// Steps `S` at which the controller ticks: every `every` steps,
-    /// never at step 0 (there is no measurement window yet).
+    /// never at step 0 (there is no measurement window yet) — and never
+    /// at all with a period of 0, which is how a control-off run hosts
+    /// its controller.
     pub fn is_tick(&self, step: usize) -> bool {
         self.every > 0 && step > 0 && step.is_multiple_of(self.every)
     }
@@ -206,8 +210,8 @@ pub fn assign_capacity(blocks: &[(u32, u64)], rates: &[u64]) -> Vec<Vec<u32>> {
 pub struct Controller {
     pub cfg: ControlConfig,
     pub state: EpochState,
-    /// Committed plans in commit order (checkpointed, replayed on
-    /// resume).
+    /// Committed plans in commit order (checkpointed; a resumed run
+    /// seeds it with the manifest's history).
     pub history: Vec<ControlPlan>,
     n_renderers: usize,
     per_group: usize,
@@ -219,15 +223,6 @@ impl Controller {
     pub fn new(cfg: ControlConfig, initial: EpochState, per_group: usize) -> Controller {
         let n_renderers = initial.assignment.len();
         Controller { cfg, state: initial, history: Vec::new(), n_renderers, per_group }
-    }
-
-    /// Seed state and epoch counter from checkpointed plans (replayed in
-    /// commit order).
-    pub fn replay(&mut self, plans: &[ControlPlan]) {
-        for plan in plans {
-            self.state.apply(plan);
-            self.history.push(plan.clone());
-        }
     }
 
     /// Evaluate the measurement window and propose a plan for the
@@ -364,11 +359,11 @@ impl Controller {
 /// The committed assignment with a scripted-dead rank's blocks spread
 /// over the surviving active ranks: LPT on the dead rank's blocks
 /// (heaviest first, id ascending on ties), survivors keep their own
-/// blocks untouched. Every rank — senders and receivers alike — computes
-/// this overlay from the same committed state and the same shared fault
-/// schedule, so routing agrees with zero traffic. The overlay is
-/// *transient*: it never commits (the committed plan still names the
-/// dead rank), and it ends the tick the rank rejoins.
+/// blocks untouched. Called only through [`crate::membership::owners`],
+/// which every rank — senders and receivers alike — evaluates on the same
+/// committed state and the same shared fault schedule, so routing agrees
+/// with zero traffic. The overlay never commits (the committed plan
+/// still names the dead rank).
 pub fn overlay_assignment(
     assignment: &[Vec<u32>],
     active: usize,
@@ -628,7 +623,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_seeds_epochs_from_history() {
+    fn commit_advances_state_and_history() {
         let w = weights8();
         let mut ctl = Controller::new(ControlConfig::every(2), initial(2, &w), 1);
         let plan = ControlPlan {
@@ -638,7 +633,7 @@ mod tests {
             assignment: vec![vec![0, 1, 2], vec![3, 4, 5, 6, 7]],
             input_width: 1,
         };
-        ctl.replay(std::slice::from_ref(&plan));
+        ctl.commit(&plan);
         assert_eq!(ctl.state.epoch, 1);
         assert_eq!(ctl.state.assignment, plan.assignment);
         assert_eq!(ctl.history.len(), 1);

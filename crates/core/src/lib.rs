@@ -33,6 +33,8 @@
 //!   epoch-clocked controller on the output rank that rebalances blocks,
 //!   resizes the render group, and reshapes the input width from live
 //!   span measurements, committed to every rank via two-phase commit.
+//! * [`membership`] — the one block-ownership function (committed epoch
+//!   state + the fault plan's death window) and the one heartbeat round.
 //! * [`validate`] — condenses a run's span-derived timings into the
 //!   model's `Tf`/`Tp`/`Ts`/`Tr` and compares measured interframe delay
 //!   against the §5 closed forms.
@@ -44,6 +46,7 @@ pub mod config;
 pub mod control;
 pub mod des;
 pub mod insitu;
+pub mod membership;
 pub mod model;
 pub mod pipeline;
 pub mod reader;

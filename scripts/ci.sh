@@ -38,7 +38,10 @@ run_fault_focus() {
         rejoin-elastic)
             cargo test -q --release --test elastic -- \
                 windowed_rejoin_readmits_through_the_tick \
-                rejoin_across_checkpoint_resume_splices_bit_identical ;;
+                rejoin_across_checkpoint_resume_splices_bit_identical \
+                permanent_kill_is_an_overlay_that_never_ends
+            cargo test -q --release --test fault_injection \
+                rejoin_on_a_tick_the_plan_kills_is_rejected ;;
         rejoin-spare)
             cargo test -q --release --test elastic spare_pool_join ;;
         chaos-soak)
@@ -85,6 +88,23 @@ fi
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+
+# Panic-site ratchet: `.unwrap()` / `.expect(` on the pipeline's runtime
+# paths (everything above `#[cfg(test)]`, comments aside) may only go
+# down. Lower the limit when you remove a site; never raise it.
+PANIC_SITES_MAX=8
+echo "==> panic-site ratchet (max ${PANIC_SITES_MAX})"
+panic_sites=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    { n += gsub(/\.unwrap\(\)|\.expect\(/, "") }
+    END { print n + 0 }
+' crates/core/src/pipeline.rs crates/core/src/membership.rs)
+if (( panic_sites > PANIC_SITES_MAX )); then
+    echo "panic-site ratchet: ${panic_sites} unwrap/expect sites in pipeline.rs + membership.rs (max ${PANIC_SITES_MAX})" >&2
+    exit 1
+fi
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy"

@@ -185,6 +185,35 @@ fn windowed_rejoin_readmits_through_the_tick() {
     assert_eq!(admit.active, 3, "re-admission must keep the full active prefix");
 }
 
+/// A kill with no recovery is a dormancy window that never closes: the
+/// survivors carry the dead rank's blocks as an overlay for the rest of
+/// the run, the controller keeps ticking without it (dead ranks are not
+/// commit participants), and every frame stays bit-identical to the
+/// static oracle.
+#[test]
+fn permanent_kill_is_an_overlay_that_never_ends() {
+    let ds = dataset();
+    let oracle = builder(&ds).run().expect("static oracle");
+    // world: [0,1 inputs | 2,3,4 renderers | 5 output] — renderer 3 dies
+    // at step 2 and never comes back; the second schedule adds a load
+    // skew so plans really commit while it is gone
+    for spec in ["seed=11,fail_rank=3@2", "seed=11,slow_rank=2@8,fail_rank=3@2"] {
+        let killed = builder(&ds)
+            .elastic(2)
+            .faults(FaultSpec::parse(spec).unwrap())
+            .delivery_deadline_ms(500)
+            .run()
+            .expect("elastic pipeline must survive a permanent render-rank kill");
+        assert_eq!(killed.frames.len(), ds.steps(), "{spec}: a frame for every step");
+        assert_frames_identical(&oracle, &killed);
+        assert_plans_wellformed(&killed.control_plans, 3, 1);
+        assert_eq!(killed.degraded_frame_count(), 0, "{spec}: the overlay is full recovery");
+        let rec = killed.recovery.expect("fault plan must report recovery stats");
+        assert!(rec.render_failovers >= 1, "{spec}: survivors must have detected the death");
+        assert_eq!(rec.rejoins, 0);
+    }
+}
+
 /// Spare-pool recovery: a parked spare renderer joins at a tick with no
 /// preceding failure. The admit plan grows the active prefix by one,
 /// blocks are re-balanced onto the grown set, and the frames stay

@@ -431,14 +431,6 @@ fn recover_rank_validation_rejects_impossible_schedules() {
             .faults(FaultSpec::parse("seed=1,fail_rank=3@1,recover_rank=3@3").unwrap()),
     );
     assert!(err.contains("not a controller tick"), "unexpected error: {err}");
-    // elastic: a kill without a recovery would exclude the rank forever
-    let err = expect_err(
-        builder(&ds, io)
-            .renderers(3)
-            .elastic(2)
-            .faults(FaultSpec::parse("seed=1,fail_rank=3@1").unwrap()),
-    );
-    assert!(err.contains("scripted rank failure"), "unexpected error: {err}");
     // elastic kill windows need the rebalance-only controller
     let err = expect_err(
         builder(&ds, io)
@@ -456,6 +448,38 @@ fn recover_rank_validation_rejects_impossible_schedules() {
             .faults(FaultSpec::parse("recover_rank=3@2").unwrap()),
     );
     assert!(err.contains("first parked rank"), "unexpected error: {err}");
+}
+
+/// Regression: a rejoin scheduled on a tick the plan itself kills
+/// (`fail_controller` at or before it) used to pass validation, then
+/// panic two render ranks in SLIC and deadlock the run — the joiner's
+/// catch-up rides on a tick that happens nowhere. The *effective* tick is
+/// what counts, for kill-window and spare-pool joins alike.
+#[test]
+fn rejoin_on_a_tick_the_plan_kills_is_rejected() {
+    let ds = dataset();
+    let io = IoStrategy::OneDip { input_procs: 2 };
+    let expect_err = |b: PipelineBuilder| match b.run() {
+        Err(e) => e,
+        Ok(_) => panic!("a rejoin on a dead controller's tick must be rejected"),
+    };
+    let spec = "seed=11,slow_rank=2@8,fail_rank=3@2,recover_rank=3@4,fail_controller=4";
+    let err = expect_err(
+        builder(&ds, io)
+            .renderers(3)
+            .elastic(2)
+            .delivery_deadline_ms(500)
+            .faults(FaultSpec::parse(spec).unwrap()),
+    );
+    assert!(err.contains("not a controller tick"), "unexpected error: {err}");
+    // world: [0,1 inputs | 2,3 renderers | 4 spare | 5 output]
+    let err = expect_err(
+        builder(&ds, io)
+            .spare_renderers(1)
+            .elastic(2)
+            .faults(FaultSpec::parse("recover_rank=4@2,fail_controller=2").unwrap()),
+    );
+    assert!(err.contains("not a controller tick"), "unexpected error: {err}");
 }
 
 /// `fail_rank=R@S` is validated against the actual world shape at

@@ -7,7 +7,9 @@
 //! * SLIC compositing equals the sequential over-operator reference for
 //!   any fragment layout,
 //! * octree block decomposition tiles the leaf array exactly at every
-//!   level.
+//!   level,
+//! * block ownership (`membership::owners`) covers every block exactly
+//!   once on live active ranks for any assignment and dead rank.
 
 use quakeviz::composite::{rle_decode, rle_encode, slic, CompositeOptions, FrameInfo};
 use quakeviz::mesh::{Aabb, Loc3, Octree, RefineOracle, Vec3};
@@ -501,6 +503,64 @@ fn capacity_assignment_is_deterministic_exhaustive_and_greedy_stable() {
                 );
             }
         }
+    }
+}
+
+/// Block ownership has one authority, `membership::owners`: for any
+/// committed assignment, active prefix, scripted-dead rank and weights,
+/// every block is owned exactly once, only by a live rank inside the
+/// active prefix; survivors keep every block the committed plan gave
+/// them; and the answer depends on nothing but those inputs, so every
+/// call site (packer, renderer, checkpoint committer, frame assembler)
+/// gets the same one.
+#[test]
+fn ownership_is_exact_live_only_and_call_site_independent() {
+    use quakeviz::pipeline::control::{assign_capacity, EpochState};
+    use quakeviz::pipeline::membership::owners;
+    for seed in 0..200u64 {
+        let mut rng = SplitMix64::new(0x0B0E ^ seed);
+        let n_blocks = 1 + rng.next_below(96) as usize;
+        let n_ranks = 2 + rng.next_below(7) as usize;
+        let active = 2 + rng.next_below(n_ranks as u64 - 1) as usize;
+        let weights: Vec<u64> = (0..n_blocks).map(|_| 1 + rng.next_below(64)).collect();
+        let blocks: Vec<(u32, u64)> =
+            weights.iter().enumerate().map(|(b, &w)| (b as u32, w)).collect();
+        let rates: Vec<u64> = (0..active).map(|_| 1 << rng.next_below(5)).collect();
+        let mut committed = assign_capacity(&blocks, &rates);
+        committed.resize(n_ranks, Vec::new());
+        // any rank of the world may be scripted dead — also a parked one
+        let dead = (rng.next_below(4) > 0).then(|| rng.next_below(n_ranks as u64) as usize);
+        let state = EpochState::with_active(committed.clone(), active, 1);
+        let got = owners(&state, dead, &weights);
+
+        let ranks: Vec<usize> = got.iter().map(|&(r, _)| r).collect();
+        let live: Vec<usize> = (0..active).filter(|&r| Some(r) != dead).collect();
+        assert_eq!(ranks, live, "seed {seed}: owners must be exactly the live active ranks");
+        let mut owned: Vec<u32> = got.iter().flat_map(|(_, b)| b.iter().copied()).collect();
+        owned.sort_unstable();
+        assert_eq!(
+            owned,
+            (0..n_blocks as u32).collect::<Vec<_>>(),
+            "seed {seed}: blocks lost or owned twice (dead {dead:?})"
+        );
+        let rerouted = dead.is_some_and(|d| !committed[d].is_empty());
+        for (r, mine) in &got {
+            assert!(mine.windows(2).all(|w| w[0] < w[1]), "seed {seed}: rank {r} not sorted");
+            assert!(
+                committed[*r].iter().all(|b| mine.binary_search(b).is_ok()),
+                "seed {seed}: survivor {r} lost a committed block"
+            );
+            if !rerouted {
+                assert_eq!(
+                    mine, &committed[*r],
+                    "seed {seed}: nothing to reroute, rank {r} changed"
+                );
+            }
+        }
+        // a second caller, whose state differs only in what ownership
+        // must not read, gets the identical answer
+        let other = EpochState { epoch: 7 + seed, input_width: 3, ..state.clone() };
+        assert_eq!(got, owners(&other, dead, &weights), "seed {seed}: call-site dependent");
     }
 }
 
