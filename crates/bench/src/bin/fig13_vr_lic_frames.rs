@@ -61,8 +61,10 @@ fn main() {
                 let wx = extent.x * ox + x;
                 let wy = extent.y * oy + y;
                 let cell = (extent.x * frac / 768.0).max(extent.y * frac / 768.0);
-                let vx = qt.idw_sample(wx, wy, cell * 4.0, |id| field.horizontal(id).0 as f64);
-                let vy = qt.idw_sample(wx, wy, cell * 4.0, |id| field.horizontal(id).1 as f64);
+                let [vx, vy] = qt.idw_sample(wx, wy, cell * 4.0, |id| {
+                    let (vx, vy) = field.horizontal(id);
+                    [vx as f64, vy as f64]
+                });
                 (vx as f32, vy as f32)
             },
         );

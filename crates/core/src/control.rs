@@ -133,7 +133,8 @@ impl EpochState {
 /// controller host (the output rank).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowMeasurement {
-    /// Render-phase busy seconds per render rank index over the window.
+    /// Render-phase busy seconds per render rank index over the window
+    /// ([`robust_busy`] of its steps).
     pub render_busy: Vec<f64>,
     /// Aggregate input-side busy seconds (read+preprocess+LIC+send) over
     /// the window, all input ranks pooled.
@@ -142,6 +143,21 @@ pub struct WindowMeasurement {
     pub send_busy: f64,
     /// Steps the window spans (≥ 1 for a usable measurement).
     pub steps: usize,
+}
+
+/// A rank's render busy seconds over a window, from its per-step times
+/// (0 = did not render that step): the *median* step scaled to the steps
+/// it rendered, not their sum. A slow rank is slow on every step; a
+/// render thread preempted for one scheduler slice is not, and in a
+/// window of a few milliseconds the sum cannot tell the two apart.
+pub fn robust_busy(mut per_step: Vec<f64>) -> f64 {
+    per_step.retain(|&d| d > 0.0);
+    per_step.sort_by(f64::total_cmp);
+    let n = per_step.len();
+    if n == 0 {
+        return 0.0;
+    }
+    (per_step[(n - 1) / 2] + per_step[n / 2]) / 2.0 * n as f64
 }
 
 /// Per-unit-weight slowness rates, quantized for hysteresis.
@@ -179,6 +195,45 @@ pub fn quantized_rates(busy: &[f64], weights: &[u64]) -> Vec<u64> {
 /// one stalled measurement blow up the integer load arithmetic.
 pub const MAX_RATE_EXP: u32 = 4;
 pub const MAX_RATE: u64 = 1 << MAX_RATE_EXP;
+
+/// Share of the busiest rank's render time a rebalance must be projected
+/// to save before it is proposed. The power-of-two snap puts a rank at
+/// rate 2 from a measured ratio of √2, where the 1:2 split it leads to
+/// saves 5 %; a commit restarts every delta stream on a keyframe, and a
+/// ratio that sits near √2 (a wave front inside one rank's blocks does
+/// that, now that empty bricks cost nothing) would otherwise flip runs
+/// in and out of the split on scheduler noise.
+pub const MIN_GAIN: f64 = 0.25;
+
+/// Projected relative saving in the busiest rank's render time if
+/// `assignment` replaced the one `busy` was measured under, each rank
+/// keeping its measured (unquantized) cost per unit of weight.
+pub fn projected_gain(
+    busy: &[f64],
+    weights: &[u64],
+    assignment: &[Vec<u32>],
+    block_weights: &[u64],
+) -> f64 {
+    let now = busy.iter().copied().fold(0.0, f64::max);
+    let then = busy
+        .iter()
+        .zip(weights)
+        .zip(assignment)
+        .map(|((&b, &w), blocks)| {
+            let new_w: u64 = blocks.iter().map(|&b| block_weights[b as usize]).sum();
+            if w > 0 {
+                b / w as f64 * new_w as f64
+            } else {
+                0.0
+            }
+        })
+        .fold(0.0, f64::max);
+    if now > 0.0 {
+        1.0 - then / now
+    } else {
+        0.0
+    }
+}
 
 /// Capacity-aware LPT: assign `blocks` (id, weight) to `rates.len()`
 /// ranks, minimizing the projected completion time `load × rate` — a
@@ -277,14 +332,23 @@ impl Controller {
                 (0..active).map(|r| m.render_busy.get(r).copied().unwrap_or(0.0)).collect();
             let rates = quantized_rates(&busy, &weights);
             let skewed = rates.iter().any(|&r| r >= 2);
-            if skewed || active != self.state.active {
+            let resized = active != self.state.active;
+            let candidate = (skewed || resized).then(|| {
                 let blocks: Vec<(u32, u64)> =
                     (0..block_weights.len()).map(|b| (b as u32, block_weights[b])).collect();
-                let mut a = assign_capacity(&blocks, &rates);
-                a.resize(self.n_renderers, Vec::new());
-                a
-            } else {
-                self.state.assignment.clone()
+                assign_capacity(&blocks, &rates)
+            });
+            // a new prefix needs a new assignment; the same prefix only
+            // one that pays for its commit
+            match candidate {
+                Some(mut a)
+                    if resized
+                        || projected_gain(&busy, &weights, &a, block_weights) >= MIN_GAIN =>
+                {
+                    a.resize(self.n_renderers, Vec::new());
+                    a
+                }
+                _ => self.state.assignment.clone(),
             }
         } else if active != self.state.active {
             // resize without rebalance still needs an assignment over the
@@ -508,6 +572,41 @@ mod tests {
             steps: 2,
         };
         assert_eq!(ctl.decide(&m2, &w, 4), None, "controller must settle after one plan");
+    }
+
+    #[test]
+    fn one_preempted_step_is_not_a_slow_rank() {
+        assert_eq!(robust_busy(vec![1.0, 1.0, 6.0, 1.0]), 4.0);
+        assert_eq!(robust_busy(vec![8.0, 8.0, 8.0, 8.0]), 32.0);
+        // steps the rank sat out do not dilute it
+        assert_eq!(robust_busy(vec![0.0, 2.0, 0.0, 4.0]), 6.0);
+        assert_eq!(robust_busy(vec![0.0; 4]), 0.0);
+        assert_eq!(robust_busy(Vec::new()), 0.0);
+    }
+
+    #[test]
+    fn decide_ignores_skew_that_would_save_little() {
+        // 64 equal blocks on two ranks: a ratio of 1.5 snaps to rate 2,
+        // but the 1:2 split it leads to saves an eighth — no plan; at a
+        // ratio of 2.5 the same split saves well over a quarter
+        let w = vec![10u64; 64];
+        let ctl = Controller::new(ControlConfig::every(4), initial(2, &w), 1);
+        let window = |slow: f64| WindowMeasurement {
+            render_busy: vec![slow, 1.0],
+            input_busy: 1.0,
+            send_busy: 0.2,
+            steps: 4,
+        };
+        assert_eq!(quantized_rates(&[1.5, 1.0], &[320, 320]), vec![2, 1]);
+        assert_eq!(ctl.decide(&window(1.5), &w, 4), None);
+        let plan = ctl.decide(&window(2.5), &w, 4).expect("a rank 2.5x slower sheds blocks");
+        assert!(plan.assignment[0].len() < plan.assignment[1].len());
+        let weights = |a: &[Vec<u32>]| -> Vec<u64> {
+            a.iter().map(|blocks| blocks.iter().map(|&b| w[b as usize]).sum()).collect()
+        };
+        let gain =
+            projected_gain(&[2.5, 1.0], &weights(&ctl.state.assignment), &plan.assignment, &w);
+        assert!(gain >= MIN_GAIN && gain < 0.5, "projected gain {gain}");
     }
 
     #[test]

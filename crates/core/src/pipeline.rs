@@ -783,8 +783,23 @@ impl Shared {
         }
     }
 
+    /// How long a renderer waits for a step's data before it degrades
+    /// the step. When the plan kills a member of a 2DIP input group, the
+    /// survivors spend one heartbeat deadline finding out before they can
+    /// re-read its slice: that step's data is late by that much by
+    /// construction, so the wait allows for it on top of the configured
+    /// delivery time — else whether the failover shows in the frame
+    /// depends on how long the renderers happened to be busy meanwhile.
     fn deadline(&self) -> Duration {
-        Duration::from_millis(self.cfg.deadline_ms)
+        let detection = if self.input_failover() { self.hb_deadline() } else { Duration::ZERO };
+        Duration::from_millis(self.cfg.deadline_ms) + detection
+    }
+
+    /// Whether a scripted *input*-rank failure inside a 2DIP group — and
+    /// with it that group's heartbeat/failover protocol — is active.
+    fn input_failover(&self) -> bool {
+        matches!(self.cfg.io, IoStrategy::TwoDip { .. })
+            && self.kill_target().is_some_and(|r| r < self.n_inputs)
     }
 
     /// The liveness-detection deadline: how long heartbeat waits (input
@@ -1796,6 +1811,26 @@ struct InputPlan {
     /// Value range of my node ids, for piece extraction; `None` means a
     /// solo reader holding every needed node (whole-block sends).
     my_span: Option<(NodeId, NodeId)>,
+    /// `(lane, lanes)`: which of the interleaved step streams this rank
+    /// feeds — its rank under 1DIP, its group under 2DIP.
+    lane: (usize, usize),
+}
+
+impl InputPlan {
+    /// Every lane starts reading at once, so unless render back-pressure
+    /// happens to spread them the lanes deliver their steps in bursts of
+    /// `lanes` — invisible while rendering paces the run, a `lanes`-fold
+    /// swing of the interframe delay once input does. Called once, with
+    /// the time this lane's first step took to prepare, before that step
+    /// is handed on: holding it back `lane/lanes` of that time shifts the
+    /// lane's whole schedule, and from then on the lanes interleave whole
+    /// steps, as [`crate::model::onedip_prefetch_delay`] assumes.
+    fn stagger(&self, first_prepare: Duration) {
+        let (lane, lanes) = self.lane;
+        if lane > 0 {
+            std::thread::sleep(first_prepare.mul_f64(lane as f64 / lanes as f64));
+        }
+    }
 }
 
 fn input_plan(me: usize, s: &Shared) -> InputPlan {
@@ -1803,19 +1838,13 @@ fn input_plan(me: usize, s: &Shared) -> InputPlan {
     // step ownership is keyed by the *absolute* step index, so a resumed
     // run assigns each remaining step to the same rank the uninterrupted
     // run would
-    let (my_steps, member, group_size): (Vec<usize>, usize, usize) = match s.cfg.io {
-        IoStrategy::OneDip { input_procs } => {
-            ((s.start_step..s.steps).filter(|t| t % input_procs == me).collect(), 0, 1)
-        }
+    let (lane, member, group_size) = match s.cfg.io {
+        IoStrategy::OneDip { input_procs } => ((me, input_procs), 0, 1),
         IoStrategy::TwoDip { groups, per_group } => {
-            let g = me / per_group;
-            (
-                (s.start_step..s.steps).filter(|t| t % groups == g).collect(),
-                me % per_group,
-                per_group,
-            )
+            ((me / per_group, groups), me % per_group, per_group)
         }
     };
+    let my_steps: Vec<usize> = (s.start_step..s.steps).filter(|t| t % lane.1 == lane.0).collect();
 
     // my fetch pattern (constant across steps)
     let node_count = s.mesh.node_count();
@@ -1854,7 +1883,7 @@ fn input_plan(me: usize, s: &Shared) -> InputPlan {
             (None, None) => None,
         }
     };
-    InputPlan { my_steps, member, fetch: FetchPlan { ids: my_ids, range: my_range }, my_span }
+    InputPlan { my_steps, member, fetch: FetchPlan { ids: my_ids, range: my_range }, my_span, lane }
 }
 
 /// Block-cache identity of a fetch plan: a 32-bit FNV digest of exactly
@@ -2170,15 +2199,13 @@ fn input_main(
 /// This rank's 2DIP group as world ranks, when a scripted *input*-rank
 /// failure — and with it the heartbeat/failover protocol — is active.
 fn failover_group(me: usize, s: &Shared) -> Option<Vec<usize>> {
-    if s.kill_target()? >= s.n_inputs {
-        return None; // render/output kills don't concern the input groups
-    }
+    // render/output kills don't concern the input groups
     match s.cfg.io {
-        IoStrategy::OneDip { .. } => None,
-        IoStrategy::TwoDip { per_group, .. } => {
+        IoStrategy::TwoDip { per_group, .. } if s.input_failover() => {
             let g = me / per_group;
             Some((g * per_group..(g + 1) * per_group).collect())
         }
+        _ => None,
     }
 }
 
@@ -2315,6 +2342,7 @@ fn input_main_sync(
     };
     let mut timings = Vec::with_capacity(plan.my_steps.len());
     let mut was_dead = false;
+    let mut first_prepare = true;
     for &t in &plan.my_steps {
         // a scripted failure: this rank stops cold, mid-pipeline, with no
         // farewell — survivors must *detect* it via heartbeat timeouts. A
@@ -2371,7 +2399,11 @@ fn input_main_sync(
         let fetch = fetch_override.as_ref().map_or(&plan.fetch, |(f, _)| f);
         let my_span = fetch_override.as_ref().map_or(plan.my_span, |&(_, sp)| sp);
         let mut timing = InputStepTiming::default();
+        let t0 = Instant::now();
         let (mag, stats) = prepare_step(group_comm, s, fetch, &enhance, t);
+        if std::mem::take(&mut first_prepare) {
+            plan.stagger(t0.elapsed());
+        }
         timing.read = stats;
         if lead {
             lic_step(comm, s, t, &mut timing.read);
@@ -2444,7 +2476,11 @@ fn input_main_prefetch(
                     }
                     // collective reads are rejected at config validation, so
                     // the worker never needs the group communicator
+                    let t0 = Instant::now();
                     let (mag, stats) = prepare_step(None, s, &plan.fetch, &enhance, t);
+                    if t == plan.my_steps[0] {
+                        plan.stagger(t0.elapsed());
+                    }
                     let mut sp = obs::span(Phase::Send, t as u32);
                     let batches = pack_batches(
                         s,
@@ -3095,6 +3131,7 @@ fn render_main(
 /// input side's aggregate busy/send seconds. Complete by construction —
 /// the controller measures at tick `hi` only after assembling frame
 /// `hi - 1`, which every rank finishes (and drops its spans for) first.
+/// Render busy time is [`crate::control::robust_busy`] of the rank's steps.
 fn measure_window(session: &Arc<Obs>, s: &Shared, lo: usize, hi: usize) -> WindowMeasurement {
     let mut m = WindowMeasurement {
         render_busy: vec![0.0; s.n_renderers],
@@ -3108,12 +3145,14 @@ fn measure_window(session: &Arc<Obs>, s: &Shared, lo: usize, hi: usize) -> Windo
             let Some(rr) = rec.rank().checked_sub(s.n_inputs).filter(|&r| r < s.n_renderers) else {
                 continue;
             };
+            let mut per_step = vec![0.0f64; m.steps];
             for ev in rec.events() {
                 let t = ev.step as usize;
                 if t >= lo && t < hi && ev.phase == Phase::Render {
-                    m.render_busy[rr] += ev.dur_us as f64 / 1e6;
+                    per_step[t - lo] += ev.dur_us as f64 / 1e6;
                 }
             }
+            m.render_busy[rr] = crate::control::robust_busy(per_step);
         } else if group == "input" {
             for ev in rec.events() {
                 let t = ev.step as usize;

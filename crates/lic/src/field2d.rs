@@ -92,8 +92,10 @@ pub fn extract_surface_field(
         let j = idx / width as usize;
         let x = (i as f64 + 0.5) / width as f64 * extent.0;
         let y = (j as f64 + 0.5) / height as f64 * extent.1;
-        let vx = quadtree.idw_sample(x, y, radius, |id| field.horizontal(id).0 as f64);
-        let vy = quadtree.idw_sample(x, y, radius, |id| field.horizontal(id).1 as f64);
+        let [vx, vy] = quadtree.idw_sample(x, y, radius, |id| {
+            let (vx, vy) = field.horizontal(id);
+            [vx as f64, vy as f64]
+        });
         (vx as f32, vy as f32)
     });
     RegularField2D { width, height, extent, vectors }
@@ -156,17 +158,26 @@ mod tests {
             Vec3::new(100.0, 100.0, 50.0),
             &UniformRefinement(3),
         ));
-        // surface vx = x coordinate
+        // surface vx = x coordinate, vy = half the y coordinate
         let mut vals = vec![[0.0f32; 3]; mesh.node_count()];
         for id in 0..mesh.node_count() as NodeId {
             let p = mesh.node_position(id);
             if mesh.node_grid_coords(id).2 == 0 {
-                vals[id as usize] = [p.x as f32, 0.0, 0.0];
+                vals[id as usize] = [p.x as f32, (0.5 * p.y) as f32, 0.0];
             }
         }
         let field = VectorField::new(vals);
         let (qt, _) = Quadtree::from_surface_nodes(&mesh);
         let reg = extract_surface_field(&mesh, &field, &qt, 32, 32);
+        // the one neighbour search per texel gives each component exactly
+        // what a search of its own would
+        let radius = 100.0 / 32.0 * 2.0;
+        for (i, j) in [(0usize, 0usize), (4, 16), (27, 16), (31, 31)] {
+            let (x, y) = ((i as f64 + 0.5) / 32.0 * 100.0, (j as f64 + 0.5) / 32.0 * 100.0);
+            let [vx] = qt.idw_sample(x, y, radius, |id| [field.horizontal(id).0 as f64]);
+            let [vy] = qt.idw_sample(x, y, radius, |id| [field.horizontal(id).1 as f64]);
+            assert_eq!(reg.vectors[j * 32 + i], (vx as f32, vy as f32));
+        }
         // left third should be clearly smaller than right third
         let left = reg.vectors[16 * 32 + 4].0;
         let right = reg.vectors[16 * 32 + 27].0;

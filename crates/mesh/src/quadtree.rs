@@ -202,28 +202,36 @@ impl Quadtree {
     /// Inverse-distance-weighted interpolation of per-payload values at
     /// `(x, y)`: gathers points within `radius` (falling back to the single
     /// nearest point when none are in range) and returns the weighted
-    /// average of `value(payload)`.
-    pub fn idw_sample<F: Fn(u32) -> f64>(&self, x: f64, y: f64, radius: f64, value: F) -> f64 {
+    /// average of `value(payload)`, component by component — one
+    /// neighbour search serves every component of a vector quantity.
+    pub fn idw_sample<const N: usize>(
+        &self,
+        x: f64,
+        y: f64,
+        radius: f64,
+        value: impl Fn(u32) -> [f64; N],
+    ) -> [f64; N] {
         let mut wsum = 0.0;
-        let mut vsum = 0.0;
-        let mut found = false;
+        let mut vsum = [0.0; N];
         let pts = self.query_rect_points((x - radius, y - radius), (x + radius, y + radius));
         for (px, py, pl) in pts {
             let d2 = (px - x) * (px - x) + (py - y) * (py - y);
             if d2 > radius * radius {
                 continue;
             }
-            found = true;
             let w = 1.0 / (d2 + 1e-12);
             wsum += w;
-            vsum += w * value(pl);
+            let v = value(pl);
+            for c in 0..N {
+                vsum[c] += w * v[c];
+            }
         }
-        if found && wsum > 0.0 {
-            vsum / wsum
+        if wsum > 0.0 {
+            vsum.map(|v| v / wsum)
         } else if let Some((pl, _)) = self.nearest(x, y) {
             value(pl)
         } else {
-            0.0
+            [0.0; N]
         }
     }
 
@@ -341,7 +349,7 @@ mod tests {
         let qt = Quadtree::new((0.0, 0.0), (1.0, 1.0));
         assert!(qt.nearest(0.5, 0.5).is_none());
         assert!(qt.query_rect((0.0, 0.0), (1.0, 1.0)).is_empty());
-        assert_eq!(qt.idw_sample(0.5, 0.5, 0.1, |_| 1.0), 0.0);
+        assert_eq!(qt.idw_sample(0.5, 0.5, 0.1, |_| [1.0]), [0.0]);
     }
 
     #[test]
@@ -349,10 +357,12 @@ mod tests {
         let mut qt = Quadtree::new((0.0, 0.0), (1.0, 1.0));
         qt.insert(0.0, 0.5, 0); // value 0
         qt.insert(1.0, 0.5, 1); // value 10
-        let v = qt.idw_sample(0.5, 0.5, 1.0, |id| id as f64 * 10.0);
+                                // both components share one set of weights
+        let [v, neg] = qt.idw_sample(0.5, 0.5, 1.0, |id| [id as f64 * 10.0, id as f64 * -10.0]);
         assert!((v - 5.0).abs() < 1e-9, "midpoint should average, got {v}");
+        assert_eq!(neg, -v);
         // close to the left point, value near 0
-        let v = qt.idw_sample(0.01, 0.5, 1.5, |id| id as f64 * 10.0);
+        let [v] = qt.idw_sample(0.01, 0.5, 1.5, |id| [id as f64 * 10.0]);
         assert!(v < 1.0);
     }
 
@@ -360,8 +370,8 @@ mod tests {
     fn idw_falls_back_to_nearest_outside_radius() {
         let mut qt = Quadtree::new((0.0, 0.0), (1.0, 1.0));
         qt.insert(0.9, 0.9, 7);
-        let v = qt.idw_sample(0.1, 0.1, 0.05, |id| id as f64);
-        assert_eq!(v, 7.0);
+        let v = qt.idw_sample(0.1, 0.1, 0.05, |id| [id as f64]);
+        assert_eq!(v, [7.0]);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! exactly where it is finest; coarser levels sample fewer points and the
 //! brick (and its marching cost) shrinks by 8× per level.
 
-use crate::image::Rgba;
 use quakeviz_mesh::{Aabb, HexMesh, NodeField, OctreeBlock, Vec3};
 
 /// A regular scalar grid over one octree block's bounds, values normalized
@@ -21,6 +20,8 @@ pub struct Brick {
     /// Node counts per axis (≥ 2).
     dims: (usize, usize, usize),
     values: Vec<f32>,
+    /// Smallest and largest stored value (see [`Brick::value_range`]).
+    range: (f32, f32),
 }
 
 impl Brick {
@@ -73,7 +74,7 @@ impl Brick {
                 }
             }
         }
-        Brick { block_id: block.id, bounds, dims, values }
+        Brick::from_values(block.id, bounds, dims, values)
     }
 
     /// Build directly from raw normalized values (tests, synthetic data).
@@ -85,7 +86,12 @@ impl Brick {
     ) -> Brick {
         assert!(dims.0 >= 2 && dims.1 >= 2 && dims.2 >= 2, "brick needs ≥2 nodes per axis");
         assert_eq!(values.len(), dims.0 * dims.1 * dims.2);
-        Brick { block_id, bounds, dims, values }
+        let range = values.iter().fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &v| {
+            // a NaN sample renders as the transfer function's first
+            // control point: it counts as the lowest value there is
+            (lo.min(if v.is_nan() { f32::NEG_INFINITY } else { v }), hi.max(v))
+        });
+        Brick { block_id, bounds, dims, values, range }
     }
 
     /// Node counts per axis.
@@ -98,6 +104,20 @@ impl Brick {
     #[inline]
     pub fn sample_count(&self) -> usize {
         self.values.len()
+    }
+
+    /// The stored samples, x fastest (`i + nx·(j + ny·k)`).
+    #[inline]
+    pub(crate) fn values(&self) -> &[f32] {
+        &self.values
+    }
+
+    /// `(min, max)` of the stored samples — and so, up to rounding, of
+    /// every interpolated value. The ray caster skips a brick whose range
+    /// the transfer function cannot see.
+    #[inline]
+    pub fn value_range(&self) -> (f32, f32) {
+        self.range
     }
 
     /// Smallest cell edge in world units (ray-march step base).
@@ -146,20 +166,6 @@ impl Brick {
             as f64;
         Vec3::new(gx, gy, gz) * (0.5 / h)
     }
-
-    /// Mean value (diagnostics).
-    pub fn mean(&self) -> f32 {
-        self.values.iter().sum::<f32>() / self.values.len() as f32
-    }
-}
-
-/// A color brick variant for precomputed emission (not used by the core
-/// path but handy for LIC texture slabs).
-#[derive(Debug, Clone)]
-pub struct ColorBrick {
-    pub bounds: Aabb,
-    pub dims: (usize, usize),
-    pub texels: Vec<Rgba>,
 }
 
 #[cfg(test)]

@@ -12,10 +12,13 @@ pub struct Camera {
     pub fov_y: f64,
     pub width: u32,
     pub height: u32,
-    // cached orthonormal basis
+    // cached orthonormal basis and image-plane half extents at unit depth
+    // (`tan(fov_y / 2)` and that times the aspect ratio)
     forward: Vec3,
     right: Vec3,
     true_up: Vec3,
+    half_w: f64,
+    half_h: f64,
 }
 
 impl Camera {
@@ -31,7 +34,9 @@ impl Camera {
         let right = forward.cross(up).normalized();
         let true_up = right.cross(forward);
         assert!(right.length() > 0.5, "up vector parallel to view direction");
-        Camera { eye, target, up, fov_y, width, height, forward, right, true_up }
+        let half_h = (fov_y * 0.5).tan();
+        let half_w = half_h * (width as f64 / height as f64);
+        Camera { eye, target, up, fov_y, width, height, forward, right, true_up, half_w, half_h }
     }
 
     /// A default viewpoint for a dataset of the given bounds: slightly
@@ -57,14 +62,13 @@ impl Camera {
 
     /// World-space ray through pixel centre `(px, py)`:
     /// returns `(origin, unit direction)`.
+    #[inline]
     pub fn ray(&self, px: u32, py: u32) -> (Vec3, Vec3) {
-        let aspect = self.width as f64 / self.height as f64;
-        let half_h = (self.fov_y * 0.5).tan();
-        let half_w = half_h * aspect;
         // NDC in [-1, 1] with y pointing up the image
         let nx = ((px as f64 + 0.5) / self.width as f64) * 2.0 - 1.0;
         let ny = 1.0 - ((py as f64 + 0.5) / self.height as f64) * 2.0;
-        let dir = self.forward + self.right * (nx * half_w) + self.true_up * (ny * half_h);
+        let dir =
+            self.forward + self.right * (nx * self.half_w) + self.true_up * (ny * self.half_h);
         (self.eye, dir.normalized())
     }
 
@@ -77,11 +81,8 @@ impl Camera {
         if depth <= 1e-9 {
             return None;
         }
-        let aspect = self.width as f64 / self.height as f64;
-        let half_h = (self.fov_y * 0.5).tan();
-        let half_w = half_h * aspect;
-        let x = v.dot(self.right) / depth / half_w; // [-1, 1]
-        let y = v.dot(self.true_up) / depth / half_h;
+        let x = v.dot(self.right) / depth / self.half_w; // [-1, 1]
+        let y = v.dot(self.true_up) / depth / self.half_h;
         let px = (x + 1.0) * 0.5 * self.width as f64;
         let py = (1.0 - y) * 0.5 * self.height as f64;
         Some((px, py, depth))

@@ -1,0 +1,301 @@
+//! The index-space kernel against [`super::reference`], and the brick
+//! skip rule at its edges.
+
+use super::{
+    cast, composite_fragments, reference, split, Fragment, LightingParams, RenderParams, Work,
+};
+use crate::brick::Brick;
+use crate::camera::Camera;
+use crate::transfer::TransferFunction;
+use crate::visibility::front_to_back_order;
+use quakeviz_mesh::{Aabb, HexMesh, NodeField, Octree, UniformRefinement, Vec3};
+use quakeviz_rt::rng::SplitMix64;
+
+/// 8-bit channels the way the frame writers and the benchmark oracle
+/// quantize them.
+fn rgba8(p: [f32; 4]) -> [u8; 4] {
+    p.map(|c| (c.clamp(0.0, 1.0) * 255.0 + 0.5) as u8)
+}
+
+/// Three to six control points at random values; the lowest few are
+/// fully transparent so some bricks fall under the skip rule.
+fn random_tf(rng: &mut SplitMix64) -> TransferFunction {
+    let n = 3 + rng.next_below(4) as usize;
+    let clear_below = rng.next_f32() * 0.4;
+    let points = (0..n)
+        .map(|i| {
+            let v = match i {
+                0 => 0.0,
+                1 => 1.0,
+                _ => rng.next_f32(),
+            };
+            let a = if v <= clear_below { 0.0 } else { rng.next_f32() * 0.9 };
+            (v, [rng.next_f32(), rng.next_f32(), rng.next_f32(), a])
+        })
+        .collect();
+    TransferFunction::new(points)
+}
+
+/// Cast `bricks` (given front to back) with both kernels and hold the
+/// contract between them: per brick the same fragment rect, the same ray
+/// count and samples within one per ray — or, for a skipped brick, no
+/// work at all and nothing from the reference either; per composited
+/// frame at most one 8-bit level on at most 0.1 % of the pixels. Returns
+/// `(rays marched, bricks skipped, pixels drawn)`.
+fn assert_frame_matches<'a>(
+    bricks: impl Iterator<Item = &'a Brick>,
+    camera: &Camera,
+    tf: &TransferFunction,
+    params: &RenderParams,
+) -> (u64, u64, usize) {
+    let (mut new, mut old) = (Vec::new(), Vec::new());
+    let (mut marched, mut skipped) = (0, 0);
+    for brick in bricks {
+        let (got, work) = cast(brick, camera, tf, params);
+        let (want, ref_work) = reference::render_brick(brick, camera, tf, params);
+        assert_eq!(
+            got.as_ref().map(|f| f.rect),
+            want.as_ref().map(|f| f.rect),
+            "fragment rect of block {}",
+            brick.block_id
+        );
+        if work.bricks_skipped == 1 {
+            assert_eq!(work, Work { bricks_skipped: 1, ..Work::default() });
+            skipped += 1;
+        } else {
+            assert_eq!(work.rays, ref_work.rays);
+            assert!(
+                work.samples.abs_diff(ref_work.samples) <= work.rays,
+                "samples {} vs {} over {} rays",
+                work.samples,
+                ref_work.samples,
+                work.rays
+            );
+            marched += work.rays;
+        }
+        new.extend(got);
+        old.extend(want);
+    }
+    let (w, h) = (camera.width, camera.height);
+    let frame = |frags: &[Fragment]| composite_fragments(&frags.iter().collect::<Vec<_>>(), w, h);
+    let (a, b) = (frame(&new), frame(&old));
+    let mut differing = 0;
+    for (p, q) in a.pixels().iter().zip(b.pixels()) {
+        let (p, q) = (rgba8(*p), rgba8(*q));
+        let worst = (0..4).map(|c| p[c].abs_diff(q[c])).max().unwrap();
+        assert!(worst <= 1, "{w}×{h}: a channel differs by {worst} levels");
+        differing += (worst > 0) as usize;
+    }
+    assert!(
+        differing * 1000 <= (w * h) as usize,
+        "{w}×{h}: {differing} pixels differ ({marched} rays, {skipped} bricks skipped)"
+    );
+    (marched, skipped, a.pixels().iter().filter(|p| rgba8(**p)[3] > 0).count())
+}
+
+#[test]
+fn index_space_kernel_matches_the_reference() {
+    // cells of 1/8 × 1/8 × 1/16: the smallest edge is z's, so the x and y
+    // gradient taps land half a cell from the sample
+    let extent = Vec3::new(2.0, 2.0, 1.0);
+    let mesh = HexMesh::from_octree(Octree::build(extent, &UniformRefinement(4)));
+    let blocks = mesh.octree().blocks(1);
+    let finest = mesh.octree().max_leaf_level();
+    let mut rng = SplitMix64::new(0x51ce_2004);
+
+    let mut wave = NodeField::zeros(&mesh);
+    let mut noise = NodeField::zeros(&mesh);
+    for id in 0..mesh.node_count() as u32 {
+        let p = mesh.node_position(id);
+        let r = ((p.x - 0.4).powi(2) + (p.y - 0.4).powi(2) + (p.z - 0.2).powi(2)).sqrt();
+        // spherical wave fronts that have not reached the far blocks yet
+        // (exact zeros there)
+        wave.set(id, if r > 0.55 { 0.0 } else { (0.5 + 0.5 * (20.0 * r).cos()) as f32 });
+        noise.set(id, rng.next_f32());
+    }
+
+    let size = 56;
+    let centre = extent * 0.5;
+    let up = Vec3::new(0.0, 0.0, -1.0);
+    let mut cameras = vec![
+        Camera::default_for(&Aabb::from_extent(extent), size, size),
+        // inside the volume: bricks pierce the camera plane
+        Camera::look_at(Vec3::new(0.9, 1.2, 0.4), Vec3::new(2.0, 0.1, 0.9), up, 0.9, size, size),
+    ];
+    for _ in 0..2 {
+        let dir = Vec3::new(rng.next_f64() - 0.5, rng.next_f64() - 0.5, -rng.next_f64() - 0.1);
+        let eye = centre + dir.normalized() * (2.0 + 2.0 * rng.next_f64());
+        cameras.push(Camera::look_at(eye, centre, up, 0.5 + 0.4 * rng.next_f64(), size, size));
+    }
+
+    let (mut frames, mut skipped, mut marched) = (0, 0u64, 0u64);
+    for field in [&wave, &noise] {
+        for level in [finest, finest - 1] {
+            let bricks: Vec<Brick> = blocks
+                .iter()
+                .map(|b| Brick::from_field(&mesh, field, b, level, (0.0, 1.0)))
+                .collect();
+            for camera in &cameras {
+                for lit in [false, true] {
+                    let tf = random_tf(&mut rng);
+                    let params = RenderParams {
+                        lighting: lit.then(LightingParams::default),
+                        // the pipeline's setting, and each brick's own cell
+                        opacity_unit: (rng.next_below(2) == 0).then_some(1.0 / 16.0),
+                        ..Default::default()
+                    };
+                    let order = front_to_back_order(&blocks, extent, camera.eye);
+                    let in_order = order.iter().map(|&b| &bricks[b]);
+                    let (rays, none, _) = assert_frame_matches(in_order, camera, &tf, &params);
+                    marched += rays;
+                    skipped += none;
+                    frames += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(frames, 32);
+    assert!(skipped > 0 && marched > 10_000, "{skipped} bricks skipped, {marched} rays marched");
+}
+
+/// The benchmark's `movie`, `hiding` and `ingest` frames in miniature: the
+/// small simulated dataset late in its run, 64 blocks at the finest
+/// level, the default camera, the seismic map at the pipeline's opacity
+/// unit; 256² and 192² lit with temporal enhancement, 64² unlit without.
+#[test]
+fn workload_shaped_frames_hold_the_image_contract() {
+    use quakeviz_seismic::SimulationBuilder;
+    let steps = 12;
+    let ds = SimulationBuilder::new()
+        .resolution(32)
+        .frequency(0.15)
+        .steps(steps)
+        .run_to_dataset()
+        .expect("dataset");
+    let mesh = ds.mesh();
+    let extent = mesh.octree().extent();
+    let blocks = mesh.octree().blocks(2);
+    let level = mesh.octree().max_leaf_level();
+    let now = ds.load_step(steps - 1).magnitude();
+    let before = ds.load_step(steps - 2).magnitude();
+    let enhanced = crate::TemporalEnhance::default().apply(&now, Some(&before), None);
+    let tf = TransferFunction::seismic();
+    let norm = (0.0, ds.vmag_max());
+
+    for (size, lit, field) in [(256, true, &enhanced), (192, true, &enhanced), (64, false, &now)] {
+        let camera = Camera::default_for(&Aabb::from_extent(extent), size, size);
+        let params = RenderParams {
+            lighting: lit.then(LightingParams::default),
+            opacity_unit: Some(extent.max_component() / 64.0),
+            ..Default::default()
+        };
+        let bricks: Vec<Brick> = front_to_back_order(&blocks, extent, camera.eye)
+            .into_iter()
+            .map(|b| Brick::from_field(mesh, field, &blocks[b], level, norm))
+            .collect();
+        let (_, _, shown) = assert_frame_matches(bricks.iter(), &camera, &tf, &params);
+        assert!(shown * 10 > (size * size) as usize, "{size}²: only {shown} pixels drawn");
+    }
+}
+
+fn cam(size: u32) -> Camera {
+    Camera::look_at(
+        Vec3::new(0.5, 0.5, -3.0),
+        Vec3::new(0.5, 0.5, 0.5),
+        Vec3::new(0.0, 1.0, 0.0),
+        0.7,
+        size,
+        size,
+    )
+}
+
+fn const_brick(v: f32) -> Brick {
+    Brick::from_values(0, Aabb::UNIT, (3, 3, 3), vec![v; 27])
+}
+
+/// Opacity rises linearly from 0 at value 0.
+fn ramp_tf() -> TransferFunction {
+    TransferFunction::new(vec![(0.0, [1.0, 0.5, 0.0, 0.0]), (1.0, [1.0, 0.5, 0.0, 0.9])])
+}
+
+#[test]
+fn bricks_under_the_gate_are_skipped_and_cost_nothing() {
+    let params = RenderParams::default();
+    let tf = ramp_tf();
+    let skipped = Work { bricks_skipped: 1, ..Work::default() };
+    assert_eq!(cast(&const_brick(0.0), &cam(24), &tf, &params), (None, skipped));
+
+    // the largest value whose corrected opacity stays at or under 1e-5
+    let baked = tf.baked(params.step_scale as f32);
+    let mut under = 0.0f32;
+    while baked.sample(f32::from_bits(under.to_bits() + 64))[3] <= 1e-5 {
+        under = f32::from_bits(under.to_bits() + 64);
+    }
+    assert!(under > 0.0 && under < 1e-3, "gate crossing at {under}");
+    assert_eq!(cast(&const_brick(under), &cam(24), &tf, &params), (None, skipped));
+    // (the reference rounds `1 − a` to f32 before its powf, which at this
+    // opacity is ±0.4 %: it may put a few such samples over the gate)
+    if let (Some(f), _) = reference::render_brick(&const_brick(under), &cam(24), &tf, &params) {
+        assert!(f.pixels.iter().all(|p| rgba8(*p) == [0; 4]), "skipped a brick that shows");
+    }
+
+    // one table cell further up the brick is marched, and drawn
+    let over = const_brick(under + 1.0 / 4095.0);
+    let (got, work) = cast(&over, &cam(24), &tf, &params);
+    let (want, ref_work) = reference::render_brick(&over, &cam(24), &tf, &params);
+    assert_eq!(work.bricks_skipped, 0);
+    assert_eq!((work.rays, work.samples), (ref_work.rays, ref_work.samples));
+    assert!(got.is_some() && want.is_some());
+
+    // one value over the gate among values under it is enough
+    let mut values = vec![0.0f32; 27];
+    values[13] = 0.5;
+    let (got, work) =
+        cast(&Brick::from_values(0, Aabb::UNIT, (3, 3, 3), values), &cam(24), &tf, &params);
+    assert!(got.is_some() && work.bricks_skipped == 0);
+}
+
+#[test]
+fn nan_renders_as_the_first_control_point() {
+    // only the first control point is visible
+    let tf = TransferFunction::new(vec![
+        (0.0, [0.0, 1.0, 0.0, 0.6]),
+        (0.1, [1.0, 0.0, 0.0, 0.0]),
+        (1.0, [1.0, 0.0, 0.0, 0.0]),
+    ]);
+    let params = RenderParams::default();
+    let brick = const_brick(f32::NAN);
+    assert_eq!(brick.value_range().0, f32::NEG_INFINITY);
+    let (got, work) = cast(&brick, &cam(24), &tf, &params);
+    let (want, _) = reference::render_brick(&brick, &cam(24), &tf, &params);
+    assert_eq!(work.bricks_skipped, 0);
+    let (got, want) = (got.unwrap(), want.unwrap());
+    let c = got.get(12, 12);
+    assert!(c[1] > 0.3 && c[0] == 0.0, "centre pixel {c:?} is not the first control point's green");
+    for (p, q) in got.pixels.iter().zip(&want.pixels) {
+        assert!((0..4).all(|c| rgba8(*p)[c].abs_diff(rgba8(*q)[c]) <= 1));
+    }
+}
+
+#[test]
+fn upper_face_belongs_to_the_last_cell() {
+    // on the face: cell n−2, weight 1 — never cell n−1, which has no
+    // upper node
+    assert_eq!(split(4.0, 4.0, 3), (3, 1.0));
+    assert_eq!(split(7.5, 4.0, 3), (3, 1.0));
+    assert_eq!(split(3.25, 4.0, 3), (3, 0.25));
+    assert_eq!(split(-0.5, 4.0, 3), (0, 0.0));
+    assert_eq!(split(1.0, 1.0, 0), (0, 1.0));
+    // and the interpolant there is the face value, as in Brick::sample
+    let mut values = vec![0.25f32; 27];
+    for j in 0..3 {
+        for k in 0..3 {
+            values[2 + 3 * (j + 3 * k)] = 0.75;
+        }
+    }
+    let brick = Brick::from_values(0, Aabb::UNIT, (3, 3, 3), values);
+    let grid = super::Grid { values: brick.values(), nx: 3, nxy: 9 };
+    let on_face = grid.trilinear(split(2.0, 2.0, 1), split(0.7, 2.0, 1), split(1.3, 2.0, 1));
+    assert_eq!(on_face, 0.75);
+    assert_eq!(brick.sample(Vec3::new(1.0, 0.35, 0.65)), 0.75);
+}

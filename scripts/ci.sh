@@ -186,6 +186,10 @@ if [[ -z "${QUAKEVIZ_FAULTS:-}" && -z "${QUAKEVIZ_TRACE+x}" ]]; then
     done
     echo "==> bench smoke"
     run_bench_smoke
+    # the repository benchmark's own plumbing check: every workload once,
+    # oracle on (benchmark/README.md); ~15 s
+    echo "==> benchmark run --smoke"
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
 fi
 
 echo "CI OK"

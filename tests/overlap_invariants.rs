@@ -137,3 +137,55 @@ fn send_wait_only_under_backpressure() {
         .count();
     assert!(waits > 0, "expected SendWait spans once in-flight sends exceed the slots");
 }
+
+/// Largest interframe delay once the pipeline has filled (the first
+/// `lanes` frames fill it).
+fn worst_steady_gap(report: &PipelineReport, lanes: usize) -> f64 {
+    report.interframe()[lanes..].iter().copied().fold(0.0, f64::max)
+}
+
+#[test]
+fn input_bound_lanes_interleave_instead_of_bursting() {
+    // three lanes, reads far slower than the tiny frames: the cadence is
+    // set by the input side alone. All lanes start reading at t = 0, so
+    // without the one-off stagger they deliver three frames at once and
+    // then nothing for a whole read (largest gap ≈ 0.9 × read); staggered
+    // they deliver one frame every read/3.
+    let lanes = 3;
+    let ds = SimulationBuilder::new().resolution(16).steps(9).run_to_dataset().unwrap();
+    let run = |io_delay: f64, image: u32, prefetch: bool| {
+        PipelineBuilder::new(&ds)
+            .renderers(2)
+            .io_strategy(IoStrategy::OneDip { input_procs: lanes })
+            .image_size(image, image)
+            .keep_frames(false)
+            .io_delay_scale(io_delay)
+            .prefetch(prefetch)
+            .run()
+            .expect("pipeline")
+    };
+    let report = run(80.0, 24, true);
+    let read = report.mean_read_seconds();
+    let worst = worst_steady_gap(&report, lanes);
+    assert!(
+        worst < 0.6 * read,
+        "input-bound cadence is bursty: largest steady gap {worst:.4}s of a {read:.4}s read \
+         (interleaved lanes give a third)"
+    );
+    let sync = run(80.0, 24, false);
+    let worst = worst_steady_gap(&sync, lanes);
+    assert!(worst < 0.6 * read, "sync lanes burst: largest steady gap {worst:.4}s of {read:.4}s");
+
+    // render-bound, the stagger must cost nothing: lane 0 is never held
+    // back, so the first frame is as early as ever, and the steady delay
+    // still pipelines below the serial stage sum
+    let bound = run(1.0, 160, true);
+    let serial =
+        bound.mean_read_seconds() + bound.mean_preprocess_seconds() + bound.mean_render_seconds();
+    assert!(bound.mean_interframe_delay() <= serial, "render-bound run lost its overlap");
+    assert!(
+        bound.frame_done[0] <= 2.0 * serial,
+        "first frame at {:.4}s, one serial step is {serial:.4}s",
+        bound.frame_done[0]
+    );
+}
