@@ -75,11 +75,12 @@
 //! run, so the reported run shows the warm-replay path (frame hits,
 //! collapsed interframe delay).
 //!
-//! `--prefetch` switches the input ranks to the overlapped runtime
-//! (read+preprocess on a worker thread, two-slot non-blocking send
-//! queue); the report then adds a prefetch-overlap section measuring how
-//! much of the read+preprocess time actually hid behind rendering, and
-//! the model table predicts with the `max(Ts', Tr)`-floor overlap forms.
+//! `--prefetch` adds the read-ahead stage to the input ranks
+//! (read+preprocess on a worker thread up to two steps ahead, at most
+//! two steps' non-blocking sends in flight); the report then adds a
+//! prefetch-overlap section measuring how much of the read+preprocess
+//! time actually hid behind rendering, and the model table predicts with
+//! the `max(Ts', Tr)`-floor overlap forms.
 //!
 //! `--trace` (or any `QUAKEVIZ_TRACE` value) records runtime auto spans
 //! too; `QUAKEVIZ_TRACE=out/trace.json` additionally writes the
@@ -230,8 +231,7 @@ fn main() {
             IoStrategy::OneDip { input_procs } => input_procs,
             IoStrategy::TwoDip { groups, per_group } => groups * per_group,
         };
-        let input_kills =
-            matches!(io, IoStrategy::TwoDip { per_group, .. } if per_group >= 2) && !prefetch;
+        let input_kills = matches!(io, IoStrategy::TwoDip { per_group, .. } if per_group >= 2);
         let topo = rt_chaos::ChaosTopology { n_inputs, renderers, steps, input_kills };
         let schedule = rt_chaos::compose(&rt_chaos::chaos_clauses(seed, &topo));
         faults = Some(FaultSpec::parse(&schedule).expect("generated chaos schedule must parse"));

@@ -126,13 +126,15 @@ pub struct PipelineConfig {
     pub transfer: TransferFunction,
     /// Render only the first `max_steps` steps of the dataset, if set.
     pub max_steps: Option<usize>,
-    /// Overlapped prefetch runtime: each input rank runs read+preprocess
-    /// +pack on a prefetch worker thread feeding a bounded two-slot queue,
-    /// while the rank thread synthesizes LIC and issues non-blocking block
-    /// sends with at most two steps' sends in flight (backpressure via
-    /// [`quakeviz_rt::SendHandle`]). Frames are bit-identical to the
-    /// synchronous path, which remains the reference oracle when this is
-    /// off (the default).
+    /// Overlapped prefetch runtime: the input step loop gains a read-ahead
+    /// stage — a worker thread runs read+preprocess up to two owned steps
+    /// ahead, while the rank thread synthesizes LIC, packs, and keeps at
+    /// most two steps' non-blocking block sends in flight (backpressure
+    /// via [`quakeviz_rt::SendHandle`]). Everything else about a step —
+    /// membership, epoch ticks, slices, routing, delta state — is the same
+    /// code either way, so it composes with every other feature except
+    /// 2DIP collective reads. Frames are bit-identical to the run with
+    /// this off (the default), which remains the reference oracle.
     pub prefetch: bool,
     /// Detailed observability: record runtime auto spans (blocking
     /// receives, barriers, MPI-IO reads, compositing rounds) in addition

@@ -3,7 +3,7 @@
 //!
 //! The paper routes node data to renderers through one octree-block map.
 //! So does this pipeline: [`owners`] is the only place block ownership is
-//! decided, and every role — input packers, the prefetch worker, render
+//! decided, and every role — the input step loop's packer, render
 //! ranks, the checkpoint committer, the frame assembler — asks it with
 //! the same two inputs, the committed [`EpochState`] and the rank the
 //! fault plan scripts dead at that step. Frames are partition-invariant

@@ -38,7 +38,9 @@ use quakeviz_rt::{
     TagClass, TrafficEdge, TrafficStats, World,
 };
 use quakeviz_seismic::Dataset;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -902,7 +904,7 @@ pub enum FaultConfigError {
     /// death would never fire.
     StepOutOfRange { step: usize, steps: usize },
     /// An input-rank death is only survivable inside a 2DIP group of at
-    /// least two (independent contiguous reads, synchronous runtime).
+    /// least two with independent contiguous reads.
     InputNotSurvivable { rank: usize, step: usize },
     /// A render-rank death is only survivable with at least two
     /// rendering processors for the dead rank's blocks to be overlaid onto.
@@ -949,8 +951,8 @@ impl std::fmt::Display for FaultConfigError {
             FaultConfigError::InputNotSurvivable { rank, step } => write!(
                 f,
                 "fail_rank={rank}@{step} needs a 2DIP input group of at least 2 \
-                 (independent contiguous reads, synchronous runtime) so the dead \
-                 rank's slice can fail over to a survivor"
+                 with independent contiguous reads so the dead rank's slice can \
+                 fail over to a survivor"
             ),
             FaultConfigError::RenderNotSurvivable { rank, step } => write!(
                 f,
@@ -1022,8 +1024,7 @@ fn validate_fail_rank(
     }
     if rank < n_inputs {
         let survivable = matches!(config.io, IoStrategy::TwoDip { per_group, .. } if per_group >= 2)
-            && matches!(config.read, ReadStrategy::IndependentContiguous)
-            && !config.prefetch;
+            && matches!(config.read, ReadStrategy::IndependentContiguous);
         if !survivable {
             return Err(FaultConfigError::InputNotSurvivable { rank, step });
         }
@@ -1277,12 +1278,6 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
     if let Some(ctl) = &config.control {
         if ctl.every == 0 {
             return Err("elastic control tick period must be at least one step".into());
-        }
-        if config.prefetch {
-            return Err("elastic control plane cannot run with the prefetch runtime: \
-                 prefetch workers pack batches ahead of the epoch clock, so a committed \
-                 plan could not take effect at its step boundary"
-                .into());
         }
         if ctl.reshape {
             let survivable = matches!(config.io, IoStrategy::TwoDip { per_group, .. } if per_group >= 2)
@@ -1802,88 +1797,110 @@ fn phase_seconds_by_step(events: &[obs::SpanEvent], phase: Phase, step: usize) -
 // input processors
 // ---------------------------------------------------------------------
 
-/// Which steps an input rank owns and what it fetches per step — computed
-/// once, shared by the synchronous loop and the prefetch worker.
+/// Which steps an input rank owns and which ranks it reads them with —
+/// fixed for the run. What it fetches of a step is the step's
+/// [`SliceFetch`].
 struct InputPlan {
     my_steps: Vec<usize>,
-    member: usize,
-    fetch: FetchPlan,
-    /// Value range of my node ids, for piece extraction; `None` means a
-    /// solo reader holding every needed node (whole-block sends).
-    my_span: Option<(NodeId, NodeId)>,
+    /// World ranks of my read group: my 2DIP group, or just me under 1DIP.
+    group: std::ops::Range<usize>,
     /// `(lane, lanes)`: which of the interleaved step streams this rank
     /// feeds — its rank under 1DIP, its group under 2DIP.
     lane: (usize, usize),
+    /// Whether this lane's first prepare has happened.
+    staggered: AtomicBool,
 }
 
 impl InputPlan {
-    /// Every lane starts reading at once, so unless render back-pressure
-    /// happens to spread them the lanes deliver their steps in bursts of
-    /// `lanes` — invisible while rendering paces the run, a `lanes`-fold
-    /// swing of the interframe delay once input does. Called once, with
-    /// the time this lane's first step took to prepare, before that step
-    /// is handed on: holding it back `lane/lanes` of that time shifts the
-    /// lane's whole schedule, and from then on the lanes interleave whole
-    /// steps, as [`crate::model::onedip_prefetch_delay`] assumes.
-    fn stagger(&self, first_prepare: Duration) {
+    /// [`prepare_step`] under `sf`, staggering the lanes once. Every lane
+    /// starts reading at once, so unless render back-pressure happens to
+    /// spread them the lanes deliver their steps in bursts of `lanes` —
+    /// invisible while rendering paces the run, a `lanes`-fold swing of
+    /// the interframe delay once input does. So the lane's first step is
+    /// held back `lane/lanes` of the time it took to prepare, *on the
+    /// thread that prepared it* (the read-ahead worker when there is one):
+    /// that shifts the lane's whole read schedule, and from then on the
+    /// lanes interleave whole steps, as
+    /// [`crate::model::onedip_prefetch_delay`] assumes.
+    fn prepare(
+        &self,
+        group_comm: Option<&Comm>,
+        s: &Shared,
+        sf: &SliceFetch,
+        t: usize,
+    ) -> (Option<Vec<f32>>, ReadStats) {
+        let t0 = Instant::now();
+        let prepared = prepare_step(group_comm, s, &sf.fetch, t);
         let (lane, lanes) = self.lane;
-        if lane > 0 {
-            std::thread::sleep(first_prepare.mul_f64(lane as f64 / lanes as f64));
+        if !self.staggered.swap(true, Ordering::Relaxed) && lane > 0 {
+            std::thread::sleep(t0.elapsed().mul_f64(lane as f64 / lanes as f64));
         }
+        prepared
     }
 }
 
 fn input_plan(me: usize, s: &Shared) -> InputPlan {
-    // which steps do I work on, and which part of each?
     // step ownership is keyed by the *absolute* step index, so a resumed
     // run assigns each remaining step to the same rank the uninterrupted
     // run would
-    let (lane, member, group_size) = match s.cfg.io {
-        IoStrategy::OneDip { input_procs } => ((me, input_procs), 0, 1),
+    let (lane, group) = match s.cfg.io {
+        IoStrategy::OneDip { input_procs } => ((me, input_procs), me..me + 1),
         IoStrategy::TwoDip { groups, per_group } => {
-            ((me / per_group, groups), me % per_group, per_group)
+            let g = me / per_group;
+            ((g, groups), g * per_group..(g + 1) * per_group)
         }
     };
-    let my_steps: Vec<usize> = (s.start_step..s.steps).filter(|t| t % lane.1 == lane.0).collect();
+    let my_steps = (s.start_step..s.steps).filter(|t| t % lane.1 == lane.0).collect();
+    InputPlan { my_steps, group, lane, staggered: AtomicBool::new(false) }
+}
 
-    // my fetch pattern (constant across steps)
-    let node_count = s.mesh.node_count();
-    let my_ids: Option<Vec<NodeId>> = match (&s.level_ids, group_size) {
-        (Some(lvl), 1) => Some(lvl.as_ref().clone()),
-        (Some(lvl), m) => {
-            let (a, b) = member_node_range(lvl.len(), member, m);
-            Some(lvl[a..b].to_vec())
+/// `(index, live width)`: this reader is the `index`-th of the `live
+/// width` members of its group that share a step's read.
+type Slice = (usize, usize);
+
+/// What a reader fetches of every step under one [`Slice`], and which of
+/// the fetched nodes it ships.
+struct SliceFetch {
+    slice: Slice,
+    fetch: FetchPlan,
+    /// Value range of my node ids, for piece extraction; `None` means a
+    /// solo reader holding every needed node (whole-block sends).
+    span: Option<(NodeId, NodeId)>,
+}
+
+/// The one slice function (§5.3.2): the fetch set — the level's node ids
+/// under adaptive fetch, else the whole node array — cut into `live`
+/// contiguous parts, of which this reader takes the `idx`-th. The static
+/// plan is the full group; a group shrunk by failover or narrowed by an
+/// elastic reshape re-slices over its live members with the same
+/// arithmetic, so it computes bit-identical values.
+fn slice_fetch(s: &Shared, slice @ (idx, live): Slice) -> SliceFetch {
+    let (fetch, span) = match &s.level_ids {
+        _ if live == 1 => {
+            (FetchPlan { ids: s.level_ids.as_ref().map(|l| l.to_vec()), range: None }, None)
         }
-        (None, 1) => None,
-        (None, m) => {
-            // contiguous slice — materialize ids only for the collective path
-            match s.cfg.read {
+        Some(lvl) => {
+            let (a, b) = member_node_range(lvl.len(), idx, live);
+            let ids = lvl[a..b].to_vec();
+            let span = match (ids.first(), ids.last()) {
+                (Some(&lo), Some(&hi)) => (lo, hi + 1),
+                _ => (0, 0),
+            };
+            (FetchPlan { ids: Some(ids), range: None }, Some(span))
+        }
+        None => {
+            let (a, b) = member_node_range(s.mesh.node_count(), idx, live);
+            let fetch = match s.cfg.read {
+                // the collective read takes its share as an id pattern
                 ReadStrategy::CollectiveNoncontiguous { .. } => {
-                    let (a, b) = member_node_range(node_count, member, m);
-                    Some((a as NodeId..b as NodeId).collect())
+                    FetchPlan { ids: Some((a as NodeId..b as NodeId).collect()), range: None }
                 }
-                ReadStrategy::IndependentContiguous => None,
-            }
+                ReadStrategy::IndependentContiguous => FetchPlan { ids: None, range: Some((a, b)) },
+            };
+            (fetch, Some((a as NodeId, b as NodeId)))
         }
     };
-    let my_range = if group_size > 1 && my_ids.is_none() {
-        Some(member_node_range(node_count, member, group_size))
-    } else {
-        None
-    };
-    // a solo reader (1DIP) holds every needed node, sends full per-block
-    // values
-    let my_span: Option<(NodeId, NodeId)> = if group_size == 1 {
-        None
-    } else {
-        match (&my_ids, my_range) {
-            (Some(ids), _) if !ids.is_empty() => Some((ids[0], *ids.last().unwrap() + 1)),
-            (Some(_), _) => Some((0, 0)),
-            (None, Some((a, b))) => Some((a as NodeId, b as NodeId)),
-            (None, None) => None,
-        }
-    };
-    InputPlan { my_steps, member, fetch: FetchPlan { ids: my_ids, range: my_range }, my_span, lane }
+    SliceFetch { slice, fetch, span }
 }
 
 /// Block-cache identity of a fetch plan: a 32-bit FNV digest of exactly
@@ -1929,14 +1946,11 @@ fn fetch_step(
     let collective = comm_group.is_some()
         && plan.ids.is_some()
         && matches!(s.cfg.read, ReadStrategy::CollectiveNoncontiguous { .. });
-    let key = match &s.cache {
-        Some(tier) if tier.blocks.enabled() && !collective => {
-            Some(BlockKey { step: t as u32, block: fetch_identity(plan), level: s.level })
-        }
-        _ => None,
-    };
-    if let Some(key) = key {
-        if let Some(data) = s.cache.as_ref().unwrap().blocks.get(key) {
+    let cached = s.cache.as_ref().filter(|tier| tier.blocks.enabled() && !collective).map(|tier| {
+        (&tier.blocks, BlockKey { step: t as u32, block: fetch_identity(plan), level: s.level })
+    });
+    if let Some((blocks, key)) = &cached {
+        if let Some(data) = blocks.get(*key) {
             // a checksum-verified hit skips the disk entirely: no
             // simulated cost, no fault roll (rolls are stateless per
             // site, so skipping one cannot shift another read's luck),
@@ -1963,8 +1977,8 @@ fn fetch_step(
     }
     // only fully successful fetches are cached — a hit can therefore
     // never mask the recovery path a cache-off run would have taken
-    if let Some(key) = key {
-        s.cache.as_ref().unwrap().blocks.insert(key, Arc::new(dense.clone()));
+    if let Some((blocks, key)) = cached {
+        blocks.insert(key, Arc::new(dense.clone()));
     }
     Ok((dense, stats))
 }
@@ -1973,16 +1987,15 @@ fn magnitudes(dense: &[[f32; 3]]) -> Vec<f32> {
     dense.iter().map(|v| (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt()).collect()
 }
 
-/// Read + preprocess one step into the enhanced magnitude field. Shared
-/// verbatim by the synchronous loop and the prefetch worker, so the two
-/// runtimes compute bit-identical values. `None` means the step's data
+/// Read + preprocess one step into the enhanced magnitude field — the
+/// same call on the rank thread and on the read-ahead worker, so both
+/// compute bit-identical values. `None` means the step's data
 /// could not be read (retries exhausted): the caller ships explicit
 /// *missing* pieces instead of values and the frame degrades downstream.
 fn prepare_step(
     group_comm: Option<&Comm>,
     s: &Shared,
     fetch: &FetchPlan,
-    enhance: &TemporalEnhance,
     t: usize,
 ) -> (Option<Vec<f32>>, ReadStats) {
     let mut sp = obs::span(Phase::Read, t as u32);
@@ -2010,7 +2023,7 @@ fn prepare_step(
         stats.accumulate(&prev_stats);
         let pp = obs::span(Phase::Preprocess, t as u32);
         let prev_mag = magnitudes(&prev_dense);
-        mag = enhance
+        mag = TemporalEnhance::default()
             .apply(&NodeField::new(mag), Some(&NodeField::new(prev_mag)), None)
             .values()
             .to_vec();
@@ -2171,21 +2184,114 @@ fn lic_step(comm: &Comm, s: &Shared, t: usize, read: &mut ReadStats) {
     comm.send_with_size(output_rank, TAG_LIC + t as u64, (msg, missing), bytes);
 }
 
+/// A step the read-ahead worker prepared, stamped with the slice it was
+/// prepared under.
+struct Prepared {
+    t: usize,
+    slice: Slice,
+    mag: Option<Vec<f32>>,
+    stats: ReadStats,
+}
+
+/// How many owned steps past the current one the read-ahead worker is
+/// asked for and, equally, how many steps' block sends may be in flight
+/// before the rank thread waits for the oldest.
+const PREFETCH_SLOTS: usize = 2;
+
+/// The rank thread's end of the read-ahead stage — all `prefetch(true)`
+/// adds to the input loop. Two unbounded queues, bounded by the asking:
+/// `(step, slice)` requests out, [`Prepared`] steps back, both in step
+/// order.
+struct ReadAhead {
+    ask: Sender<(usize, Arc<SliceFetch>)>,
+    ready: Receiver<Prepared>,
+    /// Index into `my_steps` of the first step not asked for yet.
+    next: usize,
+}
+
+impl ReadAhead {
+    /// Ask, under this step's slice, for every owned step up to
+    /// [`PREFETCH_SLOTS`] past `my_steps[i]` that was not asked for yet —
+    /// never one inside a scripted death window of this rank — and take
+    /// step `my_steps[i]`. `None` sends the caller to the inline prepare:
+    /// the worker is dead (scripted `fail_prefetch`, or a contained
+    /// panic), or it prepared the step under a slice that a failover,
+    /// rejoin or reshape has since replaced.
+    fn take(
+        &mut self,
+        s: &Shared,
+        plan: &InputPlan,
+        me: usize,
+        i: usize,
+        sf: &Arc<SliceFetch>,
+    ) -> Option<Prepared> {
+        self.next = self.next.max(i);
+        while self.next < plan.my_steps.len() && self.next <= i + PREFETCH_SLOTS {
+            let u = plan.my_steps[self.next];
+            self.next += 1;
+            if !s.faults.as_ref().is_some_and(|p| p.rank_failed(me, u)) {
+                // a dead worker shows on the `ready` side
+                let _ = self.ask.send((u, Arc::clone(sf)));
+            }
+        }
+        // results for steps this rank asked for and then sat out come first
+        let p = self.ready.iter().find(|p| p.t >= plan.my_steps[i])?;
+        (p.slice == sf.slice).then_some(p)
+    }
+}
+
+/// The read-ahead worker: prepare each step asked for, in order, until
+/// the rank thread hangs up or the fault plan scripts this worker dead.
+fn read_ahead_worker(
+    s: &Shared,
+    plan: &InputPlan,
+    asks: Receiver<(usize, Arc<SliceFetch>)>,
+    ready: Sender<Prepared>,
+) {
+    for (t, sf) in asks {
+        if s.faults.as_ref().is_some_and(|p| p.prefetch_failed(t)) {
+            return; // scripted worker death: go silent mid-run
+        }
+        // collective reads are rejected at config validation, so the
+        // worker never needs the group communicator
+        let (mag, stats) = plan.prepare(None, s, &sf, t);
+        if ready.send(Prepared { t, slice: sf.slice, mag, stats }).is_err() {
+            return;
+        }
+    }
+}
+
 fn input_main(
     comm: &Comm,
     group_comm: Option<&Comm>,
     session: &Arc<Obs>,
     s: &Shared,
 ) -> Vec<InputStepTiming> {
-    let plan = input_plan(comm.rank(), s);
+    let plan = &input_plan(comm.rank(), s);
     let mut timings = if s.cfg.prefetch {
-        input_main_prefetch(comm, session, s, &plan)
+        let (ask, asks) = channel();
+        let (ready_tx, ready) = channel();
+        let track = obs::current_attachment();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                // the worker's Read/Preprocess spans go on this rank's track
+                let _g = track.as_ref().map(|h| h.attach());
+                // a worker panic must not abort the rank through the
+                // scope: contain it, and let the closed queues carry the
+                // news like a scripted death's
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    read_ahead_worker(s, plan, asks, ready_tx)
+                }));
+            });
+            let ahead = ReadAhead { ask, ready, next: 0 };
+            input_steps(comm, group_comm, session, s, plan, Some(ahead))
+        })
     } else {
-        input_main_sync(comm, group_comm, s, &plan)
+        input_steps(comm, group_comm, session, s, plan, None)
     };
 
     // derive the per-step timings from the span stream (which includes
-    // the prefetch worker's spans — it records onto the same rank track)
+    // the read-ahead worker's spans — it records onto the same rank track)
     let events = obs::current_events();
     for (timing, &t) in timings.iter_mut().zip(&plan.my_steps) {
         timing.preprocess_s = phase_seconds_by_step(&events, Phase::Preprocess, t);
@@ -2196,47 +2302,18 @@ fn input_main(
     timings
 }
 
-/// This rank's 2DIP group as world ranks, when a scripted *input*-rank
-/// failure — and with it the heartbeat/failover protocol — is active.
-fn failover_group(me: usize, s: &Shared) -> Option<Vec<usize>> {
-    // render/output kills don't concern the input groups
-    match s.cfg.io {
-        IoStrategy::TwoDip { per_group, .. } if s.input_failover() => {
-            let g = me / per_group;
-            Some((g * per_group..(g + 1) * per_group).collect())
-        }
-        _ => None,
-    }
-}
-
-/// A group member's fetch plan when the live group has shrunk to `live`
-/// members and this rank is the `idx`-th of them: the contiguous slice
-/// (or adaptive-fetch id slice) reassignment of §5.3.2, recomputed for
-/// the survivors.
-fn member_fetch(s: &Shared, idx: usize, live: usize) -> (FetchPlan, Option<(NodeId, NodeId)>) {
-    if let Some(lvl) = &s.level_ids {
-        let (a, b) = member_node_range(lvl.len(), idx, live);
-        let ids = lvl[a..b].to_vec();
-        let span = if ids.is_empty() { (0, 0) } else { (ids[0], *ids.last().unwrap() + 1) };
-        (FetchPlan { ids: Some(ids), range: None }, Some(span))
-    } else {
-        let (a, b) = member_node_range(s.mesh.node_count(), idx, live);
-        (FetchPlan { ids: None, range: Some((a, b)) }, Some((a as NodeId, b as NodeId)))
-    }
-}
-
-/// Exchange per-step heartbeats inside the 2DIP group, declare members
-/// that missed the deadline dead (permanently), and return the surviving
-/// slice assignment: `(fetch override, span, LIC-lead flag)`. A `None`
-/// override means every member is alive and the precomputed plan stands.
-fn heartbeat_and_slice(
+/// One heartbeat round of a 2DIP group before step `t`, run while the
+/// fault plan scripts an input-rank failure: members that miss the
+/// deadline join `dead` (permanently, unless a scripted recovery follows),
+/// members whose death window has closed leave it.
+fn group_heartbeat(
     comm: &Comm,
     s: &Shared,
-    group: &[usize],
+    group: &std::ops::Range<usize>,
     dead: &mut Vec<usize>,
     t: usize,
     joining: bool,
-) -> (Option<(FetchPlan, Option<(NodeId, NodeId)>)>, bool) {
+) {
     let me = comm.rank();
     let _sp = obs::span(Phase::Heartbeat, t as u32);
     // a member we declared dead whose scripted death window has closed
@@ -2255,8 +2332,7 @@ fn heartbeat_and_slice(
             !rejoined
         });
     }
-    let peers: Vec<usize> =
-        group.iter().copied().filter(|&r| r != me && !dead.contains(&r)).collect();
+    let peers: Vec<usize> = group.clone().filter(|&r| r != me && !dead.contains(&r)).collect();
     // a joiner's first round back blocks (the validated timeline
     // guarantees its peers are alive)
     let deadline = (!joining).then(|| s.hb_deadline());
@@ -2266,16 +2342,6 @@ fn heartbeat_and_slice(
             p.note_failover(r, t);
         }
     }
-    let live: Vec<usize> = group.iter().copied().filter(|r| !dead.contains(r)).collect();
-    // LIC duty falls to the lowest live member (= `member == 0` while the
-    // whole group is alive)
-    let lead = live.first() == Some(&me);
-    if live.len() == group.len() {
-        return (None, lead);
-    }
-    // my slice index: the live members below me (the group is ascending)
-    let idx = live.iter().filter(|&&r| r < me).count();
-    (Some(member_fetch(s, idx, live.len())), lead)
 }
 
 /// Participate in every pending control-plane tick `S` in
@@ -2320,30 +2386,44 @@ fn input_ticks(
     }
 }
 
-/// The reference runtime: read, preprocess, LIC, pack and send each step
-/// serially.
-fn input_main_sync(
+/// The per-step input protocol — the only one. For each owned step `t`:
+/// membership (scripted death window, rejoin announce) → epoch ticks up to
+/// `t` → this step's slice, from the group heartbeat and the committed
+/// input width → the prepared field → LIC if lead → pack, on this thread,
+/// against this thread's one [`DeltaMap`], under the committed
+/// [`EpochState`] → sends. `ahead` adds the read-ahead stage: the field
+/// comes from a worker that prepared it up to [`PREFETCH_SLOTS`] owned
+/// steps early, and at most that many steps' sends stay in flight.
+/// Without it (the reference runtime) every step is prepared inline — the
+/// code a dead worker or a stale slice falls back to — and sends are
+/// fire-and-forget: a dropped [`SendHandle`] is a buffered send.
+///
+/// The order within a step — ticks(t) → … → wait on handles older than
+/// `t` → send `t` — is what keeps the ticks and the in-flight cap
+/// deadlock-free together (DESIGN.md "Overlapped prefetch runtime").
+fn input_steps(
     comm: &Comm,
     group_comm: Option<&Comm>,
+    session: &Arc<Obs>,
     s: &Shared,
     plan: &InputPlan,
+    mut ahead: Option<ReadAhead>,
 ) -> Vec<InputStepTiming> {
-    let enhance = TemporalEnhance::default();
     let me = comm.rank();
-    let group = failover_group(me, s);
     let mut dead: Vec<usize> = Vec::new();
     let mut delta = DeltaMap::new();
     // committed epoch state: advances at every committed tick
     let mut elastic = s.elastic.clone();
     let mut tick_cursor = s.start_step;
-    let per_group = match s.cfg.io {
-        IoStrategy::TwoDip { per_group, .. } => per_group,
-        IoStrategy::OneDip { .. } => 1,
+    let mut sf = Arc::new(slice_fetch(s, (me - plan.group.start, plan.group.len())));
+    let mut inflight: VecDeque<(usize, Vec<SendHandle>)> = VecDeque::new();
+    let await_sends = |(t0, handles): (usize, Vec<SendHandle>)| {
+        let _sp = obs::span(Phase::SendWait, t0 as u32);
+        wait_all(handles);
     };
     let mut timings = Vec::with_capacity(plan.my_steps.len());
     let mut was_dead = false;
-    let mut first_prepare = true;
-    for &t in &plan.my_steps {
+    for (i, &t) in plan.my_steps.iter().enumerate() {
         // a scripted failure: this rank stops cold, mid-pipeline, with no
         // farewell — survivors must *detect* it via heartbeat timeouts. A
         // death *window* (a scripted recovery later) keeps the thread
@@ -2363,10 +2443,8 @@ fn input_main_sync(
         // keyframes, never deltas against pre-death receiver state
         let joining = std::mem::take(&mut was_dead);
         if joining {
-            if let Some(g) = &group {
-                for &r in g.iter().filter(|&&r| r != me) {
-                    comm.send_with_size(r, TAG_JOIN + t as u64, (), 8);
-                }
+            for r in plan.group.clone().filter(|&r| r != me) {
+                comm.send_with_size(r, TAG_JOIN + t as u64, (), 8);
             }
             if let Some(p) = &s.faults {
                 p.note_rejoin();
@@ -2376,200 +2454,64 @@ fn input_main_sync(
         }
         // catch up on the epoch clock before this step's routing decisions
         input_ticks(comm, s, &mut elastic, &mut delta, &mut tick_cursor, t);
-        // elastic reshape: the committed input width overrides the static
-        // 2DIP slice plan. Members past the width sit the step out (their
-        // slice is empty); the active members re-slice over the narrower
-        // live count, exactly like the failover path — same helper, so a
-        // reshaped run computes bit-identical slices to a shrunken group.
-        let width = elastic.input_width;
-        if plan.member >= width {
+        // this step's slice: the group members inside the committed input
+        // width (an elastic reshape narrows it) that the heartbeat still
+        // holds alive share the read; everyone else sits the step out
+        if s.input_failover() {
+            group_heartbeat(comm, s, &plan.group, &mut dead, t, joining);
+        }
+        let live: Vec<usize> =
+            plan.group.clone().take(elastic.input_width).filter(|r| !dead.contains(r)).collect();
+        let Some(idx) = live.iter().position(|&r| r == me) else {
             timings.push(InputStepTiming::default());
             continue;
-        }
-        let (fetch_override, lead) = match &group {
-            Some(g) => heartbeat_and_slice(comm, s, g, &mut dead, t, joining),
-            None => {
-                if width < per_group {
-                    (Some(member_fetch(s, plan.member, width)), plan.member == 0)
-                } else {
-                    (None, plan.member == 0)
-                }
-            }
         };
-        let fetch = fetch_override.as_ref().map_or(&plan.fetch, |(f, _)| f);
-        let my_span = fetch_override.as_ref().map_or(plan.my_span, |&(_, sp)| sp);
-        let mut timing = InputStepTiming::default();
-        let t0 = Instant::now();
-        let (mag, stats) = prepare_step(group_comm, s, fetch, &enhance, t);
-        if std::mem::take(&mut first_prepare) {
-            plan.stagger(t0.elapsed());
+        if sf.slice != (idx, live.len()) {
+            sf = Arc::new(slice_fetch(s, (idx, live.len())));
         }
-        timing.read = stats;
-        if lead {
-            lic_step(comm, s, t, &mut timing.read);
-        }
-        let mut send_sp = obs::span(Phase::Send, t as u32);
-        for (dst, batch, bytes) in
-            pack_batches(s, &elastic, my_span, mag.as_deref(), me, t, &mut delta)
-        {
-            send_sp.add_bytes(bytes);
-            comm.send_lossy_with_size(dst, TAG_DATA + t as u64, batch, bytes);
-        }
-        drop(send_sp);
-        timings.push(timing);
-    }
-    // the controller keeps clocking ticks after my last owned step:
-    // stay on the line until the schedule runs out
-    input_ticks(comm, s, &mut elastic, &mut delta, &mut tick_cursor, s.steps.saturating_sub(1));
-    timings
-}
-
-/// Slots in the prefetch hand-off queue and, equally, the cap on how many
-/// steps' block sends may be in flight before the consumer waits.
-const PREFETCH_SLOTS: usize = 2;
-
-/// The overlapped runtime (ROADMAP "async / overlapped runtime"; paper
-/// §4's pipelining claim). A prefetch worker thread runs read, preprocess
-/// and pack for future steps (up to [`PREFETCH_SLOTS`] ahead) and hands
-/// prepared steps over a bounded queue; the rank thread synthesizes LIC
-/// and issues the block sends as non-blocking [`quakeviz_rt::SendHandle`]s,
-/// waiting on the oldest step's handles once [`PREFETCH_SLOTS`] steps are
-/// in flight. Because an isend completes only when the renderer *matches*
-/// the message, that wait throttles input ranks to the consumption rate of
-/// the render group instead of running arbitrarily far ahead.
-///
-/// Deadlock-free: sends of a step are always issued before any wait on an
-/// older step, renderers consume steps in monotone order, and the LIC /
-/// volume sends stay buffered (plain sends, never waited on).
-fn input_main_prefetch(
-    comm: &Comm,
-    session: &Arc<Obs>,
-    s: &Shared,
-    plan: &InputPlan,
-) -> Vec<InputStepTiming> {
-    let enhance = TemporalEnhance::default();
-    let mut timings = Vec::with_capacity(plan.my_steps.len());
-    // bounded two-slot hand-off: worker blocks when the consumer is two
-    // prepared steps behind
-    let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, Vec<(usize, BlockBatch, u64)>, ReadStats)>(
-        PREFETCH_SLOTS,
-    );
-    let track = obs::current_attachment();
-    let me = comm.rank();
-    std::thread::scope(|scope| {
-        // `move` hands the worker its own tx: if it dies — a panic
-        // (contained below) or the scripted `fail_prefetch` kill — tx
-        // drops and the consumer's recv fails instead of blocking forever
-        scope.spawn(move || {
-            // record the worker's Read/Preprocess/Send(pack) spans on this
-            // rank's own track
-            let _g = track.as_ref().map(|h| h.attach());
-            // a worker panic must not abort the rank through the scope:
-            // contain it here and let the closed channel carry the news
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                // delta state lives with the packer: the worker walks this
-                // rank's steps in order, exactly like the synchronous loop
-                let mut delta = DeltaMap::new();
-                for &t in &plan.my_steps {
-                    if s.faults.as_ref().is_some_and(|p| p.prefetch_failed(t)) {
-                        return; // scripted worker death: go silent mid-run
-                    }
-                    // collective reads are rejected at config validation, so
-                    // the worker never needs the group communicator
-                    let t0 = Instant::now();
-                    let (mag, stats) = prepare_step(None, s, &plan.fetch, &enhance, t);
-                    if t == plan.my_steps[0] {
-                        plan.stagger(t0.elapsed());
-                    }
-                    let mut sp = obs::span(Phase::Send, t as u32);
-                    let batches = pack_batches(
-                        s,
-                        &s.elastic,
-                        plan.my_span,
-                        mag.as_deref(),
-                        me,
-                        t,
-                        &mut delta,
-                    );
-                    for (_, _, bytes) in &batches {
-                        sp.add_bytes(*bytes);
-                    }
-                    drop(sp);
-                    if tx.send((t, batches, stats)).is_err() {
-                        break; // consumer died (panic unwinding)
-                    }
-                }
-            }));
-        });
-        let mut inflight: std::collections::VecDeque<(usize, Vec<SendHandle>)> =
-            std::collections::VecDeque::with_capacity(PREFETCH_SLOTS);
-        // once the worker dies, the consumer serves the remaining steps
-        // itself, synchronously, with fresh delta state — the forced
-        // keyframes decode against any receiver state, so the fallback
-        // frames stay bit-identical to an unfaulted run's
-        let mut fallback_delta: Option<DeltaMap> = None;
-        for &t in &plan.my_steps {
-            let handed = if fallback_delta.is_some() {
-                None
-            } else {
-                match rx.recv() {
-                    Ok(v) => Some(v),
-                    Err(_) => {
-                        eprintln!(
-                            "quakeviz: rank {me}: prefetch worker died before step {t}; \
-                             serving remaining steps synchronously"
-                        );
-                        fallback_delta = Some(DeltaMap::new());
-                        None
-                    }
-                }
-            };
-            let (batches, mut stats) = match handed {
-                Some((tp, batches, stats)) => {
-                    debug_assert_eq!(tp, t, "prefetch worker must deliver steps in order");
-                    (batches, stats)
-                }
-                None => {
+        let (mag, read) = match ahead.as_mut().and_then(|a| a.take(s, plan, me, i, &sf)) {
+            Some(p) => (p.mag, p.stats),
+            None => {
+                if ahead.is_some() {
                     match &s.faults {
                         Some(p) => p.note_prefetch_fallback(),
                         None => session.metrics().counter("recovery.prefetch_fallbacks").inc(),
                     }
-                    let (mag, stats) = prepare_step(None, s, &plan.fetch, &enhance, t);
-                    let delta = fallback_delta.as_mut().expect("fallback delta state");
-                    let mut sp = obs::span(Phase::Send, t as u32);
-                    let batches =
-                        pack_batches(s, &s.elastic, plan.my_span, mag.as_deref(), me, t, delta);
-                    for (_, _, bytes) in &batches {
-                        sp.add_bytes(*bytes);
-                    }
-                    drop(sp);
-                    (batches, stats)
                 }
-            };
-            if plan.member == 0 {
-                lic_step(comm, s, t, &mut stats);
+                plan.prepare(group_comm, s, &sf, t)
             }
-            // backpressure: cap in-flight steps before issuing new sends
-            if inflight.len() >= PREFETCH_SLOTS {
-                let (t0, handles) = inflight.pop_front().unwrap();
-                let _sp = obs::span(Phase::SendWait, t0 as u32);
-                wait_all(handles);
-            }
-            let handles: Vec<SendHandle> = batches
+        };
+        let mut timing = InputStepTiming { read, ..Default::default() };
+        // LIC duty falls to the lowest live member of the group
+        if idx == 0 {
+            lic_step(comm, s, t, &mut timing.read);
+        }
+        // backpressure: at most PREFETCH_SLOTS steps' sends in flight,
+        // this one included. An isend completes only when the renderer
+        // *matches* it, so the wait throttles the rank to the render
+        // group's consumption rate
+        let excess = inflight.len().saturating_sub(PREFETCH_SLOTS - 1);
+        inflight.drain(..excess).for_each(await_sends);
+        let mut send_sp = obs::span(Phase::Send, t as u32);
+        let handles: Vec<SendHandle> =
+            pack_batches(s, &elastic, sf.span, mag.as_deref(), me, t, &mut delta)
                 .into_iter()
                 .map(|(dst, batch, bytes)| {
+                    send_sp.add_bytes(bytes);
                     comm.isend_lossy_with_size(dst, TAG_DATA + t as u64, batch, bytes)
                 })
                 .collect();
+        drop(send_sp);
+        if ahead.is_some() {
             inflight.push_back((t, handles));
-            timings.push(InputStepTiming { read: stats, ..Default::default() });
         }
-        // drain the tail so the trace sees the full send lifetime
-        while let Some((t0, handles)) = inflight.pop_front() {
-            let _sp = obs::span(Phase::SendWait, t0 as u32);
-            wait_all(handles);
-        }
-    });
+        timings.push(timing);
+    }
+    // the controller keeps clocking ticks after my last owned step: stay
+    // on the line until the schedule runs out, then drain the tail so the
+    // trace sees the full send lifetime
+    input_ticks(comm, s, &mut elastic, &mut delta, &mut tick_cursor, s.steps.saturating_sub(1));
+    inflight.into_iter().for_each(await_sends);
     timings
 }
 
@@ -2907,11 +2849,18 @@ fn render_main(
                 };
                 while pending(&seen) {
                     let remaining = step_deadline.saturating_duration_since(Instant::now());
-                    let Some((src, batch)) =
-                        comm.recv_any_for::<BlockBatch>(TAG_DATA + t as u64, remaining)
+                    // data of this step — or of an earlier one, given up
+                    // at its deadline: matching the straggler completes
+                    // its sender's handle, which would otherwise hold an
+                    // in-flight slot of that input rank for good
+                    let data = TAG_DATA + s.start_step as u64..=TAG_DATA + t as u64;
+                    let Some((src, tag, batch)) = comm.recv_any_for::<BlockBatch>(data, remaining)
                     else {
                         break; // deadline: degrade, don't stall the frame
                     };
+                    if tag < TAG_DATA + t as u64 {
+                        continue;
+                    }
                     recv_sp.add_bytes(batch.iter().map(|p| p.body.len() as u64).sum());
                     let t0 = Instant::now();
                     let _dec_sp = obs::auto_span(Phase::Decode, t as u32);
@@ -3650,8 +3599,9 @@ mod tests {
         assert!(err(PipelineBuilder::new(&ds).max_steps(0)).contains("step"));
         // elastic control-plane constraints
         assert!(err(PipelineBuilder::new(&ds).elastic(0)).contains("control tick period"));
-        assert!(err(PipelineBuilder::new(&ds).elastic(2).prefetch(true))
-            .contains("cannot run with the prefetch"));
+        // read-ahead runs under the epoch clock like everything else
+        let report = PipelineBuilder::new(&ds).elastic(2).prefetch(true).run();
+        assert_eq!(report.expect("elastic + prefetch").frames.len(), ds.steps());
         // reshape needs a 2DIP group wide enough to narrow
         assert!(err(PipelineBuilder::new(&ds)
             .elastic(2)

@@ -264,9 +264,10 @@ pub fn member_node_range(node_count: usize, j: usize, m: usize) -> (usize, usize
     (a, b)
 }
 
-/// One input rank's per-step fetch pattern, precomputed once (it is
-/// constant across steps) so the synchronous loop and the prefetch worker
-/// issue byte-identical reads from a single description.
+/// One input rank's per-step fetch pattern under its current slice of
+/// the group's read (constant across steps until a failover, rejoin or
+/// elastic reshape re-slices): the rank thread and the read-ahead worker
+/// issue byte-identical reads from this single description.
 #[derive(Debug, Clone, Default)]
 pub struct FetchPlan {
     /// Indexed fetch: the sorted node ids to pull (adaptive fetch, or a

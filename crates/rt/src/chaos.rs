@@ -30,7 +30,7 @@ pub struct ChaosTopology {
     /// Steps the run executes.
     pub steps: usize,
     /// Whether input-rank kills are survivable here (2DIP groups of ≥ 2
-    /// with independent contiguous reads, synchronous runtime).
+    /// with independent contiguous reads).
     pub input_kills: bool,
 }
 

@@ -22,6 +22,7 @@ use crate::obs;
 use crate::stats::TrafficStats;
 use std::any::Any;
 use std::cell::{Cell, RefCell};
+use std::ops::RangeInclusive;
 use std::rc::Rc;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -68,19 +69,30 @@ struct Envelope {
 }
 
 impl Envelope {
-    /// Consume the envelope: signal its sender (if waiting) and hand the
-    /// payload over. Every match point must route through this.
-    fn open(self) -> (usize, Box<dyn Any + Send>) {
-        if let Some(ack) = self.ack {
+    /// Consume the envelope and hand the payload over; dropping the husk
+    /// signals the sender. Every match point must route through this.
+    fn open(mut self) -> (usize, Box<dyn Any + Send>) {
+        (self.src_world, std::mem::replace(&mut self.payload, Box::new(())))
+    }
+}
+
+impl Drop for Envelope {
+    /// The one place a send completes: the envelope was opened, or it dies
+    /// unopened with its receiver's mailbox — the rank exited with the
+    /// message still queued — and completes locally, like an MPI eager
+    /// send to a failed process. Either way nobody is left who could match
+    /// it, so a waiting sender must not wait on.
+    fn drop(&mut self) {
+        if let Some(ack) = &self.ack {
             ack.signal();
         }
-        (self.src_world, self.payload)
     }
 }
 
 /// Handle to an in-flight [`Comm::isend`]. The send *completes* when the
-/// receiver matches the message — rendezvous semantics, so waiting on a
-/// handle throttles the sender to the receiver's consumption rate.
+/// receiver matches the message (or exits with it unmatched) — rendezvous
+/// semantics, so waiting on a handle throttles the sender to the
+/// receiver's consumption rate.
 ///
 /// Dropping a handle without waiting is allowed (fire-and-forget, the
 /// same as [`Comm::send`]).
@@ -379,18 +391,12 @@ impl Comm {
             payload,
             ack,
         });
-        if let Err(e) = result {
-            // A dropped receiver means the destination thread returned. In
-            // a fault-injected world that is a scripted rank death — the
-            // send completes locally (like MPI eager to a failed process)
-            // so survivors keep running; otherwise it is a real bug.
-            if self.shared.faults.is_some() {
-                if let Some(ack) = e.0.ack {
-                    ack.signal();
-                }
-            } else {
-                panic!("receiving rank has exited");
-            }
+        // A dropped receiver means the destination thread returned. In a
+        // fault-injected world that is a scripted rank death — the send
+        // completes locally (the returned envelope drops here) so
+        // survivors keep running; otherwise it is a real bug.
+        if result.is_err() && self.shared.faults.is_none() {
+            panic!("receiving rank has exited");
         }
     }
 
@@ -444,8 +450,8 @@ impl Comm {
         timeout: Duration,
     ) -> Result<T, RecvTimeout> {
         assert!(tag & COLL_BIT == 0, "user tags must not set the top bit");
-        match self.recv_matched_deadline(Some(self.ranks[src]), tag, timeout) {
-            Some((_, v)) => Ok(v),
+        match self.recv_matched_deadline(Some(self.ranks[src]), tag..=tag, timeout) {
+            Some((_, _, v)) => Ok(v),
             None => Err(RecvTimeout),
         }
     }
@@ -460,36 +466,40 @@ impl Comm {
         self.recv_timeout(src, tag, timeout).ok()
     }
 
-    /// Deadline-aware receive from *any* source: `Some((source rank,
-    /// value))`, or `None` once `timeout` expires unmatched.
+    /// Deadline-aware receive from *any* source of any tag in `tags`:
+    /// `Some((source rank, tag, value))`, or `None` once `timeout` expires
+    /// unmatched. A range lets a receiver that gave an earlier tag up at
+    /// its deadline still match — and so complete — what arrives late.
     pub fn recv_any_for<T: Send + 'static>(
         &self,
-        tag: u64,
+        tags: RangeInclusive<u64>,
         timeout: Duration,
-    ) -> Option<(usize, T)> {
-        assert!(tag & COLL_BIT == 0, "user tags must not set the top bit");
-        let (src_world, v) = self.recv_matched_deadline(None, tag, timeout)?;
+    ) -> Option<(usize, u64, T)> {
+        assert!(tags.end() & COLL_BIT == 0, "user tags must not set the top bit");
+        let (src_world, tag, v) = self.recv_matched_deadline(None, tags, timeout)?;
         let src = self
             .ranks
             .iter()
             .position(|&w| w == src_world)
             .expect("message from a rank outside this communicator");
-        Some((src, v))
+        Some((src, tag, v))
     }
 
     fn recv_matched_deadline<T: Send + 'static>(
         &self,
         src_world: Option<usize>,
-        tag: u64,
+        tags: RangeInclusive<u64>,
         timeout: Duration,
-    ) -> Option<(usize, T)> {
+    ) -> Option<(usize, u64, T)> {
         let mut mb = self.mailbox.borrow_mut();
         let matches = |e: &Envelope| {
-            e.comm == self.id && e.tag == tag && src_world.is_none_or(|s| e.src_world == s)
+            e.comm == self.id && tags.contains(&e.tag) && src_world.is_none_or(|s| e.src_world == s)
         };
         if let Some(pos) = mb.pending.iter().position(matches) {
-            let (src, payload) = mb.pending.swap_remove(pos).open();
-            return Some((src, Self::downcast(payload, tag)));
+            let env = mb.pending.swap_remove(pos);
+            let tag = env.tag;
+            let (src, payload) = env.open();
+            return Some((src, tag, Self::downcast(payload, tag)));
         }
         let _sp = obs::auto_span(obs::Phase::CommRecv, obs::NO_STEP);
         let deadline = std::time::Instant::now() + timeout;
@@ -498,8 +508,9 @@ impl Comm {
             match mb.rx.recv_timeout(remaining) {
                 Ok(env) => {
                     if matches(&env) {
+                        let tag = env.tag;
                         let (src, payload) = env.open();
-                        return Some((src, Self::downcast(payload, tag)));
+                        return Some((src, tag, Self::downcast(payload, tag)));
                     }
                     mb.pending.push(env);
                 }
@@ -1195,6 +1206,22 @@ mod tests {
     }
 
     #[test]
+    fn isend_completes_when_the_receiver_exits_unmatched() {
+        // rank 1 leaves with the message still queued: nobody can match it
+        // any more, so the wait must return instead of running into the
+        // deadlock guard
+        World::run(2, |comm| {
+            if comm.rank() == 0 {
+                let h = comm.isend(1, 51, 9u8);
+                comm.barrier();
+                h.wait();
+            } else {
+                comm.barrier();
+            }
+        });
+    }
+
+    #[test]
     fn isend_traffic_counted_like_send() {
         let stats = TrafficStats::new();
         World::run_traced(2, Arc::clone(&stats), |comm| {
@@ -1266,12 +1293,14 @@ mod tests {
             if comm.rank() == 0 {
                 let mut got = Vec::new();
                 for _ in 1..comm.size() {
-                    let (src, v) = comm.recv_any_for::<usize>(4, Duration::from_secs(10)).unwrap();
+                    let (src, tag, v) =
+                        comm.recv_any_for::<usize>(3..=4, Duration::from_secs(10)).unwrap();
+                    assert_eq!(tag, 4);
                     assert_eq!(v, src * 3);
                     got.push(src);
                 }
                 got.sort();
-                assert!(comm.recv_any_for::<usize>(4, Duration::from_millis(5)).is_none());
+                assert!(comm.recv_any_for::<usize>(4..=4, Duration::from_millis(5)).is_none());
                 got == vec![1, 2]
             } else {
                 comm.send(0, 4, comm.rank() * 3);

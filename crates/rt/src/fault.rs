@@ -84,10 +84,10 @@ pub struct FaultSpec {
     /// tested against. Only the render phase is inflated, so the skew is
     /// visible exactly where the controller measures.
     pub slow_rank: Option<(usize, f64)>,
-    /// Step at which every input rank's prefetch worker thread dies
-    /// (scripted). The consumer detects the closed hand-off channel and
-    /// serves the remaining steps synchronously, counted per step as
-    /// `recovery.prefetch_fallbacks`; a no-op on the synchronous runtime.
+    /// Step at which every input rank's read-ahead worker thread dies
+    /// (scripted). The rank thread finds the queue closed and prepares
+    /// the remaining steps inline, counted per step as
+    /// `recovery.prefetch_fallbacks`; a no-op without prefetch.
     pub fail_prefetch: Option<usize>,
 }
 
@@ -404,8 +404,10 @@ pub struct RecoveryStats {
     /// Frames assembled by the failover supervisor after the output rank
     /// died (shipped flagged, never silently skipped).
     pub migrated_frames: u64,
-    /// Steps an input rank served synchronously after its prefetch worker
-    /// thread died (the overlapped runtime degraded, never aborted).
+    /// Steps an input rank with prefetch on prepared inline: its
+    /// read-ahead worker had died, or had read the step under a slice a
+    /// failover, rejoin or reshape since replaced (degraded overlap,
+    /// never an abort).
     pub prefetch_fallbacks: u64,
     /// Scripted elastic-controller kills observed (at most 1): the
     /// pipeline froze on its last committed epoch from that step on.
@@ -718,8 +720,7 @@ impl FaultPlan {
         self.migrated_frames.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one step served synchronously after the prefetch worker
-    /// thread died.
+    /// Record one step prepared inline although prefetch is on.
     pub fn note_prefetch_fallback(&self) {
         self.prefetch_fallbacks.fetch_add(1, Ordering::Relaxed);
     }

@@ -39,18 +39,20 @@ fn soak_builder(ds: &Dataset) -> PipelineBuilder {
 #[test]
 fn pinned_seed_schedules_all_terminate_with_full_frame_sequences() {
     let ds = dataset();
-    for seed in [2, 7, 11, 23, 42, 101] {
+    // every seed soaks twice: inline prepares, then with the read-ahead stage
+    for (seed, prefetch) in
+        [2, 7, 11, 23, 42, 101].into_iter().flat_map(|s| [(s, false), (s, true)])
+    {
         let clauses = chaos_clauses(seed, &topo());
         let spec = FaultSpec::parse(&compose(&clauses))
             .unwrap_or_else(|e| panic!("seed {seed}: generated schedule must parse: {e}"));
-        let report = soak_builder(&ds)
-            .faults(spec)
-            .run()
-            .unwrap_or_else(|e| panic!("seed {seed} ({}): {e}", compose(&clauses)));
+        let report = soak_builder(&ds).faults(spec).prefetch(prefetch).run().unwrap_or_else(|e| {
+            panic!("seed {seed} prefetch={prefetch} ({}): {e}", compose(&clauses))
+        });
         assert_eq!(
             report.frames.len(),
             ds.steps(),
-            "seed {seed} ({}): every step must deliver a frame",
+            "seed {seed} prefetch={prefetch} ({}): every step must deliver a frame",
             compose(&clauses)
         );
         for (t, frame) in report.frames.iter().enumerate() {

@@ -75,20 +75,34 @@ fn assert_plans_wellformed(plans: &[ControlPlan], renderers: usize, max_width: u
 fn skewed_load_triggers_rebalance_and_frames_stay_identical() {
     let ds = dataset();
     let oracle = builder(&ds).run().expect("static oracle");
-    let elastic = skew(builder(&ds)).elastic(2).run().expect("elastic pipeline");
-    assert_frames_identical(&oracle, &elastic);
-    assert!(
-        !elastic.control_plans.is_empty(),
-        "an 8x render skew must produce at least one committed plan"
-    );
-    assert_plans_wellformed(&elastic.control_plans, 3, 1);
-    let last = elastic.control_plans.last().unwrap();
-    assert!(
-        last.assignment[0].len() < last.assignment[1].len()
-            && last.assignment[0].len() < last.assignment[2].len(),
-        "slow render rank 0 must shed blocks: {:?}",
-        last.assignment.iter().map(Vec::len).collect::<Vec<_>>()
-    );
+    // without and with the read-ahead stage — both sit behind the epoch
+    // clock — and with its worker scripted dead from step 1, so every
+    // later step is prepared inline across the commits that follow
+    for (worker_kill, prefetch) in [("", false), ("", true), (",fail_prefetch=1", true)] {
+        let spec = FaultSpec::parse(&format!("seed=11,slow_rank=2@8{worker_kill}")).unwrap();
+        let elastic = builder(&ds)
+            .faults(spec)
+            .elastic(2)
+            .prefetch(prefetch)
+            .run()
+            .expect("elastic pipeline");
+        let rec = elastic.recovery.expect("fault plan must report recovery stats");
+        let inline = if worker_kill.is_empty() { 0 } else { ds.steps() as u64 - 1 };
+        assert_eq!(rec.prefetch_fallbacks, inline, "only step 0 is read ahead before the kill");
+        assert_frames_identical(&oracle, &elastic);
+        assert!(
+            !elastic.control_plans.is_empty(),
+            "an 8x render skew must produce at least one committed plan"
+        );
+        assert_plans_wellformed(&elastic.control_plans, 3, 1);
+        let last = elastic.control_plans.last().unwrap();
+        assert!(
+            last.assignment[0].len() < last.assignment[1].len()
+                && last.assignment[0].len() < last.assignment[2].len(),
+            "slow render rank 0 must shed blocks: {:?}",
+            last.assignment.iter().map(Vec::len).collect::<Vec<_>>()
+        );
+    }
 }
 
 /// Robustness headline: killing the controller mid-run freezes every
@@ -162,27 +176,30 @@ fn windowed_rejoin_readmits_through_the_tick() {
     let oracle = builder(&ds).run().expect("static oracle");
     // world: [0,1 inputs | 2,3,4 renderers | 5 output] — renderer 3 is
     // dormant over [2,4); step 4 is a controller tick (every=2)
-    let rejoined = builder(&ds)
-        .elastic(2)
-        .faults(FaultSpec::parse("seed=11,fail_rank=3@2,recover_rank=3@4").unwrap())
-        .delivery_deadline_ms(500)
-        .run()
-        .expect("elastic rejoin pipeline");
-    assert_frames_identical(&oracle, &rejoined);
-    assert_plans_wellformed(&rejoined.control_plans, 3, 1);
-    let rec = rejoined.recovery.expect("fault plan must report recovery stats");
-    assert_eq!(rec.rejoins, 1, "the joiner must announce exactly once");
-    let admit = rejoined
-        .control_plans
-        .iter()
-        .find(|p| p.apply_at == 4)
-        .expect("the join tick must commit a re-admission plan");
-    assert!(
-        admit.assignment.iter().all(|blocks| !blocks.is_empty()),
-        "the re-admission plan must return to the full render set: {:?}",
-        admit.assignment.iter().map(Vec::len).collect::<Vec<_>>()
-    );
-    assert_eq!(admit.active, 3, "re-admission must keep the full active prefix");
+    for prefetch in [false, true] {
+        let rejoined = builder(&ds)
+            .elastic(2)
+            .prefetch(prefetch)
+            .faults(FaultSpec::parse("seed=11,fail_rank=3@2,recover_rank=3@4").unwrap())
+            .delivery_deadline_ms(500)
+            .run()
+            .expect("elastic rejoin pipeline");
+        assert_frames_identical(&oracle, &rejoined);
+        assert_plans_wellformed(&rejoined.control_plans, 3, 1);
+        let rec = rejoined.recovery.expect("fault plan must report recovery stats");
+        assert_eq!(rec.rejoins, 1, "the joiner must announce exactly once");
+        let admit = rejoined
+            .control_plans
+            .iter()
+            .find(|p| p.apply_at == 4)
+            .expect("the join tick must commit a re-admission plan");
+        assert!(
+            admit.assignment.iter().all(|blocks| !blocks.is_empty()),
+            "the re-admission plan must return to the full render set: {:?}",
+            admit.assignment.iter().map(Vec::len).collect::<Vec<_>>()
+        );
+        assert_eq!(admit.active, 3, "re-admission must keep the full active prefix");
+    }
 }
 
 /// A kill with no recovery is a dormancy window that never closes: the
@@ -293,12 +310,17 @@ fn resize_and_reshape_keep_frames_identical() {
     let base =
         |ds: &Dataset| PipelineBuilder::new(ds).renderers(3).io_strategy(io).image_size(48, 48);
     let oracle = base(&ds).run().expect("static 2DIP oracle");
-    let elastic = base(&ds)
-        .elastic(2)
-        .elastic_resize(true)
-        .elastic_reshape(true)
-        .run()
-        .expect("resize+reshape pipeline");
-    assert_frames_identical(&oracle, &elastic);
-    assert_plans_wellformed(&elastic.control_plans, 3, 2);
+    // under prefetch a narrowed width also exercises the stale-slice
+    // fallback: steps read ahead under the old width are prepared inline
+    for prefetch in [false, true] {
+        let elastic = base(&ds)
+            .elastic(2)
+            .elastic_resize(true)
+            .elastic_reshape(true)
+            .prefetch(prefetch)
+            .run()
+            .expect("resize+reshape pipeline");
+        assert_frames_identical(&oracle, &elastic);
+        assert_plans_wellformed(&elastic.control_plans, 3, 2);
+    }
 }

@@ -147,6 +147,30 @@ fn wire_corruption_is_caught_under_every_codec() {
     }
 }
 
+/// Data that arrives after the renderers gave its step up must not stall
+/// the prefetch runtime: the in-flight cap waits for the renderers to
+/// *match* a step's sends, so a straggler nobody matches would hold its
+/// slot until the deadlock guard fires (regression: 60 s, then a panic).
+/// The renderers match stragglers when they next receive.
+#[test]
+fn late_data_degrades_without_stalling_the_prefetch_cap() {
+    let ds = SimulationBuilder::new().resolution(16).steps(8).run_to_dataset().unwrap();
+    // one input lane, reads ~20 ms, every third or so 20x slower — far
+    // past the 100 ms delivery deadline
+    let started = std::time::Instant::now();
+    let report = builder(&ds, IoStrategy::OneDip { input_procs: 1 })
+        .io_delay_scale(2.0)
+        .faults(FaultSpec::parse("seed=2,read_slow=0.3,slow_factor=20").unwrap())
+        .delivery_deadline_ms(100)
+        .prefetch(true)
+        .run()
+        .expect("pipeline must complete with late data");
+    assert!(started.elapsed().as_secs() < 30, "a late step held the run up");
+    assert_eq!(report.frames.len(), ds.steps(), "every frame must still be delivered");
+    let late: Vec<usize> = (0..ds.steps()).filter(|&t| !report.degraded[t].is_empty()).collect();
+    assert!(late.iter().any(|&t| t + 3 < ds.steps()), "no step was late mid-run: {late:?}");
+}
+
 /// A scripted input-rank death inside a 2DIP group: the survivors detect
 /// the silence via heartbeat timeouts and reassign the dead rank's slice,
 /// so every frame — including those after the failure — stays
@@ -156,15 +180,21 @@ fn input_rank_failover_keeps_frames_bit_identical() {
     let ds = dataset();
     let io = IoStrategy::TwoDip { groups: 1, per_group: 3 };
     let clean = builder(&ds, io).run().expect("clean pipeline");
-    let faulted = builder(&ds, io)
-        .faults(FaultSpec::parse("seed=1,fail_rank=1@2").unwrap())
-        .delivery_deadline_ms(400)
-        .run()
-        .expect("pipeline must survive an input-rank failure");
-    let rec = faulted.recovery.expect("fault plan active");
-    assert!(rec.failover_events >= 1, "survivors must have detected the death");
-    assert_eq!(faulted.degraded_frame_count(), 0, "failover is full recovery");
-    assert_all_frames_identical(&clean, &faulted, "rank failover");
+    for prefetch in [false, true] {
+        let faulted = builder(&ds, io)
+            .faults(FaultSpec::parse("seed=1,fail_rank=1@2").unwrap())
+            .delivery_deadline_ms(400)
+            .prefetch(prefetch)
+            .run()
+            .expect("pipeline must survive an input-rank failure");
+        let rec = faulted.recovery.expect("fault plan active");
+        assert!(rec.failover_events >= 1, "survivors must have detected the death");
+        assert_eq!(faulted.degraded_frame_count(), 0, "failover is full recovery");
+        assert_all_frames_identical(&clean, &faulted, "rank failover");
+        // steps read ahead under the full group's slices are stale once
+        // the survivors re-slice: they are prepared inline instead
+        assert_eq!(rec.prefetch_fallbacks >= 1, prefetch, "stale-slice fallback: {rec:?}");
+    }
 }
 
 /// The whole fault schedule is a pure function of the spec: two runs with
@@ -345,21 +375,26 @@ fn input_rank_rejoin_keeps_frames_bit_identical() {
     let ds = dataset();
     let io = IoStrategy::TwoDip { groups: 1, per_group: 3 };
     let clean = builder(&ds, io).run().expect("clean pipeline");
-    let faulted = builder(&ds, io)
-        .faults(FaultSpec::parse("seed=1,fail_rank=1@1,recover_rank=1@3").unwrap())
-        .delivery_deadline_ms(400)
-        .run()
-        .expect("pipeline must survive an input-rank dormancy window");
-    let rec = faulted.recovery.expect("fault plan active");
-    assert!(rec.failover_events >= 1, "the group must have detected the death");
-    assert_eq!(rec.rejoins, 1, "the joiner must announce exactly once");
-    assert_eq!(
-        faulted.degraded_frame_count(),
-        0,
-        "input rejoin is full recovery: {:?} rec={rec:?}",
-        faulted.degraded
-    );
-    assert_all_frames_identical(&clean, &faulted, "input rank rejoin");
+    for prefetch in [false, true] {
+        let faulted = builder(&ds, io)
+            .faults(FaultSpec::parse("seed=1,fail_rank=1@1,recover_rank=1@3").unwrap())
+            .delivery_deadline_ms(400)
+            .prefetch(prefetch)
+            .run()
+            .expect("pipeline must survive an input-rank dormancy window");
+        let rec = faulted.recovery.expect("fault plan active");
+        assert!(rec.failover_events >= 1, "the group must have detected the death");
+        assert_eq!(rec.rejoins, 1, "the joiner must announce exactly once");
+        assert_eq!(
+            faulted.degraded_frame_count(),
+            0,
+            "input rejoin is full recovery: {:?} rec={rec:?}",
+            faulted.degraded
+        );
+        assert_all_frames_identical(&clean, &faulted, "input rank rejoin");
+        // both the shrink and the rejoin outdate steps already read ahead
+        assert_eq!(rec.prefetch_fallbacks >= 1, prefetch, "stale-slice fallback: {rec:?}");
+    }
 }
 
 /// Property: a slow-but-alive rank under a generous
