@@ -7,6 +7,8 @@
 //! binaries print machine-greppable rows (`col1 col2 …`) after a `#`
 //! header line.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod harness;
 pub mod json;

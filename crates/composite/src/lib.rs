@@ -26,6 +26,8 @@
 //! produce the identical final image (the property tests verify this
 //! against a sequential reference).
 
+#![forbid(unsafe_code)]
+
 pub mod algorithms;
 pub mod rle;
 pub mod schedule;

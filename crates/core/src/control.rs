@@ -606,7 +606,7 @@ mod tests {
         };
         let gain =
             projected_gain(&[2.5, 1.0], &weights(&ctl.state.assignment), &plan.assignment, &w);
-        assert!(gain >= MIN_GAIN && gain < 0.5, "projected gain {gain}");
+        assert!((MIN_GAIN..0.5).contains(&gain), "projected gain {gain}");
     }
 
     #[test]

@@ -39,6 +39,8 @@
 //!   model's `Tf`/`Tp`/`Ts`/`Tr` and compares measured interframe delay
 //!   against the §5 closed forms.
 
+#![forbid(unsafe_code)]
+
 pub mod balance;
 pub mod cache;
 pub mod checkpoint;

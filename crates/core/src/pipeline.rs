@@ -23,7 +23,7 @@ use crate::reader::{
     self, block_level_nodes, level_node_ids, member_node_range, FaultCtx, FetchPlan, ReadStats,
 };
 use quakeviz_composite::{slic, CompositeOptions, FrameInfo};
-use quakeviz_lic::{colorize, compute_lic, extract_surface_field, white_noise, LicParams};
+use quakeviz_lic::{colorize, compute_lic_with_max, white_noise, LicParams, SurfaceSampler};
 use quakeviz_mesh::{
     Aabb, HexMesh, NodeField, NodeId, OctreeBlock, Partition, Quadtree, WorkloadModel,
 };
@@ -720,8 +720,9 @@ struct Shared {
     ids_per_block: Vec<Arc<Vec<NodeId>>>,
     /// Node ids of the whole mesh at the fetch level (adaptive fetch).
     level_ids: Option<Arc<Vec<NodeId>>>,
-    /// Surface structures for LIC.
-    surface: Option<(Arc<Quadtree>, Arc<Vec<NodeId>>, Arc<Vec<f32>>)>,
+    /// Surface structures for LIC: the texel → node stencil, the surface
+    /// node ids to read each step, the noise texture.
+    surface: Option<(SurfaceSampler, Vec<NodeId>, Vec<f32>)>,
     n_inputs: usize,
     n_renderers: usize,
     opacity_unit: f64,
@@ -1321,8 +1322,8 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
     let level_ids = config.adaptive_fetch.then(|| Arc::new(level_node_ids(&mesh, level)));
     let surface = config.lic.then(|| {
         let (qt, ids) = Quadtree::from_surface_nodes(&mesh);
-        let noise = white_noise(config.width, config.height, 0x5eed);
-        (Arc::new(qt), Arc::new(ids), Arc::new(noise))
+        let sampler = SurfaceSampler::new(&mesh, &qt, config.width, config.height);
+        (sampler, ids, white_noise(config.width, config.height, 0x5eed))
     });
 
     let faults = resolve_faults(&config, n_inputs, steps).map_err(|e| e.to_string())?;
@@ -2143,7 +2144,7 @@ fn corrupt_one_bit(batch: &mut BlockBatch, seed: u64) {
 /// input processor. The surface read stays inside the Lic span (in detail
 /// sessions the nested IoRead auto span shows it).
 fn lic_step(comm: &Comm, s: &Shared, t: usize, read: &mut ReadStats) {
-    let Some((qt, surf_ids, noise)) = &s.surface else {
+    let Some((sampler, surf_ids, noise)) = &s.surface else {
         return;
     };
     // the overlay goes to whichever rank assembles this step's frame —
@@ -2166,16 +2167,14 @@ fn lic_step(comm: &Comm, s: &Shared, t: usize, read: &mut ReadStats) {
                     }
                 }
                 let field = quakeviz_mesh::VectorField::new(surf_dense);
-                let reg = extract_surface_field(&s.mesh, &field, qt, s.cfg.width, s.cfg.height);
-                let phase = (t as f64 * 0.08) % 1.0;
-                let gray = compute_lic(
-                    &reg,
-                    noise,
-                    &LicParams { phase: Some(phase), ..Default::default() },
-                );
+                let reg = sampler.sample(&field);
                 // normalize by the surface maximum (surface motion is far
                 // weaker than the 3D peak at the hypocentre)
-                (colorize(&reg, &gray, &s.cfg.transfer, reg.max_magnitude()), false)
+                let max = reg.max_magnitude();
+                let phase = (t as f64 * 0.08) % 1.0;
+                let params = LicParams { phase: Some(phase), ..Default::default() };
+                let gray = compute_lic_with_max(&reg, noise, &params, max);
+                (colorize(&reg, &gray, &s.cfg.transfer, max), false)
             }
         };
     let (msg, bytes) = encode_image(s, TagClass::LicImage, t as u32, img);

@@ -7,8 +7,10 @@
 //! … The resolution of the 2D regular-grid vector field is determined by
 //! the image size and the adaptive levels selected by the user."
 
-use quakeviz_mesh::{HexMesh, Quadtree, VectorField};
-use quakeviz_rt::par::par_map;
+use quakeviz_mesh::{HexMesh, NodeId, Quadtree, VectorField};
+use quakeviz_rt::obs::prof;
+use quakeviz_rt::par::par_chunks_mut;
+use std::ops::Range;
 
 /// A regular grid of 2D vectors over the ground rectangle.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,14 +48,19 @@ impl RegularField2D {
     }
 
     /// Bilinear sample at *pixel* coordinates (continuous, clamped).
+    #[inline]
     pub fn sample_px(&self, px: f64, py: f64) -> (f32, f32) {
-        let fx = (px - 0.5).clamp(0.0, (self.width - 1) as f64);
-        let fy = (py - 0.5).clamp(0.0, (self.height - 1) as f64);
-        let (i0, j0) = (fx as usize, fy as usize);
-        let (i1, j1) =
-            ((i0 + 1).min(self.width as usize - 1), (j0 + 1).min(self.height as usize - 1));
+        let (w, h) = (self.width as usize, self.height as usize);
+        let fx = (px - 0.5).clamp(0.0, (w - 1) as f64);
+        let fy = (py - 0.5).clamp(0.0, (h - 1) as f64);
+        // split through i32, which converts to and from f64 in one
+        // instruction where usize takes a sequence; the clamp keeps both
+        // inside it for any grid that fits in memory
+        let (i0, j0) = (fx as i32, fy as i32);
         let (u, v) = ((fx - i0 as f64) as f32, (fy - j0 as f64) as f32);
-        let g = |i: usize, j: usize| self.vectors[j * self.width as usize + i];
+        let (i0, j0) = (i0 as usize, j0 as usize);
+        let (i1, j1) = ((i0 + 1).min(w - 1), (j0 + 1).min(h - 1));
+        let g = |i: usize, j: usize| self.vectors[j * w + i];
         let lerp2 =
             |a: (f32, f32), b: (f32, f32), t: f32| (a.0 + (b.0 - a.0) * t, a.1 + (b.1 - a.1) * t);
         let top = lerp2(g(i0, j0), g(i1, j0), u);
@@ -61,21 +68,116 @@ impl RegularField2D {
         lerp2(top, bot, v)
     }
 
-    /// Per-pixel magnitude grid.
-    pub fn magnitude(&self) -> Vec<f32> {
-        self.vectors.iter().map(|&(x, y)| (x * x + y * y).sqrt()).collect()
-    }
-
     /// Largest magnitude (normalization).
     pub fn max_magnitude(&self) -> f32 {
-        self.magnitude().into_iter().fold(0.0, f32::max)
+        self.vectors.iter().map(|&(x, y)| (x * x + y * y).sqrt()).fold(0.0, f32::max)
+    }
+}
+
+/// What one texel of a [`SurfaceSampler`] reads.
+#[derive(Debug, Clone)]
+enum Texel {
+    /// Surface nodes lie within the radius: this range of its row's
+    /// `taps`, whose weights sum to `wsum`.
+    Weighted { taps: Range<u32>, wsum: f64 },
+    /// None does: the value of the nearest node, as it is.
+    Nearest(NodeId),
+    /// The surface has no node at all.
+    Empty,
+}
+
+/// One row of texels and the `(node, weight)` runs of its weighted ones,
+/// each in the order [`Quadtree::idw_weights`] visits them.
+#[derive(Debug, Clone, Default)]
+struct Row {
+    texels: Vec<Texel>,
+    taps: Vec<(NodeId, f64)>,
+}
+
+/// The scattered-data interpolation of [`extract_surface_field`] with
+/// everything that depends on geometry alone done once: which surface
+/// nodes each texel of the regular grid averages and with what weights.
+/// The mesh is static, so a run builds one and every step only redoes the
+/// sums over that step's node values.
+#[derive(Debug, Clone)]
+pub struct SurfaceSampler {
+    width: u32,
+    extent: (f64, f64),
+    rows: Vec<Row>,
+}
+
+impl SurfaceSampler {
+    /// Searches `quadtree` (the surface nodes of `mesh`) once per texel of
+    /// a `width × height` grid: inverse-distance weights within a radius of
+    /// two output cells, nearest-point fallback.
+    pub fn new(mesh: &HexMesh, quadtree: &Quadtree, width: u32, height: u32) -> Self {
+        let e = mesh.octree().extent();
+        let extent = (e.x, e.y);
+        let cell = (extent.0 / width as f64).max(extent.1 / height as f64);
+        let radius = cell * 2.0;
+        let mut rows = vec![Row::default(); height as usize];
+        par_chunks_mut(&mut rows, 1, |j, row| {
+            let Row { texels, taps } = &mut row[0];
+            let y = (j as f64 + 0.5) / height as f64 * extent.1;
+            for i in 0..width {
+                let x = (i as f64 + 0.5) / width as f64 * extent.0;
+                let at = |taps: &Vec<_>| u32::try_from(taps.len()).expect("a row's taps fit u32");
+                let start = at(taps);
+                let mut wsum = 0.0;
+                quadtree.idw_weights(x, y, radius, |id, w| {
+                    wsum += w;
+                    taps.push((id, w));
+                });
+                texels.push(if wsum > 0.0 {
+                    Texel::Weighted { taps: start..at(taps), wsum }
+                } else if let Some((id, _)) = quadtree.nearest(x, y) {
+                    Texel::Nearest(id)
+                } else {
+                    Texel::Empty
+                });
+            }
+        });
+        prof::ticks("lic.sampler_builds", 1);
+        SurfaceSampler { width, extent, rows }
+    }
+
+    /// The horizontal surface velocity of `field` on the regular grid —
+    /// per texel the arithmetic of [`Quadtree::idw_sample`] over the
+    /// recorded weights.
+    pub fn sample(&self, field: &VectorField) -> RegularField2D {
+        let value = |id: NodeId| {
+            let (vx, vy) = field.horizontal(id);
+            [vx as f64, vy as f64]
+        };
+        let mut vectors = Vec::with_capacity(self.width as usize * self.rows.len());
+        for row in &self.rows {
+            vectors.extend(row.texels.iter().map(|texel| {
+                let [vx, vy] = match texel {
+                    Texel::Weighted { taps, wsum } => {
+                        let mut vsum = [0.0; 2];
+                        for &(id, w) in &row.taps[taps.start as usize..taps.end as usize] {
+                            let v = value(id);
+                            vsum[0] += w * v[0];
+                            vsum[1] += w * v[1];
+                        }
+                        vsum.map(|v| v / wsum)
+                    }
+                    Texel::Nearest(id) => value(*id),
+                    Texel::Empty => [0.0; 2],
+                };
+                (vx as f32, vy as f32)
+            }));
+        }
+        let height = self.rows.len() as u32;
+        RegularField2D { width: self.width, height, extent: self.extent, vectors }
     }
 }
 
 /// Extract the horizontal surface velocity field onto a `width × height`
 /// regular grid, using a quadtree over the surface nodes for the
 /// scattered-data interpolation (inverse-distance within a radius of two
-/// output cells, nearest-point fallback).
+/// output cells, nearest-point fallback). One-off form of
+/// [`SurfaceSampler`]: it pays the neighbour searches on every call.
 pub fn extract_surface_field(
     mesh: &HexMesh,
     field: &VectorField,
@@ -83,28 +185,13 @@ pub fn extract_surface_field(
     width: u32,
     height: u32,
 ) -> RegularField2D {
-    let e = mesh.octree().extent();
-    let extent = (e.x, e.y);
-    let cell = (extent.0 / width as f64).max(extent.1 / height as f64);
-    let radius = cell * 2.0;
-    let vectors: Vec<(f32, f32)> = par_map(height as usize * width as usize, |idx| {
-        let i = idx % width as usize;
-        let j = idx / width as usize;
-        let x = (i as f64 + 0.5) / width as f64 * extent.0;
-        let y = (j as f64 + 0.5) / height as f64 * extent.1;
-        let [vx, vy] = quadtree.idw_sample(x, y, radius, |id| {
-            let (vx, vy) = field.horizontal(id);
-            [vx as f64, vy as f64]
-        });
-        (vx as f32, vy as f32)
-    });
-    RegularField2D { width, height, extent, vectors }
+    SurfaceSampler::new(mesh, quadtree, width, height).sample(field)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quakeviz_mesh::{HexMesh, NodeId, Octree, UniformRefinement, Vec3};
+    use quakeviz_mesh::{HexMesh, Octree, UniformRefinement, Vec3};
 
     #[test]
     fn from_fn_and_sample() {
@@ -125,9 +212,8 @@ mod tests {
     }
 
     #[test]
-    fn magnitude_grid() {
-        let f = RegularField2D::new(2, 1, (1.0, 1.0), vec![(3.0, 4.0), (0.0, 0.0)]);
-        assert_eq!(f.magnitude(), vec![5.0, 0.0]);
+    fn max_magnitude_is_the_largest_length() {
+        let f = RegularField2D::new(3, 1, (1.0, 1.0), vec![(0.6, 0.8), (3.0, 4.0), (0.0, 0.0)]);
         assert_eq!(f.max_magnitude(), 5.0);
     }
 

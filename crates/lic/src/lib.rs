@@ -22,10 +22,17 @@
 //! hide the cost of vector field rendering" — the claim Figure 12
 //! reproduces.
 
+#![forbid(unsafe_code)]
+
 pub mod field2d;
 pub mod lic;
 pub mod noise;
 
-pub use field2d::{extract_surface_field, RegularField2D};
-pub use lic::{colorize, compute_lic, LicParams};
+#[cfg(test)]
+mod equivalence;
+#[cfg(test)]
+mod reference;
+
+pub use field2d::{extract_surface_field, RegularField2D, SurfaceSampler};
+pub use lic::{colorize, compute_lic, compute_lic_with_max, LicParams};
 pub use noise::white_noise;

@@ -24,6 +24,8 @@
 //! * [`partition`] — workload-estimated assignment of octree blocks to
 //!   rendering processors (paper §4, Figure 7).
 
+#![forbid(unsafe_code)]
+
 pub mod field;
 pub mod hexmesh;
 pub mod morton;

@@ -167,17 +167,19 @@ impl Quadtree {
     /// All payloads whose points fall inside `[lo, hi]` (inclusive).
     pub fn query_rect(&self, lo: (f64, f64), hi: (f64, f64)) -> Vec<u32> {
         let mut out = Vec::new();
-        Self::query_rec(&self.root, self.min, self.max, lo, hi, &mut out);
+        Self::visit_rect(&self.root, self.min, self.max, lo, hi, &mut |_, _, pl| out.push(pl));
         out
     }
 
-    fn query_rec(
+    /// Calls `f(x, y, payload)` for every point inside `[lo, hi]`
+    /// (inclusive), children in quadrant order, leaves in insertion order.
+    fn visit_rect(
         node: &Node,
         min: (f64, f64),
         max: (f64, f64),
         lo: (f64, f64),
         hi: (f64, f64),
-        out: &mut Vec<u32>,
+        f: &mut impl FnMut(f64, f64, u32),
     ) {
         if max.0 < lo.0 || min.0 > hi.0 || max.1 < lo.1 || min.1 > hi.1 {
             return;
@@ -186,24 +188,24 @@ impl Quadtree {
             Node::Leaf(points) => {
                 for &(px, py, pl) in points {
                     if px >= lo.0 && px <= hi.0 && py >= lo.1 && py <= hi.1 {
-                        out.push(pl);
+                        f(px, py, pl);
                     }
                 }
             }
             Node::Internal(children) => {
                 for qi in 0..4 {
                     let (cmin, cmax) = Self::quadrant_bounds(min, max, qi);
-                    Self::query_rec(&children[qi], cmin, cmax, lo, hi, out);
+                    Self::visit_rect(&children[qi], cmin, cmax, lo, hi, f);
                 }
             }
         }
     }
 
     /// Inverse-distance-weighted interpolation of per-payload values at
-    /// `(x, y)`: gathers points within `radius` (falling back to the single
-    /// nearest point when none are in range) and returns the weighted
-    /// average of `value(payload)`, component by component — one
-    /// neighbour search serves every component of a vector quantity.
+    /// `(x, y)`: the [`Quadtree::idw_weights`] average of `value(payload)`,
+    /// component by component — one neighbour search serves every
+    /// component of a vector quantity — falling back to the single
+    /// nearest point when none is within `radius`.
     pub fn idw_sample<const N: usize>(
         &self,
         x: f64,
@@ -213,19 +215,13 @@ impl Quadtree {
     ) -> [f64; N] {
         let mut wsum = 0.0;
         let mut vsum = [0.0; N];
-        let pts = self.query_rect_points((x - radius, y - radius), (x + radius, y + radius));
-        for (px, py, pl) in pts {
-            let d2 = (px - x) * (px - x) + (py - y) * (py - y);
-            if d2 > radius * radius {
-                continue;
-            }
-            let w = 1.0 / (d2 + 1e-12);
+        self.idw_weights(x, y, radius, |pl, w| {
             wsum += w;
             let v = value(pl);
             for c in 0..N {
                 vsum[c] += w * v[c];
             }
-        }
+        });
         if wsum > 0.0 {
             vsum.map(|v| v / wsum)
         } else if let Some((pl, _)) = self.nearest(x, y) {
@@ -235,39 +231,29 @@ impl Quadtree {
         }
     }
 
+    /// Calls `f(payload, weight)` for every point within `radius` of
+    /// `(x, y)`, in the tree's traversal order, with the inverse-square-
+    /// distance weight [`Quadtree::idw_sample`] gives it. Points and
+    /// weights depend on the geometry alone, so a caller that samples many
+    /// fields at one place can record them once and redo only the sums.
+    pub fn idw_weights(&self, x: f64, y: f64, radius: f64, mut f: impl FnMut(u32, f64)) {
+        let (lo, hi) = ((x - radius, y - radius), (x + radius, y + radius));
+        Self::visit_rect(&self.root, self.min, self.max, lo, hi, &mut |px, py, pl| {
+            let d2 = (px - x) * (px - x) + (py - y) * (py - y);
+            if d2 > radius * radius {
+                return;
+            }
+            f(pl, 1.0 / (d2 + 1e-12));
+        });
+    }
+
     /// Like [`Quadtree::query_rect`] but returns positions too.
     pub fn query_rect_points(&self, lo: (f64, f64), hi: (f64, f64)) -> Vec<(f64, f64, u32)> {
         let mut out = Vec::new();
-        Self::query_points_rec(&self.root, self.min, self.max, lo, hi, &mut out);
+        Self::visit_rect(&self.root, self.min, self.max, lo, hi, &mut |px, py, pl| {
+            out.push((px, py, pl))
+        });
         out
-    }
-
-    fn query_points_rec(
-        node: &Node,
-        min: (f64, f64),
-        max: (f64, f64),
-        lo: (f64, f64),
-        hi: (f64, f64),
-        out: &mut Vec<(f64, f64, u32)>,
-    ) {
-        if max.0 < lo.0 || min.0 > hi.0 || max.1 < lo.1 || min.1 > hi.1 {
-            return;
-        }
-        match node {
-            Node::Leaf(points) => {
-                for &(px, py, pl) in points {
-                    if px >= lo.0 && px <= hi.0 && py >= lo.1 && py <= hi.1 {
-                        out.push((px, py, pl));
-                    }
-                }
-            }
-            Node::Internal(children) => {
-                for qi in 0..4 {
-                    let (cmin, cmax) = Self::quadrant_bounds(min, max, qi);
-                    Self::query_points_rec(&children[qi], cmin, cmax, lo, hi, out);
-                }
-            }
-        }
     }
 }
 
@@ -364,6 +350,46 @@ mod tests {
         // close to the left point, value near 0
         let [v] = qt.idw_sample(0.01, 0.5, 1.5, |id| [id as f64 * 10.0]);
         assert!(v < 1.0);
+    }
+
+    #[test]
+    fn idw_sample_is_the_rect_query_filtered_and_weighted_in_order() {
+        let mut qt = Quadtree::new((0.0, 0.0), (1.0, 1.0));
+        let mut s = 77u64;
+        let mut rng = || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for i in 0..400u32 {
+            qt.insert(rng(), rng(), i);
+        }
+        let value = |id: u32| [id as f64 * 0.37 - 50.0, (id as f64).sin()];
+        for _ in 0..200 {
+            let (x, y, radius) = (rng(), rng(), rng() * 0.1);
+            let (mut wsum, mut vsum) = (0.0, [0.0; 2]);
+            for (px, py, pl) in
+                qt.query_rect_points((x - radius, y - radius), (x + radius, y + radius))
+            {
+                let d2 = (px - x) * (px - x) + (py - y) * (py - y);
+                if d2 > radius * radius {
+                    continue;
+                }
+                let w = 1.0 / (d2 + 1e-12);
+                wsum += w;
+                let v = value(pl);
+                vsum[0] += w * v[0];
+                vsum[1] += w * v[1];
+            }
+            let want = if wsum > 0.0 {
+                vsum.map(|v| v / wsum)
+            } else {
+                value(qt.nearest(x, y).unwrap().0)
+            };
+            assert_eq!(
+                qt.idw_sample(x, y, radius, value).map(f64::to_bits),
+                want.map(f64::to_bits)
+            );
+        }
     }
 
     #[test]

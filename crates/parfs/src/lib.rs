@@ -23,6 +23,8 @@
 //! same I/O code feeds both the real threaded pipeline and the
 //! discrete-event pipeline model.
 
+#![forbid(unsafe_code)]
+
 pub mod disk;
 pub mod mpiio;
 pub mod shard;

@@ -25,6 +25,8 @@
 //!   given viewpoint (the view-dependent preprocessing of §4 that the
 //!   compositing schedule builds on).
 
+#![forbid(unsafe_code)]
+
 pub mod adaptive;
 pub mod brick;
 pub mod camera;

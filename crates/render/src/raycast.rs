@@ -249,8 +249,10 @@ type Axis = (usize, f32);
 #[inline(always)]
 fn split(f: f64, top: f64, last_cell: usize) -> Axis {
     let f = f.max(0.0).min(top);
-    let i = (f as usize).min(last_cell);
-    (i, (f - i as f64) as f32)
+    // through i32: `f` is inside `[0, top]`, and i32 converts to and from
+    // f64 in one instruction where usize takes a sequence
+    let i = (f as i32).min(last_cell as i32);
+    (i as usize, (f - i as f64) as f32)
 }
 
 /// The brick's samples with the strides the eight corners of a cell need.

@@ -286,6 +286,22 @@ fn upper_face_belongs_to_the_last_cell() {
     assert_eq!(split(3.25, 4.0, 3), (3, 0.25));
     assert_eq!(split(-0.5, 4.0, 3), (0, 0.0));
     assert_eq!(split(1.0, 1.0, 0), (0, 1.0));
+    // the i32 route gives what the usize conversions gave, NaN included
+    let mut rng = SplitMix64::new(15);
+    for _ in 0..10_000 {
+        let n = 2 + rng.next_below(300) as usize;
+        let (top, last) = ((n - 1) as f64, n - 2);
+        let spread = [1.0, 1e-3, 1e9][rng.next_below(3) as usize];
+        let f = match rng.next_below(20) {
+            0 => f64::NAN,
+            1 => rng.next_below(n as u64) as f64,
+            _ => top * 0.5 + (rng.next_f64() - 0.5) * top * 1.2 * spread,
+        };
+        let g = f.max(0.0).min(top);
+        let i = (g as usize).min(last);
+        let (got, want) = (split(f, top, last), (i, (g - i as f64) as f32));
+        assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()), "f = {f}, n = {n}");
+    }
     // and the interpolant there is the face value, as in Brick::sample
     let mut values = vec![0.25f32; 27];
     for j in 0..3 {

@@ -38,6 +38,8 @@
 //! assert_eq!(sums.len(), 4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod comm;
 pub mod fault;

@@ -1,11 +1,11 @@
-//! Minimal data-parallel helpers over `std::thread::scope` — the in-repo
-//! replacement for the `rayon` patterns the workspace used (indexed
-//! parallel map and enumerated parallel chunks), under the offline-build
-//! policy of no registry dependencies.
+//! Minimal data-parallel helper over `std::thread::scope` — the in-repo
+//! replacement for the `rayon` pattern the workspace uses (enumerated
+//! parallel chunks), under the offline-build policy of no registry
+//! dependencies.
 //!
-//! Work is distributed dynamically: workers pull block indices from a
-//! shared atomic cursor, so uneven per-item cost (ray casting, LIC
-//! convolution) still balances.
+//! Work is distributed dynamically: workers pull chunk indices from a
+//! shared atomic cursor, so uneven per-chunk cost (LIC row bands over a
+//! half-stagnant field) still balances.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -15,48 +15,6 @@ fn workers_for(items: usize) -> usize {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     cores.min(items).max(1)
 }
-
-/// Parallel indexed map: `(0..n).map(f)` with `f` evaluated across
-/// threads, results in index order. Falls back to a sequential loop for
-/// small `n` or single-core machines.
-pub fn par_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers_for(n.div_ceil(64));
-    if workers <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    // hand out cache-friendly runs of indices
-    let block = n.div_ceil(workers * 8).max(1);
-    let cursor = AtomicUsize::new(0);
-    let slots = SendSlots(out.as_mut_ptr());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let f = &f;
-            let cursor = &cursor;
-            let slots = &slots;
-            scope.spawn(move || loop {
-                let start = cursor.fetch_add(block, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                for i in start..(start + block).min(n) {
-                    // SAFETY: each index is claimed by exactly one worker
-                    // (disjoint cursor ranges) and `out` outlives the scope.
-                    unsafe { *slots.0.add(i) = Some(f(i)) };
-                }
-            });
-        }
-    });
-    out.into_iter().map(|v| v.expect("par_map slot unfilled")).collect()
-}
-
-/// Shareable raw pointer for the disjoint-slot writes in [`par_map`].
-struct SendSlots<T>(*mut Option<T>);
-unsafe impl<T: Send> Sync for SendSlots<T> {}
 
 /// Parallel enumerated chunks: split `data` into consecutive
 /// `chunk`-sized pieces and run `f(chunk_index, piece)` across threads —
@@ -100,20 +58,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn par_map_matches_sequential() {
-        let par = par_map(1000, |i| i * i);
-        let seq: Vec<usize> = (0..1000).map(|i| i * i).collect();
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn par_map_empty_and_tiny() {
-        assert_eq!(par_map(0, |i| i), Vec::<usize>::new());
-        assert_eq!(par_map(1, |i| i + 7), vec![7]);
-        assert_eq!(par_map(3, |i| i), vec![0, 1, 2]);
-    }
-
-    #[test]
     fn par_chunks_mut_touches_every_chunk_once() {
         let mut data = vec![0u32; 1000];
         par_chunks_mut(&mut data, 7, |idx, piece| {
@@ -123,21 +67,6 @@ mod tests {
         });
         for (i, v) in data.iter().enumerate() {
             assert_eq!(*v, (i / 7) as u32 + 1, "element {i}");
-        }
-    }
-
-    #[test]
-    fn par_map_uneven_work_balances() {
-        // heavy items at the front; result must still be ordered
-        let out = par_map(64, |i| {
-            if i < 4 {
-                (0..200_000).fold(i as u64, |a, b| a.wrapping_add(b))
-            } else {
-                i as u64
-            }
-        });
-        for (i, v) in out.iter().enumerate().skip(4) {
-            assert_eq!(*v, i as u64);
         }
     }
 }

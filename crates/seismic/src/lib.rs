@@ -30,6 +30,8 @@
 //! something to enhance), strong surface motion (so LIC has structure),
 //! and a static octree shared by all steps (so adaptive fetching works).
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod material;
 pub mod oracle;

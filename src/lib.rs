@@ -2,6 +2,8 @@
 //! examples and downstream users write `quakeviz::pipeline::…` instead of
 //! depending on the individual `quakeviz-*` crates.
 
+#![forbid(unsafe_code)]
+
 pub use quakeviz_composite as composite;
 pub use quakeviz_core as pipeline;
 pub use quakeviz_lic as lic;

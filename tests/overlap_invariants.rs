@@ -22,7 +22,7 @@ fn dataset() -> Dataset {
 
 /// Read-dominated pipeline: the injected I/O delay dwarfs the render
 /// cost, so prefetching is what keeps the renderers fed.
-fn run(ds: &Dataset, prefetch: bool) -> PipelineReport {
+fn pipeline(ds: &Dataset, prefetch: bool) -> PipelineBuilder {
     PipelineBuilder::new(ds)
         .renderers(2)
         .io_strategy(IoStrategy::OneDip { input_procs: 2 })
@@ -31,14 +31,21 @@ fn run(ds: &Dataset, prefetch: bool) -> PipelineReport {
         .io_delay_scale(40.0)
         .prefetch(prefetch)
         .trace(true)
-        .run()
-        .expect("pipeline")
+}
+
+fn run(ds: &Dataset, prefetch: bool) -> PipelineReport {
+    pipeline(ds, prefetch).run().expect("pipeline")
 }
 
 #[test]
 fn prefetch_reads_ahead_of_rendering() {
     let ds = dataset();
-    let report = run(&ds, true);
+    // An input rank asks for its next read once it has sent the step in
+    // hand, which is about when the renderers start on it: a 48² frame is
+    // drawn in under a millisecond and can be over before the read begins.
+    // Lit 192² frames take the renderers tens of milliseconds from step 1
+    // on (still a small fraction of a read), so the overlap is there to see.
+    let report = pipeline(&ds, true).image_size(192, 192).lighting(true).run().expect("pipeline");
     let tr = &report.trace;
 
     // global render intervals per step (µs since epoch)
