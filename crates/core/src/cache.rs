@@ -9,10 +9,11 @@
 //!   read (and its simulated cost) entirely; temporal enhancement's
 //!   re-read of step `t-1` and any rerun/seek over the same steps hit it.
 //! * a **frame cache** — rendered frames keyed by
-//!   `(step, camera, transfer function, level)`, consulted by the output
-//!   stage before the pipeline renders anything. A run whose every frame
-//!   is cached is *served* instead of computed — the cold-vs-warm
-//!   interframe delta is the headline number of `BENCH_io.json`.
+//!   `(step, camera, transfer function + the step's norm, level)`,
+//!   consulted by the output stage before the pipeline renders anything.
+//!   A run whose every frame is cached is *served* instead of computed —
+//!   the cold-vs-warm interframe delta is the headline number of
+//!   `BENCH_io.json`.
 //!
 //! Coherence rules (DESIGN.md "Storage tier"):
 //!
@@ -301,21 +302,17 @@ pub fn camera_hash(cam: &Camera) -> u64 {
 }
 
 /// Hash everything else that affects a frame's pixels besides step, level
-/// and camera: the transfer-function control points and the render mode
-/// flags (quantization, lighting, LIC, the dataset's value normalization).
-pub fn tf_hash(
-    tf: &TransferFunction,
-    quantize: bool,
-    lighting: bool,
-    lic: bool,
-    vmag_max: f32,
-) -> u64 {
+/// and camera: the transfer-function control points, the render mode flags
+/// (quantization, lighting, LIC) and `norm`, the magnitude the step's
+/// values are normalized by — a live dataset's grows from step to step, so
+/// its frames never share a key with a finished dataset's.
+pub fn tf_hash(tf: &TransferFunction, quantize: bool, lighting: bool, lic: bool, norm: f32) -> u64 {
     let mut h = fnv1a_words(
         FNV_OFFSET,
         [
             quantize as u64,
             lighting as u64 | (lic as u64) << 1,
-            vmag_max.to_bits() as u64,
+            norm.to_bits() as u64,
             tf.points().len() as u64,
         ],
     );

@@ -101,14 +101,9 @@ pub struct EpochState {
 }
 
 impl EpochState {
-    /// Epoch 0: the static partition over all `n` render ranks.
-    pub fn initial(assignment: Vec<Vec<u32>>, input_width: usize) -> EpochState {
-        let active = assignment.len();
-        EpochState { epoch: 0, active, assignment, input_width }
-    }
-
-    /// Epoch 0 with only the first `active` ranks live: the parked tail
-    /// (spare pool) owns nothing until an admit plan grows the prefix.
+    /// Epoch 0 — the static partition — with the first `active` ranks
+    /// live: the parked tail (spare pool) owns nothing until an admit plan
+    /// grows the prefix.
     pub fn with_active(assignment: Vec<Vec<u32>>, active: usize, input_width: usize) -> EpochState {
         debug_assert!(active <= assignment.len());
         debug_assert!(assignment[active..].iter().all(Vec::is_empty), "spares own no blocks");
@@ -121,11 +116,6 @@ impl EpochState {
         self.active = plan.active;
         self.assignment = plan.assignment.clone();
         self.input_width = plan.input_width;
-    }
-
-    /// Owner render rank index of `block`, from the committed assignment.
-    pub fn owner_of(&self, block: u32) -> Option<usize> {
-        self.assignment.iter().position(|blocks| blocks.binary_search(&block).is_ok())
     }
 }
 
@@ -471,7 +461,7 @@ mod tests {
     fn initial(n: usize, weights: &[u64]) -> EpochState {
         let blocks: Vec<(u32, u64)> =
             weights.iter().enumerate().map(|(b, &w)| (b as u32, w)).collect();
-        EpochState::initial(assign_capacity(&blocks, &vec![1; n]), 1)
+        EpochState::with_active(assign_capacity(&blocks, &vec![1; n]), n, 1)
     }
 
     #[test]
@@ -736,7 +726,6 @@ mod tests {
         assert_eq!(ctl.state.epoch, 1);
         assert_eq!(ctl.state.assignment, plan.assignment);
         assert_eq!(ctl.history.len(), 1);
-        assert_eq!(ctl.state.owner_of(4), Some(1));
-        assert_eq!(ctl.state.owner_of(99), None);
+        assert!(ctl.state.assignment[1].contains(&4));
     }
 }

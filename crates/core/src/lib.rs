@@ -27,7 +27,10 @@
 //! * [`pipeline`] — the real threaded pipeline: spawns input/render/output
 //!   ranks over [`quakeviz_rt`], runs every frame end-to-end (read →
 //!   preprocess → distribute → render → SLIC-composite → deliver) and
-//!   reports per-stage timings.
+//!   reports per-stage timings. The dataset may be finished or still
+//!   being written ([`quakeviz_seismic::SimulationBuilder::run_live`]):
+//!   simulation-time visualization is this same pipeline, its input
+//!   ranks waiting on steps the solver has not published yet.
 //! * [`config`] — [`PipelineBuilder`] and friends.
 //! * [`control`] — the closed-loop elastic control plane: an
 //!   epoch-clocked controller on the output rank that rebalances blocks,
@@ -47,7 +50,6 @@ pub mod checkpoint;
 pub mod config;
 pub mod control;
 pub mod des;
-pub mod insitu;
 pub mod membership;
 pub mod model;
 pub mod pipeline;
@@ -61,7 +63,6 @@ pub use checkpoint::{CheckpointError, CheckpointManifest, CHECKPOINT_VERSION};
 pub use config::{IoStrategy, PipelineBuilder, PipelineConfig, ReadStrategy, RetryPolicy};
 pub use control::{ControlConfig, ControlPlan};
 pub use des::{simulate, CostTable, DesResult, DesStrategy};
-pub use insitu::{run_insitu, InsituConfig, InsituReport};
 pub use model::{
     onedip_optimal_m, onedip_prefetch_delay, onedip_steady_delay, twodip_n, twodip_optimal_m,
     twodip_prefetch_delay, twodip_steady_delay,

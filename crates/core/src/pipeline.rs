@@ -546,13 +546,58 @@ impl std::fmt::Display for Degradation {
     }
 }
 
-/// Frames the supervising render rank assembled after the output
-/// processor died, spliced into the report after the output's own.
-struct OutputTakeover {
+/// Where finished frames go — the one delivery tail, whoever assembled
+/// the frame: the output processor, its cached replay, or the render root
+/// that assumed assembly after the output processor died.
+struct FrameSink {
     frames: Vec<RgbaImage>,
+    /// Completion time of each frame, seconds since the start barrier.
     done_at: Vec<f64>,
     degraded: Vec<Vec<Degradation>>,
+    /// Checkpoints committed by the rank holding this sink.
     checkpoints: u64,
+    start: Instant,
+    /// When the previous frame was delivered — before the first, when the
+    /// sink opened (the start barrier, or the moment of takeover).
+    prev: f64,
+    m_frames: Arc<obs::Counter>,
+    m_bytes: Arc<obs::Counter>,
+    m_latency: Arc<obs::Histogram>,
+}
+
+impl FrameSink {
+    fn open(session: &Arc<Obs>, s: &Shared, start: Instant) -> FrameSink {
+        let m = session.metrics();
+        FrameSink {
+            frames: Vec::new(),
+            done_at: Vec::with_capacity(s.steps),
+            degraded: Vec::with_capacity(s.steps),
+            checkpoints: 0,
+            start,
+            prev: start.elapsed().as_secs_f64(),
+            m_frames: m.counter("pipeline.frames"),
+            m_bytes: m.counter("pipeline.frame_bytes"),
+            m_latency: m.histogram("pipeline.interframe_us"),
+        }
+    }
+
+    /// Deliver the next frame with its degradation flags: count it, stamp
+    /// it, keep it if the run keeps frames.
+    fn deliver(&mut self, s: &Shared, vol: RgbaImage, deg: Vec<Degradation>) {
+        if let Some(plan) = s.faults.as_ref().filter(|_| !deg.is_empty()) {
+            plan.note_degraded_frame(deg.iter().filter(|d| d.block().is_some()).count() as u64);
+        }
+        self.degraded.push(deg);
+        let now = self.start.elapsed().as_secs_f64();
+        self.m_frames.inc();
+        self.m_bytes.add((vol.width() * vol.height() * 16) as u64);
+        self.m_latency.record(((now - self.prev) * 1e6) as u64);
+        self.prev = now;
+        self.done_at.push(now);
+        if s.cfg.keep_frames {
+            self.frames.push(vol);
+        }
+    }
 }
 
 /// What one rank hands back at the end of the run.
@@ -560,13 +605,12 @@ enum RankResult {
     Input(Vec<InputStepTiming>),
     Render {
         timings: Vec<RenderFrameTiming>,
-        takeover: Option<OutputTakeover>,
+        /// Frames the supervising render root delivered after the output
+        /// processor died, spliced into the report after the output's own.
+        takeover: Option<FrameSink>,
     },
     Output {
-        frames: Vec<RgbaImage>,
-        done_at: Vec<f64>,
-        degraded: Vec<Vec<Degradation>>,
-        checkpoints: u64,
+        sink: FrameSink,
         /// Elastic plans committed by the hosted controller, in epoch
         /// order (empty without the control plane).
         plans: Vec<ControlPlan>,
@@ -709,9 +753,12 @@ struct Shared {
     mesh: Arc<HexMesh>,
     disk: Arc<quakeviz_parfs::Disk>,
     cfg: PipelineConfig,
+    /// The dataset being rendered, asked for one thing per step — what
+    /// its values are normalized by ([`Dataset::norm_at`]) — at the
+    /// quantize, dequantize, render and frame-key sites.
+    dataset: Dataset,
     steps: usize,
     level: u8,
-    vmag_max: f32,
     blocks: Vec<OctreeBlock>,
     camera: Camera,
     /// Block ids front-to-back for the camera.
@@ -757,10 +804,8 @@ struct Shared {
     /// [`PipelineConfig::cache_tier`]; stamped with the config
     /// fingerprint, so a mismatched reuse flushes before any serve.
     cache: Option<Arc<CacheTier>>,
-    /// Camera/transfer-function content hashes of the frame-cache key,
-    /// fixed per run.
+    /// Camera content hash of the frame-cache key, fixed per run.
     cam_hash: u64,
-    tf_hash: u64,
     /// Every frame of the run is already in the frame cache: the run is a
     /// cached *replay* — the output stage serves the stream directly and
     /// the input/render groups have nothing to do. All-or-nothing by
@@ -776,14 +821,24 @@ impl Shared {
     }
 
     /// Frame-cache key of step `t` under this run's camera, transfer
-    /// function and octree level.
-    fn frame_key(&self, t: usize) -> FrameKey {
-        FrameKey {
+    /// function, octree level and the step's normalization. Never waits:
+    /// a step a live dataset has not published yet has no key, which every
+    /// caller treats as a miss.
+    fn frame_key(&self, t: usize) -> Option<FrameKey> {
+        let cfg = &self.cfg;
+        let norm = self.dataset.norm_if_published(t)?;
+        Some(FrameKey {
             step: t as u32,
             level: self.level,
             camera_hash: self.cam_hash,
-            tf_hash: self.tf_hash,
-        }
+            tf_hash: crate::cache::tf_hash(
+                &cfg.transfer,
+                cfg.quantize,
+                cfg.lighting,
+                cfg.lic,
+                norm,
+            ),
+        })
     }
 
     /// How long a renderer waits for a step's data before it degrades
@@ -1380,29 +1435,7 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
     }
     let ost_base = dataset.disk().ost_stats();
     let cache_base = cache.as_ref().map(|t| t.counters()).unwrap_or_default();
-    let cam_h = crate::cache::camera_hash(&camera);
-    let tf_h = crate::cache::tf_hash(
-        &config.transfer,
-        config.quantize,
-        config.lighting,
-        config.lic,
-        dataset.vmag_max(),
-    );
-    // all-or-nothing warm serving: frames come from the cache only when
-    // *every* executed step is present (only clean frames are ever
-    // cached), so a partially-warm run recomputes everything — with
-    // block-cache help — instead of mixing cached and stale-state frames
-    let warm_all = cache.as_ref().is_some_and(|tier| {
-        tier.frames.enabled()
-            && (start_step..steps).all(|t| {
-                tier.frames.contains(FrameKey {
-                    step: t as u32,
-                    level,
-                    camera_hash: cam_h,
-                    tf_hash: tf_h,
-                })
-            })
-    });
+    let cam_hash = crate::cache::camera_hash(&camera);
 
     // epoch 0 is the static partition — LPT over the cell-count workload
     // model, the same weights the controller's rebalance and the
@@ -1425,12 +1458,12 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         elastic.apply(plan);
     }
 
-    let shared = Shared {
+    let mut shared = Shared {
         mesh,
         disk: Arc::clone(dataset.disk()),
+        dataset: dataset.clone(),
         steps,
         level,
-        vmag_max: dataset.vmag_max(),
         blocks,
         camera,
         order_ids,
@@ -1450,11 +1483,19 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         resume_plans,
         block_weights,
         cache: cache.clone(),
-        cam_hash: cam_h,
-        tf_hash: tf_h,
-        warm_all,
+        cam_hash,
+        warm_all: false,
         cfg: config,
     };
+    // all-or-nothing warm serving: frames come from the cache only when
+    // *every* executed step is present (only clean frames are ever
+    // cached), so a partially-warm run recomputes everything — with
+    // block-cache help — instead of mixing cached and stale-state frames
+    shared.warm_all = cache.as_ref().is_some_and(|tier| {
+        tier.frames.enabled()
+            && (start_step..steps)
+                .all(|t| shared.frame_key(t).is_some_and(|key| tier.frames.contains(key)))
+    });
 
     let world = n_inputs + shared.n_renderers + 1;
     let shared = &shared;
@@ -1475,10 +1516,7 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
     let mut input_steps = Vec::new();
     let mut render_frames = Vec::new();
     let mut render_rank_seconds = Vec::new();
-    let mut frames = Vec::new();
-    let mut frame_done = Vec::new();
-    let mut degraded = Vec::new();
-    let mut checkpoints = 0u64;
+    let mut delivered = None;
     let mut control_plans = Vec::new();
     let mut takeover_tail = None;
     for r in results {
@@ -1487,19 +1525,20 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
             RankResult::Render { timings: v, takeover } => {
                 render_rank_seconds.push(v.iter().map(|f| f.render_s).sum::<f64>());
                 render_frames.extend(v);
-                if takeover.is_some() {
-                    takeover_tail = takeover;
-                }
+                takeover_tail = takeover_tail.or(takeover);
             }
-            RankResult::Output { frames: f, done_at, degraded: d, checkpoints: c, plans } => {
-                frames = f;
-                frame_done = done_at;
-                degraded = d;
-                checkpoints += c;
+            RankResult::Output { sink, plans } => {
+                delivered = Some(sink);
                 control_plans = plans;
             }
         }
     }
+    let Some(FrameSink {
+        mut frames, done_at: mut frame_done, mut degraded, mut checkpoints, ..
+    }) = delivered
+    else {
+        return Err("the output processor returned no frames".into());
+    };
     // splice the supervisor's output-failover frames after the dead
     // output rank's own: the stream continues without a gap
     if let Some(tk) = takeover_tail {
@@ -1749,38 +1788,24 @@ fn rank_main(comm: Comm, session: &Arc<Obs>, s: &Shared) -> RankResult {
 /// cache at setup, so serve each one directly — same metrics, same
 /// interframe-delay histogram, no pipeline traffic.
 fn output_warm(session: &Arc<Obs>, s: &Shared, start: Instant) -> RankResult {
-    let tier = s.cache.as_ref().expect("warm_all implies a cache tier");
-    let mut frames = Vec::new();
-    let mut done_at = Vec::with_capacity(s.steps);
-    let mut degraded: Vec<Vec<Degradation>> = Vec::with_capacity(s.steps);
-    let m_frames = session.metrics().counter("pipeline.frames");
-    let m_bytes = session.metrics().counter("pipeline.frame_bytes");
-    let m_latency = session.metrics().histogram("pipeline.interframe_us");
-    let mut prev = 0.0f64;
+    let mut sink = FrameSink::open(session, s, start);
     for t in s.start_step..s.steps {
         let _sp = obs::span(Phase::Assemble, t as u32);
-        let (vol, deg) = match tier.frames.get(s.frame_key(t)) {
-            Some(img) => (img, Vec::new()),
+        let cached =
+            s.cache.as_ref().zip(s.frame_key(t)).and_then(|(tier, key)| tier.frames.get(key));
+        match cached {
+            Some(img) => sink.deliver(s, img, Vec::new()),
             None => {
                 // the setup probe saw this key, but the entry failed its
                 // serve-time checksum (or was evicted mid-replay): ship a
                 // blank degraded frame rather than wrong pixels
                 eprintln!("quakeviz: step {t}: cached frame lost mid-replay; frame degraded");
-                (RgbaImage::new(s.cfg.width, s.cfg.height), vec![Degradation::CorruptImage])
+                let blank = RgbaImage::new(s.cfg.width, s.cfg.height);
+                sink.deliver(s, blank, vec![Degradation::CorruptImage]);
             }
-        };
-        degraded.push(deg);
-        let now = start.elapsed().as_secs_f64();
-        m_frames.inc();
-        m_bytes.add((vol.width() * vol.height() * 16) as u64);
-        m_latency.record(((now - prev) * 1e6) as u64);
-        prev = now;
-        done_at.push(now);
-        if s.cfg.keep_frames {
-            frames.push(vol);
         }
     }
-    RankResult::Output { frames, done_at, degraded, checkpoints: 0, plans: Vec::new() }
+    RankResult::Output { sink, plans: Vec::new() }
 }
 
 /// Seconds per step spent in `phase`, summed from this thread's recorded
@@ -2058,6 +2083,7 @@ fn pack_batches(
     // to the live active ranks
     let routes = s.owners(state, t);
     let codec = s.wire.codec_for(TagClass::BlockData);
+    let scale = s.dataset.norm_at(t);
     let mut out = Vec::with_capacity(routes.len());
     for (r, blocks) in &routes {
         let dst = s.n_inputs + r;
@@ -2085,7 +2111,7 @@ fn pack_batches(
                     Some(mag) => {
                         let values: Vec<f32> =
                             ids[a..b].iter().map(|&id| mag[id as usize]).collect();
-                        Payload::from_values(values, s.cfg.quantize, s.vmag_max)
+                        Payload::from_values(values, s.cfg.quantize, scale)
                     }
                     None => Payload::Missing((b - a) as u32),
                 };
@@ -2607,7 +2633,7 @@ fn render_main(
     session: &Arc<Obs>,
     s: &Shared,
     start: Instant,
-) -> (Vec<RenderFrameTiming>, Option<OutputTakeover>) {
+) -> (Vec<RenderFrameTiming>, Option<FrameSink>) {
     let me = comm.rank();
     let rr = me - s.n_inputs; // render-group rank
     let output_rank = s.n_inputs + s.n_renderers;
@@ -2623,7 +2649,6 @@ fn render_main(
         opacity_unit: Some(s.opacity_unit),
         ..Default::default()
     };
-    let norm = (0.0f32, s.vmag_max);
     let mut timings = Vec::with_capacity(s.steps);
 
     // membership state: heartbeats run only when the plan scripts a
@@ -2636,9 +2661,9 @@ fn render_main(
     let mut members = all_renderers.clone();
     let mut regrouped: Option<Comm> = None;
 
-    // output-failover state (render root only)
-    let mut output_dead = false;
-    let mut takeover: Option<OutputTakeover> = None;
+    // output-failover state (render root only): the sink this rank
+    // delivers into once it has declared the output processor dead
+    let mut takeover: Option<FrameSink> = None;
 
     // receiver-side temporal-delta state, keyed (src, bid, offset); a
     // resumed run starts empty, matched by the senders' forced keyframes
@@ -2716,7 +2741,7 @@ fn render_main(
                 }
             }
         }
-        if supervisor && !output_dead {
+        if supervisor && takeover.is_none() {
             // output supervision: the render root waits for the output
             // processor's heartbeat and assumes assembly on silence
             let _sp = obs::span(Phase::Heartbeat, t as u32);
@@ -2724,7 +2749,7 @@ fn render_main(
             if !membership::heartbeat(comm, TAG_HB + t as u64, &[], &[output_rank], deadline)
                 .is_empty()
             {
-                output_dead = true;
+                takeover = Some(FrameSink::open(session, s, start));
                 if let Some(p) = &s.faults {
                     p.note_output_failover(output_rank, t);
                 }
@@ -2806,6 +2831,7 @@ fn render_main(
                 for _ in 0..state.input_width {
                     let (src, batch): (usize, BlockBatch) = comm.recv_any(TAG_DATA + t as u64);
                     recv_sp.add_bytes(batch.iter().map(|p| p.body.len() as u64).sum());
+                    let scale = s.dataset.norm_at(t);
                     let t0 = Instant::now();
                     let _dec_sp = obs::auto_span(Phase::Decode, t as u32);
                     for piece in batch {
@@ -2813,10 +2839,8 @@ fn render_main(
                             Ok(payload) => {
                                 let ids = &s.ids_per_block[piece.bid as usize];
                                 for k in 0..payload.len() {
-                                    field.set(
-                                        ids[piece.offset as usize + k],
-                                        payload.get(k, s.vmag_max),
-                                    );
+                                    field
+                                        .set(ids[piece.offset as usize + k], payload.get(k, scale));
                                 }
                             }
                             Err(why) => {
@@ -2861,6 +2885,7 @@ fn render_main(
                         continue;
                     }
                     recv_sp.add_bytes(batch.iter().map(|p| p.body.len() as u64).sum());
+                    let scale = s.dataset.norm_at(t);
                     let t0 = Instant::now();
                     let _dec_sp = obs::auto_span(Phase::Decode, t as u32);
                     for piece in batch {
@@ -2888,10 +2913,8 @@ fn render_main(
                                 seen[b] += payload.len();
                                 let ids = &s.ids_per_block[b];
                                 for k in 0..payload.len() {
-                                    field.set(
-                                        ids[piece.offset as usize + k],
-                                        payload.get(k, s.vmag_max),
-                                    );
+                                    field
+                                        .set(ids[piece.offset as usize + k], payload.get(k, scale));
                                 }
                                 got[b] += payload.len();
                             }
@@ -2913,6 +2936,7 @@ fn render_main(
         // drop one resident octree level — their stale nodes keep the
         // last-known-good values, and the coarser tiling reads only the
         // corner subset, shrinking the visual footprint of the gap
+        let norm = (0.0f32, s.dataset.norm_at(t));
         let render_sp = obs::span(Phase::Render, t as u32);
         let render_t0 = Instant::now();
         let mut frags: Vec<Fragment> = Vec::new();
@@ -2990,54 +3014,19 @@ fn render_main(
                 let bytes = m.len() as u64 * 8;
                 comm.send_with_size(output_rank, TAG_DEG + t as u64, m, bytes);
             }
-        } else if let Some(mut vol) = result.image {
+        } else if let (Some(sink), Some(mut vol)) = (takeover.as_mut(), result.image) {
             // output-failover epoch: the supervising render root assumes
             // frame assembly — frames continue, tagged migrated, never
             // skipped silently
-            let tk = takeover.get_or_insert_with(|| OutputTakeover {
-                frames: Vec::new(),
-                done_at: Vec::new(),
-                degraded: Vec::new(),
-                checkpoints: 0,
-            });
             let mut deg = merged.unwrap_or_default();
             let mut sp = obs::span(Phase::Assemble, t as u32);
-            if s.surface.is_some() {
-                let lic_src = lic_source(s, t);
-                let (lic_msg, lic_missing): (WireImage, bool) =
-                    comm.recv(lic_src, TAG_LIC + t as u64);
-                match decode_image(s, TagClass::LicImage, t as u32, lic_msg) {
-                    Ok(lic_img) => {
-                        sp.add_bytes((lic_img.width() * lic_img.height() * 16) as u64);
-                        vol.over_inplace(&lic_img);
-                    }
-                    Err(why) => {
-                        // ship the frame without its overlay rather than
-                        // aborting the takeover epoch
-                        note_corrupt_image(session, s, why, t);
-                        deg.push(Degradation::CorruptImage);
-                    }
-                }
-                if lic_missing {
-                    deg.push(Degradation::MissingLic);
-                }
-            }
+            sp.add_bytes(overlay_lic(comm, session, s, t, &mut vol, &mut deg));
             drop(sp);
             deg.push(Degradation::MigratedEpoch);
             if let Some(plan) = &s.faults {
                 plan.note_migrated_frame();
-                plan.note_degraded_frame(deg.iter().filter(|d| d.block().is_some()).count() as u64);
             }
-            tk.degraded.push(deg);
-            tk.done_at.push(start.elapsed().as_secs_f64());
-            session.metrics().counter("pipeline.frames").inc();
-            session
-                .metrics()
-                .counter("pipeline.frame_bytes")
-                .add((vol.width() * vol.height() * 16) as u64);
-            if s.cfg.keep_frames {
-                tk.frames.push(vol);
-            }
+            sink.deliver(s, vol, deg);
         }
 
         // checkpoint boundary: snapshot my resident field, then either
@@ -3049,8 +3038,8 @@ fn render_main(
             let dst = s.output_dst(t);
             if dst == me {
                 commit_checkpoint(comm, s, t, Some(ack), &state, &[]);
-                if let Some(tk) = takeover.as_mut() {
-                    tk.checkpoints += 1;
+                if let Some(sink) = takeover.as_mut() {
+                    sink.checkpoints += 1;
                 }
             } else {
                 comm.send_with_size(dst, TAG_CKPT + t as u64, ack, 12);
@@ -3125,14 +3114,7 @@ fn measure_window(session: &Arc<Obs>, s: &Shared, lo: usize, hi: usize) -> Windo
 
 fn output_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> RankResult {
     let me = s.n_inputs + s.n_renderers;
-    let mut frames = Vec::new();
-    let mut done_at = Vec::with_capacity(s.steps);
-    let mut degraded: Vec<Vec<Degradation>> = Vec::with_capacity(s.steps);
-    let mut checkpoints = 0u64;
-    let m_frames = session.metrics().counter("pipeline.frames");
-    let m_bytes = session.metrics().counter("pipeline.frame_bytes");
-    let m_latency = session.metrics().histogram("pipeline.interframe_us");
-    let mut prev = 0.0f64;
+    let mut sink = FrameSink::open(session, s, start);
     // the hosted controller (one that never ticks when control is off):
     // seeded from the committed state and, on resume, the checkpointed
     // plan history, so new ticks continue the epoch sequence
@@ -3248,57 +3230,58 @@ fn output_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
         if vol_corrupt {
             deg.push(Degradation::CorruptImage);
         }
-        if s.surface.is_some() {
-            let lic_src = lic_source(s, t);
-            let (lic_msg, lic_missing): (WireImage, bool) = comm.recv(lic_src, TAG_LIC + t as u64);
-            match decode_image(s, TagClass::LicImage, t as u32, lic_msg) {
-                Ok(lic_img) => {
-                    sp.add_bytes((lic_img.width() * lic_img.height() * 16) as u64);
-                    // the volume rendering sits in front of the surface
-                    vol.over_inplace(&lic_img);
-                }
-                Err(why) => {
-                    // ship the frame without its overlay
-                    note_corrupt_image(session, s, why, t);
-                    deg.push(Degradation::CorruptImage);
-                }
-            }
-            if lic_missing {
-                deg.push(Degradation::MissingLic);
-            }
-        }
+        sp.add_bytes(overlay_lic(comm, session, s, t, &mut vol, &mut deg));
         drop(sp);
-        if !deg.is_empty() {
-            if let Some(plan) = &s.faults {
-                plan.note_degraded_frame(deg.iter().filter(|d| d.block().is_some()).count() as u64);
-            }
-        }
         // only pristine frames are cached: a degraded frame must be
         // recomputed next run, when the fault may not recur
-        if deg.is_empty() {
-            if let Some(tier) = &s.cache {
-                if tier.frames.enabled() {
-                    tier.frames.insert(s.frame_key(t), &vol);
-                }
+        if let (true, Some(tier)) = (deg.is_empty(), &s.cache) {
+            if let Some(key) = s.frame_key(t) {
+                tier.frames.insert(key, &vol);
             }
         }
-        degraded.push(deg);
-        let now = start.elapsed().as_secs_f64();
-        m_frames.inc();
-        m_bytes.add((vol.width() * vol.height() * 16) as u64);
-        m_latency.record(((now - prev) * 1e6) as u64);
-        prev = now;
-        done_at.push(now);
-        if s.cfg.keep_frames {
-            frames.push(vol);
-        }
+        sink.deliver(s, vol, deg);
         if s.checkpoint_due(t) {
             let _sp = obs::span(Phase::Checkpoint, t as u32);
             commit_checkpoint(comm, s, t, None, &ctl.state, &ctl.history);
-            checkpoints += 1;
+            sink.checkpoints += 1;
         }
     }
-    RankResult::Output { frames, done_at, degraded, checkpoints, plans: ctl.history }
+    RankResult::Output { sink, plans: ctl.history }
+}
+
+/// Put step `t`'s LIC surface overlay behind the assembled volume frame —
+/// the one overlay step, whichever rank assembles. An overlay the wire
+/// garbled is left off and flagged rather than aborting the run; one the
+/// input side could not read arrives transparent and flagged. Returns the
+/// overlay bytes composited (0 when LIC is off).
+fn overlay_lic(
+    comm: &Comm,
+    session: &Arc<Obs>,
+    s: &Shared,
+    t: usize,
+    vol: &mut RgbaImage,
+    deg: &mut Vec<Degradation>,
+) -> u64 {
+    if s.surface.is_none() {
+        return 0;
+    }
+    let (lic_msg, lic_missing): (WireImage, bool) = comm.recv(lic_source(s, t), TAG_LIC + t as u64);
+    let bytes = match decode_image(s, TagClass::LicImage, t as u32, lic_msg) {
+        Ok(lic_img) => {
+            // the volume rendering sits in front of the surface
+            vol.over_inplace(&lic_img);
+            (lic_img.width() * lic_img.height() * 16) as u64
+        }
+        Err(why) => {
+            note_corrupt_image(session, s, why, t);
+            deg.push(Degradation::CorruptImage);
+            0
+        }
+    };
+    if lic_missing {
+        deg.push(Degradation::MissingLic);
+    }
+    bytes
 }
 
 /// Which input rank ships the LIC overlay for step `t`: the step group's

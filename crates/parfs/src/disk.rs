@@ -9,12 +9,17 @@
 //! concurrently each see roughly `1/m` of the aggregate bandwidth *until*
 //! the file system saturates, after which adding readers stops helping —
 //! exactly the knee visible in the paper's Figure 8.
+//!
+//! A file may also be *announced* before it is written
+//! ([`Disk::announce`]): a live producer — a simulation still running —
+//! promises it, and a read of it waits for the write instead of failing.
+//! That wait is the whole coupling between a simulation and a pipeline
+//! that visualizes it while it runs.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::sync::RwLock;
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 
 /// A failed read on the virtual parallel file system.
 ///
@@ -181,6 +186,10 @@ impl CostModel {
 #[derive(Debug)]
 pub struct Disk {
     files: RwLock<HashMap<String, Arc<Vec<u8>>>>,
+    /// Paths a live producer has announced and not yet written.
+    announced: Mutex<HashSet<String>>,
+    /// Signalled whenever `announced` shrinks: a write or a withdrawal.
+    published: Condvar,
     cost: CostModel,
     /// Streams currently inside a read call (for concurrency charging).
     active_readers: AtomicUsize,
@@ -193,6 +202,8 @@ impl Disk {
     pub fn new(cost: CostModel) -> Arc<Disk> {
         Arc::new(Disk {
             files: RwLock::new(HashMap::new()),
+            announced: Mutex::new(HashSet::new()),
+            published: Condvar::new(),
             cost,
             active_readers: AtomicUsize::new(0),
             shards: RwLock::new(None),
@@ -234,9 +245,22 @@ impl Disk {
         self.shards().map_or(self.cost.seek_latency, |s| s.model().ost_seek)
     }
 
-    /// Create or replace a file with the given contents.
+    /// Create or replace a file with the given contents. Writing an
+    /// announced file publishes it: readers blocked on it wake.
     pub fn write_file(&self, path: &str, data: Vec<u8>) {
         self.files.write().unwrap().insert(path.to_string(), Arc::new(data));
+        if self.announced.lock().expect("announce set poisoned").remove(path) {
+            self.published.notify_all();
+        }
+    }
+
+    /// Promise that `paths` will be written: until the returned
+    /// [`Announcement`] is dropped, a read of one of them that finds no
+    /// file waits for [`Disk::write_file`] instead of failing.
+    pub fn announce(self: &Arc<Self>, paths: impl IntoIterator<Item = String>) -> Announcement {
+        let paths: Vec<String> = paths.into_iter().collect();
+        self.announced.lock().expect("announce set poisoned").extend(paths.iter().cloned());
+        Announcement { disk: Arc::clone(self), paths }
     }
 
     /// Create or replace a file, charging the cost model for the write
@@ -250,7 +274,8 @@ impl Disk {
         cost
     }
 
-    /// Size of a file in bytes, if it exists.
+    /// Size of a file in bytes, if it exists (never waits: an announced
+    /// file does not exist yet).
     pub fn file_len(&self, path: &str) -> Option<u64> {
         self.files.read().unwrap().get(path).map(|d| d.len() as u64)
     }
@@ -267,13 +292,32 @@ impl Disk {
         self.files.write().unwrap().remove(path).is_some()
     }
 
+    /// The file's contents, waiting out an announcement: a path that is
+    /// announced but not yet written blocks until it is, and fails with
+    /// [`ReadError::NoSuchFile`] once the producer withdraws the promise.
     fn file(&self, path: &str) -> Result<Arc<Vec<u8>>, ReadError> {
-        self.files
-            .read()
-            .unwrap()
-            .get(path)
-            .cloned()
-            .ok_or_else(|| ReadError::NoSuchFile { path: path.to_string() })
+        let lookup = || self.files.read().unwrap().get(path).cloned();
+        if let Some(data) = lookup() {
+            return Ok(data);
+        }
+        // publication inserts the file *before* it takes this lock to clear
+        // the announcement, so a miss under the lock on a still-announced
+        // path cannot lose the wakeup
+        let mut pending = self.announced.lock().expect("announce set poisoned");
+        loop {
+            if let Some(data) = lookup() {
+                return Ok(data);
+            }
+            if !pending.contains(path) {
+                return Err(ReadError::NoSuchFile { path: path.to_string() });
+            }
+            pending = self.published.wait(pending).expect("announce set poisoned");
+        }
+    }
+
+    /// Size of a file in bytes, waiting out an announcement like a read.
+    pub(crate) fn published_len(&self, path: &str) -> Result<u64, ReadError> {
+        self.file(path).map(|d| d.len() as u64)
     }
 
     /// Read a set of byte extents from `path`, returning the concatenated
@@ -322,9 +366,30 @@ impl Disk {
 
     /// Read a whole file.
     pub fn read_full(&self, path: &str) -> Result<(Vec<u8>, f64), ReadError> {
-        let len =
-            self.file_len(path).ok_or_else(|| ReadError::NoSuchFile { path: path.to_string() })?;
+        let len = self.published_len(path)?;
         self.read_at(path, 0, len)
+    }
+}
+
+/// A producer's outstanding promise to write a set of files
+/// ([`Disk::announce`]). Dropping it — the producer finished, failed or
+/// panicked — withdraws whatever was not written, so readers waiting on
+/// those paths wake with [`ReadError::NoSuchFile`] rather than hang.
+#[derive(Debug)]
+pub struct Announcement {
+    disk: Arc<Disk>,
+    paths: Vec<String>,
+}
+
+impl Drop for Announcement {
+    fn drop(&mut self) {
+        // never panic in drop: the set stays valid across a poisoning
+        let mut pending = self.disk.announced.lock().unwrap_or_else(PoisonError::into_inner);
+        for p in &self.paths {
+            pending.remove(p);
+        }
+        drop(pending);
+        self.disk.published.notify_all();
     }
 }
 
@@ -382,6 +447,37 @@ mod tests {
         assert_eq!(err, ReadError::NoSuchFile { path: "nope".to_string() });
         assert!(err.to_string().contains("no such file"));
         assert!(disk.read_full("nope").is_err());
+    }
+
+    #[test]
+    fn announced_file_blocks_until_written_or_withdrawn() {
+        let disk = Disk::new(CostModel::free());
+        let promise = disk.announce(["live".to_string(), "never".to_string()]);
+        assert_eq!(disk.file_len("live"), None, "an announced file does not exist yet");
+        std::thread::scope(|s| {
+            let (entered, at_read) = std::sync::mpsc::channel();
+            let readers: Vec<_> = ["live", "never"]
+                .into_iter()
+                .map(|path| {
+                    let (disk, entered) = (Arc::clone(&disk), entered.clone());
+                    s.spawn(move || {
+                        entered.send(()).unwrap();
+                        disk.read_full(path).map(|(data, _)| data)
+                    })
+                })
+                .collect();
+            // both readers are at (or inside) their read; whichever side of
+            // the wait they are on, the outcome below is the same
+            at_read.recv().unwrap();
+            at_read.recv().unwrap();
+            disk.write_file("live", vec![7, 8, 9]);
+            drop(promise); // the producer ends without writing "never"
+            let got: Vec<_> = readers.into_iter().map(|r| r.join().unwrap()).collect();
+            assert_eq!(got[0], Ok(vec![7, 8, 9]));
+            assert_eq!(got[1], Err(ReadError::NoSuchFile { path: "never".to_string() }));
+        });
+        // a withdrawn path is an ordinary missing file again
+        assert!(disk.published_len("never").is_err());
     }
 
     #[test]

@@ -29,6 +29,6 @@ pub mod disk;
 pub mod mpiio;
 pub mod shard;
 
-pub use disk::{CostModel, Disk, ReadError};
+pub use disk::{Announcement, CostModel, Disk, ReadError};
 pub use mpiio::{IndexedBlockType, PFile, ReadOutcome};
 pub use shard::{OstStats, ShardModel, Shards};

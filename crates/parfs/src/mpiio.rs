@@ -135,9 +135,8 @@ pub struct PFile {
 impl PFile {
     pub fn open(disk: Arc<Disk>, path: impl Into<String>) -> Result<PFile, ReadError> {
         let path = path.into();
-        if disk.file_len(&path).is_none() {
-            return Err(ReadError::NoSuchFile { path });
-        }
+        // waits out a live producer's announcement of the file
+        disk.published_len(&path)?;
         Ok(PFile { disk, path })
     }
 

@@ -9,9 +9,13 @@
 //!   vectors as a flat little-endian `3 × f32` array in node-id order.
 //!   This is the "linear array on the disk" of paper §5.3 that the input
 //!   processors gather noncontiguously.
+//! * `step_NNNN.norm` — the running maximum velocity magnitude through
+//!   step `N` (one little-endian `f32`), written *before* the step's data:
+//!   what a frame is normalized by while the simulation is still running
+//!   and the global maximum is not known yet.
 //! * `meta.txt` — scalar metadata (`key=value` lines): step count,
 //!   components, global magnitude range (for transfer-function scaling),
-//!   output cadence.
+//!   output cadence. Written last.
 
 use crate::material::BasinModel;
 use crate::oracle::WavelengthOracle;
@@ -20,28 +24,51 @@ use crate::source::RickerSource;
 use quakeviz_mesh::{HexMesh, NodeId, Octree, Vec3, VectorField};
 use quakeviz_parfs::{CostModel, Disk};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 const MESH_FILE: &str = "mesh.oct";
 const META_FILE: &str = "meta.txt";
 const MESH_MAGIC: &[u8; 6] = b"QVOCT1";
+/// Byte offset of the leaf-key table in `mesh.oct`: magic, extent, count.
+const MESH_KEYS_AT: usize = 6 + 24 + 8;
+/// Floor of the running normalization maximum: the first outputs of a run
+/// can precede any motion, and a zero scale would divide by zero.
+const NORM_FLOOR: f32 = 1e-12;
 
-/// A generated (or reopened) time-varying earthquake dataset.
+/// A generated (or reopened) time-varying earthquake dataset — finished,
+/// or still being written by a running simulation
+/// ([`SimulationBuilder::run_live`]).
 #[derive(Clone)]
 pub struct Dataset {
     disk: Arc<Disk>,
     mesh: Arc<HexMesh>,
     steps: usize,
     components: usize,
-    /// Largest velocity magnitude over all output steps.
-    vmag_max: f32,
+    norm: Norm,
     /// Simulated seconds between output steps.
     output_dt: f64,
+}
+
+/// Which maximum scales a step's values ([`Dataset::norm_at`]).
+#[derive(Clone, Copy)]
+enum Norm {
+    /// A finished simulation: the largest velocity magnitude over all steps.
+    Global(f32),
+    /// A simulation that may still be running: the largest magnitude up to
+    /// and including the step, read from the step's norm file.
+    Running,
 }
 
 impl Dataset {
     /// File name of output step `t`.
     pub fn step_path(t: usize) -> String {
         format!("step_{t:04}.vel")
+    }
+
+    /// File holding the running normalization maximum after step `t`.
+    fn norm_path(t: usize) -> String {
+        format!("step_{t:04}.norm")
     }
 
     /// The virtual disk holding the files.
@@ -54,7 +81,7 @@ impl Dataset {
         &self.mesh
     }
 
-    /// Number of output time steps.
+    /// Number of output time steps (written or announced).
     pub fn steps(&self) -> usize {
         self.steps
     }
@@ -64,9 +91,39 @@ impl Dataset {
         self.components
     }
 
-    /// Global maximum velocity magnitude (transfer-function scale).
+    /// Global maximum velocity magnitude (transfer-function scale). A live
+    /// dataset knows it only once its last step is out, and waits for that.
     pub fn vmag_max(&self) -> f32 {
-        self.vmag_max
+        self.norm_at(self.steps.saturating_sub(1))
+    }
+
+    /// The magnitude that maps to the top of the transfer function at step
+    /// `t` — the one normalization decision of a run. A finished dataset
+    /// answers its global maximum for every step; a live one the running
+    /// maximum through `t`, waiting until the simulation has published it
+    /// (it does so *before* the step's data, so whoever holds the data never
+    /// waits). If the simulation ended early, the last norm it published.
+    pub fn norm_at(&self, t: usize) -> f32 {
+        match self.norm {
+            Norm::Global(max) => max,
+            Norm::Running => (0..=t).rev().find_map(|u| self.running_norm(u)).unwrap_or(NORM_FLOOR),
+        }
+    }
+
+    /// [`Dataset::norm_at`] without the wait: `None` while a live dataset
+    /// has not published step `t` yet.
+    pub fn norm_if_published(&self, t: usize) -> Option<f32> {
+        match self.norm {
+            Norm::Global(max) => Some(max),
+            Norm::Running => {
+                self.disk.file_len(&Self::norm_path(t)).and_then(|_| self.running_norm(t))
+            }
+        }
+    }
+
+    fn running_norm(&self, t: usize) -> Option<f32> {
+        let (bytes, _) = self.disk.read_full(&Self::norm_path(t)).ok()?;
+        Some(f32::from_le_bytes(bytes.try_into().ok()?))
     }
 
     /// Simulated seconds between outputs.
@@ -90,27 +147,30 @@ impl Dataset {
 
     /// Reopen a dataset previously written to `disk`.
     pub fn open(disk: Arc<Disk>) -> Result<Dataset, String> {
-        let (meshbytes, _) = match disk.read_full(MESH_FILE) {
-            Ok(r) => r,
-            Err(_) => return Err(format!("{MESH_FILE} missing")),
-        };
-        if meshbytes.len() < 6 + 24 + 8 || &meshbytes[0..6] != MESH_MAGIC {
+        let (meshbytes, _) =
+            disk.read_full(MESH_FILE).map_err(|_| format!("{MESH_FILE} missing"))?;
+        if meshbytes.len() < MESH_KEYS_AT || &meshbytes[0..6] != MESH_MAGIC {
             return Err("bad mesh.oct header".into());
         }
-        let f64_at = |o: usize| f64::from_le_bytes(meshbytes[o..o + 8].try_into().unwrap());
-        let extent = Vec3::new(f64_at(6), f64_at(14), f64_at(22));
-        let count = u64::from_le_bytes(meshbytes[30..38].try_into().unwrap()) as usize;
-        let mut keys = Vec::with_capacity(count);
-        for i in 0..count {
-            let o = 38 + i * 8;
-            keys.push(u64::from_le_bytes(meshbytes[o..o + 8].try_into().unwrap()));
-        }
-        let mesh = Arc::new(HexMesh::from_octree(Octree::from_leaf_keys(extent, &keys)));
+        // after the magic the file is little-endian 8-byte words: extent
+        // x, y, z, the leaf-key count, the keys
+        let words: Vec<u64> = meshbytes[6..]
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(std::array::from_fn(|i| c[i])))
+            .collect();
+        let extent =
+            Vec3::new(f64::from_bits(words[0]), f64::from_bits(words[1]), f64::from_bits(words[2]));
+        let count = words[3] as usize;
+        let keys = words[4..].get(..count).ok_or_else(|| {
+            format!(
+                "{MESH_FILE} truncated: header promises {count} leaf keys, file holds {}",
+                words.len() - 4
+            )
+        })?;
+        let mesh = Arc::new(HexMesh::from_octree(Octree::from_leaf_keys(extent, keys)));
 
-        let (metabytes, _) = match disk.read_full(META_FILE) {
-            Ok(r) => r,
-            Err(_) => return Err(format!("{META_FILE} missing")),
-        };
+        let (metabytes, _) =
+            disk.read_full(META_FILE).map_err(|_| format!("{META_FILE} missing"))?;
         let meta = String::from_utf8(metabytes).map_err(|e| e.to_string())?;
         let mut steps = None;
         let mut components = None;
@@ -133,7 +193,7 @@ impl Dataset {
             mesh,
             steps: steps.ok_or("meta missing steps")?,
             components: components.ok_or("meta missing components")?,
-            vmag_max: vmag_max.ok_or("meta missing vmag_max")?,
+            norm: Norm::Global(vmag_max.ok_or("meta missing vmag_max")?),
             output_dt: output_dt.ok_or("meta missing output_dt")?,
         })
     }
@@ -154,6 +214,42 @@ pub struct SimulationBuilder {
 impl Default for SimulationBuilder {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// The solver set up and ready to step: what [`SimulationBuilder::produce`]
+/// runs, to completion or on a thread of its own.
+struct Producer {
+    mesh: Arc<HexMesh>,
+    solver: WaveSolver,
+    /// Mesh node id → solver grid index.
+    node_map: Vec<usize>,
+    substeps: usize,
+    output_dt: f64,
+}
+
+/// What a simulation reports once it has produced its last step.
+#[derive(Debug, Clone)]
+pub struct SimulationSummary {
+    /// Wall-clock spent inside the solver.
+    pub sim_seconds: f64,
+    /// The running normalization maximum after each output step
+    /// (`norm_at(t)` of the live dataset).
+    pub norm_history: Vec<f32>,
+    /// Largest velocity magnitude over the whole run.
+    pub vmag_max: f32,
+}
+
+/// The solver thread behind a live dataset. Dropping it without
+/// [`LiveSimulation::join`] lets the simulation run on detached.
+pub struct LiveSimulation {
+    solver: JoinHandle<Result<SimulationSummary, String>>,
+}
+
+impl LiveSimulation {
+    /// Wait for the simulation to end and take its summary (or its error).
+    pub fn join(self) -> Result<SimulationSummary, String> {
+        self.solver.join().map_err(|_| "the solver thread panicked".to_string())?
     }
 }
 
@@ -208,10 +304,14 @@ impl SimulationBuilder {
         self
     }
 
-    /// Run the simulation and write the dataset.
-    pub fn run_to_dataset(self) -> Result<Dataset, String> {
+    /// Validate the configuration and set the solver up: basin, refinement
+    /// oracle, mesh, source, node map, output cadence.
+    fn producer(&self) -> Result<Producer, String> {
         if !self.cells.is_power_of_two() || self.cells < 8 {
             return Err(format!("resolution must be a power of two ≥ 8, got {}", self.cells));
+        }
+        if self.steps == 0 {
+            return Err("a simulation needs at least one output step".into());
         }
         let max_level = self.cells.trailing_zeros() as u8;
         let basin = BasinModel::la_like(self.extent);
@@ -227,7 +327,7 @@ impl SimulationBuilder {
             1e9,
             h * 1.6,
         );
-        let mut solver = WaveSolver::new(&basin, self.cells, source);
+        let solver = WaveSolver::new(&basin, self.cells, source);
 
         let substeps = self.substeps.unwrap_or_else(|| {
             let want_dt = 0.25 / self.frequency;
@@ -244,31 +344,16 @@ impl SimulationBuilder {
                 solver.node_index(x as usize, y as usize, z as usize)
             })
             .collect();
+        Ok(Producer { mesh, solver, node_map, substeps, output_dt })
+    }
 
-        let disk = Disk::new(self.cost_model);
-        let mut vmag_max = 0.0f32;
-        for t in 0..self.steps {
-            for _ in 0..substeps {
-                solver.step();
-            }
-            let values: Vec<[f32; 3]> = node_map.iter().map(|&i| solver.velocity(i)).collect();
-            for v in &values {
-                let m = (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt();
-                if m.is_nan() {
-                    return Err(format!("solver produced NaN at output step {t}"));
-                }
-                vmag_max = vmag_max.max(m);
-            }
-            let field = VectorField::new(values);
-            disk.write_file(&Dataset::step_path(t), field.to_bytes());
-        }
-        if vmag_max == 0.0 {
-            return Err("simulation produced no motion — check source placement".into());
-        }
-
-        // mesh.oct
+    /// The producer loop: write `mesh.oct`, then step the solver through
+    /// every output — publishing the running norm and then the step's data,
+    /// in that order — then `meta.txt`.
+    fn produce(&self, p: Producer, disk: &Disk) -> Result<SimulationSummary, String> {
+        let Producer { mesh, mut solver, node_map, substeps, output_dt } = p;
         let keys = mesh.octree().leaf_keys();
-        let mut mb = Vec::with_capacity(6 + 24 + 8 + keys.len() * 8);
+        let mut mb = Vec::with_capacity(MESH_KEYS_AT + keys.len() * 8);
         mb.extend_from_slice(MESH_MAGIC);
         for c in [self.extent.x, self.extent.y, self.extent.z] {
             mb.extend_from_slice(&c.to_le_bytes());
@@ -277,16 +362,80 @@ impl SimulationBuilder {
         for k in &keys {
             mb.extend_from_slice(&k.to_le_bytes());
         }
+        drop(keys);
         disk.write_file(MESH_FILE, mb);
 
-        // meta.txt
+        let mut sim_seconds = 0.0f64;
+        let mut vmag_max = 0.0f32;
+        let mut norm_history = Vec::with_capacity(self.steps);
+        for t in 0..self.steps {
+            let t0 = Instant::now();
+            for _ in 0..substeps {
+                solver.step();
+            }
+            sim_seconds += t0.elapsed().as_secs_f64();
+            let values: Vec<[f32; 3]> = node_map.iter().map(|&i| solver.velocity(i)).collect();
+            for v in &values {
+                let m = (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt();
+                if m.is_nan() {
+                    return Err(format!("solver produced NaN at output step {t}"));
+                }
+                vmag_max = vmag_max.max(m);
+            }
+            let norm = vmag_max.max(NORM_FLOOR);
+            norm_history.push(norm);
+            disk.write_file(&Dataset::norm_path(t), norm.to_le_bytes().to_vec());
+            disk.write_file(&Dataset::step_path(t), VectorField::new(values).to_bytes());
+        }
+        if vmag_max == 0.0 {
+            return Err("simulation produced no motion — check source placement".into());
+        }
+
         let meta = format!(
             "steps={}\ncomponents=3\nvmag_max={}\noutput_dt={}\nfrequency={}\ncells={}\n",
             self.steps, vmag_max, output_dt, self.frequency, self.cells
         );
         disk.write_file(META_FILE, meta.into_bytes());
+        Ok(SimulationSummary { sim_seconds, norm_history, vmag_max })
+    }
 
-        Ok(Dataset { disk, mesh, steps: self.steps, components: 3, vmag_max, output_dt })
+    /// Run the simulation to completion and write the dataset; its frames
+    /// are normalized by the global maximum.
+    pub fn run_to_dataset(self) -> Result<Dataset, String> {
+        let p = self.producer()?;
+        let (mesh, output_dt) = (Arc::clone(&p.mesh), p.output_dt);
+        let disk = Disk::new(self.cost_model);
+        let norm = Norm::Global(self.produce(p, &disk)?.vmag_max);
+        Ok(Dataset { disk, mesh, steps: self.steps, components: 3, norm, output_dt })
+    }
+
+    /// Start the simulation on a thread of its own and return at once with
+    /// the dataset it is writing. Every step is announced on the dataset's
+    /// disk, so a read of one not yet computed waits for it — a pipeline run
+    /// over the dataset visualizes the simulation while it runs, with the
+    /// disk (process memory) as the staging area between the two. Frames
+    /// are normalized by the running maximum ([`Dataset::norm_at`]), then
+    /// and on every later run over the same dataset.
+    pub fn run_live(self) -> Result<(Dataset, LiveSimulation), String> {
+        let p = self.producer()?;
+        let disk = Disk::new(self.cost_model);
+        let dataset = Dataset {
+            disk: Arc::clone(&disk),
+            mesh: Arc::clone(&p.mesh),
+            steps: self.steps,
+            components: 3,
+            norm: Norm::Running,
+            output_dt: p.output_dt,
+        };
+        let promise = disk
+            .announce((0..self.steps).flat_map(|t| [Dataset::norm_path(t), Dataset::step_path(t)]));
+        let solver = std::thread::spawn(move || {
+            // withdrawn when the thread ends, however it ends: readers of a
+            // step that will never come get an error, not a hang
+            let _promise = promise;
+            self.produce(p, &disk)
+        });
+        Ok((dataset, LiveSimulation { solver }))
     }
 }
 
@@ -361,6 +510,25 @@ mod tests {
         // data still loads
         let f = reopened.load_step(1);
         assert_eq!(f.len(), reopened.mesh().node_count());
+    }
+
+    #[test]
+    fn finished_dataset_normalizes_every_step_by_the_global_max() {
+        let ds = tiny();
+        for t in 0..ds.steps() {
+            assert_eq!(ds.norm_at(t).to_bits(), ds.vmag_max().to_bits(), "step {t}");
+            assert_eq!(ds.norm_if_published(t), Some(ds.vmag_max()));
+        }
+    }
+
+    #[test]
+    fn open_rejects_a_key_table_cut_mid_key() {
+        let ds = tiny();
+        let (mut mesh, _) = ds.disk().read_full(MESH_FILE).unwrap();
+        mesh.truncate(MESH_KEYS_AT + 8 * 3 + 5);
+        ds.disk().write_file(MESH_FILE, mesh);
+        let err = Dataset::open(Arc::clone(ds.disk())).err().expect("truncated mesh.oct");
+        assert!(err.contains("truncated") && err.contains("holds 3"), "{err}");
     }
 
     #[test]

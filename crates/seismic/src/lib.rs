@@ -38,7 +38,7 @@ pub mod oracle;
 pub mod solver;
 pub mod source;
 
-pub use dataset::{Dataset, SimulationBuilder};
+pub use dataset::{Dataset, LiveSimulation, SimulationBuilder, SimulationSummary};
 pub use material::{BasinModel, Material};
 pub use oracle::WavelengthOracle;
 pub use solver::WaveSolver;

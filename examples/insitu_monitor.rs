@@ -1,26 +1,32 @@
-//! Simulation-time visualization (the paper's §7 goal): run the
-//! earthquake solver and the rendering pipeline **simultaneously** — no
-//! disk in between — and watch frames appear while the simulation is
-//! still computing.
+//! Simulation-time visualization (the paper's §7 goal): start the
+//! earthquake solver, hand the dataset it is *still writing* to the
+//! ordinary rendering pipeline, and watch frames appear while the
+//! simulation is computing. The two meet on the virtual parallel file
+//! system — process memory — where a read of a step not yet computed
+//! simply waits for it.
 //!
 //! ```sh
 //! cargo run --release --example insitu_monitor
 //! ```
 
-use quakeviz::pipeline::{run_insitu, InsituConfig};
+use quakeviz::pipeline::{IoStrategy, PipelineBuilder};
+use quakeviz::seismic::SimulationBuilder;
 
 fn main() {
     println!("launching coupled simulation + visualization…");
-    let report = run_insitu(InsituConfig {
-        cells: 32,
-        frames: 16,
-        frequency: 0.15,
-        renderers: 4,
-        width: 512,
-        height: 512,
-        ..Default::default()
-    })
-    .expect("in-situ run failed");
+    let (dataset, simulation) = SimulationBuilder::new()
+        .resolution(32)
+        .steps(16)
+        .frequency(0.15)
+        .run_live()
+        .expect("simulation set-up failed");
+    let report = PipelineBuilder::new(&dataset)
+        .renderers(4)
+        .io_strategy(IoStrategy::OneDip { input_procs: 1 })
+        .image_size(512, 512)
+        .run()
+        .expect("in-situ run failed");
+    let sim = simulation.join().expect("simulation failed");
 
     std::fs::create_dir_all("out/insitu").expect("mkdir");
     for (t, frame) in report.frames.iter().enumerate() {
@@ -30,8 +36,8 @@ fn main() {
     println!("{} frames written to out/insitu/ while the solver ran", report.frames.len());
     println!(
         "solver compute: {:.2}s · pipeline total: {:.2}s · mean interframe {:.3}s",
-        report.sim_seconds,
-        report.total_seconds,
+        sim.sim_seconds,
+        report.total_seconds(),
         report.mean_interframe_delay()
     );
     let render_total: f64 = report.render_frames.iter().map(|f| f.render_s).sum();
@@ -41,7 +47,7 @@ fn main() {
     );
     println!(
         "normalization max grew {:.3e} → {:.3e} over the run",
-        report.norm_history.first().unwrap(),
-        report.norm_history.last().unwrap()
+        sim.norm_history[0],
+        sim.norm_history[sim.norm_history.len() - 1]
     );
 }

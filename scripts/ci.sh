@@ -89,20 +89,41 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-# Panic-site ratchet: `.unwrap()` / `.expect(` on the pipeline's runtime
-# paths (everything above `#[cfg(test)]`, comments aside) may only go
-# down. Lower the limit when you remove a site; never raise it.
-PANIC_SITES_MAX=2
+# Ratchets: counts over the runtime paths (everything above
+# `#[cfg(test)]`, comments aside) that may only go down. Lower a limit
+# when you remove a site; never raise one.
+count_sites() { # <regex> <file>...
+    local pattern=$1
+    shift
+    awk -v pattern="$pattern" '
+        FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        in_tests || /^[[:space:]]*\/\// { next }
+        { n += gsub(pattern, "") }
+        END { print n + 0 }
+    ' "$@"
+}
+
+# Panic sites: `.unwrap()` / `.expect(` in the pipeline.
+PANIC_SITES_MAX=1
 echo "==> panic-site ratchet (max ${PANIC_SITES_MAX})"
-panic_sites=$(awk '
-    FNR == 1 { in_tests = 0 }
-    /^#\[cfg\(test\)\]/ { in_tests = 1 }
-    in_tests || /^[[:space:]]*\/\// { next }
-    { n += gsub(/\.unwrap\(\)|\.expect\(/, "") }
-    END { print n + 0 }
-' crates/core/src/pipeline.rs crates/core/src/membership.rs)
+panic_sites=$(count_sites '\\.unwrap\\(\\)|\\.expect\\(' \
+    crates/core/src/pipeline.rs crates/core/src/membership.rs)
 if (( panic_sites > PANIC_SITES_MAX )); then
     echo "panic-site ratchet: ${panic_sites} unwrap/expect sites in pipeline.rs + membership.rs (max ${PANIC_SITES_MAX})" >&2
+    exit 1
+fi
+
+# Wall-clock sites: `Instant::now()` / `thread::sleep(` in the runtime
+# crates — each is a place real time leaks into the protocol, and the
+# count the virtual-time work (ROADMAP) drives down to its
+# Clock/Transport seams.
+WALL_CLOCK_SITES_MAX=29
+echo "==> wall-clock-site ratchet (max ${WALL_CLOCK_SITES_MAX})"
+mapfile -t runtime_sources < <(find crates/core/src crates/rt/src crates/parfs/src -name '*.rs')
+wall_clock_sites=$(count_sites 'Instant::now\\(\\)|thread::sleep\\(' "${runtime_sources[@]}")
+if (( wall_clock_sites > WALL_CLOCK_SITES_MAX )); then
+    echo "wall-clock-site ratchet: ${wall_clock_sites} Instant::now/thread::sleep sites in crates/{core,rt,parfs}/src (max ${WALL_CLOCK_SITES_MAX})" >&2
     exit 1
 fi
 

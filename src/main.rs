@@ -1,13 +1,14 @@
 //! `quakeviz` CLI — drive the system without writing code:
 //!
 //!   quakeviz render --resolution 32 --steps 12 --lic --enhance
-//!   quakeviz insitu --cells 32 --frames 16
+//!   quakeviz insitu --resolution 32 --steps 16
 //!   quakeviz des --renderers 128 --twodip 2 --max-m 22   # Figure 9
 //!   quakeviz bench pipeline-baseline --quick              # BENCH_*.json
 //!
 //! `render` generates a dataset with the built-in solver and runs the
-//! real threaded pipeline (frames land in out/cli/); `insitu` couples
-//! the solver to the renderers with no disk in between; `des` replays
+//! real threaded pipeline (frames land in out/cli/); `insitu` runs the
+//! same pipeline over the dataset *while* the solver is writing it
+//! (frames land in out/insitu/); `des` replays
 //! the 1DIP/2DIP schedules over the LeMieux-calibrated cost table.
 //! `QUAKEVIZ_TRACE=out/trace.json` works on `render` like everywhere
 //! else: Chrome trace + span/traffic CSVs.
@@ -19,7 +20,8 @@
 //! trajectory").
 
 use quakeviz::pipeline::des::{simulate, CostTable, DesStrategy, FigureOptions};
-use quakeviz::pipeline::{model, run_insitu, InsituConfig, IoStrategy, PipelineBuilder};
+use quakeviz::pipeline::{model, IoStrategy, PipelineBuilder};
+use quakeviz::render::RgbaImage;
 use quakeviz::seismic::SimulationBuilder;
 use quakeviz_bench::baseline;
 
@@ -59,6 +61,15 @@ fn main() {
     }
 }
 
+fn write_frames(dir: &str, frames: &[RgbaImage], background: [f32; 3]) {
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| fail(&format!("mkdir {dir}: {e}")));
+    for (t, frame) in frames.iter().enumerate() {
+        let path = format!("{dir}/frame_{t:04}.ppm");
+        std::fs::write(&path, frame.to_ppm(background))
+            .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
+    }
+}
+
 fn render(f: &mut Flags) {
     let (mut resolution, mut steps) = (32usize, 12usize);
     let (mut renderers, mut input_procs) = (4usize, 2usize);
@@ -88,12 +99,7 @@ fn render(f: &mut Flags) {
         .enhancement(enhance)
         .run()
         .unwrap_or_else(|e| fail(&format!("pipeline: {e}")));
-    std::fs::create_dir_all("out/cli").unwrap_or_else(|e| fail(&format!("mkdir out/cli: {e}")));
-    for (t, frame) in report.frames.iter().enumerate() {
-        let path = format!("out/cli/frame_{t:04}.ppm");
-        std::fs::write(&path, frame.to_ppm([0.05, 0.05, 0.08]))
-            .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
-    }
+    write_frames("out/cli", &report.frames, [0.05, 0.05, 0.08]);
     println!(
         "{} frames -> out/cli/  mean interframe {:.3}s",
         report.frames.len(),
@@ -102,28 +108,32 @@ fn render(f: &mut Flags) {
 }
 
 fn insitu(f: &mut Flags) {
-    let mut cfg = InsituConfig { cells: 32, frames: 16, renderers: 4, ..Default::default() };
+    let (mut resolution, mut steps, mut renderers) = (32usize, 16usize, 4usize);
     while let Some(a) = f.args.next() {
         match a.as_str() {
-            "--cells" => cfg.cells = f.num("--cells"),
-            "--frames" => cfg.frames = f.num("--frames"),
-            "--renderers" => cfg.renderers = f.num("--renderers"),
+            "--resolution" => resolution = f.num("--resolution"),
+            "--steps" => steps = f.num("--steps"),
+            "--renderers" => renderers = f.num("--renderers"),
             other => fail(&format!("insitu: unknown flag {other}")),
         }
     }
-    let report = run_insitu(cfg).unwrap_or_else(|e| fail(&format!("insitu: {e}")));
-    std::fs::create_dir_all("out/insitu")
-        .unwrap_or_else(|e| fail(&format!("mkdir out/insitu: {e}")));
-    for (t, frame) in report.frames.iter().enumerate() {
-        let path = format!("out/insitu/frame_{t:04}.ppm");
-        std::fs::write(&path, frame.to_ppm([0.02, 0.02, 0.04]))
-            .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
-    }
+    let (dataset, simulation) = SimulationBuilder::new()
+        .resolution(resolution)
+        .steps(steps)
+        .run_live()
+        .unwrap_or_else(|e| fail(&format!("insitu: {e}")));
+    let report = PipelineBuilder::new(&dataset)
+        .renderers(renderers)
+        .io_strategy(IoStrategy::OneDip { input_procs: 1 })
+        .run()
+        .unwrap_or_else(|e| fail(&format!("insitu: {e}")));
+    let sim = simulation.join().unwrap_or_else(|e| fail(&format!("solver: {e}")));
+    write_frames("out/insitu", &report.frames, [0.02, 0.02, 0.04]);
     println!(
         "{} frames -> out/insitu/  solver {:.2}s, pipeline {:.2}s, mean interframe {:.3}s",
         report.frames.len(),
-        report.sim_seconds,
-        report.total_seconds,
+        sim.sim_seconds,
+        report.total_seconds(),
         report.mean_interframe_delay()
     );
 }

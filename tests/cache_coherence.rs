@@ -2,7 +2,8 @@
 //! block/frame cache armed — cold or warm — must render bit-identical
 //! frames to the cache-disabled oracle, in every regime the pipeline
 //! supports: clean 1DIP and 2DIP, recovering faulted reads, a render-rank
-//! failover, and a checkpoint kill-and-resume. The warm leg must also
+//! failover, a checkpoint kill-and-resume, and a dataset that is still
+//! being written. The warm leg must also
 //! *prove* it used the cache (nonzero hit counters), or the identity
 //! assertions would pass vacuously.
 
@@ -194,6 +195,47 @@ fn fingerprint_mismatch_flushes_instead_of_serving_stale() {
         "the clean run's frames must have been flushed, not served"
     );
     assert_eq!(oracle.degraded, faulted.degraded);
+}
+
+/// One tier shared by a live run, the replay of its completed dataset and
+/// a post-hoc dataset of the same simulation. The first two normalize step
+/// `t` by the running maximum, the third by the global one, and the norm is
+/// part of the frame key: the replay is served the live run's frames, the
+/// post-hoc run is served none of them — and nobody is served a frame that
+/// was rendered under a norm other than its own.
+#[test]
+fn live_replay_and_posthoc_runs_share_a_tier_coherently() {
+    let simulation = || SimulationBuilder::new().resolution(16).steps(4);
+    // one deadline for every leg (it is part of the config fingerprint),
+    // far enough out that a faulted leg never gives up on the solver
+    let make = |ds: &Dataset| builder(ds).delivery_deadline_ms(60_000);
+    let posthoc = simulation().run_to_dataset().unwrap();
+    let (live_ds, solver) = simulation().run_live().unwrap();
+    let t = tier();
+
+    let live = make(&live_ds).cache_tier(Arc::clone(&t)).run().expect("live run");
+    solver.join().expect("simulation");
+    assert_eq!(counter(&live, "cache.frame.hits"), 0, "nothing to serve a live run from");
+    let live_oracle = make(&live_ds).run().expect("replay, cache off");
+    let posthoc_oracle = make(&posthoc).run().expect("post-hoc, cache off");
+    assert_frames_identical(&live_oracle, &live, "live run over the tier");
+    assert_ne!(
+        live_oracle.frames[0].pixels(),
+        posthoc_oracle.frames[0].pixels(),
+        "running and global norms must differ early in the run, or the rest is vacuous"
+    );
+
+    let replay = make(&live_ds).cache_tier(Arc::clone(&t)).run().expect("replay over the tier");
+    assert_frames_identical(&live_oracle, &replay, "replay over the tier");
+    assert_eq!(counter(&replay, "cache.frame.hits"), replay.frames.len() as u64);
+
+    let post = make(&posthoc).cache_tier(Arc::clone(&t)).run().expect("post-hoc over the tier");
+    assert_frames_identical(&posthoc_oracle, &post, "post-hoc run over the live run's tier");
+    assert_eq!(counter(&post, "cache.frame.hits"), 0, "no live frame may serve a post-hoc run");
+
+    // and the post-hoc run's inserts displaced nothing the replay needs
+    let again = make(&live_ds).cache_tier(Arc::clone(&t)).run().expect("replay after post-hoc");
+    assert_frames_identical(&live_oracle, &again, "replay after the post-hoc run");
 }
 
 /// `QUAKEVIZ_CACHE=0` / no config / an explicit zero config all mean

@@ -5,6 +5,7 @@
 //! whole schedule replays deterministically from its seed.
 
 use quakeviz::pipeline::{Degradation, IoStrategy, PipelineBuilder, PipelineReport, RetryPolicy};
+use quakeviz::rt::obs::MetricValue;
 use quakeviz::rt::{FaultSpec, WireSpec};
 use quakeviz::seismic::{Dataset, SimulationBuilder};
 
@@ -291,6 +292,13 @@ fn output_rank_failover_migrates_frames() {
         let migrated = faulted.degraded[t].contains(&Degradation::MigratedEpoch);
         assert_eq!(migrated, t >= 2, "exactly the dead epoch's frames carry the tag");
     }
+    // whoever assembled a frame delivered it through the same sink: one
+    // interframe sample per delivered frame, the migrated ones included
+    let samples = faulted.trace.metrics.iter().find_map(|m| match m.value {
+        MetricValue::Histogram { count, .. } if m.name == "pipeline.interframe_us" => Some(count),
+        _ => None,
+    });
+    assert_eq!(samples, Some(ds.steps() as u64));
 }
 
 /// Pinned-seed render-kill cell (CI): a render-rank death layered over
