@@ -16,8 +16,6 @@
 //!                   [--codec SPEC] [--elastic K] [--elastic-resize]
 //!                   [--elastic-reshape] [--cache SPEC] [--warm]
 //!                   [--osts N]
-//!   pipeline-report --compare BASELINE.json CURRENT.json
-//!                   [--tolerance R]
 //!   pipeline-report --chaos SEED [topology flags as above]
 //!
 //! `--chaos SEED` generates a randomized-but-valid multi-fault schedule
@@ -27,13 +25,6 @@
 //! summary: the composed schedule, the injected-vs-recovered balance,
 //! and the delivered/degraded frame verdict. Mutually exclusive with
 //! `--faults`.
-//!
-//! `--compare` skips the pipeline run entirely and diffs two
-//! `BENCH_*.json` files (see `bench-baseline`): per-metric deltas are
-//! printed, and the process exits 1 if any metric regressed beyond the
-//! tolerance ratio (default 3.0) plus an absolute noise floor, or 2 if
-//! the files are not comparable (different area, quick vs full, or a
-//! faulted run against a clean one).
 //!
 //! `--faults SPEC` arms a deterministic fault plan (same `key=value,...`
 //! syntax as `QUAKEVIZ_FAULTS`, e.g.
@@ -86,48 +77,11 @@
 //! too; `QUAKEVIZ_TRACE=out/trace.json` additionally writes the
 //! Perfetto-loadable Chrome trace plus span/traffic CSVs.
 
-use quakeviz_bench::baseline::{compare, BenchFile, DEFAULT_TOLERANCE};
 use quakeviz_bench::standard_dataset;
 use quakeviz_core::{CacheConfig, CacheTier, IoStrategy, ModelValidation, PipelineBuilder};
 use quakeviz_rt::obs::{prof, Phase};
 use quakeviz_rt::{chaos as rt_chaos, FaultSpec, WireSpec};
 use std::collections::BTreeMap;
-
-/// Diff two BENCH_*.json files; never returns.
-fn compare_mode(base_path: &str, cur_path: &str, tolerance: f64) -> ! {
-    let load = |path: &str| -> BenchFile {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(2);
-        });
-        BenchFile::parse(&text).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let (base, cur) = (load(base_path), load(cur_path));
-    match compare(&base, &cur, tolerance) {
-        Err(e) => {
-            eprintln!("not comparable: {e}");
-            std::process::exit(2);
-        }
-        Ok(cmp) => {
-            println!(
-                "comparing {cur_path} against {base_path} (area {}, tolerance {tolerance:.1}x):",
-                base.area
-            );
-            for line in &cmp.lines {
-                println!("  {line}");
-            }
-            if cmp.regressions.is_empty() {
-                println!("ok: no regressions");
-                std::process::exit(0);
-            }
-            println!("{} regression(s)", cmp.regressions.len());
-            std::process::exit(1);
-        }
-    }
-}
 
 fn parse_pair(v: &str, sep: char, what: &str) -> (usize, usize) {
     if let Some((a, b)) = v.split_once(sep) {
@@ -160,8 +114,6 @@ fn main() {
     let mut cache: Option<CacheConfig> = None;
     let mut warm = false;
     let mut osts = 0usize;
-    let mut compare_paths: Option<(String, String)> = None;
-    let mut tolerance = DEFAULT_TOLERANCE;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let mut val = |what: &str| args.next().unwrap_or_else(|| panic!("{what} needs a value"));
@@ -199,20 +151,11 @@ fn main() {
             }
             "--warm" => warm = true,
             "--osts" => osts = val("--osts").parse().expect("--osts N"),
-            "--compare" => {
-                let base = val("--compare");
-                let cur = val("--compare");
-                compare_paths = Some((base, cur));
-            }
-            "--tolerance" => tolerance = val("--tolerance").parse().expect("--tolerance R"),
             other => {
                 eprintln!("unknown flag {other} (see the doc comment for usage)");
                 std::process::exit(2);
             }
         }
-    }
-    if let Some((base, cur)) = compare_paths {
-        compare_mode(&base, &cur, tolerance);
     }
     let io = twodip.map_or(IoStrategy::OneDip { input_procs }, |(n, m)| IoStrategy::TwoDip {
         groups: n,

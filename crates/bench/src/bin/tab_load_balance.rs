@@ -1,11 +1,11 @@
-//! §7 future-work ablation — static vs view-dependent load balancing.
+//! §7 future-work ablation — static vs measured-feedback load balancing.
 //!
 //! "Presently, the input processors also handle load balancing
 //! statically. We plan to investigate a fine-grain load redistribution
 //! method." Under a zoomed-in camera most blocks project off screen, so
 //! the static cell-count partition leaves renderers idle while a few
-//! carry all the visible work; the view-dependent partition reweighs
-//! blocks by projected area × marching depth.
+//! carry all the visible work; the measured partition reweighs blocks by
+//! what the previous frame's render of each cost.
 //!
 //! Method: per-rank **sequential** render time of each renderer's block
 //! set (this host has one core, so timesharing rank threads would mask
@@ -14,7 +14,7 @@
 //! Columns: camera, partition, frame s (max rank), max/mean imbalance.
 
 use quakeviz_bench::{header, row, s3, standard_dataset};
-use quakeviz_core::balance::{measured_balanced, view_balanced};
+use quakeviz_core::balance::measured_balanced;
 use quakeviz_mesh::{Aabb, Partition, Vec3, WorkloadModel};
 use quakeviz_render::{render_block, Camera, RenderParams, TransferFunction};
 use std::time::Instant;
@@ -54,10 +54,9 @@ fn main() {
                 t0.elapsed().as_secs_f64()
             })
             .collect();
-        for scheme in ["static", "view", "measured"] {
+        for scheme in ["static", "measured"] {
             let partition = match scheme {
                 "static" => Partition::balanced(mesh, &blocks, R, WorkloadModel::CellCount),
-                "view" => view_balanced(mesh, &blocks, R, cam, level),
                 _ => measured_balanced(&blocks, &block_secs, R),
             };
             let mut rank_secs = Vec::with_capacity(R);

@@ -1,12 +1,8 @@
-//! Minimal JSON value type with a writer and a recursive-descent parser
-//! — enough for the `BENCH_*.json` baseline files (offline-build policy:
-//! no serde). Object key order is preserved as inserted so emitted files
-//! diff cleanly; numbers are written with enough precision to round-trip
-//! the `f64`s the baselines carry.
+//! Minimal JSON value type with a recursive-descent parser (offline-build
+//! policy: no serde). `tests/observability.rs` reads the Chrome trace
+//! export back through it. Object key order is preserved as parsed.
 
-use std::fmt::Write as _;
-
-/// A parsed or to-be-written JSON value.
+/// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Null,
@@ -40,13 +36,6 @@ impl Json {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
@@ -61,68 +50,6 @@ impl Json {
         }
     }
 
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(members) => Some(members),
-            _ => None,
-        }
-    }
-
-    /// Pretty-print with 2-space indentation and a trailing newline.
-    pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => write_num(out, *n),
-            Json::Str(s) => write_str(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    pad(out, indent + 1);
-                    v.write(out, indent + 1);
-                }
-                out.push('\n');
-                pad(out, indent);
-                out.push(']');
-            }
-            Json::Obj(members) => {
-                if members.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    pad(out, indent + 1);
-                    write_str(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                }
-                out.push('\n');
-                pad(out, indent);
-                out.push('}');
-            }
-        }
-    }
-
     /// Parse a complete JSON document (rejects trailing garbage).
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
@@ -134,40 +61,6 @@ impl Json {
         }
         Ok(v)
     }
-}
-
-fn pad(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
-fn write_num(out: &mut String, n: f64) {
-    if !n.is_finite() {
-        out.push_str("null"); // JSON has no Inf/NaN
-    } else if n.fract() == 0.0 && n.abs() < 9e15 {
-        let _ = write!(out, "{}", n as i64);
-    } else {
-        let _ = write!(out, "{n}");
-    }
-}
-
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -310,28 +203,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trips_nested_document() {
-        let doc = Json::Obj(vec![
-            ("schema_version".into(), Json::Num(1.0)),
-            ("quick".into(), Json::Bool(true)),
-            ("name".into(), Json::Str("1dip \"quoted\" \\ tab\t".into())),
-            (
-                "runs".into(),
-                Json::Arr(vec![
-                    Json::Num(0.125),
-                    Json::Num(-3.0),
-                    Json::Null,
-                    Json::Obj(vec![]),
-                    Json::Arr(vec![]),
-                ]),
-            ),
-        ]);
-        let text = doc.to_pretty();
-        let back = Json::parse(&text).unwrap();
-        assert_eq!(back, doc);
-        assert_eq!(back.get("schema_version").and_then(Json::as_u64), Some(1));
-        assert_eq!(back.get("quick").and_then(Json::as_bool), Some(true));
-        assert_eq!(back.get("runs").and_then(Json::as_arr).map(<[Json]>::len), Some(5));
+    fn parses_nested_document() {
+        let text = r#"{"version": 1, "on": true, "name": "1dip \"quoted\" \\ tab\t",
+            "items": [0.125, -3, null, {}, [], 4294967296]}"#;
+        let doc = Json::parse(text).unwrap();
+        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(1));
+        assert_eq!(doc.get("on"), Some(&Json::Bool(true)));
+        assert_eq!(doc.get("name").and_then(Json::as_str), Some("1dip \"quoted\" \\ tab\t"));
+        let items = doc.get("items").and_then(Json::as_arr).unwrap();
+        assert_eq!(items.len(), 6);
+        assert_eq!(items[0].as_f64(), Some(0.125));
+        assert_eq!(items[1].as_u64(), None, "negative is not a u64");
+        assert_eq!(items[2], Json::Null);
+        assert_eq!(items[3], Json::Obj(vec![]));
+        assert_eq!(items[5].as_u64(), Some(4_294_967_296));
     }
 
     #[test]
@@ -340,14 +225,5 @@ mod tests {
         assert!(Json::parse("{\"a\": ").is_err());
         assert!(Json::parse("[1, 2").is_err());
         assert!(Json::parse("").is_err());
-    }
-
-    #[test]
-    fn integers_written_without_fraction() {
-        assert_eq!(Json::Num(5.0).to_pretty(), "5\n");
-        assert_eq!(Json::Num(0.5).to_pretty(), "0.5\n");
-        let big = Json::Num(4_294_967_296.0);
-        assert_eq!(big.to_pretty(), "4294967296\n");
-        assert_eq!(Json::parse("4294967296").unwrap().as_u64(), Some(4_294_967_296));
     }
 }

@@ -1,6 +1,5 @@
-//! Shared plumbing for the figure-regeneration binaries and the perf
-//! baselines: canonical datasets, table printing, PPM output, and the
-//! in-repo sampling harness ([`harness`]).
+//! Shared plumbing for the figure-regeneration binaries: canonical
+//! datasets, table printing, PPM output, and a JSON parser ([`json`]).
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
 //! paper; EXPERIMENTS.md records the paper-vs-measured comparison. The
@@ -9,8 +8,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
-pub mod harness;
 pub mod json;
 
 use quakeviz_seismic::{Dataset, SimulationBuilder};

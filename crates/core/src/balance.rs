@@ -1,55 +1,13 @@
-//! View-dependent workload estimation and load redistribution.
+//! Measured-feedback load redistribution.
 //!
 //! The paper's §7: *"Presently, the input processors also handle load
 //! balancing statically. We plan to investigate a fine-grain load
-//! redistribution method."* This module implements that extension: the
-//! static cell-count weights ignore the camera, so a zoomed-in view can
-//! land most of the visible work on a few renderers. The view-dependent
-//! estimator weighs each block by what the ray caster will actually do
-//! for it:
-//!
-//! `weight(block) ≈ projected screen area × ray-march samples`,
-//!
-//! where the march-sample count through a block is fixed by the brick
-//! resolution: `2^(render level − block root level)` cells per axis
-//! (every ray crossing the block takes on the order of that many steps).
-//! Off-screen blocks get weight 0 (they produce no fragment at all).
-//! Because the camera is shared state, every rank can recompute the
-//! weighted partition per view without communication — the same property
-//! the compositing schedule exploits.
+//! redistribution method."* The static partition weighs a block by its
+//! cell count; this module reweighs it by what it was *measured* to cost.
+//! (A camera-only estimate — projected area × march depth — was tried and
+//! lost to the static partition; EXPERIMENTS.md keeps the numbers.)
 
-use quakeviz_mesh::{HexMesh, OctreeBlock, Partition};
-use quakeviz_render::Camera;
-
-/// View-dependent rendering weight of one block at octree `level`.
-///
-/// Off-screen blocks are culled by the renderer before brick
-/// construction, so they get a token weight of 1 (not 0 — under LPT all
-/// zero-weight blocks would pile onto the single least-loaded rank).
-pub fn view_weight(mesh: &HexMesh, block: &OctreeBlock, camera: &Camera, level: u8) -> u64 {
-    let bounds = block.root.bounds(mesh.octree().extent());
-    match camera.project_aabb(&bounds) {
-        None => 1,
-        Some(rect) => {
-            let depth = 1u64 << level.saturating_sub(block.root.level).min(16);
-            // ray-march samples + brick-construction residual
-            rect.area() * depth + depth * depth * depth
-        }
-    }
-}
-
-/// Partition blocks over `renderers` with view-dependent weights for a
-/// given camera and rendering level.
-pub fn view_balanced(
-    mesh: &HexMesh,
-    blocks: &[OctreeBlock],
-    renderers: usize,
-    camera: &Camera,
-    level: u8,
-) -> Partition {
-    let weights: Vec<u64> = blocks.iter().map(|b| view_weight(mesh, b, camera, level)).collect();
-    Partition::balanced_weighted(blocks, &weights, renderers)
-}
+use quakeviz_mesh::{OctreeBlock, Partition};
 
 /// Feedback-driven redistribution: rebalance from *measured* per-block
 /// render seconds of a previous frame. Time-varying rendering re-draws
@@ -72,87 +30,11 @@ pub fn measured_balanced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quakeviz_mesh::{HexMesh, Octree, UniformRefinement, Vec3, WorkloadModel};
-
-    fn mesh() -> HexMesh {
-        HexMesh::from_octree(Octree::build(Vec3::ONE, &UniformRefinement(4)))
-    }
-
-    /// A close-up camera seeing only one corner of the domain.
-    fn zoomed() -> Camera {
-        Camera::look_at(
-            Vec3::new(0.12, 0.12, -0.25),
-            Vec3::new(0.12, 0.12, 0.1),
-            Vec3::new(0.0, 1.0, 0.0),
-            0.5,
-            128,
-            128,
-        )
-    }
-
-    #[test]
-    fn offscreen_blocks_get_token_weight() {
-        let m = mesh();
-        let blocks = m.octree().blocks(2);
-        let cam = zoomed();
-        let weights: Vec<u64> = blocks.iter().map(|b| view_weight(&m, b, &cam, 4)).collect();
-        let culled = weights.iter().filter(|&&w| w == 1).count();
-        let visible = weights.len() - culled;
-        assert!(culled > 0, "a zoomed camera must exclude some blocks");
-        assert!(visible > 0, "and include others");
-        // visible blocks dominate the weights by orders of magnitude
-        let max = *weights.iter().max().unwrap();
-        assert!(max > 100, "visible weight should dwarf the culled token, got {max}");
-    }
-
-    #[test]
-    fn nearer_blocks_weigh_more() {
-        let m = mesh();
-        let blocks = m.octree().blocks(1);
-        let cam = Camera::look_at(
-            Vec3::new(0.5, 0.5, -2.0),
-            Vec3::new(0.5, 0.5, 0.5),
-            Vec3::new(0.0, 1.0, 0.0),
-            0.7,
-            128,
-            128,
-        );
-        // the front layer (z in [0, 0.5)) projects larger than the back
-        let front: u64 =
-            blocks.iter().filter(|b| b.root.z == 0).map(|b| view_weight(&m, b, &cam, 4)).sum();
-        let back: u64 =
-            blocks.iter().filter(|b| b.root.z == 1).map(|b| view_weight(&m, b, &cam, 4)).sum();
-        assert!(front > back, "perspective: front {front} should exceed back {back}");
-    }
-
-    #[test]
-    fn view_partition_balances_visible_work() {
-        let m = mesh();
-        let blocks = m.octree().blocks(2);
-        let cam = zoomed();
-        let view = view_balanced(&m, &blocks, 4, &cam, 4);
-        let static_p = Partition::balanced(&m, &blocks, 4, WorkloadModel::CellCount);
-        // measure imbalance of the *visible* work under both partitions
-        let weights: Vec<u64> = blocks.iter().map(|b| view_weight(&m, b, &cam, 4)).collect();
-        let visible_load = |p: &Partition| -> f64 {
-            let loads: Vec<u64> =
-                (0..4).map(|r| p.blocks_of(r).iter().map(|&b| weights[b as usize]).sum()).collect();
-            let max = *loads.iter().max().unwrap() as f64;
-            let mean = loads.iter().sum::<u64>() as f64 / 4.0;
-            max / mean.max(1.0)
-        };
-        let vi = visible_load(&view);
-        let si = visible_load(&static_p);
-        assert!(
-            vi <= si + 1e-9,
-            "view-balanced partition should not be worse: {vi:.2} vs static {si:.2}"
-        );
-        assert!(vi < 1.5, "view-balanced visible imbalance should be small, got {vi:.2}");
-    }
+    use quakeviz_mesh::{HexMesh, Octree, UniformRefinement, Vec3};
 
     #[test]
     fn measured_rebalance_tracks_observations() {
-        let m = mesh();
+        let m = HexMesh::from_octree(Octree::build(Vec3::ONE, &UniformRefinement(4)));
         let blocks = m.octree().blocks(1); // 8 blocks
                                            // pretend block 3 took 10x longer than the rest
         let secs: Vec<f64> = (0..8).map(|i| if i == 3 { 1.0 } else { 0.1 }).collect();
@@ -162,13 +44,5 @@ mod tests {
         let hot_load: f64 = p.blocks_of(hot).iter().map(|&b| secs[b as usize]).sum();
         let cold_load: f64 = p.blocks_of(1 - hot).iter().map(|&b| secs[b as usize]).sum();
         assert!((hot_load - cold_load).abs() < 0.35, "{hot_load} vs {cold_load}");
-    }
-
-    #[test]
-    fn all_blocks_still_assigned() {
-        let m = mesh();
-        let blocks = m.octree().blocks(2);
-        let p = view_balanced(&m, &blocks, 3, &zoomed(), 4);
-        assert_eq!(p.assigned_blocks(), blocks.len());
     }
 }

@@ -11,9 +11,9 @@
 //! * a **frame cache** — rendered frames keyed by
 //!   `(step, camera, transfer function + the step's norm, level)`,
 //!   consulted by the output stage before the pipeline renders anything.
-//!   A run whose every frame is cached is *served* instead of computed —
-//!   the cold-vs-warm interframe delta is the headline number of
-//!   `BENCH_io.json`.
+//!   A run whose every frame is cached is *served* instead of computed
+//!   (the `cache_cold` / `cache_warm` rows of `tests/ledger.rs`: 63
+//!   messages and every kernel tick cold, 10 messages and none warm).
 //!
 //! Coherence rules (DESIGN.md "Storage tier"):
 //!

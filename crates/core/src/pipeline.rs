@@ -1586,9 +1586,8 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
     if checkpoints > 0 {
         session.metrics().counter("checkpoint.commits").add(checkpoints);
     }
-    // per-class traffic volume as metrics, so the snapshot (and the
-    // BENCH_pipeline.json baseline built from it) carries bytes moved
-    // per TagClass without re-deriving from the edge list
+    // per-class traffic volume as metrics, so the snapshot carries bytes
+    // moved per TagClass without re-deriving from the edge list
     for (class, msgs, bytes) in stats.class_totals() {
         if msgs > 0 {
             session.metrics().counter(&format!("traffic.{}.msgs", class.as_str())).add(msgs);
@@ -1673,12 +1672,12 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
             let Some(permille) = (per_step.values().sum::<u64>() * 1000).checked_div(total) else {
                 break; // no render spans recorded at all
             };
-            m.counter(&format!("work.render_utilization.r{rr}")).add(permille);
+            m.counter(&format!("pipeline.render_utilization.r{rr}")).add(permille);
             sum += permille;
             measured = true;
         }
         if measured {
-            m.counter("work.render_utilization.mean").add(sum / shared.n_renderers as u64);
+            m.counter("pipeline.render_utilization.mean").add(sum / shared.n_renderers as u64);
         }
     }
     if !control_plans.is_empty() {

@@ -48,7 +48,7 @@ pub fn compute_lic_with_max(
 ) -> Vec<f32> {
     let (gray, steps) = convolve(field, noise, params, max_mag);
     // streamline step count is deterministic for a fixed field; under
-    // QUAKEVIZ_PROF it feeds the bench baseline as a work metric
+    // QUAKEVIZ_PROF it is a work metric `tests/ledger.rs` pins
     prof::ticks("lic.pixels", gray.len() as u64);
     prof::ticks("lic.streamline_steps", steps);
     gray

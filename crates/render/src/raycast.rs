@@ -128,8 +128,8 @@ pub fn render_brick(
 
 /// What one [`render_brick`] call did — published as prof ticks when
 /// QUAKEVIZ_PROF is on. The counts are deterministic for a fixed scene, so
-/// the bench baseline can catch work regressions wall-clock noise would
-/// hide. A skipped brick casts no ray and takes no sample.
+/// `tests/ledger.rs` pins them and catches the work changes wall-clock
+/// noise would hide. A skipped brick casts no ray and takes no sample.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct Work {
     /// Rays that hit the brick.

@@ -15,8 +15,8 @@
 //!   blends) published by the raycast/LIC/SLIC kernels. Off by default —
 //!   one relaxed atomic load per call site — and enabled with
 //!   `QUAKEVIZ_PROF=1` (or [`set_enabled`]). Counts are deterministic
-//!   for a fixed config, so the bench baseline records them and a
-//!   regression in *work done* (e.g. a broken early-ray-termination) is
+//!   for a fixed config, so `tests/ledger.rs` pins them exactly and a
+//!   change in *work done* (e.g. a broken early-ray-termination) is
 //!   caught even when wall-clock noise would hide it.
 //!
 //! ## Nesting caveat
@@ -55,8 +55,8 @@ pub fn enabled() -> bool {
     }
 }
 
-/// Force tick profiling on or off (overrides the environment; used by
-/// the bench baseline to record deterministic work counts).
+/// Force tick profiling on or off (overrides the environment; what
+/// `PipelineBuilder::profile(true)` calls).
 pub fn set_enabled(on: bool) {
     ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }

@@ -24,7 +24,7 @@
 //! (see [`WireSpec::parse`] for the grammar). [`WireLedger`] accumulates the
 //! raw-vs-wire byte counts and encode/decode time per class that feed
 //! `traffic.<class>.raw_bytes` / `.wire_bytes` metrics, `pipeline-report`,
-//! and the `BENCH_wire.json` baseline area.
+//! and the wire rows of `tests/ledger.rs`.
 //!
 //! Decoded bytes are bit-identical to the encoded input for every codec —
 //! `tests/wire_codec.rs` proves it property-style over adversarial payloads.

@@ -58,34 +58,6 @@ if [[ -n "${QUAKEVIZ_FAULT_FOCUS:-}" ]]; then
     exit 0
 fi
 
-# Bench smoke: regenerate the quick-mode BENCH_*.json baselines, schema-
-# validate them, and diff against the committed files with a generous 3x
-# tolerance (shared CI runners are noisy; the gate exists to catch
-# order-of-magnitude regressions and schema drift, not percent-level
-# jitter). Fresh files land in out/bench-smoke so the committed baselines
-# stay untouched; regenerate those deliberately with
-# `cargo run --release -p quakeviz-bench --bin bench-baseline -- --quick`.
-run_bench_smoke() {
-    cargo build --release -q -p quakeviz-bench
-    target/release/bench-baseline --quick --out out/bench-smoke
-    target/release/bench-baseline --validate \
-        out/bench-smoke/BENCH_pipeline.json \
-        out/bench-smoke/BENCH_render.json \
-        out/bench-smoke/BENCH_io.json \
-        out/bench-smoke/BENCH_wire.json
-    for area in pipeline render io wire; do
-        echo "==> bench compare (${area})"
-        target/release/pipeline-report --compare \
-            "BENCH_${area}.json" "out/bench-smoke/BENCH_${area}.json" --tolerance 3.0
-    done
-}
-if [[ -n "${QUAKEVIZ_BENCH_SMOKE:-}" ]]; then
-    echo "==> bench smoke cell"
-    run_bench_smoke
-    echo "CI OK (bench smoke)"
-    exit 0
-fi
-
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -104,28 +76,31 @@ count_sites() { # <regex> <file>...
     ' "$@"
 }
 
-# Panic sites: `.unwrap()` / `.expect(` in the pipeline.
+ratchet() { # <what> <max> <count>
+    echo "==> $1 ratchet: $3 (max $2)"
+    if (( $3 > $2 )); then
+        echo "$1 ratchet: $3 sites, max $2" >&2
+        exit 1
+    fi
+}
+
+# Panic sites: `.unwrap()` / `.expect(` in the pipeline, and — under its
+# own limit, so neither hides the other's drift — in the comm layer.
 PANIC_SITES_MAX=1
-echo "==> panic-site ratchet (max ${PANIC_SITES_MAX})"
-panic_sites=$(count_sites '\\.unwrap\\(\\)|\\.expect\\(' \
-    crates/core/src/pipeline.rs crates/core/src/membership.rs)
-if (( panic_sites > PANIC_SITES_MAX )); then
-    echo "panic-site ratchet: ${panic_sites} unwrap/expect sites in pipeline.rs + membership.rs (max ${PANIC_SITES_MAX})" >&2
-    exit 1
-fi
+PANIC_SITES_COMM_MAX=15
+ratchet "panic-site (pipeline.rs + membership.rs)" "$PANIC_SITES_MAX" "$(count_sites \
+    '\\.unwrap\\(\\)|\\.expect\\(' crates/core/src/pipeline.rs crates/core/src/membership.rs)"
+ratchet "panic-site (rt/src/comm.rs)" "$PANIC_SITES_COMM_MAX" "$(count_sites \
+    '\\.unwrap\\(\\)|\\.expect\\(' crates/rt/src/comm.rs)"
 
 # Wall-clock sites: `Instant::now()` / `thread::sleep(` in the runtime
 # crates — each is a place real time leaks into the protocol, and the
 # count the virtual-time work (ROADMAP) drives down to its
 # Clock/Transport seams.
 WALL_CLOCK_SITES_MAX=29
-echo "==> wall-clock-site ratchet (max ${WALL_CLOCK_SITES_MAX})"
 mapfile -t runtime_sources < <(find crates/core/src crates/rt/src crates/parfs/src -name '*.rs')
-wall_clock_sites=$(count_sites 'Instant::now\\(\\)|thread::sleep\\(' "${runtime_sources[@]}")
-if (( wall_clock_sites > WALL_CLOCK_SITES_MAX )); then
-    echo "wall-clock-site ratchet: ${wall_clock_sites} Instant::now/thread::sleep sites in crates/{core,rt,parfs}/src (max ${WALL_CLOCK_SITES_MAX})" >&2
-    exit 1
-fi
+ratchet "wall-clock-site (crates/{core,rt,parfs}/src)" "$WALL_CLOCK_SITES_MAX" "$(count_sites \
+    'Instant::now\\(\\)|thread::sleep\\(' "${runtime_sources[@]}")"
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy"
@@ -205,8 +180,6 @@ if [[ -z "${QUAKEVIZ_FAULTS:-}" && -z "${QUAKEVIZ_TRACE+x}" ]]; then
         echo "==> fault focus cell ${cell}"
         run_fault_focus "${cell}"
     done
-    echo "==> bench smoke"
-    run_bench_smoke
     # the repository benchmark's own plumbing check: every workload once,
     # oracle on (benchmark/README.md); ~15 s
     echo "==> benchmark run --smoke"

@@ -3,7 +3,6 @@
 //!   quakeviz render --resolution 32 --steps 12 --lic --enhance
 //!   quakeviz insitu --resolution 32 --steps 16
 //!   quakeviz des --renderers 128 --twodip 2 --max-m 22   # Figure 9
-//!   quakeviz bench pipeline-baseline --quick              # BENCH_*.json
 //!
 //! `render` generates a dataset with the built-in solver and runs the
 //! real threaded pipeline (frames land in out/cli/); `insitu` runs the
@@ -12,18 +11,11 @@
 //! the 1DIP/2DIP schedules over the LeMieux-calibrated cost table.
 //! `QUAKEVIZ_TRACE=out/trace.json` works on `render` like everywhere
 //! else: Chrome trace + span/traffic CSVs.
-//!
-//! `bench pipeline-baseline` regenerates the versioned `BENCH_*.json`
-//! performance baselines at the repo root (or `--out DIR`); compare a
-//! fresh run against the committed files with
-//! `pipeline-report --compare` (see DESIGN.md "Performance
-//! trajectory").
 
 use quakeviz::pipeline::des::{simulate, CostTable, DesStrategy, FigureOptions};
 use quakeviz::pipeline::{model, IoStrategy, PipelineBuilder};
 use quakeviz::render::RgbaImage;
 use quakeviz::seismic::SimulationBuilder;
-use quakeviz_bench::baseline;
 
 struct Flags {
     args: std::vec::IntoIter<String>,
@@ -41,7 +33,7 @@ impl Flags {
 
 fn fail(msg: &str) -> ! {
     eprintln!("quakeviz: {msg}");
-    eprintln!("usage: quakeviz render|insitu|des|bench [flags]  (see src/main.rs doc comment)");
+    eprintln!("usage: quakeviz render|insitu|des [flags]  (see src/main.rs doc comment)");
     std::process::exit(2)
 }
 
@@ -56,7 +48,6 @@ fn main() {
         "render" => render(&mut f),
         "insitu" => insitu(&mut f),
         "des" => des(&mut f),
-        "bench" => bench(&mut f),
         other => fail(&format!("unknown subcommand {other:?}")),
     }
 }
@@ -161,33 +152,4 @@ fn des(f: &mut Flags) {
     }
     let n = model::twodip_n(c.tf, c.tp, c.ts, twodip_m);
     println!("analytic: 2DIP reaches Tr at n≈{n:.1}; 1DIP floors at Ts={:.2}s", c.ts);
-}
-
-fn bench(f: &mut Flags) {
-    let which = f.val("bench subcommand");
-    if which != "pipeline-baseline" {
-        fail(&format!("bench: unknown subcommand {which:?} (expected pipeline-baseline)"));
-    }
-    let mut quick = false;
-    let mut areas: Vec<String> = Vec::new();
-    let mut out_dir = String::from(".");
-    while let Some(a) = f.args.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--area" => areas.push(f.val("--area")),
-            "--out" => out_dir = f.val("--out"),
-            other => fail(&format!("bench: unknown flag {other}")),
-        }
-    }
-    if areas.is_empty() {
-        areas = baseline::AREAS.iter().map(|s| s.to_string()).collect();
-    }
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| fail(&format!("--out {out_dir}: {e}")));
-    for area in &areas {
-        let file = baseline::run_area(area, quick).unwrap_or_else(|e| fail(&format!("bench: {e}")));
-        file.validate().expect("emitted baseline failed its own schema check");
-        let path = format!("{out_dir}/{}", baseline::BenchFile::file_name(area));
-        std::fs::write(&path, file.to_pretty()).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
-        println!("wrote {path} ({} runs, quick={quick})", file.runs.len());
-    }
 }
