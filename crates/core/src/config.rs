@@ -151,19 +151,20 @@ pub struct PipelineConfig {
     /// atomic load per kernel invocation when disabled.
     pub profile: bool,
     /// Deterministic fault-injection spec. `None` falls back to the
-    /// `QUAKEVIZ_FAULTS` environment variable (unset/empty/`0` = no
-    /// faults). With faults active the pipeline runs its recovery paths:
-    /// bounded retry, checksum verification, delivery deadlines with
-    /// graceful degradation, and input-rank failover.
+    /// `QUAKEVIZ_FAULTS` environment variable (unset/empty/`0` = the
+    /// empty spec). Every run carries the plan of its spec and runs the
+    /// same protocol — bounded retry, checksum verification, graceful
+    /// degradation, failover; a plan that cannot inject anything never
+    /// gives it cause to.
     pub faults: Option<FaultSpec>,
-    /// Retry policy for failed/corrupt reads (only consulted when faults
-    /// are active — a fault-free read cannot fail transiently).
+    /// Retry policy for failed/corrupt reads (a read fails transiently
+    /// only when the plan injects it).
     pub retry: RetryPolicy,
     /// Per-step delivery deadline for renderers, milliseconds: block data
     /// not delivered by then is rendered degraded (coarser resident level
-    /// / last-known-good values) instead of stalling the frame. Only
-    /// active when faults are injected; the zero-fault path blocks
-    /// indefinitely exactly like the reference oracle.
+    /// / last-known-good values) instead of stalling the frame. Armed only
+    /// when the plan can inject something ([`FaultSpec::can_inject`]);
+    /// otherwise data can only be slow, and renderers block for it.
     pub deadline_ms: u64,
     /// Write a versioned, checksummed checkpoint through `parfs` every
     /// `K` steps (`Some(K)`, K ≥ 1): render ranks snapshot their resident

@@ -46,9 +46,9 @@ use std::time::{Duration, Instant};
 
 const TAG_DATA: u64 = 0x2000_0000_0000;
 const TAG_LIC: u64 = 0x2100_0000_0000;
+/// The composited frame with its merged degradation flags, render root →
+/// output.
 const TAG_VOL: u64 = 0x2200_0000_0000;
-/// Per-frame degraded-block report, render root → output.
-const TAG_DEG: u64 = 0x2300_0000_0000;
 /// Per-step liveness heartbeats ([`membership::heartbeat`]): inside a 2DIP
 /// input group, among the rendering processors, and from the output
 /// processor to its render-root supervisor — whichever the fault plan's
@@ -75,7 +75,7 @@ fn classify_tag(tag: u64) -> TagClass {
         0x20 => TagClass::BlockData,
         0x21 => TagClass::LicImage,
         0x22 => TagClass::VolumeImage,
-        0x23..=0x2a => TagClass::Recovery,
+        0x24..=0x2a => TagClass::Recovery,
         _ => {
             if (0xc0de_0000..=0xc0de_ffff).contains(&tag) {
                 TagClass::Composite
@@ -88,16 +88,14 @@ fn classify_tag(tag: u64) -> TagClass {
     }
 }
 
-/// Block data as decoded on the receive side: raw `f32` values or 8-bit
-/// quantized (paper §4 lists quantization among the input-processor
-/// preprocessing tasks), or an explicit *missing* marker: the sender
-/// exhausted its read retries and reports the slice length so the
-/// receiver can account for it without waiting out its delivery deadline.
+/// Block values as packed by the sender and decoded on the receive side:
+/// raw `f32` or 8-bit quantized (paper §4 lists quantization among the
+/// input-processor preprocessing tasks). A slice the sender could not read
+/// is not a payload but a [`missing_piece`].
 #[derive(Debug, Clone)]
 enum Payload {
     F32(Vec<f32>),
     U8(Vec<u8>),
-    Missing(u32),
 }
 
 impl Payload {
@@ -110,12 +108,12 @@ impl Payload {
         }
     }
 
-    /// Payload kind tag on the wire: 0 = f32, 1 = quantized u8, 2 = missing.
+    /// Payload kind tag on the wire: 0 = f32, 1 = quantized u8
+    /// ([`KIND_MISSING`] marks a piece that carries no payload).
     fn kind(&self) -> u8 {
         match self {
             Payload::F32(_) => 0,
             Payload::U8(_) => 1,
-            Payload::Missing(_) => 2,
         }
     }
 
@@ -123,17 +121,16 @@ impl Payload {
     fn stride(&self) -> usize {
         match self {
             Payload::F32(_) => 4,
-            Payload::U8(_) | Payload::Missing(_) => 1,
+            Payload::U8(_) => 1,
         }
     }
 
     /// The raw (pre-codec) byte serialization: f32 values little-endian,
-    /// u8 verbatim, missing markers as the LE slice length.
+    /// u8 verbatim.
     fn raw_bytes(&self) -> Vec<u8> {
         match self {
             Payload::F32(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
             Payload::U8(v) => v.clone(),
-            Payload::Missing(n) => n.to_le_bytes().to_vec(),
         }
     }
 
@@ -145,9 +142,6 @@ impl Payload {
                 raw.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect(),
             )),
             1 => Some(Payload::U8(raw.to_vec())),
-            2 if raw.len() == 4 => {
-                Some(Payload::Missing(u32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]])))
-            }
             _ => None,
         }
     }
@@ -156,7 +150,6 @@ impl Payload {
         match self {
             Payload::F32(v) => v.len(),
             Payload::U8(v) => v.len(),
-            Payload::Missing(n) => *n as usize,
         }
     }
 
@@ -166,7 +159,6 @@ impl Payload {
         match self {
             Payload::F32(v) => v[k],
             Payload::U8(v) => v[k] as f32 / 255.0 * scale,
-            Payload::Missing(_) => unreachable!("missing payloads are never ingested"),
         }
     }
 }
@@ -193,6 +185,11 @@ pub fn wire_checksum(bid: u32, offset: u32, kind: u8, bytes: impl Iterator<Item 
 /// `base_step` sentinel for a self-contained keyframe piece.
 const KEYFRAME: u32 = u32::MAX;
 
+/// `kind` of a *missing* marker: the sender exhausted its read retries and
+/// reports the slice length so the receiver can account for it without
+/// waiting out its delivery deadline.
+const KIND_MISSING: u8 = 2;
+
 /// The checksum of a piece's *encoded* wire representation — header fields
 /// plus the codec body exactly as transmitted, so verification happens
 /// before any decode work touches the bytes.
@@ -211,7 +208,7 @@ fn piece_checksum(p: &WirePiece) -> u64 {
 struct WirePiece {
     bid: u32,
     offset: u32,
-    /// Payload kind: 0 = f32 values, 1 = quantized u8, 2 = missing marker.
+    /// Payload kind: 0 = f32 values, 1 = quantized u8, [`KIND_MISSING`].
     kind: u8,
     /// `body` is codec-compressed (vs stored raw verbatim after the
     /// no-expansion fallback).
@@ -234,10 +231,34 @@ impl WirePiece {
     fn value_len(&self) -> usize {
         match self.kind {
             0 => self.raw_len as usize / 4,
-            2 => Payload::from_raw(2, &self.body).map_or(0, |p| p.len()),
+            KIND_MISSING => self.missing_len().unwrap_or(0) as usize,
             _ => self.raw_len as usize,
         }
     }
+
+    /// The slice length a missing marker's body reports.
+    fn missing_len(&self) -> Option<u32> {
+        <[u8; 4]>::try_from(&self.body[..]).ok().map(u32::from_le_bytes)
+    }
+}
+
+/// The marker for `n` values of `[offset, offset + n)` of block `bid` the
+/// sender could not read: 4 bytes of fault bookkeeping, never delta'd or
+/// codec-encoded, so the receiver classifies it from the envelope alone and
+/// the degradation flags stay codec-invariant.
+fn missing_piece(bid: u32, offset: u32, n: u32) -> WirePiece {
+    let mut piece = WirePiece {
+        bid,
+        offset,
+        kind: KIND_MISSING,
+        coded: false,
+        base_step: KEYFRAME,
+        raw_len: 4,
+        checksum: 0,
+        body: n.to_le_bytes().to_vec(),
+    };
+    piece.checksum = piece_checksum(&piece);
+    piece
 }
 
 /// One per-renderer data message: a batch of block pieces.
@@ -269,7 +290,7 @@ fn pack_piece(
     let kind = payload.kind();
     let raw = payload.raw_bytes();
     let raw_len = raw.len() as u32;
-    let (base_step, input) = if kind == 2 || !spec.delta {
+    let (base_step, input) = if !spec.delta {
         (KEYFRAME, raw)
     } else {
         let base = match state.get(&key) {
@@ -292,14 +313,7 @@ fn pack_piece(
             None => (KEYFRAME, raw),
         }
     };
-    // missing markers are 4 bytes of fault bookkeeping: never codec-encoded,
-    // so the receiver classifies them from the envelope alone and the
-    // degradation flags stay codec-invariant
-    let encoded = if kind == 2 {
-        wire::Encoded { coded: false, body: input }
-    } else {
-        codec.encode(input, payload.stride())
-    };
+    let encoded = codec.encode(input, payload.stride());
     let mut piece = WirePiece {
         bid,
         offset,
@@ -318,28 +332,35 @@ fn pack_piece(
 enum Ingest {
     Data(Payload),
     Missing(u32),
-    /// Undecodable: malformed body, or a delta whose base this receiver
-    /// does not hold (dropped/rejected earlier, or state lost to
+    /// The checksum over the encoded bytes does not match: never fed to
+    /// the codec.
+    Corrupt,
+    /// Verified but undecodable: malformed body, or a delta whose base this
+    /// receiver does not hold (dropped/rejected earlier, or state lost to
     /// failover before the sender's next keyframe).
     Reject(&'static str),
 }
 
-/// Decode a checksum-verified piece: codec-decode the body, resolve the
-/// XOR delta against this receiver's stored base, and advance the
-/// receiver's delta state. Missing markers and rejects leave the state
-/// untouched, mirroring the pack side.
-fn decode_piece(
+/// The receive step of every piece of every run: verify the checksum on
+/// the encoded bytes, then codec-decode the body, resolve the XOR delta
+/// against this receiver's stored base, and advance the receiver's delta
+/// state. Missing markers, corrupt pieces and rejects leave the state
+/// untouched, mirroring the pack side. No valid sender produces a failing
+/// piece without a fault to inject, but the receiver does not enforce that
+/// with a panic: whatever comes back other than `Data` degrades the block.
+fn ingest_piece(
     codec: Codec,
     piece: &WirePiece,
     src: usize,
     t: u32,
     state: &mut DeltaMap,
 ) -> Ingest {
-    if piece.kind == 2 {
-        return match Payload::from_raw(2, &piece.body) {
-            Some(Payload::Missing(n)) if !piece.coded && piece.base_step == KEYFRAME => {
-                Ingest::Missing(n)
-            }
+    if piece_checksum(piece) != piece.checksum {
+        return Ingest::Corrupt;
+    }
+    if piece.kind == KIND_MISSING {
+        return match piece.missing_len() {
+            Some(n) if !piece.coded && piece.base_step == KEYFRAME => Ingest::Missing(n),
             _ => Ingest::Reject("malformed missing marker"),
         };
     }
@@ -361,28 +382,6 @@ fn decode_piece(
     };
     state.insert((src, piece.bid, piece.offset), (t, raw));
     Ingest::Data(payload)
-}
-
-/// Verify and decode one piece on the clean (no-fault-plan) path. No
-/// valid sender produces a failing piece here, but the receiver must not
-/// enforce that with a panic: a corrupt checksum, a stray missing
-/// marker, or an undecodable body comes back as `Err` for the caller to
-/// degrade — the block renders coarser and the run completes.
-fn ingest_clean(
-    codec: Codec,
-    piece: &WirePiece,
-    src: usize,
-    t: u32,
-    state: &mut DeltaMap,
-) -> Result<Payload, &'static str> {
-    if piece_checksum(piece) != piece.checksum {
-        return Err("checksum mismatch");
-    }
-    match decode_piece(codec, piece, src, t, state) {
-        Ingest::Data(p) => Ok(p),
-        Ingest::Missing(_) => Err("missing marker without a fault plan"),
-        Ingest::Reject(why) => Err(why),
-    }
 }
 
 /// An image payload on the wire: `Plain` keeps the zero-copy path for
@@ -466,15 +465,11 @@ fn decode_image(
     }
 }
 
-/// Count a corrupt image envelope: it joins the fault plan's wire-reject
-/// tally when a plan is active, and still lands in the metrics snapshot
-/// when none is — the degradation is never silent.
-fn note_corrupt_image(session: &Arc<Obs>, s: &Shared, why: &'static str, t: usize) {
+/// Count a corrupt image envelope in the plan's wire-reject tally — the
+/// degradation is never silent.
+fn note_corrupt_image(s: &Shared, why: &'static str, t: usize) {
     eprintln!("quakeviz: step {t}: corrupt image envelope ({why}); frame degraded");
-    match &s.faults {
-        Some(plan) => plan.note_wire_reject(),
-        None => session.metrics().counter("recovery.wire_rejects").inc(),
-    }
+    s.faults.note_wire_reject();
 }
 
 /// Per-step timing recorded by an input processor.
@@ -584,8 +579,9 @@ impl FrameSink {
     /// Deliver the next frame with its degradation flags: count it, stamp
     /// it, keep it if the run keeps frames.
     fn deliver(&mut self, s: &Shared, vol: RgbaImage, deg: Vec<Degradation>) {
-        if let Some(plan) = s.faults.as_ref().filter(|_| !deg.is_empty()) {
-            plan.note_degraded_frame(deg.iter().filter(|d| d.block().is_some()).count() as u64);
+        if !deg.is_empty() {
+            let blocks = deg.iter().filter(|d| d.block().is_some()).count();
+            s.faults.note_degraded_frame(blocks as u64);
         }
         self.degraded.push(deg);
         let now = self.start.elapsed().as_secs_f64();
@@ -658,10 +654,11 @@ pub struct PipelineReport {
     /// complete, verified data. One entry per executed step.
     pub degraded: Vec<Vec<Degradation>>,
     /// The fault-injection log of the run, in injection order per kind
-    /// (empty without a fault plan).
+    /// (empty when nothing was injected).
     pub fault_events: Vec<FaultEvent>,
     /// Recovery counters (retries, backoff, checksum failures, degraded
-    /// frames, failovers); `None` without a fault plan.
+    /// frames, failovers); `None` unless a fault spec was given (the
+    /// config's, or `QUAKEVIZ_FAULTS`).
     pub recovery: Option<RecoveryStats>,
     /// Checkpoints committed (manifest written) during the run.
     pub checkpoints: u64,
@@ -773,8 +770,10 @@ struct Shared {
     n_inputs: usize,
     n_renderers: usize,
     opacity_unit: f64,
-    /// The run's deterministic fault plan, if injection is active.
-    faults: Option<Arc<FaultPlan>>,
+    /// The run's deterministic fault plan — every run has one; without a
+    /// spec it is the empty plan, which never fires. It is also the one
+    /// sink of the `recovery.*` counters.
+    faults: Arc<FaultPlan>,
     /// First step to execute (0 unless resuming from a checkpoint).
     start_step: usize,
     /// Checkpointed last-known-good fields by render-group rank, loaded
@@ -815,9 +814,9 @@ struct Shared {
 }
 
 impl Shared {
-    /// The fault context for reads of step `t` (`None` without a plan).
-    fn fault_ctx(&self, t: usize) -> Option<FaultCtx<'_>> {
-        self.faults.as_deref().map(|plan| FaultCtx { plan, retry: self.cfg.retry, step: t as u32 })
+    /// The fault context for reads of step `t`.
+    fn fault_ctx(&self, t: usize) -> FaultCtx<'_> {
+        FaultCtx { plan: &self.faults, retry: self.cfg.retry, step: t as u32 }
     }
 
     /// Frame-cache key of step `t` under this run's camera, transfer
@@ -842,15 +841,20 @@ impl Shared {
     }
 
     /// How long a renderer waits for a step's data before it degrades
-    /// the step. When the plan kills a member of a 2DIP input group, the
-    /// survivors spend one heartbeat deadline finding out before they can
-    /// re-read its slice: that step's data is late by that much by
-    /// construction, so the wait allows for it on top of the configured
+    /// the step — armed iff the plan can inject anything. Under a plan that
+    /// cannot (`None`) data can only be slow, never lost: the renderer
+    /// blocks, under the comm layer's deadlock guard, and a slow read never
+    /// degrades a frame. When the plan kills a member of a 2DIP input
+    /// group, the survivors spend one heartbeat deadline finding out before
+    /// they can re-read its slice: that step's data is late by that much
+    /// by construction, so the wait allows for it on top of the configured
     /// delivery time — else whether the failover shows in the frame
     /// depends on how long the renderers happened to be busy meanwhile.
-    fn deadline(&self) -> Duration {
-        let detection = if self.input_failover() { self.hb_deadline() } else { Duration::ZERO };
-        Duration::from_millis(self.cfg.deadline_ms) + detection
+    fn deadline(&self) -> Option<Duration> {
+        self.faults.spec().can_inject().then(|| {
+            let detection = if self.input_failover() { self.hb_deadline() } else { Duration::ZERO };
+            Duration::from_millis(self.cfg.deadline_ms) + detection
+        })
     }
 
     /// Whether a scripted *input*-rank failure inside a 2DIP group — and
@@ -872,7 +876,7 @@ impl Shared {
     /// in decides which heartbeat runs: its 2DIP input group's, the
     /// render group's, or output→render-root supervision.
     fn kill_target(&self) -> Option<usize> {
-        self.faults.as_ref()?.membership_timeline().iter().find_map(|ev| match *ev {
+        self.faults.membership_timeline().iter().find_map(|ev| match *ev {
             MembershipEvent::Fail { rank, .. } => Some(rank),
             MembershipEvent::Recover { .. } => None,
         })
@@ -881,21 +885,13 @@ impl Shared {
     /// The render-group index scripted dead at step `t` (windowed: a
     /// scripted `recover_rank` ends it).
     fn dead_renderer(&self, t: usize) -> Option<usize> {
-        let p = self.faults.as_ref()?;
-        (0..self.n_renderers).find(|&r| p.rank_failed(self.n_inputs + r, t))
+        (0..self.n_renderers).find(|&r| self.faults.rank_failed(self.n_inputs + r, t))
     }
 
     /// Block ownership at step `t` under the caller's committed `state`
     /// — see [`membership::owners`], the single authority.
     fn owners(&self, state: &EpochState, t: usize) -> Vec<(usize, Vec<u32>)> {
         membership::owners(state, self.dead_renderer(t), &self.block_weights)
-    }
-
-    /// The world rank scripted to rejoin exactly at step `t`, if any —
-    /// the deterministic mirror every peer uses to fold the joiner back
-    /// in at the same boundary.
-    fn rejoin_at(&self, t: usize) -> Option<usize> {
-        self.faults.as_ref().and_then(|p| p.rank_rejoins_at(t))
     }
 
     /// World rank delivering the composited frame of step `t` (the
@@ -907,7 +903,7 @@ impl Shared {
     /// Whether the output processor is alive at step `t` under the plan
     /// (its death is permanent: validation rejects an output rejoin).
     fn output_alive(&self, t: usize) -> bool {
-        !self.faults.as_ref().is_some_and(|p| p.rank_failed(self.n_inputs + self.n_renderers, t))
+        !self.faults.rank_failed(self.n_inputs + self.n_renderers, t)
     }
 
     /// World rank assembling the frame of step `t`: the output processor,
@@ -925,14 +921,6 @@ impl Shared {
         self.cfg.checkpoint_every.is_some_and(|k| (t + 1).is_multiple_of(k))
     }
 
-    /// Whether the fault plan has killed the elastic controller by step
-    /// `t`. The kill step lives in the shared plan, so every rank mirrors
-    /// it — ticks at or after it happen *nowhere*, which is what keeps
-    /// the protocol deadlock-free without timeout detection.
-    fn controller_dead(&self, t: usize) -> bool {
-        self.faults.as_ref().is_some_and(|p| p.controller_failed(t))
-    }
-
     /// The controller's schedule: the configured one, or — control off —
     /// one that never ticks.
     fn control(&self) -> ControlConfig {
@@ -945,7 +933,7 @@ impl Shared {
     /// Every rank derives the same answer from shared state — the tick
     /// is a collective.
     fn control_tick(&self, t: usize) -> bool {
-        self.control().is_tick(t) && t > self.start_step && !self.controller_dead(t)
+        self.control().is_tick(t) && t > self.start_step && !self.faults.controller_failed(t)
     }
 }
 
@@ -1172,23 +1160,26 @@ fn validate_membership(
     Ok(())
 }
 
-/// Resolve the run's fault plan: an explicit [`PipelineConfig::faults`]
-/// spec (validated hard, with a typed [`FaultConfigError`]), else
-/// `QUAKEVIZ_FAULTS` (sanitized: a scripted rank failure an arbitrary
-/// suite configuration cannot survive — or whose detection stall would
-/// skew its timing — is dropped so a blanket environment spec still
-/// applies everywhere; only input-group failover survives the blanket
-/// treatment, render/output kills must be requested explicitly).
+/// Resolve the run's fault plan — every run has one: an explicit
+/// [`PipelineConfig::faults`] spec (validated hard, with a typed
+/// [`FaultConfigError`]), else `QUAKEVIZ_FAULTS` (sanitized: a scripted
+/// rank failure an arbitrary suite configuration cannot survive — or whose
+/// detection stall would skew its timing — is dropped so a blanket
+/// environment spec still applies everywhere; only input-group failover
+/// survives the blanket treatment, render/output kills must be requested
+/// explicitly), else the empty spec, whose plan never fires. Also returns
+/// whether a spec was given at all — what the report's recovery section
+/// hangs on.
 fn resolve_faults(
     config: &PipelineConfig,
     n_inputs: usize,
     steps: usize,
-) -> Result<Option<Arc<FaultPlan>>, FaultConfigError> {
+) -> Result<(Arc<FaultPlan>, bool), FaultConfigError> {
     let (mut spec, from_env) = match &config.faults {
         Some(spec) => (spec.clone(), false),
         None => match FaultSpec::from_env() {
             Some(spec) => (spec, true),
-            None => return Ok(None),
+            None => return Ok((FaultPlan::new(FaultSpec::default()), false)),
         },
     };
     let timeline = spec.membership();
@@ -1205,7 +1196,7 @@ fn resolve_faults(
             verdict?;
         }
     }
-    Ok(Some(FaultPlan::new(spec)))
+    Ok((FaultPlan::new(spec), true))
 }
 
 /// FNV-1a fingerprint of every configuration field that shapes the frame
@@ -1381,7 +1372,8 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         (sampler, ids, white_noise(config.width, config.height, 0x5eed))
     });
 
-    let faults = resolve_faults(&config, n_inputs, steps).map_err(|e| e.to_string())?;
+    let (faults, fault_spec_given) =
+        resolve_faults(&config, n_inputs, steps).map_err(|e| e.to_string())?;
     // explicit wire config wins; else the QUAKEVIZ_CODEC environment
     // variable; else the plain raw wire. Deliberately *not* part of the
     // config fingerprint: decoded payloads are bit-identical to the raw
@@ -1508,7 +1500,7 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
     let stats = TrafficStats::with_matrix(world, classify_tag);
     let obs_ref = &session;
     let results =
-        World::run_faulted(world, Arc::clone(&stats), shared.faults.clone(), move |comm| {
+        World::run_faulted(world, Arc::clone(&stats), Some(shared.faults.clone()), move |comm| {
             rank_main(comm, obs_ref, shared)
         });
 
@@ -1548,41 +1540,38 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         checkpoints += tk.checkpoints;
     }
     // surface the plan's counters as metrics so the snapshot carries them
-    let (fault_events, recovery) = match &shared.faults {
-        None => (Vec::new(), None),
-        Some(plan) => {
-            let m = session.metrics();
-            for (kind, n) in plan.counts() {
-                if n > 0 {
-                    m.counter(&format!("fault.{}", kind.as_str())).add(n);
-                }
-            }
-            let rec = plan.recovery();
-            for (name, n) in [
-                ("recovery.retries", rec.read_retries),
-                ("recovery.backoff_us", rec.backoff_us),
-                ("recovery.exhausted_reads", rec.exhausted_reads),
-                ("recovery.checksum_failures", rec.checksum_failures),
-                ("recovery.wire_rejects", rec.wire_rejects),
-                ("recovery.degraded_blocks", rec.degraded_blocks),
-                ("recovery.degraded_frames", rec.degraded_frames),
-                ("recovery.failover_events", rec.failover_events),
-                ("recovery.render_failovers", rec.render_failovers),
-                ("recovery.output_failovers", rec.output_failovers),
-                ("recovery.migrated_frames", rec.migrated_frames),
-                ("recovery.prefetch_fallbacks", rec.prefetch_fallbacks),
-                ("recovery.controller_kills", rec.controller_kills),
-                ("recovery.rejoins", rec.rejoins),
-                ("recovery.catchup_plans", rec.catchup_plans),
-                ("recovery.catchup_fields", rec.catchup_fields),
-            ] {
-                if n > 0 {
-                    m.counter(name).add(n);
-                }
-            }
-            (plan.events(), Some(rec))
+    let plan = &shared.faults;
+    let m = session.metrics();
+    for (kind, n) in plan.counts() {
+        if n > 0 {
+            m.counter(&format!("fault.{}", kind.as_str())).add(n);
         }
-    };
+    }
+    let rec = plan.recovery();
+    for (name, n) in [
+        ("recovery.retries", rec.read_retries),
+        ("recovery.backoff_us", rec.backoff_us),
+        ("recovery.exhausted_reads", rec.exhausted_reads),
+        ("recovery.checksum_failures", rec.checksum_failures),
+        ("recovery.wire_rejects", rec.wire_rejects),
+        ("recovery.degraded_blocks", rec.degraded_blocks),
+        ("recovery.degraded_frames", rec.degraded_frames),
+        ("recovery.failover_events", rec.failover_events),
+        ("recovery.render_failovers", rec.render_failovers),
+        ("recovery.output_failovers", rec.output_failovers),
+        ("recovery.migrated_frames", rec.migrated_frames),
+        ("recovery.prefetch_fallbacks", rec.prefetch_fallbacks),
+        ("recovery.controller_kills", rec.controller_kills),
+        ("recovery.rejoins", rec.rejoins),
+        ("recovery.catchup_plans", rec.catchup_plans),
+        ("recovery.catchup_fields", rec.catchup_fields),
+    ] {
+        if n > 0 {
+            m.counter(name).add(n);
+        }
+    }
+    // the report's recovery section exists when a fault spec was given
+    let (fault_events, recovery) = (plan.events(), fault_spec_given.then_some(rec));
     if checkpoints > 0 {
         session.metrics().counter("checkpoint.commits").add(checkpoints);
     }
@@ -1773,7 +1762,7 @@ fn rank_main(comm: Comm, session: &Arc<Obs>, s: &Shared) -> RankResult {
     }
 
     if me < s.n_inputs {
-        RankResult::Input(input_main(&comm, group_comm.as_ref(), session, s))
+        RankResult::Input(input_main(&comm, group_comm.as_ref(), s))
     } else if me < s.n_inputs + s.n_renderers {
         let (timings, takeover) =
             render_main(&comm, render_comm.as_ref().unwrap(), session, s, start);
@@ -1988,9 +1977,9 @@ fn fetch_step(
         (ReadStrategy::CollectiveNoncontiguous { sieve_window }, Some(gc))
             if plan.ids.is_some() =>
         {
-            plan.read_collective(&s.disk, &s.mesh, t, gc, *sieve_window, ctx.as_ref())?
+            plan.read_collective(&s.disk, &s.mesh, t, gc, *sieve_window, Some(&ctx))?
         }
-        _ => plan.read(&s.disk, &s.mesh, t, 1 << 16, ctx.as_ref())?,
+        _ => plan.read(&s.disk, &s.mesh, t, 1 << 16, Some(&ctx))?,
     };
     if let Some(scale) = s.cfg.io_delay_scale {
         let d = stats.sim_seconds * scale;
@@ -2091,8 +2080,7 @@ fn pack_batches(
         // advancing delta state, and the next real send deltas against
         // the last bytes the receiver actually holds — degradation stays
         // codec-invariant under message loss
-        let delivered =
-            s.faults.as_ref().is_none_or(|p| !p.send_will_drop(me, dst, TAG_DATA + t as u64));
+        let delivered = !s.faults.send_will_drop(me, dst, TAG_DATA + t as u64);
         let t0 = Instant::now();
         let mut enc_sp = obs::auto_span(Phase::Encode, t as u32);
         let (mut raw_bytes, mut keyframes, mut deltas) = (0u64, 0u64, 0u64);
@@ -2106,23 +2094,22 @@ fn pack_batches(
                 }
             };
             if a < b {
-                let payload = match mag {
+                let piece = match mag {
                     Some(mag) => {
                         let values: Vec<f32> =
                             ids[a..b].iter().map(|&id| mag[id as usize]).collect();
-                        Payload::from_values(values, s.cfg.quantize, scale)
+                        pack_piece(
+                            &s.wire,
+                            codec,
+                            (dst, bid, a as u32),
+                            &Payload::from_values(values, s.cfg.quantize, scale),
+                            t as u32,
+                            delta,
+                            delivered,
+                        )
                     }
-                    None => Payload::Missing((b - a) as u32),
+                    None => missing_piece(bid, a as u32, (b - a) as u32),
                 };
-                let piece = pack_piece(
-                    &s.wire,
-                    codec,
-                    (dst, bid, a as u32),
-                    &payload,
-                    t as u32,
-                    delta,
-                    delivered,
-                );
                 raw_bytes += piece.raw_len as u64;
                 if piece.base_step == KEYFRAME {
                     keyframes += 1;
@@ -2132,10 +2119,8 @@ fn pack_batches(
                 batch.push(piece);
             }
         }
-        if let Some(plan) = &s.faults {
-            if let Some(seed) = plan.wire_corrupt(me, dst, TAG_DATA + t as u64) {
-                corrupt_one_bit(&mut batch, seed);
-            }
+        if let Some(seed) = s.faults.wire_corrupt(me, dst, TAG_DATA + t as u64) {
+            corrupt_one_bit(&mut batch, seed);
         }
         let bytes: u64 = batch.iter().map(|p| p.body.len() as u64).sum();
         enc_sp.add_bytes(bytes);
@@ -2181,7 +2166,7 @@ fn lic_step(comm: &Comm, s: &Shared, t: usize, read: &mut ReadStats) {
     // degrades to a transparent image and the frame is flagged
     let ctx = s.fault_ctx(t);
     let (img, missing) =
-        match reader::read_step_ids(&s.disk, &s.mesh, t, surf_ids, 1 << 16, ctx.as_ref()) {
+        match reader::read_step_ids(&s.disk, &s.mesh, t, surf_ids, 1 << 16, Some(&ctx)) {
             Err(_) => (RgbaImage::new(s.cfg.width, s.cfg.height), true),
             Ok((surf_dense, surf_stats)) => {
                 read.accumulate(&surf_stats);
@@ -2253,7 +2238,7 @@ impl ReadAhead {
         while self.next < plan.my_steps.len() && self.next <= i + PREFETCH_SLOTS {
             let u = plan.my_steps[self.next];
             self.next += 1;
-            if !s.faults.as_ref().is_some_and(|p| p.rank_failed(me, u)) {
+            if !s.faults.rank_failed(me, u) {
                 // a dead worker shows on the `ready` side
                 let _ = self.ask.send((u, Arc::clone(sf)));
             }
@@ -2273,7 +2258,7 @@ fn read_ahead_worker(
     ready: Sender<Prepared>,
 ) {
     for (t, sf) in asks {
-        if s.faults.as_ref().is_some_and(|p| p.prefetch_failed(t)) {
+        if s.faults.prefetch_failed(t) {
             return; // scripted worker death: go silent mid-run
         }
         // collective reads are rejected at config validation, so the
@@ -2285,12 +2270,7 @@ fn read_ahead_worker(
     }
 }
 
-fn input_main(
-    comm: &Comm,
-    group_comm: Option<&Comm>,
-    session: &Arc<Obs>,
-    s: &Shared,
-) -> Vec<InputStepTiming> {
+fn input_main(comm: &Comm, group_comm: Option<&Comm>, s: &Shared) -> Vec<InputStepTiming> {
     let plan = &input_plan(comm.rank(), s);
     let mut timings = if s.cfg.prefetch {
         let (ask, asks) = channel();
@@ -2308,10 +2288,10 @@ fn input_main(
                 }));
             });
             let ahead = ReadAhead { ask, ready, next: 0 };
-            input_steps(comm, group_comm, session, s, plan, Some(ahead))
+            input_steps(comm, group_comm, s, plan, Some(ahead))
         })
     } else {
-        input_steps(comm, group_comm, session, s, plan, None)
+        input_steps(comm, group_comm, s, plan, None)
     };
 
     // derive the per-step timings from the span stream (which includes
@@ -2344,27 +2324,23 @@ fn group_heartbeat(
     // rejoins here: block on its join announcement (it sends at its
     // first owned live step — this same `t`, since 2DIP group members
     // share their owned-step schedule), then treat it live again
-    if let Some(p) = &s.faults {
-        dead.retain(|&r| {
-            let rejoined = !p.rank_failed(r, t)
-                && p.membership_timeline().iter().any(
-                    |ev| matches!(*ev, MembershipEvent::Recover { rank, step } if rank == r && step <= t),
-                );
-            if rejoined {
-                let () = comm.recv(r, TAG_JOIN + t as u64);
-            }
-            !rejoined
-        });
-    }
+    dead.retain(|&r| {
+        let rejoined = !s.faults.rank_failed(r, t)
+            && s.faults.membership_timeline().iter().any(
+                |ev| matches!(*ev, MembershipEvent::Recover { rank, step } if rank == r && step <= t),
+            );
+        if rejoined {
+            let () = comm.recv(r, TAG_JOIN + t as u64);
+        }
+        !rejoined
+    });
     let peers: Vec<usize> = group.clone().filter(|&r| r != me && !dead.contains(&r)).collect();
     // a joiner's first round back blocks (the validated timeline
     // guarantees its peers are alive)
     let deadline = (!joining).then(|| s.hb_deadline());
     for r in membership::heartbeat(comm, TAG_HB + t as u64, &peers, &peers, deadline) {
         dead.push(r);
-        if let Some(p) = &s.faults {
-            p.note_failover(r, t);
-        }
+        s.faults.note_failover(r, t);
     }
 }
 
@@ -2428,7 +2404,6 @@ fn input_ticks(
 fn input_steps(
     comm: &Comm,
     group_comm: Option<&Comm>,
-    session: &Arc<Obs>,
     s: &Shared,
     plan: &InputPlan,
     mut ahead: Option<ReadAhead>,
@@ -2453,8 +2428,8 @@ fn input_steps(
         // death *window* (a scripted recovery later) keeps the thread
         // parked in-loop, skipping every owned step, so the zip alignment
         // with the group survives the outage.
-        if s.faults.as_ref().is_some_and(|p| p.rank_failed(me, t)) {
-            if s.faults.as_ref().is_some_and(|p| p.recovers_later(me, t)) {
+        if s.faults.rank_failed(me, t) {
+            if s.faults.recovers_later(me, t) {
                 was_dead = true;
                 timings.push(InputStepTiming::default());
                 continue;
@@ -2470,9 +2445,7 @@ fn input_steps(
             for r in plan.group.clone().filter(|&r| r != me) {
                 comm.send_with_size(r, TAG_JOIN + t as u64, (), 8);
             }
-            if let Some(p) = &s.faults {
-                p.note_rejoin();
-            }
+            s.faults.note_rejoin();
             dead.clear();
             delta.clear();
         }
@@ -2497,10 +2470,7 @@ fn input_steps(
             Some(p) => (p.mag, p.stats),
             None => {
                 if ahead.is_some() {
-                    match &s.faults {
-                        Some(p) => p.note_prefetch_fallback(),
-                        None => session.metrics().counter("recovery.prefetch_fallbacks").inc(),
-                    }
+                    s.faults.note_prefetch_fallback();
                 }
                 plan.prepare(group_comm, s, &sf, t)
             }
@@ -2678,8 +2648,8 @@ fn render_main(
         // farewell — survivors must *detect* it via heartbeat timeouts. A
         // death *window* (a scripted recovery later) keeps the thread
         // parked in-loop: silent, calling no collectives, until rejoin.
-        if s.faults.as_ref().is_some_and(|p| p.rank_failed(me, t)) {
-            if s.faults.as_ref().is_some_and(|p| p.recovers_later(me, t)) {
+        if s.faults.rank_failed(me, t) {
+            if s.faults.recovers_later(me, t) {
                 continue;
             }
             break;
@@ -2693,7 +2663,7 @@ fn render_main(
         // the senders' lanes to this rank: nothing was sent on them while
         // it was dormant, so both ends still agree on the last base.
         let mut pending_catchup = false;
-        let joining = s.rejoin_at(t) == Some(me);
+        let joining = s.faults.rank_rejoins_at(t) == Some(me);
         if joining {
             let _sp = obs::span(Phase::Heartbeat, t as u32);
             if s.cfg.control.is_some() {
@@ -2704,17 +2674,13 @@ fn render_main(
                     comm.send_with_size(r, TAG_JOIN + t as u64, (), 8);
                 }
             }
-            if let Some(p) = &s.faults {
-                p.note_rejoin();
-            }
+            s.faults.note_rejoin();
             if let Some(values) = catchup_field(s, rr) {
                 field = NodeField::new(values);
-                if let Some(p) = &s.faults {
-                    p.note_catchup_field();
-                }
+                s.faults.note_catchup_field();
             }
             alive = all_renderers.clone();
-        } else if let Some(j) = s.rejoin_at(t).filter(|j| all_renderers.contains(j)) {
+        } else if let Some(j) = s.faults.rank_rejoins_at(t).filter(|j| all_renderers.contains(j)) {
             // fold the scheduled joiner back in before this step's
             // heartbeats: non-elastic peers block on its announcement,
             // elastic peers just mirror the plan (the controller
@@ -2735,9 +2701,7 @@ fn render_main(
             let deadline = (!joining).then(|| s.hb_deadline());
             for r in membership::heartbeat(comm, TAG_HB + t as u64, &peers, &peers, deadline) {
                 alive.retain(|&x| x != r);
-                if let Some(p) = &s.faults {
-                    p.note_render_failover(r, t);
-                }
+                s.faults.note_render_failover(r, t);
             }
         }
         if supervisor && takeover.is_none() {
@@ -2749,9 +2713,7 @@ fn render_main(
                 .is_empty()
             {
                 takeover = Some(FrameSink::open(session, s, start));
-                if let Some(p) = &s.faults {
-                    p.note_output_failover(output_rank, t);
-                }
+                s.faults.note_output_failover(output_rank, t);
             }
         }
         // epoch clock: the controller's tick arrives before any of this
@@ -2769,9 +2731,7 @@ fn render_main(
                 for p in &missed {
                     state.apply(p);
                 }
-                if let Some(p) = &s.faults {
-                    p.note_catchup_plans(missed.len() as u64);
-                }
+                s.faults.note_catchup_plans(missed.len() as u64);
             }
             let proposal: Option<ControlPlan> = comm.recv(output_rank, TAG_CTL + t as u64);
             if let Some(plan) = proposal {
@@ -2815,120 +2775,82 @@ fn render_main(
         let active = regrouped.as_ref().unwrap_or(render_comm);
 
         let mut recv_sp = obs::span(Phase::Receive, t as u32);
-        let mut degraded: Vec<u32> = Vec::new();
+        // the sender set is not knowable in general (drops, failures,
+        // failover re-reads): drain until every value of my blocks has been
+        // *accounted for* — delivered, reported missing, or rejected on
+        // receive — or the delivery deadline, when one is armed, passes,
+        // then degrade whatever is incomplete instead of stalling. Batches
+        // write disjoint (block, offset) slices, so ingest order cannot
+        // change the frame.
         let mut missing = vec![0usize; nblocks];
-        match &s.faults {
-            // the clean path: a fixed number of senders, blocking
-            // receives, checksums verified — byte-identical behaviour to
-            // the fault-free pipeline
-            None => {
-                // one batch per member of the committed epoch's input width
-                // (1 under 1DIP; elastic reshape narrows a 2DIP group).
-                // Drain whichever arrives next: the per-step tag already
-                // identifies the step, and batches write disjoint (block,
-                // offset) slices, so ingest order cannot change the frame
-                for _ in 0..state.input_width {
-                    let (src, batch): (usize, BlockBatch) = comm.recv_any(TAG_DATA + t as u64);
-                    recv_sp.add_bytes(batch.iter().map(|p| p.body.len() as u64).sum());
-                    let scale = s.dataset.norm_at(t);
-                    let t0 = Instant::now();
-                    let _dec_sp = obs::auto_span(Phase::Decode, t as u32);
-                    for piece in batch {
-                        match ingest_clean(codec, &piece, src, t as u32, &mut rx_delta) {
-                            Ok(payload) => {
-                                let ids = &s.ids_per_block[piece.bid as usize];
-                                for k in 0..payload.len() {
-                                    field
-                                        .set(ids[piece.offset as usize + k], payload.get(k, scale));
-                                }
-                            }
-                            Err(why) => {
-                                // a piece no valid sender produces: count
-                                // it and degrade the block rather than
-                                // aborting the whole run
-                                session.metrics().counter("recovery.clean_path_rejects").inc();
-                                eprintln!("rank {me}: clean-path ingest reject at step {t}: {why}");
-                                if let Err(i) = degraded.binary_search(&piece.bid) {
-                                    degraded.insert(i, piece.bid);
-                                }
-                            }
+        let mut got = vec![0usize; nblocks];
+        let mut seen = vec![0usize; nblocks];
+        let step_deadline = s.deadline().map(|wait| Instant::now() + wait);
+        let pending = |seen: &[usize]| {
+            my_blocks.iter().any(|&b| seen[b as usize] < s.ids_per_block[b as usize].len())
+        };
+        loop {
+            // while values are owed, wait — up to the deadline, when one is
+            // armed; once none are, only take what is already here
+            let wait = if pending(&seen) {
+                step_deadline.map(|d| d.saturating_duration_since(Instant::now()))
+            } else {
+                Some(Duration::ZERO)
+            };
+            // data of this step — or of an earlier one: given up at its
+            // deadline, or a batch that held none of my blocks' values.
+            // Matching those completes their sender's handle, which would
+            // otherwise hold an in-flight slot of that input rank for good
+            let data = TAG_DATA + s.start_step as u64..=TAG_DATA + t as u64;
+            let Some((src, tag, batch)) = comm.recv_any_for::<BlockBatch>(data, wait) else {
+                break; // all accounted for — or the deadline: degrade, don't stall
+            };
+            if tag < TAG_DATA + t as u64 {
+                continue;
+            }
+            recv_sp.add_bytes(batch.iter().map(|p| p.body.len() as u64).sum());
+            let scale = s.dataset.norm_at(t);
+            let t0 = Instant::now();
+            let _dec_sp = obs::auto_span(Phase::Decode, t as u32);
+            for piece in batch {
+                let b = piece.bid as usize;
+                match ingest_piece(codec, &piece, src, t as u32, &mut rx_delta) {
+                    Ingest::Data(payload) => {
+                        seen[b] += payload.len();
+                        let ids = &s.ids_per_block[b];
+                        for k in 0..payload.len() {
+                            field.set(ids[piece.offset as usize + k], payload.get(k, scale));
                         }
+                        got[b] += payload.len();
                     }
-                    s.ledger.record_decode(TagClass::BlockData, t0.elapsed().as_nanos() as u64);
+                    Ingest::Missing(n) => {
+                        seen[b] += n as usize;
+                        missing[b] += n as usize;
+                    }
+                    // accounted, never ingested
+                    Ingest::Corrupt => {
+                        seen[b] += piece.value_len();
+                        s.faults.note_checksum_failure();
+                    }
+                    // verified envelope but unusable contents (e.g. delta
+                    // base lost to an earlier fault): treat like a drop and
+                    // let degradation cover. Unlike a corrupt piece it has
+                    // no entry in the fault log, so say why here
+                    Ingest::Reject(why) => {
+                        eprintln!("rank {me}: step {t}: block {b} piece rejected ({why})");
+                        seen[b] += piece.value_len();
+                        s.faults.note_wire_reject();
+                    }
                 }
             }
-            // under a fault plan the sender set is unknowable (drops,
-            // failures): drain until every value of my blocks has been
-            // *accounted for* — delivered, reported missing, or rejected
-            // by its checksum — or the delivery deadline passes, then
-            // degrade whatever is incomplete instead of stalling
-            Some(plan) => {
-                let mut got = vec![0usize; nblocks];
-                let mut seen = vec![0usize; nblocks];
-                let step_deadline = Instant::now() + s.deadline();
-                let pending = |seen: &[usize]| {
-                    my_blocks.iter().any(|&b| seen[b as usize] < s.ids_per_block[b as usize].len())
-                };
-                while pending(&seen) {
-                    let remaining = step_deadline.saturating_duration_since(Instant::now());
-                    // data of this step — or of an earlier one, given up
-                    // at its deadline: matching the straggler completes
-                    // its sender's handle, which would otherwise hold an
-                    // in-flight slot of that input rank for good
-                    let data = TAG_DATA + s.start_step as u64..=TAG_DATA + t as u64;
-                    let Some((src, tag, batch)) = comm.recv_any_for::<BlockBatch>(data, remaining)
-                    else {
-                        break; // deadline: degrade, don't stall the frame
-                    };
-                    if tag < TAG_DATA + t as u64 {
-                        continue;
-                    }
-                    recv_sp.add_bytes(batch.iter().map(|p| p.body.len() as u64).sum());
-                    let scale = s.dataset.norm_at(t);
-                    let t0 = Instant::now();
-                    let _dec_sp = obs::auto_span(Phase::Decode, t as u32);
-                    for piece in batch {
-                        let b = piece.bid as usize;
-                        if piece_checksum(&piece) != piece.checksum {
-                            // accounted, never ingested — and never fed to the
-                            // codec: corruption is caught on the encoded bytes
-                            seen[b] += piece.value_len();
-                            plan.note_checksum_failure();
-                            continue;
-                        }
-                        match decode_piece(codec, &piece, src, t as u32, &mut rx_delta) {
-                            Ingest::Missing(n) => {
-                                seen[b] += n as usize;
-                                missing[b] += n as usize;
-                            }
-                            Ingest::Reject(_) => {
-                                // verified envelope but unusable contents
-                                // (e.g. delta base lost to an earlier fault):
-                                // treat like a drop and let degradation cover
-                                seen[b] += piece.value_len();
-                                plan.note_wire_reject();
-                            }
-                            Ingest::Data(payload) => {
-                                seen[b] += payload.len();
-                                let ids = &s.ids_per_block[b];
-                                for k in 0..payload.len() {
-                                    field
-                                        .set(ids[piece.offset as usize + k], payload.get(k, scale));
-                                }
-                                got[b] += payload.len();
-                            }
-                        }
-                    }
-                    s.ledger.record_decode(TagClass::BlockData, t0.elapsed().as_nanos() as u64);
-                }
-                degraded = my_blocks
-                    .iter()
-                    .copied()
-                    .filter(|&b| got[b as usize] < s.ids_per_block[b as usize].len())
-                    .collect();
-                degraded.sort_unstable();
-            }
+            s.ledger.record_decode(TagClass::BlockData, t0.elapsed().as_nanos() as u64);
         }
+        let mut degraded: Vec<u32> = my_blocks
+            .iter()
+            .copied()
+            .filter(|&b| got[b as usize] < s.ids_per_block[b as usize].len())
+            .collect();
+        degraded.sort_unstable();
         drop(recv_sp);
 
         // render my blocks; degraded blocks (incomplete data this step)
@@ -2962,10 +2884,9 @@ fn render_main(
         // scripted load skew: stretch this rank's render phase by the
         // plan's factor, inside the Render span, so the controller sees
         // real measured imbalance to rebalance away
-        if let Some(f) = s.faults.as_ref().map(|p| p.slow_rank_factor(me)) {
-            if f > 1.0 {
-                std::thread::sleep(render_t0.elapsed().mul_f64(f - 1.0));
-            }
+        let slow = s.faults.slow_rank_factor(me);
+        if slow > 1.0 {
+            std::thread::sleep(render_t0.elapsed().mul_f64(slow - 1.0));
         }
         drop(render_sp);
 
@@ -2991,41 +2912,38 @@ fn render_main(
                 }
             })
             .collect();
-        // pool the degradation flags at the active root for the frame's
-        // quality flag
-        let merged: Option<Vec<Degradation>> = if s.faults.is_some() {
-            active.gather(0, deg_flags).map(|lists| {
-                let mut m: Vec<Degradation> = lists.into_iter().flatten().collect();
-                m.sort_unstable();
-                m.dedup();
-                m
-            })
-        } else {
-            None
-        };
-
-        if s.output_alive(t) {
-            if let Some(img) = result.image {
-                let (msg, bytes) = encode_image(s, TagClass::VolumeImage, t as u32, img);
-                comm.send_with_size(output_rank, TAG_VOL + t as u64, msg, bytes);
+        // pool the degradation flags at the active root — which also holds
+        // the composited frame — for the frame's quality flag
+        let merged = active.gather(0, deg_flags).map(|lists| {
+            let mut m: Vec<Degradation> = lists.into_iter().flatten().collect();
+            m.sort_unstable();
+            m.dedup();
+            m
+        });
+        if let (Some(mut vol), Some(mut deg)) = (result.image, merged) {
+            if s.output_alive(t) {
+                // the flags ride beside the image, charged to both of its
+                // accountings
+                let (msg, bytes) = encode_image(s, TagClass::VolumeImage, t as u32, vol);
+                let flag_bytes = deg.len() as u64 * 8;
+                s.ledger.record_send(TagClass::VolumeImage, flag_bytes, flag_bytes, 0);
+                comm.send_with_size(
+                    output_rank,
+                    TAG_VOL + t as u64,
+                    (msg, deg),
+                    bytes + flag_bytes,
+                );
+            } else if let Some(sink) = takeover.as_mut() {
+                // output-failover epoch: the supervising render root assumes
+                // frame assembly — frames continue, tagged migrated, never
+                // skipped silently
+                let mut sp = obs::span(Phase::Assemble, t as u32);
+                sp.add_bytes(overlay_lic(comm, s, t, &mut vol, &mut deg));
+                drop(sp);
+                deg.push(Degradation::MigratedEpoch);
+                s.faults.note_migrated_frame();
+                sink.deliver(s, vol, deg);
             }
-            if let Some(m) = merged {
-                let bytes = m.len() as u64 * 8;
-                comm.send_with_size(output_rank, TAG_DEG + t as u64, m, bytes);
-            }
-        } else if let (Some(sink), Some(mut vol)) = (takeover.as_mut(), result.image) {
-            // output-failover epoch: the supervising render root assumes
-            // frame assembly — frames continue, tagged migrated, never
-            // skipped silently
-            let mut deg = merged.unwrap_or_default();
-            let mut sp = obs::span(Phase::Assemble, t as u32);
-            sp.add_bytes(overlay_lic(comm, session, s, t, &mut vol, &mut deg));
-            drop(sp);
-            deg.push(Degradation::MigratedEpoch);
-            if let Some(plan) = &s.faults {
-                plan.note_migrated_frame();
-            }
-            sink.deliver(s, vol, deg);
         }
 
         // checkpoint boundary: snapshot my resident field, then either
@@ -3126,7 +3044,7 @@ fn output_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
     let supervised = s.kill_target() == Some(me);
     let mut kill_noted = false;
     for t in s.start_step..s.steps {
-        if s.faults.as_ref().is_some_and(|p| p.rank_failed(me, t)) {
+        if s.faults.rank_failed(me, t) {
             // scripted output-rank death: go silent; the supervising
             // render root takes over frame assembly from this step on
             break;
@@ -3141,12 +3059,10 @@ fn output_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
         // *nowhere*, every participant degrades to the last committed
         // epoch, and the frame cadence below never stalls.
         if ctl.cfg.is_tick(t) && t > s.start_step {
-            if s.controller_dead(t) {
+            if s.faults.controller_failed(t) {
                 if !kill_noted {
                     kill_noted = true;
-                    if let Some(p) = &s.faults {
-                        p.note_controller_kill(t);
-                    }
+                    s.faults.note_controller_kill(t);
                 }
             } else {
                 let _sp = obs::span(Phase::Control, t as u32);
@@ -3156,18 +3072,17 @@ fn output_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
                 // announcement, reply with the plans it missed, and force
                 // a capacity-aware re-admission plan (grown by one for a
                 // spare-pool join) instead of the free decision
-                let proposal = if let Some(j) = s.rejoin_at(t) {
+                let proposal = if let Some(j) = s.faults.rank_rejoins_at(t) {
                     let () = comm.recv(j, TAG_JOIN + t as u64);
                     // plans the joiner missed: those committed since its
                     // kill (a spare join missed nothing), but not before
                     // this run's start — a resumed joiner started from the
                     // checkpointed history
-                    let since = s.faults.as_ref().and_then(|p| {
-                        p.membership_timeline().iter().rev().find_map(|ev| match *ev {
+                    let since =
+                        s.faults.membership_timeline().iter().rev().find_map(|ev| match *ev {
                             MembershipEvent::Fail { step, .. } if step < t => Some(step),
                             _ => None,
-                        })
-                    });
+                        });
                     let lo = since.unwrap_or(usize::MAX).max(s.start_step);
                     let missed: Vec<ControlPlan> = ctl
                         .history
@@ -3176,7 +3091,7 @@ fn output_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
                         .cloned()
                         .collect();
                     comm.send_with_size(j, TAG_JOIN + t as u64, missed, 64);
-                    let grow = s.faults.as_ref().is_some_and(|p| p.spare_join().is_some());
+                    let grow = s.faults.spare_join().is_some();
                     Some(ctl.admit_plan(&m, &s.block_weights, t as u32, grow))
                 } else {
                     ctl.decide(&m, &s.block_weights, t as u32)
@@ -3186,7 +3101,7 @@ fn output_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
                 // a dormant rank neither acks nor applies — it catches up
                 // through the join handshake instead
                 let participants: Vec<usize> = (0..s.n_inputs + s.n_renderers)
-                    .filter(|&p| !s.faults.as_ref().is_some_and(|f| f.rank_failed(p, t)))
+                    .filter(|&p| !s.faults.rank_failed(p, t))
                     .collect();
                 for &p in &participants {
                     comm.send_with_size(p, TAG_CTL + t as u64, proposal.clone(), 64);
@@ -3210,26 +3125,23 @@ fn output_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
         }
         let frame_src = s.frame_source(&ctl.state, t);
         let mut sp = obs::span(Phase::Assemble, t as u32);
-        let vol_msg: WireImage = comm.recv(frame_src, TAG_VOL + t as u64);
+        let (vol_msg, mut deg): (WireImage, Vec<Degradation>) =
+            comm.recv(frame_src, TAG_VOL + t as u64);
         let (mut vol, vol_corrupt) = match decode_image(s, TagClass::VolumeImage, t as u32, vol_msg)
         {
             Ok(img) => (img, false),
             Err(why) => {
                 // an undecodable frame body degrades this frame to blank
                 // instead of aborting the whole run
-                note_corrupt_image(session, s, why, t);
+                note_corrupt_image(s, why, t);
                 (RgbaImage::new(s.cfg.width, s.cfg.height), true)
             }
         };
         sp.add_bytes((vol.width() * vol.height() * 16) as u64);
-        let mut deg: Vec<Degradation> = match &s.faults {
-            Some(_) => comm.recv(frame_src, TAG_DEG + t as u64),
-            None => Vec::new(),
-        };
         if vol_corrupt {
             deg.push(Degradation::CorruptImage);
         }
-        sp.add_bytes(overlay_lic(comm, session, s, t, &mut vol, &mut deg));
+        sp.add_bytes(overlay_lic(comm, s, t, &mut vol, &mut deg));
         drop(sp);
         // only pristine frames are cached: a degraded frame must be
         // recomputed next run, when the fault may not recur
@@ -3255,7 +3167,6 @@ fn output_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
 /// overlay bytes composited (0 when LIC is off).
 fn overlay_lic(
     comm: &Comm,
-    session: &Arc<Obs>,
     s: &Shared,
     t: usize,
     vol: &mut RgbaImage,
@@ -3272,7 +3183,7 @@ fn overlay_lic(
             (lic_img.width() * lic_img.height() * 16) as u64
         }
         Err(why) => {
-            note_corrupt_image(session, s, why, t);
+            note_corrupt_image(s, why, t);
             deg.push(Degradation::CorruptImage);
             0
         }
@@ -3292,9 +3203,7 @@ fn lic_source(s: &Shared, t: usize) -> usize {
         IoStrategy::OneDip { input_procs } => t % input_procs,
         IoStrategy::TwoDip { groups, per_group } => {
             let base = (t % groups) * per_group;
-            (base..base + per_group)
-                .find(|&r| !s.faults.as_ref().is_some_and(|p| p.rank_failed(r, t)))
-                .unwrap_or(base)
+            (base..base + per_group).find(|&r| !s.faults.rank_failed(r, t)).unwrap_or(base)
         }
     }
 }
@@ -3623,104 +3532,78 @@ mod tests {
         assert_eq!(report.frames.len(), 4);
     }
 
-    /// A well-formed piece round-trips through the clean receive path.
-    #[test]
-    fn ingest_clean_accepts_a_valid_piece() {
-        let spec = WireSpec::parse("rle").unwrap();
-        let payload = Payload::F32(vec![0.25, 0.5, 0.75, 1.0]);
-        let mut tx = DeltaMap::new();
-        let piece = pack_piece(
-            &spec,
-            spec.codec_for(TagClass::BlockData),
-            (3, 7, 0),
-            &payload,
-            1,
-            &mut tx,
-            true,
-        );
-        let mut rx = DeltaMap::new();
-        let got = ingest_clean(spec.codec_for(TagClass::BlockData), &piece, 0, 1, &mut rx)
-            .expect("valid piece ingests");
-        assert_eq!(got.raw_bytes(), payload.raw_bytes());
+    /// Pack `payload` for step `t` on the test lane `(dst 3, block 7,
+    /// offset 0)`.
+    fn pack(spec: &WireSpec, payload: &Payload, t: u32, tx: &mut DeltaMap) -> WirePiece {
+        pack_piece(spec, spec.codec_for(TagClass::BlockData), (3, 7, 0), payload, t, tx, true)
     }
 
-    /// Regression: a corrupt body on the *clean* path (no fault plan) used
-    /// to trip the receive-side `expect` — it must come back as a typed
-    /// rejection the caller degrades on, never a panic.
+    /// The receive step of the one loop, from source rank 0.
+    fn ingest(spec: &WireSpec, piece: &WirePiece, t: u32, rx: &mut DeltaMap) -> Ingest {
+        ingest_piece(spec.codec_for(TagClass::BlockData), piece, 0, t, rx)
+    }
+
+    /// A well-formed piece round-trips through the receive step.
     #[test]
-    fn ingest_clean_rejects_corruption_instead_of_panicking() {
+    fn ingest_piece_accepts_a_valid_piece() {
         let spec = WireSpec::parse("rle").unwrap();
         let payload = Payload::F32(vec![0.25, 0.5, 0.75, 1.0]);
-        let mut tx = DeltaMap::new();
-        let mut piece = pack_piece(
-            &spec,
-            spec.codec_for(TagClass::BlockData),
-            (3, 7, 0),
-            &payload,
-            1,
-            &mut tx,
-            true,
-        );
+        let piece = pack(&spec, &payload, 1, &mut DeltaMap::new());
+        let mut rx = DeltaMap::new();
+        let Ingest::Data(got) = ingest(&spec, &piece, 1, &mut rx) else {
+            panic!("valid piece ingests");
+        };
+        assert_eq!(got.raw_bytes(), payload.raw_bytes());
+        assert_eq!(rx.len(), 1, "an ingested piece advances receiver delta state");
+    }
+
+    /// Regression: a corrupt body — with or without a fault spec, there
+    /// is one receive step — used to trip a receive-side `expect`. It must
+    /// come back as a typed outcome the caller degrades on, never a panic,
+    /// and never reach the codec.
+    #[test]
+    fn ingest_piece_rejects_corruption_instead_of_panicking() {
+        let spec = WireSpec::parse("rle").unwrap();
+        let payload = Payload::F32(vec![0.25, 0.5, 0.75, 1.0]);
+        let mut piece = pack(&spec, &payload, 1, &mut DeltaMap::new());
         piece.body[0] ^= 0x40;
         let mut rx = DeltaMap::new();
-        let err =
-            ingest_clean(spec.codec_for(TagClass::BlockData), &piece, 0, 1, &mut rx).unwrap_err();
-        assert_eq!(err, "checksum mismatch");
+        assert!(matches!(ingest(&spec, &piece, 1, &mut rx), Ingest::Corrupt));
         assert!(rx.is_empty(), "a rejected piece must not advance receiver delta state");
     }
 
-    /// Regression: a missing marker is fault-plan bookkeeping — arriving
-    /// without a plan it is rejected, not ingested and not a panic.
+    /// A missing marker is bookkeeping, never values: it comes back as
+    /// `Missing` with the length it reports — by type it cannot be
+    /// ingested — and one whose envelope is off is rejected, not a panic.
     #[test]
-    fn ingest_clean_rejects_stray_missing_marker() {
+    fn ingest_piece_never_ingests_a_missing_marker() {
         let spec = WireSpec::parse("raw").unwrap();
-        let mut tx = DeltaMap::new();
-        let piece = pack_piece(
-            &spec,
-            spec.codec_for(TagClass::BlockData),
-            (3, 7, 0),
-            &Payload::Missing(16),
-            1,
-            &mut tx,
-            true,
-        );
+        let mut piece = missing_piece(7, 0, 16);
+        assert_eq!(piece.value_len(), 16);
         let mut rx = DeltaMap::new();
-        let err =
-            ingest_clean(spec.codec_for(TagClass::BlockData), &piece, 0, 1, &mut rx).unwrap_err();
-        assert_eq!(err, "missing marker without a fault plan");
+        assert!(matches!(ingest(&spec, &piece, 1, &mut rx), Ingest::Missing(16)));
+        piece.body.push(0);
+        piece.checksum = piece_checksum(&piece);
+        let Ingest::Reject(why) = ingest(&spec, &piece, 1, &mut rx) else {
+            panic!("a marker with a 5-byte body must be rejected");
+        };
+        assert_eq!(why, "malformed missing marker");
+        assert!(rx.is_empty(), "markers must not touch receiver delta state");
     }
 
     /// Regression: a delta piece whose base the receiver never decoded
     /// (e.g. state cleared at a rejoin boundary) is a typed rejection.
     #[test]
-    fn ingest_clean_rejects_delta_with_unavailable_base() {
+    fn ingest_piece_rejects_delta_with_unavailable_base() {
         let spec = WireSpec::parse("rle,delta,keyframe=4").unwrap();
-        let payload = Payload::F32(vec![0.25, 0.5, 0.75, 1.0]);
         let mut tx = DeltaMap::new();
         // step 1 primes the sender lane, step 2 emits a true delta piece
-        let _ = pack_piece(
-            &spec,
-            spec.codec_for(TagClass::BlockData),
-            (3, 7, 0),
-            &payload,
-            1,
-            &mut tx,
-            true,
-        );
-        let next = Payload::F32(vec![0.5, 0.5, 0.75, 1.5]);
-        let piece = pack_piece(
-            &spec,
-            spec.codec_for(TagClass::BlockData),
-            (3, 7, 0),
-            &next,
-            2,
-            &mut tx,
-            true,
-        );
+        let _ = pack(&spec, &Payload::F32(vec![0.25, 0.5, 0.75, 1.0]), 1, &mut tx);
+        let piece = pack(&spec, &Payload::F32(vec![0.5, 0.5, 0.75, 1.5]), 2, &mut tx);
         assert_ne!(piece.base_step, KEYFRAME, "step 2 must actually delta");
-        let mut rx = DeltaMap::new();
-        let err =
-            ingest_clean(spec.codec_for(TagClass::BlockData), &piece, 0, 2, &mut rx).unwrap_err();
-        assert_eq!(err, "delta base unavailable");
+        let Ingest::Reject(why) = ingest(&spec, &piece, 2, &mut DeltaMap::new()) else {
+            panic!("a delta without its base must be rejected");
+        };
+        assert_eq!(why, "delta base unavailable");
     }
 }

@@ -138,7 +138,8 @@ pub fn wait_all<I: IntoIterator<Item = SendHandle>>(handles: I) {
 struct Shared {
     senders: Vec<Sender<Envelope>>,
     stats: Arc<TrafficStats>,
-    /// Fault schedule consulted by lossy sends; `None` = reliable world.
+    /// Fault schedule consulted by lossy sends; `None`, or a plan that
+    /// cannot inject anything, = reliable world.
     faults: Option<Arc<FaultPlan>>,
 }
 
@@ -171,8 +172,10 @@ impl World {
     }
 
     /// Like [`World::run_traced`] but with an optional fault plan: lossy
-    /// sends consult it, and sends to a rank that has already exited (a
-    /// scripted failure) are swallowed instead of panicking.
+    /// sends consult it, and — when it can inject anything
+    /// ([`crate::FaultSpec::can_inject`]) — sends to a rank that has
+    /// already exited (a scripted failure) are swallowed instead of
+    /// panicking.
     pub fn run_faulted<R, F>(
         n: usize,
         stats: Arc<TrafficStats>,
@@ -307,7 +310,8 @@ impl Comm {
     /// Buffered send subject to the world's fault plan: when a plan is
     /// active the message may be dropped on the wire or delayed by the
     /// plan's `delay_ms` (the sender blocks, modelling a congested link).
-    /// Without a plan this is exactly [`Comm::send_with_size`].
+    /// Without a plan, or under one that never fires, this is exactly
+    /// [`Comm::send_with_size`].
     pub fn send_lossy_with_size<T: Send + 'static>(
         &self,
         dst: usize,
@@ -391,11 +395,12 @@ impl Comm {
             payload,
             ack,
         });
-        // A dropped receiver means the destination thread returned. In a
-        // fault-injected world that is a scripted rank death — the send
-        // completes locally (the returned envelope drops here) so
+        // A dropped receiver means the destination thread returned. Under
+        // a plan that can inject faults that is a scripted rank death — the
+        // send completes locally (the returned envelope drops here) so
         // survivors keep running; otherwise it is a real bug.
-        if result.is_err() && self.shared.faults.is_none() {
+        let scripted = || self.shared.faults.as_ref().is_some_and(|p| p.spec().can_inject());
+        if result.is_err() && !scripted() {
             panic!("receiving rank has exited");
         }
     }
@@ -406,19 +411,22 @@ impl Comm {
     /// [`RECV_TIMEOUT`] without a match (deadlock guard).
     pub fn recv<T: Send + 'static>(&self, src: usize, tag: u64) -> T {
         assert!(tag & COLL_BIT == 0, "user tags must not set the top bit");
-        self.recv_matched(Some(self.ranks[src]), tag).1
+        self.recv_matched(Some(self.ranks[src]), tag..=tag).2
     }
 
     /// Blocking receive from *any* source; returns `(source rank, value)`.
     pub fn recv_any<T: Send + 'static>(&self, tag: u64) -> (usize, T) {
         assert!(tag & COLL_BIT == 0, "user tags must not set the top bit");
-        let (src_world, v) = self.recv_matched(None, tag);
-        let src = self
-            .ranks
+        let (src_world, _, v) = self.recv_matched(None, tag..=tag);
+        (self.rank_of(src_world), v)
+    }
+
+    /// The communicator rank of world rank `src_world`, a message's sender.
+    fn rank_of(&self, src_world: usize) -> usize {
+        self.ranks
             .iter()
             .position(|&w| w == src_world)
-            .expect("message from a rank outside this communicator");
-        (src, v)
+            .expect("message from a rank outside this communicator")
     }
 
     /// Non-blocking receive: `Some(value)` if a matching message has
@@ -466,23 +474,23 @@ impl Comm {
         self.recv_timeout(src, tag, timeout).ok()
     }
 
-    /// Deadline-aware receive from *any* source of any tag in `tags`:
-    /// `Some((source rank, tag, value))`, or `None` once `timeout` expires
-    /// unmatched. A range lets a receiver that gave an earlier tag up at
-    /// its deadline still match — and so complete — what arrives late.
+    /// Receive from *any* source of any tag in `tags`: `Some((source rank,
+    /// tag, value))`, or `None` once `timeout` expires unmatched. Without a
+    /// timeout it blocks like [`Comm::recv_any`], under the same
+    /// [`RECV_TIMEOUT`] deadlock guard. A range lets a receiver that gave
+    /// an earlier tag up at its deadline still match — and so complete —
+    /// what arrives late.
     pub fn recv_any_for<T: Send + 'static>(
         &self,
         tags: RangeInclusive<u64>,
-        timeout: Duration,
+        timeout: Option<Duration>,
     ) -> Option<(usize, u64, T)> {
         assert!(tags.end() & COLL_BIT == 0, "user tags must not set the top bit");
-        let (src_world, tag, v) = self.recv_matched_deadline(None, tags, timeout)?;
-        let src = self
-            .ranks
-            .iter()
-            .position(|&w| w == src_world)
-            .expect("message from a rank outside this communicator");
-        Some((src, tag, v))
+        let (src_world, tag, v) = match timeout {
+            Some(timeout) => self.recv_matched_deadline(None, tags, timeout)?,
+            None => self.recv_matched(None, tags),
+        };
+        Some((self.rank_of(src_world), tag, v))
     }
 
     fn recv_matched_deadline<T: Send + 'static>(
@@ -519,33 +527,18 @@ impl Comm {
         }
     }
 
-    fn recv_matched<T: Send + 'static>(&self, src_world: Option<usize>, tag: u64) -> (usize, T) {
-        let mut mb = self.mailbox.borrow_mut();
-        let matches = |e: &Envelope| {
-            e.comm == self.id && e.tag == tag && src_world.is_none_or(|s| e.src_world == s)
-        };
-        if let Some(pos) = mb.pending.iter().position(matches) {
-            let (src, payload) = mb.pending.swap_remove(pos).open();
-            return (src, Self::downcast(payload, tag));
-        }
-        // only the actually-blocking path gets a span; matched-from-pending
-        // receives above are free
-        let _sp = obs::auto_span(obs::Phase::CommRecv, obs::NO_STEP);
-        let deadline = std::time::Instant::now() + RECV_TIMEOUT;
-        loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            let env = mb.rx.recv_timeout(remaining).unwrap_or_else(|_| {
-                panic!(
-                    "rank {} (comm {}): recv(src={:?}, tag={}) unmatched after {:?} — deadlock?",
-                    self.my_rank, self.id, src_world, tag, RECV_TIMEOUT
-                )
-            });
-            if matches(&env) {
-                let (src, payload) = env.open();
-                return (src, Self::downcast(payload, tag));
-            }
-            mb.pending.push(env);
-        }
+    /// The blocking receive: a deadline receive under the deadlock guard.
+    fn recv_matched<T: Send + 'static>(
+        &self,
+        src_world: Option<usize>,
+        tags: RangeInclusive<u64>,
+    ) -> (usize, u64, T) {
+        self.recv_matched_deadline(src_world, tags.clone(), RECV_TIMEOUT).unwrap_or_else(|| {
+            panic!(
+                "rank {} (comm {}): recv(src={:?}, tags={:?}) unmatched after {:?} — deadlock?",
+                self.my_rank, self.id, src_world, tags, RECV_TIMEOUT
+            )
+        })
     }
 
     fn downcast<T: 'static>(payload: Box<dyn Any + Send>, tag: u64) -> T {
@@ -570,7 +563,7 @@ impl Comm {
     }
 
     fn coll_recv<T: Send + 'static>(&self, src: usize, tag: u64) -> T {
-        self.recv_matched(Some(self.ranks[src]), tag).1
+        self.recv_matched(Some(self.ranks[src]), tag..=tag).2
     }
 
     /// Block until every rank of the communicator has entered the barrier.
@@ -1293,14 +1286,16 @@ mod tests {
             if comm.rank() == 0 {
                 let mut got = Vec::new();
                 for _ in 1..comm.size() {
-                    let (src, tag, v) =
-                        comm.recv_any_for::<usize>(3..=4, Duration::from_secs(10)).unwrap();
+                    // no timeout: blocks under the deadlock guard
+                    let (src, tag, v) = comm.recv_any_for::<usize>(3..=4, None).unwrap();
                     assert_eq!(tag, 4);
                     assert_eq!(v, src * 3);
                     got.push(src);
                 }
                 got.sort();
-                assert!(comm.recv_any_for::<usize>(4..=4, Duration::from_millis(5)).is_none());
+                assert!(comm
+                    .recv_any_for::<usize>(4..=4, Some(Duration::from_millis(5)))
+                    .is_none());
                 got == vec![1, 2]
             } else {
                 comm.send(0, 4, comm.rank() * 3);
@@ -1362,23 +1357,32 @@ mod tests {
         assert!(out.iter().all(|&b| b));
     }
 
-    #[test]
-    fn send_to_exited_rank_swallowed_under_fault_plan() {
-        use crate::fault::FaultSpec;
-        // rank 1 exits immediately (scripted death); rank 0's later sends
-        // must not panic the world
-        let plan = FaultPlan::new(FaultSpec::parse("seed=1,fail_rank=1@0").unwrap());
+    /// Rank 1 exits immediately; rank 0 sends to it afterwards.
+    fn send_to_exited_rank(spec: crate::fault::FaultSpec) {
+        let plan = FaultPlan::new(spec);
         let out = World::run_faulted(2, TrafficStats::new(), Some(plan), |comm| {
             if comm.rank() == 0 {
                 std::thread::sleep(Duration::from_millis(50));
                 comm.send(1, 9, 1u32);
                 drop(comm.isend(1, 9, 2u32)); // fire-and-forget: no panic either way
-                true
-            } else {
-                true // exit at once, dropping the mailbox
             }
+            true // rank 1 exits at once, dropping the mailbox
         });
         assert!(out.iter().all(|&b| b));
+    }
+
+    #[test]
+    fn send_to_exited_rank_swallowed_under_fault_plan() {
+        // a scripted death: rank 0's later sends must not panic the world
+        send_to_exited_rank(crate::fault::FaultSpec::parse("seed=1,fail_rank=1@0").unwrap());
+    }
+
+    /// Every pipeline run carries a plan; one that cannot inject anything
+    /// scripts no death, so a send to an exited rank is still a bug.
+    #[test]
+    #[should_panic(expected = "rank thread panicked")]
+    fn send_to_exited_rank_panics_under_a_plan_that_cannot_inject() {
+        send_to_exited_rank(Default::default());
     }
 
     #[test]

@@ -277,6 +277,28 @@ impl FaultSpec {
             .collect()
     }
 
+    /// Whether a plan built from this spec can ever fire: some probability
+    /// is positive or some event is scripted. The empty spec cannot — the
+    /// plan every run without a spec carries — and neither can a bare
+    /// `seed=…`. Receivers arm their delivery deadline, and a send to an
+    /// exited rank is survivable, exactly when this holds.
+    pub fn can_inject(&self) -> bool {
+        let rolls = [
+            self.read_transient,
+            self.read_corrupt,
+            self.read_slow,
+            self.send_drop,
+            self.send_delay,
+            self.wire_corrupt,
+        ];
+        rolls.iter().any(|&p| p > 0.0)
+            || self.fail_rank.is_some()
+            || !self.rank_timeline.is_empty()
+            || self.fail_controller.is_some()
+            || self.slow_rank.is_some()
+            || self.fail_prefetch.is_some()
+    }
+
     /// The spec from `QUAKEVIZ_FAULTS`; `None` when unset, empty or `0`.
     pub fn from_env() -> Option<FaultSpec> {
         let v = std::env::var("QUAKEVIZ_FAULTS").ok()?;
@@ -830,6 +852,13 @@ mod tests {
     #[test]
     fn empty_spec_is_fault_free() {
         let spec = FaultSpec::parse("").unwrap();
+        assert!(!spec.can_inject() && !FaultSpec::default().can_inject());
+        assert!(!FaultSpec::parse("seed=7,slow_factor=3,delay_ms=5").unwrap().can_inject());
+        let armed = "read_slow=0.1 wire_corrupt=0.5 send_delay=1 fail_rank=1@2 recover_rank=3@2 \
+                     fail_controller=4 slow_rank=2@8 fail_prefetch=1";
+        for spec in armed.split(' ') {
+            assert!(FaultSpec::parse(spec).unwrap().can_inject(), "{spec}");
+        }
         let plan = FaultPlan::new(spec);
         for site in 0..1000u64 {
             assert_eq!(plan.read_fault(site, 0, String::new), None);

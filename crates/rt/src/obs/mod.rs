@@ -450,7 +450,9 @@ fn open_span(phase: Phase, step: u32, auto: bool) -> SpanGuard {
                         phase,
                         step,
                         start,
-                        start_us: tls.epoch.elapsed().as_micros() as u64,
+                        // from the same clock read as `start`, so that
+                        // ⌊start⌋ + ⌊dur⌋ never passes the next span's start
+                        start_us: start.duration_since(tls.epoch).as_micros() as u64,
                         bytes: 0,
                     }),
                 }

@@ -84,20 +84,22 @@ ratchet() { # <what> <max> <count>
     fi
 }
 
-# Panic sites: `.unwrap()` / `.expect(` in the pipeline, and — under its
-# own limit, so neither hides the other's drift — in the comm layer.
+# Panic sites: `.unwrap()` / `.expect(` and the panicking macros in the
+# pipeline, and — under its own limit, so neither hides the other's drift —
+# in the comm layer.
+PANIC_SITES='\\.unwrap\\(\\)|\\.expect\\(|panic!\\(|unreachable!\\(|unimplemented!\\(|todo!\\('
 PANIC_SITES_MAX=1
-PANIC_SITES_COMM_MAX=15
+PANIC_SITES_COMM_MAX=18
 ratchet "panic-site (pipeline.rs + membership.rs)" "$PANIC_SITES_MAX" "$(count_sites \
-    '\\.unwrap\\(\\)|\\.expect\\(' crates/core/src/pipeline.rs crates/core/src/membership.rs)"
+    "$PANIC_SITES" crates/core/src/pipeline.rs crates/core/src/membership.rs)"
 ratchet "panic-site (rt/src/comm.rs)" "$PANIC_SITES_COMM_MAX" "$(count_sites \
-    '\\.unwrap\\(\\)|\\.expect\\(' crates/rt/src/comm.rs)"
+    "$PANIC_SITES" crates/rt/src/comm.rs)"
 
 # Wall-clock sites: `Instant::now()` / `thread::sleep(` in the runtime
 # crates — each is a place real time leaks into the protocol, and the
 # count the virtual-time work (ROADMAP) drives down to its
 # Clock/Transport seams.
-WALL_CLOCK_SITES_MAX=29
+WALL_CLOCK_SITES_MAX=26
 mapfile -t runtime_sources < <(find crates/core/src crates/rt/src crates/parfs/src -name '*.rs')
 ratchet "wall-clock-site (crates/{core,rt,parfs}/src)" "$WALL_CLOCK_SITES_MAX" "$(count_sites \
     'Instant::now\\(\\)|thread::sleep\\(' "${runtime_sources[@]}")"

@@ -170,6 +170,24 @@ fn late_data_degrades_without_stalling_the_prefetch_cap() {
     assert_eq!(report.frames.len(), ds.steps(), "every frame must still be delivered");
     let late: Vec<usize> = (0..ds.steps()).filter(|&t| !report.degraded[t].is_empty()).collect();
     assert!(late.iter().any(|&t| t + 3 < ds.steps()), "no step was late mid-run: {late:?}");
+
+    // the same slept reads with nothing to inject: data can only be slow,
+    // never lost, so the renderers wait for it however short the delivery
+    // deadline is — a clean run never degrades because its input was late
+    if FaultSpec::from_env().is_some() {
+        println!("QUAKEVIZ_FAULTS arms the delivery deadline of the no-spec run: case skipped");
+        return;
+    }
+    let clean = |b: PipelineBuilder| b.prefetch(true).run().expect("clean pipeline");
+    let prompt = clean(builder(&ds, IoStrategy::OneDip { input_procs: 1 }));
+    let slept = clean(
+        builder(&ds, IoStrategy::OneDip { input_procs: 1 })
+            .io_delay_scale(2.0)
+            .delivery_deadline_ms(1),
+    );
+    assert!(slept.recovery.is_none(), "no spec, no recovery section");
+    assert_eq!(slept.degraded_frame_count(), 0, "slow input degraded a clean run");
+    assert_all_frames_identical(&prompt, &slept, "slept reads, 1 ms deadline, no fault spec");
 }
 
 /// A scripted input-rank death inside a 2DIP group: the survivors detect

@@ -106,4 +106,22 @@ fn prefetch_backpressure_engages_with_more_steps_than_slots() {
     for (t, (a, b)) in sync.frames.iter().zip(&pre.frames).enumerate() {
         assert_eq!(a.pixels(), b.pixels(), "frame {t} differs");
     }
+    // more renderers than blocks: a renderer that is owed no values must
+    // still match the (empty) batches sent to it, or the in-flight cap
+    // waits on their handles until the deadlock guard fires
+    let sparse = |prefetch: bool| {
+        PipelineBuilder::new(&ds)
+            .renderers(3)
+            .block_level(0)
+            .io_strategy(io)
+            .image_size(64, 64)
+            .prefetch(prefetch)
+            .run()
+            .expect("pipeline")
+    };
+    let (sync, pre) = (sparse(false), sparse(true));
+    assert_eq!(pre.frames.len(), 6);
+    for (t, (a, b)) in sync.frames.iter().zip(&pre.frames).enumerate() {
+        assert_eq!(a.pixels(), b.pixels(), "one block, three renderers: frame {t} differs");
+    }
 }
