@@ -170,11 +170,7 @@ fn main() {
             eprintln!("--chaos generates its own fault plan; drop --faults");
             std::process::exit(2);
         }
-        let n_inputs = match io {
-            IoStrategy::OneDip { input_procs } => input_procs,
-            IoStrategy::TwoDip { groups, per_group } => groups * per_group,
-        };
-        let input_kills = matches!(io, IoStrategy::TwoDip { per_group, .. } if per_group >= 2);
+        let (n_inputs, input_kills) = (io.total_input_procs(), io.shape().1 >= 2);
         let topo = rt_chaos::ChaosTopology { n_inputs, renderers, steps, input_kills };
         let schedule = rt_chaos::compose(&rt_chaos::chaos_clauses(seed, &topo));
         faults = Some(FaultSpec::parse(&schedule).expect("generated chaos schedule must parse"));

@@ -29,10 +29,11 @@
 //!   frame-serving is all-or-nothing per run, so degraded rendering's
 //!   last-known-good state never diverges between cold and warm runs.
 
-use quakeviz_render::{Camera, Rgba, RgbaImage, TransferFunction};
+use quakeviz_render::{Camera, RgbaImage, TransferFunction};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default block-cache capacity when `QUAKEVIZ_CACHE` enables the tier
 /// without sizing it.
@@ -133,46 +134,46 @@ pub struct BlockKey {
     pub level: u8,
 }
 
-/// Checksum of a decoded field buffer.
-pub fn field_checksum(data: &[[f32; 3]]) -> u64 {
+/// Checksum of a buffer of `f32` vectors (decoded field nodes, pixels).
+pub fn field_checksum<const N: usize>(data: &[[f32; N]]) -> u64 {
     fnv1a_words(
         FNV_OFFSET,
         data.iter().flat_map(|v| v.iter().map(|c| c.to_bits() as u64)).collect::<Vec<_>>(),
     )
 }
 
-struct BlockEntry {
-    data: Arc<Vec<[f32; 3]>>,
+/// One checksummed entry of the [`Lru`].
+struct Entry<V> {
+    value: V,
     checksum: u64,
-    bytes: u64,
+    cost: u64,
     last_used: u64,
 }
 
-struct BlockInner {
+struct LruInner<K, V> {
     capacity: u64,
-    bytes: u64,
+    cost: u64,
     tick: u64,
-    map: HashMap<BlockKey, BlockEntry>,
+    map: HashMap<K, Entry<V>>,
 }
 
-/// The per-input-rank block level: byte-bounded LRU over decoded fields.
-pub struct BlockCache {
-    inner: Mutex<BlockInner>,
+/// The one cache both levels are faces of: a capacity-bounded LRU whose
+/// entries carry the checksum they were inserted with and are re-verified
+/// on every get.
+struct Lru<K, V> {
+    inner: Mutex<LruInner<K, V>>,
+    checksum: fn(&V) -> u64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     rejects: AtomicU64,
 }
 
-impl BlockCache {
-    pub fn new(capacity_bytes: u64) -> BlockCache {
-        BlockCache {
-            inner: Mutex::new(BlockInner {
-                capacity: capacity_bytes,
-                bytes: 0,
-                tick: 0,
-                map: HashMap::new(),
-            }),
+impl<K: Copy + Eq + Hash, V: Clone> Lru<K, V> {
+    fn new(capacity: u64, checksum: fn(&V) -> u64) -> Self {
+        Lru {
+            inner: Mutex::new(LruInner { capacity, cost: 0, tick: 0, map: HashMap::new() }),
+            checksum,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -180,55 +181,49 @@ impl BlockCache {
         }
     }
 
-    /// Whether the level holds anything at all (capacity 0 = disabled).
-    pub fn enabled(&self) -> bool {
-        self.inner.lock().unwrap().capacity > 0
+    fn lock(&self) -> MutexGuard<'_, LruInner<K, V>> {
+        self.inner.lock().unwrap()
     }
 
-    /// Look up a block; the stored checksum is re-verified before the data
-    /// is served — a mismatch drops the entry and counts as a reject+miss.
-    pub fn get(&self, key: BlockKey) -> Option<Arc<Vec<[f32; 3]>>> {
-        let mut inner = self.inner.lock().unwrap();
+    /// Look up a value; the stored checksum is re-verified before it is
+    /// served — a mismatch drops the entry and counts as a reject+miss.
+    fn get(&self, key: K) -> Option<V> {
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         let Some(e) = inner.map.get_mut(&key) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         };
-        if field_checksum(&e.data) != e.checksum {
-            let bytes = e.bytes;
+        if (self.checksum)(&e.value) != e.checksum {
+            let cost = e.cost;
             inner.map.remove(&key);
-            inner.bytes -= bytes;
+            inner.cost -= cost;
             self.rejects.fetch_add(1, Ordering::Relaxed);
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         e.last_used = tick;
-        let data = Arc::clone(&e.data);
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(data)
+        Some(e.value.clone())
     }
 
-    /// Insert a block, evicting least-recently-used entries until the
-    /// capacity bound holds again. Returns the evicted keys in eviction
-    /// order (the recency certificate the property tests check). An entry
-    /// larger than the whole capacity is not stored.
-    pub fn insert(&self, key: BlockKey, data: Arc<Vec<[f32; 3]>>) -> Vec<BlockKey> {
-        let bytes = (data.len() * 12) as u64;
-        let checksum = field_checksum(&data);
-        let mut inner = self.inner.lock().unwrap();
-        if bytes > inner.capacity {
+    /// Insert a value of the given cost and return the keys evicted, least
+    /// recently used first. A value costlier than the capacity is not stored.
+    fn insert(&self, key: K, value: V, cost: u64) -> Vec<K> {
+        let checksum = (self.checksum)(&value);
+        let mut inner = self.lock();
+        if cost > inner.capacity {
             return Vec::new();
         }
         inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(old) = inner.map.remove(&key) {
-            inner.bytes -= old.bytes;
+        let entry = Entry { value, checksum, cost, last_used: inner.tick };
+        if let Some(old) = inner.map.insert(key, entry) {
+            inner.cost -= old.cost;
         }
-        inner.map.insert(key, BlockEntry { data, checksum, bytes, last_used: tick });
-        inner.bytes += bytes;
+        inner.cost += cost;
         let mut evicted = Vec::new();
-        while inner.bytes > inner.capacity {
+        while inner.cost > inner.capacity {
             let lru = *inner
                 .map
                 .iter()
@@ -237,28 +232,60 @@ impl BlockCache {
                 .expect("over capacity implies an older entry exists")
                 .0;
             let e = inner.map.remove(&lru).unwrap();
-            inner.bytes -= e.bytes;
+            inner.cost -= e.cost;
             evicted.push(lru);
         }
         self.evictions.fetch_add(evicted.len() as u64, Ordering::Relaxed);
         evicted
     }
 
+    /// Drop every entry whose key fails `keep`.
+    fn retain(&self, keep: impl Fn(&K) -> bool) {
+        let mut inner = self.lock();
+        inner.map.retain(|k, _| keep(k));
+        inner.cost = inner.map.values().map(|e| e.cost).sum();
+    }
+}
+
+/// The per-input-rank block level: byte-bounded LRU over decoded fields.
+pub struct BlockCache(Lru<BlockKey, Arc<Vec<[f32; 3]>>>);
+
+impl BlockCache {
+    pub fn new(capacity_bytes: u64) -> BlockCache {
+        BlockCache(Lru::new(capacity_bytes, |data| field_checksum(data)))
+    }
+
+    /// Whether the level holds anything at all (capacity 0 = disabled).
+    pub fn enabled(&self) -> bool {
+        self.0.lock().capacity > 0
+    }
+
+    /// Look up a block, checksum-verified: a mismatch is a reject+miss.
+    pub fn get(&self, key: BlockKey) -> Option<Arc<Vec<[f32; 3]>>> {
+        self.0.get(key)
+    }
+
+    /// Insert a block and return the keys evicted to restore the capacity
+    /// bound, in eviction order (the recency certificate the property tests
+    /// check). An entry larger than the whole capacity is not stored.
+    pub fn insert(&self, key: BlockKey, data: Arc<Vec<[f32; 3]>>) -> Vec<BlockKey> {
+        let bytes = (data.len() * 12) as u64;
+        self.0.insert(key, data, bytes)
+    }
+
     /// Drop every entry (elastic commits, fingerprint mismatches).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.map.clear();
-        inner.bytes = 0;
+        self.0.retain(|_| false);
     }
 
     /// Resident bytes.
     pub fn bytes(&self) -> u64 {
-        self.inner.lock().unwrap().bytes
+        self.0.lock().cost
     }
 
     /// Resident entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        self.0.lock().map.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -323,113 +350,33 @@ pub fn tf_hash(tf: &TransferFunction, quantize: bool, lighting: bool, lic: bool,
     h
 }
 
-fn image_checksum(pixels: &[Rgba]) -> u64 {
-    fnv1a_words(
-        FNV_OFFSET,
-        pixels.iter().flat_map(|p| p.iter().map(|c| c.to_bits() as u64)).collect::<Vec<_>>(),
-    )
-}
-
-struct FrameEntry {
-    width: u32,
-    height: u32,
-    pixels: Arc<Vec<Rgba>>,
-    checksum: u64,
-    last_used: u64,
-}
-
-struct FrameInner {
-    capacity: usize,
-    tick: u64,
-    map: HashMap<FrameKey, FrameEntry>,
-}
-
 /// The rendered-frame level: count-bounded LRU over final frames.
-pub struct FrameCache {
-    inner: Mutex<FrameInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    rejects: AtomicU64,
-}
+pub struct FrameCache(Lru<FrameKey, RgbaImage>);
 
 impl FrameCache {
     pub fn new(capacity_frames: usize) -> FrameCache {
-        FrameCache {
-            inner: Mutex::new(FrameInner {
-                capacity: capacity_frames,
-                tick: 0,
-                map: HashMap::new(),
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            rejects: AtomicU64::new(0),
-        }
+        FrameCache(Lru::new(capacity_frames as u64, |img| field_checksum(img.pixels())))
     }
 
     pub fn enabled(&self) -> bool {
-        self.inner.lock().unwrap().capacity > 0
+        self.0.lock().capacity > 0
     }
 
     /// Whether a frame is present, without touching recency or counters
     /// (the output stage's pre-run warm probe).
     pub fn contains(&self, key: FrameKey) -> bool {
-        self.inner.lock().unwrap().map.contains_key(&key)
+        self.0.lock().map.contains_key(&key)
     }
 
     /// Serve a frame, checksum-verified like [`BlockCache::get`].
     pub fn get(&self, key: FrameKey) -> Option<RgbaImage> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let Some(e) = inner.map.get_mut(&key) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        if image_checksum(&e.pixels) != e.checksum {
-            inner.map.remove(&key);
-            self.rejects.fetch_add(1, Ordering::Relaxed);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        e.last_used = tick;
-        let mut img = RgbaImage::new(e.width, e.height);
-        img.pixels_mut().copy_from_slice(&e.pixels);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(img)
+        self.0.get(key)
     }
 
     /// Cache a frame, evicting the least-recently-used past capacity.
     pub fn insert(&self, key: FrameKey, img: &RgbaImage) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.capacity == 0 {
-            return;
-        }
-        inner.tick += 1;
-        let tick = inner.tick;
-        let pixels = Arc::new(img.pixels().to_vec());
-        let checksum = image_checksum(&pixels);
-        inner.map.insert(
-            key,
-            FrameEntry {
-                width: img.width(),
-                height: img.height(),
-                pixels,
-                checksum,
-                last_used: tick,
-            },
-        );
-        while inner.map.len() > inner.capacity {
-            let lru = *inner
-                .map
-                .iter()
-                .filter(|&(k, _)| *k != key)
-                .min_by_key(|&(_, e)| e.last_used)
-                .expect("over capacity implies an older entry exists")
-                .0;
-            inner.map.remove(&lru);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+        if self.enabled() {
+            self.0.insert(key, img.clone(), 1);
         }
     }
 
@@ -437,15 +384,15 @@ impl FrameCache {
     /// assignments changed from that step on, so those keys are suspect;
     /// earlier frames were already delivered under the old epoch).
     pub fn flush_from_step(&self, step: u32) {
-        self.inner.lock().unwrap().map.retain(|k, _| k.step < step);
+        self.0.retain(|k| k.step < step);
     }
 
     pub fn clear(&self) {
-        self.inner.lock().unwrap().map.clear();
+        self.0.retain(|_| false);
     }
 
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        self.0.lock().map.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -508,15 +455,15 @@ impl CacheTier {
 
     pub fn counters(&self) -> CacheCounters {
         CacheCounters {
-            block_hits: self.blocks.hits.load(Ordering::Relaxed),
-            block_misses: self.blocks.misses.load(Ordering::Relaxed),
-            block_evictions: self.blocks.evictions.load(Ordering::Relaxed),
-            block_rejects: self.blocks.rejects.load(Ordering::Relaxed),
+            block_hits: self.blocks.0.hits.load(Ordering::Relaxed),
+            block_misses: self.blocks.0.misses.load(Ordering::Relaxed),
+            block_evictions: self.blocks.0.evictions.load(Ordering::Relaxed),
+            block_rejects: self.blocks.0.rejects.load(Ordering::Relaxed),
             block_bytes: self.blocks.bytes(),
-            frame_hits: self.frames.hits.load(Ordering::Relaxed),
-            frame_misses: self.frames.misses.load(Ordering::Relaxed),
-            frame_evictions: self.frames.evictions.load(Ordering::Relaxed),
-            frame_rejects: self.frames.rejects.load(Ordering::Relaxed),
+            frame_hits: self.frames.0.hits.load(Ordering::Relaxed),
+            frame_misses: self.frames.0.misses.load(Ordering::Relaxed),
+            frame_evictions: self.frames.0.evictions.load(Ordering::Relaxed),
+            frame_rejects: self.frames.0.rejects.load(Ordering::Relaxed),
         }
     }
 }
@@ -571,10 +518,10 @@ mod tests {
         c.insert(k, Arc::clone(&data));
         assert_eq!(c.get(k).unwrap(), data);
         assert_eq!(c.bytes(), 1200);
-        let c2 = c.inner.lock().unwrap().map.len();
+        let c2 = c.0.lock().map.len();
         assert_eq!(c2, 1);
-        assert_eq!(c.hits.load(Ordering::Relaxed), 1);
-        assert_eq!(c.misses.load(Ordering::Relaxed), 1);
+        assert_eq!(c.0.hits.load(Ordering::Relaxed), 1);
+        assert_eq!(c.0.misses.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -602,9 +549,9 @@ mod tests {
         let k = BlockKey { step: 0, block: 0, level: 0 };
         c.insert(k, field(10, 1.0));
         // corrupt the stored checksum to simulate payload drift
-        c.inner.lock().unwrap().map.get_mut(&k).unwrap().checksum ^= 1;
+        c.0.lock().map.get_mut(&k).unwrap().checksum ^= 1;
         assert!(c.get(k).is_none(), "a checksum mismatch must never serve");
-        assert_eq!(c.rejects.load(Ordering::Relaxed), 1);
+        assert_eq!(c.0.rejects.load(Ordering::Relaxed), 1);
         assert!(c.is_empty(), "the poisoned entry must be dropped");
     }
 
@@ -639,7 +586,7 @@ mod tests {
             fc.insert(FrameKey { step, level: 0, camera_hash: 0, tf_hash: 0 }, &img);
         }
         assert_eq!(fc.len(), 2);
-        assert_eq!(fc.evictions.load(Ordering::Relaxed), 3);
+        assert_eq!(fc.0.evictions.load(Ordering::Relaxed), 3);
         // most recent entries survive
         assert!(fc.contains(FrameKey { step: 4, level: 0, camera_hash: 0, tf_hash: 0 }));
         assert!(fc.contains(FrameKey { step: 3, level: 0, camera_hash: 0, tf_hash: 0 }));

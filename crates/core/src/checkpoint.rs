@@ -37,6 +37,7 @@
 use std::fmt;
 
 use crate::control::ControlPlan;
+use quakeviz_parfs::Disk;
 
 /// Manifest file name under the checkpoint directory.
 pub const MANIFEST_FILE: &str = "manifest.bin";
@@ -325,6 +326,51 @@ pub fn decode_field(data: &[u8], path: &str) -> Result<(usize, Vec<f32>), Checkp
 /// Checksum of an encoded field snapshot, as recorded in the manifest.
 pub fn field_checksum(encoded: &[u8]) -> u64 {
     fnv1a(encoded)
+}
+
+/// Read and verify the manifest under `base`: present, well-formed, and
+/// written by a run of this configuration `fingerprint`.
+pub(crate) fn load_manifest(
+    disk: &Disk,
+    base: &str,
+    fingerprint: u64,
+) -> Result<CheckpointManifest, CheckpointError> {
+    let path = manifest_path(base);
+    let (bytes, _) =
+        disk.read_full(&path).map_err(|_| CheckpointError::Missing { path: path.clone() })?;
+    let manifest = CheckpointManifest::decode(&bytes, &path)?;
+    if manifest.fingerprint != fingerprint {
+        return Err(CheckpointError::ConfigMismatch {
+            expected: fingerprint,
+            found: manifest.fingerprint,
+        });
+    }
+    Ok(manifest)
+}
+
+/// Read render rank index `rr`'s field snapshot of the checkpoint that
+/// resumes at `next_step`, verified end to end: the checksum `ck` the
+/// manifest recorded for it, the file's own trailer, the step it was taken
+/// at and its length.
+pub(crate) fn load_field(
+    disk: &Disk,
+    base: &str,
+    next_step: usize,
+    rr: u32,
+    ck: u64,
+    node_count: usize,
+) -> Result<Vec<f32>, CheckpointError> {
+    let path = field_path(base, next_step, rr as usize);
+    let invalid = || CheckpointError::FieldInvalid { path: path.clone() };
+    let (bytes, _) = disk.read_full(&path).map_err(|_| invalid())?;
+    if field_checksum(&bytes) != ck {
+        return Err(invalid());
+    }
+    let (step, values) = decode_field(&bytes, &path)?;
+    if step != next_step || values.len() != node_count {
+        return Err(invalid());
+    }
+    Ok(values)
 }
 
 #[cfg(test)]

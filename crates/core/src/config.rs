@@ -4,7 +4,7 @@ use crate::cache::{CacheConfig, CacheTier};
 use crate::control::ControlConfig;
 use quakeviz_render::{AdaptivePolicy, Camera, TransferFunction};
 use quakeviz_rt::fault::FaultSpec;
-use quakeviz_rt::wire::{Codec, WireSpec};
+use quakeviz_rt::wire::WireSpec;
 use quakeviz_seismic::Dataset;
 use std::sync::Arc;
 use std::time::Duration;
@@ -45,12 +45,20 @@ pub enum IoStrategy {
 }
 
 impl IoStrategy {
+    /// The strategy as a grid of input ranks, `(groups, per_group)`:
+    /// `groups` time steps in flight, each read by `per_group` ranks. 1DIP
+    /// is the paper's n × 1 grid.
+    pub fn shape(&self) -> (usize, usize) {
+        match *self {
+            IoStrategy::OneDip { input_procs } => (input_procs, 1),
+            IoStrategy::TwoDip { groups, per_group } => (groups, per_group),
+        }
+    }
+
     /// Total input-processor ranks the strategy needs.
     pub fn total_input_procs(&self) -> usize {
-        match *self {
-            IoStrategy::OneDip { input_procs } => input_procs,
-            IoStrategy::TwoDip { groups, per_group } => groups * per_group,
-        }
+        let (groups, per_group) = self.shape();
+        groups * per_group
     }
 
     /// Checked [`IoStrategy::total_input_procs`]: rejects zero-sized
@@ -306,11 +314,6 @@ impl PipelineBuilder {
         self
     }
 
-    pub fn adaptive_policy(mut self, p: AdaptivePolicy) -> Self {
-        self.config.adaptive = p;
-        self
-    }
-
     pub fn adaptive_fetch(mut self, on: bool) -> Self {
         self.config.adaptive_fetch = on;
         self
@@ -353,11 +356,6 @@ impl PipelineBuilder {
 
     pub fn camera(mut self, cam: Camera) -> Self {
         self.config.camera = Some(cam);
-        self
-    }
-
-    pub fn transfer(mut self, tf: TransferFunction) -> Self {
-        self.config.transfer = tf;
         self
     }
 
@@ -429,26 +427,6 @@ impl PipelineBuilder {
     /// Full wire configuration (see [`PipelineConfig::wire`]).
     pub fn wire_spec(mut self, spec: WireSpec) -> Self {
         self.config.wire = Some(spec);
-        self
-    }
-
-    /// Select `codec` for every payload class, keeping any delta settings
-    /// already configured.
-    pub fn codec(mut self, codec: Codec) -> Self {
-        let spec = self.config.wire.get_or_insert_with(WireSpec::default);
-        spec.codecs = [codec; quakeviz_rt::TagClass::COUNT];
-        self
-    }
-
-    /// Toggle temporal block deltas (see [`WireSpec::delta`]).
-    pub fn delta(mut self, on: bool) -> Self {
-        self.config.wire.get_or_insert_with(WireSpec::default).delta = on;
-        self
-    }
-
-    /// Keyframe period for delta streams (see [`WireSpec::keyframe_every`]).
-    pub fn keyframe_every(mut self, k: u32) -> Self {
-        self.config.wire.get_or_insert_with(WireSpec::default).keyframe_every = k;
         self
     }
 

@@ -38,6 +38,8 @@
 //! propose/ack/commit wire protocol lives in `core::pipeline` next to the
 //! other tag traffic.
 
+use quakeviz_mesh::lpt_place;
+
 /// Elastic control-plane configuration. Every run hosts a controller;
 /// unless `PipelineConfig::control` is set its period is 0 and it never
 /// ticks.
@@ -226,23 +228,13 @@ pub fn projected_gain(
 }
 
 /// Capacity-aware LPT: assign `blocks` (id, weight) to `rates.len()`
-/// ranks, minimizing the projected completion time `load × rate` — a
-/// rank with rate 4 is charged 4× for every unit of weight it accepts.
-/// Deterministic: blocks are placed heaviest-first (id ascending on
-/// ties), ranks tie-break lowest-index-first; per-rank outputs are
-/// sorted ascending like `Partition::blocks_of`.
+/// ranks by [`lpt_place`], minimizing the projected completion time
+/// `load × rate`. Per-rank outputs are sorted ascending like
+/// `Partition::blocks_of`.
 pub fn assign_capacity(blocks: &[(u32, u64)], rates: &[u64]) -> Vec<Vec<u32>> {
     assert!(!rates.is_empty(), "capacity assignment needs at least one rank");
-    let mut order: Vec<&(u32, u64)> = blocks.iter().collect();
-    order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let mut load = vec![0u64; rates.len()];
     let mut out = vec![Vec::new(); rates.len()];
-    for &&(id, w) in &order {
-        let best =
-            (0..rates.len()).min_by_key(|&r| ((load[r] + w).saturating_mul(rates[r]), r)).unwrap();
-        load[best] += w;
-        out[best].push(id);
-    }
+    lpt_place(blocks.to_vec(), &mut vec![0; rates.len()], rates, |id, r| out[r].push(id));
     for blocks in &mut out {
         blocks.sort_unstable();
     }
@@ -268,6 +260,39 @@ impl Controller {
     pub fn new(cfg: ControlConfig, initial: EpochState, per_group: usize) -> Controller {
         let n_renderers = initial.assignment.len();
         Controller { cfg, state: initial, history: Vec::new(), n_renderers, per_group }
+    }
+
+    /// What the window says about each of the first `active` ranks: the
+    /// block weight it renders now, its busy seconds (0 = no measurement)
+    /// and its quantized slowness rate.
+    fn measured(
+        &self,
+        m: &WindowMeasurement,
+        block_weights: &[u64],
+        active: usize,
+    ) -> (Vec<u64>, Vec<f64>, Vec<u64>) {
+        let weights: Vec<u64> = (0..active)
+            .map(|r| {
+                self.state
+                    .assignment
+                    .get(r)
+                    .map_or(0, |blocks| blocks.iter().map(|&b| block_weights[b as usize]).sum())
+            })
+            .collect();
+        let busy: Vec<f64> =
+            (0..active).map(|r| m.render_busy.get(r).copied().unwrap_or(0.0)).collect();
+        let rates = quantized_rates(&busy, &weights);
+        (weights, busy, rates)
+    }
+
+    /// Every block placed over the first `rates.len()` ranks; the inactive
+    /// tail stays in the assignment, empty.
+    fn assign(&self, block_weights: &[u64], rates: &[u64]) -> Vec<Vec<u32>> {
+        let blocks: Vec<(u32, u64)> =
+            block_weights.iter().enumerate().map(|(b, &w)| (b as u32, w)).collect();
+        let mut assignment = assign_capacity(&blocks, rates);
+        assignment.resize(self.n_renderers, Vec::new());
+        assignment
     }
 
     /// Evaluate the measurement window and propose a plan for the
@@ -309,45 +334,26 @@ impl Controller {
             self.state.input_width
         };
         // -- rebalance: capacity-aware LPT over quantized skew ----------
+        let resized = active != self.state.active;
         let assignment = if self.cfg.rebalance {
-            let weights: Vec<u64> = (0..active)
-                .map(|r| {
-                    self.state
-                        .assignment
-                        .get(r)
-                        .map_or(0, |blocks| blocks.iter().map(|&b| block_weights[b as usize]).sum())
-                })
-                .collect();
-            let busy: Vec<f64> =
-                (0..active).map(|r| m.render_busy.get(r).copied().unwrap_or(0.0)).collect();
-            let rates = quantized_rates(&busy, &weights);
+            let (weights, busy, rates) = self.measured(m, block_weights, active);
             let skewed = rates.iter().any(|&r| r >= 2);
-            let resized = active != self.state.active;
-            let candidate = (skewed || resized).then(|| {
-                let blocks: Vec<(u32, u64)> =
-                    (0..block_weights.len()).map(|b| (b as u32, block_weights[b])).collect();
-                assign_capacity(&blocks, &rates)
-            });
+            let candidate = (skewed || resized).then(|| self.assign(block_weights, &rates));
             // a new prefix needs a new assignment; the same prefix only
             // one that pays for its commit
             match candidate {
-                Some(mut a)
+                Some(a)
                     if resized
                         || projected_gain(&busy, &weights, &a, block_weights) >= MIN_GAIN =>
                 {
-                    a.resize(self.n_renderers, Vec::new());
                     a
                 }
                 _ => self.state.assignment.clone(),
             }
-        } else if active != self.state.active {
+        } else if resized {
             // resize without rebalance still needs an assignment over the
             // new prefix: uniform rates
-            let blocks: Vec<(u32, u64)> =
-                (0..block_weights.len()).map(|b| (b as u32, block_weights[b])).collect();
-            let mut a = assign_capacity(&blocks, &vec![1; active]);
-            a.resize(self.n_renderers, Vec::new());
-            a
+            self.assign(block_weights, &vec![1; active])
         } else {
             self.state.assignment.clone()
         };
@@ -385,26 +391,12 @@ impl Controller {
     ) -> ControlPlan {
         let active =
             if grow { (self.state.active + 1).min(self.n_renderers) } else { self.state.active };
-        let weights: Vec<u64> = (0..active)
-            .map(|r| {
-                self.state
-                    .assignment
-                    .get(r)
-                    .map_or(0, |blocks| blocks.iter().map(|&b| block_weights[b as usize]).sum())
-            })
-            .collect();
-        let busy: Vec<f64> =
-            (0..active).map(|r| m.render_busy.get(r).copied().unwrap_or(0.0)).collect();
-        let rates = quantized_rates(&busy, &weights);
-        let blocks: Vec<(u32, u64)> =
-            (0..block_weights.len()).map(|b| (b as u32, block_weights[b])).collect();
-        let mut assignment = assign_capacity(&blocks, &rates);
-        assignment.resize(self.n_renderers, Vec::new());
+        let (_, _, rates) = self.measured(m, block_weights, active);
         ControlPlan {
             epoch: self.state.epoch + 1,
             apply_at,
             active,
-            assignment,
+            assignment: self.assign(block_weights, &rates),
             input_width: self.state.input_width,
         }
     }
@@ -436,14 +428,8 @@ pub fn overlay_assignment(
     }
     let mut load: Vec<u64> =
         survivors.iter().map(|&r| out[r].iter().map(|&b| weights[b as usize]).sum()).collect();
-    let mut order = orphans;
-    order.sort_by(|&a, &b| weights[b as usize].cmp(&weights[a as usize]).then(a.cmp(&b)));
-    for b in order {
-        let w = weights[b as usize];
-        let i = (0..survivors.len()).min_by_key(|&i| (load[i] + w, i)).unwrap();
-        load[i] += w;
-        out[survivors[i]].push(b);
-    }
+    let orphans: Vec<(u32, u64)> = orphans.iter().map(|&b| (b, weights[b as usize])).collect();
+    lpt_place(orphans, &mut load, &vec![1; survivors.len()], |b, i| out[survivors[i]].push(b));
     for blocks in &mut out {
         blocks.sort_unstable();
     }

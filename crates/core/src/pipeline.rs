@@ -16,7 +16,7 @@
 //! the paper's Figures 8–9 can be reproduced *physically* at small scale.
 
 use crate::cache::{BlockKey, CacheTier, FrameKey};
-use crate::config::{IoStrategy, PipelineConfig, ReadStrategy};
+use crate::config::{PipelineConfig, ReadStrategy};
 use crate::control::{ControlConfig, ControlPlan, Controller, EpochState, WindowMeasurement};
 use crate::membership;
 use crate::reader::{
@@ -88,78 +88,45 @@ fn classify_tag(tag: u64) -> TagClass {
     }
 }
 
-/// Block values as packed by the sender and decoded on the receive side:
-/// raw `f32` or 8-bit quantized (paper §4 lists quantization among the
-/// input-processor preprocessing tasks). A slice the sender could not read
-/// is not a payload but a [`missing_piece`].
-#[derive(Debug, Clone)]
-enum Payload {
-    F32(Vec<f32>),
-    U8(Vec<u8>),
+/// Gather the values of `ids` out of a step's magnitudes into a piece's raw
+/// bytes — the only form block values take between here and the receiver's
+/// field: `f32` little-endian (`kind` 0), or 8-bit quantized against `scale`
+/// (`kind` 1; paper §4 lists quantization among the input-processor
+/// preprocessing tasks). A slice the sender could not read is not values
+/// but a [`missing_piece`].
+fn gather_values(mag: &[f32], ids: &[NodeId], quantize: bool, scale: f32) -> (u8, Vec<u8>) {
+    if quantize {
+        let q = if scale > 0.0 { 255.0 / scale } else { 0.0 };
+        (1, ids.iter().map(|&id| (mag[id as usize] * q).clamp(0.0, 255.0) as u8).collect())
+    } else {
+        let mut raw = Vec::with_capacity(ids.len() * 4);
+        for &id in ids {
+            raw.extend_from_slice(&mag[id as usize].to_le_bytes());
+        }
+        (0, raw)
+    }
 }
 
-impl Payload {
-    fn from_values(values: Vec<f32>, quantize: bool, scale: f32) -> Payload {
-        if quantize {
-            let s = if scale > 0.0 { 255.0 / scale } else { 0.0 };
-            Payload::U8(values.iter().map(|&v| (v * s).clamp(0.0, 255.0) as u8).collect())
-        } else {
-            Payload::F32(values)
+/// The receive end of [`gather_values`]: write a piece's decoded raw bytes
+/// into `field` at `ids`, dequantizing with `scale` when the kind says so.
+fn scatter_values(field: &mut NodeField, ids: &[NodeId], kind: u8, raw: &[u8], scale: f32) {
+    if kind == 0 {
+        for (&id, c) in ids.iter().zip(raw.chunks_exact(4)) {
+            field.set(id, f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
+        }
+    } else {
+        for (&id, &q) in ids.iter().zip(raw) {
+            field.set(id, q as f32 / 255.0 * scale);
         }
     }
+}
 
-    /// Payload kind tag on the wire: 0 = f32, 1 = quantized u8
-    /// ([`KIND_MISSING`] marks a piece that carries no payload).
-    fn kind(&self) -> u8 {
-        match self {
-            Payload::F32(_) => 0,
-            Payload::U8(_) => 1,
-        }
-    }
-
-    /// Element width in bytes, the codec shuffle stride.
-    fn stride(&self) -> usize {
-        match self {
-            Payload::F32(_) => 4,
-            Payload::U8(_) => 1,
-        }
-    }
-
-    /// The raw (pre-codec) byte serialization: f32 values little-endian,
-    /// u8 verbatim.
-    fn raw_bytes(&self) -> Vec<u8> {
-        match self {
-            Payload::F32(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
-            Payload::U8(v) => v.clone(),
-        }
-    }
-
-    /// Reconstruct from decoded raw bytes; `None` on a kind/length the
-    /// wire format cannot have produced.
-    fn from_raw(kind: u8, raw: &[u8]) -> Option<Payload> {
-        match kind {
-            0 if raw.len().is_multiple_of(4) => Some(Payload::F32(
-                raw.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect(),
-            )),
-            1 => Some(Payload::U8(raw.to_vec())),
-            _ => None,
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Payload::F32(v) => v.len(),
-            Payload::U8(v) => v.len(),
-        }
-    }
-
-    /// Value at index `k`, dequantized with `scale` when needed.
-    #[inline]
-    fn get(&self, k: usize, scale: f32) -> f32 {
-        match self {
-            Payload::F32(v) => v[k],
-            Payload::U8(v) => v[k] as f32 / 255.0 * scale,
-        }
+/// Bytes per value of a piece of `kind` — the codec shuffle stride.
+fn kind_stride(kind: u8) -> usize {
+    if kind == 0 {
+        4
+    } else {
+        1
     }
 }
 
@@ -264,31 +231,29 @@ fn missing_piece(bid: u32, offset: u32, n: u32) -> WirePiece {
 /// One per-renderer data message: a batch of block pieces.
 type BlockBatch = Vec<WirePiece>;
 
-/// Temporal-delta state, one side each: senders key by `(dst, bid,
-/// offset)` (a piece re-routed by failover misses and forces a keyframe),
-/// receivers by `(src, bid, offset)`. The value is the step and raw bytes
-/// of the last successfully packed/decoded payload — missing markers,
-/// rejected pieces, and sends the lossy transport reports dropped update
-/// neither side, which is what keeps faulted delta runs bit-identical to
-/// raw ones.
+/// Temporal-delta state, one side each and kept only while deltas travel
+/// ([`WireSpec::delta`]): senders key by `(dst, bid, offset)` (a piece
+/// re-routed by failover misses and forces a keyframe), receivers by
+/// `(src, bid, offset)`. The value is the step and raw bytes of the last
+/// successfully packed/decoded piece — missing markers, rejected pieces,
+/// and sends the lossy transport reports dropped update neither side,
+/// which is what keeps faulted delta runs bit-identical to raw ones.
 type DeltaMap = HashMap<(usize, u32, u32), (u32, Vec<u8>)>;
 
-/// Pack one payload into its wire piece: XOR-delta against the sender's
-/// previous step when allowed (delta mode on, not a keyframe boundary,
-/// same-length base available for this destination), then codec-encode,
-/// then checksum the encoded bytes.
+/// Pack one piece's raw bytes ([`gather_values`]) for the wire: XOR-delta
+/// against the sender's previous step when allowed (delta mode on, not a
+/// keyframe boundary, same-length base available for this destination),
+/// then codec-encode, then checksum the encoded bytes.
 fn pack_piece(
     spec: &WireSpec,
-    codec: Codec,
     key: (usize, u32, u32), // (dst rank, block id, offset) — the delta-state lane
-    payload: &Payload,
+    kind: u8,
+    raw: Vec<u8>,
     t: u32,
     state: &mut DeltaMap,
     advance: bool,
 ) -> WirePiece {
     let (_, bid, offset) = key;
-    let kind = payload.kind();
-    let raw = payload.raw_bytes();
     let raw_len = raw.len() as u32;
     let (base_step, input) = if !spec.delta {
         (KEYFRAME, raw)
@@ -313,7 +278,7 @@ fn pack_piece(
             None => (KEYFRAME, raw),
         }
     };
-    let encoded = codec.encode(input, payload.stride());
+    let encoded = spec.codec_for(TagClass::BlockData).encode(input, kind_stride(kind));
     let mut piece = WirePiece {
         bid,
         offset,
@@ -329,59 +294,81 @@ fn pack_piece(
 }
 
 /// Outcome of verifying + decoding one received piece.
-enum Ingest {
-    Data(Payload),
+enum Ingest<'a> {
+    /// The decoded raw bytes ([`scatter_values`]) of the values at these
+    /// node ids.
+    Data(&'a [NodeId], Vec<u8>),
     Missing(u32),
     /// The checksum over the encoded bytes does not match: never fed to
-    /// the codec.
+    /// the codec, and no envelope field of it is to be trusted.
     Corrupt,
-    /// Verified but undecodable: malformed body, or a delta whose base this
-    /// receiver does not hold (dropped/rejected earlier, or state lost to
-    /// failover before the sender's next keyframe).
+    /// Verified but unusable: an envelope that fits no block of this run,
+    /// a malformed body, or a delta whose base this receiver does not hold
+    /// (dropped/rejected earlier, or state lost to failover before the
+    /// sender's next keyframe).
     Reject(&'static str),
 }
 
 /// The receive step of every piece of every run: verify the checksum on
-/// the encoded bytes, then codec-decode the body, resolve the XOR delta
-/// against this receiver's stored base, and advance the receiver's delta
-/// state. Missing markers, corrupt pieces and rejects leave the state
-/// untouched, mirroring the pack side. No valid sender produces a failing
-/// piece without a fault to inject, but the receiver does not enforce that
-/// with a panic: whatever comes back other than `Data` degrades the block.
-fn ingest_piece(
-    codec: Codec,
-    piece: &WirePiece,
+/// the encoded bytes, place the piece in its block's id list, then
+/// codec-decode the body (a stored one is moved, not copied) and resolve
+/// the XOR delta against this receiver's stored base. Under
+/// [`WireSpec::delta`] — the only mode a delta piece can arrive in — the
+/// decoded bytes are kept as the lane's next base. Missing markers, corrupt
+/// pieces and rejects leave the state untouched, mirroring the pack side.
+/// No valid sender produces a failing piece without a fault to inject, but
+/// the receiver does not enforce that with a panic: whatever comes back
+/// other than `Data` degrades the block.
+fn ingest_piece<'a>(
+    spec: &WireSpec,
+    piece: WirePiece,
+    ids_per_block: &'a [Arc<Vec<NodeId>>],
     src: usize,
     t: u32,
     state: &mut DeltaMap,
-) -> Ingest {
-    if piece_checksum(piece) != piece.checksum {
+) -> Ingest<'a> {
+    if piece_checksum(&piece) != piece.checksum {
         return Ingest::Corrupt;
     }
+    let n = piece.value_len();
+    let Some(ids) = ids_per_block
+        .get(piece.bid as usize)
+        .and_then(|ids| ids.get(piece.offset as usize..)?.get(..n))
+    else {
+        return Ingest::Reject("piece outside its block");
+    };
     if piece.kind == KIND_MISSING {
         return match piece.missing_len() {
             Some(n) if !piece.coded && piece.base_step == KEYFRAME => Ingest::Missing(n),
             _ => Ingest::Reject("malformed missing marker"),
         };
     }
-    let stride = if piece.kind == 0 { 4 } else { 1 };
-    let mut raw = match codec.decode(piece.coded, &piece.body, piece.raw_len as usize, stride) {
-        Ok(r) => r,
-        Err(_) => return Ingest::Reject("undecodable body"),
+    let (codec, stride) = (spec.codec_for(TagClass::BlockData), kind_stride(piece.kind));
+    let raw_len = piece.raw_len as usize;
+    let mut raw = if !piece.coded && piece.body.len() == raw_len {
+        piece.body
+    } else {
+        match codec.decode(piece.coded, &piece.body, raw_len, stride) {
+            Ok(r) => r,
+            Err(_) => return Ingest::Reject("undecodable body"),
+        }
     };
+    let key = (src, piece.bid, piece.offset);
     if piece.base_step != KEYFRAME {
-        match state.get(&(src, piece.bid, piece.offset)) {
+        match state.get(&key) {
             Some((ps, prev)) if *ps == piece.base_step && prev.len() == raw.len() => {
                 wire::xor_in_place(&mut raw, prev)
             }
             _ => return Ingest::Reject("delta base unavailable"),
         }
     }
-    let Some(payload) = Payload::from_raw(piece.kind, &raw) else {
+    if piece.kind > 1 || raw.len() != n * stride {
         return Ingest::Reject("raw payload inconsistent with kind");
-    };
-    state.insert((src, piece.bid, piece.offset), (t, raw));
-    Ingest::Data(payload)
+    }
+    if spec.delta {
+        state.insert(key, (t, raw.clone()));
+    }
+    Ingest::Data(ids, raw)
 }
 
 /// An image payload on the wire: `Plain` keeps the zero-copy path for
@@ -724,13 +711,6 @@ impl PipelineReport {
         self.render_frames.iter().map(|f| f.render_s + f.composite_s).sum::<f64>() / n as f64
     }
 
-    /// Pooled simulated disk seconds per step (what the file-system cost
-    /// model charged, before any delay injection).
-    pub fn mean_sim_read_seconds(&self) -> f64 {
-        let n = self.input_steps.len().max(1);
-        self.input_steps.iter().map(|s| s.read.sim_seconds).sum::<f64>() / n as f64
-    }
-
     /// Mean per-step backpressure wait on the input processors (exposed,
     /// un-hidden send time of the prefetch runtime; 0 when synchronous).
     pub fn mean_send_wait_seconds(&self) -> f64 {
@@ -860,8 +840,7 @@ impl Shared {
     /// Whether a scripted *input*-rank failure inside a 2DIP group — and
     /// with it that group's heartbeat/failover protocol — is active.
     fn input_failover(&self) -> bool {
-        matches!(self.cfg.io, IoStrategy::TwoDip { .. })
-            && self.kill_target().is_some_and(|r| r < self.n_inputs)
+        self.cfg.io.shape().1 > 1 && self.kill_target().is_some_and(|r| r < self.n_inputs)
     }
 
     /// The liveness-detection deadline: how long heartbeat waits (input
@@ -1067,8 +1046,8 @@ fn validate_fail_rank(
         return Err(FaultConfigError::StepOutOfRange { step, steps });
     }
     if rank < n_inputs {
-        let survivable = matches!(config.io, IoStrategy::TwoDip { per_group, .. } if per_group >= 2)
-            && matches!(config.read, ReadStrategy::IndependentContiguous);
+        let survivable =
+            config.io.shape().1 >= 2 && matches!(config.read, ReadStrategy::IndependentContiguous);
         if !survivable {
             return Err(FaultConfigError::InputNotSurvivable { rank, step });
         }
@@ -1245,17 +1224,8 @@ fn load_checkpoint(
     node_count: usize,
     steps: usize,
 ) -> Result<(usize, Vec<Option<Vec<f32>>>, Vec<ControlPlan>), crate::checkpoint::CheckpointError> {
-    use crate::checkpoint::{self, CheckpointError, CheckpointManifest};
-    let mpath = checkpoint::manifest_path(base);
-    let (bytes, _) =
-        disk.read_full(&mpath).map_err(|_| CheckpointError::Missing { path: mpath.clone() })?;
-    let manifest = CheckpointManifest::decode(&bytes, &mpath)?;
-    if manifest.fingerprint != fingerprint {
-        return Err(CheckpointError::ConfigMismatch {
-            expected: fingerprint,
-            found: manifest.fingerprint,
-        });
-    }
+    use crate::checkpoint::{self, CheckpointError};
+    let manifest = checkpoint::load_manifest(disk, base, fingerprint)?;
     if manifest.block_map.len() != n_renderers {
         return Err(CheckpointError::ShapeMismatch {
             detail: format!(
@@ -1275,20 +1245,10 @@ fn load_checkpoint(
     }
     let mut fields: Vec<Option<Vec<f32>>> = vec![None; n_renderers];
     for &(rr, ck) in &manifest.fields {
-        let fpath = checkpoint::field_path(base, manifest.next_step, rr as usize);
-        let invalid = || CheckpointError::FieldInvalid { path: fpath.clone() };
-        if rr as usize >= n_renderers {
-            return Err(invalid());
-        }
-        let (fbytes, _) = disk.read_full(&fpath).map_err(|_| invalid())?;
-        if checkpoint::field_checksum(&fbytes) != ck {
-            return Err(invalid());
-        }
-        let (fstep, values) = checkpoint::decode_field(&fbytes, &fpath)?;
-        if fstep != manifest.next_step || values.len() != node_count {
-            return Err(invalid());
-        }
-        fields[rr as usize] = Some(values);
+        let slot = fields.get_mut(rr as usize).ok_or_else(|| CheckpointError::FieldInvalid {
+            path: checkpoint::field_path(base, manifest.next_step, rr as usize),
+        })?;
+        *slot = Some(checkpoint::load_field(disk, base, manifest.next_step, rr, ck, node_count)?);
     }
     Ok((manifest.next_step, fields, manifest.plans))
 }
@@ -1306,29 +1266,29 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
     if config.checkpoint_every == Some(0) {
         return Err("checkpoint interval must be at least one step".into());
     }
-    if let IoStrategy::TwoDip { per_group, .. } = config.io {
-        let nodes = dataset.mesh().node_count();
-        if per_group > nodes {
-            return Err(format!(
-                "2DIP group width {per_group} exceeds the mesh's {nodes} nodes — \
-                 members would own empty slices"
-            ));
-        }
-        if config.prefetch && matches!(config.read, ReadStrategy::CollectiveNoncontiguous { .. }) {
-            return Err(format!(
-                "prefetch requires ReadStrategy::IndependentContiguous inside 2DIP groups: \
-                 the collective read is lock-step across the {per_group} group members and \
-                 cannot run on a per-rank prefetch worker"
-            ));
-        }
+    let (_, per_group) = config.io.shape();
+    let nodes = dataset.mesh().node_count();
+    if per_group > nodes {
+        return Err(format!(
+            "2DIP group width {per_group} exceeds the mesh's {nodes} nodes — \
+             members would own empty slices"
+        ));
+    }
+    let collective = matches!(config.read, ReadStrategy::CollectiveNoncontiguous { .. });
+    if per_group > 1 && config.prefetch && collective {
+        return Err(format!(
+            "prefetch requires ReadStrategy::IndependentContiguous inside 2DIP groups: \
+             the collective read is lock-step across the {per_group} group members and \
+             cannot run on a per-rank prefetch worker"
+        ));
     }
     if let Some(ctl) = &config.control {
         if ctl.every == 0 {
             return Err("elastic control tick period must be at least one step".into());
         }
         if ctl.reshape {
-            let survivable = matches!(config.io, IoStrategy::TwoDip { per_group, .. } if per_group >= 2)
-                && matches!(config.read, ReadStrategy::IndependentContiguous);
+            let survivable =
+                per_group >= 2 && matches!(config.read, ReadStrategy::IndependentContiguous);
             if !survivable {
                 return Err("elastic reshape requires 2DIP groups of at least two members \
                      with ReadStrategy::IndependentContiguous, so a narrowed input width \
@@ -1441,11 +1401,7 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
     let mut assignment: Vec<Vec<u32>> =
         (0..config.renderers).map(|r| partition.blocks_of(r).to_vec()).collect();
     assignment.resize(total_renderers, Vec::new());
-    let input_width = match config.io {
-        IoStrategy::TwoDip { per_group, .. } => per_group,
-        IoStrategy::OneDip { .. } => 1,
-    };
-    let mut elastic = EpochState::with_active(assignment, config.renderers, input_width);
+    let mut elastic = EpochState::with_active(assignment, config.renderers, per_group);
     for plan in &resume_plans {
         elastic.apply(plan);
     }
@@ -1731,7 +1687,8 @@ fn rank_main(comm: Comm, session: &Arc<Obs>, s: &Shared) -> RankResult {
     let render_ranks: Vec<usize> = (s.n_inputs..s.n_inputs + s.n_renderers).collect();
     let render_comm = comm.group(&render_ranks);
     let mut group_comm = None;
-    if let IoStrategy::TwoDip { groups, per_group } = s.cfg.io {
+    let (groups, per_group) = s.cfg.io.shape();
+    if per_group > 1 {
         for g in 0..groups {
             let members: Vec<usize> = (g * per_group..(g + 1) * per_group).collect();
             let gc = comm.group(&members);
@@ -1857,13 +1814,9 @@ fn input_plan(me: usize, s: &Shared) -> InputPlan {
     // step ownership is keyed by the *absolute* step index, so a resumed
     // run assigns each remaining step to the same rank the uninterrupted
     // run would
-    let (lane, group) = match s.cfg.io {
-        IoStrategy::OneDip { input_procs } => ((me, input_procs), me..me + 1),
-        IoStrategy::TwoDip { groups, per_group } => {
-            let g = me / per_group;
-            ((g, groups), g * per_group..(g + 1) * per_group)
-        }
-    };
+    let (groups, per_group) = s.cfg.io.shape();
+    let g = me / per_group;
+    let (lane, group) = ((g, groups), g * per_group..(g + 1) * per_group);
     let my_steps = (s.start_step..s.steps).filter(|t| t % lane.1 == lane.0).collect();
     InputPlan { my_steps, group, lane, staggered: AtomicBool::new(false) }
 }
@@ -2070,7 +2023,6 @@ fn pack_batches(
     // state: a rank scripted dead at `t` receives nothing, its blocks go
     // to the live active ranks
     let routes = s.owners(state, t);
-    let codec = s.wire.codec_for(TagClass::BlockData);
     let scale = s.dataset.norm_at(t);
     let mut out = Vec::with_capacity(routes.len());
     for (r, blocks) in &routes {
@@ -2096,13 +2048,12 @@ fn pack_batches(
             if a < b {
                 let piece = match mag {
                     Some(mag) => {
-                        let values: Vec<f32> =
-                            ids[a..b].iter().map(|&id| mag[id as usize]).collect();
+                        let (kind, raw) = gather_values(mag, &ids[a..b], s.cfg.quantize, scale);
                         pack_piece(
                             &s.wire,
-                            codec,
                             (dst, bid, a as u32),
-                            &Payload::from_values(values, s.cfg.quantize, scale),
+                            kind,
+                            raw,
                             t as u32,
                             delta,
                             delivered,
@@ -2344,14 +2295,36 @@ fn group_heartbeat(
     }
 }
 
+/// The participant's half of the two-phase plan commit at tick `t`, the
+/// same on every rank: receive the controller's proposal, acknowledge it,
+/// receive the verdict, and on commit apply the plan at this step
+/// boundary. A committed plan clears the caller's delta lanes — senders'
+/// and receivers' alike, so the next piece on every (possibly
+/// reconfigured) route is a natural keyframe — and, since a rebalance
+/// reshapes fetch plans from this step on, conservatively drops cached
+/// blocks and any not-yet-served frames at or past the commit step.
+fn plan_commit(comm: &Comm, s: &Shared, t: usize, state: &mut EpochState, delta: &mut DeltaMap) {
+    let ctl_rank = s.n_inputs + s.n_renderers;
+    let proposal: Option<ControlPlan> = comm.recv(ctl_rank, TAG_CTL + t as u64);
+    let Some(plan) = proposal else {
+        return;
+    };
+    comm.send_with_size(ctl_rank, TAG_CTLA + t as u64, (), 8);
+    let committed: bool = comm.recv(ctl_rank, TAG_CTLA + t as u64);
+    if committed {
+        state.apply(&plan);
+        delta.clear();
+        if let Some(tier) = &s.cache {
+            tier.flush_for_commit(t as u32);
+        }
+    }
+}
+
 /// Participate in every pending control-plane tick `S` in
-/// `(*cursor)..=upto`: receive the controller's proposal, acknowledge it,
-/// and apply it on commit. An input rank owns only every `groups`-th
-/// step, so before working step `t` it must catch up on every tick the
-/// controller clocked in between — and drain the remainder after its
-/// last owned step, so the controller's ack collection never starves.
-/// A committed plan clears the sender-side delta state: the next send on
-/// every (possibly reconfigured) route is a natural keyframe.
+/// `(*cursor)..=upto`. An input rank owns only every `groups`-th step, so
+/// before working step `t` it must catch up on every tick the controller
+/// clocked in between — and drain the remainder after its last owned
+/// step, so the controller's ack collection never starves.
 fn input_ticks(
     comm: &Comm,
     s: &Shared,
@@ -2360,28 +2333,12 @@ fn input_ticks(
     cursor: &mut usize,
     upto: usize,
 ) {
-    let ctl_rank = s.n_inputs + s.n_renderers;
     while *cursor <= upto {
         let t = *cursor;
         *cursor += 1;
-        if !s.control_tick(t) {
-            continue;
-        }
-        let _sp = obs::span(Phase::Control, t as u32);
-        let proposal: Option<ControlPlan> = comm.recv(ctl_rank, TAG_CTL + t as u64);
-        if let Some(plan) = proposal {
-            comm.send_with_size(ctl_rank, TAG_CTLA + t as u64, (), 8);
-            let committed: bool = comm.recv(ctl_rank, TAG_CTLA + t as u64);
-            if committed {
-                elastic.apply(&plan);
-                delta.clear();
-                // a committed rebalance reshapes fetch plans from this
-                // step on: conservatively drop cached blocks and any
-                // not-yet-served frames at or past the commit step
-                if let Some(tier) = &s.cache {
-                    tier.flush_for_commit(t as u32);
-                }
-            }
+        if s.control_tick(t) {
+            let _sp = obs::span(Phase::Control, t as u32);
+            plan_commit(comm, s, t, elastic, delta);
         }
     }
 }
@@ -2529,23 +2486,12 @@ fn write_field_snapshot(s: &Shared, rr: usize, t: usize, field: &NodeField) -> (
 /// checksum or shape mismatch — just means rendering resumes from zeros
 /// until the next data receive refreshes the owned blocks.
 fn catchup_field(s: &Shared, rr: usize) -> Option<Vec<f32>> {
-    use crate::checkpoint::{self, CheckpointManifest};
+    use crate::checkpoint;
     s.cfg.checkpoint_every?;
     let base = &s.cfg.checkpoint_path;
-    let mpath = checkpoint::manifest_path(base);
-    let (bytes, _) = s.disk.read_full(&mpath).ok()?;
-    let manifest = CheckpointManifest::decode(&bytes, &mpath).ok()?;
-    if manifest.fingerprint != s.fingerprint {
-        return None;
-    }
-    let (_, ck) = manifest.fields.iter().find(|&&(r, _)| r as usize == rr).copied()?;
-    let fpath = checkpoint::field_path(base, manifest.next_step, rr);
-    let (fbytes, _) = s.disk.read_full(&fpath).ok()?;
-    if checkpoint::field_checksum(&fbytes) != ck {
-        return None;
-    }
-    let (_, values) = checkpoint::decode_field(&fbytes, &fpath).ok()?;
-    (values.len() == s.mesh.node_count()).then_some(values)
+    let manifest = checkpoint::load_manifest(&s.disk, base, s.fingerprint).ok()?;
+    let &(r, ck) = manifest.fields.iter().find(|&&(r, _)| r as usize == rr)?;
+    checkpoint::load_field(&s.disk, base, manifest.next_step, r, ck, s.mesh.node_count()).ok()
 }
 
 /// Commit the checkpoint after step `t` at the frame assembler: collect
@@ -2636,7 +2582,6 @@ fn render_main(
 
     // receiver-side temporal-delta state, keyed (src, bid, offset); a
     // resumed run starts empty, matched by the senders' forced keyframes
-    let codec = s.wire.codec_for(TagClass::BlockData);
     let mut rx_delta = DeltaMap::new();
 
     // committed epoch state: advances at every committed tick
@@ -2733,18 +2678,7 @@ fn render_main(
                 }
                 s.faults.note_catchup_plans(missed.len() as u64);
             }
-            let proposal: Option<ControlPlan> = comm.recv(output_rank, TAG_CTL + t as u64);
-            if let Some(plan) = proposal {
-                comm.send_with_size(output_rank, TAG_CTLA + t as u64, (), 8);
-                let committed: bool = comm.recv(output_rank, TAG_CTLA + t as u64);
-                if committed {
-                    state.apply(&plan);
-                    rx_delta.clear();
-                    if let Some(tier) = &s.cache {
-                        tier.flush_for_commit(t as u32);
-                    }
-                }
-            }
+            plan_commit(comm, s, t, &mut state, &mut rx_delta);
         }
         // one compositing communicator, regrouped whenever the live part
         // of the active prefix changes. Every render rank not scripted
@@ -2813,23 +2747,28 @@ fn render_main(
             let t0 = Instant::now();
             let _dec_sp = obs::auto_span(Phase::Decode, t as u32);
             for piece in batch {
-                let b = piece.bid as usize;
-                match ingest_piece(codec, &piece, src, t as u32, &mut rx_delta) {
-                    Ingest::Data(payload) => {
-                        seen[b] += payload.len();
-                        let ids = &s.ids_per_block[b];
-                        for k in 0..payload.len() {
-                            field.set(ids[piece.offset as usize + k], payload.get(k, scale));
-                        }
-                        got[b] += payload.len();
+                let (b, kind, n) = (piece.bid as usize, piece.kind, piece.value_len());
+                // a piece, ingested or not, accounts for the length its
+                // envelope declares, to the block it names — if this run
+                // has one: a corrupt envelope can name anything
+                let mut account = |n: usize| {
+                    if let Some(seen) = seen.get_mut(b) {
+                        *seen += n;
+                    }
+                };
+                match ingest_piece(&s.wire, piece, &s.ids_per_block, src, t as u32, &mut rx_delta) {
+                    Ingest::Data(ids, raw) => {
+                        account(n);
+                        scatter_values(&mut field, ids, kind, &raw, scale);
+                        got[b] += n;
                     }
                     Ingest::Missing(n) => {
-                        seen[b] += n as usize;
+                        account(n as usize);
                         missing[b] += n as usize;
                     }
                     // accounted, never ingested
                     Ingest::Corrupt => {
-                        seen[b] += piece.value_len();
+                        account(n);
                         s.faults.note_checksum_failure();
                     }
                     // verified envelope but unusable contents (e.g. delta
@@ -2838,7 +2777,7 @@ fn render_main(
                     // no entry in the fault log, so say why here
                     Ingest::Reject(why) => {
                         eprintln!("rank {me}: step {t}: block {b} piece rejected ({why})");
-                        seen[b] += piece.value_len();
+                        account(n);
                         s.faults.note_wire_reject();
                     }
                 }
@@ -3035,11 +2974,7 @@ fn output_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
     // the hosted controller (one that never ticks when control is off):
     // seeded from the committed state and, on resume, the checkpointed
     // plan history, so new ticks continue the epoch sequence
-    let per_group = match s.cfg.io {
-        IoStrategy::TwoDip { per_group, .. } => per_group,
-        IoStrategy::OneDip { .. } => 1,
-    };
-    let mut ctl = Controller::new(s.control(), s.elastic.clone(), per_group);
+    let mut ctl = Controller::new(s.control(), s.elastic.clone(), s.cfg.io.shape().1);
     ctl.history = s.resume_plans.clone();
     let supervised = s.kill_target() == Some(me);
     let mut kill_noted = false;
@@ -3199,19 +3134,15 @@ fn overlay_lic(
 /// (the survivors hand LIC duty to the lowest live member — the output
 /// processor derives the same answer from the deterministic plan).
 fn lic_source(s: &Shared, t: usize) -> usize {
-    match s.cfg.io {
-        IoStrategy::OneDip { input_procs } => t % input_procs,
-        IoStrategy::TwoDip { groups, per_group } => {
-            let base = (t % groups) * per_group;
-            (base..base + per_group).find(|&r| !s.faults.rank_failed(r, t)).unwrap_or(base)
-        }
-    }
+    let (groups, per_group) = s.cfg.io.shape();
+    let base = (t % groups) * per_group;
+    (base..base + per_group).find(|&r| !s.faults.rank_failed(r, t)).unwrap_or(base)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PipelineBuilder;
+    use crate::config::{IoStrategy, PipelineBuilder};
     use quakeviz_seismic::SimulationBuilder;
 
     fn dataset() -> Dataset {
@@ -3532,29 +3463,50 @@ mod tests {
         assert_eq!(report.frames.len(), 4);
     }
 
-    /// Pack `payload` for step `t` on the test lane `(dst 3, block 7,
+    /// The raw bytes of four f32 values.
+    fn four(values: [f32; 4]) -> Vec<u8> {
+        values.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
+    /// The id lists of a run of eight blocks, of which only block 7 has
+    /// nodes: `n` of them.
+    fn ids(n: u32) -> Vec<Arc<Vec<NodeId>>> {
+        (0..8).map(|b| Arc::new(if b == 7 { (10..10 + n).collect() } else { Vec::new() })).collect()
+    }
+
+    /// Pack f32 `raw` bytes for step `t` on the test lane `(dst 3, block 7,
     /// offset 0)`.
-    fn pack(spec: &WireSpec, payload: &Payload, t: u32, tx: &mut DeltaMap) -> WirePiece {
-        pack_piece(spec, spec.codec_for(TagClass::BlockData), (3, 7, 0), payload, t, tx, true)
+    fn pack(spec: &WireSpec, raw: Vec<u8>, t: u32, tx: &mut DeltaMap) -> WirePiece {
+        pack_piece(spec, (3, 7, 0), 0, raw, t, tx, true)
     }
 
     /// The receive step of the one loop, from source rank 0.
-    fn ingest(spec: &WireSpec, piece: &WirePiece, t: u32, rx: &mut DeltaMap) -> Ingest {
-        ingest_piece(spec.codec_for(TagClass::BlockData), piece, 0, t, rx)
+    fn ingest<'a>(
+        spec: &WireSpec,
+        piece: &WirePiece,
+        ids: &'a [Arc<Vec<NodeId>>],
+        t: u32,
+        rx: &mut DeltaMap,
+    ) -> Ingest<'a> {
+        ingest_piece(spec, piece.clone(), ids, 0, t, rx)
     }
 
-    /// A well-formed piece round-trips through the receive step.
+    /// A well-formed piece round-trips through the receive step, and the
+    /// receiver keeps it as a delta base iff deltas travel.
     #[test]
     fn ingest_piece_accepts_a_valid_piece() {
-        let spec = WireSpec::parse("rle").unwrap();
-        let payload = Payload::F32(vec![0.25, 0.5, 0.75, 1.0]);
-        let piece = pack(&spec, &payload, 1, &mut DeltaMap::new());
-        let mut rx = DeltaMap::new();
-        let Ingest::Data(got) = ingest(&spec, &piece, 1, &mut rx) else {
-            panic!("valid piece ingests");
-        };
-        assert_eq!(got.raw_bytes(), payload.raw_bytes());
-        assert_eq!(rx.len(), 1, "an ingested piece advances receiver delta state");
+        let ids = ids(4);
+        for (spec, bases) in [("rle", 0), ("rle,delta,keyframe=4", 1)] {
+            let spec = WireSpec::parse(spec).unwrap();
+            let raw = four([0.25, 0.5, 0.75, 1.0]);
+            let piece = pack(&spec, raw.clone(), 1, &mut DeltaMap::new());
+            let mut rx = DeltaMap::new();
+            let Ingest::Data(at, got) = ingest(&spec, &piece, &ids, 1, &mut rx) else {
+                panic!("valid piece ingests");
+            };
+            assert_eq!((at, got), (&ids[7][..], raw));
+            assert_eq!(rx.len(), bases, "a base is kept iff `delta` is on ({spec:?})");
+        }
     }
 
     /// Regression: a corrupt body — with or without a fault spec, there
@@ -3563,12 +3515,11 @@ mod tests {
     /// and never reach the codec.
     #[test]
     fn ingest_piece_rejects_corruption_instead_of_panicking() {
-        let spec = WireSpec::parse("rle").unwrap();
-        let payload = Payload::F32(vec![0.25, 0.5, 0.75, 1.0]);
-        let mut piece = pack(&spec, &payload, 1, &mut DeltaMap::new());
+        let spec = WireSpec::parse("rle,delta").unwrap();
+        let mut piece = pack(&spec, four([0.25, 0.5, 0.75, 1.0]), 1, &mut DeltaMap::new());
         piece.body[0] ^= 0x40;
         let mut rx = DeltaMap::new();
-        assert!(matches!(ingest(&spec, &piece, 1, &mut rx), Ingest::Corrupt));
+        assert!(matches!(ingest(&spec, &piece, &ids(4), 1, &mut rx), Ingest::Corrupt));
         assert!(rx.is_empty(), "a rejected piece must not advance receiver delta state");
     }
 
@@ -3577,14 +3528,15 @@ mod tests {
     /// ingested — and one whose envelope is off is rejected, not a panic.
     #[test]
     fn ingest_piece_never_ingests_a_missing_marker() {
-        let spec = WireSpec::parse("raw").unwrap();
+        let spec = WireSpec::parse("raw,delta").unwrap();
+        let ids = ids(16);
         let mut piece = missing_piece(7, 0, 16);
         assert_eq!(piece.value_len(), 16);
         let mut rx = DeltaMap::new();
-        assert!(matches!(ingest(&spec, &piece, 1, &mut rx), Ingest::Missing(16)));
+        assert!(matches!(ingest(&spec, &piece, &ids, 1, &mut rx), Ingest::Missing(16)));
         piece.body.push(0);
         piece.checksum = piece_checksum(&piece);
-        let Ingest::Reject(why) = ingest(&spec, &piece, 1, &mut rx) else {
+        let Ingest::Reject(why) = ingest(&spec, &piece, &ids, 1, &mut rx) else {
             panic!("a marker with a 5-byte body must be rejected");
         };
         assert_eq!(why, "malformed missing marker");
@@ -3598,12 +3550,41 @@ mod tests {
         let spec = WireSpec::parse("rle,delta,keyframe=4").unwrap();
         let mut tx = DeltaMap::new();
         // step 1 primes the sender lane, step 2 emits a true delta piece
-        let _ = pack(&spec, &Payload::F32(vec![0.25, 0.5, 0.75, 1.0]), 1, &mut tx);
-        let piece = pack(&spec, &Payload::F32(vec![0.5, 0.5, 0.75, 1.5]), 2, &mut tx);
+        let _ = pack(&spec, four([0.25, 0.5, 0.75, 1.0]), 1, &mut tx);
+        let piece = pack(&spec, four([0.5, 0.5, 0.75, 1.5]), 2, &mut tx);
         assert_ne!(piece.base_step, KEYFRAME, "step 2 must actually delta");
-        let Ingest::Reject(why) = ingest(&spec, &piece, 2, &mut DeltaMap::new()) else {
+        let Ingest::Reject(why) = ingest(&spec, &piece, &ids(4), 2, &mut DeltaMap::new()) else {
             panic!("a delta without its base must be rejected");
         };
         assert_eq!(why, "delta base unavailable");
+    }
+
+    /// Regression: `(bid, offset, len)` come off the wire and used to index
+    /// the block tables unchecked — for a corrupt piece, after it had
+    /// failed its checksum. A verified piece that fits no block of the run
+    /// is a typed rejection; a corrupt one stays `Corrupt`, whatever block
+    /// its envelope names, and neither is indexed by.
+    #[test]
+    fn ingest_piece_rejects_a_piece_outside_its_block() {
+        let spec = WireSpec::parse("raw").unwrap();
+        let ids = ids(4);
+        let outside = |edit: &dyn Fn(&mut WirePiece)| {
+            let mut piece = pack(&spec, four([0.25, 0.5, 0.75, 1.0]), 1, &mut DeltaMap::new());
+            edit(&mut piece);
+            piece.checksum = piece_checksum(&piece);
+            match ingest(&spec, &piece, &ids, 1, &mut DeltaMap::new()) {
+                Ingest::Reject(why) => why,
+                _ => panic!("a piece outside its block must be rejected"),
+            }
+        };
+        assert_eq!(outside(&|p| p.bid = 8), "piece outside its block");
+        assert_eq!(outside(&|p| p.bid = u32::MAX), "piece outside its block");
+        assert_eq!(outside(&|p| p.offset = 1), "piece outside its block");
+        assert_eq!(outside(&|p| p.offset = u32::MAX), "piece outside its block");
+        // a block the run has, but with fewer nodes than the piece brings
+        assert_eq!(outside(&|p| p.bid = 0), "piece outside its block");
+        let mut piece = pack(&spec, four([0.25, 0.5, 0.75, 1.0]), 1, &mut DeltaMap::new());
+        piece.bid = u32::MAX; // checksum left stale: corrupt on the wire
+        assert!(matches!(ingest(&spec, &piece, &ids, 1, &mut DeltaMap::new()), Ingest::Corrupt));
     }
 }

@@ -70,10 +70,7 @@ fn median(mut v: Vec<f64>) -> f64 {
 impl ModelValidation {
     /// Condense `report` (run under `io`) into the model comparison.
     pub fn from_report(report: &PipelineReport, io: IoStrategy) -> ModelValidation {
-        let (depth, width) = match io {
-            IoStrategy::OneDip { input_procs } => (input_procs, 1),
-            IoStrategy::TwoDip { groups, per_group } => (groups, per_group),
-        };
+        let (depth, width) = io.shape();
         let n = report.input_steps.len().max(1) as f64;
         let scale = width as f64;
         let tf = report.mean_read_seconds() * scale;

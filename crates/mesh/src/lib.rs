@@ -38,6 +38,6 @@ pub use field::{NodeField, VectorField};
 pub use hexmesh::{HexCell, HexMesh, NodeId};
 pub use morton::{Loc2, Loc3};
 pub use octree::{BlockId, Octree, OctreeBlock, RefineOracle, UniformRefinement};
-pub use partition::{Partition, WorkloadModel};
+pub use partition::{lpt_place, Partition, WorkloadModel};
 pub use quadtree::Quadtree;
 pub use region::{Aabb, Vec3};

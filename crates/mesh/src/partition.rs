@@ -34,6 +34,29 @@ impl WorkloadModel {
     }
 }
 
+/// The greedy longest-processing-time placement every block assignment is
+/// made by. `items` (id, weight) are taken heaviest first (id ascending on
+/// ties) and each goes to the bin whose projected completion time
+/// `(load + w) · rate` is smallest, lowest index on ties — a bin with rate
+/// 4 is charged 4× for every unit of weight it accepts. `loads` holds the
+/// bins' starting loads and ends as their final ones; `place(id, bin)` is
+/// called once per item, in placement order.
+pub fn lpt_place(
+    mut items: Vec<(BlockId, u64)>,
+    loads: &mut [u64],
+    rates: &[u64],
+    mut place: impl FnMut(BlockId, usize),
+) {
+    items.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    for (id, w) in items {
+        let bin = (0..loads.len())
+            .min_by_key(|&r| ((loads[r] + w).saturating_mul(rates[r]), r))
+            .expect("placement needs at least one bin");
+        loads[bin] += w;
+        place(id, bin);
+    }
+}
+
 /// An assignment of blocks to `renderers` rendering processors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
@@ -73,20 +96,15 @@ impl Partition {
         assert!(renderers > 0, "need at least one rendering processor");
         assert_eq!(blocks.len(), weights.len(), "one weight per block");
         debug_assert!(blocks.iter().enumerate().all(|(i, b)| b.id as usize == i));
-        let mut weighted: Vec<(BlockId, u64)> =
+        let weighted: Vec<(BlockId, u64)> =
             blocks.iter().map(|b| (b.id, weights[b.id as usize])).collect();
-        // Heaviest first; tie-break on id for determinism.
-        weighted.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         let mut assignment = vec![Vec::new(); renderers];
         let mut loads = vec![0u64; renderers];
         let mut owner = vec![0u32; blocks.len()];
-        for (id, w) in weighted {
-            // least-loaded renderer; tie-break on index for determinism
-            let r = (0..renderers).min_by_key(|&r| (loads[r], r)).unwrap();
+        lpt_place(weighted, &mut loads, &vec![1; renderers], |id, r| {
             assignment[r].push(id);
-            loads[r] += w;
             owner[id as usize] = r as u32;
-        }
+        });
         // Keep each renderer's blocks in SFC order (ids are SFC-ordered).
         for a in &mut assignment {
             a.sort_unstable();

@@ -7,7 +7,7 @@
 //! crate substitutes that substrate: the pipeline code is written against a
 //! [`Comm`] handle offering the MPI operations the paper uses — point-to-point
 //! send/receive with tag matching (including the non-blocking sends used for
-//! block distribution, §4), communicator splitting (the input / rendering /
+//! block distribution, §4), sub-communicators (the input / rendering /
 //! output processor groups of Figure 2 and the 2DIP input groups of §5.2),
 //! and the collectives the readers rely on (§5.3).
 //!
@@ -49,7 +49,7 @@ pub mod rng;
 pub mod stats;
 pub mod wire;
 
-pub use comm::{wait_all, Comm, RecvTimeout, SendHandle, World};
+pub use comm::{wait_all, Comm, SendHandle, World};
 pub use fault::{
     FaultEvent, FaultKind, FaultPlan, FaultSpec, MembershipEvent, ReadFault, RecoveryStats,
     SendFault,

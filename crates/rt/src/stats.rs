@@ -192,11 +192,6 @@ impl TrafficStats {
         self.bytes.load(Ordering::Relaxed)
     }
 
-    /// Whether a traffic matrix is attached.
-    pub fn has_matrix(&self) -> bool {
-        self.matrix.is_some()
-    }
-
     /// One matrix entry; `(0, 0)` when no matrix is attached.
     pub fn edge(&self, src: usize, dst: usize, class: TagClass) -> (u64, u64) {
         match &self.matrix {

@@ -403,6 +403,7 @@ fn fault_plan_schedule_is_deterministic_in_its_seed() {
 #[test]
 fn partition_over_survivor_subsets_is_deterministic_and_balanced() {
     use quakeviz::mesh::Partition;
+    use quakeviz::pipeline::control::assign_capacity;
     for seed in 0..16u64 {
         let oracle = RandomRefinement { seed: 0xE1A5 ^ seed, max: 4 };
         let tree = Octree::build(Vec3 { x: 1.0, y: 1.0, z: 1.0 }, &oracle);
@@ -415,6 +416,16 @@ fn partition_over_survivor_subsets_is_deterministic_and_balanced() {
             let a = Partition::balanced_weighted(&blocks, &weights, survivors);
             let b = Partition::balanced_weighted(&blocks, &weights, survivors);
             assert_eq!(a, b, "seed {seed}, {survivors} survivors: partition not deterministic");
+            // one placement kernel: the controller's capacity-aware
+            // assignment at uniform rates is this partition
+            let items: Vec<(u32, u64)> =
+                weights.iter().enumerate().map(|(b, &w)| (b as u32, w)).collect();
+            let by_rank: Vec<Vec<u32>> = (0..survivors).map(|r| a.blocks_of(r).to_vec()).collect();
+            assert_eq!(
+                assign_capacity(&items, &vec![1; survivors]),
+                by_rank,
+                "seed {seed}, {survivors} survivors: all rates 1 must equal balanced_weighted"
+            );
             // exhaustive, disjoint, SFC-sorted coverage
             let mut owned: Vec<u32> = Vec::new();
             for r in 0..survivors {
