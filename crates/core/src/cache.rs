@@ -30,6 +30,7 @@
 //!   last-known-good state never diverges between cold and warm runs.
 
 use quakeviz_render::{Camera, RgbaImage, TransferFunction};
+use quakeviz_rt::Fnv1a;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,28 +41,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub const DEFAULT_BLOCKS_MB: usize = 64;
 /// Default frame-cache capacity (frames) under the same condition.
 pub const DEFAULT_FRAMES: usize = 64;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-/// FNV-1a over a byte stream (the repo-wide checksum).
-pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in bytes {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv1a_words(h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = h;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
-}
 
 /// Cache-tier sizing. `blocks_mb == 0` disables the block level,
 /// `frames == 0` the frame level; both zero means the tier is off.
@@ -136,10 +115,7 @@ pub struct BlockKey {
 
 /// Checksum of a buffer of `f32` vectors (decoded field nodes, pixels).
 pub fn field_checksum<const N: usize>(data: &[[f32; N]]) -> u64 {
-    fnv1a_words(
-        FNV_OFFSET,
-        data.iter().flat_map(|v| v.iter().map(|c| c.to_bits() as u64)).collect::<Vec<_>>(),
-    )
+    Fnv1a::pipeline().words(data.iter().flatten().map(|c| c.to_bits() as u64)).finish()
 }
 
 /// One checksummed entry of the [`Lru`].
@@ -309,9 +285,8 @@ pub struct FrameKey {
 /// Hash every view parameter that affects pixels: eye/target/up vectors,
 /// field of view and the image dimensions, over exact f64 bit patterns.
 pub fn camera_hash(cam: &Camera) -> u64 {
-    fnv1a_words(
-        FNV_OFFSET,
-        [
+    Fnv1a::pipeline()
+        .words([
             cam.eye.x.to_bits(),
             cam.eye.y.to_bits(),
             cam.eye.z.to_bits(),
@@ -324,8 +299,8 @@ pub fn camera_hash(cam: &Camera) -> u64 {
             cam.fov_y.to_bits(),
             cam.width as u64,
             cam.height as u64,
-        ],
-    )
+        ])
+        .finish()
 }
 
 /// Hash everything else that affects a frame's pixels besides step, level
@@ -334,20 +309,16 @@ pub fn camera_hash(cam: &Camera) -> u64 {
 /// values are normalized by — a live dataset's grows from step to step, so
 /// its frames never share a key with a finished dataset's.
 pub fn tf_hash(tf: &TransferFunction, quantize: bool, lighting: bool, lic: bool, norm: f32) -> u64 {
-    let mut h = fnv1a_words(
-        FNV_OFFSET,
-        [
-            quantize as u64,
-            lighting as u64 | (lic as u64) << 1,
-            norm.to_bits() as u64,
-            tf.points().len() as u64,
-        ],
-    );
+    let mut h = Fnv1a::pipeline().words([
+        quantize as u64,
+        lighting as u64 | (lic as u64) << 1,
+        norm.to_bits() as u64,
+        tf.points().len() as u64,
+    ]);
     for &(v, rgba) in tf.points() {
-        h = fnv1a_words(h, [v.to_bits() as u64]);
-        h = fnv1a_words(h, rgba.iter().map(|c| c.to_bits() as u64));
+        h = h.words([v.to_bits() as u64]).words(rgba.iter().map(|c| c.to_bits() as u64));
     }
-    h
+    h.finish()
 }
 
 /// The rendered-frame level: count-bounded LRU over final frames.

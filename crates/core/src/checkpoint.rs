@@ -38,6 +38,7 @@ use std::fmt;
 
 use crate::control::ControlPlan;
 use quakeviz_parfs::Disk;
+use quakeviz_rt::Fnv1a;
 
 /// Manifest file name under the checkpoint directory.
 pub const MANIFEST_FILE: &str = "manifest.bin";
@@ -125,13 +126,9 @@ impl fmt::Display for CheckpointError {
     }
 }
 
-/// FNV-1a over a byte stream — the trailer checksum.
+/// The pipeline's FNV-1a over a byte stream — the trailer checksum.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    Fnv1a::pipeline().bytes(bytes.iter().copied()).finish()
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {

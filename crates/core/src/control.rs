@@ -35,8 +35,8 @@
 //! the property `tests/elastic.rs` pins.
 //!
 //! The measurement→decision math lives here, pure and unit-tested; the
-//! propose/ack/commit wire protocol lives in `core::pipeline` next to the
-//! other tag traffic.
+//! propose/ack/commit round lives in `core::pipeline`, over the `CTL`,
+//! `CTL_ACK` and `CTL_VERDICT` channels of `core::proto`.
 
 use quakeviz_mesh::lpt_place;
 
@@ -250,6 +250,12 @@ pub struct Controller {
     /// Committed plans in commit order (checkpointed; a resumed run
     /// seeds it with the manifest's history).
     pub history: Vec<ControlPlan>,
+    /// Shortest active prefix a resize may shrink to, and narrowest input
+    /// width a reshape may choose: 1, or 2 when the fault plan scripts a
+    /// death among the render ranks, or the input ranks — the overlay
+    /// needs a survivor inside (the floor validation asks of `renderers`).
+    pub min_active: usize,
+    pub min_width: usize,
     n_renderers: usize,
     per_group: usize,
 }
@@ -259,7 +265,15 @@ impl Controller {
     /// decision's upper bound.
     pub fn new(cfg: ControlConfig, initial: EpochState, per_group: usize) -> Controller {
         let n_renderers = initial.assignment.len();
-        Controller { cfg, state: initial, history: Vec::new(), n_renderers, per_group }
+        Controller {
+            cfg,
+            state: initial,
+            history: Vec::new(),
+            min_active: 1,
+            min_width: 1,
+            n_renderers,
+            per_group,
+        }
     }
 
     /// What the window says about each of the first `active` ranks: the
@@ -313,7 +327,8 @@ impl Controller {
             let r_total = m.render_busy.iter().sum::<f64>() / steps;
             let delivery = m.input_busy / steps;
             if r_total > 0.0 && delivery > 0.0 {
-                crate::model::optimal_renderers(r_total, delivery).clamp(1, self.n_renderers)
+                crate::model::optimal_renderers(r_total, delivery)
+                    .clamp(self.min_active, self.n_renderers)
             } else {
                 self.state.active
             }
@@ -326,7 +341,7 @@ impl Controller {
             let k = active.max(1) as f64;
             let tr = m.render_busy.iter().sum::<f64>() / steps / k;
             if ts > 0.0 && tr > 0.0 {
-                crate::model::twodip_optimal_m(ts, tr).clamp(1, self.per_group)
+                crate::model::twodip_optimal_m(ts, tr).clamp(self.min_width, self.per_group)
             } else {
                 self.state.input_width
             }
@@ -373,24 +388,19 @@ impl Controller {
         self.history.push(plan.clone());
     }
 
-    /// Forced re-admission plan for a joiner folding in at `apply_at`:
-    /// grow the active prefix by one when `grow` (a spare-pool join), and
-    /// rebalance every block over the resulting rank set with the
-    /// window's measured rates — ranks without a measurement (the joiner,
-    /// which slept or never ran) count as rate 1. Unlike
-    /// [`Controller::decide`] this always returns a plan: the commit
-    /// itself is the join barrier (delta streams reset to keyframes,
-    /// caches flush), even when the assignment happens to match the
-    /// committed one.
+    /// The admit plan for a spare-pool join at `apply_at`: grow the active
+    /// prefix by one and rebalance every block over the grown rank set
+    /// with the window's measured rates — ranks without a measurement (the
+    /// joiner, which never ran) count as rate 1. Unlike
+    /// [`Controller::decide`] this always returns a plan: a join really
+    /// changes the active prefix.
     pub fn admit_plan(
         &self,
         m: &WindowMeasurement,
         block_weights: &[u64],
         apply_at: u32,
-        grow: bool,
     ) -> ControlPlan {
-        let active =
-            if grow { (self.state.active + 1).min(self.n_renderers) } else { self.state.active };
+        let active = (self.state.active + 1).min(self.n_renderers);
         let (_, _, rates) = self.measured(m, block_weights, active);
         ControlPlan {
             epoch: self.state.epoch + 1,
@@ -615,6 +625,9 @@ mod tests {
         };
         let plan = ctl.decide(&m, &w, 3).expect("resize must produce a plan");
         assert_eq!(plan.active, 1);
+        // under a scripted render kill the prefix keeps a survivor
+        let guarded = Controller { min_active: 2, ..Controller::new(cfg, initial(4, &w), 1) };
+        assert_eq!(guarded.decide(&m, &w, 3).expect("still shrinks").active, 2);
         assert_eq!(plan.assignment.len(), 4, "inactive tail stays in the plan");
         assert!(plan.assignment[1].is_empty() && plan.assignment[3].is_empty());
         let all: usize = plan.assignment.iter().map(Vec::len).sum();
@@ -636,8 +649,17 @@ mod tests {
         let plan = ctl.decide(&m, &w, 2).expect("crossover must produce a plan");
         assert_eq!(plan.input_width, 3);
         // width is capped by the configured group size
-        let m_huge = WindowMeasurement { send_busy: 100.0, ..m };
+        let m_huge = WindowMeasurement { send_busy: 100.0, ..m.clone() };
         assert_eq!(ctl.decide(&m_huge, &w, 2).unwrap().input_width, 4);
+        // and, under a scripted input kill, floored so a live member reads
+        let m_tiny = WindowMeasurement { send_busy: 0.01, ..m };
+        let wide = EpochState { input_width: 3, ..initial(2, &w) };
+        assert_eq!(
+            Controller::new(cfg, wide.clone(), 4).decide(&m_tiny, &w, 2).unwrap().input_width,
+            1
+        );
+        let guarded = Controller { min_width: 2, ..Controller::new(cfg, wide, 4) };
+        assert_eq!(guarded.decide(&m_tiny, &w, 2).unwrap().input_width, 2);
     }
 
     #[test]
@@ -658,21 +680,17 @@ mod tests {
             steps: 2,
         };
         // spare join: active grows 2 → 3 and every rank owns work
-        let plan = ctl.admit_plan(&m, &w, 4, true);
+        let plan = ctl.admit_plan(&m, &w, 4);
         assert_eq!(plan.epoch, 1);
         assert_eq!(plan.apply_at, 4);
         assert_eq!(plan.active, 3);
         assert!((0..3).all(|r| !plan.assignment[r].is_empty()), "{:?}", plan.assignment);
         let all: usize = plan.assignment.iter().map(Vec::len).sum();
         assert_eq!(all, 8, "every block still owned exactly once");
-        // recovered-member join: membership unchanged, plan still forced
-        let readmit = ctl.admit_plan(&m, &w, 4, false);
-        assert_eq!(readmit.active, 2);
-        assert_eq!(readmit.epoch, 1);
         // growth saturates at the world's renderer count
         let mut ctl2 = Controller::new(ControlConfig::every(2), spare_world(), 1);
         ctl2.commit(&plan);
-        assert_eq!(ctl2.admit_plan(&m, &w, 6, true).active, 3, "cannot grow past the world");
+        assert_eq!(ctl2.admit_plan(&m, &w, 6).active, 3, "cannot grow past the world");
     }
 
     #[test]

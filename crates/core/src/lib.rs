@@ -31,6 +31,9 @@
 //!   being written ([`quakeviz_seismic::SimulationBuilder::run_live`]):
 //!   simulation-time visualization is this same pipeline, its input
 //!   ranks waiting on steps the solver has not published yet.
+//! * `proto` — the message alphabet: one typed channel per message kind
+//!   (tag, traffic class, payload, accounted size), block pieces and
+//!   their checksums, the image codec.
 //! * [`config`] — [`PipelineBuilder`] and friends.
 //! * [`control`] — the closed-loop elastic control plane: an
 //!   epoch-clocked controller on the output rank that rebalances blocks,
@@ -53,6 +56,7 @@ pub mod des;
 pub mod membership;
 pub mod model;
 pub mod pipeline;
+mod proto;
 pub mod reader;
 pub mod validate;
 
@@ -67,5 +71,6 @@ pub use model::{
     onedip_optimal_m, onedip_prefetch_delay, onedip_steady_delay, twodip_n, twodip_optimal_m,
     twodip_prefetch_delay, twodip_steady_delay,
 };
-pub use pipeline::{run_pipeline, wire_checksum, Degradation, FaultConfigError, PipelineReport};
+pub use pipeline::{run_pipeline, Degradation, FaultConfigError, PipelineReport};
+pub use proto::wire_checksum;
 pub use validate::ModelValidation;

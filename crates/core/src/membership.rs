@@ -13,6 +13,7 @@
 //! in agreement with zero traffic.
 
 use crate::control::{overlay_assignment, EpochState};
+use crate::proto::HB;
 use quakeviz_rt::Comm;
 use std::time::Duration;
 
@@ -35,28 +36,30 @@ pub fn owners(state: &EpochState, dead: Option<usize>, weights: &[u64]) -> Vec<(
         .collect()
 }
 
-/// One heartbeat round on `tag`: beacon every rank in `to`, wait for the
-/// beacon of every rank in `from`, and return the ones that stayed
-/// silent past `deadline`. `None` blocks instead: a rank on its first
-/// step back from a dormancy window fast-forwarded past peers who may
-/// still be burning detection timeouts, so it must wait for them, never
-/// vote on their liveness.
+/// One heartbeat round before step `t`: beacon every rank in `to`, wait
+/// for the beacon of every rank in `from`, and return the ones that stayed
+/// silent past their `wait`. A peer whose wait is `None` is blocked on
+/// instead of voted on — how a scripted rejoin is folded in, from both
+/// sides: the joiner fast-forwarded past peers who may still be burning
+/// detection timeouts, so it waits for all of them; and every peer reads
+/// the rejoin step from the shared plan and waits for the joiner, who is
+/// first asking the output rank what it missed.
 pub fn heartbeat(
     comm: &Comm,
-    tag: u64,
+    t: usize,
     to: &[usize],
     from: &[usize],
-    deadline: Option<Duration>,
+    wait: impl Fn(usize) -> Option<Duration>,
 ) -> Vec<usize> {
     for &r in to {
-        comm.send_with_size(r, tag, (), 8);
+        HB.send(comm, r, t, ());
     }
     from.iter()
         .copied()
-        .filter(|&r| match deadline {
-            Some(d) => comm.try_recv_for::<()>(r, tag, d).is_none(),
+        .filter(|&r| match wait(r) {
+            Some(d) => HB.try_recv_for(comm, r, t, d).is_none(),
             None => {
-                let () = comm.recv(r, tag);
+                HB.recv(comm, r, t);
                 false
             }
         })
@@ -70,19 +73,19 @@ mod tests {
 
     /// The same late beacon a timed round gives up on — rank 1 only
     /// beacons once rank 0's timed round has returned — is simply waited
-    /// out by a blocking (`joining`) round, which reports nobody silent.
+    /// out by a blocking round, which reports nobody silent.
     #[test]
     fn blocking_round_never_reports_a_peer_silent() {
         let out = World::run(2, |comm| {
             let peer = [1 - comm.rank()];
             let mut timed = Vec::new();
             if comm.rank() == 0 {
-                timed = heartbeat(&comm, 8, &[], &peer, Some(Duration::ZERO));
+                timed = heartbeat(&comm, 8, &[], &peer, |_| Some(Duration::ZERO));
                 comm.send(1, 9, ());
             } else {
                 let () = comm.recv(0, 9);
             }
-            (heartbeat(&comm, 8, &peer, &peer, None), timed)
+            (heartbeat(&comm, 8, &peer, &peer, |_| None), timed)
         });
         assert!(out.iter().all(|(blocking, _)| blocking.is_empty()), "{out:?}");
         assert_eq!(out[0].1, vec![1], "the timed round must report the late peer");

@@ -42,11 +42,6 @@ impl NodeField {
     }
 
     #[inline]
-    pub fn values_mut(&mut self) -> &mut [f32] {
-        &mut self.values
-    }
-
-    #[inline]
     pub fn get(&self, id: NodeId) -> f32 {
         self.values[id as usize]
     }

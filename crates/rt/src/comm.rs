@@ -1,9 +1,9 @@
 //! Ranks, communicators, point-to-point messaging and collectives.
 //!
 //! A [`World`] spawns `n` threads, one per rank, each receiving a [`Comm`]
-//! that spans all ranks. Sub-communicators are built collectively with
-//! [`Comm::group`] (explicit rank lists, used for the input / rendering /
-//! output processor groups of the pipeline).
+//! that spans all ranks. Sub-communicators are built with [`Comm::group`]
+//! (explicit rank lists, used for the rendering group and the 2DIP input
+//! groups of the pipeline); a group's identity is a function of its members.
 //!
 //! Matching: a receive matches on `(communicator, source rank, tag)`.
 //! Messages that arrive before they are asked for are parked in a per-thread
@@ -17,6 +17,7 @@
 //! behind the pipeline's bounded prefetch send queue.
 
 use crate::fault::{FaultPlan, SendFault};
+use crate::fnv::Fnv1a;
 use crate::obs;
 use crate::stats::TrafficStats;
 use std::any::Any;
@@ -203,7 +204,6 @@ impl World {
                             ranks: Arc::new((0..n).collect()),
                             my_rank: rank,
                             coll_seq: Cell::new(0),
-                            split_seq: Cell::new(0),
                         };
                         f(comm)
                     })
@@ -230,8 +230,6 @@ pub struct Comm {
     my_rank: usize,
     /// Collective sequence number (kept in lock-step by matched calls).
     coll_seq: Cell<u64>,
-    /// Number of `group` calls made on this communicator.
-    split_seq: Cell<u64>,
 }
 
 impl Comm {
@@ -572,40 +570,24 @@ impl Comm {
     // sub-communicators
     // ------------------------------------------------------------------
 
-    fn derive_id(&self, salt: u64) -> u64 {
-        // split-mix style hash of (parent id, split sequence, salt) —
-        // identical on all ranks because all inputs are.
-        let seq = self.split_seq.get();
-        self.split_seq.set(seq + 1);
-        let mut h = self.id ^ 0x9e3779b97f4a7c15;
-        for v in [seq, salt] {
-            h ^= v.wrapping_mul(0xbf58476d1ce4e5b9);
-            h = h.rotate_left(31).wrapping_mul(0x94d049bb133111eb);
-        }
-        h | 1 // never collide with the world id 0
-    }
-
     /// Build a sub-communicator from an explicit list of parent ranks.
     ///
-    /// Collective on the parent: **every** parent rank must call it with
-    /// the same list (this keeps communicator ids in lock-step without any
-    /// message traffic). Members get `Some(comm)`, non-members `None`.
+    /// No message traffic: the id is a pure function of the parent's id
+    /// and the member list, so every member that builds the same list —
+    /// whenever, and however many other groups it built before — holds the
+    /// same communicator. Collective sequence numbers start at 0, so the
+    /// members must start using a group at the same point of the protocol.
+    /// Members get `Some(comm)`, non-members `None`.
     pub fn group(&self, members: &[usize]) -> Option<Comm> {
-        let mut salt = 0xcbf29ce484222325u64;
-        for &r in members {
-            salt = (salt ^ r as u64).wrapping_mul(0x100000001b3);
-        }
-        let id = self.derive_id(salt);
         let my_rank = members.iter().position(|&r| r == self.my_rank)?;
-        let ranks: Vec<usize> = members.iter().map(|&r| self.ranks[r]).collect();
+        let words = [self.id].into_iter().chain(members.iter().map(|&r| r as u64));
         Some(Comm {
             shared: Arc::clone(&self.shared),
             mailbox: Rc::clone(&self.mailbox),
-            id,
-            ranks: Arc::new(ranks),
+            id: Fnv1a::standard().words(words).finish() | 1, // never the world id 0
+            ranks: Arc::new(members.iter().map(|&r| self.ranks[r]).collect()),
             my_rank,
             coll_seq: Cell::new(0),
-            split_seq: Cell::new(0),
         })
     }
 }
@@ -737,6 +719,25 @@ mod tests {
         assert_eq!(out[1], Some((0, vec![1, 3, 4])));
         assert_eq!(out[3], Some((1, vec![1, 3, 4])));
         assert_eq!(out[4], Some((2, vec![1, 3, 4])));
+    }
+
+    /// A communicator's identity is its member list: rank 2 builds two
+    /// other groups first — as a pipeline rank that slept through its
+    /// peers' regroups would — and still lands in the communicator rank 0
+    /// built straight away.
+    #[test]
+    fn group_identity_ignores_earlier_group_calls() {
+        let out = World::run(3, |comm| {
+            if comm.rank() == 1 {
+                return None;
+            }
+            if comm.rank() == 2 {
+                let _ = (comm.group(&[1, 2]), comm.group(&[2]));
+            }
+            let pair = comm.group(&[0, 2]).expect("a member");
+            Some(pair.allgather_with_size(comm.rank(), 8))
+        });
+        assert_eq!(out, vec![Some(vec![0, 2]), None, Some(vec![0, 2])]);
     }
 
     #[test]

@@ -31,6 +31,7 @@
 //! injected-fault log and the recovery counters (retries, backoff time,
 //! degraded blocks, failover events) that `pipeline-report` surfaces.
 
+use crate::fnv::Fnv1a;
 use crate::rng::SplitMix64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -396,54 +397,83 @@ pub enum SendFault {
     Delay(Duration),
 }
 
-/// Recovery-action counters accumulated during a faulted run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
+/// Declares the recovery counters once: the public [`RecoveryStats`]
+/// snapshot, the metric name each is published under, and the atomics the
+/// live [`FaultPlan`] accumulates them in.
+macro_rules! recovery_counters {
+    ($($(#[$doc:meta])* $field:ident => $metric:literal,)*) => {
+        /// Recovery-action counters accumulated during a faulted run.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct RecoveryStats {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl RecoveryStats {
+            /// Every counter with the metric name it is published under.
+            pub fn named(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$(($metric, self.$field)),*].into_iter()
+            }
+        }
+
+        #[derive(Default)]
+        struct RecoveryCounters {
+            $($field: AtomicU64,)*
+        }
+
+        impl RecoveryCounters {
+            fn snapshot(&self) -> RecoveryStats {
+                RecoveryStats { $($field: self.$field.load(Ordering::Relaxed),)* }
+            }
+        }
+    };
+}
+
+recovery_counters! {
     /// Read attempts retried after a transient/corrupt fault.
-    pub read_retries: u64,
+    read_retries => "recovery.retries",
     /// Total backoff sleep, microseconds.
-    pub backoff_us: u64,
+    backoff_us => "recovery.backoff_us",
     /// Reads that exhausted their retry budget.
-    pub exhausted_reads: u64,
+    exhausted_reads => "recovery.exhausted_reads",
     /// Wire checksum mismatches detected on receive.
-    pub checksum_failures: u64,
+    checksum_failures => "recovery.checksum_failures",
     /// Pieces whose checksum verified but whose contents were unusable
     /// (undecodable codec body, or a temporal-delta base the receiver no
     /// longer holds after an upstream fault); dropped and degraded over.
-    pub wire_rejects: u64,
+    wire_rejects => "recovery.wire_rejects",
     /// Blocks rendered degraded (coarser level / stale data), summed over
     /// frames.
-    pub degraded_blocks: u64,
+    degraded_blocks => "recovery.degraded_blocks",
     /// Frames flagged degraded.
-    pub degraded_frames: u64,
+    degraded_frames => "recovery.degraded_frames",
     /// Group members declared dead and failed over.
-    pub failover_events: u64,
+    failover_events => "recovery.failover_events",
     /// Render ranks declared dead by a surviving render peer (one count
     /// per surviving detector, like [`RecoveryStats::failover_events`]).
-    pub render_failovers: u64,
+    render_failovers => "recovery.render_failovers",
     /// Output-rank deaths detected by the supervising render rank.
-    pub output_failovers: u64,
+    output_failovers => "recovery.output_failovers",
     /// Frames assembled by the failover supervisor after the output rank
     /// died (shipped flagged, never silently skipped).
-    pub migrated_frames: u64,
+    migrated_frames => "recovery.migrated_frames",
     /// Steps an input rank with prefetch on prepared inline: its
     /// read-ahead worker had died, or had read the step under a slice a
     /// failover, rejoin or reshape since replaced (degraded overlap,
     /// never an abort).
-    pub prefetch_fallbacks: u64,
+    prefetch_fallbacks => "recovery.prefetch_fallbacks",
     /// Scripted elastic-controller kills observed (at most 1): the
     /// pipeline froze on its last committed epoch from that step on.
-    pub controller_kills: u64,
-    /// Ranks folded back into the run over the `TAG_JOIN` handshake
-    /// (recovered dead ranks and spare-pool joins alike), one count per
-    /// completed join announcement.
-    pub rejoins: u64,
-    /// Committed control plans a joiner replayed from the controller's
-    /// history to catch up on epochs it slept through.
-    pub catchup_plans: u64,
+    controller_kills => "recovery.controller_kills",
+    /// Ranks folded back into the run (recovered dead ranks and spare-pool
+    /// joins alike), one count per joiner's completed catch-up handshake
+    /// with the output rank.
+    rejoins => "recovery.rejoins",
+    /// Committed control plans a joiner replayed from the output rank's
+    /// plan history to catch up on epochs it slept through.
+    catchup_plans => "recovery.catchup_plans",
     /// Checkpointed field snapshots a joiner restored from parfs on
     /// rejoin (warm-start; at most one per rejoin).
-    pub catchup_fields: u64,
+    catchup_fields => "recovery.catchup_fields",
 }
 
 // distinct salts per decision kind so e.g. transient and corrupt rolls at
@@ -466,22 +496,7 @@ pub struct FaultPlan {
     timeline: Vec<MembershipEvent>,
     events: Mutex<Vec<FaultEvent>>,
     counts: [AtomicU64; FaultKind::COUNT],
-    read_retries: AtomicU64,
-    backoff_us: AtomicU64,
-    exhausted_reads: AtomicU64,
-    checksum_failures: AtomicU64,
-    wire_rejects: AtomicU64,
-    degraded_blocks: AtomicU64,
-    degraded_frames: AtomicU64,
-    failover_events: AtomicU64,
-    render_failovers: AtomicU64,
-    output_failovers: AtomicU64,
-    migrated_frames: AtomicU64,
-    prefetch_fallbacks: AtomicU64,
-    controller_kills: AtomicU64,
-    rejoins: AtomicU64,
-    catchup_plans: AtomicU64,
-    catchup_fields: AtomicU64,
+    rec: RecoveryCounters,
 }
 
 impl FaultPlan {
@@ -491,22 +506,7 @@ impl FaultPlan {
             spec,
             events: Mutex::new(Vec::new()),
             counts: [const { AtomicU64::new(0) }; FaultKind::COUNT],
-            read_retries: AtomicU64::new(0),
-            backoff_us: AtomicU64::new(0),
-            exhausted_reads: AtomicU64::new(0),
-            checksum_failures: AtomicU64::new(0),
-            wire_rejects: AtomicU64::new(0),
-            degraded_blocks: AtomicU64::new(0),
-            degraded_frames: AtomicU64::new(0),
-            failover_events: AtomicU64::new(0),
-            render_failovers: AtomicU64::new(0),
-            output_failovers: AtomicU64::new(0),
-            migrated_frames: AtomicU64::new(0),
-            prefetch_fallbacks: AtomicU64::new(0),
-            controller_kills: AtomicU64::new(0),
-            rejoins: AtomicU64::new(0),
-            catchup_plans: AtomicU64::new(0),
-            catchup_fields: AtomicU64::new(0),
+            rec: RecoveryCounters::default(),
         })
     }
 
@@ -517,22 +517,13 @@ impl FaultPlan {
     /// FNV-1a hash of a site description — the deterministic identity of
     /// an injection point.
     pub fn site_hash(parts: &[u64]) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        for &p in parts {
-            for b in p.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-            }
-        }
-        h
+        Fnv1a::standard().words(parts.iter().copied()).finish()
     }
 
     /// Site of a read: `(path, first byte offset, total bytes)`.
     pub fn read_site(path: &str, offset: u64, bytes: u64) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        for b in path.bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-        FaultPlan::site_hash(&[h, offset, bytes])
+        let path = Fnv1a::standard().bytes(path.bytes()).finish();
+        FaultPlan::site_hash(&[path, offset, bytes])
     }
 
     /// Uniform roll in `[0, 1)` for `(salt, site, attempt)` — pure, so
@@ -656,11 +647,6 @@ impl FaultPlan {
         })
     }
 
-    /// Whether the timeline scripts any rejoin at all.
-    pub fn has_rejoin(&self) -> bool {
-        self.timeline.iter().any(|ev| matches!(ev, MembershipEvent::Recover { .. }))
-    }
-
     /// The scripted spare-pool join `(rank, step)`: a `recover_rank` with
     /// no preceding `fail_rank` — the rank never held live state.
     pub fn spare_join(&self) -> Option<(usize, usize)> {
@@ -693,31 +679,31 @@ impl FaultPlan {
     // --- recovery accounting -------------------------------------------
 
     pub fn note_retry(&self, backoff: Duration) {
-        self.read_retries.fetch_add(1, Ordering::Relaxed);
-        self.backoff_us.fetch_add(backoff.as_micros() as u64, Ordering::Relaxed);
+        self.rec.read_retries.fetch_add(1, Ordering::Relaxed);
+        self.rec.backoff_us.fetch_add(backoff.as_micros() as u64, Ordering::Relaxed);
     }
 
     pub fn note_exhausted(&self) {
-        self.exhausted_reads.fetch_add(1, Ordering::Relaxed);
+        self.rec.exhausted_reads.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn note_checksum_failure(&self) {
-        self.checksum_failures.fetch_add(1, Ordering::Relaxed);
+        self.rec.checksum_failures.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn note_wire_reject(&self) {
-        self.wire_rejects.fetch_add(1, Ordering::Relaxed);
+        self.rec.wire_rejects.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn note_degraded_frame(&self, blocks: u64) {
-        self.degraded_frames.fetch_add(1, Ordering::Relaxed);
-        self.degraded_blocks.fetch_add(blocks, Ordering::Relaxed);
+        self.rec.degraded_frames.fetch_add(1, Ordering::Relaxed);
+        self.rec.degraded_blocks.fetch_add(blocks, Ordering::Relaxed);
     }
 
     /// Record that `rank` was declared dead by its group (logged once per
     /// surviving detector).
     pub fn note_failover(&self, rank: usize, step: usize) {
-        self.failover_events.fetch_add(1, Ordering::Relaxed);
+        self.rec.failover_events.fetch_add(1, Ordering::Relaxed);
         self.log(FaultKind::RankFail, format!("rank {rank} dead at step {step}"), 0);
     }
 
@@ -725,71 +711,54 @@ impl FaultPlan {
     /// surviving render peer (logged once per surviving detector, like
     /// [`FaultPlan::note_failover`]).
     pub fn note_render_failover(&self, rank: usize, step: usize) {
-        self.render_failovers.fetch_add(1, Ordering::Relaxed);
+        self.rec.render_failovers.fetch_add(1, Ordering::Relaxed);
         self.log(FaultKind::RankFail, format!("render rank {rank} dead at step {step}"), 0);
     }
 
     /// Record that the output rank was declared dead by the supervising
     /// render rank, which assumes frame assembly from `step` onwards.
     pub fn note_output_failover(&self, rank: usize, step: usize) {
-        self.output_failovers.fetch_add(1, Ordering::Relaxed);
+        self.rec.output_failovers.fetch_add(1, Ordering::Relaxed);
         self.log(FaultKind::RankFail, format!("output rank {rank} dead at step {step}"), 0);
     }
 
     /// Record one frame assembled by the failover supervisor instead of
     /// the (dead) output rank.
     pub fn note_migrated_frame(&self) {
-        self.migrated_frames.fetch_add(1, Ordering::Relaxed);
+        self.rec.migrated_frames.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one step prepared inline although prefetch is on.
     pub fn note_prefetch_fallback(&self) {
-        self.prefetch_fallbacks.fetch_add(1, Ordering::Relaxed);
+        self.rec.prefetch_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record the scripted controller kill taking effect at `step`
     /// (logged once, by the rank that hosted the controller).
     pub fn note_controller_kill(&self, step: usize) {
-        self.controller_kills.fetch_add(1, Ordering::Relaxed);
+        self.rec.controller_kills.fetch_add(1, Ordering::Relaxed);
         self.log(FaultKind::RankFail, format!("controller dead at step {step}"), 0);
     }
 
-    /// Record a joiner folded back into the run (one count per peer that
-    /// processed its `TAG_JOIN`).
+    /// Record a joiner folded back into the run (counted by the joiner,
+    /// once its catch-up handshake completed).
     pub fn note_rejoin(&self) {
-        self.rejoins.fetch_add(1, Ordering::Relaxed);
+        self.rec.rejoins.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record `n` committed plans a joiner replayed from history.
     pub fn note_catchup_plans(&self, n: u64) {
-        self.catchup_plans.fetch_add(n, Ordering::Relaxed);
+        self.rec.catchup_plans.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Record one checkpointed field snapshot restored on rejoin.
     pub fn note_catchup_field(&self) {
-        self.catchup_fields.fetch_add(1, Ordering::Relaxed);
+        self.rec.catchup_fields.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Snapshot of the recovery counters.
     pub fn recovery(&self) -> RecoveryStats {
-        RecoveryStats {
-            read_retries: self.read_retries.load(Ordering::Relaxed),
-            backoff_us: self.backoff_us.load(Ordering::Relaxed),
-            exhausted_reads: self.exhausted_reads.load(Ordering::Relaxed),
-            checksum_failures: self.checksum_failures.load(Ordering::Relaxed),
-            wire_rejects: self.wire_rejects.load(Ordering::Relaxed),
-            degraded_blocks: self.degraded_blocks.load(Ordering::Relaxed),
-            degraded_frames: self.degraded_frames.load(Ordering::Relaxed),
-            failover_events: self.failover_events.load(Ordering::Relaxed),
-            render_failovers: self.render_failovers.load(Ordering::Relaxed),
-            output_failovers: self.output_failovers.load(Ordering::Relaxed),
-            migrated_frames: self.migrated_frames.load(Ordering::Relaxed),
-            prefetch_fallbacks: self.prefetch_fallbacks.load(Ordering::Relaxed),
-            controller_kills: self.controller_kills.load(Ordering::Relaxed),
-            rejoins: self.rejoins.load(Ordering::Relaxed),
-            catchup_plans: self.catchup_plans.load(Ordering::Relaxed),
-            catchup_fields: self.catchup_fields.load(Ordering::Relaxed),
-        }
+        self.rec.snapshot()
     }
 
     /// Injected faults per kind (zero rows included).
@@ -923,7 +892,6 @@ mod tests {
         assert!(plan.rank_failed(2, 3));
         assert!(plan.rank_failed(2, 100));
         assert!(!plan.rank_failed(1, 100));
-        assert!(!plan.has_rejoin());
         // a bare struct-literal fail_rank (no parsed timeline) behaves
         // identically — the compatibility fallback
         let bare = FaultPlan::new(FaultSpec { fail_rank: Some((2, 3)), ..FaultSpec::default() });
@@ -942,7 +910,6 @@ mod tests {
         assert!(!plan.rank_failed(2, 100));
         assert_eq!(plan.rank_rejoins_at(6), Some(2));
         assert_eq!(plan.rank_rejoins_at(5), None);
-        assert!(plan.has_rejoin());
         assert_eq!(plan.spare_join(), None);
         // kill → recover → kill again: the second window is permanent
         let plan = FaultPlan::new(

@@ -22,7 +22,7 @@
 //! per-`(src, dst, tag-class)` matrix ([`stats`]), and the in-repo
 //! replacements for registry crates under the offline-build policy
 //! ([`par`] for data-parallel loops, [`rng`] for deterministic random
-//! numbers).
+//! numbers, [`fnv`] for the one FNV-1a digest).
 //!
 //! ```
 //! use quakeviz_rt::World;
@@ -43,6 +43,7 @@
 pub mod chaos;
 pub mod comm;
 pub mod fault;
+pub mod fnv;
 pub mod obs;
 pub mod par;
 pub mod rng;
@@ -54,5 +55,6 @@ pub use fault::{
     FaultEvent, FaultKind, FaultPlan, FaultSpec, MembershipEvent, ReadFault, RecoveryStats,
     SendFault,
 };
+pub use fnv::Fnv1a;
 pub use stats::{TagClass, TrafficEdge, TrafficStats};
 pub use wire::{Codec, WireClassStats, WireLedger, WireSpec};

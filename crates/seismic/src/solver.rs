@@ -153,12 +153,6 @@ impl WaveSolver {
         self.step as f64 * self.dt
     }
 
-    /// Steps taken so far.
-    #[inline]
-    pub fn step_count(&self) -> u64 {
-        self.step
-    }
-
     /// Flat index of grid node `(x, y, z)`.
     #[inline]
     pub fn node_index(&self, x: usize, y: usize, z: usize) -> usize {

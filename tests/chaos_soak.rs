@@ -39,20 +39,24 @@ fn soak_builder(ds: &Dataset) -> PipelineBuilder {
 #[test]
 fn pinned_seed_schedules_all_terminate_with_full_frame_sequences() {
     let ds = dataset();
-    // every seed soaks twice: inline prepares, then with the read-ahead stage
-    for (seed, prefetch) in
-        [2, 7, 11, 23, 42, 101].into_iter().flat_map(|s| [(s, false), (s, true)])
+    // every seed soaks three times: inline prepares, with the read-ahead
+    // stage, and under the elastic controller — whose ticks (steps 2 and
+    // 4) the generated kill windows and rejoins land on and off freely
+    for (seed, prefetch, elastic) in [2, 7, 11, 23, 42, 101]
+        .into_iter()
+        .flat_map(|s| [(s, false, false), (s, true, false), (s, false, true)])
     {
         let clauses = chaos_clauses(seed, &topo());
         let spec = FaultSpec::parse(&compose(&clauses))
             .unwrap_or_else(|e| panic!("seed {seed}: generated schedule must parse: {e}"));
-        let report = soak_builder(&ds).faults(spec).prefetch(prefetch).run().unwrap_or_else(|e| {
-            panic!("seed {seed} prefetch={prefetch} ({}): {e}", compose(&clauses))
+        let b = soak_builder(&ds).faults(spec).prefetch(prefetch);
+        let report = if elastic { b.elastic(2) } else { b }.run().unwrap_or_else(|e| {
+            panic!("seed {seed} prefetch={prefetch} elastic={elastic} ({}): {e}", compose(&clauses))
         });
         assert_eq!(
             report.frames.len(),
             ds.steps(),
-            "seed {seed} prefetch={prefetch} ({}): every step must deliver a frame",
+            "seed {seed} prefetch={prefetch} elastic={elastic} ({}): every step must deliver a frame",
             compose(&clauses)
         );
         for (t, frame) in report.frames.iter().enumerate() {

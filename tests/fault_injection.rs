@@ -356,7 +356,7 @@ fn pinned_seed_render_kill_505() {
     assert_eq!(report.frames.len(), ds.steps());
 }
 
-/// Rank rejoin through the `TAG_JOIN` handshake, twice over: a render
+/// Rank rejoin through the `JOIN`/`CATCHUP` handshake, twice over: a render
 /// rank is killed, recovers, and is killed again. Inside each dormancy
 /// window frames must match the survivor-set oracle; outside them —
 /// including after the rejoin — frames must match the full-set oracle
@@ -392,17 +392,20 @@ fn render_rank_rejoin_and_rekill_keep_frames_bit_identical() {
     }
 }
 
-/// Input-rank rejoin inside a 2DIP group: the survivors carry the dead
-/// rank's slice through the window, the joiner announces itself on its
-/// first live step, and the peers fold it back in — every frame stays
-/// bit-identical to the clean run, before, during, and after.
+/// Input-rank rejoin inside a 2DIP group, with the elastic control plane
+/// off and on: the survivors carry the dead rank's slice through the
+/// window, the joiner catches up at its scripted step and beacons on its
+/// first owned one, and the peers — who read the rejoin from the plan —
+/// fold it back in. Every frame stays bit-identical to the clean run,
+/// before, during, and after.
 #[test]
 fn input_rank_rejoin_keeps_frames_bit_identical() {
     let ds = dataset();
     let io = IoStrategy::TwoDip { groups: 1, per_group: 3 };
     let clean = builder(&ds, io).run().expect("clean pipeline");
-    for prefetch in [false, true] {
-        let faulted = builder(&ds, io)
+    for (prefetch, elastic) in [(false, false), (true, false), (false, true), (true, true)] {
+        let b = if elastic { builder(&ds, io).elastic(2) } else { builder(&ds, io) };
+        let faulted = b
             .faults(FaultSpec::parse("seed=1,fail_rank=1@1,recover_rank=1@3").unwrap())
             .delivery_deadline_ms(400)
             .prefetch(prefetch)
@@ -466,8 +469,11 @@ fn slow_ranks_below_heartbeat_deadline_never_false_positive() {
     }
 }
 
-/// `recover_rank=R@S` schedules are validated against the world shape
-/// and the control plane at plan-build time, exactly like `fail_rank`.
+/// `recover_rank=R@S` schedules are validated against the world shape at
+/// plan-build time, exactly like `fail_rank` — and only against that. A
+/// rejoin is the end of an overlay under every controller and at every
+/// step: the combinations validation used to turn away because two code
+/// paths could not be reconciled now run, bit-identical to the oracle.
 #[test]
 fn recover_rank_validation_rejects_impossible_schedules() {
     let ds = dataset();
@@ -484,23 +490,6 @@ fn recover_rank_validation_rejects_impossible_schedules() {
     // a bare recover_rank is a spare-pool join and needs a spare pool
     let err = expect_err(builder(&ds, io).faults(FaultSpec::parse("recover_rank=3@2").unwrap()));
     assert!(err.contains("spare-pool join"), "unexpected error: {err}");
-    // elastic: the rejoin step must land on a controller tick
-    let err = expect_err(
-        builder(&ds, io)
-            .renderers(3)
-            .elastic(2)
-            .faults(FaultSpec::parse("seed=1,fail_rank=3@1,recover_rank=3@3").unwrap()),
-    );
-    assert!(err.contains("not a controller tick"), "unexpected error: {err}");
-    // elastic kill windows need the rebalance-only controller
-    let err = expect_err(
-        builder(&ds, io)
-            .renderers(3)
-            .elastic(2)
-            .elastic_resize(true)
-            .faults(FaultSpec::parse("seed=1,fail_rank=3@1,recover_rank=3@2").unwrap()),
-    );
-    assert!(err.contains("rebalance-only"), "unexpected error: {err}");
     // a spare join must target the first parked rank
     let err = expect_err(
         builder(&ds, io)
@@ -509,38 +498,82 @@ fn recover_rank_validation_rejects_impossible_schedules() {
             .faults(FaultSpec::parse("recover_rank=3@2").unwrap()),
     );
     assert!(err.contains("first parked rank"), "unexpected error: {err}");
+
+    let oracle = builder(&ds, io).run().expect("static oracle");
+    let runs = |what: &str, b: PipelineBuilder, spec: &str| {
+        let report = b
+            .faults(FaultSpec::parse(spec).unwrap())
+            .delivery_deadline_ms(500)
+            .run()
+            .unwrap_or_else(|e| panic!("{what} ({spec}): {e}"));
+        assert_all_frames_identical(&oracle, &report, what);
+        assert_eq!(report.degraded_frame_count(), 0, "{what}: {:?}", report.degraded);
+        report.recovery.expect("fault plan active")
+    };
+    // worlds: [0,1 inputs | 2,3,4 renderers | 5 output], and with a pool
+    // [0,1 inputs | 2,3 renderers | 4 spare | 5 output]
+    let three = || builder(&ds, io).renderers(3).elastic(2);
+    let pool = || builder(&ds, io).spare_renderers(1).elastic(2);
+    // was ElasticRecoverOffTick: an elastic rejoin on a step that is no tick
+    let rec = runs("rejoin off the tick", three(), "seed=1,fail_rank=3@1,recover_rank=3@3");
+    assert_eq!(rec.rejoins, 1);
+    // was ElasticKillNeedsRebalanceOnly: a kill window while the
+    // controller may resize the render prefix and reshape the input width.
+    // Slept-out reads make the run input-bound, so the tick at step 2
+    // shrinks the prefix — to the two ranks a scripted kill leaves it,
+    // one of them the dormant one — and the joiner has that to catch up on
+    let resizing = three().elastic_resize(true).io_delay_scale(50.0);
+    let rec = runs("kill window under resize", resizing, "seed=1,fail_rank=3@1,recover_rank=3@3");
+    assert_eq!((rec.rejoins, rec.catchup_plans), (1, 1), "the shrink of tick 2, replayed");
+    let reshaping = builder(&ds, IoStrategy::TwoDip { groups: 1, per_group: 2 })
+        .renderers(3)
+        .elastic(2)
+        .elastic_resize(true)
+        .elastic_reshape(true);
+    runs("kill window under resize+reshape", reshaping, "seed=1,fail_rank=3@1,recover_rank=3@3");
+    // was SpareJoinNotAlone: a kill window beside a parked spare …
+    let rec = runs("kill window beside a spare", pool(), "seed=1,fail_rank=3@1,recover_rank=3@3");
+    assert_eq!((rec.rejoins, rec.render_failovers >= 1), (1, true));
+    // … and a spare that joins, dies and comes back
+    let spec = "seed=1,recover_rank=4@1,fail_rank=4@2,recover_rank=4@3";
+    assert_eq!(runs("spare join, then a window of its own", pool(), spec).rejoins, 2);
 }
 
 /// Regression: a rejoin scheduled on a tick the plan itself kills
 /// (`fail_controller` at or before it) used to pass validation, then
-/// panic two render ranks in SLIC and deadlock the run — the joiner's
-/// catch-up rides on a tick that happens nowhere. The *effective* tick is
-/// what counts, for kill-window and spare-pool joins alike.
+/// panic two render ranks in SLIC and deadlock the run; then it was
+/// rejected. A rejoin needs no tick: the output rank keeps the plan
+/// history whether or not its controller still ticks, so the schedule
+/// runs, every frame bit-identical. Only a spare-pool join, whose admit
+/// plan a dead controller cannot commit, is still turned away.
 #[test]
 fn rejoin_on_a_tick_the_plan_kills_is_rejected() {
-    let ds = dataset();
+    let ds = SimulationBuilder::new().resolution(16).steps(8).run_to_dataset().unwrap();
     let io = IoStrategy::OneDip { input_procs: 2 };
-    let expect_err = |b: PipelineBuilder| match b.run() {
-        Err(e) => e,
-        Ok(_) => panic!("a rejoin on a dead controller's tick must be rejected"),
-    };
+    let oracle = builder(&ds, io).run().expect("static oracle");
     let spec = "seed=11,slow_rank=2@8,fail_rank=3@2,recover_rank=3@4,fail_controller=4";
-    let err = expect_err(
-        builder(&ds, io)
-            .renderers(3)
-            .elastic(2)
-            .delivery_deadline_ms(500)
-            .faults(FaultSpec::parse(spec).unwrap()),
-    );
-    assert!(err.contains("not a controller tick"), "unexpected error: {err}");
+    let rejoined = builder(&ds, io)
+        .renderers(3)
+        .elastic(2)
+        .delivery_deadline_ms(500)
+        .faults(FaultSpec::parse(spec).unwrap())
+        .run()
+        .expect("a rejoin under a dead controller");
+    assert_all_frames_identical(&oracle, &rejoined, "rejoin under a dead controller");
+    assert_eq!(rejoined.degraded_frame_count(), 0);
+    let rec = rejoined.recovery.expect("fault plan active");
+    assert_eq!((rec.rejoins, rec.controller_kills), (1, 1));
+    let slept_through = rejoined.control_plans.iter().filter(|p| p.apply_at >= 2).count();
+    assert_eq!(rec.catchup_plans, slept_through as u64, "the plans of tick 2, replayed");
     // world: [0,1 inputs | 2,3 renderers | 4 spare | 5 output]
-    let err = expect_err(
-        builder(&ds, io)
-            .spare_renderers(1)
-            .elastic(2)
-            .faults(FaultSpec::parse("recover_rank=4@2,fail_controller=2").unwrap()),
-    );
-    assert!(err.contains("not a controller tick"), "unexpected error: {err}");
+    let err = builder(&ds, io)
+        .spare_renderers(1)
+        .elastic(2)
+        .faults(FaultSpec::parse("recover_rank=4@2,fail_controller=2").unwrap())
+        .run()
+        .err()
+        .expect("a spare join under a dead controller must be rejected");
+    assert!(err.contains("not scripted dead by then"), "unexpected error: {err}");
 }
 
 /// `fail_rank=R@S` is validated against the actual world shape at
@@ -571,4 +604,9 @@ fn fail_rank_validation_rejects_impossible_schedules() {
     let err =
         expect_err(builder(&ds, io).faults(FaultSpec::parse("seed=1,fail_rank=0@1").unwrap()));
     assert!(err.contains("2DIP input group"), "unexpected error: {err}");
+    // the output rank hosts the elastic controller: that has its own kill
+    let err = expect_err(
+        builder(&ds, io).elastic(2).faults(FaultSpec::parse("seed=1,fail_rank=4@1").unwrap()),
+    );
+    assert!(err.contains("fail_controller"), "unexpected error: {err}");
 }

@@ -49,7 +49,7 @@ const PINNED: &str = "
   work.raycast.bricks_skipped=183 work.raycast.rays=18109 work.raycast.samples=86478
   work.slic.over_px=29948
 1dip_rejoin_s1: bytes.block_data=676352 bytes.collective=3084 bytes.composite=285888
-  bytes.raw.block_data=676352 bytes.raw.volume_image=262144 bytes.recovery=160 bytes.total=1227628
+  bytes.raw.block_data=676352 bytes.raw.volume_image=262144 bytes.recovery=216 bytes.total=1227684
   bytes.volume_image=262144 fault_events=2 frames=4 messages=75 msgs.block_data=10
   msgs.collective=28 msgs.composite=13 msgs.recovery=20 msgs.volume_image=4 recovery.rejoins=1
   recovery.render_failovers=2 wire.keyframes.block_data=256 work.raycast.bricks_skipped=183
