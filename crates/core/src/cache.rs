@@ -94,12 +94,9 @@ impl CacheConfig {
         Ok(cfg)
     }
 
-    /// The `QUAKEVIZ_CACHE` environment fallback (`None` when unset).
+    /// The sizing from `QUAKEVIZ_CACHE` ([`quakeviz_rt::env_overlay`]).
     pub fn from_env() -> Result<Option<CacheConfig>, String> {
-        match std::env::var("QUAKEVIZ_CACHE") {
-            Ok(v) => CacheConfig::parse(&v).map(Some),
-            Err(_) => Ok(None),
-        }
+        quakeviz_rt::env_overlay("QUAKEVIZ_CACHE", CacheConfig::parse)
     }
 }
 
@@ -386,6 +383,25 @@ pub struct CacheCounters {
     pub frame_rejects: u64,
 }
 
+impl CacheCounters {
+    /// One run's share of a tier that accumulates across the runs sharing
+    /// it — every counter since `base`, plus the resident-bytes gauge —
+    /// under the metric names they are published as.
+    pub fn named_since(&self, base: &CacheCounters) -> [(&'static str, u64); 9] {
+        [
+            ("cache.block.hits", self.block_hits - base.block_hits),
+            ("cache.block.misses", self.block_misses - base.block_misses),
+            ("cache.block.evictions", self.block_evictions - base.block_evictions),
+            ("cache.block.rejects", self.block_rejects - base.block_rejects),
+            ("cache.block.bytes", self.block_bytes),
+            ("cache.frame.hits", self.frame_hits - base.frame_hits),
+            ("cache.frame.misses", self.frame_misses - base.frame_misses),
+            ("cache.frame.evictions", self.frame_evictions - base.frame_evictions),
+            ("cache.frame.rejects", self.frame_rejects - base.frame_rejects),
+        ]
+    }
+}
+
 /// Both cache levels plus the fingerprint stamp — the handle shared
 /// between a cold run and the warm runs that follow it.
 pub struct CacheTier {
@@ -476,6 +492,11 @@ mod tests {
         assert!(CacheConfig::parse("nope=1").unwrap_err().contains("unknown key"));
         assert!(CacheConfig::parse("frames=abc").unwrap_err().contains("not a number"));
         assert!(CacheConfig::parse("frames").unwrap_err().contains("key=value"));
+        // the same strings as a `QUAKEVIZ_CACHE` value
+        let env = |v| quakeviz_rt::overlay("QUAKEVIZ_CACHE", v, CacheConfig::parse);
+        assert_eq!((env(None), env(Some("0"))), (Ok(None), Ok(None)));
+        assert_eq!(env(Some("frames=0")), Ok(Some(CacheConfig::parse("frames=0").unwrap())));
+        assert!(env(Some("frames")).unwrap_err().starts_with("invalid QUAKEVIZ_CACHE: cache spec"));
         assert!(!CacheConfig::off().enabled());
         assert!(CacheConfig { blocks_mb: 0, frames: 1 }.enabled());
     }

@@ -67,10 +67,11 @@ pub use checkpoint::{CheckpointError, CheckpointManifest, CHECKPOINT_VERSION};
 pub use config::{IoStrategy, PipelineBuilder, PipelineConfig, ReadStrategy, RetryPolicy};
 pub use control::{ControlConfig, ControlPlan};
 pub use des::{simulate, CostTable, DesResult, DesStrategy};
+pub use membership::FaultConfigError;
 pub use model::{
     onedip_optimal_m, onedip_prefetch_delay, onedip_steady_delay, twodip_n, twodip_optimal_m,
     twodip_prefetch_delay, twodip_steady_delay,
 };
-pub use pipeline::{run_pipeline, Degradation, FaultConfigError, PipelineReport};
+pub use pipeline::{run_pipeline, Degradation, PipelineReport};
 pub use proto::wire_checksum;
 pub use validate::ModelValidation;

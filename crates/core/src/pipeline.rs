@@ -18,7 +18,7 @@
 use crate::cache::{BlockKey, CacheTier, FrameKey};
 use crate::config::{PipelineConfig, ReadStrategy};
 use crate::control::{ControlConfig, ControlPlan, Controller, EpochState, WindowMeasurement};
-use crate::membership;
+use crate::membership::{self, Presence, Role, Schedule, Tick, Watch, WorldShape};
 pub use crate::proto::Degradation;
 use crate::proto::{
     self, decode_image, encode_image, gather_values, ingest_piece, missing_piece, pack_piece,
@@ -40,8 +40,8 @@ use quakeviz_render::{
 use quakeviz_rt::obs::{self, Obs, Phase, TraceData};
 use quakeviz_rt::wire::{WireClassStats, WireLedger, WireSpec};
 use quakeviz_rt::{
-    wait_all, Comm, FaultEvent, FaultPlan, FaultSpec, Fnv1a, MembershipEvent, RecoveryStats,
-    SendHandle, TagClass, TrafficEdge, TrafficStats, World,
+    wait_all, Comm, FaultEvent, FaultPlan, FaultSpec, Fnv1a, RecoveryStats, SendHandle, TagClass,
+    TrafficEdge, TrafficStats, World,
 };
 use quakeviz_seismic::Dataset;
 use std::collections::{HashMap, VecDeque};
@@ -296,13 +296,14 @@ struct Shared {
     /// Surface structures for LIC: the texel → node stencil, the surface
     /// node ids to read each step, the noise texture.
     surface: Option<(SurfaceSampler, Vec<NodeId>, Vec<f32>)>,
-    n_inputs: usize,
-    n_renderers: usize,
     opacity_unit: f64,
     /// The run's deterministic fault plan — every run has one; without a
-    /// spec it is the empty plan, which never fires. It is also the one
-    /// sink of the `recovery.*` counters.
+    /// spec it is the empty plan, which never fires. It injects, and it is
+    /// the one sink of the `recovery.*` counters.
     faults: Arc<FaultPlan>,
+    /// The world's shape and who is what at every step — the one place a
+    /// membership question is answered.
+    sched: Schedule,
     /// First step to execute (0 unless resuming from a checkpoint).
     start_step: usize,
     /// Checkpointed last-known-good fields by render-group rank, loaded
@@ -381,15 +382,10 @@ impl Shared {
     /// depends on how long the renderers happened to be busy meanwhile.
     fn deadline(&self) -> Option<Duration> {
         self.faults.spec().can_inject().then(|| {
-            let detection = if self.input_failover() { self.hb_deadline() } else { Duration::ZERO };
+            let input_kill = self.sched.kill_role() == Some(Role::Input);
+            let detection = if input_kill { self.hb_deadline() } else { Duration::ZERO };
             Duration::from_millis(self.cfg.deadline_ms) + detection
         })
-    }
-
-    /// Whether a scripted *input*-rank failure inside a 2DIP group — and
-    /// with it that group's heartbeat/failover protocol — is active.
-    fn input_failover(&self) -> bool {
-        self.cfg.io.shape().1 > 1 && self.kill_target().is_some_and(|r| r < self.n_inputs)
     }
 
     /// The liveness-detection deadline: how long heartbeat waits (input
@@ -399,266 +395,52 @@ impl Shared {
         Duration::from_millis(self.cfg.heartbeat_timeout_ms.unwrap_or(self.cfg.deadline_ms))
     }
 
-    /// The world rank the fault plan's kill windows target, if any (the
-    /// plan scripts a single fail/recover target). Which group it falls
-    /// in decides which heartbeat runs: its 2DIP input group's, the
-    /// render group's, or output→render-root supervision.
-    fn kill_target(&self) -> Option<usize> {
-        self.faults.spec().fail_rank.map(|(rank, _)| rank)
-    }
-
-    /// The render-group index scripted dead at step `t` (windowed: a
-    /// scripted `recover_rank` ends it).
-    fn dead_renderer(&self, t: usize) -> Option<usize> {
-        (0..self.n_renderers).find(|&r| self.faults.rank_failed(self.n_inputs + r, t))
-    }
-
-    /// Block ownership at step `t` under the caller's committed `state`
-    /// — see [`membership::owners`], the single authority.
-    fn owners(&self, state: &EpochState, t: usize) -> Vec<(usize, Vec<u32>)> {
-        membership::owners(state, self.dead_renderer(t), &self.block_weights)
-    }
-
-    /// World rank delivering the composited frame of step `t` (the
-    /// lowest live active render rank — SLIC's collector).
-    fn frame_source(&self, state: &EpochState, t: usize) -> usize {
-        self.n_inputs + self.owners(state, t).first().map_or(0, |&(r, _)| r)
-    }
-
-    /// Whether the output processor is alive at step `t` under the plan
-    /// (its death is permanent: validation rejects an output rejoin).
-    fn output_alive(&self, t: usize) -> bool {
-        !self.faults.rank_failed(self.n_inputs + self.n_renderers, t)
-    }
-
-    /// World rank assembling the frame of step `t`: the output processor,
-    /// or its render-root supervisor once the plan scripts it dead.
-    fn output_dst(&self, t: usize) -> usize {
-        if self.output_alive(t) {
-            self.n_inputs + self.n_renderers
-        } else {
-            self.n_inputs
-        }
-    }
-
     /// Whether a checkpoint is due after step `t`.
     fn checkpoint_due(&self, t: usize) -> bool {
         self.cfg.checkpoint_every.is_some_and(|k| (t + 1).is_multiple_of(k))
     }
-
-    /// The controller's schedule: the configured one, or — control off —
-    /// one that never ticks.
-    fn control(&self) -> ControlConfig {
-        self.cfg.control.unwrap_or(ControlConfig::every(0))
-    }
-
-    /// Whether a spare-pool join is scripted at step `t`.
-    fn spare_join_at(&self, t: usize) -> bool {
-        self.faults.spare_join().is_some_and(|(_, step)| step == t)
-    }
-
-    /// Whether a plan-commit round runs before step `t`: the schedule —
-    /// skipping the resume boundary (no measurement window within this
-    /// run yet) — or a spare-pool join, whose admit plan commits at the
-    /// join step itself; never at or after a scripted controller kill.
-    /// Every rank derives the same answer from shared state — the round
-    /// is a collective.
-    fn control_tick(&self, t: usize) -> bool {
-        let scheduled = self.control().is_tick(t) && t > self.start_step;
-        (scheduled || self.spare_join_at(t)) && !self.faults.controller_failed(t)
-    }
 }
 
-/// Why a scripted `fail_rank=R@S` cannot run under this configuration —
-/// surfaced at plan-build time instead of silently never firing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultConfigError {
-    /// The rank does not exist in the world `[inputs | renderers |
-    /// output]` this configuration spawns.
-    RankOutOfRange { rank: usize, world: usize },
-    /// The failure step is past the last executed step: the scripted
-    /// death would never fire.
-    StepOutOfRange { step: usize, steps: usize },
-    /// An input-rank death is only survivable inside a 2DIP group of at
-    /// least two with independent contiguous reads.
-    InputNotSurvivable { rank: usize, step: usize },
-    /// A render-rank death is only survivable with at least two
-    /// rendering processors for the dead rank's blocks to be overlaid onto.
-    RenderNotSurvivable { rank: usize, step: usize },
-    /// `recover_rank` on the output processor: its supervisor takeover is
-    /// permanent (frame routing cannot hand back mid-run).
-    OutputRankRejoin { rank: usize, step: usize },
-    /// A `recover_rank` with no preceding kill is a spare-pool join: it
-    /// grows the active prefix, which only a committed admit plan can do.
-    /// That needs a spare pool and the elastic controller alive at the
-    /// join step — under none, or one `fail_controller` already stopped,
-    /// nobody can commit the plan.
-    SpareJoinNeedsSparePool { rank: usize, step: usize },
-    /// A spare join must target the first parked rank — the admit plan
-    /// grows the active prefix by one.
-    SpareJoinWrongRank { rank: usize, expected: usize },
-    /// Under the elastic control plane the output rank cannot be scripted
-    /// dead: it hosts the controller and keeps the plan history, and its
-    /// supervisor takes over frame assembly, not those (`fail_controller`
-    /// is the scripted controller death).
-    ElasticOutputKill { rank: usize, step: usize },
-}
-
-impl std::fmt::Display for FaultConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            FaultConfigError::RankOutOfRange { rank, world } => write!(
-                f,
-                "fail_rank rank {rank} is outside the world: this configuration \
-                 spawns only {world} ranks (inputs | renderers | output)"
-            ),
-            FaultConfigError::StepOutOfRange { step, steps } => write!(
-                f,
-                "fail_rank step {step} is beyond the run's {steps} steps — \
-                 the scripted failure would never fire"
-            ),
-            FaultConfigError::InputNotSurvivable { rank, step } => write!(
-                f,
-                "fail_rank={rank}@{step} needs a 2DIP input group of at least 2 \
-                 with independent contiguous reads so the dead rank's slice can \
-                 fail over to a survivor"
-            ),
-            FaultConfigError::RenderNotSurvivable { rank, step } => write!(
-                f,
-                "fail_rank={rank}@{step} kills a rendering processor: failover \
-                 needs at least 2 renderers so the survivors can take over its \
-                 blocks and recompute the SLIC schedule"
-            ),
-            FaultConfigError::OutputRankRejoin { rank, step } => write!(
-                f,
-                "recover_rank={rank}@{step} targets the output processor: its \
-                 render-root supervisor takeover is permanent, output-rank \
-                 rejoin is not supported"
-            ),
-            FaultConfigError::SpareJoinNeedsSparePool { rank, step } => write!(
-                f,
-                "recover_rank={rank}@{step} with no preceding fail_rank is a \
-                 spare-pool join: it needs spare_renderers >= 1 and the elastic \
-                 control plane (PipelineBuilder::elastic), not scripted dead by \
-                 then, to commit its admit plan"
-            ),
-            FaultConfigError::SpareJoinWrongRank { rank, expected } => write!(
-                f,
-                "spare-pool join rank {rank} is not the first parked rank: the \
-                 admit plan grows the active prefix, so the joiner must be \
-                 world rank {expected}"
-            ),
-            FaultConfigError::ElasticOutputKill { rank, step } => write!(
-                f,
-                "fail_rank={rank}@{step} kills the output processor under the \
-                 elastic control plane: it hosts the controller and the plan \
-                 history, which its supervisor does not take over — script the \
-                 controller's death with fail_controller instead"
-            ),
-        }
-    }
-}
-
-/// Validate a scripted membership timeline (kills and rejoins) against
-/// the world shape `[inputs | renderers, spares | output]` and the
-/// control-plane mode. The timeline arrives normalized (single target,
-/// alternating, strictly increasing steps); `fail_controller` is the plan's
-/// scripted controller kill, after which no plan commits. A rejoin needs
-/// nothing of the schedule: it ends an overlay, at any step — even one past
-/// the run's end, where the window just stays open for a resumed run.
-fn validate_membership(
-    config: &PipelineConfig,
-    n_inputs: usize,
-    steps: usize,
-    timeline: &[MembershipEvent],
-    fail_controller: Option<usize>,
-) -> Result<(), FaultConfigError> {
-    let output_rank = n_inputs + config.renderers + config.spare_renderers;
-    // a leading recovery is a spare-pool join: the one membership event
-    // that commits a plan, so the one that needs a live controller
-    if let Some(&MembershipEvent::Recover { rank, step }) = timeline.first() {
-        let committable = config.control.is_some()
-            && config.spare_renderers >= 1
-            && fail_controller.is_none_or(|k| step < k);
-        if !committable {
-            return Err(FaultConfigError::SpareJoinNeedsSparePool { rank, step });
-        }
-        let expected = n_inputs + config.renderers;
-        if rank != expected {
-            return Err(FaultConfigError::SpareJoinWrongRank { rank, expected });
-        }
-        if step >= steps {
-            return Err(FaultConfigError::StepOutOfRange { step, steps });
-        }
-    }
-    // an input death is survivable inside a 2DIP group reading contiguous
-    // slices, a render death beside a second renderer, the output's always:
-    // its render-root supervisor assumes frame assembly
-    let group_survives =
-        config.io.shape().1 >= 2 && matches!(config.read, ReadStrategy::IndependentContiguous);
-    for ev in timeline {
-        let (rank, step) = (ev.rank(), ev.step());
-        return Err(match ev {
-            MembershipEvent::Recover { .. } if rank == output_rank => {
-                FaultConfigError::OutputRankRejoin { rank, step }
-            }
-            MembershipEvent::Recover { .. } => continue,
-            _ if rank > output_rank => {
-                FaultConfigError::RankOutOfRange { rank, world: output_rank + 1 }
-            }
-            _ if step >= steps => FaultConfigError::StepOutOfRange { step, steps },
-            _ if rank < n_inputs && !group_survives => {
-                FaultConfigError::InputNotSurvivable { rank, step }
-            }
-            _ if (n_inputs..output_rank).contains(&rank) && config.renderers < 2 => {
-                FaultConfigError::RenderNotSurvivable { rank, step }
-            }
-            _ if rank == output_rank && config.control.is_some() => {
-                FaultConfigError::ElasticOutputKill { rank, step }
-            }
-            _ => continue,
-        });
-    }
-    Ok(())
-}
-
-/// Resolve the run's fault plan — every run has one: an explicit
-/// [`PipelineConfig::faults`] spec (validated hard, with a typed
-/// [`FaultConfigError`]), else `QUAKEVIZ_FAULTS` (sanitized: a scripted
-/// rank failure an arbitrary suite configuration cannot survive — or whose
-/// detection stall would skew its timing — is dropped so a blanket
-/// environment spec still applies everywhere; only input-group failover
-/// survives the blanket treatment, render/output kills must be requested
-/// explicitly), else the empty spec, whose plan never fires. Also returns
-/// whether a spec was given at all — what the report's recovery section
-/// hangs on.
+/// Resolve the run's fault plan and membership schedule — every run has
+/// both: from an explicit [`PipelineConfig::faults`] spec (its timeline
+/// validated hard, with a typed [`membership::FaultConfigError`]), else
+/// `QUAKEVIZ_FAULTS` (sanitized: a scripted rank failure an arbitrary suite
+/// configuration cannot survive — or whose detection stall would skew its
+/// timing — is dropped so a blanket environment spec still applies
+/// everywhere; only input-group failover survives the blanket treatment,
+/// render/output kills and rejoins must be requested explicitly), else the
+/// empty spec, whose plan never fires and whose schedule never changes.
+/// Also returns whether a spec was given at all — what the report's
+/// recovery section hangs on.
 fn resolve_faults(
     config: &PipelineConfig,
-    n_inputs: usize,
     steps: usize,
-) -> Result<(Arc<FaultPlan>, bool), FaultConfigError> {
-    let (mut spec, from_env) = match &config.faults {
-        Some(spec) => (spec.clone(), false),
-        None => match FaultSpec::from_env() {
-            Some(spec) => (spec, true),
-            None => return Ok((FaultPlan::new(FaultSpec::default()), false)),
-        },
+) -> Result<(Arc<FaultPlan>, Schedule, bool), String> {
+    let given = match &config.faults {
+        Some(spec) => Some((spec.clone(), false)),
+        None => FaultSpec::from_env()?.map(|spec| (spec, true)),
     };
-    let timeline = spec.membership();
-    if !timeline.is_empty() {
-        let verdict = validate_membership(config, n_inputs, steps, &timeline, spec.fail_controller);
-        if from_env {
-            // only input-group failover survives the blanket treatment:
-            // render/output kills and rejoins must be requested explicitly
-            if verdict.is_err() || timeline.iter().any(|e| e.rank() >= n_inputs) {
-                spec.fail_rank = None;
-                spec.rank_timeline.clear();
-            }
-        } else {
-            verdict?;
-        }
+    let spec_given = given.is_some();
+    let (mut spec, from_env) = given.unwrap_or_default();
+    let (groups, per_group) = config.io.shape();
+    let shape = WorldShape {
+        groups,
+        per_group,
+        renderers: config.renderers,
+        spares: config.spare_renderers,
+    };
+    let contiguous = matches!(config.read, ReadStrategy::IndependentContiguous);
+    let fail_controller = spec.fail_controller;
+    let build = |timeline: &[_]| {
+        Schedule::new(timeline, fail_controller, shape, contiguous, config.control, steps)
+    };
+    let mut sched = build(&spec.rank_timeline);
+    if from_env && !sched.as_ref().is_ok_and(|s| s.kill_role() == Some(Role::Input)) {
+        spec.rank_timeline.clear();
+        sched = build(&[]);
     }
-    Ok((FaultPlan::new(spec), true))
+    let sched = sched.map_err(|e| e.to_string())?;
+    Ok((FaultPlan::new(spec), sched, spec_given))
 }
 
 /// FNV-1a fingerprint of every configuration field that shapes the frame
@@ -741,7 +523,7 @@ fn load_checkpoint(
 
 /// Run the pipeline for `dataset` under `config`.
 pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<PipelineReport, String> {
-    let n_inputs = config.io.validate()?;
+    config.io.validate()?;
     if config.renderers == 0 {
         return Err("need at least one rendering processor".into());
     }
@@ -818,16 +600,18 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         (sampler, ids, white_noise(config.width, config.height, 0x5eed))
     });
 
-    let (faults, fault_spec_given) =
-        resolve_faults(&config, n_inputs, steps).map_err(|e| e.to_string())?;
+    let (faults, sched, fault_spec_given) = resolve_faults(&config, steps)?;
     // explicit wire config wins; else the QUAKEVIZ_CODEC environment
     // variable; else the plain raw wire. Deliberately *not* part of the
     // config fingerprint: decoded payloads are bit-identical to the raw
     // path, so checkpoints stay interchangeable across codec settings.
-    let wire_spec = config.wire.clone().or_else(WireSpec::from_env).unwrap_or_default();
+    let wire_spec = match config.wire.clone() {
+        Some(spec) => spec,
+        None => WireSpec::from_env()?.unwrap_or_default(),
+    };
     let ledger = Arc::new(WireLedger::new());
 
-    let total_renderers = config.renderers + config.spare_renderers;
+    let total_renderers = sched.n_renderers();
     let fingerprint =
         config_fingerprint(&config, level, &camera, fault_spec_given.then(|| faults.spec()));
     let (start_step, resume_fields, resume_plans) = if config.resume {
@@ -851,8 +635,7 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
     // knob can change without invalidating checkpoints.
     let cache_cfg = match config.cache {
         Some(c) => Some(c),
-        None => crate::cache::CacheConfig::from_env()
-            .map_err(|e| format!("invalid QUAKEVIZ_CACHE: {e}"))?,
+        None => crate::cache::CacheConfig::from_env()?,
     };
     let cache: Option<Arc<CacheTier>> = match (&config.cache_tier, cache_cfg) {
         (Some(tier), _) => Some(Arc::clone(tier)),
@@ -905,10 +688,9 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         ids_per_block,
         level_ids,
         surface,
-        n_inputs,
-        n_renderers: total_renderers,
         opacity_unit: extent.max_component() / 64.0,
         faults,
+        sched: sched.resumed_at(start_step),
         start_step,
         resume_fields,
         fingerprint,
@@ -932,7 +714,7 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
                 .all(|t| shared.frame_key(t).is_some_and(|key| tier.frames.contains(key)))
     });
 
-    let world = n_inputs + shared.n_renderers + 1;
+    let world = shared.sched.world();
     let shared = &shared;
     let detail = shared.cfg.trace || Obs::detail_from_env();
     let session = Obs::new(detail);
@@ -982,121 +764,55 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         degraded.extend(tk.degraded);
         checkpoints += tk.checkpoints;
     }
-    // surface the plan's counters as metrics so the snapshot carries them
-    let plan = &shared.faults;
-    let m = session.metrics();
-    for (kind, n) in plan.counts() {
-        if n > 0 {
-            m.counter(&format!("fault.{}", kind.as_str())).add(n);
-        }
-    }
-    let rec = plan.recovery();
-    for (name, n) in rec.named() {
-        if n > 0 {
-            m.counter(name).add(n);
+    // every counter table of the run reaches the metrics snapshot through
+    // one loop, zero rows left out: injected faults, recovery actions,
+    // per-class traffic and raw-vs-wire bytes, and — as *this run's* deltas,
+    // since a shared tier or disk accumulates across runs — the cache tier
+    // and the per-OST counters of a sharded disk
+    let rec = shared.faults.recovery();
+    let named = |(name, v): (&str, u64)| (name.to_string(), v);
+    let plans = control_plans.len() as u64;
+    let osts = shared.disk.ost_stats();
+    let rows = (shared.faults.named_counts())
+        .chain(rec.named().map(named))
+        .chain([("checkpoint.commits", checkpoints), ("control.plans_committed", plans)].map(named))
+        .chain(stats.named())
+        .chain(shared.ledger.named())
+        .chain(cache.iter().flat_map(|tier| tier.counters().named_since(&cache_base)).map(named))
+        .chain(
+            osts.iter().enumerate().flat_map(|(i, st)| {
+                st.named_since(i, &ost_base.get(i).copied().unwrap_or_default())
+            }),
+        );
+    for (name, v) in rows {
+        if v > 0 {
+            session.metrics().counter(&name).add(v);
         }
     }
     // the report's recovery section exists when a fault spec was given
-    let (fault_events, recovery) = (plan.events(), fault_spec_given.then_some(rec));
-    if checkpoints > 0 {
-        session.metrics().counter("checkpoint.commits").add(checkpoints);
-    }
-    // per-class traffic volume as metrics, so the snapshot carries bytes
-    // moved per TagClass without re-deriving from the edge list
-    for (class, msgs, bytes) in stats.class_totals() {
-        if msgs > 0 {
-            session.metrics().counter(&format!("traffic.{}.msgs", class.as_str())).add(msgs);
-            session.metrics().counter(&format!("traffic.{}.bytes", class.as_str())).add(bytes);
-        }
-    }
-    // raw-vs-wire ledger per payload class: what the codec+delta layer
-    // saved (wire ≤ raw always; equal on the plain raw wire)
-    for w in shared.ledger.snapshot() {
-        let m = session.metrics();
-        m.counter(&format!("traffic.{}.raw_bytes", w.class.as_str())).add(w.raw_bytes);
-        m.counter(&format!("traffic.{}.wire_bytes", w.class.as_str())).add(w.wire_bytes);
-    }
-    // cache-tier counters, emitted as *this run's* deltas (the tier
-    // accumulates across the runs sharing it) plus the resident-bytes
-    // gauge; per-OST counters likewise when the disk is sharded
-    if let Some(tier) = &cache {
-        let c = tier.counters();
-        let m = session.metrics();
-        for (name, v) in [
-            ("cache.block.hits", c.block_hits - cache_base.block_hits),
-            ("cache.block.misses", c.block_misses - cache_base.block_misses),
-            ("cache.block.evictions", c.block_evictions - cache_base.block_evictions),
-            ("cache.block.rejects", c.block_rejects - cache_base.block_rejects),
-            ("cache.block.bytes", c.block_bytes),
-            ("cache.frame.hits", c.frame_hits - cache_base.frame_hits),
-            ("cache.frame.misses", c.frame_misses - cache_base.frame_misses),
-            ("cache.frame.evictions", c.frame_evictions - cache_base.frame_evictions),
-            ("cache.frame.rejects", c.frame_rejects - cache_base.frame_rejects),
-        ] {
-            if v > 0 {
-                m.counter(name).add(v);
-            }
-        }
-    }
-    for (i, st) in shared.disk.ost_stats().iter().enumerate() {
-        let base = ost_base.get(i).copied().unwrap_or_default();
-        let m = session.metrics();
-        for (name, v) in [
-            (format!("parfs.ost{i}.reads"), st.reads - base.reads),
-            (format!("parfs.ost{i}.bytes"), st.bytes - base.bytes),
-            (format!("parfs.ost{i}.peak_queue"), st.peak_queue),
-        ] {
-            if v > 0 {
-                m.counter(&name).add(v);
-            }
-        }
-    }
+    let (fault_events, recovery) = (shared.faults.events(), fault_spec_given.then_some(rec));
     // per-render-rank utilization: each rank's Render-phase busy time
     // against the per-step makespan (the slowest rank each step), in
     // permille so the counters stay integral. This is the number the
     // elastic control plane exists to move — rebalancing narrows the
     // spread between the busiest and idlest render rank.
-    {
-        let mut busy: Vec<HashMap<u32, u64>> = vec![HashMap::new(); shared.n_renderers];
-        for rec in session.recorders() {
-            if rec.group() != "render" || rec.rank() < n_inputs {
-                continue;
-            }
-            let rr = rec.rank() - n_inputs;
-            if rr >= shared.n_renderers {
-                continue;
-            }
-            for ev in rec.events() {
-                if ev.phase == Phase::Render {
-                    *busy[rr].entry(ev.step).or_insert(0) += ev.dur_us;
-                }
-            }
-        }
-        let mut makespan: HashMap<u32, u64> = HashMap::new();
-        for per_step in &busy {
-            for (&t, &us) in per_step {
-                let e = makespan.entry(t).or_insert(0);
-                *e = (*e).max(us);
-            }
-        }
-        let total: u64 = makespan.values().sum();
-        let m = session.metrics();
-        let mut sum = 0u64;
-        let mut measured = false;
-        for (rr, per_step) in busy.iter().enumerate() {
-            let Some(permille) = (per_step.values().sum::<u64>() * 1000).checked_div(total) else {
-                break; // no render spans recorded at all
-            };
-            m.counter(&format!("pipeline.render_utilization.r{rr}")).add(permille);
-            sum += permille;
-            measured = true;
-        }
-        if measured {
-            m.counter("pipeline.render_utilization.mean").add(sum / shared.n_renderers as u64);
-        }
+    let busy = render_us(&session, shared);
+    let mut makespan: HashMap<u32, u64> = HashMap::new();
+    for (&t, &us) in busy.iter().flatten() {
+        let slowest = makespan.entry(t).or_insert(0);
+        *slowest = us.max(*slowest);
     }
-    if !control_plans.is_empty() {
-        session.metrics().counter("control.plans_committed").add(control_plans.len() as u64);
+    let total: u64 = makespan.values().sum();
+    // (no render spans recorded at all: nothing to publish)
+    if total > 0 {
+        let permille = busy.iter().map(|per_step| per_step.values().sum::<u64>() * 1000 / total);
+        let mut sum = 0;
+        for (rr, permille) in permille.enumerate() {
+            session.metrics().counter(&format!("pipeline.render_utilization.r{rr}")).add(permille);
+            sum += permille;
+        }
+        let mean = sum / busy.len() as u64;
+        session.metrics().counter("pipeline.render_utilization.mean").add(mean);
     }
     let trace = session.snapshot(Some(&stats));
     write_trace_if_requested(&trace);
@@ -1105,8 +821,8 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         frame_done,
         input_steps,
         render_frames,
-        renderers: shared.n_renderers,
-        input_procs: n_inputs,
+        renderers: shared.sched.n_renderers(),
+        input_procs: shared.sched.n_inputs(),
         prefetch: shared.cfg.prefetch,
         level: shared.level,
         messages: stats.messages(),
@@ -1145,42 +861,33 @@ fn write_trace_if_requested(trace: &TraceData) {
 
 fn rank_main(comm: Comm, session: &Arc<Obs>, s: &Shared) -> RankResult {
     let me = comm.rank();
-    let group = if me < s.n_inputs {
-        "input"
-    } else if me < s.n_inputs + s.n_renderers {
-        "render"
-    } else {
-        "output"
+    let role = s.sched.role(me);
+    let group = match role {
+        Role::Input => "input",
+        Role::Render => "render",
+        Role::Output => "output",
     };
     let _rec = session.attach(me, group);
     comm.barrier();
     let start = Instant::now();
 
-    if s.warm_all {
-        // every frame of the run is already in the frame cache under this
-        // exact (camera, transfer, level) identity: the run is a replay.
-        // Input and render ranks do no work (and so inject no faults,
-        // write no checkpoints, host no control ticks); the output rank
-        // serves frames straight from the cache.
-        return if me < s.n_inputs {
+    // with every frame of the run already in the frame cache under this
+    // exact (camera, transfer, level) identity, the run is a replay: input
+    // and render ranks do no work (and so inject no faults, write no
+    // checkpoints, host no control ticks); the output rank serves frames
+    // straight from the cache
+    match role {
+        Role::Input if s.warm_all => {
             RankResult::Input(vec![InputStepTiming::default(); input_plan(me, s).my_steps.len()])
-        } else if me < s.n_inputs + s.n_renderers {
-            RankResult::Render {
-                timings: vec![RenderFrameTiming::default(); s.steps - s.start_step],
-                takeover: None,
-            }
-        } else {
-            output_warm(session, s, start)
-        };
-    }
-
-    if me < s.n_inputs {
-        RankResult::Input(input_main(&comm, s))
-    } else if me < s.n_inputs + s.n_renderers {
-        let (timings, takeover) = render_main(&comm, session, s, start);
-        RankResult::Render { timings, takeover }
-    } else {
-        output_main(&comm, session, s, start)
+        }
+        Role::Input => RankResult::Input(input_main(&comm, s)),
+        Role::Render if s.warm_all => RankResult::Render {
+            timings: vec![RenderFrameTiming::default(); s.steps - s.start_step],
+            takeover: None,
+        },
+        Role::Render => render_main(&comm, session, s, start),
+        Role::Output if s.warm_all => output_warm(session, s, start),
+        Role::Output => output_main(&comm, session, s, start),
     }
 }
 
@@ -1463,11 +1170,11 @@ fn pack_batches(
     // route by the step's ownership under the caller's committed epoch
     // state: a rank scripted dead at `t` receives nothing, its blocks go
     // to the live active ranks
-    let routes = s.owners(state, t);
+    let routes = s.sched.owners(state, t, &s.block_weights);
     let scale = s.dataset.norm_at(t);
     let mut out = Vec::with_capacity(routes.len());
     for (r, blocks) in &routes {
-        let dst = s.n_inputs + r;
+        let dst = s.sched.render_rank(*r);
         // the lossy transport completes a dropped send locally, so the
         // sender knows this batch will never arrive: pack it without
         // advancing delta state, and the next real send deltas against
@@ -1549,9 +1256,8 @@ fn lic_step(comm: &Comm, s: &Shared, t: usize, read: &mut ReadStats) {
     let Some((sampler, surf_ids, noise)) = &s.surface else {
         return;
     };
-    // the overlay goes to whichever rank assembles this step's frame —
-    // the output processor, or its supervisor once the plan kills it
-    let output_rank = s.output_dst(t);
+    // the overlay goes to whichever rank assembles this step's frame
+    let output_rank = s.sched.frame_dst(t);
     let mut lic_sp = obs::span(Phase::Lic, t as u32);
     // surface vectors: read explicitly (they may not be in the adaptive
     // fetch set or my slice); when the read fails for good the overlay
@@ -1630,7 +1336,7 @@ impl ReadAhead {
         while self.next < plan.my_steps.len() && self.next <= i + PREFETCH_SLOTS {
             let u = plan.my_steps[self.next];
             self.next += 1;
-            if !s.faults.rank_failed(me, u) {
+            if s.sched.presence(me, u).active() {
                 // a dead worker shows on the `ready` side
                 let _ = self.ask.send((u, Arc::clone(sf)));
             }
@@ -1702,39 +1408,32 @@ fn input_main(comm: &Comm, s: &Shared) -> Vec<InputStepTiming> {
     timings
 }
 
-/// One heartbeat round of a 2DIP group before step `t`, run while the
-/// fault plan scripts an input-rank failure: members that miss the
-/// deadline join `dead` (permanently, unless a scripted recovery follows);
-/// a member whose scripted death window has closed leaves it — its peers
-/// read that from the plan and wait for its beacon in this round, and the
-/// joiner's own first round back waits for all of theirs.
-fn group_heartbeat(
+/// One heartbeat round before step `t` among `alive` — the members of a
+/// 2DIP input group, or of the render group, this rank still hears from —
+/// run while the schedule kills one of them. Members that miss the deadline
+/// leave `alive` (for good, unless a scripted recovery follows) and are
+/// returned. `back`, a member whose scripted death window has closed, is
+/// put back first: its peers read that from the schedule and wait for its
+/// beacon in this round, and the joiner's own first round back (`joining`)
+/// waits for all of theirs.
+fn heartbeat_round(
     comm: &Comm,
     s: &Shared,
-    group: &std::ops::Range<usize>,
-    dead: &mut Vec<usize>,
     t: usize,
+    alive: &mut Vec<usize>,
+    back: Option<usize>,
     joining: bool,
-) {
-    let me = comm.rank();
+) -> Vec<usize> {
     let _sp = obs::span(Phase::Heartbeat, t as u32);
-    let mut back = None;
-    dead.retain(|&r| {
-        let rejoined = !s.faults.rank_failed(r, t)
-            && s.faults.membership_timeline().iter().any(
-                |ev| matches!(*ev, MembershipEvent::Recover { rank, step } if rank == r && step <= t),
-            );
-        if rejoined {
-            back = Some(r);
-        }
-        !rejoined
-    });
-    let peers: Vec<usize> = group.clone().filter(|&r| r != me && !dead.contains(&r)).collect();
-    let wait = |r| (!joining && Some(r) != back).then(|| s.hb_deadline());
-    for r in membership::heartbeat(comm, t, &peers, &peers, wait) {
-        dead.push(r);
-        s.faults.note_failover(r, t);
+    if let Some(j) = back.filter(|j| !alive.contains(j)) {
+        alive.push(j);
+        alive.sort_unstable();
     }
+    let peers: Vec<usize> = alive.iter().copied().filter(|&r| r != comm.rank()).collect();
+    let wait = |r| (!joining && Some(r) != back).then(|| s.hb_deadline());
+    let silent = membership::heartbeat(comm, t, &peers, &peers, wait);
+    alive.retain(|r| !silent.contains(r));
+    silent
 }
 
 /// The joiner's half of a scripted rejoin at step `t`, the same for an
@@ -1743,7 +1442,7 @@ fn group_heartbeat(
 /// missed commit cleared the peers' delta lanes; what they send next is a
 /// keyframe, which needs no base of the joiner's.)
 fn rejoin(comm: &Comm, s: &Shared, t: usize, state: &mut EpochState) {
-    let output_rank = s.n_inputs + s.n_renderers;
+    let output_rank = s.sched.output_rank();
     JOIN.send(comm, output_rank, t, ());
     let missed = CATCHUP.recv(comm, output_rank, t);
     for plan in &missed {
@@ -1762,7 +1461,7 @@ fn rejoin(comm: &Comm, s: &Shared, t: usize, state: &mut EpochState) {
 /// reshapes fetch plans from this step on, conservatively drops cached
 /// blocks and any not-yet-served frames at or past the commit step.
 fn plan_commit(comm: &Comm, s: &Shared, t: usize, state: &mut EpochState, delta: &mut DeltaMap) {
-    let ctl_rank = s.n_inputs + s.n_renderers;
+    let ctl_rank = s.sched.output_rank();
     let Some(plan) = CTL.recv(comm, ctl_rank, t) else {
         return;
     };
@@ -1796,15 +1495,16 @@ fn input_clock(
     while *cursor <= upto {
         let t = *cursor;
         *cursor += 1;
-        if s.faults.rank_failed(me, t) {
-            continue;
+        match s.sched.presence(me, t) {
+            Presence::Dormant | Presence::Gone => continue,
+            Presence::Joining => {
+                let _sp = obs::span(Phase::Heartbeat, t as u32);
+                rejoin(comm, s, t, elastic);
+                rejoined = true;
+            }
+            Presence::Present => {}
         }
-        if s.faults.rank_rejoins_at(t) == Some(me) {
-            let _sp = obs::span(Phase::Heartbeat, t as u32);
-            rejoin(comm, s, t, elastic);
-            rejoined = true;
-        }
-        if s.control_tick(t) {
+        if let Tick::Round { .. } = s.sched.tick(t) {
             let _sp = obs::span(Phase::Control, t as u32);
             plan_commit(comm, s, t, elastic, delta);
         }
@@ -1835,7 +1535,8 @@ fn input_steps(
     mut ahead: Option<ReadAhead>,
 ) -> Vec<InputStepTiming> {
     let me = comm.rank();
-    let mut dead: Vec<usize> = Vec::new();
+    // the group members this rank still hears from
+    let mut alive: Vec<usize> = plan.group.clone().collect();
     let mut delta = DeltaMap::new();
     // committed epoch state: advances at every committed tick
     let mut elastic = s.elastic.clone();
@@ -1848,34 +1549,36 @@ fn input_steps(
     };
     let mut timings = Vec::with_capacity(plan.my_steps.len());
     for (i, &t) in plan.my_steps.iter().enumerate() {
-        // a scripted failure: this rank stops cold, mid-pipeline, with no
-        // farewell — survivors must *detect* it via heartbeat timeouts. A
-        // death *window* (a scripted recovery later) keeps the thread
-        // parked in-loop, skipping every owned step, so the zip alignment
-        // with the group survives the outage.
-        if s.faults.rank_failed(me, t) {
-            if s.faults.recovers_later(me, t) {
+        // a scripted death comes with no farewell — survivors must *detect*
+        // it via heartbeat timeouts; a dormant rank still counts its owned
+        // steps, so the zip alignment with the group survives the outage
+        match s.sched.presence(me, t) {
+            Presence::Gone => break,
+            Presence::Dormant => {
                 timings.push(InputStepTiming::default());
                 continue;
             }
-            break;
+            Presence::Present | Presence::Joining => {}
         }
         // catch up on the epoch clock before this step's routing decisions;
         // the first sends back from a death window are natural keyframes,
         // never deltas against pre-death receiver state
         let joining = input_clock(comm, s, &mut elastic, &mut delta, &mut clock, t);
         if joining {
-            dead.clear();
+            alive = plan.group.clone().collect();
             delta.clear();
         }
         // this step's slice: the group members inside the committed input
         // width (an elastic reshape narrows it) that the heartbeat still
         // holds alive share the read; everyone else sits the step out
-        if s.input_failover() {
-            group_heartbeat(comm, s, &plan.group, &mut dead, t, joining);
+        if let Watch::Group(group) = s.sched.watch(me) {
+            let back = group.clone().find(|&r| !alive.contains(&r) && s.sched.is_back(r, t));
+            for r in heartbeat_round(comm, s, t, &mut alive, back, joining) {
+                s.faults.note_failover(r, t);
+            }
         }
         let live: Vec<usize> =
-            plan.group.clone().take(elastic.input_width).filter(|r| !dead.contains(r)).collect();
+            alive.iter().copied().filter(|&r| r < plan.group.start + elastic.input_width).collect();
         let Some(idx) = live.iter().position(|&r| r == me) else {
             timings.push(InputStepTiming::default());
             continue;
@@ -1973,14 +1676,15 @@ fn commit_checkpoint(
     use crate::checkpoint::{self, CheckpointManifest, CHECKPOINT_VERSION};
     let me = comm.rank();
     let next = t + 1;
-    let dead = s.dead_renderer(t);
+    let dead = s.sched.dead_renderer(t);
     let mut fields: Vec<(u32, u64)> = local.into_iter().collect();
-    for r in (0..s.n_renderers).filter(|&r| Some(r) != dead && s.n_inputs + r != me) {
-        fields.push(CKPT.recv(comm, s.n_inputs + r, t));
+    let acking = (0..s.sched.n_renderers()).filter(|&r| Some(r) != dead);
+    for src in acking.map(|r| s.sched.render_rank(r)).filter(|&src| src != me) {
+        fields.push(CKPT.recv(comm, src, t));
     }
     fields.sort_unstable();
-    let mut block_map = vec![Vec::new(); s.n_renderers];
-    for (r, blocks) in s.owners(state, t) {
+    let mut block_map = vec![Vec::new(); s.sched.n_renderers()];
+    for (r, blocks) in s.sched.owners(state, t, &s.block_weights) {
         block_map[r] = blocks;
     }
     let manifest = CheckpointManifest {
@@ -2002,15 +1706,10 @@ fn commit_checkpoint(
     }
 }
 
-fn render_main(
-    comm: &Comm,
-    session: &Arc<Obs>,
-    s: &Shared,
-    start: Instant,
-) -> (Vec<RenderFrameTiming>, Option<FrameSink>) {
+fn render_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> RankResult {
     let me = comm.rank();
-    let rr = me - s.n_inputs; // render-group rank
-    let output_rank = s.n_inputs + s.n_renderers;
+    let rr = me - s.sched.render_rank(0); // render-group rank
+    let output_rank = s.sched.output_rank();
     let mut field = match s.resume_fields.get(rr) {
         // resume: restore the checkpointed last-known-good field, so
         // degraded post-resume frames reuse the exact stale values an
@@ -2023,13 +1722,11 @@ fn render_main(
         opacity_unit: Some(s.opacity_unit),
         ..Default::default()
     };
-    // membership state: heartbeats run only when the plan scripts a
-    // render-rank death; `alive` is who this rank still hears from, and
+    // detected membership: `alive` is who this rank still hears from —
+    // heartbeats run only on the duty the schedule gives it — and
     // `members` who the compositing communicator `group` spans
-    let all_renderers: Vec<usize> = (s.n_inputs..output_rank).collect();
-    let hb_active = s.kill_target().is_some_and(|r| all_renderers.contains(&r));
-    let supervisor = me == s.n_inputs && s.kill_target() == Some(output_rank);
-    let mut alive = all_renderers.clone();
+    let watch = s.sched.watch(me);
+    let mut alive: Vec<usize> = (s.sched.render_rank(0)..output_rank).collect();
     let mut members: Vec<usize> = Vec::new();
     let mut group: Option<Comm> = None;
 
@@ -2046,25 +1743,19 @@ fn render_main(
 
     let nblocks = s.blocks.len();
     for t in s.start_step..s.steps {
-        // a scripted failure: this rank stops cold, mid-pipeline, with no
-        // farewell — survivors must *detect* it via heartbeat timeouts. A
-        // death *window* (a scripted recovery later) keeps the thread
-        // parked in-loop: silent, calling no collectives, until rejoin.
-        if s.faults.rank_failed(me, t) {
-            if s.faults.recovers_later(me, t) {
-                continue;
-            }
-            break;
-        }
+        // a scripted death comes with no farewell — see [`Presence`]
+        let joining = match s.sched.presence(me, t) {
+            Presence::Gone => break,
+            Presence::Dormant => continue,
+            presence => presence == Presence::Joining,
+        };
         // a scripted rejoin — a recovered member's or a parked spare's —
-        // is the end of an overlay, read from the shared plan by joiner and
+        // is the end of an overlay, read from the schedule by joiner and
         // peers alike. The joiner catches up on the plan history, warm-starts
         // from the latest checkpointed field and forgets the communicator it
         // held before the window (its receive-delta lanes survive as the
         // senders' lanes to it do: nothing travelled on them meanwhile);
         // its peers put it back on their heartbeat list.
-        let joiner = s.faults.rank_rejoins_at(t).filter(|j| all_renderers.contains(j));
-        let joining = joiner == Some(me);
         if joining {
             let _sp = obs::span(Phase::Heartbeat, t as u32);
             rejoin(comm, s, t, &mut state);
@@ -2074,36 +1765,30 @@ fn render_main(
             }
             members.clear();
         }
-        if let Some(j) = joiner.filter(|j| !alive.contains(j)) {
-            alive.push(j);
-            alive.sort_unstable();
-        }
-        if hb_active {
-            let _sp = obs::span(Phase::Heartbeat, t as u32);
-            let peers: Vec<usize> = alive.iter().copied().filter(|&r| r != me).collect();
-            // joiner and peers wait for each other ([`membership::heartbeat`])
-            let wait = |r| (!joining && Some(r) != joiner).then(|| s.hb_deadline());
-            for r in membership::heartbeat(comm, t, &peers, &peers, wait) {
-                alive.retain(|&x| x != r);
-                s.faults.note_render_failover(r, t);
+        match watch {
+            // (a joiner under this duty is the render rank it lost)
+            Watch::Group(_) => {
+                for r in heartbeat_round(comm, s, t, &mut alive, s.sched.joiner(t), joining) {
+                    s.faults.note_render_failover(r, t);
+                }
             }
-        }
-        if supervisor && takeover.is_none() {
             // output supervision: the render root waits for the output
             // processor's heartbeat and assumes assembly on silence
-            let _sp = obs::span(Phase::Heartbeat, t as u32);
-            let silent =
-                membership::heartbeat(comm, t, &[], &[output_rank], |_| Some(s.hb_deadline()));
-            if !silent.is_empty() {
-                takeover = Some(FrameSink::open(session, s, start));
-                s.faults.note_output_failover(output_rank, t);
+            Watch::Listen(output) if takeover.is_none() => {
+                let _sp = obs::span(Phase::Heartbeat, t as u32);
+                let wait = |_| Some(s.hb_deadline());
+                if !membership::heartbeat(comm, t, &[], &[output], wait).is_empty() {
+                    takeover = Some(FrameSink::open(session, s, start));
+                    s.faults.note_output_failover(output, t);
+                }
             }
+            _ => {}
         }
         // epoch clock: the controller's proposal arrives before any of this
         // step's data. Apply-on-commit keeps every rank's epoch state in
         // lockstep, and the cleared receive-delta state matches the
         // senders' forced keyframes on the (possibly new) routes.
-        if s.control_tick(t) {
+        if let Tick::Round { .. } = s.sched.tick(t) {
             let _sp = obs::span(Phase::Control, t as u32);
             plan_commit(comm, s, t, &mut state, &mut rx_delta);
         }
@@ -2113,12 +1798,12 @@ fn render_main(
         // survivors at their own pace, a rejoiner after sleeping through
         // their regroups — holds the same one with no coordination.
         let live: Vec<usize> =
-            alive.iter().copied().filter(|&r| r < s.n_inputs + state.active).collect();
+            alive.iter().copied().filter(|&r| r < s.sched.render_rank(state.active)).collect();
         if live != members {
             group = comm.group(&live);
             members = live;
         }
-        let owners = s.owners(&state, t);
+        let owners = s.sched.owners(&state, t, &s.block_weights);
         let mine = owners.iter().find(|&&(r, _)| r == rr);
         let (Some((_, my_blocks)), Some(active)) = (mine, group.as_ref()) else {
             // outside this epoch's active prefix (parked spare, or shrunk
@@ -2127,7 +1812,7 @@ fn render_main(
             if s.checkpoint_due(t) {
                 let _sp = obs::span(Phase::Checkpoint, t as u32);
                 let ack = write_field_snapshot(s, rr, t, &field);
-                CKPT.send(comm, s.output_dst(t), t, ack);
+                CKPT.send(comm, s.sched.frame_dst(t), t, ack);
             }
             continue;
         };
@@ -2283,7 +1968,7 @@ fn render_main(
             m
         });
         if let (Some(mut vol), Some(mut deg)) = (result.image, merged) {
-            if s.output_alive(t) {
+            if s.sched.frame_dst(t) == output_rank {
                 // the flags ride beside the image, charged to both of its
                 // accountings
                 let msg = encode_image(&s.wire, &s.ledger, TagClass::VolumeImage, t as u32, vol);
@@ -2309,7 +1994,7 @@ fn render_main(
         if s.checkpoint_due(t) {
             let _sp = obs::span(Phase::Checkpoint, t as u32);
             let ack = write_field_snapshot(s, rr, t, &field);
-            let dst = s.output_dst(t);
+            let dst = s.sched.frame_dst(t);
             if dst == me {
                 commit_checkpoint(comm, s, t, Some(ack), &state, &[]);
                 if let Some(sink) = takeover.as_mut() {
@@ -2330,12 +2015,28 @@ fn render_main(
             composite_s: seconds(Phase::Composite, t),
         })
         .collect();
-    (timings, takeover)
+    RankResult::Render { timings, takeover }
 }
 
 // ---------------------------------------------------------------------
 // output processor
 // ---------------------------------------------------------------------
+
+/// Render-phase µs per `(render-group rank, step)`, folded from the
+/// session's recorders — what both the controller's measurement window
+/// and the report's utilization counters read.
+fn render_us(session: &Arc<Obs>, s: &Shared) -> Vec<HashMap<u32, u64>> {
+    let mut busy = vec![HashMap::new(); s.sched.n_renderers()];
+    for rec in session.recorders().iter().filter(|rec| rec.group() == "render") {
+        let Some(rr) = s.sched.render_index(rec.rank()) else {
+            continue;
+        };
+        for ev in rec.events().iter().filter(|ev| ev.phase == Phase::Render) {
+            *busy[rr].entry(ev.step).or_insert(0) += ev.dur_us;
+        }
+    }
+    busy
+}
 
 /// Condense the live span stream into the controller's view of steps
 /// `[lo, hi)`: per-render-rank busy seconds in the Render phase, and the
@@ -2344,42 +2045,26 @@ fn render_main(
 /// `hi - 1`, which every rank finishes (and drops its spans for) first.
 /// Render busy time is [`crate::control::robust_busy`] of the rank's steps.
 fn measure_window(session: &Arc<Obs>, s: &Shared, lo: usize, hi: usize) -> WindowMeasurement {
+    let seconds = |us: u64| us as f64 / 1e6;
+    let render_busy = render_us(session, s).into_iter().map(|per_step| {
+        let window = (lo..hi).map(|t| seconds(per_step.get(&(t as u32)).copied().unwrap_or(0)));
+        crate::control::robust_busy(window.collect())
+    });
     let mut m = WindowMeasurement {
-        render_busy: vec![0.0; s.n_renderers],
+        render_busy: render_busy.collect(),
         input_busy: 0.0,
         send_busy: 0.0,
         steps: hi.saturating_sub(lo),
     };
-    for rec in session.recorders() {
-        let group = rec.group();
-        if group == "render" {
-            let Some(rr) = rec.rank().checked_sub(s.n_inputs).filter(|&r| r < s.n_renderers) else {
-                continue;
-            };
-            let mut per_step = vec![0.0f64; m.steps];
-            for ev in rec.events() {
-                let t = ev.step as usize;
-                if t >= lo && t < hi && ev.phase == Phase::Render {
-                    per_step[t - lo] += ev.dur_us as f64 / 1e6;
+    for rec in session.recorders().iter().filter(|rec| rec.group() == "input") {
+        for ev in rec.events().iter().filter(|ev| (lo..hi).contains(&(ev.step as usize))) {
+            match ev.phase {
+                Phase::Read | Phase::Preprocess | Phase::Lic => m.input_busy += seconds(ev.dur_us),
+                Phase::Send => {
+                    m.input_busy += seconds(ev.dur_us);
+                    m.send_busy += seconds(ev.dur_us);
                 }
-            }
-            m.render_busy[rr] = crate::control::robust_busy(per_step);
-        } else if group == "input" {
-            for ev in rec.events() {
-                let t = ev.step as usize;
-                if t < lo || t >= hi {
-                    continue;
-                }
-                match ev.phase {
-                    Phase::Read | Phase::Preprocess | Phase::Lic => {
-                        m.input_busy += ev.dur_us as f64 / 1e6;
-                    }
-                    Phase::Send => {
-                        m.input_busy += ev.dur_us as f64 / 1e6;
-                        m.send_busy += ev.dur_us as f64 / 1e6;
-                    }
-                    _ => {}
-                }
+                _ => {}
             }
         }
     }
@@ -2387,68 +2072,56 @@ fn measure_window(session: &Arc<Obs>, s: &Shared, lo: usize, hi: usize) -> Windo
 }
 
 fn output_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> RankResult {
-    let me = s.n_inputs + s.n_renderers;
+    let me = comm.rank();
     let mut sink = FrameSink::open(session, s, start);
     // the hosted controller (one that never ticks when control is off):
     // seeded from the committed state and, on resume, the checkpointed
     // plan history, so new ticks continue the epoch sequence
-    let mut ctl = Controller::new(s.control(), s.elastic.clone(), s.cfg.io.shape().1);
+    let cfg = s.cfg.control.unwrap_or(ControlConfig::every(0));
+    let mut ctl = Controller::new(cfg, s.elastic.clone(), s.cfg.io.shape().1);
     ctl.history = s.resume_plans.clone();
-    let supervised = s.kill_target() == Some(me);
     // a scripted death keeps a survivor inside whatever the plans shrink
-    match s.kill_target() {
-        Some(r) if r < s.n_inputs => ctl.min_width = 2,
-        Some(r) if r < me => ctl.min_active = 2,
+    match s.sched.kill_role() {
+        Some(Role::Input) => ctl.min_width = 2,
+        Some(Role::Render) => ctl.min_active = 2,
         _ => {}
     }
     let mut kill_noted = false;
     for t in s.start_step..s.steps {
-        if s.faults.rank_failed(me, t) {
-            // scripted output-rank death: go silent; the supervising
-            // render root takes over frame assembly from this step on
+        if !s.sched.presence(me, t).active() {
+            // scripted output-rank death: go silent; the supervising render
+            // root takes over frame assembly from this step on
             break;
         }
-        if supervised {
-            // heartbeat to the render root so it can detect the scripted
-            // death by silence
-            membership::heartbeat(comm, t, &[s.n_inputs], &[], |_| None);
+        if let Watch::Beacon(supervisor) = s.sched.watch(me) {
+            // so the render root can detect the scripted death by silence
+            membership::heartbeat(comm, t, &[supervisor], &[], |_| None);
         }
         // a scripted rejoin: this rank keeps the plan history, so the
-        // joiner asks it what committed while it was out — since its kill
-        // (a spare join missed nothing), but not before this run's start:
-        // a resumed joiner started from the checkpointed history
-        if let Some(j) = s.faults.rank_rejoins_at(t) {
+        // joiner asks it what committed while it was out
+        if let Some(j) = s.sched.joiner(t) {
             let _sp = obs::span(Phase::Heartbeat, t as u32);
             JOIN.recv(comm, j, t);
-            let since = s.faults.membership_timeline().iter().rev().find_map(|ev| match *ev {
-                MembershipEvent::Fail { step, .. } if step < t => Some(step),
-                _ => None,
-            });
-            let window = since.unwrap_or(usize::MAX).max(s.start_step)..t;
+            let window = s.sched.catchup_window(t);
             let missed = ctl.history.iter().filter(|c| window.contains(&(c.apply_at as usize)));
             CATCHUP.send(comm, j, t, missed.cloned().collect());
         }
-        // epoch clock: host the plan-commit round. A scripted controller
-        // kill is mirrored from the shared plan — the round happens
-        // *nowhere*, every participant degrades to the last committed
-        // epoch, and the frame cadence below never stalls.
-        if s.control_tick(t) {
+        // epoch clock: host the plan-commit round — unless the schedule
+        // kills it, and then the frame cadence below never stalls
+        let tick = s.sched.tick(t);
+        if let Tick::Round { admit } = tick {
             let _sp = obs::span(Phase::Control, t as u32);
             let lo = t.saturating_sub(ctl.cfg.every).max(s.start_step);
             let m = measure_window(session, s, lo, t);
             // a spare-pool join grows the active prefix: its admit
             // plan is forced; everything else is the free decision
-            let proposal = if s.spare_join_at(t) {
+            let proposal = if admit {
                 Some(ctl.admit_plan(&m, &s.block_weights, t as u32))
             } else {
                 ctl.decide(&m, &s.block_weights, t as u32)
             };
             session.metrics().counter("control.ticks").inc();
-            // participants exclude ranks scripted dead at this tick:
-            // a dormant rank neither acks nor applies — it catches up
-            // through the join handshake instead
-            let participants: Vec<usize> =
-                (0..s.n_inputs + s.n_renderers).filter(|&p| !s.faults.rank_failed(p, t)).collect();
+            let participants: Vec<usize> = s.sched.participants(t).collect();
             for &p in &participants {
                 CTL.send(comm, p, t, proposal.clone());
             }
@@ -2467,11 +2140,11 @@ fn output_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
                     tier.flush_for_commit(t as u32);
                 }
             }
-        } else if !kill_noted && ctl.cfg.is_tick(t) && t > s.start_step {
+        } else if tick == Tick::Killed && !kill_noted {
             kill_noted = true;
             s.faults.note_controller_kill(t);
         }
-        let frame_src = s.frame_source(&ctl.state, t);
+        let frame_src = s.sched.frame_source(&ctl.state, t, &s.block_weights);
         let mut sp = obs::span(Phase::Assemble, t as u32);
         let (vol_msg, mut deg) = VOL.recv(comm, frame_src, t);
         let decoded = decode_image(&s.wire, &s.ledger, TagClass::VolumeImage, t as u32, vol_msg);
@@ -2522,7 +2195,7 @@ fn overlay_lic(
     if s.surface.is_none() {
         return 0;
     }
-    let (lic_msg, lic_missing) = LIC.recv(comm, lic_source(s, t), t);
+    let (lic_msg, lic_missing) = LIC.recv(comm, s.sched.lic_source(t), t);
     let bytes = match decode_image(&s.wire, &s.ledger, TagClass::LicImage, t as u32, lic_msg) {
         Ok(lic_img) => {
             // the volume rendering sits in front of the surface
@@ -2539,16 +2212,6 @@ fn overlay_lic(
         deg.push(Degradation::MissingLic);
     }
     bytes
-}
-
-/// Which input rank ships the LIC overlay for step `t`: the step group's
-/// lead, skipping members the fault plan has scripted dead by that step
-/// (the survivors hand LIC duty to the lowest live member — the output
-/// processor derives the same answer from the deterministic plan).
-fn lic_source(s: &Shared, t: usize) -> usize {
-    let (groups, per_group) = s.cfg.io.shape();
-    let base = (t % groups) * per_group;
-    (base..base + per_group).find(|&r| !s.faults.rank_failed(r, t)).unwrap_or(base)
 }
 
 #[cfg(test)]
@@ -2583,15 +2246,17 @@ mod tests {
         reshaped.width = 97;
         assert_ne!(fp(&base), fp(&reshaped), "image geometry must invalidate a checkpoint");
         // the fault schedule that shapes frames is the one the run resolved:
-        // a spec from `QUAKEVIZ_FAULTS` counts like the builder's, and both
-        // digest as they did at PR 20 — its checkpoints resume here
+        // a spec from `QUAKEVIZ_FAULTS` counts like the builder's. The no-spec
+        // digest is the one of PR 20; a spec's hashes `{:?}` of the `FaultSpec`
+        // and moved once, with the `fail_rank` field (checkpoints live on one
+        // process's in-memory parfs: no stored one can observe it)
         let spec = FaultSpec::parse("seed=1,read_transient=0.5").unwrap();
         let from_env = config_fingerprint(&base, 3, &camera, Some(&spec));
         let mut explicit = base.clone();
         explicit.faults = Some(spec);
         assert_ne!(from_env, fp(&base), "a schedule from the environment is not no schedule");
         assert_eq!(from_env, fp(&explicit));
-        assert_eq!((fp(&base), fp(&explicit)), (0x8bed_c9b5_f887_c853, 0xb443_9553_e1af_87b2));
+        assert_eq!((fp(&base), fp(&explicit)), (0x8bed_c9b5_f887_c853, 0x61c2_4d79_5006_7687));
         // wire codecs shape bytes in flight, never decoded values: a
         // checkpoint written under one codec must resume under another
         let mut recoded = base.clone();

@@ -15,7 +15,7 @@
 //!   rendering work.
 
 use crate::config::RetryPolicy;
-use quakeviz_mesh::{HexMesh, NodeId, OctreeBlock};
+use quakeviz_mesh::{HexMesh, Loc3, NodeId, OctreeBlock};
 use quakeviz_parfs::{Disk, IndexedBlockType, PFile, ReadError, ReadOutcome};
 use quakeviz_rt::obs::{self, Phase};
 use quakeviz_rt::Comm;
@@ -92,23 +92,19 @@ impl ReadStats {
     }
 }
 
-/// Sorted unique node ids needed to render the whole mesh at `level`: the
-/// corners of every cell in the level-ℓ tiling (all of which exist as
-/// mesh nodes — coarse leaves keep their own corners).
-pub fn level_node_ids(mesh: &HexMesh, level: u8) -> Vec<NodeId> {
-    let octree = mesh.octree();
-    let max = octree.max_leaf_level();
-    let cells = octree.extract_level(level);
-    let mut ids = Vec::with_capacity(cells.len() * 8);
-    for cell in &cells {
+/// The mesh nodes at the eight corners of each of `cells`, sorted and
+/// unique. Every corner of a level-ℓ tiling cell exists as a mesh node —
+/// coarse leaves keep their own corners.
+fn corner_nodes(mesh: &HexMesh, cells: impl Iterator<Item = Loc3>) -> Vec<NodeId> {
+    let max = mesh.octree().max_leaf_level();
+    let mut ids = Vec::new();
+    for cell in cells {
         let (ax, ay, az) = cell.anchor_at_level(max);
         let size = 1u32 << (max - cell.level);
         for i in 0..8u32 {
             let (gx, gy, gz) =
                 (ax + (i & 1) * size, ay + ((i >> 1) & 1) * size, az + ((i >> 2) & 1) * size);
-            ids.push(
-                mesh.node_at(gx, gy, gz).expect("level tiling corner must exist as a mesh node"),
-            );
+            ids.push(mesh.node_at(gx, gy, gz).expect("level tiling corner must be a mesh node"));
         }
     }
     ids.sort_unstable();
@@ -116,70 +112,70 @@ pub fn level_node_ids(mesh: &HexMesh, level: u8) -> Vec<NodeId> {
     ids
 }
 
+/// Sorted unique node ids needed to render the whole mesh at `level`: the
+/// corners of every cell in the level-ℓ tiling.
+pub fn level_node_ids(mesh: &HexMesh, level: u8) -> Vec<NodeId> {
+    corner_nodes(mesh, mesh.octree().extract_level(level).into_iter())
+}
+
 /// Sorted unique node ids a renderer needs for `block` when fetching /
 /// rendering at `level` (`None` = full resolution: every block node).
 pub fn block_level_nodes(mesh: &HexMesh, block: &OctreeBlock, level: Option<u8>) -> Vec<NodeId> {
-    match level {
-        None => mesh.block_nodes(block),
-        Some(level) => {
-            let octree = mesh.octree();
-            let max = octree.max_leaf_level();
-            let mut ids = Vec::new();
-            for leaf in &octree.leaves()[block.leaf_start..block.leaf_end] {
-                let cell = if leaf.level > level { leaf.ancestor_at(level) } else { *leaf };
-                let (ax, ay, az) = cell.anchor_at_level(max);
-                let size = 1u32 << (max - cell.level);
-                for i in 0..8u32 {
-                    let (gx, gy, gz) = (
-                        ax + (i & 1) * size,
-                        ay + ((i >> 1) & 1) * size,
-                        az + ((i >> 2) & 1) * size,
-                    );
-                    ids.push(mesh.node_at(gx, gy, gz).expect("level corner must be a node"));
-                }
-            }
-            ids.sort_unstable();
-            ids.dedup();
-            ids
-        }
-    }
+    let Some(level) = level else {
+        return mesh.block_nodes(block);
+    };
+    let leaves = &mesh.octree().leaves()[block.leaf_start..block.leaf_end];
+    let coarsened = |leaf: &Loc3| if leaf.level > level { leaf.ancestor_at(level) } else { *leaf };
+    corner_nodes(mesh, leaves.iter().map(coarsened))
 }
 
-fn parse_vectors_into(dense: &mut [[f32; 3]], ids: Option<&[NodeId]>, bytes: &[u8]) {
+/// Which dense slots the vectors of a read land in, in file order.
+#[derive(Clone, Copy)]
+enum Slots<'a> {
+    Ids(&'a [NodeId]),
+    /// Nodes `[a, b)`.
+    Range(usize, usize),
+}
+
+fn parse_vectors_into(dense: &mut [[f32; 3]], slots: Slots, bytes: &[u8]) {
     assert_eq!(bytes.len() % 12, 0);
     let n = bytes.len() / 12;
-    let read3 = |k: usize| -> [f32; 3] {
-        let o = k * 12;
-        [
-            f32::from_le_bytes(bytes[o..o + 4].try_into().unwrap()),
-            f32::from_le_bytes(bytes[o + 4..o + 8].try_into().unwrap()),
-            f32::from_le_bytes(bytes[o + 8..o + 12].try_into().unwrap()),
-        ]
-    };
-    match ids {
-        None => {
-            assert_eq!(n, dense.len());
-            for k in 0..n {
-                dense[k] = read3(k);
-            }
+    let word = |w: &[u8]| f32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+    let vectors = bytes.chunks_exact(12).map(|v| [word(&v[0..4]), word(&v[4..8]), word(&v[8..12])]);
+    match slots {
+        Slots::Range(a, b) => {
+            assert_eq!(n, b - a);
+            dense[a..b].iter_mut().zip(vectors).for_each(|(slot, v)| *slot = v);
         }
-        Some(ids) => {
+        Slots::Ids(ids) => {
             assert_eq!(n, ids.len());
-            for (k, &id) in ids.iter().enumerate() {
-                dense[id as usize] = read3(k);
-            }
+            ids.iter().zip(vectors).for_each(|(&id, v)| dense[id as usize] = v);
         }
     }
 }
 
-fn stats_from(outcome: &quakeviz_parfs::ReadOutcome, start: Instant) -> ReadStats {
-    ReadStats {
-        sim_seconds: outcome.sim_seconds,
-        disk_bytes: outcome.disk_bytes,
-        useful_bytes: outcome.useful_bytes,
-        requests: outcome.requests,
+/// The one read body: open step `t`, run `read` on it, scatter what came
+/// back into a fresh dense per-node buffer (unfetched nodes stay zero).
+fn read_dense(
+    disk: &Arc<Disk>,
+    mesh: &HexMesh,
+    t: usize,
+    slots: Slots,
+    read: impl FnOnce(&PFile) -> Result<ReadOutcome, ReadError>,
+) -> Result<(Vec<[f32; 3]>, ReadStats), ReadError> {
+    let start = Instant::now();
+    let f = PFile::open(Arc::clone(disk), Dataset::step_path(t))?;
+    let out = read(&f)?;
+    let mut dense = vec![[0.0f32; 3]; mesh.node_count()];
+    parse_vectors_into(&mut dense, slots, &out.data);
+    let stats = ReadStats {
+        sim_seconds: out.sim_seconds,
+        disk_bytes: out.disk_bytes,
+        useful_bytes: out.useful_bytes,
+        requests: out.requests,
         real_seconds: start.elapsed().as_secs_f64(),
-    }
+    };
+    Ok((dense, stats))
 }
 
 /// Read the complete step `t` into a dense per-node vector buffer.
@@ -189,17 +185,12 @@ pub fn read_step_full(
     t: usize,
     ctx: Option<&FaultCtx>,
 ) -> Result<(Vec<[f32; 3]>, ReadStats), ReadError> {
-    let start = Instant::now();
-    let f = PFile::open(Arc::clone(disk), Dataset::step_path(t))?;
-    let len = f.len();
-    let out = with_retry(ctx, |plan, attempt| f.read_contiguous_with(0, len, plan, attempt))?;
-    let mut dense = vec![[0.0f32; 3]; mesh.node_count()];
-    parse_vectors_into(&mut dense, None, &out.data);
-    Ok((dense, stats_from(&out, start)))
+    read_dense(disk, mesh, t, Slots::Range(0, mesh.node_count()), |f| {
+        with_retry(ctx, |plan, attempt| f.read_contiguous_with(0, f.len(), plan, attempt))
+    })
 }
 
-/// Independent indexed read of the given node ids of step `t` (dense
-/// buffer; unfetched nodes stay zero).
+/// Independent indexed read of the given node ids of step `t`.
 pub fn read_step_ids(
     disk: &Arc<Disk>,
     mesh: &HexMesh,
@@ -208,14 +199,10 @@ pub fn read_step_ids(
     sieve_window: u64,
     ctx: Option<&FaultCtx>,
 ) -> Result<(Vec<[f32; 3]>, ReadStats), ReadError> {
-    let start = Instant::now();
-    let f = PFile::open(Arc::clone(disk), Dataset::step_path(t))?;
-    let dt = IndexedBlockType::from_node_ids(ids, 12);
-    let out =
-        with_retry(ctx, |plan, attempt| f.read_indexed_with(&dt, sieve_window, plan, attempt))?;
-    let mut dense = vec![[0.0f32; 3]; mesh.node_count()];
-    parse_vectors_into(&mut dense, Some(ids), &out.data);
-    Ok((dense, stats_from(&out, start)))
+    read_dense(disk, mesh, t, Slots::Ids(ids), |f| {
+        let dt = IndexedBlockType::from_node_ids(ids, 12);
+        with_retry(ctx, |plan, attempt| f.read_indexed_with(&dt, sieve_window, plan, attempt))
+    })
 }
 
 /// Collective two-phase read of the given node ids over `comm`
@@ -228,13 +215,10 @@ pub fn read_step_ids_collective(
     comm: &Comm,
     sieve_window: u64,
 ) -> Result<(Vec<[f32; 3]>, ReadStats), ReadError> {
-    let start = Instant::now();
-    let f = PFile::open(Arc::clone(disk), Dataset::step_path(t))?;
-    let dt = IndexedBlockType::new(12, 1, ids.iter().map(|&i| i as u64).collect());
-    let out = f.read_all(comm, &dt, sieve_window)?;
-    let mut dense = vec![[0.0f32; 3]; mesh.node_count()];
-    parse_vectors_into(&mut dense, Some(ids), &out.data);
-    Ok((dense, stats_from(&out, start)))
+    read_dense(disk, mesh, t, Slots::Ids(ids), |f| {
+        let dt = IndexedBlockType::new(12, 1, ids.iter().map(|&i| i as u64).collect());
+        f.read_all(comm, &dt, sieve_window)
+    })
 }
 
 /// Contiguous node-range read (paper §5.3.2): nodes `[range.0, range.1)`.
@@ -242,19 +226,14 @@ pub fn read_step_range(
     disk: &Arc<Disk>,
     mesh: &HexMesh,
     t: usize,
-    range: (usize, usize),
+    (a, b): (usize, usize),
     ctx: Option<&FaultCtx>,
 ) -> Result<(Vec<[f32; 3]>, ReadStats), ReadError> {
-    let start = Instant::now();
-    let f = PFile::open(Arc::clone(disk), Dataset::step_path(t))?;
-    let (a, b) = range;
-    let out = with_retry(ctx, |plan, attempt| {
-        f.read_contiguous_with(a as u64 * 12, (b - a) as u64 * 12, plan, attempt)
-    })?;
-    let mut dense = vec![[0.0f32; 3]; mesh.node_count()];
-    let ids: Vec<NodeId> = (a as NodeId..b as NodeId).collect();
-    parse_vectors_into(&mut dense, Some(&ids), &out.data);
-    Ok((dense, stats_from(&out, start)))
+    read_dense(disk, mesh, t, Slots::Range(a, b), |f| {
+        with_retry(ctx, |plan, attempt| {
+            f.read_contiguous_with(a as u64 * 12, (b - a) as u64 * 12, plan, attempt)
+        })
+    })
 }
 
 /// The contiguous node range of group member `j` of `m` (node-aligned).

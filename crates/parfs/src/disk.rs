@@ -170,16 +170,6 @@ impl CostModel {
             + self.stripes_touched(extents) as f64 * self.stripe_latency
             + transfer
     }
-
-    /// Number of concurrent full-bandwidth streams the file system
-    /// sustains before saturating.
-    pub fn saturation_streams(&self) -> usize {
-        if self.stream_bandwidth <= 0.0 || !self.aggregate_bandwidth.is_finite() {
-            usize::MAX
-        } else {
-            (self.aggregate_bandwidth / self.stream_bandwidth).floor().max(1.0) as usize
-        }
-    }
 }
 
 /// A virtual striped disk holding named immutable-ish files.
@@ -261,17 +251,6 @@ impl Disk {
         let paths: Vec<String> = paths.into_iter().collect();
         self.announced.lock().expect("announce set poisoned").extend(paths.iter().cloned());
         Announcement { disk: Arc::clone(self), paths }
-    }
-
-    /// Create or replace a file, charging the cost model for the write
-    /// (simulation output is itself a parallel-I/O consumer: the paper's
-    /// runs produced terabytes). Returns the simulated seconds.
-    pub fn write_file_costed(&self, path: &str, data: Vec<u8>) -> f64 {
-        let concurrent = self.active_readers.fetch_add(1, Ordering::SeqCst) + 1;
-        let cost = self.cost.read_cost(&[(0, data.len() as u64)], concurrent);
-        self.active_readers.fetch_sub(1, Ordering::SeqCst);
-        self.write_file(path, data);
-        cost
     }
 
     /// Size of a file in bytes, if it exists (never waits: an announced
@@ -506,7 +485,6 @@ mod tests {
     #[test]
     fn bandwidth_shared_after_saturation() {
         let m = small_model(); // stream 1000, aggregate 4000 -> 4 streams
-        assert_eq!(m.saturation_streams(), 4);
         assert_eq!(m.effective_bandwidth(1), 1000.0);
         assert_eq!(m.effective_bandwidth(4), 1000.0);
         assert_eq!(m.effective_bandwidth(8), 500.0);
@@ -540,15 +518,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn costed_write_charges_and_stores() {
-        let disk = Disk::new(small_model());
-        let cost = disk.write_file_costed("w", vec![0u8; 500]);
-        // 0.01 seek + 5 stripes * 0.001 + 500/1000
-        assert!((cost - (0.01 + 0.005 + 0.5)).abs() < 1e-12, "got {cost}");
-        assert_eq!(disk.file_len("w"), Some(500));
     }
 
     #[test]
@@ -595,6 +564,5 @@ mod tests {
         assert!(c > 15.0 && c < 25.0, "400MB single-stream read should take ~20s, got {c}");
         // With 16 concurrent readers the aggregate (320 MB/s) is the limit.
         assert_eq!(m.effective_bandwidth(16), 20e6);
-        assert_eq!(m.saturation_streams(), 16);
     }
 }

@@ -97,6 +97,18 @@ pub struct OstStats {
     pub peak_queue: u64,
 }
 
+impl OstStats {
+    /// OST `i`'s counters since `base` (the peak is a high-water mark, so
+    /// it stands) under the metric names they are published as.
+    pub fn named_since(&self, i: usize, base: &OstStats) -> [(String, u64); 3] {
+        [
+            (format!("parfs.ost{i}.reads"), self.reads - base.reads),
+            (format!("parfs.ost{i}.bytes"), self.bytes - base.bytes),
+            (format!("parfs.ost{i}.peak_queue"), self.peak_queue),
+        ]
+    }
+}
+
 /// Runtime state of a sharded disk: the model plus per-OST contention
 /// queues and counters. Shared by every concurrent reader of the disk.
 #[derive(Debug)]

@@ -167,7 +167,7 @@ mod tests {
             let spec =
                 FaultSpec::parse(&compose(&clauses)).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             let world = t.n_inputs + t.renderers + 1;
-            for ev in spec.membership() {
+            for ev in spec.rank_timeline {
                 assert!(ev.rank() < world - 1, "seed {seed}: event on output rank");
                 assert!(ev.step() >= 1 && ev.step() < t.steps, "seed {seed}: step outside run");
                 if ev.rank() < t.n_inputs {
@@ -181,7 +181,7 @@ mod tests {
     fn no_input_kills_when_topology_cannot_survive_them() {
         let t = ChaosTopology { n_inputs: 1, renderers: 2, steps: 8, input_kills: false };
         for seed in 0..200u64 {
-            for ev in chaos_spec(seed, &t).membership() {
+            for ev in chaos_spec(seed, &t).rank_timeline {
                 assert!(ev.rank() >= t.n_inputs, "seed {seed}: scripted input kill");
                 if let MembershipEvent::Fail { rank, .. } = ev {
                     assert!(rank < t.n_inputs + t.renderers, "seed {seed}: output kill");
@@ -233,7 +233,7 @@ mod tests {
                 return false;
             };
             // "bug" reproduces whenever a rejoin is scripted
-            spec.membership().iter().any(|e| matches!(e, MembershipEvent::Recover { .. }))
+            spec.rank_timeline.iter().any(|e| matches!(e, MembershipEvent::Recover { .. }))
         };
         assert!(fails(&clauses));
         let minimal = shrink(&clauses, fails);

@@ -30,6 +30,10 @@
 //! [`FaultPlan::send_fault`] on lossy sends. The plan also keeps the
 //! injected-fault log and the recovery counters (retries, backoff time,
 //! degraded blocks, failover events) that `pipeline-report` surfaces.
+//!
+//! What a membership timeline *means* step by step is not decided here:
+//! the spec carries the parsed, normalized events, and the pipeline's
+//! membership schedule (`quakeviz-core`) is their one reader.
 
 use crate::fnv::Fnv1a;
 use crate::rng::SplitMix64;
@@ -61,18 +65,12 @@ pub struct FaultSpec {
     /// Probability a lossy send's payload is corrupted in flight (one bit
     /// flip, caught by the receiver's per-piece checksum).
     pub wire_corrupt: f64,
-    /// `(rank, step)`: world `rank` fails at `step` — it stops
-    /// participating and its group reassigns its work to survivors. This
-    /// is the *first* scripted kill; the full fail/recover history lives
-    /// in [`FaultSpec::rank_timeline`]. Without a matching `recover_rank`
-    /// the death is permanent.
-    pub fail_rank: Option<(usize, usize)>,
     /// The scripted membership timeline of the run's single fail/recover
     /// target rank, sorted by step: alternating [`MembershipEvent::Fail`]
-    /// / [`MembershipEvent::Recover`] entries at strictly increasing
-    /// steps. Empty when no membership fault is scripted (a bare
-    /// `fail_rank` set directly on the struct still works — queries fall
-    /// back to it).
+    /// (the rank stops participating and its group reassigns its work to
+    /// survivors — for good, unless a recovery follows) and
+    /// [`MembershipEvent::Recover`] entries at strictly increasing steps.
+    /// Empty when no membership fault is scripted.
     pub rank_timeline: Vec<MembershipEvent>,
     /// Step at which the elastic controller (hosted on the output rank)
     /// permanently stops issuing rebalance plans. The schedule is shared
@@ -212,17 +210,12 @@ impl FaultSpec {
 
     /// Sort and validate the membership timeline: one target rank,
     /// strictly increasing steps, alternating fail/recover (a leading
-    /// recover is a spare-pool join). Mirrors the first kill into the
-    /// compatibility field [`FaultSpec::fail_rank`].
+    /// recover is a spare-pool join).
     fn finish_timeline(&mut self) -> Result<(), String> {
-        if self.rank_timeline.is_empty() {
-            return Ok(());
-        }
         self.rank_timeline.sort_by_key(|e| e.step());
-        let target = self.rank_timeline[0].rank();
-        let mut dead = false;
-        let mut prev: Option<usize> = None;
-        for (i, ev) in self.rank_timeline.iter().enumerate() {
+        for pair in self.rank_timeline.windows(2) {
+            let (prev, ev) = (pair[0], pair[1]);
+            let (target, step) = (prev.rank(), ev.step());
             if ev.rank() != target {
                 return Err(format!(
                     "fault spec: fail_rank/recover_rank timeline supports a single target \
@@ -230,52 +223,28 @@ impl FaultSpec {
                     ev.rank()
                 ));
             }
-            if prev.is_some_and(|p| ev.step() <= p) {
+            if step <= prev.step() {
                 return Err(format!(
                     "fault spec: membership events of rank {target} must have strictly \
-                     increasing steps (step {} repeats or regresses)",
-                    ev.step()
+                     increasing steps (step {step} repeats or regresses)"
                 ));
             }
-            prev = Some(ev.step());
-            match ev {
-                MembershipEvent::Fail { step, .. } => {
-                    if dead {
-                        return Err(format!(
-                            "fault spec: fail_rank={target}@{step} but the rank is already \
-                             dead — insert a recover_rank first"
-                        ));
-                    }
-                    dead = true;
+            match (prev, ev) {
+                (MembershipEvent::Fail { .. }, MembershipEvent::Fail { .. }) => {
+                    return Err(format!(
+                        "fault spec: fail_rank={target}@{step} but the rank is already \
+                         dead — insert a recover_rank first"
+                    ));
                 }
-                MembershipEvent::Recover { step, .. } => {
-                    if !dead && i > 0 {
-                        return Err(format!(
-                            "fault spec: recover_rank={target}@{step} but the rank is \
-                             already alive"
-                        ));
-                    }
-                    dead = false;
+                (MembershipEvent::Recover { .. }, MembershipEvent::Recover { .. }) => {
+                    return Err(format!(
+                        "fault spec: recover_rank={target}@{step} but the rank is already alive"
+                    ));
                 }
+                _ => {}
             }
         }
-        self.fail_rank = self.rank_timeline.iter().find_map(|e| match *e {
-            MembershipEvent::Fail { rank, step } => Some((rank, step)),
-            MembershipEvent::Recover { .. } => None,
-        });
         Ok(())
-    }
-
-    /// The effective membership timeline: the explicit one, or the bare
-    /// compatibility `fail_rank` as a single permanent kill.
-    pub fn membership(&self) -> Vec<MembershipEvent> {
-        if !self.rank_timeline.is_empty() {
-            return self.rank_timeline.clone();
-        }
-        self.fail_rank
-            .map(|(rank, step)| MembershipEvent::Fail { rank, step })
-            .into_iter()
-            .collect()
     }
 
     /// Whether a plan built from this spec can ever fire: some probability
@@ -293,23 +262,15 @@ impl FaultSpec {
             self.wire_corrupt,
         ];
         rolls.iter().any(|&p| p > 0.0)
-            || self.fail_rank.is_some()
             || !self.rank_timeline.is_empty()
             || self.fail_controller.is_some()
             || self.slow_rank.is_some()
             || self.fail_prefetch.is_some()
     }
 
-    /// The spec from `QUAKEVIZ_FAULTS`; `None` when unset, empty or `0`.
-    pub fn from_env() -> Option<FaultSpec> {
-        let v = std::env::var("QUAKEVIZ_FAULTS").ok()?;
-        if v.is_empty() || v == "0" {
-            return None;
-        }
-        match FaultSpec::parse(&v) {
-            Ok(spec) => Some(spec),
-            Err(e) => panic!("QUAKEVIZ_FAULTS: {e}"),
-        }
+    /// The spec from `QUAKEVIZ_FAULTS` ([`crate::env_overlay`]).
+    pub fn from_env() -> Result<Option<FaultSpec>, String> {
+        crate::env_overlay("QUAKEVIZ_FAULTS", FaultSpec::parse)
     }
 }
 
@@ -491,9 +452,6 @@ const SALT_BIT: u64 = 0x6269_7470_6963_6b31;
 /// ranks of a pipeline run.
 pub struct FaultPlan {
     spec: FaultSpec,
-    /// Normalized membership timeline (see [`FaultSpec::membership`]),
-    /// computed once so per-step queries never allocate.
-    timeline: Vec<MembershipEvent>,
     events: Mutex<Vec<FaultEvent>>,
     counts: [AtomicU64; FaultKind::COUNT],
     rec: RecoveryCounters,
@@ -502,7 +460,6 @@ pub struct FaultPlan {
 impl FaultPlan {
     pub fn new(spec: FaultSpec) -> Arc<FaultPlan> {
         Arc::new(FaultPlan {
-            timeline: spec.membership(),
             spec,
             events: Mutex::new(Vec::new()),
             counts: [const { AtomicU64::new(0) }; FaultKind::COUNT],
@@ -611,59 +568,7 @@ impl FaultPlan {
         None
     }
 
-    /// Whether world rank `rank` is scripted dead at `step`: the last
-    /// membership event at or before `step` is a kill. A bare `fail_rank`
-    /// with no recovery keeps the original permanent-death semantics.
-    pub fn rank_failed(&self, rank: usize, step: usize) -> bool {
-        let mut dead = false;
-        for ev in &self.timeline {
-            if ev.rank() == rank && ev.step() <= step {
-                dead = matches!(ev, MembershipEvent::Fail { .. });
-            }
-        }
-        dead
-    }
-
-    /// The normalized membership timeline of the scripted target rank.
-    pub fn membership_timeline(&self) -> &[MembershipEvent] {
-        &self.timeline
-    }
-
-    /// Whether the timeline schedules `rank` to rejoin strictly after
-    /// `step` — a death at `step` is a dormancy window, not a permanent
-    /// exit, exactly when this holds.
-    pub fn recovers_later(&self, rank: usize, step: usize) -> bool {
-        self.timeline
-            .iter()
-            .any(|ev| matches!(*ev, MembershipEvent::Recover { rank: r, step: s } if r == rank && s > step))
-    }
-
-    /// The world rank with a scripted `recover_rank` event exactly at
-    /// `step`, if any — the step every peer folds the joiner back in.
-    pub fn rank_rejoins_at(&self, step: usize) -> Option<usize> {
-        self.timeline.iter().find_map(|ev| match *ev {
-            MembershipEvent::Recover { rank, step: s } if s == step => Some(rank),
-            _ => None,
-        })
-    }
-
-    /// The scripted spare-pool join `(rank, step)`: a `recover_rank` with
-    /// no preceding `fail_rank` — the rank never held live state.
-    pub fn spare_join(&self) -> Option<(usize, usize)> {
-        match self.timeline.first() {
-            Some(&MembershipEvent::Recover { rank, step }) => Some((rank, step)),
-            _ => None,
-        }
-    }
-
-    /// Whether the elastic controller is scripted dead at `step` (the
-    /// kill is permanent, like [`FaultPlan::rank_failed`]).
-    pub fn controller_failed(&self, step: usize) -> bool {
-        matches!(self.spec.fail_controller, Some(s) if step >= s)
-    }
-
-    /// Whether the prefetch worker is scripted dead at `step` (permanent,
-    /// like [`FaultPlan::rank_failed`]).
+    /// Whether the prefetch worker is scripted dead at `step` (for good).
     pub fn prefetch_failed(&self, step: usize) -> bool {
         matches!(self.spec.fail_prefetch, Some(s) if step >= s)
     }
@@ -761,12 +666,12 @@ impl FaultPlan {
         self.rec.snapshot()
     }
 
-    /// Injected faults per kind (zero rows included).
-    pub fn counts(&self) -> Vec<(FaultKind, u64)> {
-        FaultKind::ALL
-            .iter()
-            .map(|&k| (k, self.counts[k.index()].load(Ordering::Relaxed)))
-            .collect()
+    /// Injected faults per kind (zero rows included), under the metric
+    /// names they are published as: `fault.<kind>`.
+    pub fn named_counts(&self) -> impl Iterator<Item = (String, u64)> + '_ {
+        FaultKind::ALL.iter().map(|&k| {
+            (format!("fault.{}", k.as_str()), self.counts[k.index()].load(Ordering::Relaxed))
+        })
     }
 
     /// Copy of the injected-fault log. Order is arrival order across
@@ -797,7 +702,14 @@ mod tests {
         assert_eq!(spec.send_delay, 0.2);
         assert_eq!(spec.delay_ms, 10);
         assert_eq!(spec.wire_corrupt, 0.01);
-        assert_eq!(spec.fail_rank, Some((1, 2)));
+        assert_eq!(spec.rank_timeline, [MembershipEvent::Fail { rank: 1, step: 2 }]);
+        // clauses in any order come out as one timeline, ascending; a
+        // leading recover (a spare-pool join) is kept as written
+        let windows = FaultSpec::parse("fail_rank=2@9,recover_rank=2@6,fail_rank=2@3").unwrap();
+        let steps: Vec<usize> = windows.rank_timeline.iter().map(|e| e.step()).collect();
+        assert_eq!(steps, [3, 6, 9]);
+        let spare = FaultSpec::parse("recover_rank=4@5").unwrap();
+        assert_eq!(spare.rank_timeline, [MembershipEvent::Recover { rank: 4, step: 5 }]);
         assert_eq!(spec.fail_controller, Some(4));
         assert_eq!(spec.slow_rank, Some((3, 2.5)));
         assert_eq!(spec.fail_prefetch, Some(2));
@@ -885,55 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_failure_is_permanent_without_recovery() {
-        let plan = FaultPlan::new(FaultSpec::parse("fail_rank=2@3").unwrap());
-        assert!(!plan.rank_failed(2, 0));
-        assert!(!plan.rank_failed(2, 2));
-        assert!(plan.rank_failed(2, 3));
-        assert!(plan.rank_failed(2, 100));
-        assert!(!plan.rank_failed(1, 100));
-        // a bare struct-literal fail_rank (no parsed timeline) behaves
-        // identically — the compatibility fallback
-        let bare = FaultPlan::new(FaultSpec { fail_rank: Some((2, 3)), ..FaultSpec::default() });
-        assert!(!bare.rank_failed(2, 2));
-        assert!(bare.rank_failed(2, 3));
-        assert!(bare.rank_failed(2, 100));
-    }
-
-    #[test]
-    fn recovery_opens_and_closes_death_windows() {
-        let plan = FaultPlan::new(FaultSpec::parse("fail_rank=2@3,recover_rank=2@6").unwrap());
-        assert!(!plan.rank_failed(2, 2));
-        assert!(plan.rank_failed(2, 3));
-        assert!(plan.rank_failed(2, 5));
-        assert!(!plan.rank_failed(2, 6));
-        assert!(!plan.rank_failed(2, 100));
-        assert_eq!(plan.rank_rejoins_at(6), Some(2));
-        assert_eq!(plan.rank_rejoins_at(5), None);
-        assert_eq!(plan.spare_join(), None);
-        // kill → recover → kill again: the second window is permanent
-        let plan = FaultPlan::new(
-            FaultSpec::parse("fail_rank=2@3,recover_rank=2@6,fail_rank=2@9").unwrap(),
-        );
-        assert!(plan.rank_failed(2, 4));
-        assert!(!plan.rank_failed(2, 7));
-        assert!(plan.rank_failed(2, 9));
-        assert!(plan.rank_failed(2, 50));
-        // the compatibility field carries the *first* kill
-        assert_eq!(plan.spec().fail_rank, Some((2, 3)));
-    }
-
-    #[test]
-    fn leading_recover_is_a_spare_join() {
-        let plan = FaultPlan::new(FaultSpec::parse("recover_rank=4@5").unwrap());
-        assert_eq!(plan.spare_join(), Some((4, 5)));
-        assert_eq!(plan.spec().fail_rank, None);
-        assert!(!plan.rank_failed(4, 0));
-        assert!(!plan.rank_failed(4, 10));
-        assert_eq!(plan.rank_rejoins_at(5), Some(4));
-    }
-
-    #[test]
     fn timeline_validation_rejects_inconsistent_schedules() {
         // two kills with no recovery between
         assert!(FaultSpec::parse("fail_rank=2@3,fail_rank=2@5").is_err());
@@ -946,17 +809,6 @@ mod tests {
         // garbage values
         assert!(FaultSpec::parse("recover_rank=3").is_err());
         assert!(FaultSpec::parse("recover_rank=a@3").is_err());
-    }
-
-    #[test]
-    fn controller_failure_is_permanent_from_its_step() {
-        let plan = FaultPlan::new(FaultSpec::parse("fail_controller=3").unwrap());
-        assert!(!plan.controller_failed(0));
-        assert!(!plan.controller_failed(2));
-        assert!(plan.controller_failed(3));
-        assert!(plan.controller_failed(100));
-        let clean = FaultPlan::new(FaultSpec::parse("").unwrap());
-        assert!(!clean.controller_failed(100));
     }
 
     #[test]
@@ -987,8 +839,7 @@ mod tests {
                 Some(ReadFault::Transient)
             );
         }
-        let counts = plan.counts();
-        assert_eq!(counts[FaultKind::ReadTransient.index()], (FaultKind::ReadTransient, 10));
+        assert_eq!(plan.named_counts().next(), Some(("fault.read_transient".to_string(), 10)));
         assert_eq!(plan.events().len(), 10);
         plan.note_retry(Duration::from_millis(2));
         plan.note_exhausted();

@@ -234,15 +234,13 @@ impl TrafficStats {
         TagClass::ALL.iter().map(|&c| (c, totals[c.index()].0, totals[c.index()].1)).collect()
     }
 
-    /// Reset every counter (between experiment phases).
-    pub fn reset(&self) {
-        self.messages.store(0, Ordering::Relaxed);
-        self.bytes.store(0, Ordering::Relaxed);
-        if let Some(m) = &self.matrix {
-            for c in &m.cells {
-                c.store(0, Ordering::Relaxed);
-            }
-        }
+    /// [`TrafficStats::class_totals`] under the metric names they are
+    /// published as: `traffic.<class>.msgs` and `traffic.<class>.bytes`.
+    pub fn named(&self) -> impl Iterator<Item = (String, u64)> {
+        self.class_totals().into_iter().flat_map(|(class, msgs, bytes)| {
+            let name = |what| format!("traffic.{}.{what}", class.as_str());
+            [(name("msgs"), msgs), (name("bytes"), bytes)]
+        })
     }
 }
 
@@ -257,9 +255,6 @@ mod tests {
         s.record(28);
         assert_eq!(s.messages(), 2);
         assert_eq!(s.bytes(), 128);
-        s.reset();
-        assert_eq!(s.messages(), 0);
-        assert_eq!(s.bytes(), 0);
     }
 
     #[test]

@@ -351,19 +351,10 @@ impl WireSpec {
         Ok(spec)
     }
 
-    /// Read `QUAKEVIZ_CODEC`; unset, empty, or `0` means "not configured".
-    /// Panics on a malformed spec — the variable is operator input and a
-    /// silently-ignored typo would quietly benchmark the wrong codec.
-    pub fn from_env() -> Option<WireSpec> {
-        let raw = std::env::var("QUAKEVIZ_CODEC").ok()?;
-        let raw = raw.trim();
-        if raw.is_empty() || raw == "0" {
-            return None;
-        }
-        match WireSpec::parse(raw) {
-            Ok(spec) => Some(spec),
-            Err(e) => panic!("QUAKEVIZ_CODEC={raw:?}: {e}"),
-        }
+    /// The spec from `QUAKEVIZ_CODEC` ([`crate::env_overlay`]): a typo is an
+    /// error, never silently the wrong codec.
+    pub fn from_env() -> Result<Option<WireSpec>, String> {
+        crate::env_overlay("QUAKEVIZ_CODEC", WireSpec::parse)
     }
 
     /// Short human description for reports ("block_data=shuffle delta k=4",
@@ -463,6 +454,16 @@ impl WireLedger {
             })
             .filter(|s| s.raw_bytes > 0 || s.wire_bytes > 0)
             .collect()
+    }
+
+    /// What the codec+delta layer saved per payload class (wire ≤ raw
+    /// always; equal on the plain raw wire), under the metric names it is
+    /// published as: `traffic.<class>.raw_bytes` and `.wire_bytes`.
+    pub fn named(&self) -> impl Iterator<Item = (String, u64)> {
+        self.snapshot().into_iter().flat_map(|w| {
+            let name = |what| format!("traffic.{}.{what}", w.class.as_str());
+            [(name("raw_bytes"), w.raw_bytes), (name("wire_bytes"), w.wire_bytes)]
+        })
     }
 }
 

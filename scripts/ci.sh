@@ -48,11 +48,18 @@ mapfile -t core_sources < <(find crates/core/src -name '*.rs' ! -name proto.rs)
 ratchet "tag-arithmetic (core, outside proto.rs)" 0 "$(count_sites \
     'TAG_[A-Z]+ \\+' "${core_sources[@]}")"
 
+# Schedule queries: what rank r is at step t is answered by
+# `membership::Schedule` alone — the fault plan has no timeline query for
+# the pipeline to call, so a second path cannot grow back.
+ratchet "schedule-query (pipeline.rs)" 0 "$(count_sites \
+    'faults\\.(rank_failed|recovers_later|rank_rejoins_at|membership_timeline|spare_join|controller_failed)' \
+    crates/core/src/pipeline.rs)"
+
 # Wall-clock sites: `Instant::now()` / `thread::sleep(` in the runtime
 # crates — each is a place real time leaks into the protocol, and the
 # count the virtual-time work (ROADMAP) drives down to its
 # Clock/Transport seams.
-WALL_CLOCK_SITES_MAX=25
+WALL_CLOCK_SITES_MAX=22
 mapfile -t runtime_sources < <(find crates/core/src crates/rt/src crates/parfs/src -name '*.rs')
 ratchet "wall-clock-site (crates/{core,rt,parfs}/src)" "$WALL_CLOCK_SITES_MAX" "$(count_sites \
     'Instant::now\\(\\)|thread::sleep\\(' "${runtime_sources[@]}")"

@@ -174,7 +174,7 @@ fn late_data_degrades_without_stalling_the_prefetch_cap() {
     // the same slept reads with nothing to inject: data can only be slow,
     // never lost, so the renderers wait for it however short the delivery
     // deadline is — a clean run never degrades because its input was late
-    if FaultSpec::from_env().is_some() {
+    if FaultSpec::from_env().is_ok_and(|spec| spec.is_some()) {
         println!("QUAKEVIZ_FAULTS arms the delivery deadline of the no-spec run: case skipped");
         return;
     }
@@ -539,15 +539,15 @@ fn recover_rank_validation_rejects_impossible_schedules() {
     assert_eq!(runs("spare join, then a window of its own", pool(), spec).rejoins, 2);
 }
 
-/// Regression: a rejoin scheduled on a tick the plan itself kills
-/// (`fail_controller` at or before it) used to pass validation, then
-/// panic two render ranks in SLIC and deadlock the run; then it was
-/// rejected. A rejoin needs no tick: the output rank keeps the plan
-/// history whether or not its controller still ticks, so the schedule
-/// runs, every frame bit-identical. Only a spare-pool join, whose admit
-/// plan a dead controller cannot commit, is still turned away.
+/// A rejoin scheduled on a tick the plan itself kills (`fail_controller`
+/// at or before it) runs, every frame bit-identical: a rejoin needs no
+/// tick, the output rank keeps the plan history whether or not its
+/// controller still ticks. (Regression: such a schedule once passed
+/// validation, then panicked two render ranks in SLIC and deadlocked.)
+/// Only a spare-pool join, whose admit plan a dead controller cannot
+/// commit, is turned away.
 #[test]
-fn rejoin_on_a_tick_the_plan_kills_is_rejected() {
+fn rejoin_under_a_dead_controller_runs_and_only_a_spare_join_is_rejected() {
     let ds = SimulationBuilder::new().resolution(16).steps(8).run_to_dataset().unwrap();
     let io = IoStrategy::OneDip { input_procs: 2 };
     let oracle = builder(&ds, io).run().expect("static oracle");
