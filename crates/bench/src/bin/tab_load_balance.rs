@@ -8,15 +8,17 @@
 //! what the previous frame's render of each cost.
 //!
 //! Method: per-rank **sequential** render time of each renderer's block
-//! set (this host has one core, so timesharing rank threads would mask
-//! the imbalance); frame wall-clock = slowest rank.
+//! set (timesharing rank threads on fewer cores than ranks would mask the
+//! imbalance); frame wall-clock = slowest rank. Each camera's
+//! [`BrickPlan`]s are built before anything is timed, as a render rank
+//! builds them once per run.
 //!
 //! Columns: camera, partition, frame s (max rank), max/mean imbalance.
 
 use quakeviz_bench::{header, row, s3, standard_dataset};
 use quakeviz_core::balance::measured_balanced;
 use quakeviz_mesh::{Aabb, Partition, Vec3, WorkloadModel};
-use quakeviz_render::{render_block, Camera, RenderParams, TransferFunction};
+use quakeviz_render::{BrickPlan, Camera, RenderParams, TransferFunction};
 use std::time::Instant;
 
 fn main() {
@@ -45,12 +47,14 @@ fn main() {
 
     header(&["camera", "partition", "frame_s", "max_mean"]);
     for (cam_name, cam) in [("overview", &overview), ("zoomed", &zoomed)] {
+        let plans: Vec<BrickPlan> =
+            blocks.iter().map(|b| BrickPlan::new(mesh, b, level, cam)).collect();
+        let render = |bid: usize| plans[bid].render(&field, norm, false, cam, &tf, &params);
         // measure per-block cost once (the previous frame's feedback)
-        let block_secs: Vec<f64> = blocks
-            .iter()
-            .map(|b| {
+        let block_secs: Vec<f64> = (0..blocks.len())
+            .map(|bid| {
                 let t0 = Instant::now();
-                let _ = render_block(mesh, &field, b, level, norm, cam, &tf, &params);
+                let _ = render(bid);
                 t0.elapsed().as_secs_f64()
             })
             .collect();
@@ -63,16 +67,7 @@ fn main() {
             for rank in 0..R {
                 let t0 = Instant::now();
                 for &bid in partition.blocks_of(rank) {
-                    let _ = render_block(
-                        mesh,
-                        &field,
-                        &blocks[bid as usize],
-                        level,
-                        norm,
-                        cam,
-                        &tf,
-                        &params,
-                    );
+                    let _ = render(bid as usize);
                 }
                 rank_secs.push(t0.elapsed().as_secs_f64());
             }

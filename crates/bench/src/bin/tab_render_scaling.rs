@@ -4,9 +4,11 @@
 //!
 //! Method: partition the blocks over `r` virtual renderers, render each
 //! renderer's block set **sequentially on one thread** and take the
-//! slowest renderer as the frame's wall-clock (what a machine with one
-//! core per rank would measure — this host has a single core, so running
-//! the actual rank threads would only show timesharing). Reports
+//! slowest renderer as the frame's wall-clock — what a machine with one
+//! core per rank would measure; running the rank threads on a host with
+//! fewer cores than ranks would only show timesharing. Each block's
+//! [`BrickPlan`] is built before the timed loop, as a render rank builds
+//! it once per run, so the loop times what a rank pays per frame. Reports
 //! speedup and parallel efficiency, plus the load imbalance that bounds
 //! them.
 //!
@@ -14,8 +16,8 @@
 //! imbalance.
 
 use quakeviz_bench::{header, row, s3, standard_dataset};
-use quakeviz_mesh::{Aabb, NodeId, Partition, WorkloadModel};
-use quakeviz_render::{render_block, Camera, RenderParams, TransferFunction};
+use quakeviz_mesh::{Aabb, Partition, WorkloadModel};
+use quakeviz_render::{BrickPlan, Camera, RenderParams, TransferFunction};
 use std::time::Instant;
 
 fn main() {
@@ -31,7 +33,8 @@ fn main() {
     let field = ds.load_step(ds.steps() * 2 / 3).magnitude();
     let level = mesh.octree().max_leaf_level();
     let norm = (0.0f32, ds.vmag_max());
-    let _warm: Vec<NodeId> = mesh.block_nodes(&blocks[0]); // touch caches
+    let plans: Vec<BrickPlan> =
+        blocks.iter().map(|b| BrickPlan::new(mesh, b, level, &camera)).collect();
 
     header(&["renderers", "render_s", "speedup", "efficiency", "imbalance"]);
     let mut base = 0.0f64;
@@ -41,16 +44,7 @@ fn main() {
         for rank in 0..r {
             let t0 = Instant::now();
             for &bid in partition.blocks_of(rank) {
-                let _ = render_block(
-                    mesh,
-                    &field,
-                    &blocks[bid as usize],
-                    level,
-                    norm,
-                    &camera,
-                    &tf,
-                    &params,
-                );
+                let _ = plans[bid as usize].render(&field, norm, false, &camera, &tf, &params);
             }
             rank_secs.push(t0.elapsed().as_secs_f64());
         }

@@ -35,7 +35,8 @@ use quakeviz_mesh::{
 };
 use quakeviz_parfs::ReadError;
 use quakeviz_render::{
-    front_to_back_order, Camera, Fragment, LightingParams, RenderParams, RgbaImage, TemporalEnhance,
+    front_to_back_order, BrickPlan, Camera, Fragment, LightingParams, RenderParams, RgbaImage,
+    TemporalEnhance,
 };
 use quakeviz_rt::obs::{self, Obs, Phase, TraceData};
 use quakeviz_rt::wire::{WireClassStats, WireLedger, WireSpec};
@@ -296,6 +297,10 @@ struct Shared {
     /// Surface structures for LIC: the texel → node stencil, the surface
     /// node ids to read each step, the noise texture.
     surface: Option<(SurfaceSampler, Vec<NodeId>, Vec<f32>)>,
+    /// Per block id, what rendering it costs besides the field: its
+    /// resampling stencils and ray table under this run's level and camera
+    /// (empty under a warm replay, which renders nothing).
+    plans: Vec<BrickPlan>,
     opacity_unit: f64,
     /// The run's deterministic fault plan — every run has one; without a
     /// spec it is the empty plan, which never fires. It injects, and it is
@@ -688,6 +693,7 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         ids_per_block,
         level_ids,
         surface,
+        plans: Vec::new(),
         opacity_unit: extent.max_component() / 64.0,
         faults,
         sched: sched.resumed_at(start_step),
@@ -713,6 +719,13 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
             && (start_step..steps)
                 .all(|t| shared.frame_key(t).is_some_and(|key| tier.frames.contains(key)))
     });
+    // nothing a brick plan depends on changes within a run: elastic plans
+    // and failover only change which rank reads a block's brick plan
+    if !shared.warm_all {
+        let plan = |b| BrickPlan::new(&shared.mesh, b, level, &shared.camera);
+        shared.plans = shared.blocks.iter().map(plan).collect();
+    }
+    let plan_bytes = shared.plans.iter().map(BrickPlan::bytes).sum();
 
     let world = shared.sched.world();
     let shared = &shared;
@@ -775,7 +788,14 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
     let osts = shared.disk.ost_stats();
     let rows = (shared.faults.named_counts())
         .chain(rec.named().map(named))
-        .chain([("checkpoint.commits", checkpoints), ("control.plans_committed", plans)].map(named))
+        .chain(
+            [
+                ("checkpoint.commits", checkpoints),
+                ("control.plans_committed", plans),
+                ("render.plan_bytes", plan_bytes),
+            ]
+            .map(named),
+        )
         .chain(stats.named())
         .chain(shared.ledger.named())
         .chain(cache.iter().flat_map(|tier| tier.counters().named_since(&cache_base)).map(named))
@@ -1909,24 +1929,9 @@ fn render_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
         let render_t0 = Instant::now();
         let mut frags: Vec<Fragment> = Vec::new();
         for &bid in my_blocks {
-            let block = &s.blocks[bid as usize];
-            let level = if degraded.binary_search(&bid).is_ok() {
-                s.level.saturating_sub(1)
-            } else {
-                s.level
-            };
-            if let Some(f) = quakeviz_render::render_block(
-                &s.mesh,
-                &field,
-                block,
-                level,
-                norm,
-                &s.camera,
-                &s.cfg.transfer,
-                &params,
-            ) {
-                frags.push(f);
-            }
+            let coarser = degraded.binary_search(&bid).is_ok();
+            let plan = &s.plans[bid as usize];
+            frags.extend(plan.render(&field, norm, coarser, &s.camera, &s.cfg.transfer, &params));
         }
         // scripted load skew: stretch this rank's render phase by the
         // plan's factor, inside the Render span, so the controller sees
@@ -2284,6 +2289,48 @@ mod tests {
         // frames must not all be empty: late steps carry waves
         let busy = report.frames.iter().any(|f| f.pixels().iter().any(|p| p[3] > 0.01));
         assert!(busy, "no frame shows any volume contribution");
+    }
+
+    /// The per-run brick plans cost a formula of the mesh, level, blocks
+    /// and camera — 16 bytes per ray, 12 per run of rays, 4 per brick node
+    /// at the level and one coarser, 48 per patched node — and nothing
+    /// that grows with the run.
+    #[test]
+    fn plan_bytes_are_a_formula_independent_of_run_length() {
+        use quakeviz_render::{Brick, RayTable};
+        use quakeviz_rt::obs::MetricValue;
+        let ds = dataset();
+        let plan_bytes = |steps: usize| {
+            let report = PipelineBuilder::new(&ds)
+                .renderers(2)
+                .image_size(64, 64)
+                .max_steps(steps)
+                .run()
+                .expect("pipeline");
+            let metric = report.trace.metrics.iter().find(|m| m.name == "render.plan_bytes");
+            match metric.map(|m| &m.value) {
+                Some(&MetricValue::Counter(bytes)) => (bytes, report.level),
+                other => panic!("render.plan_bytes is {other:?}"),
+            }
+        };
+        let (bytes, level) = plan_bytes(2);
+        assert_eq!(plan_bytes(4), (bytes, level), "twice the steps, the same plans");
+
+        let mesh = ds.mesh();
+        let extent = mesh.octree().extent();
+        let camera = Camera::default_for(&Aabb::from_extent(extent), 64, 64);
+        let mut want = 0;
+        for block in &mesh.octree().blocks(PipelineConfig::default().block_level) {
+            if let Some(rays) = RayTable::new(&block.root.bounds(extent), &camera) {
+                want += 16 * rays.rays() + 12 * rays.runs();
+            }
+            for level in [level, level.saturating_sub(1)] {
+                let stencil = Brick::stencil(mesh, block, level);
+                let (nx, ny, nz) = stencil.dims();
+                want += 4 * nx * ny * nz + 48 * stencil.patches();
+            }
+        }
+        assert_eq!(bytes, want as u64);
     }
 
     #[test]

@@ -77,14 +77,16 @@ impl NodeField {
     /// Trilinear sample inside leaf cell `cell_index` at point `p` (which
     /// should lie inside the cell; coordinates are clamped to it).
     pub fn sample_in_cell(&self, mesh: &HexMesh, cell_index: usize, p: Vec3) -> f32 {
-        let cell = mesh.cell(cell_index);
-        let b = cell.loc.bounds(mesh.octree().extent());
-        let e = b.extent();
-        let u = (((p.x - b.min.x) / e.x).clamp(0.0, 1.0)) as f32;
-        let v = (((p.y - b.min.y) / e.y).clamp(0.0, 1.0)) as f32;
-        let w = (((p.z - b.min.z) / e.z).clamp(0.0, 1.0)) as f32;
-        let n = &cell.nodes;
-        let f = |i: usize| self.values[n[i] as usize];
+        let (nodes, uvw) = mesh.cell_weights(cell_index, p);
+        self.blend(&nodes, uvw)
+    }
+
+    /// Trilinear blend of the values at eight cell corners (bit order x,
+    /// y, z) with upper-corner weights `(u, v, w)` — the arithmetic of
+    /// [`NodeField::sample_in_cell`], for callers that located the cell
+    /// once ([`HexMesh::cell_weights`]).
+    pub fn blend(&self, nodes: &[NodeId; 8], [u, v, w]: [f32; 3]) -> f32 {
+        let f = |i: usize| self.values[nodes[i] as usize];
         let c00 = f(0) * (1.0 - u) + f(1) * u;
         let c10 = f(2) * (1.0 - u) + f(3) * u;
         let c01 = f(4) * (1.0 - u) + f(5) * u;
@@ -97,13 +99,7 @@ impl NodeField {
     /// Sample anywhere in the domain (locates the leaf first).
     /// Returns `None` outside the domain.
     pub fn sample(&self, mesh: &HexMesh, p: Vec3) -> Option<f32> {
-        let leaf = *mesh.octree().leaf_at(p)?;
-        let idx = mesh
-            .octree()
-            .leaves()
-            .binary_search_by(|l| l.cmp(&leaf))
-            .expect("leaf_at returned a leaf not in the octree");
-        Some(self.sample_in_cell(mesh, idx, p))
+        Some(self.sample_in_cell(mesh, mesh.cell_at(p)?, p))
     }
 
     /// Raw little-endian `f32` bytes — the on-disk layout of one time step.

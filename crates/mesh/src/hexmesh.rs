@@ -126,6 +126,25 @@ impl HexMesh {
         &self.cells[i]
     }
 
+    /// Index of the leaf cell containing `p`, or `None` outside the domain.
+    pub fn cell_at(&self, p: Vec3) -> Option<usize> {
+        let leaf = self.octree.leaf_at(p)?;
+        let idx = self.octree.leaves().binary_search(leaf);
+        Some(idx.expect("leaf_at returned a leaf not in the octree"))
+    }
+
+    /// Corner nodes of cell `i` and the upper-corner weights `(u, v, w)`
+    /// of point `p` inside it (clamped to the cell): what trilinear
+    /// sampling there blends ([`crate::NodeField::blend`]).
+    pub fn cell_weights(&self, i: usize, p: Vec3) -> ([NodeId; 8], [f32; 3]) {
+        let b = self.octree.leaves()[i].bounds(self.octree.extent());
+        let e = b.extent();
+        let u = (((p.x - b.min.x) / e.x).clamp(0.0, 1.0)) as f32;
+        let v = (((p.y - b.min.y) / e.y).clamp(0.0, 1.0)) as f32;
+        let w = (((p.z - b.min.z) / e.z).clamp(0.0, 1.0)) as f32;
+        (self.cells[i], [u, v, w])
+    }
+
     /// Physical position of a node in the domain `[0, extent]`.
     pub fn node_position(&self, id: NodeId) -> Vec3 {
         let (x, y, z) = self.node_coords[id as usize];

@@ -7,7 +7,7 @@
 //! exactly where it is finest; coarser levels sample fewer points and the
 //! brick (and its marching cost) shrinks by 8× per level.
 
-use quakeviz_mesh::{Aabb, HexMesh, NodeField, OctreeBlock, Vec3};
+use quakeviz_mesh::{Aabb, HexMesh, NodeField, NodeId, OctreeBlock, Vec3};
 
 /// A regular scalar grid over one octree block's bounds, values normalized
 /// to `[0, 1]`.
@@ -24,6 +24,65 @@ pub struct Brick {
     range: (f32, f32),
 }
 
+/// The field-independent half of resampling one block at one level: which
+/// mesh node each brick node reads — or, for the rare brick node inside a
+/// coarser leaf, which eight nodes with which weights. It depends on the
+/// mesh, the block and the level alone, so a run builds it once and every
+/// frame's [`Stencil::brick`] is a gather.
+#[derive(Debug, Clone)]
+pub struct Stencil {
+    block_id: u32,
+    bounds: Aabb,
+    dims: (usize, usize, usize),
+    /// Mesh node per brick node, x fastest; [`NO_NODE`] where a patch
+    /// supplies the value, or where the point lies outside the domain
+    /// (a constant 0).
+    ids: Vec<NodeId>,
+    patches: Vec<Patch>,
+}
+
+/// A brick node inside a coarser leaf: the leaf's corners and the node's
+/// weights in it, as [`NodeField::sample_in_cell`] computes them.
+#[derive(Debug, Clone)]
+struct Patch {
+    at: u32,
+    corners: [NodeId; 8],
+    uvw: [f32; 3],
+}
+
+const NO_NODE: NodeId = NodeId::MAX;
+
+impl Stencil {
+    /// Node counts per axis of the bricks it builds.
+    pub fn dims(&self) -> (usize, usize, usize) {
+        self.dims
+    }
+
+    /// Brick nodes that blend eight mesh nodes instead of reading one.
+    pub fn patches(&self) -> usize {
+        self.patches.len()
+    }
+
+    /// Heap bytes held: 4 per brick node, 48 per patch.
+    pub fn bytes(&self) -> u64 {
+        (self.ids.len() * 4 + self.patches.len() * std::mem::size_of::<Patch>()) as u64
+    }
+
+    /// The brick of `field`, normalized by `(lo, hi)`: the values
+    /// [`Brick::from_field`] has always produced, bit for bit.
+    pub fn brick(&self, field: &NodeField, norm: (f32, f32)) -> Brick {
+        let scale = if norm.1 > norm.0 { 1.0 / (norm.1 - norm.0) } else { 0.0 };
+        let normalize = |raw: f32| ((raw - norm.0) * scale).clamp(0.0, 1.0);
+        let mut values: Vec<f32> = (self.ids.iter())
+            .map(|&id| normalize(if id == NO_NODE { 0.0 } else { field.get(id) }))
+            .collect();
+        for p in &self.patches {
+            values[p.at as usize] = normalize(field.blend(&p.corners, p.uvw));
+        }
+        Brick::from_values(self.block_id, self.bounds, self.dims, values)
+    }
+}
+
 impl Brick {
     /// Resample `block` from `field` at octree `level` (clamped to the
     /// block's root level and the mesh's finest level), normalizing by
@@ -35,46 +94,48 @@ impl Brick {
         level: u8,
         norm: (f32, f32),
     ) -> Brick {
+        Brick::stencil(mesh, block, level).brick(field, norm)
+    }
+
+    /// Where each node of `block`'s brick at `level` (clamped as in
+    /// [`Brick::from_field`]) reads the field.
+    pub fn stencil(mesh: &HexMesh, block: &OctreeBlock, level: u8) -> Stencil {
         let max = mesh.octree().max_leaf_level();
         let level = level.clamp(block.root.level, max);
         let n = 1usize << (level - block.root.level); // cells per axis
         let dims = (n + 1, n + 1, n + 1);
         let (ax, ay, az) = block.root.anchor_at_level(max);
         let step = 1u32 << (max - level);
-        let bounds = block.root.bounds(mesh.octree().extent());
-        let scale = if norm.1 > norm.0 { 1.0 / (norm.1 - norm.0) } else { 0.0 };
+        let e = mesh.octree().extent();
+        let nfine = (1u64 << max) as f64;
 
-        let mut values = Vec::with_capacity(dims.0 * dims.1 * dims.2);
+        let mut ids = Vec::with_capacity(dims.0 * dims.1 * dims.2);
+        let mut patches = Vec::new();
         for k in 0..dims.2 as u32 {
             for j in 0..dims.1 as u32 {
                 for i in 0..dims.0 as u32 {
                     let (gx, gy, gz) = (ax + i * step, ay + j * step, az + k * step);
-                    let raw = match mesh.node_at(gx, gy, gz) {
-                        Some(id) => field.get(id),
-                        None => {
-                            // grid point interior to a coarser cell: sample
-                            let e = mesh.octree().extent();
-                            let nfine = (1u64 << max) as f64;
-                            let p = Vec3::new(
-                                gx as f64 / nfine * e.x,
-                                gy as f64 / nfine * e.y,
-                                gz as f64 / nfine * e.z,
-                            );
-                            // nudge boundary points inward so leaf lookup hits
-                            let eps = 1e-9;
-                            let q = Vec3::new(
-                                p.x.min(e.x * (1.0 - eps)),
-                                p.y.min(e.y * (1.0 - eps)),
-                                p.z.min(e.z * (1.0 - eps)),
-                            );
-                            field.sample(mesh, q).unwrap_or(0.0)
-                        }
-                    };
-                    values.push(((raw - norm.0) * scale).clamp(0.0, 1.0));
+                    if let Some(id) = mesh.node_at(gx, gy, gz) {
+                        ids.push(id);
+                        continue;
+                    }
+                    // grid point interior to a coarser cell: sample, with
+                    // boundary points nudged inward so the leaf lookup hits
+                    let eps = 1e-9;
+                    let q = Vec3::new(
+                        (gx as f64 / nfine * e.x).min(e.x * (1.0 - eps)),
+                        (gy as f64 / nfine * e.y).min(e.y * (1.0 - eps)),
+                        (gz as f64 / nfine * e.z).min(e.z * (1.0 - eps)),
+                    );
+                    if let Some(cell) = mesh.cell_at(q) {
+                        let (corners, uvw) = mesh.cell_weights(cell, q);
+                        patches.push(Patch { at: ids.len() as u32, corners, uvw });
+                    }
+                    ids.push(NO_NODE);
                 }
             }
         }
-        Brick::from_values(block.id, bounds, dims, values)
+        Stencil { block_id: block.id, bounds: block.root.bounds(e), dims, ids, patches }
     }
 
     /// Build directly from raw normalized values (tests, synthetic data).
@@ -246,6 +307,105 @@ mod tests {
         let coarse = Brick::from_field(&m, &f, block, 2, (0.0, 1.0));
         assert!((coarse.min_spacing() - 2.0 * fine.min_spacing()).abs() < 1e-12);
         assert!(coarse.sample_count() < fine.sample_count());
+    }
+
+    /// `Brick::from_field` as it was before the stencil: one hash lookup
+    /// per brick node, a leaf search per node inside a coarser leaf.
+    fn from_field_by_lookup(
+        mesh: &HexMesh,
+        field: &NodeField,
+        block: &OctreeBlock,
+        level: u8,
+        norm: (f32, f32),
+    ) -> Vec<f32> {
+        let max = mesh.octree().max_leaf_level();
+        let level = level.clamp(block.root.level, max);
+        let n = 1u32 << (level - block.root.level);
+        let (ax, ay, az) = block.root.anchor_at_level(max);
+        let step = 1u32 << (max - level);
+        let scale = if norm.1 > norm.0 { 1.0 / (norm.1 - norm.0) } else { 0.0 };
+        let mut values = Vec::new();
+        for k in 0..=n {
+            for j in 0..=n {
+                for i in 0..=n {
+                    let (gx, gy, gz) = (ax + i * step, ay + j * step, az + k * step);
+                    let raw = match mesh.node_at(gx, gy, gz) {
+                        Some(id) => field.get(id),
+                        None => {
+                            let e = mesh.octree().extent();
+                            let nfine = (1u64 << max) as f64;
+                            let p = Vec3::new(
+                                gx as f64 / nfine * e.x,
+                                gy as f64 / nfine * e.y,
+                                gz as f64 / nfine * e.z,
+                            );
+                            let eps = 1e-9;
+                            let q = Vec3::new(
+                                p.x.min(e.x * (1.0 - eps)),
+                                p.y.min(e.y * (1.0 - eps)),
+                                p.z.min(e.z * (1.0 - eps)),
+                            );
+                            field.sample(mesh, q).unwrap_or(0.0)
+                        }
+                    };
+                    values.push(((raw - norm.0) * scale).clamp(0.0, 1.0));
+                }
+            }
+        }
+        values
+    }
+
+    /// Fine near the surface, coarse below: most deep brick nodes at the
+    /// finest level fall inside coarser leaves.
+    struct TopHeavy;
+    impl quakeviz_mesh::RefineOracle for TopHeavy {
+        fn refine(&self, loc: &quakeviz_mesh::Loc3, bounds: &Aabb) -> bool {
+            loc.level < if bounds.min.z < 0.3 { 4 } else { 2 }
+        }
+        fn max_level(&self) -> u8 {
+            4
+        }
+        fn min_level(&self) -> u8 {
+            1
+        }
+    }
+
+    #[test]
+    fn stencil_gathers_the_values_the_lookup_computed() {
+        let m = HexMesh::from_octree(Octree::build(Vec3::new(2.0, 2.0, 1.0), &TopHeavy));
+        let mut rng = quakeviz_rt::rng::SplitMix64::new(26);
+        let mut f = NodeField::zeros(&m);
+        for id in 0..m.node_count() as u32 {
+            f.set(id, rng.next_f32() * 3.0 - 0.5);
+        }
+        f.set(7, f32::NAN);
+        let (mut patched, mut bricks) = (0, 0);
+        for block_level in [0, 1, 2] {
+            for block in &m.octree().blocks(block_level) {
+                for level in 0..=5 {
+                    let stencil = Brick::stencil(&m, block, level);
+                    patched += stencil.patches();
+                    for norm in [(0.0, 1.0), (0.25, 2.0), (1.0, 1.0)] {
+                        let got = stencil.brick(&f, norm);
+                        let want = from_field_by_lookup(&m, &f, block, level, norm);
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(got.values()),
+                            bits(&want),
+                            "block {} level {level}",
+                            block.id
+                        );
+                        let (nx, ny, nz) = got.dims();
+                        assert_eq!(
+                            stencil.bytes(),
+                            4 * (nx * ny * nz) as u64 + 48 * stencil.patches() as u64
+                        );
+                        bricks += 1;
+                    }
+                }
+            }
+        }
+        assert!(patched > 1000 && bricks > 100, "{patched} patched nodes over {bricks} bricks");
     }
 
     #[test]

@@ -13,11 +13,12 @@
 //! * [`camera`] — a look-at perspective camera with point projection
 //!   (fragment screen rects, compositing schedules are view-dependent).
 //! * [`transfer`] — piecewise-linear RGBA transfer functions.
-//! * [`brick`] — regular resampling of one octree block at a chosen level;
-//!   bricks are what the ray caster marches.
-//! * [`raycast`] — front-to-back ray casting with early termination and
-//!   optional central-difference gradient Blinn-Phong lighting (§6,
-//!   Figure 10/11).
+//! * [`brick`] — regular resampling of one octree block at a chosen level
+//!   through a per-run [`Stencil`]; bricks are what the ray caster marches.
+//! * [`raycast`] — front-to-back ray casting with early termination,
+//!   culling of cells the transfer function cannot see, and optional
+//!   central-difference gradient Blinn-Phong lighting (§6, Figure 10/11);
+//!   a [`BrickPlan`] holds a block's stencils and rays for a whole run.
 //! * [`enhance`] — the temporal-domain enhancement filter (§4.2, Figure 4).
 //! * [`adaptive`] — octree level selection from image resolution, data
 //!   resolution and a cells-per-pixel budget (§4.1, Figure 3).
@@ -37,12 +38,12 @@ pub mod transfer;
 pub mod visibility;
 
 pub use adaptive::AdaptivePolicy;
-pub use brick::Brick;
+pub use brick::{Brick, Stencil};
 pub use camera::Camera;
 pub use enhance::TemporalEnhance;
 pub use image::{Rgba, RgbaImage, ScreenRect};
 pub use raycast::{
-    composite_fragments, render_block, render_brick, Fragment, LightingParams, RenderParams,
+    composite_fragments, render_brick, BrickPlan, Fragment, LightingParams, RayTable, RenderParams,
 };
 pub use transfer::TransferFunction;
 pub use visibility::front_to_back_order;

@@ -7,12 +7,13 @@
 //! block visibility order reproduces the sequential single-processor image
 //! exactly — the invariant the compositing property-tests check.
 
-use crate::brick::Brick;
+use crate::brick::{Brick, Stencil};
 use crate::camera::Camera;
 use crate::image::{over, Rgba, RgbaImage, ScreenRect};
-use crate::transfer::TransferFunction;
-use quakeviz_mesh::{HexMesh, NodeField, OctreeBlock, Vec3};
+use crate::transfer::{BakedTransfer, TransferFunction};
+use quakeviz_mesh::{Aabb, HexMesh, NodeField, OctreeBlock, Vec3};
 use quakeviz_rt::obs::prof;
+use std::borrow::Borrow;
 
 /// Blinn-Phong lighting parameters (paper §6: "lighting requires
 /// calculations of gradient information to approximate local surface
@@ -95,8 +96,112 @@ impl Fragment {
 }
 
 /// A sample whose corrected opacity is at or below this adds nothing to
-/// its ray; a brick none of whose values can exceed it is not marched.
+/// its ray; a brick none of whose values can exceed it is not marched, and
+/// a cell none of whose interpolated values can is not sampled.
 const OPACITY_GATE: f32 = 1e-5;
+
+/// The rays of one block under one camera: the block's screen rectangle,
+/// the runs of pixels in it whose centre ray crosses the block, and each
+/// such ray's `[t0, t1]` ([`Aabb::ray_intersect`] of [`Camera::ray`]).
+/// The direction is not kept: the march recomputes it, which is a few
+/// multiply-adds and the same bits, so a ray costs 16 bytes here.
+#[derive(Debug, Clone)]
+pub struct RayTable {
+    rect: ScreenRect,
+    /// `(row, first, end)` pixel runs, row-major.
+    runs: Vec<(u32, u32, u32)>,
+    /// `(t0, t1)` of each ray, in run order.
+    hits: Vec<(f64, f64)>,
+}
+
+impl RayTable {
+    /// The rays through `bounds`, or `None` when it projects off screen.
+    pub fn new(bounds: &Aabb, camera: &Camera) -> Option<RayTable> {
+        Some(RayTable::within(camera.project_aabb(bounds)?, bounds, camera))
+    }
+
+    fn within(rect: ScreenRect, bounds: &Aabb, camera: &Camera) -> RayTable {
+        let (mut runs, mut hits) = (Vec::<(u32, u32, u32)>::new(), Vec::new());
+        for py in rect.y0..rect.y1 {
+            for px in rect.x0..rect.x1 {
+                let (o, d) = camera.ray(px, py);
+                let Some(hit) = bounds.ray_intersect(o, d) else {
+                    continue;
+                };
+                match runs.last_mut() {
+                    Some((y, _, end)) if *y == py && *end == px => *end += 1,
+                    _ => runs.push((py, px, px + 1)),
+                }
+                hits.push(hit);
+            }
+        }
+        runs.shrink_to_fit();
+        hits.shrink_to_fit();
+        RayTable { rect, runs, hits }
+    }
+
+    /// Rays that cross the block.
+    pub fn rays(&self) -> usize {
+        self.hits.len()
+    }
+
+    /// Runs of adjacent such rays along a pixel row.
+    pub fn runs(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// Heap bytes held: 16 per ray, 12 per run.
+    pub fn bytes(&self) -> u64 {
+        (self.hits.len() * 16 + self.runs.len() * 12) as u64
+    }
+}
+
+/// Everything about rendering one block that a run holds fixed — mesh,
+/// block, octree level, camera: the brick's [`Stencil`] at the level and
+/// one coarser (what a degraded block drops to), and the block's
+/// [`RayTable`]. Built once per run, so a frame pays only for the field: a
+/// gather and the march. A camera or level change needs a new plan.
+#[derive(Debug, Clone)]
+pub struct BrickPlan {
+    /// At the level, and one coarser.
+    stencils: [Stencil; 2],
+    /// `None` when the block projects off screen.
+    rays: Option<RayTable>,
+}
+
+impl BrickPlan {
+    /// The plan of `block` at `level` under `camera`.
+    pub fn new(mesh: &HexMesh, block: &OctreeBlock, level: u8, camera: &Camera) -> BrickPlan {
+        let stencil = |level| Brick::stencil(mesh, block, level);
+        BrickPlan {
+            stencils: [stencil(level), stencil(level.saturating_sub(1))],
+            rays: RayTable::new(&block.root.bounds(mesh.octree().extent()), camera),
+        }
+    }
+
+    /// [`render_brick`] of [`Brick::from_field`] at the plan's level — or
+    /// one coarser — under the plan's camera, with nothing built for a
+    /// block off screen.
+    pub fn render(
+        &self,
+        field: &NodeField,
+        norm: (f32, f32),
+        coarser: bool,
+        camera: &Camera,
+        tf: &TransferFunction,
+        params: &RenderParams,
+    ) -> Option<Fragment> {
+        let rays = self.rays.as_ref()?;
+        let brick = self.stencils[coarser as usize].brick(field, norm);
+        publish(cast(&brick, || rays, camera, tf, params))
+    }
+
+    /// Heap bytes held by the stencils and the ray table.
+    pub fn bytes(&self) -> u64 {
+        let stencils: u64 = self.stencils.iter().map(Stencil::bytes).sum();
+        stencils + self.rays.as_ref().map_or(0, RayTable::bytes)
+    }
+}
 
 /// Ray-cast one brick. Returns `None` when the brick projects off screen
 /// or contributes nothing (fully transparent).
@@ -112,21 +217,30 @@ const OPACITY_GATE: f32 = 1e-5;
 /// the brick's index space with every per-frame and per-ray constant
 /// hoisted; `reference::render_brick` is the same definition written the
 /// plain way, and the tests hold the two within one 8-bit level.
+///
+/// It builds the brick's [`RayTable`] and marches it; a [`BrickPlan`]
+/// keeps the table across frames instead.
 pub fn render_brick(
     brick: &Brick,
     camera: &Camera,
     tf: &TransferFunction,
     params: &RenderParams,
 ) -> Option<Fragment> {
-    let (fragment, work) = cast(brick, camera, tf, params);
+    let rect = camera.project_aabb(&brick.bounds)?;
+    publish(cast(brick, || RayTable::within(rect, &brick.bounds, camera), camera, tf, params))
+}
+
+/// Tick one brick's [`Work`] and pass its fragment on.
+fn publish((fragment, work): (Option<Fragment>, Work)) -> Option<Fragment> {
     prof::ticks("raycast.rays", work.rays);
     prof::ticks("raycast.samples", work.samples);
+    prof::ticks("raycast.samples_culled", work.samples_culled);
     prof::ticks("raycast.early_terminated", work.early_terminated);
     prof::ticks("raycast.bricks_skipped", work.bricks_skipped);
     fragment
 }
 
-/// What one [`render_brick`] call did — published as prof ticks when
+/// What one brick's cast did — published as prof ticks when
 /// QUAKEVIZ_PROF is on. The counts are deterministic for a fixed scene, so
 /// `tests/ledger.rs` pins them and catches the work changes wall-clock
 /// noise would hide. A skipped brick casts no ray and takes no sample.
@@ -136,22 +250,25 @@ struct Work {
     rays: u64,
     /// Volume samples taken.
     samples: u64,
+    /// Of those, samples in a cell the transfer function cannot see: no
+    /// interpolation, no table lookup.
+    samples_culled: u64,
     /// Rays stopped by early termination.
     early_terminated: u64,
     /// 1 when the transfer function cannot see the brick's value range.
     bricks_skipped: u64,
 }
 
-fn cast(
+/// March `brick` along its rays — built by `rays` only once the brick
+/// is known to be visible.
+fn cast<R: Borrow<RayTable>>(
     brick: &Brick,
+    rays: impl FnOnce() -> R,
     camera: &Camera,
     tf: &TransferFunction,
     params: &RenderParams,
 ) -> (Option<Fragment>, Work) {
     let mut work = Work::default();
-    let Some(rect) = camera.project_aabb(&brick.bounds) else {
-        return (None, work);
-    };
     let h = brick.min_spacing();
     let ds = h * params.step_scale;
     let ds_ratio = (ds / params.opacity_unit.unwrap_or(h)) as f32;
@@ -164,6 +281,9 @@ fn cast(
         work.bricks_skipped = 1;
         return (None, work);
     }
+    let rays = rays();
+    let RayTable { rect, runs, hits } = rays.borrow();
+    let seen = visible_cells(brick, &baked);
 
     // index space: axis a of world point p sits at (p − min)·s with
     // s = (n−1)/extent, so along a ray it is fo + fd·t — no divide per
@@ -183,12 +303,10 @@ fn cast(
     let w = rect.width() as usize;
     let mut pixels = vec![[0.0f32; 4]; rect.area() as usize];
     let mut any = false;
-    for py in rect.y0..rect.y1 {
-        for px in rect.x0..rect.x1 {
-            let (o, d) = camera.ray(px, py);
-            let Some((t0, t1)) = brick.bounds.ray_intersect(o, d) else {
-                continue;
-            };
+    let mut hits = hits.iter();
+    for &(py, x0, x1) in runs {
+        for (px, &(t0, t1)) in (x0..x1).zip(hits.by_ref()) {
+            let (_, d) = camera.ray(px, py);
             work.rays += 1;
             let fd = [d.x * s.x, d.y * s.y, d.z * s.z];
             // Blinn-Phong half vector: fixed along a ray
@@ -199,6 +317,12 @@ fn cast(
                 let f = [fo[0] + fd[0] * t, fo[1] + fd[1] * t, fo[2] + fd[2] * t];
                 let at = |a: usize, f: f64| split(f, top[a], last[a]);
                 let (x, y, z) = (at(0, f[0]), at(1, f[1]), at(2, f[2]));
+                work.samples += 1;
+                t += ds;
+                if !seen[grid.base(x.0, y.0, z.0)] {
+                    work.samples_culled += 1;
+                    continue;
+                }
                 let mut c = baked.sample(grid.trilinear(x, y, z));
                 if c[3] > OPACITY_GATE {
                     if let Some((lp, l, half)) = lit {
@@ -224,8 +348,6 @@ fn cast(
                     acc[2] += c[2] * tr;
                     acc[3] += c[3] * tr;
                 }
-                work.samples += 1;
-                t += ds;
             }
             if acc[3] >= params.early_termination {
                 work.early_terminated += 1;
@@ -236,7 +358,44 @@ fn cast(
             }
         }
     }
-    (any.then_some(Fragment { block: brick.block_id, rect, pixels }), work)
+    (any.then_some(Fragment { block: brick.block_id, rect: *rect, pixels }), work)
+}
+
+/// Per cell, at the index of its lowest corner: whether the trilinear
+/// interpolant of its eight corners can pass the gate. It stays inside
+/// their `[lo, hi]` up to the rounding of a few lerps, which `pad` covers,
+/// and the table's opacity over a range is decided exactly
+/// ([`BakedTransfer::opacity_exceeds`]) — so a culled sample is one that
+/// would have added nothing. A brick holding a non-finite value (whose
+/// interpolant can be NaN anywhere it reaches) culls nothing.
+fn visible_cells(brick: &Brick, baked: &BakedTransfer) -> Vec<bool> {
+    let values = brick.values();
+    let (vmin, vmax) = brick.value_range();
+    if !(vmin.is_finite() && vmax.is_finite()) {
+        return vec![true; values.len()];
+    }
+    let pad = cull_pad(vmin, vmax);
+    let (nx, ny, _) = brick.dims();
+    // min and max over a cell's corners one axis at a time; entries that
+    // are not a cell's lowest corner mix unrelated nodes and are never read
+    let (mut lo, mut hi) = (values.to_vec(), values.to_vec());
+    for stride in [1, nx, nx * ny] {
+        for i in 0..values.len() - stride {
+            lo[i] = lo[i].min(lo[i + stride]);
+            hi[i] = hi[i].max(hi[i + stride]);
+        }
+    }
+    lo.iter()
+        .zip(&hi)
+        .map(|(&l, &h)| baked.opacity_exceeds(l - pad, h + pad, OPACITY_GATE))
+        .collect()
+}
+
+/// How far past its corners' `[lo, hi]` a cell's interpolant may round,
+/// for a brick whose finite values lie in `[vmin, vmax]`: a few ulps of
+/// the largest magnitude, generously.
+fn cull_pad(vmin: f32, vmax: f32) -> f32 {
+    1e-6 * vmin.abs().max(vmax.abs()).max(1.0)
 }
 
 /// A cell index along one axis and the weight of that cell's upper node.
@@ -263,11 +422,17 @@ struct Grid<'a> {
 }
 
 impl Grid<'_> {
+    /// Index of the lowest corner of cell `(i, j, k)`.
+    #[inline(always)]
+    fn base(&self, i: usize, j: usize, k: usize) -> usize {
+        i + self.nx * j + self.nxy * k
+    }
+
     /// Trilinear interpolation inside cell `(i, j, k)` with upper-node
     /// weights `(u, v, w)` — the arithmetic of [`Brick::sample`].
     #[inline(always)]
     fn trilinear(&self, (i, u): Axis, (j, v): Axis, (k, w): Axis) -> f32 {
-        let base = i + self.nx * j + self.nxy * k;
+        let base = self.base(i, j, k);
         // the four x-rows of the cell, two nodes each, out of one slice
         let cell = &self.values[base..base + self.nxy + self.nx + 2];
         let row = |at: usize| cell[at] * (1.0 - u) + cell[at + 1] * u;
@@ -292,26 +457,6 @@ fn shade(s: &mut Rgba, g: Vec3, l: Vec3, half: Vec3, lp: &LightingParams) {
     for c in 0..3 {
         s[c] = s[c] * k + spec * s[3];
     }
-}
-
-/// Convenience: resample `block` at `level` and ray-cast it.
-///
-/// Off-screen blocks are culled *before* the brick is built (part of the
-/// view-dependent preprocessing: invisible data costs nothing).
-#[allow(clippy::too_many_arguments)]
-pub fn render_block(
-    mesh: &HexMesh,
-    field: &NodeField,
-    block: &OctreeBlock,
-    level: u8,
-    norm: (f32, f32),
-    camera: &Camera,
-    tf: &TransferFunction,
-    params: &RenderParams,
-) -> Option<Fragment> {
-    camera.project_aabb(&block.root.bounds(mesh.octree().extent()))?;
-    let brick = Brick::from_field(mesh, field, block, level, norm);
-    render_brick(&brick, camera, tf, params)
 }
 
 /// Composite fragments **given in front-to-back order** into a full image

@@ -1,8 +1,10 @@
-//! The index-space kernel against [`super::reference`], and the brick
-//! skip rule at its edges.
+//! The kernel against [`super::reference`]: bit for bit against the
+//! per-pixel form, within the image contract against the plain way; and
+//! the brick skip and cell cull rules at their edges.
 
 use super::{
-    cast, composite_fragments, reference, split, Fragment, LightingParams, RenderParams, Work,
+    cast, composite_fragments, cull_pad, reference, split, Fragment, Grid, LightingParams,
+    RayTable, RenderParams, Work,
 };
 use crate::brick::Brick;
 use crate::camera::Camera;
@@ -36,6 +38,52 @@ fn random_tf(rng: &mut SplitMix64) -> TransferFunction {
     TransferFunction::new(points)
 }
 
+/// The kernel as a render rank runs it: the brick's ray table built
+/// once, then marched.
+fn planned(
+    brick: &Brick,
+    camera: &Camera,
+    tf: &TransferFunction,
+    params: &RenderParams,
+) -> (Option<Fragment>, Work) {
+    match RayTable::new(&brick.bounds, camera) {
+        Some(rays) => cast(brick, || &rays, camera, tf, params),
+        None => (None, Work::default()),
+    }
+}
+
+/// Hold a cast to the per-pixel kernel: the same fragment — rect and every
+/// pixel — to the bit, and the same work, of which the culled samples
+/// are a part. Returns the work.
+fn assert_bit_identical(got: (Option<Fragment>, Work), want: (Option<Fragment>, Work)) -> Work {
+    let ((got, work), (want, old)) = (got, want);
+    let bits = |f: &Option<Fragment>| {
+        f.as_ref().map(|f| {
+            (f.block, f.rect, f.pixels.iter().map(|p| p.map(f32::to_bits)).collect::<Vec<_>>())
+        })
+    };
+    let at = got.as_ref().or(want.as_ref()).map(|f| f.block);
+    assert!(
+        bits(&got) == bits(&want),
+        "fragment of block {at:?} differs from the per-pixel kernel's"
+    );
+    assert!(work.samples_culled <= work.samples, "{work:?}");
+    assert_eq!(Work { samples_culled: 0, ..work }, old, "work of block {at:?}");
+    work
+}
+
+/// [`planned`], held to the per-pixel kernel on the way.
+fn checked(
+    brick: &Brick,
+    camera: &Camera,
+    tf: &TransferFunction,
+    params: &RenderParams,
+) -> (Option<Fragment>, Work) {
+    let got = planned(brick, camera, tf, params);
+    assert_bit_identical(got.clone(), reference::cast(brick, camera, tf, params));
+    got
+}
+
 /// Cast `bricks` (given front to back) with both kernels and hold the
 /// contract between them: per brick the same fragment rect, the same ray
 /// count and samples within one per ray — or, for a skipped brick, no
@@ -51,7 +99,7 @@ fn assert_frame_matches<'a>(
     let (mut new, mut old) = (Vec::new(), Vec::new());
     let (mut marched, mut skipped) = (0, 0);
     for brick in bricks {
-        let (got, work) = cast(brick, camera, tf, params);
+        let (got, work) = checked(brick, camera, tf, params);
         let (want, ref_work) = reference::render_brick(brick, camera, tf, params);
         assert_eq!(
             got.as_ref().map(|f| f.rect),
@@ -158,14 +206,18 @@ fn index_space_kernel_matches_the_reference() {
     assert!(skipped > 0 && marched > 10_000, "{skipped} bricks skipped, {marched} rays marched");
 }
 
-/// The benchmark's `movie`, `hiding` and `ingest` frames in miniature: the
-/// small simulated dataset late in its run, 64 blocks at the finest
-/// level, the default camera, the seismic map at the pipeline's opacity
-/// unit; 256² and 192² lit with temporal enhancement, 64² unlit without.
+/// The benchmark's `movie`, `hiding` and `ingest` frames in miniature:
+/// the `movie` dataset, 64 blocks at the finest level, the default camera,
+/// the seismic map at the pipeline's opacity unit; 256² and 192² lit with
+/// temporal enhancement, 64² unlit without. At every one of the 24 steps,
+/// through a stencil and ray table built once as a render rank does, the
+/// kernel matches the per-pixel form bit for bit; at the last step it also
+/// holds the image contract against the plain way.
 #[test]
-fn workload_shaped_frames_hold_the_image_contract() {
+fn workload_shaped_frames_match_the_per_pixel_kernel_at_every_step() {
+    use crate::TemporalEnhance;
     use quakeviz_seismic::SimulationBuilder;
-    let steps = 12;
+    let steps = 24;
     let ds = SimulationBuilder::new()
         .resolution(32)
         .frequency(0.15)
@@ -176,26 +228,60 @@ fn workload_shaped_frames_hold_the_image_contract() {
     let extent = mesh.octree().extent();
     let blocks = mesh.octree().blocks(2);
     let level = mesh.octree().max_leaf_level();
-    let now = ds.load_step(steps - 1).magnitude();
-    let before = ds.load_step(steps - 2).magnitude();
-    let enhanced = crate::TemporalEnhance::default().apply(&now, Some(&before), None);
+    let stencils: Vec<_> = blocks.iter().map(|b| Brick::stencil(mesh, b, level)).collect();
     let tf = TransferFunction::seismic();
-    let norm = (0.0, ds.vmag_max());
+    let scenes: Vec<_> = [(256, true), (192, true), (64, false)]
+        .into_iter()
+        .map(|(size, lit)| {
+            let camera = Camera::default_for(&Aabb::from_extent(extent), size, size);
+            let params = RenderParams {
+                lighting: lit.then(LightingParams::default),
+                opacity_unit: Some(extent.max_component() / 64.0),
+                ..Default::default()
+            };
+            let order = front_to_back_order(&blocks, extent, camera.eye);
+            let rays: Vec<_> =
+                blocks.iter().map(|b| RayTable::new(&b.root.bounds(extent), &camera)).collect();
+            (size, lit, camera, params, order, rays)
+        })
+        .collect();
 
-    for (size, lit, field) in [(256, true, &enhanced), (192, true, &enhanced), (64, false, &now)] {
-        let camera = Camera::default_for(&Aabb::from_extent(extent), size, size);
-        let params = RenderParams {
-            lighting: lit.then(LightingParams::default),
-            opacity_unit: Some(extent.max_component() / 64.0),
-            ..Default::default()
-        };
-        let bricks: Vec<Brick> = front_to_back_order(&blocks, extent, camera.eye)
-            .into_iter()
-            .map(|b| Brick::from_field(mesh, field, &blocks[b], level, norm))
+    // one step's frames, on two threads: the steps are independent
+    let check = |t: usize| {
+        let now = ds.load_step(t).magnitude();
+        let before = (t > 0).then(|| ds.load_step(t - 1).magnitude());
+        let enhanced = TemporalEnhance::default().apply(&now, before.as_ref(), None);
+        let norm = (0.0, ds.norm_at(t));
+        let (mut samples, mut culled) = (0, 0);
+        for (size, lit, camera, params, order, rays) in &scenes {
+            let field = if *lit { &enhanced } else { &now };
+            let mut bricks = Vec::new();
+            for &b in order {
+                let Some(rays) = &rays[b] else { continue };
+                let brick = stencils[b].brick(field, norm);
+                let got = cast(&brick, || rays, camera, &tf, params);
+                let work = assert_bit_identical(got, reference::cast(&brick, camera, &tf, params));
+                (samples, culled) = (samples + work.samples, culled + work.samples_culled);
+                bricks.push(brick);
+            }
+            if t == steps - 1 {
+                let (_, _, shown) = assert_frame_matches(bricks.iter(), camera, &tf, params);
+                assert!(shown * 10 > (size * size) as usize, "{size}²: only {shown} pixels drawn");
+            }
+        }
+        (samples, culled)
+    };
+    let (samples, culled) = std::thread::scope(|scope| {
+        let halves: Vec<_> = (0..2)
+            .map(|h| scope.spawn(move || (h..steps).step_by(2).map(check).collect::<Vec<_>>()))
             .collect();
-        let (_, _, shown) = assert_frame_matches(bricks.iter(), &camera, &tf, &params);
-        assert!(shown * 10 > (size * size) as usize, "{size}²: only {shown} pixels drawn");
-    }
+        halves
+            .into_iter()
+            .flat_map(|h| h.join().expect("a step's check panicked"))
+            .fold((0, 0), |(s, c), (ds, dc)| (s + ds, c + dc))
+    });
+    // the quiet region ahead of the wave front is most of what is marched
+    assert!(culled * 4 > samples, "{culled} of {samples} samples culled");
 }
 
 fn cam(size: u32) -> Camera {
@@ -223,7 +309,7 @@ fn bricks_under_the_gate_are_skipped_and_cost_nothing() {
     let params = RenderParams::default();
     let tf = ramp_tf();
     let skipped = Work { bricks_skipped: 1, ..Work::default() };
-    assert_eq!(cast(&const_brick(0.0), &cam(24), &tf, &params), (None, skipped));
+    assert_eq!(checked(&const_brick(0.0), &cam(24), &tf, &params), (None, skipped));
 
     // the largest value whose corrected opacity stays at or under 1e-5
     let baked = tf.baked(params.step_scale as f32);
@@ -232,7 +318,7 @@ fn bricks_under_the_gate_are_skipped_and_cost_nothing() {
         under = f32::from_bits(under.to_bits() + 64);
     }
     assert!(under > 0.0 && under < 1e-3, "gate crossing at {under}");
-    assert_eq!(cast(&const_brick(under), &cam(24), &tf, &params), (None, skipped));
+    assert_eq!(checked(&const_brick(under), &cam(24), &tf, &params), (None, skipped));
     // (the reference rounds `1 − a` to f32 before its powf, which at this
     // opacity is ±0.4 %: it may put a few such samples over the gate)
     if let (Some(f), _) = reference::render_brick(&const_brick(under), &cam(24), &tf, &params) {
@@ -241,7 +327,7 @@ fn bricks_under_the_gate_are_skipped_and_cost_nothing() {
 
     // one table cell further up the brick is marched, and drawn
     let over = const_brick(under + 1.0 / 4095.0);
-    let (got, work) = cast(&over, &cam(24), &tf, &params);
+    let (got, work) = checked(&over, &cam(24), &tf, &params);
     let (want, ref_work) = reference::render_brick(&over, &cam(24), &tf, &params);
     assert_eq!(work.bricks_skipped, 0);
     assert_eq!((work.rays, work.samples), (ref_work.rays, ref_work.samples));
@@ -251,7 +337,7 @@ fn bricks_under_the_gate_are_skipped_and_cost_nothing() {
     let mut values = vec![0.0f32; 27];
     values[13] = 0.5;
     let (got, work) =
-        cast(&Brick::from_values(0, Aabb::UNIT, (3, 3, 3), values), &cam(24), &tf, &params);
+        checked(&Brick::from_values(0, Aabb::UNIT, (3, 3, 3), values), &cam(24), &tf, &params);
     assert!(got.is_some() && work.bricks_skipped == 0);
 }
 
@@ -266,7 +352,7 @@ fn nan_renders_as_the_first_control_point() {
     let params = RenderParams::default();
     let brick = const_brick(f32::NAN);
     assert_eq!(brick.value_range().0, f32::NEG_INFINITY);
-    let (got, work) = cast(&brick, &cam(24), &tf, &params);
+    let (got, work) = checked(&brick, &cam(24), &tf, &params);
     let (want, _) = reference::render_brick(&brick, &cam(24), &tf, &params);
     assert_eq!(work.bricks_skipped, 0);
     let (got, want) = (got.unwrap(), want.unwrap());
@@ -314,4 +400,41 @@ fn upper_face_belongs_to_the_last_cell() {
     let on_face = grid.trilinear(split(2.0, 2.0, 1), split(0.7, 2.0, 1), split(1.3, 2.0, 1));
     assert_eq!(on_face, 0.75);
     assert_eq!(brick.sample(Vec3::new(1.0, 0.35, 0.65)), 0.75);
+}
+
+#[test]
+fn a_cells_interpolant_stays_inside_its_padded_corner_range() {
+    // corners in [0, 1] as the pipeline's bricks hold them, then at
+    // magnitudes from 1e-3 to 1e6, near-equal corners, and opposite signs
+    let mut rng = SplitMix64::new(0x0c_e115);
+    for round in 0..200_000 {
+        let scale = [1.0f32, 1.0, 1e-3, 37.5, 1e6][round % 5];
+        let base = rng.next_f32();
+        let corners: Vec<f32> = (0..8)
+            .map(|_| match round % 4 {
+                0 => base + rng.next_f32() * 1e-6,
+                1 => (rng.next_f32() - 0.5) * scale,
+                _ => rng.next_f32() * scale,
+            })
+            .collect();
+        let (lo, hi) = corners
+            .iter()
+            .fold((f32::INFINITY, f32::NEG_INFINITY), |(l, h), &v| (l.min(v), h.max(v)));
+        let pad = cull_pad(lo, hi);
+        let grid = Grid { values: &corners, nx: 2, nxy: 4 };
+        for _ in 0..4 {
+            // positions as the march splits them, faces and corners included
+            let mut f = || match rng.next_below(8) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => rng.next_f64(),
+            };
+            let (x, y, z) = (split(f(), 1.0, 0), split(f(), 1.0, 0), split(f(), 1.0, 0));
+            let v = grid.trilinear(x, y, z);
+            assert!(
+                lo - pad <= v && v <= hi + pad,
+                "{v} outside [{lo}, {hi}] ± {pad} at {x:?} {y:?} {z:?} from {corners:?}"
+            );
+        }
+    }
 }

@@ -55,6 +55,11 @@ ratchet "schedule-query (pipeline.rs)" 0 "$(count_sites \
     'faults\\.(rank_failed|recovers_later|rank_rejoins_at|membership_timeline|spare_join|controller_failed)' \
     crates/core/src/pipeline.rs)"
 
+# Per-frame resample and ray set-up: a render rank reads its block's
+# per-run `BrickPlan` (stencil + ray table) and builds neither per frame.
+ratchet "per-frame resample/ray set-up (crates/core/src)" 0 "$(count_sites \
+    'Brick::from_field|render_block|\\.ray\\(' "${core_sources[@]}" crates/core/src/proto.rs)"
+
 # Wall-clock sites: `Instant::now()` / `thread::sleep(` in the runtime
 # crates — each is a place real time leaks into the protocol, and the
 # count the virtual-time work (ROADMAP) drives down to its

@@ -78,6 +78,9 @@ fn clean_onedip_cold_and_warm_match_oracle() {
         warm.frames.len() as u64,
         "a clean warm replay must serve every frame from the cache"
     );
+    // a replay renders nothing, so it builds no brick plans
+    assert!(counter(&cold, "render.plan_bytes") > 0);
+    assert_eq!(counter(&warm, "render.plan_bytes"), 0, "a warm replay built brick plans");
 }
 
 /// Clean 2DIP: the collective read path never consults the block cache
