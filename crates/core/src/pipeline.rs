@@ -16,14 +16,15 @@
 //! the paper's Figures 8–9 can be reproduced *physically* at small scale.
 
 use crate::cache::{BlockKey, CacheTier, FrameKey};
+use crate::checkpoint::{self, CheckpointError, CheckpointManifest, CHECKPOINT_VERSION};
 use crate::config::{PipelineConfig, ReadStrategy};
 use crate::control::{ControlConfig, ControlPlan, Controller, EpochState, WindowMeasurement};
 use crate::membership::{self, Presence, Role, Schedule, Tick, Watch, WorldShape};
 pub use crate::proto::Degradation;
 use crate::proto::{
     self, decode_image, encode_image, gather_values, ingest_piece, missing_piece, pack_piece,
-    scatter_values, BlockBatch, DeltaMap, Ingest, CATCHUP, CKPT, CTL, CTL_ACK, CTL_VERDICT, DATA,
-    JOIN, KEYFRAME, LIC, VOL,
+    scatter_values, BlockBatch, DeltaMap, Ingest, StepAccount, CATCHUP, CKPT, CTL, CTL_ACK,
+    CTL_VERDICT, DATA, JOIN, KEYFRAME, LIC, VOL,
 };
 use crate::reader::{
     self, block_level_nodes, level_node_ids, member_node_range, FaultCtx, FetchPlan, ReadStats,
@@ -51,11 +52,12 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Count a corrupt image envelope in the plan's wire-reject tally — the
-/// degradation is never silent.
-fn note_corrupt_image(s: &Shared, why: &'static str, t: usize) {
+/// Flag a frame whose image envelope arrived corrupt and count it in the
+/// plan's wire-reject tally — the degradation is never silent.
+fn note_corrupt_image(s: &Shared, why: &'static str, t: usize, deg: &mut Vec<Degradation>) {
     eprintln!("quakeviz: step {t}: corrupt image envelope ({why}); frame degraded");
     s.faults.note_wire_reject();
+    deg.push(Degradation::CorruptImage);
 }
 
 /// Per-step timing recorded by an input processor.
@@ -113,9 +115,12 @@ impl FrameSink {
         }
     }
 
-    /// Deliver the next frame with its degradation flags: count it, stamp
-    /// it, keep it if the run keeps frames.
-    fn deliver(&mut self, s: &Shared, vol: RgbaImage, deg: Vec<Degradation>) {
+    /// Deliver the next frame with its degradation flags — sorted and
+    /// deduplicated here, whoever raised them in whatever order: count it,
+    /// stamp it, keep it if the run keeps frames.
+    fn deliver(&mut self, s: &Shared, vol: RgbaImage, mut deg: Vec<Degradation>) {
+        deg.sort_unstable();
+        deg.dedup();
         if !deg.is_empty() {
             let blocks = deg.iter().filter(|d| d.block().is_some()).count();
             s.faults.note_degraded_frame(blocks as u64);
@@ -496,8 +501,7 @@ fn load_checkpoint(
     n_renderers: usize,
     node_count: usize,
     steps: usize,
-) -> Result<(usize, Vec<Option<Vec<f32>>>, Vec<ControlPlan>), crate::checkpoint::CheckpointError> {
-    use crate::checkpoint::{self, CheckpointError};
+) -> Result<(usize, Vec<Option<Vec<f32>>>, Vec<ControlPlan>), CheckpointError> {
     let manifest = checkpoint::load_manifest(disk, base, fingerprint)?;
     if manifest.block_map.len() != n_renderers {
         return Err(CheckpointError::ShapeMismatch {
@@ -1653,14 +1657,35 @@ fn input_steps(
 // rendering processors
 // ---------------------------------------------------------------------
 
-/// Write this render rank's field snapshot for the checkpoint after step
-/// `t`; returns its manifest acknowledgement `(rank, checksum)`.
-fn write_field_snapshot(s: &Shared, rr: usize, t: usize, field: &NodeField) -> (u32, u64) {
-    let next = t + 1;
-    let bytes = crate::checkpoint::encode_field(next, field.values());
-    let ck = crate::checkpoint::field_checksum(&bytes);
-    s.disk.write_file(&crate::checkpoint::field_path(&s.cfg.checkpoint_path, next, rr), bytes);
-    (rr as u32, ck)
+/// A render rank's checkpoint boundary after step `t`, if one is due:
+/// snapshot the resident field, then acknowledge `(rank, checksum)` to the
+/// frame assembler — or, on the rank that assumed assembly, commit the
+/// manifest itself after collecting the other survivors' acks.
+fn checkpoint_ack(
+    comm: &Comm,
+    s: &Shared,
+    rr: usize,
+    t: usize,
+    field: &NodeField,
+    state: &EpochState,
+    takeover: Option<&mut FrameSink>,
+) {
+    if !s.checkpoint_due(t) {
+        return;
+    }
+    let _sp = obs::span(Phase::Checkpoint, t as u32);
+    let bytes = checkpoint::encode_field(t + 1, field.values());
+    let ack = (rr as u32, checkpoint::field_checksum(&bytes));
+    s.disk.write_file(&checkpoint::field_path(&s.cfg.checkpoint_path, t + 1, rr), bytes);
+    let dst = s.sched.frame_dst(t);
+    if dst != comm.rank() {
+        CKPT.send(comm, dst, t, ack);
+    } else {
+        commit_checkpoint(comm, s, t, Some(ack), state, &[]);
+        if let Some(sink) = takeover {
+            sink.checkpoints += 1;
+        }
+    }
 }
 
 /// Best-effort warm start for a rejoining render rank: its own field
@@ -1669,7 +1694,6 @@ fn write_field_snapshot(s: &Shared, rr: usize, t: usize, field: &NodeField) -> (
 /// checksum or shape mismatch — just means rendering resumes from zeros
 /// until the next data receive refreshes the owned blocks.
 fn catchup_field(s: &Shared, rr: usize) -> Option<Vec<f32>> {
-    use crate::checkpoint;
     s.cfg.checkpoint_every?;
     let base = &s.cfg.checkpoint_path;
     let manifest = checkpoint::load_manifest(&s.disk, base, s.fingerprint).ok()?;
@@ -1693,7 +1717,6 @@ fn commit_checkpoint(
     state: &EpochState,
     history: &[ControlPlan],
 ) {
-    use crate::checkpoint::{self, CheckpointManifest, CHECKPOINT_VERSION};
     let me = comm.rank();
     let next = t + 1;
     let dead = s.sched.dead_renderer(t);
@@ -1761,7 +1784,6 @@ fn render_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
     // committed epoch state: advances at every committed tick
     let mut state = s.elastic.clone();
 
-    let nblocks = s.blocks.len();
     for t in s.start_step..s.steps {
         // a scripted death comes with no farewell — see [`Presence`]
         let joining = match s.sched.presence(me, t) {
@@ -1829,11 +1851,7 @@ fn render_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
             // outside this epoch's active prefix (parked spare, or shrunk
             // out): no data arrives and no fragment is owed, but the rank
             // stays on the epoch clock and the checkpoint barrier
-            if s.checkpoint_due(t) {
-                let _sp = obs::span(Phase::Checkpoint, t as u32);
-                let ack = write_field_snapshot(s, rr, t, &field);
-                CKPT.send(comm, s.sched.frame_dst(t), t, ack);
-            }
+            checkpoint_ack(comm, s, rr, t, &field, &state, takeover.as_mut());
             continue;
         };
 
@@ -1845,17 +1863,13 @@ fn render_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
         // then degrade whatever is incomplete instead of stalling. Batches
         // write disjoint (block, offset) slices, so ingest order cannot
         // change the frame.
-        let mut missing = vec![0usize; nblocks];
-        let mut got = vec![0usize; nblocks];
-        let mut seen = vec![0usize; nblocks];
+        let norm = (0.0f32, s.dataset.norm_at(t));
+        let mut account = StepAccount::new(my_blocks, &s.ids_per_block);
         let step_deadline = s.deadline().map(|wait| Instant::now() + wait);
-        let pending = |seen: &[usize]| {
-            my_blocks.iter().any(|&b| seen[b as usize] < s.ids_per_block[b as usize].len())
-        };
         loop {
             // while values are owed, wait — up to the deadline, when one is
             // armed; once none are, only take what is already here
-            let wait = if pending(&seen) {
+            let wait = if account.owed() {
                 step_deadline.map(|d| d.saturating_duration_since(Instant::now()))
             } else {
                 Some(Duration::ZERO)
@@ -1871,60 +1885,36 @@ fn render_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
                 continue;
             }
             recv_sp.add_bytes(batch.iter().map(|p| p.body.len() as u64).sum());
-            let scale = s.dataset.norm_at(t);
             let t0 = Instant::now();
             let _dec_sp = obs::auto_span(Phase::Decode, t as u32);
             for piece in batch {
-                let (b, kind, n) = (piece.bid as usize, piece.kind, piece.value_len());
-                // a piece, ingested or not, accounts for the length its
-                // envelope declares, to the block it names — if this run
-                // has one: a corrupt envelope can name anything
-                let mut account = |n: usize| {
-                    if let Some(seen) = seen.get_mut(b) {
-                        *seen += n;
-                    }
-                };
-                match ingest_piece(&s.wire, piece, &s.ids_per_block, src, t as u32, &mut rx_delta) {
-                    Ingest::Data(ids, raw) => {
-                        account(n);
-                        scatter_values(&mut field, ids, kind, &raw, scale);
-                        got[b] += n;
-                    }
-                    Ingest::Missing(n) => {
-                        account(n as usize);
-                        missing[b] += n as usize;
-                    }
-                    // accounted, never ingested
-                    Ingest::Corrupt => {
-                        account(n);
-                        s.faults.note_checksum_failure();
-                    }
+                let (bid, kind, n) = (piece.bid, piece.kind, piece.value_len());
+                let outcome =
+                    ingest_piece(&s.wire, piece, &s.ids_per_block, src, t as u32, &mut rx_delta);
+                match &outcome {
+                    Ingest::Data(ids, raw) => scatter_values(&mut field, ids, kind, raw, norm.1),
+                    Ingest::Missing(_) => {}
+                    Ingest::Corrupt => s.faults.note_checksum_failure(),
                     // verified envelope but unusable contents (e.g. delta
                     // base lost to an earlier fault): treat like a drop and
                     // let degradation cover. Unlike a corrupt piece it has
                     // no entry in the fault log, so say why here
                     Ingest::Reject(why) => {
-                        eprintln!("rank {me}: step {t}: block {b} piece rejected ({why})");
-                        account(n);
+                        eprintln!("rank {me}: step {t}: block {bid} piece rejected ({why})");
                         s.faults.note_wire_reject();
                     }
                 }
+                account.take(bid, n, &outcome);
             }
             s.ledger.record_decode(TagClass::BlockData, t0.elapsed().as_nanos() as u64);
         }
-        let mut degraded: Vec<u32> = my_blocks
-            .iter()
-            .copied()
-            .filter(|&b| got[b as usize] < s.ids_per_block[b as usize].len())
-            .collect();
-        degraded.sort_unstable();
+        let (degraded, flags) = account.finish();
         drop(recv_sp);
 
         // render my blocks; degraded blocks (incomplete data this step)
         // drop one resident octree level — their stale nodes keep the
         // last-known-good values, and the coarser tiling reads only the
         // corner subset, shrinking the visual footprint of the gap
-        let norm = (0.0f32, s.dataset.norm_at(t));
         let render_sp = obs::span(Phase::Render, t as u32);
         let render_t0 = Instant::now();
         let mut frags: Vec<Fragment> = Vec::new();
@@ -1951,27 +1941,9 @@ fn render_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
         let result = slic(active, &frags, &info, 0, CompositeOptions::default());
         drop(comp_sp);
 
-        // this step's degradation flags: blocks the input side reported
-        // missing outright vs. blocks rendered coarser after a deadline
-        // or checksum rejection
-        let deg_flags: Vec<Degradation> = degraded
-            .iter()
-            .map(|&b| {
-                if missing[b as usize] > 0 {
-                    Degradation::MissingBlock { block: b }
-                } else {
-                    Degradation::CoarserLevel { block: b }
-                }
-            })
-            .collect();
         // pool the degradation flags at the active root — which also holds
         // the composited frame — for the frame's quality flag
-        let merged = active.gather(0, deg_flags).map(|lists| {
-            let mut m: Vec<Degradation> = lists.into_iter().flatten().collect();
-            m.sort_unstable();
-            m.dedup();
-            m
-        });
+        let merged = active.gather(0, flags).map(|lists| lists.concat());
         if let (Some(mut vol), Some(mut deg)) = (result.image, merged) {
             if s.sched.frame_dst(t) == output_rank {
                 // the flags ride beside the image, charged to both of its
@@ -1992,23 +1964,7 @@ fn render_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
                 sink.deliver(s, vol, deg);
             }
         }
-
-        // checkpoint boundary: snapshot my resident field, then either
-        // acknowledge to the assembler or — if I am the assembler — commit
-        // the manifest myself after collecting the other survivors
-        if s.checkpoint_due(t) {
-            let _sp = obs::span(Phase::Checkpoint, t as u32);
-            let ack = write_field_snapshot(s, rr, t, &field);
-            let dst = s.sched.frame_dst(t);
-            if dst == me {
-                commit_checkpoint(comm, s, t, Some(ack), &state, &[]);
-                if let Some(sink) = takeover.as_mut() {
-                    sink.checkpoints += 1;
-                }
-            } else {
-                CKPT.send(comm, dst, t, ack);
-            }
-        }
+        checkpoint_ack(comm, s, rr, t, &field, &state, takeover.as_mut());
     }
 
     // derive the per-frame timings from the span stream
@@ -2153,19 +2109,13 @@ fn output_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
         let mut sp = obs::span(Phase::Assemble, t as u32);
         let (vol_msg, mut deg) = VOL.recv(comm, frame_src, t);
         let decoded = decode_image(&s.wire, &s.ledger, TagClass::VolumeImage, t as u32, vol_msg);
-        let (mut vol, vol_corrupt) = match decoded {
-            Ok(img) => (img, false),
-            Err(why) => {
-                // an undecodable frame body degrades this frame to blank
-                // instead of aborting the whole run
-                note_corrupt_image(s, why, t);
-                (RgbaImage::new(s.cfg.width, s.cfg.height), true)
-            }
-        };
+        let mut vol = decoded.unwrap_or_else(|why| {
+            // an undecodable frame body degrades this frame to blank
+            // instead of aborting the whole run
+            note_corrupt_image(s, why, t, &mut deg);
+            RgbaImage::new(s.cfg.width, s.cfg.height)
+        });
         sp.add_bytes((vol.width() * vol.height() * 16) as u64);
-        if vol_corrupt {
-            deg.push(Degradation::CorruptImage);
-        }
         sp.add_bytes(overlay_lic(comm, s, t, &mut vol, &mut deg));
         drop(sp);
         // only pristine frames are cached: a degraded frame must be
@@ -2201,22 +2151,20 @@ fn overlay_lic(
         return 0;
     }
     let (lic_msg, lic_missing) = LIC.recv(comm, s.sched.lic_source(t), t);
-    let bytes = match decode_image(&s.wire, &s.ledger, TagClass::LicImage, t as u32, lic_msg) {
+    if lic_missing {
+        deg.push(Degradation::MissingLic);
+    }
+    match decode_image(&s.wire, &s.ledger, TagClass::LicImage, t as u32, lic_msg) {
         Ok(lic_img) => {
             // the volume rendering sits in front of the surface
             vol.over_inplace(&lic_img);
             (lic_img.width() * lic_img.height() * 16) as u64
         }
         Err(why) => {
-            note_corrupt_image(s, why, t);
-            deg.push(Degradation::CorruptImage);
+            note_corrupt_image(s, why, t, deg);
             0
         }
-    };
-    if lic_missing {
-        deg.push(Degradation::MissingLic);
     }
-    bytes
 }
 
 #[cfg(test)]

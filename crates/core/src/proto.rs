@@ -484,6 +484,56 @@ pub(crate) fn ingest_piece<'a>(
     Ingest::Data(ids, raw)
 }
 
+/// What a render rank is owed at one step and what it got: the
+/// degradation ladder's accounting rule, held as data. The rank waits while
+/// anything is [`owed`](Self::owed); a block not fully got renders one
+/// level coarser, flagged [`Degradation::MissingBlock`] if the input side
+/// reported any of it missing, [`Degradation::CoarserLevel`] otherwise.
+pub(crate) struct StepAccount {
+    /// `(block, [owed, seen, got, missing])` of my blocks, sorted by block.
+    blocks: Vec<(u32, [usize; 4])>,
+}
+
+impl StepAccount {
+    pub fn new(my_blocks: &[u32], ids_per_block: &[Arc<Vec<NodeId>>]) -> StepAccount {
+        let mut blocks: Vec<_> =
+            my_blocks.iter().map(|&b| (b, [ids_per_block[b as usize].len(), 0, 0, 0])).collect();
+        blocks.sort_unstable();
+        StepAccount { blocks }
+    }
+
+    /// Account one piece by the block its envelope names and the length it
+    /// declares — untrusted for a corrupt piece, which can so end a wait
+    /// but never complete a block. A block not mine counts toward nothing.
+    pub fn take(&mut self, bid: u32, declared_len: usize, outcome: &Ingest) {
+        let Ok(i) = self.blocks.binary_search_by_key(&bid, |b| b.0) else {
+            return;
+        };
+        let [_, seen, got, missing] = &mut self.blocks[i].1;
+        match *outcome {
+            Ingest::Data(..) => (*seen, *got) = (*seen + declared_len, *got + declared_len),
+            Ingest::Missing(k) => (*seen, *missing) = (*seen + k as usize, *missing + k as usize),
+            Ingest::Corrupt | Ingest::Reject(_) => *seen += declared_len,
+        }
+    }
+
+    /// Whether some value of my blocks is not yet accounted for.
+    pub fn owed(&self) -> bool {
+        self.blocks.iter().any(|&(_, [owed, seen, ..])| seen < owed)
+    }
+
+    /// The blocks to render coarser (sorted) and their flags.
+    pub fn finish(self) -> (Vec<u32>, Vec<Degradation>) {
+        let incomplete = self.blocks.into_iter().filter(|&(_, [owed, _, got, _])| got < owed);
+        incomplete
+            .map(|(block, [.., missing])| match missing {
+                0 => (block, Degradation::CoarserLevel { block }),
+                _ => (block, Degradation::MissingBlock { block }),
+            })
+            .unzip()
+    }
+}
+
 /// An image payload on the wire: `Plain` keeps the zero-copy path for
 /// [`Codec::Raw`]; `Coded` carries codec-compressed little-endian pixel
 /// bytes (stride 16 = one RGBA pixel). Images are never delta'd — each
@@ -773,5 +823,112 @@ mod tests {
         let mut piece = pack(&spec, four([0.25, 0.5, 0.75, 1.0]), 1, &mut DeltaMap::new());
         piece.bid = u32::MAX; // checksum left stale: corrupt on the wire
         assert!(matches!(ingest(&spec, &piece, &ids, 1, &mut DeltaMap::new()), Ingest::Corrupt));
+    }
+
+    /// One piece as the receive loop hands it to a [`StepAccount`]: the
+    /// block its envelope names, the length it declares, its outcome.
+    type Piece = (u32, usize, Ingest<'static>);
+
+    fn data(bid: u32, n: usize) -> Piece {
+        (bid, n, Ingest::Data(&[], Vec::new()))
+    }
+
+    fn corrupt(bid: u32, n: usize) -> Piece {
+        (bid, n, Ingest::Corrupt)
+    }
+
+    /// The id lists of a run of four blocks of 8, 6, 4 and 0 nodes; the
+    /// render rank of these tests owns blocks 2 and 0, listed unsorted.
+    fn run_blocks() -> Vec<Arc<Vec<NodeId>>> {
+        [8, 6, 4, 0].into_iter().map(|n| Arc::new((0..n).collect())).collect()
+    }
+    const MINE: [u32; 2] = [2, 0];
+
+    /// Feed `pieces` to a fresh account of `mine`: whether anything was
+    /// owed before the first piece and after each one, and the verdict.
+    fn feed(mine: &[u32], pieces: &[Piece]) -> (Vec<bool>, (Vec<u32>, Vec<Degradation>)) {
+        let mut account = StepAccount::new(mine, &run_blocks());
+        let mut owed = vec![account.owed()];
+        for (bid, n, outcome) in pieces {
+            account.take(*bid, *n, outcome);
+            owed.push(account.owed());
+        }
+        (owed, account.finish())
+    }
+
+    const CLEAN: (Vec<u32>, Vec<Degradation>) = (Vec::new(), Vec::new());
+
+    fn coarser(bid: u32) -> (Vec<u32>, Vec<Degradation>) {
+        (vec![bid], vec![Degradation::CoarserLevel { block: bid }])
+    }
+
+    /// All values delivered, in one batch or split over two — the account
+    /// cannot tell, nor need to: batches write disjoint slices.
+    #[test]
+    fn step_account_completes_in_one_batch_or_across_two() {
+        let one_batch = [data(0, 8), data(2, 4)];
+        assert_eq!(feed(&MINE, &one_batch), (vec![true, true, false], CLEAN));
+        // first batch: half of block 2 and all of block 0; second: the rest
+        let two_batches = [data(2, 2), data(0, 8), data(2, 2)];
+        assert_eq!(feed(&MINE, &two_batches), (vec![true, true, true, false], CLEAN));
+    }
+
+    /// The account counts values, not slices: it trusts the sender's
+    /// tiling, so a duplicate of a delivered piece neither re-opens the
+    /// wait nor flags the block.
+    #[test]
+    fn step_account_absorbs_a_duplicate_data_piece() {
+        let pieces = [data(0, 8), data(2, 4), data(2, 4)];
+        assert_eq!(feed(&MINE, &pieces), (vec![true, true, false, false], CLEAN));
+    }
+
+    /// A piece naming a block of another rank, or one the run does not
+    /// have, counts toward nothing of mine.
+    #[test]
+    fn step_account_ignores_blocks_not_mine() {
+        let pieces = [data(1, 6), data(99, 8), (u32::MAX, 8, Ingest::Reject("x")), data(0, 8)];
+        assert_eq!(feed(&MINE, &pieces), (vec![true; 5], coarser(2)));
+    }
+
+    /// A corrupt piece ends its share of the wait but delivers nothing:
+    /// the rest of the block arriving leaves it a block short of complete.
+    #[test]
+    fn step_account_degrades_a_block_with_a_corrupt_piece() {
+        let pieces = [corrupt(0, 4), data(0, 4), data(2, 4)];
+        assert_eq!(feed(&MINE, &pieces), (vec![true, true, true, false], coarser(0)));
+        // a rejected piece counts the same way
+        let pieces = [(0, 4, Ingest::Reject("x")), data(0, 4), data(2, 4)];
+        assert_eq!(feed(&MINE, &pieces).1, coarser(0));
+    }
+
+    /// A missing marker after partial data: the block is accounted for,
+    /// and flagged missing rather than merely coarser.
+    #[test]
+    fn step_account_flags_a_missing_marker_as_missing_block() {
+        let pieces = [data(2, 4), data(0, 5), (0, 3, Ingest::Missing(3))];
+        let missing = (vec![0], vec![Degradation::MissingBlock { block: 0 }]);
+        assert_eq!(feed(&MINE, &pieces), (vec![true, true, true, false], missing));
+    }
+
+    /// A 2DIP slice that holds no value of my blocks arrives as an empty
+    /// batch: with nothing owed, there is nothing to wait for or flag.
+    #[test]
+    fn step_account_owes_nothing_for_blocks_without_values() {
+        assert_eq!(feed(&[3], &[]), (vec![false], CLEAN));
+        assert_eq!(feed(&[], &[]), (vec![false], CLEAN));
+    }
+
+    /// A corrupt piece's envelope is untrusted, so it may name another of
+    /// my blocks — and claim any length. It can end that block's wait
+    /// early, never mark the block complete: a corrupt piece may cause a
+    /// degraded frame, never a stale frame flagged clean.
+    #[test]
+    fn step_account_never_completes_a_block_from_a_corrupt_envelope() {
+        // a corrupt piece of block 0 whose envelope names block 2
+        let pieces = [data(0, 4), corrupt(2, 4), data(0, 4)];
+        assert_eq!(feed(&MINE, &pieces), (vec![true, true, true, false], coarser(2)));
+        // the same lie, declaring far more values than block 2 has
+        let pieces = [corrupt(2, u32::MAX as usize), data(0, 8)];
+        assert_eq!(feed(&MINE, &pieces), (vec![true, true, false], coarser(2)));
     }
 }

@@ -60,6 +60,13 @@ ratchet "schedule-query (pipeline.rs)" 0 "$(count_sites \
 ratchet "per-frame resample/ray set-up (crates/core/src)" 0 "$(count_sites \
     'Brick::from_field|render_block|\\.ray\\(' "${core_sources[@]}" crates/core/src/proto.rs)"
 
+# Block degradation: what a render rank is owed at a step, what it got and
+# how each block degrades is `proto::StepAccount`'s rule alone; the receive
+# loop only drives it.
+ratchet "block-degradation rule (pipeline.rs)" 0 "$(count_sites \
+    'Degradation::(CoarserLevel|MissingBlock)|vec!\\[0usize; nblocks\\]' \
+    crates/core/src/pipeline.rs)"
+
 # Wall-clock sites: `Instant::now()` / `thread::sleep(` in the runtime
 # crates — each is a place real time leaks into the protocol, and the
 # count the virtual-time work (ROADMAP) drives down to its

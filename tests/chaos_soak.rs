@@ -71,6 +71,12 @@ fn pinned_seed_schedules_all_terminate_with_full_frame_sequences() {
             ds.steps(),
             "seed {seed}: degradation bookkeeping must cover every step"
         );
+        for (t, flags) in report.degraded.iter().enumerate() {
+            assert!(
+                flags.windows(2).all(|w| w[0] < w[1]),
+                "seed {seed}: frame {t} flags {flags:?} must be sorted with no duplicates"
+            );
+        }
     }
 }
 

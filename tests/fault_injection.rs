@@ -24,6 +24,14 @@ fn assert_all_frames_identical(a: &PipelineReport, b: &PipelineReport, what: &st
     }
 }
 
+/// Every frame's degradation flags are sorted with no duplicates, in
+/// whatever order the ranks raised them.
+fn assert_flags_sorted(report: &PipelineReport, what: &str) {
+    for (t, flags) in report.degraded.iter().enumerate() {
+        assert!(flags.windows(2).all(|w| w[0] < w[1]), "{what}: frame {t} flags {flags:?}");
+    }
+}
+
 /// Transient read faults below the retry budget are invisible in the
 /// output: every frame bit-identical to the clean run, with the recovery
 /// counters proving the faults actually fired.
@@ -68,6 +76,7 @@ fn unrecoverable_reads_degrade_every_frame() {
     );
     // the LIC overlay could not be read either: its flag is present
     assert!(report.degraded.iter().all(|d| d.contains(&Degradation::MissingLic)));
+    assert_flags_sorted(&report, "unrecoverable reads");
     let rec = report.recovery.expect("fault plan active");
     assert!(rec.exhausted_reads > 0);
     assert!(rec.degraded_blocks > 0);
@@ -92,6 +101,7 @@ fn dropped_sends_degrade_only_affected_frames() {
         faulted.fault_events
     );
     assert!(faulted.degraded_frame_count() < ds.steps(), "some frames must survive");
+    assert_flags_sorted(&faulted, "dropped sends");
     for t in 0..ds.steps() {
         if faulted.degraded[t].is_empty() {
             assert_eq!(
@@ -119,6 +129,7 @@ fn wire_corruption_is_caught_by_checksums() {
     assert!(rec.checksum_failures > 0, "spec must actually corrupt messages");
     assert!(report.degraded_frame_count() > 0);
     assert_eq!(report.frames.len(), ds.steps());
+    assert_flags_sorted(&report, "wire corruption");
 }
 
 /// The corruption guarantee holds for every wire codec, with and without
@@ -144,6 +155,7 @@ fn wire_corruption_is_caught_under_every_codec() {
             assert!(rec.checksum_failures > 0, "{what}: spec must actually corrupt messages");
             assert!(report.degraded_frame_count() > 0, "{what}: corruption must degrade frames");
             assert_eq!(report.frames.len(), ds.steps(), "{what}: every frame must be delivered");
+            assert_flags_sorted(&report, &what);
         }
     }
 }
@@ -170,6 +182,7 @@ fn late_data_degrades_without_stalling_the_prefetch_cap() {
     assert_eq!(report.frames.len(), ds.steps(), "every frame must still be delivered");
     let late: Vec<usize> = (0..ds.steps()).filter(|&t| !report.degraded[t].is_empty()).collect();
     assert!(late.iter().any(|&t| t + 3 < ds.steps()), "no step was late mid-run: {late:?}");
+    assert_flags_sorted(&report, "late data");
 
     // the same slept reads with nothing to inject: data can only be slow,
     // never lost, so the renderers wait for it however short the delivery
@@ -242,6 +255,7 @@ fn identical_seeds_replay_identically() {
     assert_eq!(ea, eb, "same seed must produce the same fault schedule");
     assert!(!ea.is_empty(), "spec must actually inject faults");
     assert_eq!(a.degraded, b.degraded, "same seed must degrade the same frames");
+    assert_flags_sorted(&a, "deterministic replay");
     assert_all_frames_identical(&a, &b, "deterministic replay");
 }
 
@@ -310,6 +324,7 @@ fn output_rank_failover_migrates_frames() {
         let migrated = faulted.degraded[t].contains(&Degradation::MigratedEpoch);
         assert_eq!(migrated, t >= 2, "exactly the dead epoch's frames carry the tag");
     }
+    assert_flags_sorted(&faulted, "output failover");
     // whoever assembled a frame delivered it through the same sink: one
     // interframe sample per delivered frame, the migrated ones included
     let samples = faulted.trace.metrics.iter().find_map(|m| match m.value {
@@ -354,6 +369,7 @@ fn pinned_seed_render_kill_505() {
     let rec = report.recovery.expect("fault plan active");
     assert!(rec.render_failovers >= 1);
     assert_eq!(report.frames.len(), ds.steps());
+    assert_flags_sorted(&report, "pinned seed 505");
 }
 
 /// Rank rejoin through the `JOIN`/`CATCHUP` handshake, twice over: a render
