@@ -203,6 +203,10 @@ impl Schedule {
         self
     }
 
+    pub fn shape(&self) -> WorldShape {
+        self.shape
+    }
+
     pub fn n_inputs(&self) -> usize {
         self.shape.groups * self.shape.per_group
     }

@@ -17,7 +17,7 @@
 
 use crate::cache::{BlockKey, CacheTier, FrameKey};
 use crate::checkpoint::{self, CheckpointError, CheckpointManifest, CHECKPOINT_VERSION};
-use crate::config::{PipelineConfig, ReadStrategy};
+use crate::config::{PipelineConfig, ReadStrategy, RetryPolicy};
 use crate::control::{ControlConfig, ControlPlan, Controller, EpochState, WindowMeasurement};
 use crate::membership::{self, Presence, Role, Schedule, Tick, Watch, WorldShape};
 pub use crate::proto::Degradation;
@@ -31,13 +31,11 @@ use crate::reader::{
 };
 use quakeviz_composite::{slic, CompositeOptions, FrameInfo};
 use quakeviz_lic::{colorize, compute_lic_with_max, white_noise, LicParams, SurfaceSampler};
-use quakeviz_mesh::{
-    Aabb, HexMesh, NodeField, NodeId, OctreeBlock, Partition, Quadtree, WorkloadModel,
-};
+use quakeviz_mesh::{Aabb, NodeField, NodeId, Partition, Quadtree, WorkloadModel};
 use quakeviz_parfs::ReadError;
 use quakeviz_render::{
     front_to_back_order, BrickPlan, Camera, Fragment, LightingParams, RenderParams, RgbaImage,
-    TemporalEnhance,
+    TemporalEnhance, TransferFunction,
 };
 use quakeviz_rt::obs::{self, Obs, Phase, TraceData};
 use quakeviz_rt::wire::{WireClassStats, WireLedger, WireSpec};
@@ -47,6 +45,7 @@ use quakeviz_rt::{
 };
 use quakeviz_seismic::Dataset;
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -54,9 +53,9 @@ use std::time::{Duration, Instant};
 
 /// Flag a frame whose image envelope arrived corrupt and count it in the
 /// plan's wire-reject tally — the degradation is never silent.
-fn note_corrupt_image(s: &Shared, why: &'static str, t: usize, deg: &mut Vec<Degradation>) {
+fn note_corrupt_image(run: &Run, why: &'static str, t: usize, deg: &mut Vec<Degradation>) {
     eprintln!("quakeviz: step {t}: corrupt image envelope ({why}); frame degraded");
-    s.faults.note_wire_reject();
+    run.faults.note_wire_reject();
     deg.push(Degradation::CorruptImage);
 }
 
@@ -94,19 +93,22 @@ struct FrameSink {
     /// When the previous frame was delivered — before the first, when the
     /// sink opened (the start barrier, or the moment of takeover).
     prev: f64,
+    /// Whether delivered frames are kept for the report.
+    keep_frames: bool,
     m_frames: Arc<obs::Counter>,
     m_bytes: Arc<obs::Counter>,
     m_latency: Arc<obs::Histogram>,
 }
 
 impl FrameSink {
-    fn open(session: &Arc<Obs>, s: &Shared, start: Instant) -> FrameSink {
-        let m = session.metrics();
+    fn open(run: &Run, keep_frames: bool, start: Instant) -> FrameSink {
+        let m = run.session.metrics();
         FrameSink {
             frames: Vec::new(),
-            done_at: Vec::with_capacity(s.steps),
-            degraded: Vec::with_capacity(s.steps),
+            done_at: Vec::with_capacity(run.steps.len()),
+            degraded: Vec::with_capacity(run.steps.len()),
             checkpoints: 0,
+            keep_frames,
             start,
             prev: start.elapsed().as_secs_f64(),
             m_frames: m.counter("pipeline.frames"),
@@ -118,12 +120,12 @@ impl FrameSink {
     /// Deliver the next frame with its degradation flags — sorted and
     /// deduplicated here, whoever raised them in whatever order: count it,
     /// stamp it, keep it if the run keeps frames.
-    fn deliver(&mut self, s: &Shared, vol: RgbaImage, mut deg: Vec<Degradation>) {
+    fn deliver(&mut self, run: &Run, vol: RgbaImage, mut deg: Vec<Degradation>) {
         deg.sort_unstable();
         deg.dedup();
         if !deg.is_empty() {
             let blocks = deg.iter().filter(|d| d.block().is_some()).count();
-            s.faults.note_degraded_frame(blocks as u64);
+            run.faults.note_degraded_frame(blocks as u64);
         }
         self.degraded.push(deg);
         let now = self.start.elapsed().as_secs_f64();
@@ -132,7 +134,7 @@ impl FrameSink {
         self.m_latency.record(((now - self.prev) * 1e6) as u64);
         self.prev = now;
         self.done_at.push(now);
-        if s.cfg.keep_frames {
+        if self.keep_frames {
             self.frames.push(vol);
         }
     }
@@ -279,49 +281,26 @@ impl PipelineReport {
     }
 }
 
-/// Everything precomputed once and shared read-only by all ranks — the
-/// paper's one-time octree/partition setup.
-struct Shared {
-    mesh: Arc<HexMesh>,
-    disk: Arc<quakeviz_parfs::Disk>,
-    cfg: PipelineConfig,
-    /// The dataset being rendered, asked for one thing per step — what
-    /// its values are normalized by ([`Dataset::norm_at`]) — at the
+/// What every role reads — the paper's one-time set-up as far as all three
+/// processor groups need it. `run_pipeline` resolves the configuration
+/// once into a `Run` plus one context per role ([`InputCtx`],
+/// [`RenderCtx`], [`OutputCtx`]); no role reads the configuration itself.
+struct Run {
+    /// The dataset being rendered: its mesh, its parfs, and what its values
+    /// are normalized by at step `t` ([`Dataset::norm_at`]) — asked at the
     /// quantize, dequantize, render and frame-key sites.
     dataset: Dataset,
-    steps: usize,
-    level: u8,
-    blocks: Vec<OctreeBlock>,
-    camera: Camera,
-    /// Block ids front-to-back for the camera.
-    order_ids: Vec<u32>,
-    /// Node ids each block needs at the fetch level, indexed by block id.
-    ids_per_block: Vec<Arc<Vec<NodeId>>>,
-    /// Node ids of the whole mesh at the fetch level (adaptive fetch).
-    level_ids: Option<Arc<Vec<NodeId>>>,
-    /// Surface structures for LIC: the texel → node stencil, the surface
-    /// node ids to read each step, the noise texture.
-    surface: Option<(SurfaceSampler, Vec<NodeId>, Vec<f32>)>,
-    /// Per block id, what rendering it costs besides the field: its
-    /// resampling stencils and ray table under this run's level and camera
-    /// (empty under a warm replay, which renders nothing).
-    plans: Vec<BrickPlan>,
-    opacity_unit: f64,
+    /// The steps to execute (from past 0 when resuming from a checkpoint).
+    steps: Range<usize>,
+    /// The run's spans and metrics, one track per rank.
+    session: Arc<Obs>,
+    /// The world's shape and who is what at every step — the one place a
+    /// membership question is answered.
+    sched: Schedule,
     /// The run's deterministic fault plan — every run has one; without a
     /// spec it is the empty plan, which never fires. It injects, and it is
     /// the one sink of the `recovery.*` counters.
     faults: Arc<FaultPlan>,
-    /// The world's shape and who is what at every step — the one place a
-    /// membership question is answered.
-    sched: Schedule,
-    /// First step to execute (0 unless resuming from a checkpoint).
-    start_step: usize,
-    /// Checkpointed last-known-good fields by render-group rank, loaded
-    /// up-front on resume (empty otherwise).
-    resume_fields: Vec<Option<Vec<f32>>>,
-    /// Fingerprint of every config field that shapes the frame stream;
-    /// stamped into checkpoints and verified on resume.
-    fingerprint: u64,
     /// Resolved wire configuration: per-class codecs + temporal deltas.
     wire: WireSpec,
     /// Raw-vs-wire byte and encode/decode-time accounting, shared by
@@ -332,82 +311,132 @@ struct Shared {
     /// checkpoint's plan history already applied. Every run carries one;
     /// "control off" only means no tick ever commits a successor.
     elastic: EpochState,
-    /// Committed plans restored from the resumed checkpoint: the prefix of
-    /// the controller's history.
-    resume_plans: Vec<ControlPlan>,
     /// Per-block weights — the workload model the static partition, the
     /// controller's rebalance and the dead-rank overlay all balance over.
     block_weights: Vec<u64>,
-    /// The run's two-level cache tier (`None` = caching off). Shared with
-    /// other runs when the caller attached one via
-    /// [`PipelineConfig::cache_tier`]; stamped with the config
-    /// fingerprint, so a mismatched reuse flushes before any serve.
+    /// The run's two-level cache tier (`None` = caching off), stamped with
+    /// the config fingerprint, so a mismatched reuse flushes before any
+    /// serve.
     cache: Option<Arc<CacheTier>>,
-    /// Camera content hash of the frame-cache key, fixed per run.
-    cam_hash: u64,
-    /// Every frame of the run is already in the frame cache: the run is a
-    /// cached *replay* — the output stage serves the stream directly and
-    /// the input/render groups have nothing to do. All-or-nothing by
-    /// construction, so degraded rendering's last-known-good state can
-    /// never diverge between cold and warm runs.
-    warm_all: bool,
+    /// How long heartbeat waits (input groups, render peers, output
+    /// supervision) block before declaring a silent rank dead.
+    heartbeat: Duration,
+    /// `None` when the run writes no checkpoints.
+    checkpoints: Option<Checkpoints>,
 }
 
-impl Shared {
-    /// The fault context for reads of step `t`.
-    fn fault_ctx(&self, t: usize) -> FaultCtx<'_> {
-        FaultCtx { plan: &self.faults, retry: self.cfg.retry, step: t as u32 }
-    }
+/// Where and how often a run checkpoints.
+struct Checkpoints {
+    /// A checkpoint follows every `every`-th step.
+    every: usize,
+    /// Directory on the dataset's parfs.
+    path: String,
+    /// Fingerprint of every config field that shapes the frame stream;
+    /// stamped into checkpoints and verified on resume.
+    fingerprint: u64,
+}
 
-    /// Frame-cache key of step `t` under this run's camera, transfer
-    /// function, octree level and the step's normalization. Never waits:
-    /// a step a live dataset has not published yet has no key, which every
-    /// caller treats as a miss.
-    fn frame_key(&self, t: usize) -> Option<FrameKey> {
-        let cfg = &self.cfg;
-        let norm = self.dataset.norm_if_published(t)?;
-        Some(FrameKey {
-            step: t as u32,
-            level: self.level,
-            camera_hash: self.cam_hash,
-            tf_hash: crate::cache::tf_hash(
-                &cfg.transfer,
-                cfg.quantize,
-                cfg.lighting,
-                cfg.lic,
-                norm,
-            ),
-        })
+impl Run {
+    /// The checkpoint settings, when a checkpoint is due after step `t`.
+    fn checkpoint_due(&self, t: usize) -> Option<&Checkpoints> {
+        self.checkpoints.as_ref().filter(|c| (t + 1).is_multiple_of(c.every))
     }
+}
 
-    /// How long a renderer waits for a step's data before it degrades
-    /// the step — armed iff the plan can inject anything. Under a plan that
-    /// cannot (`None`) data can only be slow, never lost: the renderer
-    /// blocks, under the comm layer's deadlock guard, and a slow read never
-    /// degrades a frame. When the plan kills a member of a 2DIP input
-    /// group, the survivors spend one heartbeat deadline finding out before
-    /// they can re-read its slice: that step's data is late by that much
-    /// by construction, so the wait allows for it on top of the configured
-    /// delivery time — else whether the failover shows in the frame
-    /// depends on how long the renderers happened to be busy meanwhile.
-    fn deadline(&self) -> Option<Duration> {
-        self.faults.spec().can_inject().then(|| {
-            let input_kill = self.sched.kill_role() == Some(Role::Input);
-            let detection = if input_kill { self.hb_deadline() } else { Duration::ZERO };
-            Duration::from_millis(self.cfg.deadline_ms) + detection
-        })
+/// What an input rank reads besides the [`Run`]: how a step is fetched,
+/// preprocessed and packed, and the LIC surface when the overlay is on.
+struct InputCtx {
+    /// Node ids of the whole mesh at the fetch level (adaptive fetch).
+    level_ids: Option<Vec<NodeId>>,
+    /// Node ids each block needs at the fetch level, indexed by block id.
+    ids_per_block: Vec<Arc<Vec<NodeId>>>,
+    /// The rendered octree level, part of every block-cache key.
+    level: u8,
+    read: ReadStrategy,
+    retry: RetryPolicy,
+    /// Sleep out `sim_seconds × scale` after every disk read.
+    io_delay_scale: Option<f64>,
+    enhancement: bool,
+    quantize: bool,
+    /// Whether the read-ahead stage runs ([`PipelineConfig::prefetch`]).
+    read_ahead: bool,
+    lic: Option<LicSurface>,
+}
+
+/// What a step's LIC overlay is synthesized from.
+struct LicSurface {
+    /// The texel → node stencil.
+    sampler: SurfaceSampler,
+    /// The surface node ids to read each step.
+    ids: Vec<NodeId>,
+    noise: Vec<f32>,
+    transfer: TransferFunction,
+    size: (u32, u32),
+}
+
+impl InputCtx {
+    /// Sleep out a read's injected I/O delay, `sim_seconds × scale`, and
+    /// charge it to the read: the delay stands in for real disk time.
+    fn inject_io_delay(&self, stats: &mut ReadStats) {
+        let delay = stats.sim_seconds * self.io_delay_scale.unwrap_or(0.0);
+        if delay > 0.0 {
+            std::thread::sleep(Duration::from_secs_f64(delay));
+            stats.real_seconds += delay;
+        }
     }
+}
 
-    /// The liveness-detection deadline: how long heartbeat waits (input
-    /// groups, render peers, output supervision) block before declaring a
-    /// silent rank dead. Defaults to the delivery deadline.
-    fn hb_deadline(&self) -> Duration {
-        Duration::from_millis(self.cfg.heartbeat_timeout_ms.unwrap_or(self.cfg.deadline_ms))
-    }
+/// What a render rank reads besides the [`Run`].
+struct RenderCtx {
+    /// Per block id, what rendering it costs besides the field: its
+    /// resampling stencils and ray table under this run's level and camera.
+    plans: Vec<BrickPlan>,
+    camera: Camera,
+    transfer: TransferFunction,
+    params: RenderParams,
+    /// Block ids front-to-back for the camera.
+    order_ids: Vec<u32>,
+    ids_per_block: Vec<Arc<Vec<NodeId>>>,
+    /// Checkpointed last-known-good fields by render-group rank, loaded
+    /// up-front on resume (empty otherwise).
+    resume_fields: Vec<Option<Vec<f32>>>,
+    /// How long a renderer waits for a step's data before it degrades the
+    /// step; `None` blocks (see `run_pipeline`).
+    deadline: Option<Duration>,
+    size: (u32, u32),
+    /// What the render root needs when it assumes frame assembly.
+    keep_frames: bool,
+    lic: bool,
+}
 
-    /// Whether a checkpoint is due after step `t`.
-    fn checkpoint_due(&self, t: usize) -> bool {
-        self.cfg.checkpoint_every.is_some_and(|k| (t + 1).is_multiple_of(k))
+/// What the output rank reads besides the [`Run`]: the hosted controller's
+/// seed and the frame-cache identity of the run's frames — what their
+/// pixels depend on besides step and normalization.
+struct OutputCtx {
+    /// With control off, a period of 0: a controller that never ticks.
+    control: ControlConfig,
+    /// Committed plans restored from the resumed checkpoint: the prefix of
+    /// the controller's history.
+    resume_plans: Vec<ControlPlan>,
+    keep_frames: bool,
+    size: (u32, u32),
+    level: u8,
+    camera_hash: u64,
+    transfer: TransferFunction,
+    quantize: bool,
+    lighting: bool,
+    /// Whether frames carry the LIC overlay.
+    lic: bool,
+}
+
+impl OutputCtx {
+    /// Frame-cache key of step `t`. Never waits: a step a live dataset has
+    /// not published yet has no key, which every caller treats as a miss.
+    fn frame_key(&self, dataset: &Dataset, t: usize) -> Option<FrameKey> {
+        let norm = dataset.norm_if_published(t)?;
+        let tf_hash =
+            crate::cache::tf_hash(&self.transfer, self.quantize, self.lighting, self.lic, norm);
+        Some(FrameKey { step: t as u32, level: self.level, camera_hash: self.camera_hash, tf_hash })
     }
 }
 
@@ -581,7 +610,7 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
             .into());
     }
 
-    let mesh = Arc::clone(dataset.mesh());
+    let mesh = dataset.mesh();
     let octree = mesh.octree();
     let max_level = octree.max_leaf_level();
     let level = config
@@ -594,20 +623,6 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
     let camera = config.camera.clone().unwrap_or_else(|| {
         Camera::default_for(&Aabb::from_extent(extent), config.width, config.height)
     });
-    let order_ids: Vec<u32> = front_to_back_order(&blocks, extent, camera.eye)
-        .into_iter()
-        .map(|i| blocks[i].id)
-        .collect();
-
-    let fetch_level = config.adaptive_fetch.then_some(level);
-    let ids_per_block: Vec<Arc<Vec<NodeId>>> =
-        blocks.iter().map(|b| Arc::new(block_level_nodes(&mesh, b, fetch_level))).collect();
-    let level_ids = config.adaptive_fetch.then(|| Arc::new(level_node_ids(&mesh, level)));
-    let surface = config.lic.then(|| {
-        let (qt, ids) = Quadtree::from_surface_nodes(&mesh);
-        let sampler = SurfaceSampler::new(&mesh, &qt, config.width, config.height);
-        (sampler, ids, white_noise(config.width, config.height, 0x5eed))
-    });
 
     let (faults, sched, fault_spec_given) = resolve_faults(&config, steps)?;
     // explicit wire config wins; else the QUAKEVIZ_CODEC environment
@@ -618,7 +633,6 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         Some(spec) => spec,
         None => WireSpec::from_env()?.unwrap_or_default(),
     };
-    let ledger = Arc::new(WireLedger::new());
 
     let total_renderers = sched.n_renderers();
     let fingerprint =
@@ -666,7 +680,6 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
     }
     let ost_base = dataset.disk().ost_stats();
     let cache_base = cache.as_ref().map(|t| t.counters()).unwrap_or_default();
-    let cam_hash = crate::cache::camera_hash(&camera);
 
     // epoch 0 is the static partition — LPT over the cell-count workload
     // model, the same weights the controller's rebalance and the
@@ -675,7 +688,7 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
     // an admit plan grows it. A resumed run starts from its checkpoint's
     // committed plan history instead.
     let block_weights: Vec<u64> =
-        blocks.iter().map(|b| WorkloadModel::CellCount.weight(&mesh, b)).collect();
+        blocks.iter().map(|b| WorkloadModel::CellCount.weight(mesh, b)).collect();
     let partition = Partition::balanced_weighted(&blocks, &block_weights, config.renderers);
     let mut assignment: Vec<Vec<u32>> =
         (0..config.renderers).map(|r| partition.blocks_of(r).to_vec()).collect();
@@ -685,66 +698,124 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         elastic.apply(plan);
     }
 
-    let mut shared = Shared {
-        mesh,
-        disk: Arc::clone(dataset.disk()),
-        dataset: dataset.clone(),
-        steps,
-        level,
-        blocks,
-        camera,
-        order_ids,
-        ids_per_block,
-        level_ids,
-        surface,
-        plans: Vec::new(),
-        opacity_unit: extent.max_component() / 64.0,
-        faults,
-        sched: sched.resumed_at(start_step),
-        start_step,
-        resume_fields,
+    let checkpoints = config.checkpoint_every.map(|every| Checkpoints {
+        every,
+        path: config.checkpoint_path.clone(),
         fingerprint,
+    });
+    let run = Run {
+        dataset: dataset.clone(),
+        steps: start_step..steps,
+        session: Obs::new(config.trace || Obs::detail_from_env()),
+        sched: sched.resumed_at(start_step),
+        faults,
         wire: wire_spec,
-        ledger,
+        ledger: Arc::new(WireLedger::new()),
         elastic,
-        resume_plans,
         block_weights,
-        cache: cache.clone(),
-        cam_hash,
-        warm_all: false,
-        cfg: config,
+        cache,
+        heartbeat: Duration::from_millis(config.heartbeat_timeout_ms.unwrap_or(config.deadline_ms)),
+        checkpoints,
+    };
+    let out = OutputCtx {
+        control: config.control.unwrap_or(ControlConfig::every(0)),
+        resume_plans,
+        keep_frames: config.keep_frames,
+        size: (config.width, config.height),
+        level,
+        camera_hash: crate::cache::camera_hash(&camera),
+        transfer: config.transfer.clone(),
+        quantize: config.quantize,
+        lighting: config.lighting,
+        lic: config.lic,
     };
     // all-or-nothing warm serving: frames come from the cache only when
     // *every* executed step is present (only clean frames are ever
     // cached), so a partially-warm run recomputes everything — with
     // block-cache help — instead of mixing cached and stale-state frames
-    shared.warm_all = cache.as_ref().is_some_and(|tier| {
+    let warm = run.cache.as_ref().is_some_and(|tier| {
         tier.frames.enabled()
-            && (start_step..steps)
-                .all(|t| shared.frame_key(t).is_some_and(|key| tier.frames.contains(key)))
+            && run.steps.clone().all(|t| {
+                out.frame_key(&run.dataset, t).is_some_and(|key| tier.frames.contains(key))
+            })
     });
-    // nothing a brick plan depends on changes within a run: elastic plans
-    // and failover only change which rank reads a block's brick plan
-    if !shared.warm_all {
-        let plan = |b| BrickPlan::new(&shared.mesh, b, level, &shared.camera);
-        shared.plans = shared.blocks.iter().map(plan).collect();
-    }
-    let plan_bytes = shared.plans.iter().map(BrickPlan::bytes).sum();
 
-    let world = shared.sched.world();
-    let shared = &shared;
-    let detail = shared.cfg.trace || Obs::detail_from_env();
-    let session = Obs::new(detail);
-    if shared.cfg.profile {
+    let world = run.sched.world();
+    if config.profile {
         // config wins over the QUAKEVIZ_PROF env default
         quakeviz_rt::obs::prof::set_enabled(true);
     }
     let stats = TrafficStats::with_matrix(world, proto::classify_tag);
-    let obs_ref = &session;
-    let results =
-        World::run_faulted(world, Arc::clone(&stats), Some(shared.faults.clone()), move |comm| {
-            rank_main(comm, obs_ref, shared)
+    let (results, plan_bytes) = if warm {
+        (vec![replay(&run, &out)], 0)
+    } else {
+        let fetch_level = config.adaptive_fetch.then_some(level);
+        let ids_per_block: Vec<Arc<Vec<NodeId>>> =
+            blocks.iter().map(|b| Arc::new(block_level_nodes(mesh, b, fetch_level))).collect();
+        let input = InputCtx {
+            level_ids: config.adaptive_fetch.then(|| level_node_ids(mesh, level)),
+            ids_per_block: ids_per_block.clone(),
+            level,
+            read: config.read,
+            retry: config.retry,
+            io_delay_scale: config.io_delay_scale,
+            enhancement: config.enhancement,
+            quantize: config.quantize,
+            read_ahead: config.prefetch,
+            lic: config.lic.then(|| {
+                let (qt, ids) = Quadtree::from_surface_nodes(mesh);
+                LicSurface {
+                    sampler: SurfaceSampler::new(mesh, &qt, config.width, config.height),
+                    ids,
+                    noise: white_noise(config.width, config.height, 0x5eed),
+                    transfer: config.transfer.clone(),
+                    size: (config.width, config.height),
+                }
+            }),
+        };
+        // the delivery deadline is armed iff the plan can inject anything.
+        // Under a plan that cannot (`None`) data can only be slow, never
+        // lost: the renderer blocks, under the comm layer's deadlock guard,
+        // and a slow read never degrades a frame. When the plan kills a
+        // member of a 2DIP input group, the survivors spend one heartbeat
+        // deadline finding out before they can re-read its slice: that
+        // step's data is late by that much by construction, so the wait
+        // allows for it on top of the configured delivery time — else
+        // whether the failover shows in the frame depends on how long the
+        // renderers happened to be busy meanwhile.
+        let deadline = run.faults.spec().can_inject().then(|| {
+            let input_kill = run.sched.kill_role() == Some(Role::Input);
+            let detection = if input_kill { run.heartbeat } else { Duration::ZERO };
+            Duration::from_millis(config.deadline_ms) + detection
         });
+        let order = front_to_back_order(&blocks, extent, camera.eye);
+        let render = RenderCtx {
+            // nothing a brick plan depends on changes within a run: elastic
+            // plans and failover only change which rank reads a block's plan
+            plans: blocks.iter().map(|b| BrickPlan::new(mesh, b, level, &camera)).collect(),
+            camera,
+            transfer: config.transfer.clone(),
+            params: RenderParams {
+                lighting: config.lighting.then(LightingParams::default),
+                opacity_unit: Some(extent.max_component() / 64.0),
+                ..Default::default()
+            },
+            order_ids: order.into_iter().map(|i| blocks[i].id).collect(),
+            ids_per_block,
+            resume_fields,
+            deadline,
+            size: (config.width, config.height),
+            keep_frames: config.keep_frames,
+            lic: config.lic,
+        };
+        let plan_bytes = render.plans.iter().map(BrickPlan::bytes).sum();
+        let (run, roles) = (&run, (&input, &render, &out));
+        let faults = Some(Arc::clone(&run.faults));
+        let results = World::run_faulted(world, Arc::clone(&stats), faults, move |comm| {
+            rank_main(comm, run, roles)
+        });
+        (results, plan_bytes)
+    };
 
     // assemble
     let mut input_steps = Vec::new();
@@ -786,11 +857,11 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
     // per-class traffic and raw-vs-wire bytes, and — as *this run's* deltas,
     // since a shared tier or disk accumulates across runs — the cache tier
     // and the per-OST counters of a sharded disk
-    let rec = shared.faults.recovery();
+    let (rec, metrics) = (run.faults.recovery(), run.session.metrics());
     let named = |(name, v): (&str, u64)| (name.to_string(), v);
     let plans = control_plans.len() as u64;
-    let osts = shared.disk.ost_stats();
-    let rows = (shared.faults.named_counts())
+    let osts = dataset.disk().ost_stats();
+    let rows = (run.faults.named_counts())
         .chain(rec.named().map(named))
         .chain(
             [
@@ -801,8 +872,10 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
             .map(named),
         )
         .chain(stats.named())
-        .chain(shared.ledger.named())
-        .chain(cache.iter().flat_map(|tier| tier.counters().named_since(&cache_base)).map(named))
+        .chain(run.ledger.named())
+        .chain(
+            run.cache.iter().flat_map(|tier| tier.counters().named_since(&cache_base).map(named)),
+        )
         .chain(
             osts.iter().enumerate().flat_map(|(i, st)| {
                 st.named_since(i, &ost_base.get(i).copied().unwrap_or_default())
@@ -810,17 +883,17 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         );
     for (name, v) in rows {
         if v > 0 {
-            session.metrics().counter(&name).add(v);
+            metrics.counter(&name).add(v);
         }
     }
     // the report's recovery section exists when a fault spec was given
-    let (fault_events, recovery) = (shared.faults.events(), fault_spec_given.then_some(rec));
+    let (fault_events, recovery) = (run.faults.events(), fault_spec_given.then_some(rec));
     // per-render-rank utilization: each rank's Render-phase busy time
     // against the per-step makespan (the slowest rank each step), in
     // permille so the counters stay integral. This is the number the
     // elastic control plane exists to move — rebalancing narrows the
     // spread between the busiest and idlest render rank.
-    let busy = render_us(&session, shared);
+    let busy = render_us(&run);
     let mut makespan: HashMap<u32, u64> = HashMap::new();
     for (&t, &us) in busy.iter().flatten() {
         let slowest = makespan.entry(t).or_insert(0);
@@ -832,23 +905,23 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         let permille = busy.iter().map(|per_step| per_step.values().sum::<u64>() * 1000 / total);
         let mut sum = 0;
         for (rr, permille) in permille.enumerate() {
-            session.metrics().counter(&format!("pipeline.render_utilization.r{rr}")).add(permille);
+            metrics.counter(&format!("pipeline.render_utilization.r{rr}")).add(permille);
             sum += permille;
         }
         let mean = sum / busy.len() as u64;
-        session.metrics().counter("pipeline.render_utilization.mean").add(mean);
+        metrics.counter("pipeline.render_utilization.mean").add(mean);
     }
-    let trace = session.snapshot(Some(&stats));
+    let trace = run.session.snapshot(Some(&stats));
     write_trace_if_requested(&trace);
     Ok(PipelineReport {
         frames,
         frame_done,
         input_steps,
         render_frames,
-        renderers: shared.sched.n_renderers(),
-        input_procs: shared.sched.n_inputs(),
-        prefetch: shared.cfg.prefetch,
-        level: shared.level,
+        renderers: run.sched.n_renderers(),
+        input_procs: run.sched.n_inputs(),
+        prefetch: config.prefetch,
+        level,
         messages: stats.messages(),
         bytes_sent: stats.bytes(),
         render_rank_seconds,
@@ -858,9 +931,9 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         fault_events,
         recovery,
         checkpoints,
-        resumed_from: shared.cfg.resume.then_some(shared.start_step),
-        wire: shared.ledger.snapshot(),
-        wire_spec: shared.wire.describe(),
+        resumed_from: config.resume.then_some(run.steps.start),
+        wire: run.ledger.snapshot(),
+        wire_spec: run.wire.describe(),
         control_plans,
     })
 }
@@ -883,56 +956,45 @@ fn write_trace_if_requested(trace: &TraceData) {
     let _ = std::fs::write(format!("{stem}.traffic.csv"), trace.traffic_csv());
 }
 
-fn rank_main(comm: Comm, session: &Arc<Obs>, s: &Shared) -> RankResult {
+fn rank_main(comm: Comm, run: &Run, roles: (&InputCtx, &RenderCtx, &OutputCtx)) -> RankResult {
+    let (input, render, out) = roles;
     let me = comm.rank();
-    let role = s.sched.role(me);
+    let role = run.sched.role(me);
     let group = match role {
         Role::Input => "input",
         Role::Render => "render",
         Role::Output => "output",
     };
-    let _rec = session.attach(me, group);
+    let _rec = run.session.attach(me, group);
     comm.barrier();
     let start = Instant::now();
-
-    // with every frame of the run already in the frame cache under this
-    // exact (camera, transfer, level) identity, the run is a replay: input
-    // and render ranks do no work (and so inject no faults, write no
-    // checkpoints, host no control ticks); the output rank serves frames
-    // straight from the cache
     match role {
-        Role::Input if s.warm_all => {
-            RankResult::Input(vec![InputStepTiming::default(); input_plan(me, s).my_steps.len()])
-        }
-        Role::Input => RankResult::Input(input_main(&comm, s)),
-        Role::Render if s.warm_all => RankResult::Render {
-            timings: vec![RenderFrameTiming::default(); s.steps - s.start_step],
-            takeover: None,
-        },
-        Role::Render => render_main(&comm, session, s, start),
-        Role::Output if s.warm_all => output_warm(session, s, start),
-        Role::Output => output_main(&comm, session, s, start),
+        Role::Input => RankResult::Input(input_main(&comm, run, input)),
+        Role::Render => render_main(&comm, run, render, start),
+        Role::Output => output_main(&comm, run, out, start),
     }
 }
 
-/// The output rank's warm-replay loop: every frame was found in the frame
-/// cache at setup, so serve each one directly — same metrics, same
-/// interframe-delay histogram, no pipeline traffic.
-fn output_warm(session: &Arc<Obs>, s: &Shared, start: Instant) -> RankResult {
-    let mut sink = FrameSink::open(session, s, start);
-    for t in s.start_step..s.steps {
+/// A warm replay: every frame of the run was found in the frame cache
+/// under this exact (camera, transfer, level) identity, so no rank runs —
+/// nothing is read, rendered, injected, checkpointed or ticked — and the
+/// frames are served on the output rank's track: same metrics, same
+/// interframe-delay histogram, no traffic.
+fn replay(run: &Run, out: &OutputCtx) -> RankResult {
+    let _rec = run.session.attach(run.sched.output_rank(), "output");
+    let mut sink = FrameSink::open(run, out.keep_frames, Instant::now());
+    for t in run.steps.clone() {
         let _sp = obs::span(Phase::Assemble, t as u32);
-        let cached =
-            s.cache.as_ref().zip(s.frame_key(t)).and_then(|(tier, key)| tier.frames.get(key));
-        match cached {
-            Some(img) => sink.deliver(s, img, Vec::new()),
+        let key = out.frame_key(&run.dataset, t);
+        match run.cache.as_ref().zip(key).and_then(|(tier, key)| tier.frames.get(key)) {
+            Some(img) => sink.deliver(run, img, Vec::new()),
             None => {
                 // the setup probe saw this key, but the entry failed its
                 // serve-time checksum (or was evicted mid-replay): ship a
                 // blank degraded frame rather than wrong pixels
                 eprintln!("quakeviz: step {t}: cached frame lost mid-replay; frame degraded");
-                let blank = RgbaImage::new(s.cfg.width, s.cfg.height);
-                sink.deliver(s, blank, vec![Degradation::CorruptImage]);
+                let blank = RgbaImage::new(out.size.0, out.size.1);
+                sink.deliver(run, blank, vec![Degradation::CorruptImage]);
             }
         }
     }
@@ -982,12 +1044,13 @@ impl InputPlan {
     fn prepare(
         &self,
         group_comm: Option<&Comm>,
-        s: &Shared,
+        run: &Run,
+        input: &InputCtx,
         sf: &SliceFetch,
         t: usize,
     ) -> (Option<Vec<f32>>, ReadStats) {
         let t0 = Instant::now();
-        let prepared = prepare_step(group_comm, s, &sf.fetch, t);
+        let prepared = prepare_step(group_comm, run, input, &sf.fetch, t);
         let (lane, lanes) = self.lane;
         if !self.staggered.swap(true, Ordering::Relaxed) && lane > 0 {
             std::thread::sleep(t0.elapsed().mul_f64(lane as f64 / lanes as f64));
@@ -996,14 +1059,14 @@ impl InputPlan {
     }
 }
 
-fn input_plan(me: usize, s: &Shared) -> InputPlan {
+fn input_plan(me: usize, run: &Run) -> InputPlan {
     // step ownership is keyed by the *absolute* step index, so a resumed
     // run assigns each remaining step to the same rank the uninterrupted
     // run would
-    let (groups, per_group) = s.cfg.io.shape();
+    let WorldShape { groups, per_group, .. } = run.sched.shape();
     let g = me / per_group;
     let (lane, group) = ((g, groups), g * per_group..(g + 1) * per_group);
-    let my_steps = (s.start_step..s.steps).filter(|t| t % lane.1 == lane.0).collect();
+    let my_steps = run.steps.clone().filter(|t| t % lane.1 == lane.0).collect();
     InputPlan { my_steps, group, lane, staggered: AtomicBool::new(false) }
 }
 
@@ -1027,11 +1090,9 @@ struct SliceFetch {
 /// plan is the full group; a group shrunk by failover or narrowed by an
 /// elastic reshape re-slices over its live members with the same
 /// arithmetic, so it computes bit-identical values.
-fn slice_fetch(s: &Shared, slice @ (idx, live): Slice) -> SliceFetch {
-    let (fetch, span) = match &s.level_ids {
-        _ if live == 1 => {
-            (FetchPlan { ids: s.level_ids.as_ref().map(|l| l.to_vec()), range: None }, None)
-        }
+fn slice_fetch(run: &Run, input: &InputCtx, slice @ (idx, live): Slice) -> SliceFetch {
+    let (fetch, span) = match &input.level_ids {
+        _ if live == 1 => (FetchPlan { ids: input.level_ids.clone(), range: None }, None),
         Some(lvl) => {
             let (a, b) = member_node_range(lvl.len(), idx, live);
             let ids = lvl[a..b].to_vec();
@@ -1042,8 +1103,8 @@ fn slice_fetch(s: &Shared, slice @ (idx, live): Slice) -> SliceFetch {
             (FetchPlan { ids: Some(ids), range: None }, Some(span))
         }
         None => {
-            let (a, b) = member_node_range(s.mesh.node_count(), idx, live);
-            let fetch = match s.cfg.read {
+            let (a, b) = member_node_range(run.dataset.mesh().node_count(), idx, live);
+            let fetch = match input.read {
                 // the collective read takes its share as an id pattern
                 ReadStrategy::CollectiveNoncontiguous { .. } => {
                     FetchPlan { ids: Some((a as NodeId..b as NodeId).collect()), range: None }
@@ -1075,7 +1136,8 @@ fn fetch_identity(plan: &FetchPlan) -> u32 {
 /// fault plan); nothing is charged to the step's stats.
 fn fetch_step(
     comm_group: Option<&Comm>,
-    s: &Shared,
+    run: &Run,
+    input: &InputCtx,
     t: usize,
     plan: &FetchPlan,
 ) -> Result<(Vec<[f32; 3]>, ReadStats), ReadError> {
@@ -1084,9 +1146,10 @@ fn fetch_step(
     // independent read paths consult the block cache
     let collective = comm_group.is_some()
         && plan.ids.is_some()
-        && matches!(s.cfg.read, ReadStrategy::CollectiveNoncontiguous { .. });
-    let cached = s.cache.as_ref().filter(|tier| tier.blocks.enabled() && !collective).map(|tier| {
-        (&tier.blocks, BlockKey { step: t as u32, block: fetch_identity(plan), level: s.level })
+        && matches!(input.read, ReadStrategy::CollectiveNoncontiguous { .. });
+    let tier = run.cache.as_ref().filter(|tier| tier.blocks.enabled() && !collective);
+    let cached = tier.map(|tier| {
+        (&tier.blocks, BlockKey { step: t as u32, block: fetch_identity(plan), level: input.level })
     });
     if let Some((blocks, key)) = &cached {
         if let Some(data) = blocks.get(*key) {
@@ -1097,23 +1160,17 @@ fn fetch_step(
             return Ok((data.as_ref().clone(), ReadStats::default()));
         }
     }
-    let ctx = s.fault_ctx(t);
-    let (dense, mut stats) = match (&s.cfg.read, comm_group) {
+    let ctx = FaultCtx { plan: &run.faults, retry: input.retry, step: t as u32 };
+    let (disk, mesh) = (run.dataset.disk(), run.dataset.mesh());
+    let (dense, mut stats) = match (&input.read, comm_group) {
         (ReadStrategy::CollectiveNoncontiguous { sieve_window }, Some(gc))
             if plan.ids.is_some() =>
         {
-            plan.read_collective(&s.disk, &s.mesh, t, gc, *sieve_window, Some(&ctx))?
+            plan.read_collective(disk, mesh, t, gc, *sieve_window, Some(&ctx))?
         }
-        _ => plan.read(&s.disk, &s.mesh, t, 1 << 16, Some(&ctx))?,
+        _ => plan.read(disk, mesh, t, 1 << 16, Some(&ctx))?,
     };
-    if let Some(scale) = s.cfg.io_delay_scale {
-        let d = stats.sim_seconds * scale;
-        if d > 0.0 {
-            std::thread::sleep(std::time::Duration::from_secs_f64(d));
-            // the injected delay stands in for real disk time: count it
-            stats.real_seconds += d;
-        }
-    }
+    input.inject_io_delay(&mut stats);
     // only fully successful fetches are cached — a hit can therefore
     // never mask the recovery path a cache-off run would have taken
     if let Some((blocks, key)) = cached {
@@ -1133,12 +1190,13 @@ fn magnitudes(dense: &[[f32; 3]]) -> Vec<f32> {
 /// *missing* pieces instead of values and the frame degrades downstream.
 fn prepare_step(
     group_comm: Option<&Comm>,
-    s: &Shared,
+    run: &Run,
+    input: &InputCtx,
     fetch: &FetchPlan,
     t: usize,
 ) -> (Option<Vec<f32>>, ReadStats) {
     let mut sp = obs::span(Phase::Read, t as u32);
-    let Ok((dense, mut stats)) = fetch_step(group_comm, s, t, fetch) else {
+    let Ok((dense, mut stats)) = fetch_step(group_comm, run, input, t, fetch) else {
         return (None, ReadStats::default());
     };
     sp.add_bytes(stats.useful_bytes);
@@ -1150,11 +1208,11 @@ fn prepare_step(
     let pp = obs::span(Phase::Preprocess, t as u32);
     let mut mag = magnitudes(&dense);
     drop(pp);
-    if s.cfg.enhancement && t > 0 {
+    if input.enhancement && t > 0 {
         let mut sp = obs::span(Phase::Read, t as u32);
         // enhancement needs the previous step too: if that read fails the
         // enhanced field cannot be computed and the whole step is missing
-        let Ok((prev_dense, prev_stats)) = fetch_step(group_comm, s, t - 1, fetch) else {
+        let Ok((prev_dense, prev_stats)) = fetch_step(group_comm, run, input, t - 1, fetch) else {
             return (None, stats);
         };
         sp.add_bytes(prev_stats.useful_bytes);
@@ -1182,8 +1240,10 @@ fn prepare_step(
 /// checksum was computed, so the receiver's verify catches it — for
 /// every codec, since the checksum covers the encoded bytes. Returns
 /// `(destination rank, batch, wire bytes)`.
+#[allow(clippy::too_many_arguments)]
 fn pack_batches(
-    s: &Shared,
+    run: &Run,
+    input: &InputCtx,
     state: &EpochState,
     my_span: Option<(NodeId, NodeId)>,
     mag: Option<&[f32]>,
@@ -1194,23 +1254,23 @@ fn pack_batches(
     // route by the step's ownership under the caller's committed epoch
     // state: a rank scripted dead at `t` receives nothing, its blocks go
     // to the live active ranks
-    let routes = s.sched.owners(state, t, &s.block_weights);
-    let scale = s.dataset.norm_at(t);
+    let routes = run.sched.owners(state, t, &run.block_weights);
+    let scale = run.dataset.norm_at(t);
     let mut out = Vec::with_capacity(routes.len());
     for (r, blocks) in &routes {
-        let dst = s.sched.render_rank(*r);
+        let dst = run.sched.render_rank(*r);
         // the lossy transport completes a dropped send locally, so the
         // sender knows this batch will never arrive: pack it without
         // advancing delta state, and the next real send deltas against
         // the last bytes the receiver actually holds — degradation stays
         // codec-invariant under message loss
-        let delivered = !s.faults.send_will_drop(me, dst, DATA.tag(t));
+        let delivered = !run.faults.send_will_drop(me, dst, DATA.tag(t));
         let t0 = Instant::now();
         let mut enc_sp = obs::auto_span(Phase::Encode, t as u32);
         let (mut raw_bytes, mut keyframes, mut deltas) = (0u64, 0u64, 0u64);
         let mut batch: BlockBatch = Vec::new();
         for &bid in blocks {
-            let ids = &s.ids_per_block[bid as usize];
+            let ids = &input.ids_per_block[bid as usize];
             let (a, b) = match my_span {
                 None => (0, ids.len()),
                 Some((lo, hi)) => {
@@ -1220,9 +1280,9 @@ fn pack_batches(
             if a < b {
                 let piece = match mag {
                     Some(mag) => {
-                        let (kind, raw) = gather_values(mag, &ids[a..b], s.cfg.quantize, scale);
+                        let (kind, raw) = gather_values(mag, &ids[a..b], input.quantize, scale);
                         pack_piece(
-                            &s.wire,
+                            &run.wire,
                             (dst, bid, a as u32),
                             kind,
                             raw,
@@ -1242,13 +1302,14 @@ fn pack_batches(
                 batch.push(piece);
             }
         }
-        if let Some(seed) = s.faults.wire_corrupt(me, dst, DATA.tag(t)) {
+        if let Some(seed) = run.faults.wire_corrupt(me, dst, DATA.tag(t)) {
             corrupt_one_bit(&mut batch, seed);
         }
         let bytes: u64 = batch.iter().map(|p| p.body.len() as u64).sum();
         enc_sp.add_bytes(bytes);
-        s.ledger.record_send(TagClass::BlockData, raw_bytes, bytes, t0.elapsed().as_nanos() as u64);
-        s.ledger.record_pieces(TagClass::BlockData, keyframes, deltas);
+        let ns = t0.elapsed().as_nanos() as u64;
+        run.ledger.record_send(TagClass::BlockData, raw_bytes, bytes, ns);
+        run.ledger.record_pieces(TagClass::BlockData, keyframes, deltas);
         out.push((dst, batch, bytes));
     }
     out
@@ -1276,40 +1337,35 @@ fn corrupt_one_bit(batch: &mut BlockBatch, seed: u64) {
 /// LIC overlay for step `t`, synthesized and shipped by the step's lead
 /// input processor. The surface read stays inside the Lic span (in detail
 /// sessions the nested IoRead auto span shows it).
-fn lic_step(comm: &Comm, s: &Shared, t: usize, read: &mut ReadStats) {
-    let Some((sampler, surf_ids, noise)) = &s.surface else {
+fn lic_step(comm: &Comm, run: &Run, input: &InputCtx, t: usize, read: &mut ReadStats) {
+    let Some(lic) = &input.lic else {
         return;
     };
     // the overlay goes to whichever rank assembles this step's frame
-    let output_rank = s.sched.frame_dst(t);
+    let output_rank = run.sched.frame_dst(t);
     let mut lic_sp = obs::span(Phase::Lic, t as u32);
     // surface vectors: read explicitly (they may not be in the adaptive
     // fetch set or my slice); when the read fails for good the overlay
     // degrades to a transparent image and the frame is flagged
-    let ctx = s.fault_ctx(t);
-    let (img, missing) =
-        match reader::read_step_ids(&s.disk, &s.mesh, t, surf_ids, 1 << 16, Some(&ctx)) {
-            Err(_) => (RgbaImage::new(s.cfg.width, s.cfg.height), true),
-            Ok((surf_dense, surf_stats)) => {
-                read.accumulate(&surf_stats);
-                if let Some(scale) = s.cfg.io_delay_scale {
-                    let d = surf_stats.sim_seconds * scale;
-                    if d > 0.0 {
-                        std::thread::sleep(std::time::Duration::from_secs_f64(d));
-                    }
-                }
-                let field = quakeviz_mesh::VectorField::new(surf_dense);
-                let reg = sampler.sample(&field);
-                // normalize by the surface maximum (surface motion is far
-                // weaker than the 3D peak at the hypocentre)
-                let max = reg.max_magnitude();
-                let phase = (t as f64 * 0.08) % 1.0;
-                let params = LicParams { phase: Some(phase), ..Default::default() };
-                let gray = compute_lic_with_max(&reg, noise, &params, max);
-                (colorize(&reg, &gray, &s.cfg.transfer, max), false)
-            }
-        };
-    let msg = encode_image(&s.wire, &s.ledger, TagClass::LicImage, t as u32, img);
+    let ctx = FaultCtx { plan: &run.faults, retry: input.retry, step: t as u32 };
+    let (disk, mesh) = (run.dataset.disk(), run.dataset.mesh());
+    let (img, missing) = match reader::read_step_ids(disk, mesh, t, &lic.ids, 1 << 16, Some(&ctx)) {
+        Err(_) => (RgbaImage::new(lic.size.0, lic.size.1), true),
+        Ok((surf_dense, mut surf_stats)) => {
+            input.inject_io_delay(&mut surf_stats);
+            read.accumulate(&surf_stats);
+            let field = quakeviz_mesh::VectorField::new(surf_dense);
+            let reg = lic.sampler.sample(&field);
+            // normalize by the surface maximum (surface motion is far
+            // weaker than the 3D peak at the hypocentre)
+            let max = reg.max_magnitude();
+            let phase = (t as f64 * 0.08) % 1.0;
+            let params = LicParams { phase: Some(phase), ..Default::default() };
+            let gray = compute_lic_with_max(&reg, &lic.noise, &params, max);
+            (colorize(&reg, &gray, &lic.transfer, max), false)
+        }
+    };
+    let msg = encode_image(&run.wire, &run.ledger, TagClass::LicImage, t as u32, img);
     lic_sp.add_bytes(msg.wire_bytes());
     drop(lic_sp);
     LIC.send(comm, output_rank, t, (msg, missing));
@@ -1350,7 +1406,7 @@ impl ReadAhead {
     /// rejoin or reshape has since replaced.
     fn take(
         &mut self,
-        s: &Shared,
+        run: &Run,
         plan: &InputPlan,
         me: usize,
         i: usize,
@@ -1360,7 +1416,7 @@ impl ReadAhead {
         while self.next < plan.my_steps.len() && self.next <= i + PREFETCH_SLOTS {
             let u = plan.my_steps[self.next];
             self.next += 1;
-            if s.sched.presence(me, u).active() {
+            if run.sched.presence(me, u).active() {
                 // a dead worker shows on the `ready` side
                 let _ = self.ask.send((u, Arc::clone(sf)));
             }
@@ -1374,31 +1430,32 @@ impl ReadAhead {
 /// The read-ahead worker: prepare each step asked for, in order, until
 /// the rank thread hangs up or the fault plan scripts this worker dead.
 fn read_ahead_worker(
-    s: &Shared,
+    run: &Run,
+    input: &InputCtx,
     plan: &InputPlan,
     asks: Receiver<(usize, Arc<SliceFetch>)>,
     ready: Sender<Prepared>,
 ) {
     for (t, sf) in asks {
-        if s.faults.prefetch_failed(t) {
+        if run.faults.prefetch_failed(t) {
             return; // scripted worker death: go silent mid-run
         }
         // collective reads are rejected at config validation, so the
         // worker never needs the group communicator
-        let (mag, stats) = plan.prepare(None, s, &sf, t);
+        let (mag, stats) = plan.prepare(None, run, input, &sf, t);
         if ready.send(Prepared { t, slice: sf.slice, mag, stats }).is_err() {
             return;
         }
     }
 }
 
-fn input_main(comm: &Comm, s: &Shared) -> Vec<InputStepTiming> {
-    let plan = &input_plan(comm.rank(), s);
+fn input_main(comm: &Comm, run: &Run, input: &InputCtx) -> Vec<InputStepTiming> {
+    let plan = &input_plan(comm.rank(), run);
     // the 2DIP group's communicator, for its lock-step collective read
     let members: Vec<usize> = plan.group.clone().collect();
     let group_comm = (members.len() > 1).then(|| comm.group(&members)).flatten();
     let group_comm = group_comm.as_ref();
-    let mut timings = if s.cfg.prefetch {
+    let mut timings = if input.read_ahead {
         let (ask, asks) = channel();
         let (ready_tx, ready) = channel();
         let track = obs::current_attachment();
@@ -1410,14 +1467,14 @@ fn input_main(comm: &Comm, s: &Shared) -> Vec<InputStepTiming> {
                 // scope: contain it, and let the closed queues carry the
                 // news like a scripted death's
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    read_ahead_worker(s, plan, asks, ready_tx)
+                    read_ahead_worker(run, input, plan, asks, ready_tx)
                 }));
             });
             let ahead = ReadAhead { ask, ready, next: 0 };
-            input_steps(comm, group_comm, s, plan, Some(ahead))
+            input_steps(comm, group_comm, run, input, plan, Some(ahead))
         })
     } else {
-        input_steps(comm, group_comm, s, plan, None)
+        input_steps(comm, group_comm, run, input, plan, None)
     };
 
     // derive the per-step timings from the span stream (which includes
@@ -1442,7 +1499,7 @@ fn input_main(comm: &Comm, s: &Shared) -> Vec<InputStepTiming> {
 /// waits for all of theirs.
 fn heartbeat_round(
     comm: &Comm,
-    s: &Shared,
+    run: &Run,
     t: usize,
     alive: &mut Vec<usize>,
     back: Option<usize>,
@@ -1454,7 +1511,7 @@ fn heartbeat_round(
         alive.sort_unstable();
     }
     let peers: Vec<usize> = alive.iter().copied().filter(|&r| r != comm.rank()).collect();
-    let wait = |r| (!joining && Some(r) != back).then(|| s.hb_deadline());
+    let wait = |r| (!joining && Some(r) != back).then_some(run.heartbeat);
     let silent = membership::heartbeat(comm, t, &peers, &peers, wait);
     alive.retain(|r| !silent.contains(r));
     silent
@@ -1464,16 +1521,16 @@ fn heartbeat_round(
 /// input, render or spare rank: ask the output rank — it keeps the plan
 /// history — what committed while this rank was out, and apply it. (A
 /// missed commit cleared the peers' delta lanes; what they send next is a
-/// keyframe, which needs no base of the joiner's.)
-fn rejoin(comm: &Comm, s: &Shared, t: usize, state: &mut EpochState) {
-    let output_rank = s.sched.output_rank();
+/// keyframe, which needs no base of the joiner'run.)
+fn rejoin(comm: &Comm, run: &Run, t: usize, state: &mut EpochState) {
+    let output_rank = run.sched.output_rank();
     JOIN.send(comm, output_rank, t, ());
     let missed = CATCHUP.recv(comm, output_rank, t);
     for plan in &missed {
         state.apply(plan);
     }
-    s.faults.note_rejoin();
-    s.faults.note_catchup_plans(missed.len() as u64);
+    run.faults.note_rejoin();
+    run.faults.note_catchup_plans(missed.len() as u64);
 }
 
 /// The participant's half of the two-phase plan commit at tick `t`, the
@@ -1484,8 +1541,8 @@ fn rejoin(comm: &Comm, s: &Shared, t: usize, state: &mut EpochState) {
 /// reconfigured) route is a natural keyframe — and, since a rebalance
 /// reshapes fetch plans from this step on, conservatively drops cached
 /// blocks and any not-yet-served frames at or past the commit step.
-fn plan_commit(comm: &Comm, s: &Shared, t: usize, state: &mut EpochState, delta: &mut DeltaMap) {
-    let ctl_rank = s.sched.output_rank();
+fn plan_commit(comm: &Comm, run: &Run, t: usize, state: &mut EpochState, delta: &mut DeltaMap) {
+    let ctl_rank = run.sched.output_rank();
     let Some(plan) = CTL.recv(comm, ctl_rank, t) else {
         return;
     };
@@ -1493,7 +1550,7 @@ fn plan_commit(comm: &Comm, s: &Shared, t: usize, state: &mut EpochState, delta:
     if CTL_VERDICT.recv(comm, ctl_rank, t) {
         state.apply(&plan);
         delta.clear();
-        if let Some(tier) = &s.cache {
+        if let Some(tier) = &run.cache {
             tier.flush_for_commit(t as u32);
         }
     }
@@ -1508,7 +1565,7 @@ fn plan_commit(comm: &Comm, s: &Shared, t: usize, state: &mut EpochState, delta:
 /// participant. Returns whether the rank rejoined on the way.
 fn input_clock(
     comm: &Comm,
-    s: &Shared,
+    run: &Run,
     elastic: &mut EpochState,
     delta: &mut DeltaMap,
     cursor: &mut usize,
@@ -1519,18 +1576,18 @@ fn input_clock(
     while *cursor <= upto {
         let t = *cursor;
         *cursor += 1;
-        match s.sched.presence(me, t) {
+        match run.sched.presence(me, t) {
             Presence::Dormant | Presence::Gone => continue,
             Presence::Joining => {
                 let _sp = obs::span(Phase::Heartbeat, t as u32);
-                rejoin(comm, s, t, elastic);
+                rejoin(comm, run, t, elastic);
                 rejoined = true;
             }
             Presence::Present => {}
         }
-        if let Tick::Round { .. } = s.sched.tick(t) {
+        if let Tick::Round { .. } = run.sched.tick(t) {
             let _sp = obs::span(Phase::Control, t as u32);
-            plan_commit(comm, s, t, elastic, delta);
+            plan_commit(comm, run, t, elastic, delta);
         }
     }
     rejoined
@@ -1554,7 +1611,8 @@ fn input_clock(
 fn input_steps(
     comm: &Comm,
     group_comm: Option<&Comm>,
-    s: &Shared,
+    run: &Run,
+    input: &InputCtx,
     plan: &InputPlan,
     mut ahead: Option<ReadAhead>,
 ) -> Vec<InputStepTiming> {
@@ -1563,9 +1621,9 @@ fn input_steps(
     let mut alive: Vec<usize> = plan.group.clone().collect();
     let mut delta = DeltaMap::new();
     // committed epoch state: advances at every committed tick
-    let mut elastic = s.elastic.clone();
-    let mut clock = s.start_step;
-    let mut sf = Arc::new(slice_fetch(s, (me - plan.group.start, plan.group.len())));
+    let mut elastic = run.elastic.clone();
+    let mut clock = run.steps.start;
+    let mut sf = Arc::new(slice_fetch(run, input, (me - plan.group.start, plan.group.len())));
     let mut inflight: VecDeque<(usize, Vec<SendHandle>)> = VecDeque::new();
     let await_sends = |(t0, handles): (usize, Vec<SendHandle>)| {
         let _sp = obs::span(Phase::SendWait, t0 as u32);
@@ -1576,7 +1634,7 @@ fn input_steps(
         // a scripted death comes with no farewell — survivors must *detect*
         // it via heartbeat timeouts; a dormant rank still counts its owned
         // steps, so the zip alignment with the group survives the outage
-        match s.sched.presence(me, t) {
+        match run.sched.presence(me, t) {
             Presence::Gone => break,
             Presence::Dormant => {
                 timings.push(InputStepTiming::default());
@@ -1587,7 +1645,7 @@ fn input_steps(
         // catch up on the epoch clock before this step's routing decisions;
         // the first sends back from a death window are natural keyframes,
         // never deltas against pre-death receiver state
-        let joining = input_clock(comm, s, &mut elastic, &mut delta, &mut clock, t);
+        let joining = input_clock(comm, run, &mut elastic, &mut delta, &mut clock, t);
         if joining {
             alive = plan.group.clone().collect();
             delta.clear();
@@ -1595,10 +1653,10 @@ fn input_steps(
         // this step's slice: the group members inside the committed input
         // width (an elastic reshape narrows it) that the heartbeat still
         // holds alive share the read; everyone else sits the step out
-        if let Watch::Group(group) = s.sched.watch(me) {
-            let back = group.clone().find(|&r| !alive.contains(&r) && s.sched.is_back(r, t));
-            for r in heartbeat_round(comm, s, t, &mut alive, back, joining) {
-                s.faults.note_failover(r, t);
+        if let Watch::Group(group) = run.sched.watch(me) {
+            let back = group.clone().find(|&r| !alive.contains(&r) && run.sched.is_back(r, t));
+            for r in heartbeat_round(comm, run, t, &mut alive, back, joining) {
+                run.faults.note_failover(r, t);
             }
         }
         let live: Vec<usize> =
@@ -1608,21 +1666,21 @@ fn input_steps(
             continue;
         };
         if sf.slice != (idx, live.len()) {
-            sf = Arc::new(slice_fetch(s, (idx, live.len())));
+            sf = Arc::new(slice_fetch(run, input, (idx, live.len())));
         }
-        let (mag, read) = match ahead.as_mut().and_then(|a| a.take(s, plan, me, i, &sf)) {
+        let (mag, read) = match ahead.as_mut().and_then(|a| a.take(run, plan, me, i, &sf)) {
             Some(p) => (p.mag, p.stats),
             None => {
                 if ahead.is_some() {
-                    s.faults.note_prefetch_fallback();
+                    run.faults.note_prefetch_fallback();
                 }
-                plan.prepare(group_comm, s, &sf, t)
+                plan.prepare(group_comm, run, input, &sf, t)
             }
         };
         let mut timing = InputStepTiming { read, ..Default::default() };
         // LIC duty falls to the lowest live member of the group
         if idx == 0 {
-            lic_step(comm, s, t, &mut timing.read);
+            lic_step(comm, run, input, t, &mut timing.read);
         }
         // backpressure: at most PREFETCH_SLOTS steps' sends in flight,
         // this one included. An isend completes only when the renderer
@@ -1632,7 +1690,7 @@ fn input_steps(
         inflight.drain(..excess).for_each(await_sends);
         let mut send_sp = obs::span(Phase::Send, t as u32);
         let handles: Vec<SendHandle> =
-            pack_batches(s, &elastic, sf.span, mag.as_deref(), me, t, &mut delta)
+            pack_batches(run, input, &elastic, sf.span, mag.as_deref(), me, t, &mut delta)
                 .into_iter()
                 .map(|(dst, batch, bytes)| {
                     send_sp.add_bytes(bytes);
@@ -1648,7 +1706,7 @@ fn input_steps(
     // the controller keeps clocking ticks after my last owned step: stay
     // on the line until the schedule runs out, then drain the tail so the
     // trace sees the full send lifetime
-    input_clock(comm, s, &mut elastic, &mut delta, &mut clock, s.steps.saturating_sub(1));
+    input_clock(comm, run, &mut elastic, &mut delta, &mut clock, run.steps.end - 1);
     inflight.into_iter().for_each(await_sends);
     timings
 }
@@ -1663,25 +1721,25 @@ fn input_steps(
 /// manifest itself after collecting the other survivors' acks.
 fn checkpoint_ack(
     comm: &Comm,
-    s: &Shared,
+    run: &Run,
     rr: usize,
     t: usize,
     field: &NodeField,
     state: &EpochState,
     takeover: Option<&mut FrameSink>,
 ) {
-    if !s.checkpoint_due(t) {
+    let Some(ck) = run.checkpoint_due(t) else {
         return;
-    }
+    };
     let _sp = obs::span(Phase::Checkpoint, t as u32);
     let bytes = checkpoint::encode_field(t + 1, field.values());
     let ack = (rr as u32, checkpoint::field_checksum(&bytes));
-    s.disk.write_file(&checkpoint::field_path(&s.cfg.checkpoint_path, t + 1, rr), bytes);
-    let dst = s.sched.frame_dst(t);
+    run.dataset.disk().write_file(&checkpoint::field_path(&ck.path, t + 1, rr), bytes);
+    let dst = run.sched.frame_dst(t);
     if dst != comm.rank() {
         CKPT.send(comm, dst, t, ack);
     } else {
-        commit_checkpoint(comm, s, t, Some(ack), state, &[]);
+        commit_checkpoint(comm, run, ck, t, Some(ack), state, &[]);
         if let Some(sink) = takeover {
             sink.checkpoints += 1;
         }
@@ -1693,12 +1751,12 @@ fn checkpoint_ack(
 /// verifies. Any failure — no checkpointing configured, no manifest yet,
 /// checksum or shape mismatch — just means rendering resumes from zeros
 /// until the next data receive refreshes the owned blocks.
-fn catchup_field(s: &Shared, rr: usize) -> Option<Vec<f32>> {
-    s.cfg.checkpoint_every?;
-    let base = &s.cfg.checkpoint_path;
-    let manifest = checkpoint::load_manifest(&s.disk, base, s.fingerprint).ok()?;
+fn catchup_field(run: &Run, rr: usize) -> Option<Vec<f32>> {
+    let Checkpoints { path, fingerprint, .. } = run.checkpoints.as_ref()?;
+    let (disk, nodes) = (run.dataset.disk(), run.dataset.mesh().node_count());
+    let manifest = checkpoint::load_manifest(disk, path, *fingerprint).ok()?;
     let &(r, ck) = manifest.fields.iter().find(|&&(r, _)| r as usize == rr)?;
-    checkpoint::load_field(&s.disk, base, manifest.next_step, r, ck, s.mesh.node_count()).ok()
+    checkpoint::load_field(disk, path, manifest.next_step, r, ck, nodes).ok()
 }
 
 /// Commit the checkpoint after step `t` at the frame assembler: collect
@@ -1711,7 +1769,8 @@ fn catchup_field(s: &Shared, rr: usize) -> Option<Vec<f32>> {
 /// from the identical epoch before clocking any new ticks.
 fn commit_checkpoint(
     comm: &Comm,
-    s: &Shared,
+    run: &Run,
+    ck: &Checkpoints,
     t: usize,
     local: Option<(u32, u64)>,
     state: &EpochState,
@@ -1719,57 +1778,52 @@ fn commit_checkpoint(
 ) {
     let me = comm.rank();
     let next = t + 1;
-    let dead = s.sched.dead_renderer(t);
+    let dead = run.sched.dead_renderer(t);
     let mut fields: Vec<(u32, u64)> = local.into_iter().collect();
-    let acking = (0..s.sched.n_renderers()).filter(|&r| Some(r) != dead);
-    for src in acking.map(|r| s.sched.render_rank(r)).filter(|&src| src != me) {
+    let acking = (0..run.sched.n_renderers()).filter(|&r| Some(r) != dead);
+    for src in acking.map(|r| run.sched.render_rank(r)).filter(|&src| src != me) {
         fields.push(CKPT.recv(comm, src, t));
     }
     fields.sort_unstable();
-    let mut block_map = vec![Vec::new(); s.sched.n_renderers()];
-    for (r, blocks) in s.sched.owners(state, t, &s.block_weights) {
+    let mut block_map = vec![Vec::new(); run.sched.n_renderers()];
+    for (r, blocks) in run.sched.owners(state, t, &run.block_weights) {
         block_map[r] = blocks;
     }
     let manifest = CheckpointManifest {
         version: CHECKPOINT_VERSION,
-        fingerprint: s.fingerprint,
+        fingerprint: ck.fingerprint,
         next_step: next,
         block_map,
         fields,
         plans: history.to_vec(),
     };
-    let base = &s.cfg.checkpoint_path;
-    s.disk.write_file(&checkpoint::manifest_path(base), manifest.encode());
+    let (base, disk) = (&ck.path, run.dataset.disk());
+    disk.write_file(&checkpoint::manifest_path(base), manifest.encode());
     let keep = format!("{base}/step{next}/");
     let stale = format!("{base}/step");
-    for f in s.disk.list_files() {
+    for f in disk.list_files() {
         if f.starts_with(&stale) && !f.starts_with(&keep) {
-            s.disk.remove_file(&f);
+            disk.remove_file(&f);
         }
     }
 }
 
-fn render_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> RankResult {
+fn render_main(comm: &Comm, run: &Run, ren: &RenderCtx, start: Instant) -> RankResult {
     let me = comm.rank();
-    let rr = me - s.sched.render_rank(0); // render-group rank
-    let output_rank = s.sched.output_rank();
-    let mut field = match s.resume_fields.get(rr) {
+    let rr = me - run.sched.render_rank(0); // render-group rank
+    let output_rank = run.sched.output_rank();
+    let mut field = match ren.resume_fields.get(rr) {
         // resume: restore the checkpointed last-known-good field, so
         // degraded post-resume frames reuse the exact stale values an
         // uninterrupted run would
         Some(Some(values)) => NodeField::new(values.clone()),
-        _ => NodeField::zeros(&s.mesh),
-    };
-    let params = RenderParams {
-        lighting: s.cfg.lighting.then(LightingParams::default),
-        opacity_unit: Some(s.opacity_unit),
-        ..Default::default()
+        _ => NodeField::zeros(run.dataset.mesh()),
     };
     // detected membership: `alive` is who this rank still hears from —
     // heartbeats run only on the duty the schedule gives it — and
     // `members` who the compositing communicator `group` spans
-    let watch = s.sched.watch(me);
-    let mut alive: Vec<usize> = (s.sched.render_rank(0)..output_rank).collect();
+    let watch = run.sched.watch(me);
+    let mut alive: Vec<usize> = (run.sched.render_rank(0)..output_rank).collect();
     let mut members: Vec<usize> = Vec::new();
     let mut group: Option<Comm> = None;
 
@@ -1780,13 +1834,14 @@ fn render_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
     // receiver-side temporal-delta state, keyed (src, bid, offset); a
     // resumed run starts empty, matched by the senders' forced keyframes
     let mut rx_delta = DeltaMap::new();
+    let ids_per_block = &ren.ids_per_block;
 
     // committed epoch state: advances at every committed tick
-    let mut state = s.elastic.clone();
+    let mut state = run.elastic.clone();
 
-    for t in s.start_step..s.steps {
+    for t in run.steps.clone() {
         // a scripted death comes with no farewell — see [`Presence`]
-        let joining = match s.sched.presence(me, t) {
+        let joining = match run.sched.presence(me, t) {
             Presence::Gone => break,
             Presence::Dormant => continue,
             presence => presence == Presence::Joining,
@@ -1800,28 +1855,28 @@ fn render_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
         // its peers put it back on their heartbeat list.
         if joining {
             let _sp = obs::span(Phase::Heartbeat, t as u32);
-            rejoin(comm, s, t, &mut state);
-            if let Some(values) = catchup_field(s, rr) {
+            rejoin(comm, run, t, &mut state);
+            if let Some(values) = catchup_field(run, rr) {
                 field = NodeField::new(values);
-                s.faults.note_catchup_field();
+                run.faults.note_catchup_field();
             }
             members.clear();
         }
         match watch {
             // (a joiner under this duty is the render rank it lost)
             Watch::Group(_) => {
-                for r in heartbeat_round(comm, s, t, &mut alive, s.sched.joiner(t), joining) {
-                    s.faults.note_render_failover(r, t);
+                for r in heartbeat_round(comm, run, t, &mut alive, run.sched.joiner(t), joining) {
+                    run.faults.note_render_failover(r, t);
                 }
             }
             // output supervision: the render root waits for the output
             // processor's heartbeat and assumes assembly on silence
             Watch::Listen(output) if takeover.is_none() => {
                 let _sp = obs::span(Phase::Heartbeat, t as u32);
-                let wait = |_| Some(s.hb_deadline());
+                let wait = |_| Some(run.heartbeat);
                 if !membership::heartbeat(comm, t, &[], &[output], wait).is_empty() {
-                    takeover = Some(FrameSink::open(session, s, start));
-                    s.faults.note_output_failover(output, t);
+                    takeover = Some(FrameSink::open(run, ren.keep_frames, start));
+                    run.faults.note_output_failover(output, t);
                 }
             }
             _ => {}
@@ -1830,9 +1885,9 @@ fn render_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
         // step's data. Apply-on-commit keeps every rank's epoch state in
         // lockstep, and the cleared receive-delta state matches the
         // senders' forced keyframes on the (possibly new) routes.
-        if let Tick::Round { .. } = s.sched.tick(t) {
+        if let Tick::Round { .. } = run.sched.tick(t) {
             let _sp = obs::span(Phase::Control, t as u32);
-            plan_commit(comm, s, t, &mut state, &mut rx_delta);
+            plan_commit(comm, run, t, &mut state, &mut rx_delta);
         }
         // one compositing communicator, regrouped whenever the live part
         // of the active prefix changes. A communicator is a function of
@@ -1840,18 +1895,18 @@ fn render_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
         // survivors at their own pace, a rejoiner after sleeping through
         // their regroups — holds the same one with no coordination.
         let live: Vec<usize> =
-            alive.iter().copied().filter(|&r| r < s.sched.render_rank(state.active)).collect();
+            alive.iter().copied().filter(|&r| r < run.sched.render_rank(state.active)).collect();
         if live != members {
             group = comm.group(&live);
             members = live;
         }
-        let owners = s.sched.owners(&state, t, &s.block_weights);
+        let owners = run.sched.owners(&state, t, &run.block_weights);
         let mine = owners.iter().find(|&&(r, _)| r == rr);
         let (Some((_, my_blocks)), Some(active)) = (mine, group.as_ref()) else {
             // outside this epoch's active prefix (parked spare, or shrunk
             // out): no data arrives and no fragment is owed, but the rank
             // stays on the epoch clock and the checkpoint barrier
-            checkpoint_ack(comm, s, rr, t, &field, &state, takeover.as_mut());
+            checkpoint_ack(comm, run, rr, t, &field, &state, takeover.as_mut());
             continue;
         };
 
@@ -1863,9 +1918,9 @@ fn render_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
         // then degrade whatever is incomplete instead of stalling. Batches
         // write disjoint (block, offset) slices, so ingest order cannot
         // change the frame.
-        let norm = (0.0f32, s.dataset.norm_at(t));
-        let mut account = StepAccount::new(my_blocks, &s.ids_per_block);
-        let step_deadline = s.deadline().map(|wait| Instant::now() + wait);
+        let norm = (0.0f32, run.dataset.norm_at(t));
+        let mut account = StepAccount::new(my_blocks, ids_per_block);
+        let step_deadline = ren.deadline.map(|wait| Instant::now() + wait);
         loop {
             // while values are owed, wait — up to the deadline, when one is
             // armed; once none are, only take what is already here
@@ -1878,7 +1933,8 @@ fn render_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
             // deadline, or a batch that held none of my blocks' values.
             // Matching those completes their sender's handle, which would
             // otherwise hold an in-flight slot of that input rank for good
-            let Some((src, step, batch)) = DATA.recv_any_for(comm, s.start_step..=t, wait) else {
+            let Some((src, step, batch)) = DATA.recv_any_for(comm, run.steps.start..=t, wait)
+            else {
                 break; // all accounted for — or the deadline: degrade, don't stall
             };
             if step < t {
@@ -1890,23 +1946,23 @@ fn render_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
             for piece in batch {
                 let (bid, kind, n) = (piece.bid, piece.kind, piece.value_len());
                 let outcome =
-                    ingest_piece(&s.wire, piece, &s.ids_per_block, src, t as u32, &mut rx_delta);
+                    ingest_piece(&run.wire, piece, ids_per_block, src, t as u32, &mut rx_delta);
                 match &outcome {
                     Ingest::Data(ids, raw) => scatter_values(&mut field, ids, kind, raw, norm.1),
                     Ingest::Missing(_) => {}
-                    Ingest::Corrupt => s.faults.note_checksum_failure(),
+                    Ingest::Corrupt => run.faults.note_checksum_failure(),
                     // verified envelope but unusable contents (e.g. delta
                     // base lost to an earlier fault): treat like a drop and
                     // let degradation cover. Unlike a corrupt piece it has
                     // no entry in the fault log, so say why here
                     Ingest::Reject(why) => {
                         eprintln!("rank {me}: step {t}: block {bid} piece rejected ({why})");
-                        s.faults.note_wire_reject();
+                        run.faults.note_wire_reject();
                     }
                 }
                 account.take(bid, n, &outcome);
             }
-            s.ledger.record_decode(TagClass::BlockData, t0.elapsed().as_nanos() as u64);
+            run.ledger.record_decode(TagClass::BlockData, t0.elapsed().as_nanos() as u64);
         }
         let (degraded, flags) = account.finish();
         drop(recv_sp);
@@ -1920,13 +1976,13 @@ fn render_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
         let mut frags: Vec<Fragment> = Vec::new();
         for &bid in my_blocks {
             let coarser = degraded.binary_search(&bid).is_ok();
-            let plan = &s.plans[bid as usize];
-            frags.extend(plan.render(&field, norm, coarser, &s.camera, &s.cfg.transfer, &params));
+            let (plan, camera, transfer) = (&ren.plans[bid as usize], &ren.camera, &ren.transfer);
+            frags.extend(plan.render(&field, norm, coarser, camera, transfer, &ren.params));
         }
         // scripted load skew: stretch this rank's render phase by the
         // plan's factor, inside the Render span, so the controller sees
         // real measured imbalance to rebalance away
-        let slow = s.faults.slow_rank_factor(me);
+        let slow = run.faults.slow_rank_factor(me);
         if slow > 1.0 {
             std::thread::sleep(render_t0.elapsed().mul_f64(slow - 1.0));
         }
@@ -1937,7 +1993,8 @@ fn render_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
         // active communicator, whose rank 0 — the lowest live renderer —
         // collects the frame
         let comp_sp = obs::span(Phase::Composite, t as u32);
-        let info = FrameInfo::exchange(active, &frags, &s.order_ids, s.cfg.width, s.cfg.height);
+        let (width, height) = ren.size;
+        let info = FrameInfo::exchange(active, &frags, &ren.order_ids, width, height);
         let result = slic(active, &frags, &info, 0, CompositeOptions::default());
         drop(comp_sp);
 
@@ -1945,31 +2002,34 @@ fn render_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
         // the composited frame — for the frame's quality flag
         let merged = active.gather(0, flags).map(|lists| lists.concat());
         if let (Some(mut vol), Some(mut deg)) = (result.image, merged) {
-            if s.sched.frame_dst(t) == output_rank {
+            if run.sched.frame_dst(t) == output_rank {
                 // the flags ride beside the image, charged to both of its
                 // accountings
-                let msg = encode_image(&s.wire, &s.ledger, TagClass::VolumeImage, t as u32, vol);
+                let msg =
+                    encode_image(&run.wire, &run.ledger, TagClass::VolumeImage, t as u32, vol);
                 let flag_bytes = deg.len() as u64 * 8;
-                s.ledger.record_send(TagClass::VolumeImage, flag_bytes, flag_bytes, 0);
+                run.ledger.record_send(TagClass::VolumeImage, flag_bytes, flag_bytes, 0);
                 VOL.send(comm, output_rank, t, (msg, deg));
             } else if let Some(sink) = takeover.as_mut() {
                 // output-failover epoch: the supervising render root assumes
                 // frame assembly — frames continue, tagged migrated, never
                 // skipped silently
                 let mut sp = obs::span(Phase::Assemble, t as u32);
-                sp.add_bytes(overlay_lic(comm, s, t, &mut vol, &mut deg));
+                sp.add_bytes(overlay_lic(comm, run, ren.lic, t, &mut vol, &mut deg));
                 drop(sp);
                 deg.push(Degradation::MigratedEpoch);
-                s.faults.note_migrated_frame();
-                sink.deliver(s, vol, deg);
+                run.faults.note_migrated_frame();
+                sink.deliver(run, vol, deg);
             }
         }
-        checkpoint_ack(comm, s, rr, t, &field, &state, takeover.as_mut());
+        checkpoint_ack(comm, run, rr, t, &field, &state, takeover.as_mut());
     }
 
     // derive the per-frame timings from the span stream
     let seconds = phase_seconds();
-    let timings = (s.start_step..s.steps)
+    let timings = run
+        .steps
+        .clone()
         .map(|t| RenderFrameTiming {
             receive_s: seconds(Phase::Receive, t),
             render_s: seconds(Phase::Render, t),
@@ -1986,10 +2046,10 @@ fn render_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
 /// Render-phase µs per `(render-group rank, step)`, folded from the
 /// session's recorders — what both the controller's measurement window
 /// and the report's utilization counters read.
-fn render_us(session: &Arc<Obs>, s: &Shared) -> Vec<HashMap<u32, u64>> {
-    let mut busy = vec![HashMap::new(); s.sched.n_renderers()];
-    for rec in session.recorders().iter().filter(|rec| rec.group() == "render") {
-        let Some(rr) = s.sched.render_index(rec.rank()) else {
+fn render_us(run: &Run) -> Vec<HashMap<u32, u64>> {
+    let mut busy = vec![HashMap::new(); run.sched.n_renderers()];
+    for rec in run.session.recorders().iter().filter(|rec| rec.group() == "render") {
+        let Some(rr) = run.sched.render_index(rec.rank()) else {
             continue;
         };
         for ev in rec.events().iter().filter(|ev| ev.phase == Phase::Render) {
@@ -2005,9 +2065,9 @@ fn render_us(session: &Arc<Obs>, s: &Shared) -> Vec<HashMap<u32, u64>> {
 /// the controller measures at tick `hi` only after assembling frame
 /// `hi - 1`, which every rank finishes (and drops its spans for) first.
 /// Render busy time is [`crate::control::robust_busy`] of the rank's steps.
-fn measure_window(session: &Arc<Obs>, s: &Shared, lo: usize, hi: usize) -> WindowMeasurement {
+fn measure_window(run: &Run, lo: usize, hi: usize) -> WindowMeasurement {
     let seconds = |us: u64| us as f64 / 1e6;
-    let render_busy = render_us(session, s).into_iter().map(|per_step| {
+    let render_busy = render_us(run).into_iter().map(|per_step| {
         let window = (lo..hi).map(|t| seconds(per_step.get(&(t as u32)).copied().unwrap_or(0)));
         crate::control::robust_busy(window.collect())
     });
@@ -2017,7 +2077,7 @@ fn measure_window(session: &Arc<Obs>, s: &Shared, lo: usize, hi: usize) -> Windo
         send_busy: 0.0,
         steps: hi.saturating_sub(lo),
     };
-    for rec in session.recorders().iter().filter(|rec| rec.group() == "input") {
+    for rec in run.session.recorders().iter().filter(|rec| rec.group() == "input") {
         for ev in rec.events().iter().filter(|ev| (lo..hi).contains(&(ev.step as usize))) {
             match ev.phase {
                 Phase::Read | Phase::Preprocess | Phase::Lic => m.input_busy += seconds(ev.dur_us),
@@ -2032,57 +2092,57 @@ fn measure_window(session: &Arc<Obs>, s: &Shared, lo: usize, hi: usize) -> Windo
     m
 }
 
-fn output_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> RankResult {
+fn output_main(comm: &Comm, run: &Run, out: &OutputCtx, start: Instant) -> RankResult {
     let me = comm.rank();
-    let mut sink = FrameSink::open(session, s, start);
+    let mut sink = FrameSink::open(run, out.keep_frames, start);
     // the hosted controller (one that never ticks when control is off):
     // seeded from the committed state and, on resume, the checkpointed
     // plan history, so new ticks continue the epoch sequence
-    let cfg = s.cfg.control.unwrap_or(ControlConfig::every(0));
-    let mut ctl = Controller::new(cfg, s.elastic.clone(), s.cfg.io.shape().1);
-    ctl.history = s.resume_plans.clone();
+    let input_width = run.sched.shape().per_group;
+    let mut ctl = Controller::new(out.control, run.elastic.clone(), input_width);
+    ctl.history = out.resume_plans.clone();
     // a scripted death keeps a survivor inside whatever the plans shrink
-    match s.sched.kill_role() {
+    match run.sched.kill_role() {
         Some(Role::Input) => ctl.min_width = 2,
         Some(Role::Render) => ctl.min_active = 2,
         _ => {}
     }
     let mut kill_noted = false;
-    for t in s.start_step..s.steps {
-        if !s.sched.presence(me, t).active() {
+    for t in run.steps.clone() {
+        if !run.sched.presence(me, t).active() {
             // scripted output-rank death: go silent; the supervising render
             // root takes over frame assembly from this step on
             break;
         }
-        if let Watch::Beacon(supervisor) = s.sched.watch(me) {
+        if let Watch::Beacon(supervisor) = run.sched.watch(me) {
             // so the render root can detect the scripted death by silence
             membership::heartbeat(comm, t, &[supervisor], &[], |_| None);
         }
         // a scripted rejoin: this rank keeps the plan history, so the
         // joiner asks it what committed while it was out
-        if let Some(j) = s.sched.joiner(t) {
+        if let Some(j) = run.sched.joiner(t) {
             let _sp = obs::span(Phase::Heartbeat, t as u32);
             JOIN.recv(comm, j, t);
-            let window = s.sched.catchup_window(t);
+            let window = run.sched.catchup_window(t);
             let missed = ctl.history.iter().filter(|c| window.contains(&(c.apply_at as usize)));
             CATCHUP.send(comm, j, t, missed.cloned().collect());
         }
         // epoch clock: host the plan-commit round — unless the schedule
         // kills it, and then the frame cadence below never stalls
-        let tick = s.sched.tick(t);
+        let tick = run.sched.tick(t);
         if let Tick::Round { admit } = tick {
             let _sp = obs::span(Phase::Control, t as u32);
-            let lo = t.saturating_sub(ctl.cfg.every).max(s.start_step);
-            let m = measure_window(session, s, lo, t);
+            let lo = t.saturating_sub(out.control.every).max(run.steps.start);
+            let m = measure_window(run, lo, t);
             // a spare-pool join grows the active prefix: its admit
             // plan is forced; everything else is the free decision
             let proposal = if admit {
-                Some(ctl.admit_plan(&m, &s.block_weights, t as u32))
+                Some(ctl.admit_plan(&m, &run.block_weights, t as u32))
             } else {
-                ctl.decide(&m, &s.block_weights, t as u32)
+                ctl.decide(&m, &run.block_weights, t as u32)
             };
-            session.metrics().counter("control.ticks").inc();
-            let participants: Vec<usize> = s.sched.participants(t).collect();
+            run.session.metrics().counter("control.ticks").inc();
+            let participants: Vec<usize> = run.sched.participants(t).collect();
             for &p in &participants {
                 CTL.send(comm, p, t, proposal.clone());
             }
@@ -2097,38 +2157,39 @@ fn output_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
                     CTL_VERDICT.send(comm, p, t, true);
                 }
                 ctl.commit(&plan);
-                if let Some(tier) = &s.cache {
+                if let Some(tier) = &run.cache {
                     tier.flush_for_commit(t as u32);
                 }
             }
         } else if tick == Tick::Killed && !kill_noted {
             kill_noted = true;
-            s.faults.note_controller_kill(t);
+            run.faults.note_controller_kill(t);
         }
-        let frame_src = s.sched.frame_source(&ctl.state, t, &s.block_weights);
+        let frame_src = run.sched.frame_source(&ctl.state, t, &run.block_weights);
         let mut sp = obs::span(Phase::Assemble, t as u32);
         let (vol_msg, mut deg) = VOL.recv(comm, frame_src, t);
-        let decoded = decode_image(&s.wire, &s.ledger, TagClass::VolumeImage, t as u32, vol_msg);
+        let decoded =
+            decode_image(&run.wire, &run.ledger, TagClass::VolumeImage, t as u32, vol_msg);
         let mut vol = decoded.unwrap_or_else(|why| {
             // an undecodable frame body degrades this frame to blank
             // instead of aborting the whole run
-            note_corrupt_image(s, why, t, &mut deg);
-            RgbaImage::new(s.cfg.width, s.cfg.height)
+            note_corrupt_image(run, why, t, &mut deg);
+            RgbaImage::new(out.size.0, out.size.1)
         });
         sp.add_bytes((vol.width() * vol.height() * 16) as u64);
-        sp.add_bytes(overlay_lic(comm, s, t, &mut vol, &mut deg));
+        sp.add_bytes(overlay_lic(comm, run, out.lic, t, &mut vol, &mut deg));
         drop(sp);
         // only pristine frames are cached: a degraded frame must be
         // recomputed next run, when the fault may not recur
-        if let (true, Some(tier)) = (deg.is_empty(), &s.cache) {
-            if let Some(key) = s.frame_key(t) {
+        if let (true, Some(tier)) = (deg.is_empty(), &run.cache) {
+            if let Some(key) = out.frame_key(&run.dataset, t) {
                 tier.frames.insert(key, &vol);
             }
         }
-        sink.deliver(s, vol, deg);
-        if s.checkpoint_due(t) {
+        sink.deliver(run, vol, deg);
+        if let Some(ck) = run.checkpoint_due(t) {
             let _sp = obs::span(Phase::Checkpoint, t as u32);
-            commit_checkpoint(comm, s, t, None, &ctl.state, &ctl.history);
+            commit_checkpoint(comm, run, ck, t, None, &ctl.state, &ctl.history);
             sink.checkpoints += 1;
         }
     }
@@ -2142,26 +2203,27 @@ fn output_main(comm: &Comm, session: &Arc<Obs>, s: &Shared, start: Instant) -> R
 /// overlay bytes composited (0 when LIC is off).
 fn overlay_lic(
     comm: &Comm,
-    s: &Shared,
+    run: &Run,
+    lic: bool,
     t: usize,
     vol: &mut RgbaImage,
     deg: &mut Vec<Degradation>,
 ) -> u64 {
-    if s.surface.is_none() {
+    if !lic {
         return 0;
     }
-    let (lic_msg, lic_missing) = LIC.recv(comm, s.sched.lic_source(t), t);
+    let (lic_msg, lic_missing) = LIC.recv(comm, run.sched.lic_source(t), t);
     if lic_missing {
         deg.push(Degradation::MissingLic);
     }
-    match decode_image(&s.wire, &s.ledger, TagClass::LicImage, t as u32, lic_msg) {
+    match decode_image(&run.wire, &run.ledger, TagClass::LicImage, t as u32, lic_msg) {
         Ok(lic_img) => {
             // the volume rendering sits in front of the surface
             vol.over_inplace(&lic_img);
             (lic_img.width() * lic_img.height() * 16) as u64
         }
         Err(why) => {
-            note_corrupt_image(s, why, t, deg);
+            note_corrupt_image(run, why, t, deg);
             0
         }
     }
@@ -2365,6 +2427,7 @@ mod tests {
             .lighting(true)
             .lic(true)
             .max_steps(3)
+            .io_delay_scale(4.0)
             .run()
             .expect("pipeline");
         assert_eq!(report.frames.len(), 3);
@@ -2374,6 +2437,12 @@ mod tests {
         assert!(covered > 0);
         // lic timing recorded on lead input processors
         assert!(report.input_steps.iter().any(|s| s.lic_s > 0.0));
+        // every injected delay is charged to the read it stands in for —
+        // the LIC surface read's included
+        for (i, s) in report.input_steps.iter().enumerate() {
+            let (real, sim) = (s.read.real_seconds, s.read.sim_seconds);
+            assert!(real >= 4.0 * sim, "step record {i}: {real} s read for {sim} s simulated");
+        }
     }
 
     #[test]
@@ -2507,5 +2576,70 @@ mod tests {
             .run()
             .expect("pipeline");
         assert_eq!(report.frames.len(), 4);
+    }
+
+    /// The output role alone, from literal contexts and no `run_pipeline`:
+    /// in a world of one input, one renderer and the output rank, a fake
+    /// render root sends a pristine frame, one with unsorted duplicate
+    /// flags and one whose envelope is corrupt.
+    #[test]
+    fn output_role_flags_corrupt_frames_and_caches_only_pristine_ones() {
+        let dataset = SimulationBuilder::new().resolution(8).steps(3).run_to_dataset().unwrap();
+        let shape = WorldShape { groups: 1, per_group: 1, renderers: 1, spares: 0 };
+        let tier = CacheTier::new(crate::cache::CacheConfig { blocks_mb: 0, frames: 8 });
+        let run = Run {
+            dataset: dataset.clone(),
+            steps: 0..3,
+            session: Obs::new(false),
+            sched: Schedule::new(&[], None, shape, true, None, 3).unwrap(),
+            faults: FaultPlan::new(FaultSpec::default()),
+            wire: WireSpec::raw(),
+            ledger: Arc::new(WireLedger::new()),
+            elastic: EpochState::with_active(vec![vec![0]], 1, 1),
+            block_weights: vec![1],
+            cache: Some(Arc::clone(&tier)),
+            heartbeat: Duration::from_secs(1),
+            checkpoints: None,
+        };
+        let out = OutputCtx {
+            control: ControlConfig::every(0),
+            resume_plans: Vec::new(),
+            keep_frames: true,
+            size: (4, 4),
+            level: 0,
+            camera_hash: 7,
+            transfer: TransferFunction::seismic(),
+            quantize: false,
+            lighting: false,
+            lic: false,
+        };
+        let mut image = RgbaImage::new(4, 4);
+        image.pixels_mut().fill([0.5; 4]);
+        let (lic, coarser) = (Degradation::MissingLic, |block| Degradation::CoarserLevel { block });
+        let results = World::run(3, |comm| match comm.rank() {
+            1 => {
+                let plain = || proto::WireImage::Plain(image.clone());
+                VOL.send(&comm, 2, 0, (plain(), Vec::new()));
+                VOL.send(&comm, 2, 1, (plain(), vec![lic, coarser(3), lic, coarser(1)]));
+                let body = vec![0xff; 5];
+                let corrupt = proto::WireImage::Coded { width: 4, height: 4, coded: true, body };
+                VOL.send(&comm, 2, 2, (corrupt, Vec::new()));
+                None
+            }
+            2 => Some(output_main(&comm, &run, &out, Instant::now())),
+            _ => None,
+        });
+        let Some(RankResult::Output { sink, plans }) = results.into_iter().flatten().next() else {
+            panic!("the output rank returned no sink");
+        };
+        assert!(plans.is_empty());
+        let flags = [vec![], vec![coarser(1), coarser(3), lic], vec![Degradation::CorruptImage]];
+        assert_eq!(sink.degraded, flags);
+        assert_eq!(sink.frames[1].pixels(), image.pixels());
+        assert!(sink.frames[2].pixels().iter().all(|p| *p == [0.0; 4]), "a corrupt frame is blank");
+        let key = |t| out.frame_key(&dataset, t).unwrap();
+        assert!(tier.frames.contains(key(0)));
+        assert_eq!(tier.frames.len(), 1, "only the pristine frame is cached");
+        assert_eq!(run.faults.recovery().wire_rejects, 1);
     }
 }

@@ -67,6 +67,13 @@ ratchet "block-degradation rule (pipeline.rs)" 0 "$(count_sites \
     'Degradation::(CoarserLevel|MissingBlock)|vec!\\[0usize; nblocks\\]' \
     crates/core/src/pipeline.rs)"
 
+# Role contexts: `run_pipeline` resolves the configuration once into a
+# `Run` plus one context per role; no bag of everything (`Shared`) and no
+# raw-config read (`.cfg.`) may grow back. (awk has no `\b`: the word
+# boundary is spelled out.)
+ratchet "role contexts (pipeline.rs)" 0 "$(count_sites \
+    '(^|[^A-Za-z0-9_])Shared([^A-Za-z0-9_]|$)|\\.cfg\\.' crates/core/src/pipeline.rs)"
+
 # Wall-clock sites: `Instant::now()` / `thread::sleep(` in the runtime
 # crates — each is a place real time leaks into the protocol, and the
 # count the virtual-time work (ROADMAP) drives down to its

@@ -78,9 +78,10 @@ fn clean_onedip_cold_and_warm_match_oracle() {
         warm.frames.len() as u64,
         "a clean warm replay must serve every frame from the cache"
     );
-    // a replay renders nothing, so it builds no brick plans
+    // a replay runs no ranks: it builds no brick plans and sends nothing
     assert!(counter(&cold, "render.plan_bytes") > 0);
     assert_eq!(counter(&warm, "render.plan_bytes"), 0, "a warm replay built brick plans");
+    assert_eq!(warm.messages, 0, "a warm replay exchanged messages");
 }
 
 /// Clean 2DIP: the collective read path never consults the block cache

@@ -92,7 +92,7 @@ cache_cold: bytes.block_data=676352 bytes.collective=3892 bytes.composite=328960
   parfs.ost0.bytes=1543632 parfs.ost0.reads=4 wire.keyframes.block_data=256
   work.raycast.bricks_skipped=183 work.raycast.rays=18109 work.raycast.samples=86478
   work.raycast.samples_culled=54163 work.slic.over_px=29948
-cache_warm: cache.block.bytes=1543632 cache.frame.hits=4 frames=4 messages=10 msgs.collective=10
+cache_warm: cache.block.bytes=1543632 cache.frame.hits=4 frames=4
 parfs_ost4: parfs.ost0.bytes=262144 parfs.ost0.reads=4 parfs.ost1.bytes=262144 parfs.ost1.reads=4
   parfs.ost2.bytes=262144 parfs.ost2.reads=4 parfs.ost3.bytes=262144 parfs.ost3.reads=4
   parfs.sim_contig_us.flat=65929 parfs.sim_contig_us.ost4=22107
