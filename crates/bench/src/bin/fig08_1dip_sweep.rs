@@ -9,8 +9,8 @@
 //! Columns: m, total time/frame (DES steady interframe), rendering time.
 
 use quakeviz_bench::{header, row, s3};
-use quakeviz_core::des::{simulate, CostTable, DesStrategy, FigureOptions};
-use quakeviz_core::model;
+use quakeviz_core::des::{simulate, CostTable, FigureOptions};
+use quakeviz_core::{model, IoStrategy};
 
 fn main() {
     let adaptive = std::env::args().any(|a| a == "--adaptive");
@@ -24,7 +24,7 @@ fn main() {
     let m_opt = model::onedip_optimal_m(c.tf, c.tp, c.ts, c.tr);
     header(&["m", "total_s", "render_s"]);
     for m in 1..=16 {
-        let r = simulate(DesStrategy::OneDip { m }, &c, 300);
+        let r = simulate(IoStrategy::OneDip { input_procs: m }, &c, 300);
         row(&[m.to_string(), s3(r.steady_interframe()), s3(c.tr)]);
     }
     eprintln!("analytic optimal m = {m_opt} (paper: 12 full-res, 4 with adaptive fetching)");

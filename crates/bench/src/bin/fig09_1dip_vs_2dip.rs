@@ -7,8 +7,8 @@
 //! Columns: groups, 1DIP total, 2DIP total, render time.
 
 use quakeviz_bench::{header, row, s3};
-use quakeviz_core::des::{simulate, CostTable, DesStrategy, FigureOptions};
-use quakeviz_core::model;
+use quakeviz_core::des::{simulate, CostTable, FigureOptions};
+use quakeviz_core::{model, IoStrategy};
 
 fn main() {
     let c = CostTable::lemieux(128, 512, 512, FigureOptions::default());
@@ -19,8 +19,9 @@ fn main() {
     );
     header(&["groups", "onedip_s", "twodip_s", "render_s"]);
     for x in [1usize, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22] {
-        let one = simulate(DesStrategy::OneDip { m: x }, &c, 300).steady_interframe();
-        let two = simulate(DesStrategy::TwoDip { n: x, m }, &c, 300).steady_interframe();
+        let one = simulate(IoStrategy::OneDip { input_procs: x }, &c, 300).steady_interframe();
+        let two =
+            simulate(IoStrategy::TwoDip { groups: x, per_group: m }, &c, 300).steady_interframe();
         row(&[x.to_string(), s3(one), s3(two), s3(c.tr)]);
     }
     let n = model::twodip_n(c.tf, c.tp, c.ts, m);

@@ -6,8 +6,8 @@
 //! Columns: m, total@64, render@64, total@128, render@128.
 
 use quakeviz_bench::{header, row, s3};
-use quakeviz_core::des::{simulate, CostTable, DesStrategy, FigureOptions};
-use quakeviz_core::model;
+use quakeviz_core::des::{simulate, CostTable, FigureOptions};
+use quakeviz_core::{model, IoStrategy};
 
 fn main() {
     let opts =
@@ -20,8 +20,8 @@ fn main() {
     );
     header(&["m", "total64_s", "render64_s", "total128_s", "render128_s"]);
     for m in 1..=6 {
-        let r64 = simulate(DesStrategy::OneDip { m }, &c64, 300);
-        let r128 = simulate(DesStrategy::OneDip { m }, &c128, 300);
+        let r64 = simulate(IoStrategy::OneDip { input_procs: m }, &c64, 300);
+        let r128 = simulate(IoStrategy::OneDip { input_procs: m }, &c128, 300);
         row(&[
             m.to_string(),
             s3(r64.steady_interframe()),

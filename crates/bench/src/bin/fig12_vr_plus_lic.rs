@@ -7,8 +7,8 @@
 //! preprocessing charged to the input processors).
 
 use quakeviz_bench::{header, row, s3};
-use quakeviz_core::des::{simulate, CostTable, DesStrategy, FigureOptions};
-use quakeviz_core::model;
+use quakeviz_core::des::{simulate, CostTable, FigureOptions};
+use quakeviz_core::{model, IoStrategy};
 
 fn main() {
     let c = CostTable::lemieux(64, 512, 512, FigureOptions { lic: true, ..Default::default() });
@@ -18,7 +18,7 @@ fn main() {
     );
     header(&["m", "total_s", "render_s"]);
     for m in (2..=18).step_by(2) {
-        let r = simulate(DesStrategy::OneDip { m }, &c, 300);
+        let r = simulate(IoStrategy::OneDip { input_procs: m }, &c, 300);
         row(&[m.to_string(), s3(r.steady_interframe()), s3(c.tr)]);
     }
     let m_opt = model::onedip_optimal_m(c.tf, c.tp, c.ts, c.tr);

@@ -83,13 +83,24 @@ use quakeviz_rt::obs::{prof, Phase};
 use quakeviz_rt::{chaos as rt_chaos, FaultSpec, WireSpec};
 use std::collections::BTreeMap;
 
+/// A usage error: name what was wrong and exit 2, like an unknown flag.
+fn fail(msg: &str) -> ! {
+    eprintln!("pipeline-report: {msg} (see the doc comment for usage)");
+    std::process::exit(2)
+}
+
+fn num<T: std::str::FromStr>(v: &str, what: &str) -> T {
+    v.parse().unwrap_or_else(|_| fail(&format!("{what}: bad value {v:?}")))
+}
+
 fn parse_pair(v: &str, sep: char, what: &str) -> (usize, usize) {
-    if let Some((a, b)) = v.split_once(sep) {
-        if let (Ok(a), Ok(b)) = (a.parse(), b.parse()) {
-            return (a, b);
-        }
-    }
-    panic!("{what}: expected <a>{sep}<b>, got {v:?}")
+    let pair = v.split_once(sep).and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)));
+    pair.unwrap_or_else(|| fail(&format!("{what}: expected <a>{sep}<b>, got {v:?}")))
+}
+
+/// A `key=value` spec flag's value, or exit 2 naming the flag.
+fn spec<T>(parsed: Result<T, String>, what: &str) -> T {
+    parsed.unwrap_or_else(|e| fail(&format!("{what}: {e}")))
 }
 
 fn main() {
@@ -116,13 +127,14 @@ fn main() {
     let mut osts = 0usize;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut val = |what: &str| args.next().unwrap_or_else(|| panic!("{what} needs a value"));
+        let mut val =
+            |what: &str| args.next().unwrap_or_else(|| fail(&format!("{what} needs a value")));
         match a.as_str() {
-            "--renderers" => renderers = val("--renderers").parse().expect("--renderers N"),
-            "--input-procs" => input_procs = val("--input-procs").parse().expect("--input-procs M"),
+            "--renderers" => renderers = num(&val("--renderers"), "--renderers N"),
+            "--input-procs" => input_procs = num(&val("--input-procs"), "--input-procs M"),
             "--twodip" => twodip = Some(parse_pair(&val("--twodip"), 'x', "--twodip")),
-            "--steps" => steps = val("--steps").parse().expect("--steps K"),
-            "--io-delay" => io_delay = val("--io-delay").parse().expect("--io-delay S"),
+            "--steps" => steps = num(&val("--steps"), "--steps K"),
+            "--io-delay" => io_delay = num(&val("--io-delay"), "--io-delay S"),
             "--size" => {
                 let (w, h) = parse_pair(&val("--size"), 'x', "--size");
                 size = (w as u32, h as u32);
@@ -131,31 +143,24 @@ fn main() {
             "--quantize" => quantize = true,
             "--prefetch" => prefetch = true,
             "--trace" => trace = true,
-            "--faults" => faults = Some(FaultSpec::parse(&val("--faults")).expect("--faults SPEC")),
-            "--chaos" => chaos = Some(val("--chaos").parse().expect("--chaos SEED")),
-            "--codec" => {
-                codec = Some(WireSpec::parse(&val("--codec")).expect("--codec SPEC"));
-            }
-            "--deadline-ms" => {
-                deadline_ms = Some(val("--deadline-ms").parse().expect("--deadline-ms MS"))
-            }
+            "--faults" => faults = Some(spec(FaultSpec::parse(&val("--faults")), "--faults SPEC")),
+            "--chaos" => chaos = Some(num(&val("--chaos"), "--chaos SEED")),
+            "--codec" => codec = Some(spec(WireSpec::parse(&val("--codec")), "--codec SPEC")),
+            "--deadline-ms" => deadline_ms = Some(num(&val("--deadline-ms"), "--deadline-ms MS")),
             "--checkpoint-every" => {
-                checkpoint_every =
-                    Some(val("--checkpoint-every").parse().expect("--checkpoint-every K"))
+                checkpoint_every = Some(num(&val("--checkpoint-every"), "--checkpoint-every K"))
             }
-            "--elastic" => elastic = Some(val("--elastic").parse().expect("--elastic K")),
+            "--elastic" => elastic = Some(num(&val("--elastic"), "--elastic K")),
             "--elastic-resize" => elastic_resize = true,
             "--elastic-reshape" => elastic_reshape = true,
-            "--cache" => {
-                cache = Some(CacheConfig::parse(&val("--cache")).expect("--cache SPEC"));
-            }
+            "--cache" => cache = Some(spec(CacheConfig::parse(&val("--cache")), "--cache SPEC")),
             "--warm" => warm = true,
-            "--osts" => osts = val("--osts").parse().expect("--osts N"),
-            other => {
-                eprintln!("unknown flag {other} (see the doc comment for usage)");
-                std::process::exit(2);
-            }
+            "--osts" => osts = num(&val("--osts"), "--osts N"),
+            other => fail(&format!("unknown flag {other}")),
         }
+    }
+    if (elastic_resize || elastic_reshape) && elastic.is_none() {
+        fail("--elastic-resize and --elastic-reshape need --elastic K");
     }
     let io = twodip.map_or(IoStrategy::OneDip { input_procs }, |(n, m)| IoStrategy::TwoDip {
         groups: n,
@@ -167,8 +172,7 @@ fn main() {
     // wait, so default the deadline down from the builder's generous one
     let chaos_schedule = chaos.map(|seed| {
         if faults.is_some() {
-            eprintln!("--chaos generates its own fault plan; drop --faults");
-            std::process::exit(2);
+            fail("--chaos generates its own fault plan; drop --faults");
         }
         let (n_inputs, input_kills) = (io.total_input_procs(), io.shape().1 >= 2);
         let topo = rt_chaos::ChaosTopology { n_inputs, renderers, steps, input_kills };
@@ -205,10 +209,10 @@ fn main() {
             builder = builder.checkpoint_every(k);
         }
         if let Some(every) = elastic {
-            builder = builder.elastic(every).elastic_resize(elastic_resize);
-            if elastic_reshape {
-                builder = builder.elastic_reshape(true);
-            }
+            builder = builder
+                .elastic(every)
+                .elastic_resize(elastic_resize)
+                .elastic_reshape(elastic_reshape);
         }
         if let Some(t) = &tier {
             builder = builder.cache_tier(std::sync::Arc::clone(t));
@@ -220,14 +224,13 @@ fn main() {
     };
     if warm {
         if tier.is_none() {
-            eprintln!("--warm needs an enabled --cache tier to prime");
-            std::process::exit(2);
+            fail("--warm needs an enabled --cache tier to prime");
         }
         // unreported priming run against the same tier: the reported run
         // below is the warm replay
-        build().run().expect("priming run");
+        build().run().unwrap_or_else(|e| fail(&format!("priming run: {e}")));
     }
-    let report = build().run().expect("pipeline");
+    let report = build().run().unwrap_or_else(|e| fail(&format!("pipeline: {e}")));
     let tr = &report.trace;
 
     println!(

@@ -9,7 +9,7 @@
 //! Columns (part 2): m, analytic_s, des_s, rel_err.
 
 use quakeviz_bench::{header, row, s3, tiny_dataset};
-use quakeviz_core::des::{simulate, CostTable, DesStrategy, FigureOptions};
+use quakeviz_core::des::{simulate, CostTable, FigureOptions};
 use quakeviz_core::{model, IoStrategy, PipelineBuilder};
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
     let m_analytic = model::onedip_optimal_m(c.tf, c.tp, c.ts, c.tr);
     let knee = (1..=24)
         .find(|&m| {
-            let d = simulate(DesStrategy::OneDip { m }, &c, 300).steady_interframe();
+            let d = simulate(IoStrategy::OneDip { input_procs: m }, &c, 300).steady_interframe();
             (d - c.tr).abs() < 0.05
         })
         .unwrap_or(0);
@@ -26,8 +26,8 @@ fn main() {
 
     header(&["m", "analytic_s", "des_s", "rel_err"]);
     for m in 1..=16 {
-        let analytic = model::onedip_steady_delay(c.tf_effective(m), c.tp, c.ts, c.tr, m);
-        let des = simulate(DesStrategy::OneDip { m }, &c, 600).steady_interframe();
+        let analytic = model::steady_delay(c.tf_effective(m), c.tp, c.ts, c.tr, (m, 1));
+        let des = simulate(IoStrategy::OneDip { input_procs: m }, &c, 600).steady_interframe();
         row(&[
             m.to_string(),
             s3(analytic),
@@ -61,7 +61,8 @@ fn main() {
     eprintln!("{:>3} {:>12} {:>12}", "m", "real_s", "des_s");
     for m in [1usize, 2, 3, 4] {
         let real = run(m).mean_interframe_delay();
-        let des = simulate(DesStrategy::OneDip { m }, &measured, ds.steps()).mean_interframe();
+        let des = simulate(IoStrategy::OneDip { input_procs: m }, &measured, ds.steps())
+            .mean_interframe();
         eprintln!("{m:>3} {real:>12.3} {des:>12.3}");
     }
 }

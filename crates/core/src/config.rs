@@ -2,7 +2,7 @@
 
 use crate::cache::{CacheConfig, CacheTier};
 use crate::control::ControlConfig;
-use quakeviz_render::{AdaptivePolicy, Camera, TransferFunction};
+use quakeviz_render::{Camera, TransferFunction};
 use quakeviz_rt::fault::FaultSpec;
 use quakeviz_rt::wire::WireSpec;
 use quakeviz_seismic::Dataset;
@@ -89,29 +89,21 @@ impl IoStrategy {
     }
 }
 
-/// How a time step is pulled off the parallel file system (paper §5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadStrategy {
-    /// §5.3.2: each input processor reads a contiguous `1/m` slice of the
-    /// node array and routes pieces to renderers, which merge.
-    IndependentContiguous,
-    /// §5.3.1: derived datatypes + collective read (two-phase with data
-    /// sieving over the given window).
-    CollectiveNoncontiguous { sieve_window: u64 },
-}
-
 /// Full pipeline configuration. Construct through [`PipelineBuilder`].
+///
+/// Every input processor reads its share of a step independently: a 2DIP
+/// member takes a contiguous `1/m` slice of the node array (paper §5.3.2)
+/// and routes pieces to the renderers, which merge. The §5.3.1 collective
+/// read is compared against it in `tab_read_strategies`, not run here.
 #[derive(Clone)]
 pub struct PipelineConfig {
     pub renderers: usize,
     pub io: IoStrategy,
-    pub read: ReadStrategy,
     pub width: u32,
     pub height: u32,
-    /// Octree level to render/fetch at; `None` lets [`AdaptivePolicy`]
-    /// choose from the image size.
+    /// Octree level to render/fetch at; `None` lets the default
+    /// [`quakeviz_render::AdaptivePolicy`] choose from the image size.
     pub level: Option<u8>,
-    pub adaptive: AdaptivePolicy,
     /// Fetch only the nodes of the selected level (paper §6).
     pub adaptive_fetch: bool,
     pub lighting: bool,
@@ -140,9 +132,9 @@ pub struct PipelineConfig {
     /// most two steps' non-blocking block sends in flight (backpressure
     /// via [`quakeviz_rt::SendHandle`]). Everything else about a step —
     /// membership, epoch ticks, slices, routing, delta state — is the same
-    /// code either way, so it composes with every other feature except
-    /// 2DIP collective reads. Frames are bit-identical to the run with
-    /// this off (the default), which remains the reference oracle.
+    /// code either way, so it composes with every other feature. Frames
+    /// are bit-identical to the run with this off (the default), which
+    /// remains the reference oracle.
     pub prefetch: bool,
     /// Detailed observability: record runtime auto spans (blocking
     /// receives, barriers, MPI-IO reads, compositing rounds) in addition
@@ -240,11 +232,9 @@ impl Default for PipelineConfig {
         PipelineConfig {
             renderers: 4,
             io: IoStrategy::OneDip { input_procs: 2 },
-            read: ReadStrategy::IndependentContiguous,
             width: 256,
             height: 256,
             level: None,
-            adaptive: AdaptivePolicy::default(),
             adaptive_fetch: false,
             lighting: false,
             enhancement: false,
@@ -294,11 +284,6 @@ impl PipelineBuilder {
 
     pub fn io_strategy(mut self, io: IoStrategy) -> Self {
         self.config.io = io;
-        self
-    }
-
-    pub fn read_strategy(mut self, read: ReadStrategy) -> Self {
-        self.config.read = read;
         self
     }
 

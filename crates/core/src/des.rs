@@ -18,6 +18,8 @@
 //! floor of §5.2); rendering of step `t` overlaps the delivery of step
 //! `t+1`; the frame is done when rendering (incl. compositing) ends.
 
+use crate::config::IoStrategy;
+
 /// Per-time-step costs, in seconds, for a chosen renderer count and image
 /// size. `Tr` must include the compositing cost (the paper folds it into
 /// the rendering time; SLIC keeps it roughly constant).
@@ -95,15 +97,6 @@ impl CostTable {
     }
 }
 
-/// Which schedule to simulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DesStrategy {
-    /// `m` input processors, each owning whole time steps.
-    OneDip { m: usize },
-    /// `n` groups of `m` input processors, each group owning whole steps.
-    TwoDip { n: usize, m: usize },
-}
-
 /// Simulation output.
 #[derive(Debug, Clone)]
 pub struct DesResult {
@@ -137,13 +130,13 @@ impl DesResult {
     }
 }
 
-/// Run the schedule for `steps` time steps.
-pub fn simulate(strategy: DesStrategy, cost: &CostTable, steps: usize) -> DesResult {
+/// Run the schedule of `strategy` — its [`IoStrategy::shape`], `groups`
+/// steps in flight, each shared by `per_group` readers — for `steps` time
+/// steps.
+pub fn simulate(strategy: IoStrategy, cost: &CostTable, steps: usize) -> DesResult {
     assert!(steps > 0);
-    let (n_groups, m_per_group) = match strategy {
-        DesStrategy::OneDip { m } => (m.max(1), 1),
-        DesStrategy::TwoDip { n, m } => (n.max(1), m.max(1)),
-    };
+    let (groups, per_group) = strategy.shape();
+    let (n_groups, m_per_group) = (groups.max(1), per_group.max(1));
     // effective per-group costs
     let streams = n_groups * m_per_group;
     let m = m_per_group as f64;
@@ -195,7 +188,7 @@ mod tests {
     #[test]
     fn single_ip_serial_chain() {
         let c = lemieux64();
-        let r = simulate(DesStrategy::OneDip { m: 1 }, &c, 10);
+        let r = simulate(IoStrategy::OneDip { input_procs: 1 }, &c, 10);
         // steady interframe = Tf+Tp+Ts (render hides inside the next fetch)
         let expect = c.tf + c.tp + c.ts;
         assert!(
@@ -205,26 +198,22 @@ mod tests {
         );
     }
 
+    /// The schedule and the closed form agree over the whole n × m grid —
+    /// 1DIP is its m = 1 column — on both LeMieux tables.
     #[test]
-    fn des_matches_analytic_steady_state_onedip() {
-        let c = lemieux64();
-        for m in 1..=14 {
-            let r = simulate(DesStrategy::OneDip { m }, &c, 600);
-            let analytic = model::onedip_steady_delay(c.tf_effective(m), c.tp, c.ts, c.tr, m);
-            let rel = (r.steady_interframe() - analytic).abs() / analytic;
-            assert!(rel < 0.03, "m={m}: des {} vs analytic {analytic}", r.steady_interframe());
-        }
-    }
-
-    #[test]
-    fn des_matches_analytic_steady_state_twodip() {
-        let c = lemieux128();
-        for n in 1..=16 {
-            let r = simulate(DesStrategy::TwoDip { n, m: 2 }, &c, 600);
-            let analytic =
-                model::twodip_steady_delay(c.tf_effective(n * 2), c.tp, c.ts, c.tr, n, 2);
-            let rel = (r.steady_interframe() - analytic).abs() / analytic;
-            assert!(rel < 0.03, "n={n}: des {} vs analytic {analytic}", r.steady_interframe());
+    fn des_matches_analytic_steady_state() {
+        for c in [lemieux64(), lemieux128()] {
+            for (n, m) in (1..=16).flat_map(|n| [1, 2, 3].map(|m| (n, m))) {
+                let io = match m {
+                    1 => IoStrategy::OneDip { input_procs: n },
+                    _ => IoStrategy::TwoDip { groups: n, per_group: m },
+                };
+                let des = simulate(io, &c, 600).steady_interframe();
+                let analytic =
+                    model::steady_delay(c.tf_effective(n * m), c.tp, c.ts, c.tr, io.shape());
+                let rel = (des - analytic).abs() / analytic;
+                assert!(rel < 0.03, "Tr={} {n}x{m}: des {des} vs analytic {analytic}", c.tr);
+            }
         }
     }
 
@@ -233,7 +222,7 @@ mod tests {
         // 64 renderers, 512²: interframe falls from ~23 s at m=1 to the
         // 2 s render time at m=12 (the paper's Figure 8 knee)
         let c = lemieux64();
-        let at = |m| simulate(DesStrategy::OneDip { m }, &c, 60).steady_interframe();
+        let at = |m| simulate(IoStrategy::OneDip { input_procs: m }, &c, 60).steady_interframe();
         assert!(at(1) > 20.0);
         let m_opt = model::onedip_optimal_m(c.tf, c.tp, c.ts, c.tr);
         assert_eq!(m_opt, 12);
@@ -257,8 +246,10 @@ mod tests {
     fn figure9_shape_onedip_stuck_twodip_reaches_tr() {
         // 128 renderers: Ts (1.2) > Tr (1.0)
         let c = lemieux128();
-        let one = |m| simulate(DesStrategy::OneDip { m }, &c, 80).steady_interframe();
-        let two = |n| simulate(DesStrategy::TwoDip { n, m: 2 }, &c, 80).steady_interframe();
+        let one = |m| simulate(IoStrategy::OneDip { input_procs: m }, &c, 80).steady_interframe();
+        let two = |n| {
+            simulate(IoStrategy::TwoDip { groups: n, per_group: 2 }, &c, 80).steady_interframe()
+        };
         // 1DIP floors at Ts, above the render time
         assert!((one(22) - c.ts).abs() < 1e-9);
         assert!(one(22) > c.tr + 0.1);
@@ -284,7 +275,8 @@ mod tests {
         let knee = |c: &CostTable| {
             (1..=20)
                 .find(|&m| {
-                    let d = simulate(DesStrategy::OneDip { m }, c, 60).steady_interframe();
+                    let d =
+                        simulate(IoStrategy::OneDip { input_procs: m }, c, 60).steady_interframe();
                     (d - c.tr).abs() < 0.05
                 })
                 .unwrap()
@@ -299,7 +291,7 @@ mod tests {
     fn figure12_lic_hidden_at_sixteen() {
         // VR + LIC, 64 renderers, 1DIP: cost fully hidden at 16 IPs
         let c = CostTable::lemieux(64, 512, 512, FigureOptions { lic: true, ..Default::default() });
-        let at = |m| simulate(DesStrategy::OneDip { m }, &c, 60).steady_interframe();
+        let at = |m| simulate(IoStrategy::OneDip { input_procs: m }, &c, 60).steady_interframe();
         assert!((at(16) - c.tr).abs() < 0.05, "LIC should be hidden at 16 IPs: {}", at(16));
         assert!(at(4) > c.tr + 1.0, "4 IPs cannot hide VR+LIC: {}", at(4));
     }
@@ -313,8 +305,8 @@ mod tests {
         assert_eq!(c.tf_effective(8), 20.0);
         // so the delay stops improving once fetch saturates: beyond the
         // saturation point it converges to tf/saturation
-        let d8 = simulate(DesStrategy::OneDip { m: 8 }, &c, 200).steady_interframe();
-        let d16 = simulate(DesStrategy::OneDip { m: 16 }, &c, 200).steady_interframe();
+        let d8 = simulate(IoStrategy::OneDip { input_procs: 8 }, &c, 200).steady_interframe();
+        let d16 = simulate(IoStrategy::OneDip { input_procs: 16 }, &c, 200).steady_interframe();
         assert!((d16 - d8).abs() < 0.1, "saturated fetch cannot keep improving: {d8} vs {d16}");
         assert!((d8 - 10.0 / 4.0).abs() < 0.2, "converges to tf/saturation, got {d8}");
     }
@@ -322,7 +314,9 @@ mod tests {
     #[test]
     fn frame_times_monotone() {
         let c = lemieux64();
-        for strat in [DesStrategy::OneDip { m: 5 }, DesStrategy::TwoDip { n: 3, m: 2 }] {
+        for strat in
+            [IoStrategy::OneDip { input_procs: 5 }, IoStrategy::TwoDip { groups: 3, per_group: 2 }]
+        {
             let r = simulate(strat, &c, 40);
             for w in r.frame_done.windows(2) {
                 assert!(w[1] > w[0], "frames must complete in order");

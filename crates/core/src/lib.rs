@@ -21,9 +21,10 @@
 //!   at terascale, while small-scale tables are validated against the
 //!   real pipeline.
 //! * [`reader`] — the two §5.3 reading strategies implemented over the
-//!   MPI-IO layer: *single collective noncontiguous read* and
-//!   *independent contiguous read* (with renderer-side merge, Figure 7),
-//!   plus adaptive fetching (§6).
+//!   MPI-IO layer: the *independent contiguous read* every input rank of
+//!   the pipeline makes (with renderer-side merge, Figure 7), the *single
+//!   collective noncontiguous read* it is measured against
+//!   (`tab_read_strategies`), plus adaptive fetching (§6).
 //! * [`pipeline`] — the real threaded pipeline: spawns input/render/output
 //!   ranks over [`quakeviz_rt`], runs every frame end-to-end (read →
 //!   preprocess → distribute → render → SLIC-composite → deliver) and
@@ -64,14 +65,11 @@ pub use cache::{
     BlockCache, BlockKey, CacheConfig, CacheCounters, CacheTier, FrameCache, FrameKey,
 };
 pub use checkpoint::{CheckpointError, CheckpointManifest, CHECKPOINT_VERSION};
-pub use config::{IoStrategy, PipelineBuilder, PipelineConfig, ReadStrategy, RetryPolicy};
+pub use config::{IoStrategy, PipelineBuilder, PipelineConfig, RetryPolicy};
 pub use control::{ControlConfig, ControlPlan};
-pub use des::{simulate, CostTable, DesResult, DesStrategy};
+pub use des::{simulate, CostTable, DesResult};
 pub use membership::FaultConfigError;
-pub use model::{
-    onedip_optimal_m, onedip_prefetch_delay, onedip_steady_delay, twodip_n, twodip_optimal_m,
-    twodip_prefetch_delay, twodip_steady_delay,
-};
+pub use model::{onedip_optimal_m, prefetch_delay, steady_delay, twodip_n, twodip_optimal_m};
 pub use pipeline::{run_pipeline, Degradation, PipelineReport};
 pub use proto::wire_checksum;
 pub use validate::ModelValidation;

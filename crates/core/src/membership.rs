@@ -129,15 +129,13 @@ impl Schedule {
     /// Validate a scripted membership timeline (normalized by
     /// `FaultSpec::parse`) against the world shape and the control-plane
     /// mode, for a run of `steps` steps. `fail_controller` is the scripted
-    /// controller kill, after which no plan commits; `contiguous_reads`
-    /// whether 2DIP members read slices a survivor can re-read. A rejoin
-    /// needs nothing: it ends an overlay, at any step — even one past the
+    /// controller kill, after which no plan commits. A rejoin needs
+    /// nothing: it ends an overlay, at any step — even one past the
     /// run's end, where the window just stays open for a resumed run.
     pub fn new(
         timeline: &[MembershipEvent],
         fail_controller: Option<usize>,
         shape: WorldShape,
-        contiguous_reads: bool,
         control: Option<ControlConfig>,
         steps: usize,
     ) -> Result<Schedule, FaultConfigError> {
@@ -165,10 +163,10 @@ impl Schedule {
                 return Err(FaultConfigError::StepOutOfRange { step, steps });
             }
         }
-        // an input death is survivable inside a 2DIP group reading
-        // contiguous slices, a render death beside a second renderer, the
-        // output's always: its render-root supervisor assumes frame assembly
-        let group_survives = shape.per_group >= 2 && contiguous_reads;
+        // an input death is survivable inside a 2DIP group of two or more
+        // (a survivor re-reads its slice), a render death beside a second
+        // renderer, the output's always: its render-root supervisor assumes
+        // frame assembly
         for ev in timeline {
             let (rank, step) = (ev.rank(), ev.step());
             return Err(match ev {
@@ -180,7 +178,7 @@ impl Schedule {
                     FaultConfigError::RankOutOfRange { rank, world: output_rank + 1 }
                 }
                 _ if step >= steps => FaultConfigError::StepOutOfRange { step, steps },
-                _ if rank < n_inputs && !group_survives => {
+                _ if rank < n_inputs && shape.per_group < 2 => {
                     FaultConfigError::InputNotSurvivable { rank, step }
                 }
                 _ if (n_inputs..output_rank).contains(&rank) && shape.renderers < 2 => {
@@ -379,7 +377,7 @@ pub enum FaultConfigError {
     /// death would never fire.
     StepOutOfRange { step: usize, steps: usize },
     /// An input-rank death is only survivable inside a 2DIP group of at
-    /// least two with independent contiguous reads.
+    /// least two, whose survivors re-read the dead rank's slice.
     InputNotSurvivable { rank: usize, step: usize },
     /// A render-rank death is only survivable with at least two
     /// rendering processors for the dead rank's blocks to be overlaid onto.
@@ -419,8 +417,7 @@ impl std::fmt::Display for FaultConfigError {
             FaultConfigError::InputNotSurvivable { rank, step } => write!(
                 f,
                 "fail_rank={rank}@{step} needs a 2DIP input group of at least 2 \
-                 with independent contiguous reads so the dead rank's slice can \
-                 fail over to a survivor"
+                 so the dead rank's slice can fail over to a survivor"
             ),
             FaultConfigError::RenderNotSurvivable { rank, step } => write!(
                 f,
@@ -647,7 +644,7 @@ mod tests {
 
     fn build(c: &Case) -> Schedule {
         let control = c.control.map(ControlConfig::every);
-        Schedule::new(c.timeline, c.fail_controller, c.shape, true, control, STEPS)
+        Schedule::new(c.timeline, c.fail_controller, c.shape, control, STEPS)
             .unwrap_or_else(|e| panic!("{}: {e}", c.name))
     }
 
@@ -734,7 +731,7 @@ mod tests {
         let owners_at = |t| killed.owners(&state, t, &[1, 1, 1]);
         assert_eq!(owners_at(2).len(), 3);
         assert_eq!(owners_at(3).iter().map(|o| o.0).collect::<Vec<_>>(), [0, 2]);
-        let first_dead = Schedule::new(&[Fail { rank: 2, step: 1 }], None, WIDE, true, None, STEPS);
+        let first_dead = Schedule::new(&[Fail { rank: 2, step: 1 }], None, WIDE, None, STEPS);
         let first_dead = first_dead.unwrap();
         assert_eq!([0, 1].map(|t| first_dead.frame_source(&state, t, &[1, 1, 1])), [2, 3]);
     }
@@ -754,9 +751,8 @@ mod tests {
             for seed in 0..256 {
                 let spec = chaos_spec(seed, &topo);
                 let timeline = &spec.rank_timeline;
-                let s =
-                    Schedule::new(timeline, spec.fail_controller, shape, true, None, topo.steps)
-                        .unwrap_or_else(|e| panic!("seed {seed} on {topo:?}: {e}"));
+                let s = Schedule::new(timeline, spec.fail_controller, shape, None, topo.steps)
+                    .unwrap_or_else(|e| panic!("seed {seed} on {topo:?}: {e}"));
                 for t in 0..topo.steps + 2 {
                     let absent: Vec<usize> =
                         (0..s.world()).filter(|&r| s.presence(r, t) != Presence::Present).collect();

@@ -21,36 +21,31 @@
 //! input processors, **interframe delay is completely determined by the
 //! rendering cost**, the paper's headline claim.
 
-/// Steady-state 1DIP interframe delay with the **overlapped prefetch
-/// runtime** (two-slot bounded send queue, read+preprocess on a worker
-/// thread). Per step the input processor runs two lanes concurrently:
+/// Steady-state interframe delay with the **overlapped prefetch runtime**
+/// (two-slot bounded send queue, read+preprocess on a worker thread), for
+/// `(groups, per_group)` = [`crate::IoStrategy::shape`] — 1DIP is the
+/// `n × 1` grid. Per step each input processor runs two lanes
+/// concurrently, each member's share shrinking to `1/m` of a step's
+/// fetch/preprocess/send (LIC stays whole — only the group lead
+/// synthesizes it):
 ///
-/// * worker lane: `Tf + (Tp − Tlic)` (fetch + preprocess, LIC excluded),
-/// * consumer lane: `Tlic + Ts` (LIC synthesis + send issuance).
+/// * worker lane: `(Tf + (Tp − Tlic))/m` (fetch + preprocess, LIC excluded),
+/// * consumer lane: `Tlic + Ts/m` (LIC synthesis + send issuance).
 ///
-/// The slower lane paces the rank, `m` ranks interleave whole steps, and
-/// the renderers still serialize on `max(Ts, Tr)` — so the delay is
-/// `max(max(worker, consumer)/m, Ts, Tr)` instead of the synchronous
-/// `max((Tf+Tp+Ts)/m, Ts, Tr)`. `tp` here **excludes** LIC; pass the LIC
-/// cost as `lic`.
-pub fn onedip_prefetch_delay(tf: f64, tp: f64, lic: f64, ts: f64, tr: f64, m: usize) -> f64 {
-    twodip_prefetch_delay(tf, tp, lic, ts, tr, m, 1)
-}
-
-/// Steady-state 2DIP interframe delay with the overlapped prefetch
-/// runtime: `n` groups of `m`, each member's lanes shrink to `1/m` of a
-/// step's fetch/preprocess/send (LIC stays whole — only the group lead
-/// synthesizes it). See [`onedip_prefetch_delay`] for the lane model.
-pub fn twodip_prefetch_delay(
+/// The slower lane paces the rank, `n` groups interleave whole steps, and
+/// the renderers still serialize on `max(Ts/m, Tr)` — so the delay is
+/// `max(max(worker, consumer)/n, Ts/m, Tr)` instead of the synchronous
+/// [`steady_delay`]. `tp` here **excludes** LIC; pass the LIC cost as
+/// `lic`.
+pub fn prefetch_delay(
     tf: f64,
     tp: f64,
     lic: f64,
     ts: f64,
     tr: f64,
-    n: usize,
-    m: usize,
+    (groups, per_group): (usize, usize),
 ) -> f64 {
-    let (n, m) = (n.max(1) as f64, m.max(1) as f64);
+    let (n, m) = (groups.max(1) as f64, per_group.max(1) as f64);
     let worker = (tf + tp) / m;
     let consumer = lic + ts / m;
     (worker.max(consumer) / n).max(ts / m).max(tr)
@@ -72,12 +67,6 @@ pub fn onedip_optimal_m(tf: f64, tp: f64, ts: f64, tr: f64) -> usize {
     pipeline_depth(tf + tp, ts.max(tr))
 }
 
-/// Steady-state 1DIP interframe delay with `m` input processors.
-pub fn onedip_steady_delay(tf: f64, tp: f64, ts: f64, tr: f64, m: usize) -> f64 {
-    let m = m.max(1) as f64;
-    ((tf + tp + ts) / m).max(ts).max(tr)
-}
-
 /// 2DIP group width: the smallest `m` with `Ts/m ≤ Tr`.
 pub fn twodip_optimal_m(ts: f64, tr: f64) -> usize {
     assert!(tr > 0.0);
@@ -92,9 +81,17 @@ pub fn twodip_n(tf: f64, tp: f64, ts: f64, m: usize) -> usize {
     pipeline_depth(tf / m + tp / m, ts / m)
 }
 
-/// Steady-state 2DIP interframe delay with `n` groups of `m`.
-pub fn twodip_steady_delay(tf: f64, tp: f64, ts: f64, tr: f64, n: usize, m: usize) -> f64 {
-    let (n, m) = (n.max(1) as f64, m.max(1) as f64);
+/// Steady-state interframe delay with `groups` groups of `per_group`
+/// input processors — `(n, 1)` for 1DIP, where `x / 1.0 == x` makes this
+/// `max((Tf+Tp+Ts)/n, Ts, Tr)` exactly.
+pub fn steady_delay(
+    tf: f64,
+    tp: f64,
+    ts: f64,
+    tr: f64,
+    (groups, per_group): (usize, usize),
+) -> f64 {
+    let (n, m) = (groups.max(1) as f64, per_group.max(1) as f64);
     ((tf / m + tp / m + ts / m) / n).max(ts / m).max(tr)
 }
 
@@ -136,9 +133,9 @@ mod tests {
     #[test]
     fn onedip_floor_is_max_ts_tr() {
         // with many input processors the delay floors at max(Ts, Tr)
-        let d = onedip_steady_delay(TF, TP, TS, TR128, 100);
+        let d = steady_delay(TF, TP, TS, TR128, (100, 1));
         assert!((d - TS).abs() < 1e-12, "floor should be Ts=1.2, got {d}");
-        let d64 = onedip_steady_delay(TF, TP, TS, TR64, 100);
+        let d64 = steady_delay(TF, TP, TS, TR64, (100, 1));
         assert!((d64 - TR64).abs() < 1e-12);
     }
 
@@ -146,24 +143,24 @@ mod tests {
     fn onedip_delay_decreases_with_m() {
         let mut prev = f64::INFINITY;
         for m in 1..=16 {
-            let d = onedip_steady_delay(TF, TP, TS, TR64, m);
+            let d = steady_delay(TF, TP, TS, TR64, (m, 1));
             assert!(d <= prev + 1e-12);
             prev = d;
         }
         // single input processor: the full serial chain
-        assert!((onedip_steady_delay(TF, TP, TS, TR64, 1) - 23.2).abs() < 1e-9);
+        assert!((steady_delay(TF, TP, TS, TR64, (1, 1)) - 23.2).abs() < 1e-9);
     }
 
     #[test]
     fn paper_figure9_twodip_reaches_render_floor() {
         // 128 renderers: Ts=1.2 > Tr=1.0 — 1DIP can never reach Tr
         let m1 = 22; // arbitrarily many 1DIP input processors
-        assert!(onedip_steady_delay(TF, TP, TS, TR128, m1) > TR128);
+        assert!(steady_delay(TF, TP, TS, TR128, (m1, 1)) > TR128);
         // 2DIP with m=2: floor Ts/2=0.6 < Tr -> delay reaches Tr
         let m = twodip_optimal_m(TS, TR128);
         assert_eq!(m, 2);
         let n = twodip_n(TF, TP, TS, m);
-        let d = twodip_steady_delay(TF, TP, TS, TR128, n + 2, m);
+        let d = steady_delay(TF, TP, TS, TR128, (n + 2, m));
         assert!((d - TR128).abs() < 1e-9, "2DIP should reach Tr, got {d}");
     }
 
@@ -172,15 +169,6 @@ mod tests {
         // n = (Tf'+Tp')/Ts' + 1 == (Tf+Tp)/Ts + 1 for any m
         for m in 1..=8 {
             assert_eq!(twodip_n(TF, TP, TS, m), pipeline_depth(TF + TP, TS));
-        }
-    }
-
-    #[test]
-    fn twodip_m_one_degenerates_to_onedip() {
-        for total in 1..=20 {
-            let a = onedip_steady_delay(TF, TP, TS, TR64, total);
-            let b = twodip_steady_delay(TF, TP, TS, TR64, total, 1);
-            assert!((a - b).abs() < 1e-12);
         }
     }
 
@@ -214,15 +202,10 @@ mod tests {
     #[test]
     fn prefetch_never_slower_than_sync() {
         let lic = 0.5;
-        for m in 1..=20 {
-            let sync = onedip_steady_delay(TF, TP, TS, TR64, m);
-            let pre = onedip_prefetch_delay(TF, TP - lic, lic, TS, TR64, m);
-            assert!(pre <= sync + 1e-12, "m={m}: prefetch {pre} > sync {sync}");
-            for n in 1..=8 {
-                let sync2 = twodip_steady_delay(TF, TP, TS, TR64, n, m);
-                let pre2 = twodip_prefetch_delay(TF, TP - lic, lic, TS, TR64, n, m);
-                assert!(pre2 <= sync2 + 1e-12, "n={n} m={m}: {pre2} > {sync2}");
-            }
+        for (n, m) in (1..=20).flat_map(|n| (1..=20).map(move |m| (n, m))) {
+            let sync = steady_delay(TF, TP, TS, TR64, (n, m));
+            let pre = prefetch_delay(TF, TP - lic, lic, TS, TR64, (n, m));
+            assert!(pre <= sync + 1e-12, "{n}x{m}: prefetch {pre} > sync {sync}");
         }
     }
 
@@ -230,12 +213,12 @@ mod tests {
     fn prefetch_floor_is_max_ts_tr() {
         // with deep pipelines the prefetch delay floors at max(Ts, Tr) —
         // the §5 prediction the overlapped runtime is validated against
-        let d = onedip_prefetch_delay(TF, TP, 0.0, TS, TR64, 100);
+        let d = prefetch_delay(TF, TP, 0.0, TS, TR64, (100, 1));
         assert!((d - TR64).abs() < 1e-12, "floor should be Tr, got {d}");
-        let d = twodip_prefetch_delay(TF, TP, 0.0, TS, TR128, 100, 2);
+        let d = prefetch_delay(TF, TP, 0.0, TS, TR128, (100, 2));
         assert!((d - TR128).abs() < 1e-12);
         // Ts-bound variant: huge sends, cheap rendering
-        let d = onedip_prefetch_delay(TF, TP, 0.0, 5.0, 0.1, 100);
+        let d = prefetch_delay(TF, TP, 0.0, 5.0, 0.1, (100, 1));
         assert!((d - 5.0).abs() < 1e-12, "floor should be Ts, got {d}");
     }
 
@@ -245,9 +228,9 @@ mod tests {
         // the rank and the send cost vanishes from the delay entirely
         let (tf, tp, ts, tr) = (10.0, 1.0, 2.0, 0.5);
         let m = 2;
-        let pre = onedip_prefetch_delay(tf, tp, 0.0, ts, tr, m);
+        let pre = prefetch_delay(tf, tp, 0.0, ts, tr, (m, 1));
         assert!((pre - (tf + tp) / m as f64).abs() < 1e-12);
-        let sync = onedip_steady_delay(tf, tp, ts, tr, m);
+        let sync = steady_delay(tf, tp, ts, tr, (m, 1));
         assert!((sync - (tf + tp + ts) / m as f64).abs() < 1e-12);
         assert!(pre < sync, "overlap should strictly beat sync here");
     }
@@ -256,7 +239,7 @@ mod tests {
     fn prefetch_consumer_lane_can_pace() {
         // LIC + sends slower than the worker lane: the consumer paces
         let (tf, tp, lic, ts, tr) = (1.0, 0.5, 4.0, 2.0, 0.1);
-        let pre = onedip_prefetch_delay(tf, tp, lic, ts, tr, 3);
+        let pre = prefetch_delay(tf, tp, lic, ts, tr, (3, 1));
         assert!((pre - (lic + ts) / 3.0).abs() < 1e-12);
     }
 
@@ -270,14 +253,5 @@ mod tests {
                                                     // cheap rendering never goes below one renderer
         assert_eq!(optimal_renderers(0.1, 10.0), 1);
         assert_eq!(optimal_renderers(0.0, 1.0), 1);
-    }
-
-    #[test]
-    fn prefetch_width_one_matches_onedip_form() {
-        for m in 1..=8 {
-            let a = onedip_prefetch_delay(TF, TP, 0.3, TS, TR64, m);
-            let b = twodip_prefetch_delay(TF, TP, 0.3, TS, TR64, m, 1);
-            assert!((a - b).abs() < 1e-12);
-        }
     }
 }

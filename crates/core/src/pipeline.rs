@@ -17,7 +17,7 @@
 
 use crate::cache::{BlockKey, CacheTier, FrameKey};
 use crate::checkpoint::{self, CheckpointError, CheckpointManifest, CHECKPOINT_VERSION};
-use crate::config::{PipelineConfig, ReadStrategy, RetryPolicy};
+use crate::config::{PipelineConfig, RetryPolicy};
 use crate::control::{ControlConfig, ControlPlan, Controller, EpochState, WindowMeasurement};
 use crate::membership::{self, Presence, Role, Schedule, Tick, Watch, WorldShape};
 pub use crate::proto::Degradation;
@@ -34,8 +34,8 @@ use quakeviz_lic::{colorize, compute_lic_with_max, white_noise, LicParams, Surfa
 use quakeviz_mesh::{Aabb, NodeField, NodeId, Partition, Quadtree, WorkloadModel};
 use quakeviz_parfs::ReadError;
 use quakeviz_render::{
-    front_to_back_order, BrickPlan, Camera, Fragment, LightingParams, RenderParams, RgbaImage,
-    TemporalEnhance, TransferFunction,
+    front_to_back_order, AdaptivePolicy, BrickPlan, Camera, Fragment, LightingParams, RenderParams,
+    RgbaImage, TemporalEnhance, TransferFunction,
 };
 use quakeviz_rt::obs::{self, Obs, Phase, TraceData};
 use quakeviz_rt::wire::{WireClassStats, WireLedger, WireSpec};
@@ -352,7 +352,6 @@ struct InputCtx {
     ids_per_block: Vec<Arc<Vec<NodeId>>>,
     /// The rendered octree level, part of every block-cache key.
     level: u8,
-    read: ReadStrategy,
     retry: RetryPolicy,
     /// Sleep out `sim_seconds × scale` after every disk read.
     io_delay_scale: Option<f64>,
@@ -468,11 +467,9 @@ fn resolve_faults(
         renderers: config.renderers,
         spares: config.spare_renderers,
     };
-    let contiguous = matches!(config.read, ReadStrategy::IndependentContiguous);
     let fail_controller = spec.fail_controller;
-    let build = |timeline: &[_]| {
-        Schedule::new(timeline, fail_controller, shape, contiguous, config.control, steps)
-    };
+    let build =
+        |timeline: &[_]| Schedule::new(timeline, fail_controller, shape, config.control, steps);
     let mut sched = build(&spec.rank_timeline);
     if from_env && !sched.as_ref().is_ok_and(|s| s.kill_role() == Some(Role::Input)) {
         spec.rank_timeline.clear();
@@ -488,7 +485,9 @@ fn resolve_faults(
 /// builder's or the sanitized `QUAKEVIZ_FAULTS`, `None` when neither was
 /// given. `max_steps`, checkpoint settings and the prefetch flag are
 /// deliberately excluded: a run killed early and a run resumed to the end
-/// must agree with the uninterrupted run's checkpoint.
+/// must agree with the uninterrupted run's checkpoint. The literal
+/// `IndependentContiguous` is the read strategy every fingerprint has
+/// always hashed: every run reads that way.
 fn config_fingerprint(
     config: &PipelineConfig,
     level: u8,
@@ -496,11 +495,10 @@ fn config_fingerprint(
     faults: Option<&FaultSpec>,
 ) -> u64 {
     let desc = format!(
-        "{}+{};{:?};{:?};{}x{};lvl{};blk{};l{}e{}lic{}q{}af{};{:?};{:?};{};{:?}",
+        "{}+{};{:?};IndependentContiguous;{}x{};lvl{};blk{};l{}e{}lic{}q{}af{};{:?};{:?};{};{:?}",
         config.renderers,
         config.spare_renderers,
         config.io,
-        config.read,
         config.width,
         config.height,
         level,
@@ -580,27 +578,14 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
              members would own empty slices"
         ));
     }
-    let collective = matches!(config.read, ReadStrategy::CollectiveNoncontiguous { .. });
-    if per_group > 1 && config.prefetch && collective {
-        return Err(format!(
-            "prefetch requires ReadStrategy::IndependentContiguous inside 2DIP groups: \
-             the collective read is lock-step across the {per_group} group members and \
-             cannot run on a per-rank prefetch worker"
-        ));
-    }
     if let Some(ctl) = &config.control {
         if ctl.every == 0 {
             return Err("elastic control tick period must be at least one step".into());
         }
-        if ctl.reshape {
-            let survivable =
-                per_group >= 2 && matches!(config.read, ReadStrategy::IndependentContiguous);
-            if !survivable {
-                return Err("elastic reshape requires 2DIP groups of at least two members \
-                     with ReadStrategy::IndependentContiguous, so a narrowed input width \
-                     still covers every node slice"
-                    .into());
-            }
+        if ctl.reshape && per_group < 2 {
+            return Err("elastic reshape requires 2DIP groups of at least two members, so \
+                 a narrowed input width still covers every node slice"
+                .into());
         }
     }
     if config.spare_renderers > 0 && config.control.is_none() {
@@ -615,7 +600,9 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
     let max_level = octree.max_leaf_level();
     let level = config
         .level
-        .unwrap_or_else(|| config.adaptive.choose_level(octree, config.width, config.height))
+        .unwrap_or_else(|| {
+            AdaptivePolicy::default().choose_level(octree, config.width, config.height)
+        })
         .min(max_level);
     let block_level = config.block_level.min(max_level);
     let blocks = octree.blocks(block_level);
@@ -756,7 +743,6 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
             level_ids: config.adaptive_fetch.then(|| level_node_ids(mesh, level)),
             ids_per_block: ids_per_block.clone(),
             level,
-            read: config.read,
             retry: config.retry,
             io_delay_scale: config.io_delay_scale,
             enhancement: config.enhancement,
@@ -1039,18 +1025,17 @@ impl InputPlan {
     /// held back `lane/lanes` of the time it took to prepare, *on the
     /// thread that prepared it* (the read-ahead worker when there is one):
     /// that shifts the lane's whole read schedule, and from then on the
-    /// lanes interleave whole steps, as
-    /// [`crate::model::onedip_prefetch_delay`] assumes.
+    /// lanes interleave whole steps, as [`crate::model::prefetch_delay`]
+    /// assumes.
     fn prepare(
         &self,
-        group_comm: Option<&Comm>,
         run: &Run,
         input: &InputCtx,
         sf: &SliceFetch,
         t: usize,
     ) -> (Option<Vec<f32>>, ReadStats) {
         let t0 = Instant::now();
-        let prepared = prepare_step(group_comm, run, input, &sf.fetch, t);
+        let prepared = prepare_step(run, input, &sf.fetch, t);
         let (lane, lanes) = self.lane;
         if !self.staggered.swap(true, Ordering::Relaxed) && lane > 0 {
             std::thread::sleep(t0.elapsed().mul_f64(lane as f64 / lanes as f64));
@@ -1104,14 +1089,7 @@ fn slice_fetch(run: &Run, input: &InputCtx, slice @ (idx, live): Slice) -> Slice
         }
         None => {
             let (a, b) = member_node_range(run.dataset.mesh().node_count(), idx, live);
-            let fetch = match input.read {
-                // the collective read takes its share as an id pattern
-                ReadStrategy::CollectiveNoncontiguous { .. } => {
-                    FetchPlan { ids: Some((a as NodeId..b as NodeId).collect()), range: None }
-                }
-                ReadStrategy::IndependentContiguous => FetchPlan { ids: None, range: Some((a, b)) },
-            };
-            (fetch, Some((a as NodeId, b as NodeId)))
+            (FetchPlan { ids: None, range: Some((a, b)) }, Some((a as NodeId, b as NodeId)))
         }
     };
     SliceFetch { slice, fetch, span }
@@ -1135,19 +1113,12 @@ fn fetch_identity(plan: &FetchPlan) -> u32 {
 /// `Err` means the read failed for good (retries exhausted under the
 /// fault plan); nothing is charged to the step's stats.
 fn fetch_step(
-    comm_group: Option<&Comm>,
     run: &Run,
     input: &InputCtx,
     t: usize,
     plan: &FetchPlan,
 ) -> Result<(Vec<[f32; 3]>, ReadStats), ReadError> {
-    // collective reads are lock-step across the 2DIP group: one member
-    // skipping on a cache hit would desync the group, so only the
-    // independent read paths consult the block cache
-    let collective = comm_group.is_some()
-        && plan.ids.is_some()
-        && matches!(input.read, ReadStrategy::CollectiveNoncontiguous { .. });
-    let tier = run.cache.as_ref().filter(|tier| tier.blocks.enabled() && !collective);
+    let tier = run.cache.as_ref().filter(|tier| tier.blocks.enabled());
     let cached = tier.map(|tier| {
         (&tier.blocks, BlockKey { step: t as u32, block: fetch_identity(plan), level: input.level })
     });
@@ -1162,14 +1133,7 @@ fn fetch_step(
     }
     let ctx = FaultCtx { plan: &run.faults, retry: input.retry, step: t as u32 };
     let (disk, mesh) = (run.dataset.disk(), run.dataset.mesh());
-    let (dense, mut stats) = match (&input.read, comm_group) {
-        (ReadStrategy::CollectiveNoncontiguous { sieve_window }, Some(gc))
-            if plan.ids.is_some() =>
-        {
-            plan.read_collective(disk, mesh, t, gc, *sieve_window, Some(&ctx))?
-        }
-        _ => plan.read(disk, mesh, t, 1 << 16, Some(&ctx))?,
-    };
+    let (dense, mut stats) = plan.read(disk, mesh, t, 1 << 16, Some(&ctx))?;
     input.inject_io_delay(&mut stats);
     // only fully successful fetches are cached — a hit can therefore
     // never mask the recovery path a cache-off run would have taken
@@ -1189,14 +1153,13 @@ fn magnitudes(dense: &[[f32; 3]]) -> Vec<f32> {
 /// could not be read (retries exhausted): the caller ships explicit
 /// *missing* pieces instead of values and the frame degrades downstream.
 fn prepare_step(
-    group_comm: Option<&Comm>,
     run: &Run,
     input: &InputCtx,
     fetch: &FetchPlan,
     t: usize,
 ) -> (Option<Vec<f32>>, ReadStats) {
     let mut sp = obs::span(Phase::Read, t as u32);
-    let Ok((dense, mut stats)) = fetch_step(group_comm, run, input, t, fetch) else {
+    let Ok((dense, mut stats)) = fetch_step(run, input, t, fetch) else {
         return (None, ReadStats::default());
     };
     sp.add_bytes(stats.useful_bytes);
@@ -1212,7 +1175,7 @@ fn prepare_step(
         let mut sp = obs::span(Phase::Read, t as u32);
         // enhancement needs the previous step too: if that read fails the
         // enhanced field cannot be computed and the whole step is missing
-        let Ok((prev_dense, prev_stats)) = fetch_step(group_comm, run, input, t - 1, fetch) else {
+        let Ok((prev_dense, prev_stats)) = fetch_step(run, input, t - 1, fetch) else {
             return (None, stats);
         };
         sp.add_bytes(prev_stats.useful_bytes);
@@ -1440,9 +1403,7 @@ fn read_ahead_worker(
         if run.faults.prefetch_failed(t) {
             return; // scripted worker death: go silent mid-run
         }
-        // collective reads are rejected at config validation, so the
-        // worker never needs the group communicator
-        let (mag, stats) = plan.prepare(None, run, input, &sf, t);
+        let (mag, stats) = plan.prepare(run, input, &sf, t);
         if ready.send(Prepared { t, slice: sf.slice, mag, stats }).is_err() {
             return;
         }
@@ -1451,10 +1412,6 @@ fn read_ahead_worker(
 
 fn input_main(comm: &Comm, run: &Run, input: &InputCtx) -> Vec<InputStepTiming> {
     let plan = &input_plan(comm.rank(), run);
-    // the 2DIP group's communicator, for its lock-step collective read
-    let members: Vec<usize> = plan.group.clone().collect();
-    let group_comm = (members.len() > 1).then(|| comm.group(&members)).flatten();
-    let group_comm = group_comm.as_ref();
     let mut timings = if input.read_ahead {
         let (ask, asks) = channel();
         let (ready_tx, ready) = channel();
@@ -1471,10 +1428,10 @@ fn input_main(comm: &Comm, run: &Run, input: &InputCtx) -> Vec<InputStepTiming> 
                 }));
             });
             let ahead = ReadAhead { ask, ready, next: 0 };
-            input_steps(comm, group_comm, run, input, plan, Some(ahead))
+            input_steps(comm, run, input, plan, Some(ahead))
         })
     } else {
-        input_steps(comm, group_comm, run, input, plan, None)
+        input_steps(comm, run, input, plan, None)
     };
 
     // derive the per-step timings from the span stream (which includes
@@ -1610,7 +1567,6 @@ fn input_clock(
 /// deadlock-free together (DESIGN.md "Overlapped prefetch runtime").
 fn input_steps(
     comm: &Comm,
-    group_comm: Option<&Comm>,
     run: &Run,
     input: &InputCtx,
     plan: &InputPlan,
@@ -1674,7 +1630,7 @@ fn input_steps(
                 if ahead.is_some() {
                     run.faults.note_prefetch_fallback();
                 }
-                plan.prepare(group_comm, run, input, &sf, t)
+                plan.prepare(run, input, &sf, t)
             }
         };
         let mut timing = InputStepTiming { read, ..Default::default() };
@@ -2366,26 +2322,6 @@ mod tests {
     }
 
     #[test]
-    fn collective_read_strategy_matches_independent() {
-        let ds = dataset();
-        let run = |read: ReadStrategy| {
-            PipelineBuilder::new(&ds)
-                .renderers(2)
-                .io_strategy(IoStrategy::TwoDip { groups: 1, per_group: 3 })
-                .read_strategy(read)
-                .image_size(64, 64)
-                .max_steps(2)
-                .run()
-                .expect("pipeline")
-        };
-        let a = run(ReadStrategy::IndependentContiguous);
-        let b = run(ReadStrategy::CollectiveNoncontiguous { sieve_window: 4096 });
-        for t in 0..2 {
-            assert!(a.frames[t].rms_difference(&b.frames[t]) < 1e-6, "frame {t} differs");
-        }
-    }
-
-    #[test]
     fn adaptive_fetch_close_to_full_at_coarse_level() {
         let ds = dataset();
         let level = ds.mesh().octree().max_leaf_level() - 1;
@@ -2526,12 +2462,6 @@ mod tests {
         assert!(err(PipelineBuilder::new(&ds)
             .io_strategy(IoStrategy::TwoDip { groups: 1, per_group: nodes + 1 }))
         .contains("exceeds the mesh"));
-        // prefetch cannot drive the lock-step collective group read
-        assert!(err(PipelineBuilder::new(&ds)
-            .io_strategy(IoStrategy::TwoDip { groups: 1, per_group: 2 })
-            .read_strategy(ReadStrategy::CollectiveNoncontiguous { sieve_window: 1 << 16 })
-            .prefetch(true))
-        .contains("prefetch requires"));
         assert!(err(PipelineBuilder::new(&ds).max_steps(0)).contains("step"));
         // elastic control-plane constraints
         assert!(err(PipelineBuilder::new(&ds).elastic(0)).contains("control tick period"));
@@ -2562,22 +2492,6 @@ mod tests {
         assert!(busy, "no frame shows any volume contribution");
     }
 
-    #[test]
-    fn prefetch_collective_read_allowed_for_onedip() {
-        // 1DIP has no group comm: the collective strategy degrades to the
-        // independent read and stays prefetch-compatible
-        let ds = dataset();
-        let report = PipelineBuilder::new(&ds)
-            .renderers(2)
-            .io_strategy(IoStrategy::OneDip { input_procs: 2 })
-            .read_strategy(ReadStrategy::CollectiveNoncontiguous { sieve_window: 1 << 16 })
-            .image_size(48, 48)
-            .prefetch(true)
-            .run()
-            .expect("pipeline");
-        assert_eq!(report.frames.len(), 4);
-    }
-
     /// The output role alone, from literal contexts and no `run_pipeline`:
     /// in a world of one input, one renderer and the output rank, a fake
     /// render root sends a pristine frame, one with unsorted duplicate
@@ -2591,7 +2505,7 @@ mod tests {
             dataset: dataset.clone(),
             steps: 0..3,
             session: Obs::new(false),
-            sched: Schedule::new(&[], None, shape, true, None, 3).unwrap(),
+            sched: Schedule::new(&[], None, shape, None, 3).unwrap(),
             faults: FaultPlan::new(FaultSpec::default()),
             wire: WireSpec::raw(),
             ledger: Arc::new(WireLedger::new()),

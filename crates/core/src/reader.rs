@@ -1,18 +1,24 @@
 //! The §5.3 reading strategies and adaptive fetching (§6).
 //!
-//! A time step on disk is a flat `3 × f32` node array. What each input
-//! processor actually pulls off the file system depends on the strategy:
+//! A time step on disk is a flat `3 × f32` node array. Every input
+//! processor of the pipeline reads its share independently, through one
+//! [`FetchPlan`]:
 //!
 //! * **full step** — 1DIP's "each processor reading … a complete, single
 //!   time step";
 //! * **contiguous slice** — §5.3.2's independent contiguous read (each of
 //!   `m` group members takes `1/m` of the node array);
-//! * **indexed pattern** — §5.3.1's derived-datatype read, independent or
-//!   collective (two-phase `read_all` with data sieving);
+//! * **indexed pattern** — a derived-datatype read of an id list (with
+//!   data sieving), what adaptive fetch issues;
 //! * **adaptive fetch** — §6: "only data cells at the selected level are
 //!   fetched from the disk": the node set shrinks to the corners of the
 //!   level-ℓ cell tiling, cutting fetch bytes by the same factor as the
 //!   rendering work.
+//!
+//! §5.3.1's collective read of the same pattern (two-phase `read_all`),
+//! [`read_step_ids_collective`], is what the independent read is measured
+//! against: `tab_read_strategies` and the benchmark walk's
+//! `parfs.collective_read_ms` call it, the pipeline does not.
 
 use crate::config::RetryPolicy;
 use quakeviz_mesh::{HexMesh, Loc3, NodeId, OctreeBlock};
@@ -249,8 +255,8 @@ pub fn member_node_range(node_count: usize, j: usize, m: usize) -> (usize, usize
 /// issue byte-identical reads from this single description.
 #[derive(Debug, Clone, Default)]
 pub struct FetchPlan {
-    /// Indexed fetch: the sorted node ids to pull (adaptive fetch, or a
-    /// 2DIP member's share expressed as ids for the collective read).
+    /// Indexed fetch: the sorted node ids to pull (adaptive fetch: the
+    /// level's nodes, or a 2DIP member's slice of them).
     pub ids: Option<Vec<NodeId>>,
     /// Contiguous fetch: nodes `[a, b)` (a 2DIP member's slice).
     pub range: Option<(usize, usize)>,
@@ -262,7 +268,7 @@ impl FetchPlan {
         FetchPlan::default()
     }
 
-    /// Independent read of step `t` under this plan.
+    /// Read step `t` under this plan.
     pub fn read(
         &self,
         disk: &Arc<Disk>,
@@ -275,26 +281,6 @@ impl FetchPlan {
             (Some(ids), _) => read_step_ids(disk, mesh, t, ids, sieve_window, ctx),
             (None, Some(range)) => read_step_range(disk, mesh, t, range, ctx),
             (None, None) => read_step_full(disk, mesh, t, ctx),
-        }
-    }
-
-    /// Collective two-phase read of step `t` over `comm` (§5.3.1); plans
-    /// without an id pattern fall back to the independent path. The
-    /// collective path takes no fault context: an injected failure on one
-    /// rank of a collective would deadlock the others, so injection is
-    /// confined to independent reads.
-    pub fn read_collective(
-        &self,
-        disk: &Arc<Disk>,
-        mesh: &HexMesh,
-        t: usize,
-        comm: &Comm,
-        sieve_window: u64,
-        ctx: Option<&FaultCtx>,
-    ) -> Result<(Vec<[f32; 3]>, ReadStats), ReadError> {
-        match &self.ids {
-            Some(ids) => read_step_ids_collective(disk, mesh, t, ids, comm, sieve_window),
-            None => self.read(disk, mesh, t, sieve_window, ctx),
         }
     }
 }

@@ -3,8 +3,8 @@
 //! A [`PipelineReport`] carries span-derived per-stage timings; this
 //! module condenses them into the model's four stage costs (`Tf`, `Tp`,
 //! `Ts`, `Tr` — all expressed per *full* time step) and compares the
-//! measured steady-state interframe delay against
-//! [`model::onedip_steady_delay`] / [`model::twodip_steady_delay`]. The
+//! measured steady-state interframe delay against [`model::steady_delay`]
+//! (or [`model::prefetch_delay`] for the overlapped runtime). The
 //! `pipeline-report` binary prints the resulting table; tests use it to
 //! check the real threaded pipeline tracks the closed form.
 
@@ -78,13 +78,12 @@ impl ModelValidation {
         let lic = report.input_steps.iter().map(|s| s.lic_s).sum::<f64>() / n * scale;
         let ts = report.input_steps.iter().map(|s| s.send_s).sum::<f64>() / n * scale;
         let tr = report.mean_render_seconds();
-        let predicted_delay = match (report.prefetch, width) {
-            (false, 1) => model::onedip_steady_delay(tf, tp, ts, tr, depth),
-            (false, _) => model::twodip_steady_delay(tf, tp, ts, tr, depth, width),
-            // the prefetch forms take the LIC-free preprocess cost on the
+        let predicted_delay = if report.prefetch {
+            // the prefetch form takes the LIC-free preprocess cost on the
             // worker lane and LIC on the consumer lane
-            (true, 1) => model::onedip_prefetch_delay(tf, tp - lic, lic, ts, tr, depth),
-            (true, _) => model::twodip_prefetch_delay(tf, tp - lic, lic, ts, tr, depth, width),
+            model::prefetch_delay(tf, tp - lic, lic, ts, tr, (depth, width))
+        } else {
+            model::steady_delay(tf, tp, ts, tr, (depth, width))
         };
         ModelValidation {
             tf,
@@ -236,7 +235,7 @@ mod tests {
         let v = ModelValidation::from_report(&r, IoStrategy::TwoDip { groups: 2, per_group: 2 });
         assert!((v.tf - 2.0).abs() < 1e-12, "full-step Tf should be 2x member time");
         assert!((v.ts - 0.1).abs() < 1e-12);
-        let expect = model::twodip_steady_delay(2.0, 0.5, 0.1, 0.3, 2, 2);
+        let expect = model::steady_delay(2.0, 0.5, 0.1, 0.3, (2, 2));
         assert!((v.predicted_delay - expect).abs() < 1e-12);
     }
 

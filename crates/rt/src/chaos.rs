@@ -29,8 +29,7 @@ pub struct ChaosTopology {
     pub renderers: usize,
     /// Steps the run executes.
     pub steps: usize,
-    /// Whether input-rank kills are survivable here (2DIP groups of ≥ 2
-    /// with independent contiguous reads).
+    /// Whether input-rank kills are survivable here (2DIP groups of ≥ 2).
     pub input_kills: bool,
 }
 

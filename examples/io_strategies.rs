@@ -14,7 +14,7 @@
 //! ```
 
 use quakeviz::pipeline::des::FigureOptions;
-use quakeviz::pipeline::{simulate, CostTable, DesStrategy, IoStrategy, PipelineBuilder};
+use quakeviz::pipeline::{simulate, CostTable, IoStrategy, PipelineBuilder};
 use quakeviz::seismic::SimulationBuilder;
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
     let c64 = CostTable::lemieux(64, 512, 512, FigureOptions::default());
     println!("{:>4} {:>14} {:>14}", "m", "total/frame", "render time");
     for m in 1..=16 {
-        let r = simulate(DesStrategy::OneDip { m }, &c64, 200);
+        let r = simulate(IoStrategy::OneDip { input_procs: m }, &c64, 200);
         println!("{m:>4} {:>14.2} {:>14.2}", r.steady_interframe(), c64.tr);
     }
 
@@ -55,8 +55,9 @@ fn main() {
     let c128 = CostTable::lemieux(128, 512, 512, FigureOptions::default());
     println!("{:>6} {:>12} {:>12} {:>12}", "groups", "1DIP", "2DIP", "render");
     for x in [1usize, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22] {
-        let one = simulate(DesStrategy::OneDip { m: x }, &c128, 300).steady_interframe();
-        let two = simulate(DesStrategy::TwoDip { n: x, m: 2 }, &c128, 300).steady_interframe();
+        let one = simulate(IoStrategy::OneDip { input_procs: x }, &c128, 300).steady_interframe();
+        let two = simulate(IoStrategy::TwoDip { groups: x, per_group: 2 }, &c128, 300)
+            .steady_interframe();
         println!("{x:>6} {one:>12.2} {two:>12.2} {:>12.2}", c128.tr);
     }
 }

@@ -74,6 +74,15 @@ ratchet "block-degradation rule (pipeline.rs)" 0 "$(count_sites \
 ratchet "role contexts (pipeline.rs)" 0 "$(count_sites \
     '(^|[^A-Za-z0-9_])Shared([^A-Za-z0-9_]|$)|\\.cfg\\.' crates/core/src/pipeline.rs)"
 
+# One input read path: every input rank reads its share independently
+# through `fetch_step`. The §5.3.1 collective read is compared where it is
+# measured (`tab_read_strategies`, the benchmark walk); no strategy knob,
+# group communicator or schedule precondition for a second read path may
+# grow back into the pipeline.
+ratchet "one input read path (crates/core/src)" 0 "$(count_sites \
+    'ReadStrategy|read_collective|group_comm|comm_group|contiguous_reads' \
+    "${core_sources[@]}" crates/core/src/proto.rs)"
+
 # Wall-clock sites: `Instant::now()` / `thread::sleep(` in the runtime
 # crates — each is a place real time leaks into the protocol, and the
 # count the virtual-time work (ROADMAP) drives down to its

@@ -12,7 +12,7 @@
 //! `QUAKEVIZ_TRACE=out/trace.json` works on `render` like everywhere
 //! else: Chrome trace + span/traffic CSVs.
 
-use quakeviz::pipeline::des::{simulate, CostTable, DesStrategy, FigureOptions};
+use quakeviz::pipeline::des::{simulate, CostTable, FigureOptions};
 use quakeviz::pipeline::{model, IoStrategy, PipelineBuilder};
 use quakeviz::render::RgbaImage;
 use quakeviz::seismic::SimulationBuilder;
@@ -146,8 +146,9 @@ fn des(f: &mut Flags) {
     );
     println!("{:>8} {:>10} {:>10} {:>10}", "groups", "onedip_s", "twodip_s", "render_s");
     for x in 1..=max_m {
-        let one = simulate(DesStrategy::OneDip { m: x }, &c, 300).steady_interframe();
-        let two = simulate(DesStrategy::TwoDip { n: x, m: twodip_m }, &c, 300).steady_interframe();
+        let one = simulate(IoStrategy::OneDip { input_procs: x }, &c, 300).steady_interframe();
+        let two = simulate(IoStrategy::TwoDip { groups: x, per_group: twodip_m }, &c, 300)
+            .steady_interframe();
         println!("{x:>8} {one:>10.3} {two:>10.3} {:>10.3}", c.tr);
     }
     let n = model::twodip_n(c.tf, c.tp, c.ts, twodip_m);
