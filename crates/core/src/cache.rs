@@ -17,9 +17,10 @@
 //!
 //! Coherence rules (DESIGN.md "Storage tier"):
 //!
-//! * every entry stores an FNV-1a checksum of its payload at insert and
-//!   is re-verified on every get — a mismatch is counted, the entry
-//!   dropped, and the caller falls through to the authoritative source;
+//! * every entry stores a checksum of its payload at insert — the
+//!   word-parallel FNV digest, [`field_checksum`] — and is re-verified on
+//!   every get: a mismatch is counted, the entry dropped, and the caller
+//!   falls through to the authoritative source;
 //! * the tier is stamped with the run's config fingerprint; a run whose
 //!   fingerprint differs (e.g. a checkpoint-resume under a different
 //!   config) flushes both levels before starting;
@@ -30,7 +31,7 @@
 //!   last-known-good state never diverges between cold and warm runs.
 
 use quakeviz_render::{Camera, RgbaImage, TransferFunction};
-use quakeviz_rt::Fnv1a;
+use quakeviz_rt::{Fnv1a, FnvLanes};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -110,9 +111,19 @@ pub struct BlockKey {
     pub level: u8,
 }
 
-/// Checksum of a buffer of `f32` vectors (decoded field nodes, pixels).
+/// Checksum of a buffer of `f32` vectors (decoded field nodes, pixels):
+/// the word-parallel digest ([`FnvLanes`]) over their little-endian bytes,
+/// staged 64 values at a time.
 pub fn field_checksum<const N: usize>(data: &[[f32; N]]) -> u64 {
-    Fnv1a::pipeline().words(data.iter().flatten().map(|c| c.to_bits() as u64)).finish()
+    let mut h = FnvLanes::new();
+    for chunk in data.as_flattened().chunks(64) {
+        let mut bytes = [[0u8; 4]; 64];
+        for (b, v) in bytes.iter_mut().zip(chunk) {
+            *b = v.to_le_bytes();
+        }
+        h = h.slice(bytes[..chunk.len()].as_flattened());
+    }
+    h.finish()
 }
 
 /// One checksummed entry of the [`Lru`].
@@ -545,6 +556,23 @@ mod tests {
         assert!(c.get(k).is_none(), "a checksum mismatch must never serve");
         assert_eq!(c.0.rejects.load(Ordering::Relaxed), 1);
         assert!(c.is_empty(), "the poisoned entry must be dropped");
+    }
+
+    /// The entry checksum is the word-parallel digest of the values'
+    /// little-endian bytes across whole and partial 64-value stages, and
+    /// every single-bit flip of any value changes it.
+    #[test]
+    fn field_checksum_covers_every_bit_of_every_value() {
+        let data = field(70, 0.5);
+        let bytes: Vec<u8> = data.iter().flatten().flat_map(|v| v.to_le_bytes()).collect();
+        let clean = field_checksum(&data);
+        assert_eq!(clean, FnvLanes::new().slice(&bytes).finish());
+        for (i, bit) in (0..70 * 3).flat_map(|i| (0..32).map(move |bit| (i, bit))) {
+            let mut flipped = data.as_ref().clone();
+            let v = &mut flipped[i / 3][i % 3];
+            *v = f32::from_bits(v.to_bits() ^ 1 << bit);
+            assert_ne!(field_checksum(&flipped), clean, "value {i} bit {bit}");
+        }
     }
 
     #[test]

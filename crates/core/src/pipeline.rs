@@ -1035,7 +1035,7 @@ impl InputPlan {
         t: usize,
     ) -> (Option<Vec<f32>>, ReadStats) {
         let t0 = Instant::now();
-        let prepared = prepare_step(run, input, &sf.fetch, t);
+        let prepared = prepare_step(run, input, sf, t);
         let (lane, lanes) = self.lane;
         if !self.staggered.swap(true, Ordering::Relaxed) && lane > 0 {
             std::thread::sleep(t0.elapsed().mul_f64(lane as f64 / lanes as f64));
@@ -1064,6 +1064,9 @@ type Slice = (usize, usize);
 struct SliceFetch {
     slice: Slice,
     fetch: FetchPlan,
+    /// `fetch`'s block-cache identity ([`fetch_identity`]), hashed once
+    /// here when the run has a block cache.
+    cache_id: Option<u32>,
     /// Value range of my node ids, for piece extraction; `None` means a
     /// solo reader holding every needed node (whole-block sends).
     span: Option<(NodeId, NodeId)>,
@@ -1092,7 +1095,9 @@ fn slice_fetch(run: &Run, input: &InputCtx, slice @ (idx, live): Slice) -> Slice
             (FetchPlan { ids: None, range: Some((a, b)) }, Some((a as NodeId, b as NodeId)))
         }
     };
-    SliceFetch { slice, fetch, span }
+    let cache_id =
+        run.cache.as_ref().filter(|tier| tier.blocks.enabled()).map(|_| fetch_identity(&fetch));
+    SliceFetch { slice, fetch, cache_id, span }
 }
 
 /// Block-cache identity of a fetch plan: a 32-bit FNV digest of exactly
@@ -1116,11 +1121,10 @@ fn fetch_step(
     run: &Run,
     input: &InputCtx,
     t: usize,
-    plan: &FetchPlan,
+    sf: &SliceFetch,
 ) -> Result<(Vec<[f32; 3]>, ReadStats), ReadError> {
-    let tier = run.cache.as_ref().filter(|tier| tier.blocks.enabled());
-    let cached = tier.map(|tier| {
-        (&tier.blocks, BlockKey { step: t as u32, block: fetch_identity(plan), level: input.level })
+    let cached = run.cache.as_ref().zip(sf.cache_id).map(|(tier, block)| {
+        (&tier.blocks, BlockKey { step: t as u32, block, level: input.level })
     });
     if let Some((blocks, key)) = &cached {
         if let Some(data) = blocks.get(*key) {
@@ -1133,7 +1137,7 @@ fn fetch_step(
     }
     let ctx = FaultCtx { plan: &run.faults, retry: input.retry, step: t as u32 };
     let (disk, mesh) = (run.dataset.disk(), run.dataset.mesh());
-    let (dense, mut stats) = plan.read(disk, mesh, t, 1 << 16, Some(&ctx))?;
+    let (dense, mut stats) = sf.fetch.read(disk, mesh, t, 1 << 16, Some(&ctx))?;
     input.inject_io_delay(&mut stats);
     // only fully successful fetches are cached — a hit can therefore
     // never mask the recovery path a cache-off run would have taken
@@ -1155,11 +1159,11 @@ fn magnitudes(dense: &[[f32; 3]]) -> Vec<f32> {
 fn prepare_step(
     run: &Run,
     input: &InputCtx,
-    fetch: &FetchPlan,
+    sf: &SliceFetch,
     t: usize,
 ) -> (Option<Vec<f32>>, ReadStats) {
     let mut sp = obs::span(Phase::Read, t as u32);
-    let Ok((dense, mut stats)) = fetch_step(run, input, t, fetch) else {
+    let Ok((dense, mut stats)) = fetch_step(run, input, t, sf) else {
         return (None, ReadStats::default());
     };
     sp.add_bytes(stats.useful_bytes);
@@ -1175,7 +1179,7 @@ fn prepare_step(
         let mut sp = obs::span(Phase::Read, t as u32);
         // enhancement needs the previous step too: if that read fails the
         // enhanced field cannot be computed and the whole step is missing
-        let Ok((prev_dense, prev_stats)) = fetch_step(run, input, t - 1, fetch) else {
+        let Ok((prev_dense, prev_stats)) = fetch_step(run, input, t - 1, sf) else {
             return (None, stats);
         };
         sp.add_bytes(prev_stats.useful_bytes);

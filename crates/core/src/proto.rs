@@ -13,7 +13,7 @@ use quakeviz_mesh::{NodeField, NodeId};
 use quakeviz_render::RgbaImage;
 use quakeviz_rt::obs::{self, Phase};
 use quakeviz_rt::wire::{self, Codec, WireLedger, WireSpec};
-use quakeviz_rt::{Comm, Fnv1a, SendHandle, TagClass};
+use quakeviz_rt::{Comm, FnvLanes, SendHandle, TagClass};
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
@@ -255,11 +255,17 @@ fn kind_stride(kind: u8) -> usize {
     }
 }
 
-/// [`Fnv1a::pipeline`] over a piece's wire representation: any single-byte
-/// difference changes the digest.
+/// The word-parallel pipeline digest ([`FnvLanes`]) started on a piece's
+/// envelope: block id, offset, kind.
+fn envelope_digest(bid: u32, offset: u32, kind: u8) -> FnvLanes {
+    FnvLanes::new().slice(&bid.to_le_bytes()).slice(&offset.to_le_bytes()).slice(&[kind])
+}
+
+/// [`FnvLanes`] over a piece's wire representation, envelope first: any
+/// single-bit difference changes the digest. Equal to what [`pack_piece`]
+/// stores when `bytes` is the piece's header and encoded body.
 pub fn wire_checksum(bid: u32, offset: u32, kind: u8, bytes: impl Iterator<Item = u8>) -> u64 {
-    let envelope = bid.to_le_bytes().into_iter().chain(offset.to_le_bytes()).chain([kind]);
-    Fnv1a::pipeline().bytes(envelope).bytes(bytes).finish()
+    envelope_digest(bid, offset, kind).bytes(bytes).finish()
 }
 
 /// `base_step` sentinel for a self-contained keyframe piece.
@@ -272,11 +278,16 @@ const KIND_MISSING: u8 = 2;
 
 /// The checksum of a piece's *encoded* wire representation — header fields
 /// plus the codec body exactly as transmitted, so verification happens
-/// before any decode work touches the bytes.
+/// before any decode work touches the bytes. [`wire_checksum`] of the same
+/// byte stream, fed as slices so the body goes to the lanes a block at a
+/// time.
 fn piece_checksum(p: &WirePiece) -> u64 {
-    let header =
-        [p.coded as u8].into_iter().chain(p.base_step.to_le_bytes()).chain(p.raw_len.to_le_bytes());
-    wire_checksum(p.bid, p.offset, p.kind, header.chain(p.body.iter().copied()))
+    envelope_digest(p.bid, p.offset, p.kind)
+        .slice(&[p.coded as u8])
+        .slice(&p.base_step.to_le_bytes())
+        .slice(&p.raw_len.to_le_bytes())
+        .slice(&p.body)
+        .finish()
 }
 
 /// One piece of a per-renderer data message: the values of `[offset,
@@ -744,6 +755,31 @@ mod tests {
             assert_eq!((at, got), (&ids[7][..], raw));
             assert_eq!(rx.len(), bases, "a base is kept iff `delta` is on ({spec:?})");
         }
+    }
+
+    /// What `pack_piece` stores is the public `wire_checksum` over header
+    /// (coded flag, base step, raw length) ++ encoded body — for every
+    /// codec, keyframes and deltas, both kinds and the missing marker.
+    #[test]
+    fn pack_piece_stores_the_public_wire_checksum() {
+        let public = |p: &WirePiece| {
+            let header = [p.coded as u8]
+                .into_iter()
+                .chain(p.base_step.to_le_bytes())
+                .chain(p.raw_len.to_le_bytes());
+            wire_checksum(p.bid, p.offset, p.kind, header.chain(p.body.iter().copied()))
+        };
+        let raw: Vec<u8> = (0..200u32).map(|i| (i * i % 7) as u8).collect();
+        for spec in ["raw", "rle", "shuffle", "shuffle,delta,keyframe=3"] {
+            let spec = WireSpec::parse(spec).unwrap();
+            let mut tx = DeltaMap::new();
+            for (t, kind) in [(1, 0), (2, 0), (3, 1)] {
+                let p = pack_piece(&spec, (3, 7, 40), kind, raw.clone(), t, &mut tx, true);
+                assert_eq!(p.checksum, public(&p), "{spec:?} step {t}");
+            }
+        }
+        let marker = missing_piece(5, 17, 99);
+        assert_eq!(marker.checksum, public(&marker));
     }
 
     /// Regression: a corrupt body — with or without a fault spec, there

@@ -55,7 +55,7 @@ pub use fault::{
     FaultEvent, FaultKind, FaultPlan, FaultSpec, MembershipEvent, ReadFault, RecoveryStats,
     SendFault,
 };
-pub use fnv::Fnv1a;
+pub use fnv::{Fnv1a, FnvLanes};
 pub use stats::{TagClass, TrafficEdge, TrafficStats};
 pub use wire::{Codec, WireClassStats, WireLedger, WireSpec};
 

@@ -83,6 +83,15 @@ ratchet "one input read path (crates/core/src)" 0 "$(count_sites \
     'ReadStrategy|read_collective|group_comm|comm_group|contiguous_reads' \
     "${core_sources[@]}" crates/core/src/proto.rs)"
 
+# Payload digests: the in-memory bulk integrity checks — wire pieces
+# (`proto::piece_checksum`) and cache entries (`cache::field_checksum`) —
+# run through the word-parallel `rt::FnvLanes`; the byte-serial `Fnv1a`
+# is for digests that are persisted or tiny. The frame-key hashes in
+# cache.rs are keys, stay byte-serial and are not counted.
+ratchet "byte-serial digest over payloads (proto.rs, cache.rs)" 0 "$(( \
+    $(count_sites 'Fnv1a::' crates/core/src/proto.rs) + \
+    $(count_sites '\\.words\\(data' crates/core/src/cache.rs) ))"
+
 # Wall-clock sites: `Instant::now()` / `thread::sleep(` in the runtime
 # crates — each is a place real time leaks into the protocol, and the
 # count the virtual-time work (ROADMAP) drives down to its

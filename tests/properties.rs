@@ -320,16 +320,18 @@ fn octree_blocks_tile_the_leaves_at_every_level() {
 
 // --- wire checksum ------------------------------------------------------
 
-/// The block-piece wire checksum detects **every** single-bit flip: FNV-1a
-/// applies an injective mix per byte, so two streams differing in one byte
-/// can never re-converge. Flip every bit of random payloads and demand a
+/// The block-piece wire checksum detects **every** single-bit flip: the
+/// word-parallel FNV digest applies an injective mix per word within its
+/// lane (and per byte of the tail), so two streams differing in one word
+/// can never re-converge. Flip every bit of random payloads whose lengths
+/// cross the 32-byte block boundaries (one word per lane) and demand a
 /// different digest each time.
 #[test]
 fn wire_checksum_detects_every_single_bit_flip() {
     use quakeviz::pipeline::wire_checksum;
     for seed in 0..20u64 {
         let mut rng = SplitMix64::new(0xC0FFEE ^ seed);
-        let len = 1 + rng.next_below(64) as usize;
+        let len = 1 + rng.next_below(130) as usize;
         let bytes: Vec<u8> = (0..len).map(|_| rng.next_below(256) as u8).collect();
         let bid = rng.next_below(1 << 20) as u32;
         let offset = rng.next_below(1 << 16) as u32;

@@ -4,9 +4,14 @@
 //! grow the wire body past the raw length (the 1-byte `coded` flag is
 //! the entire envelope overhead — `HEADER_BOUND_BYTES`), reject
 //! malformed bodies with an error instead of a panic, and sit behind a
-//! per-piece FNV-1a checksum that catches every single-bit flip of the
-//! encoded stream. Payloads are generated from seeded SplitMix64 so a
-//! failure replays from its case index alone.
+//! per-piece checksum that catches every single-bit flip of the encoded
+//! stream. That checksum is the word-parallel FNV digest (`rt::FnvLanes`),
+//! fed here through an iterator by the public `wire_checksum` and in the
+//! pipeline as slices by `pack_piece`, over the same bytes and so to the
+//! same value; the byte-serial FNV-1a is kept for digests that are
+//! persisted (checkpoints) or tiny (keys, ids, fingerprints). Payloads are
+//! generated from seeded SplitMix64 so a failure replays from its case
+//! index alone.
 
 use quakeviz::pipeline::wire_checksum;
 use quakeviz::rt::rng::SplitMix64;
@@ -146,11 +151,13 @@ fn arbitrary_coded_bodies_never_panic() {
     }
 }
 
-/// Checksum property backing the corruption tests: FNV-1a over the
+/// Checksum property backing the corruption tests: the digest over the
 /// encoded piece stream changes under *every* single-bit flip —
-/// exhaustively for small payloads, sampled for large ones. The pipeline
-/// verifies this checksum before any codec decode runs, so no corrupt
-/// body ever reaches a decoder.
+/// exhaustively for small payloads, sampled for large ones. The stream is
+/// the real envelope: `pack_piece` stores exactly this `wire_checksum`
+/// (`proto`'s `pack_piece_stores_the_public_wire_checksum`). The pipeline
+/// verifies it before any codec decode runs, so no corrupt body ever
+/// reaches a decoder.
 #[test]
 fn single_bit_flips_always_change_the_checksum() {
     for seed in 0..5u64 {
