@@ -21,12 +21,13 @@
 //! `parfs.collective_read_ms` call it, the pipeline does not.
 
 use crate::config::RetryPolicy;
-use quakeviz_mesh::{HexMesh, Loc3, NodeId, OctreeBlock};
+use quakeviz_mesh::{sorted_unique, HexMesh, NodeId, OctreeBlock};
 use quakeviz_parfs::{Disk, IndexedBlockType, PFile, ReadError, ReadOutcome};
 use quakeviz_rt::obs::{self, Phase};
 use quakeviz_rt::Comm;
 use quakeviz_rt::FaultPlan;
 use quakeviz_seismic::Dataset;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -98,41 +99,53 @@ impl ReadStats {
     }
 }
 
-/// The mesh nodes at the eight corners of each of `cells`, sorted and
-/// unique. Every corner of a level-ℓ tiling cell exists as a mesh node —
-/// coarse leaves keep their own corners.
-fn corner_nodes(mesh: &HexMesh, cells: impl Iterator<Item = Loc3>) -> Vec<NodeId> {
+/// The mesh nodes at the eight corners of each level-`level` tiling cell
+/// over the leaves `leaves`, sorted and unique. A leaf at or above `level`
+/// is its own tiling cell: its corners are read from the mesh's cell table.
+/// Deeper leaves share a coarsened ancestor, whose corners — each one a
+/// mesh node, the corner of the leaf inside it there — are looked up once,
+/// at the leaf that starts it (or the first of `leaves`). Sorted and
+/// deduplicated by [`sorted_unique`]'s bitmap, O(ids + range/64) — no sort.
+fn corner_nodes(mesh: &HexMesh, leaves: Range<usize>, level: u8) -> Vec<NodeId> {
     let max = mesh.octree().max_leaf_level();
-    let mut ids = Vec::new();
-    for cell in cells {
+    let mut ids = Vec::with_capacity(8 * leaves.len());
+    let first = leaves.start;
+    for i in leaves {
+        let leaf = mesh.octree().leaves()[i];
+        if leaf.level <= level {
+            ids.extend_from_slice(mesh.cell_nodes(i));
+            continue;
+        }
+        // a block finer than `level` begins inside an ancestor started
+        // before it
+        if leaf.start_level() > level && i != first {
+            continue;
+        }
+        let cell = leaf.ancestor_at(level);
         let (ax, ay, az) = cell.anchor_at_level(max);
         let size = 1u32 << (max - cell.level);
-        for i in 0..8u32 {
+        for k in 0..8u32 {
             let (gx, gy, gz) =
-                (ax + (i & 1) * size, ay + ((i >> 1) & 1) * size, az + ((i >> 2) & 1) * size);
+                (ax + (k & 1) * size, ay + ((k >> 1) & 1) * size, az + ((k >> 2) & 1) * size);
             ids.push(mesh.node_at(gx, gy, gz).expect("level tiling corner must be a mesh node"));
         }
     }
-    ids.sort_unstable();
-    ids.dedup();
-    ids
+    sorted_unique(ids.iter().copied())
 }
 
 /// Sorted unique node ids needed to render the whole mesh at `level`: the
 /// corners of every cell in the level-ℓ tiling.
 pub fn level_node_ids(mesh: &HexMesh, level: u8) -> Vec<NodeId> {
-    corner_nodes(mesh, mesh.octree().extract_level(level).into_iter())
+    corner_nodes(mesh, 0..mesh.cell_count(), level)
 }
 
 /// Sorted unique node ids a renderer needs for `block` when fetching /
 /// rendering at `level` (`None` = full resolution: every block node).
 pub fn block_level_nodes(mesh: &HexMesh, block: &OctreeBlock, level: Option<u8>) -> Vec<NodeId> {
-    let Some(level) = level else {
-        return mesh.block_nodes(block);
-    };
-    let leaves = &mesh.octree().leaves()[block.leaf_start..block.leaf_end];
-    let coarsened = |leaf: &Loc3| if leaf.level > level { leaf.ancestor_at(level) } else { *leaf };
-    corner_nodes(mesh, leaves.iter().map(coarsened))
+    match level {
+        None => mesh.block_nodes(block),
+        Some(level) => corner_nodes(mesh, block.leaf_start..block.leaf_end, level),
+    }
 }
 
 /// Which dense slots the vectors of a read land in, in file order.
@@ -288,6 +301,7 @@ impl FetchPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quakeviz_mesh::{Aabb, Loc3, Octree, RefineOracle, Vec3};
     use quakeviz_rt::World;
     use quakeviz_seismic::SimulationBuilder;
 
@@ -470,6 +484,60 @@ mod tests {
                 if level == max {
                     assert_eq!(sub, full);
                 }
+            }
+        }
+    }
+
+    /// Refined two levels deeper in the top quarter: leaves at levels 2
+    /// and 4, so coarsened ancestors and kept leaves mix at every level.
+    struct TopHeavy;
+    impl RefineOracle for TopHeavy {
+        fn refine(&self, loc: &Loc3, bounds: &Aabb) -> bool {
+            loc.level < if bounds.min.z < 0.25 { 4 } else { 2 }
+        }
+        fn max_level(&self) -> u8 {
+            4
+        }
+        fn min_level(&self) -> u8 {
+            2
+        }
+    }
+
+    /// The definition `corner_nodes` replaces, kept as the oracle: every
+    /// corner of every coarsened cell through `node_at`, sorted, deduped.
+    fn corner_nodes_by_sort(mesh: &HexMesh, leaves: &[Loc3], level: u8) -> Vec<NodeId> {
+        let max = mesh.octree().max_leaf_level();
+        let mut ids = Vec::new();
+        for leaf in leaves {
+            let cell = if leaf.level > level { leaf.ancestor_at(level) } else { *leaf };
+            let (ax, ay, az) = cell.anchor_at_level(max);
+            let size = 1u32 << (max - cell.level);
+            for k in 0..8u32 {
+                let (x, y, z) =
+                    (ax + (k & 1) * size, ay + ((k >> 1) & 1) * size, az + ((k >> 2) & 1) * size);
+                ids.push(mesh.node_at(x, y, z).unwrap());
+            }
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    #[test]
+    fn level_node_lists_equal_sort_dedup_on_top_heavy() {
+        let mesh = HexMesh::from_octree(Octree::build(Vec3::ONE, &TopHeavy));
+        let leaves = mesh.octree().leaves();
+        let max = mesh.octree().max_leaf_level();
+        for level in 0..=max {
+            assert_eq!(level_node_ids(&mesh, level), corner_nodes_by_sort(&mesh, leaves, level));
+        }
+        for b in (0..=max).flat_map(|block_level| mesh.octree().blocks(block_level)) {
+            let own = &leaves[b.leaf_start..b.leaf_end];
+            // at the deepest level every leaf is its own tiling cell
+            assert_eq!(block_level_nodes(&mesh, &b, None), corner_nodes_by_sort(&mesh, own, max));
+            for level in 0..=max {
+                let want = corner_nodes_by_sort(&mesh, own, level);
+                assert_eq!(block_level_nodes(&mesh, &b, Some(level)), want, "block {}", b.id);
             }
         }
     }

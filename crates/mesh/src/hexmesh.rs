@@ -20,6 +20,38 @@ use std::collections::HashMap;
 /// Index into the global node array.
 pub type NodeId = u32;
 
+/// `ids` sorted ascending with duplicates removed — what `sort_unstable`
+/// then `dedup` gives, without a comparison sort.
+///
+/// One pass takes the span `[min, max]`, a second sets one bit per id in a
+/// `u64` bitmap over it, and the set bits are emitted in order: O(ids +
+/// range/64) time and range/8 bytes. Meant for dense sets such as a mesh's
+/// node ids, whose range is bounded by the node count.
+pub fn sorted_unique<I>(ids: I) -> Vec<NodeId>
+where
+    I: IntoIterator<Item = NodeId>,
+    I::IntoIter: Clone,
+{
+    let ids = ids.into_iter();
+    let (min, max) = ids.clone().fold((NodeId::MAX, 0), |(lo, hi), id| (lo.min(id), hi.max(id)));
+    if min > max {
+        return Vec::new();
+    }
+    let mut bits = vec![0u64; (max - min) as usize / 64 + 1];
+    for id in ids {
+        let off = (id - min) as usize;
+        bits[off / 64] |= 1 << (off % 64);
+    }
+    let mut out = Vec::with_capacity(bits.iter().map(|w| w.count_ones() as usize).sum());
+    for (w, mut word) in bits.into_iter().enumerate() {
+        while word != 0 {
+            out.push(min + (w * 64) as NodeId + word.trailing_zeros());
+            word &= word - 1;
+        }
+    }
+    out
+}
+
 /// One hexahedral element: the octree leaf cell plus its eight corner
 /// nodes in VTK hexahedron order restricted to an axis-aligned cell:
 /// `(x,y,z)` bit order — corner `i` has offsets `(i&1, (i>>1)&1, (i>>2)&1)`.
@@ -168,26 +200,23 @@ impl HexMesh {
     ///
     /// This is the noncontiguous read pattern for one block: the offsets an
     /// input processor must gather from the linear node array (paper
-    /// §5.3.1, `MPI_TYPE_CREATE_INDEXED_BLOCK`).
+    /// §5.3.1, `MPI_TYPE_CREATE_INDEXED_BLOCK`). Built by [`sorted_unique`]'s
+    /// bitmap over the block's id span, O(ids + range/64) — no sort.
     pub fn block_nodes(&self, block: &OctreeBlock) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> =
-            self.cells[block.leaf_start..block.leaf_end].iter().flatten().copied().collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+        sorted_unique(self.cells[block.leaf_start..block.leaf_end].as_flattened().iter().copied())
     }
 
     /// Sorted unique node ids for several blocks merged together
     /// ("to avoid duplicating node data, octree data are merged for each
-    /// rendering processor" — paper §5.3.1).
+    /// rendering processor" — paper §5.3.1). Built by [`sorted_unique`]'s
+    /// bitmap over the blocks' id span, O(ids + range/64) — no sort.
     pub fn merged_block_nodes(&self, blocks: &[&OctreeBlock]) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = blocks
-            .iter()
-            .flat_map(|b| self.cells[b.leaf_start..b.leaf_end].iter().flatten().copied())
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+        sorted_unique(
+            blocks
+                .iter()
+                .flat_map(|b| self.cells[b.leaf_start..b.leaf_end].as_flattened())
+                .copied(),
+        )
     }
 
     /// Node ids lying on the ground surface (z = 0), in id order.
@@ -327,5 +356,68 @@ mod tests {
     fn node_at_miss_returns_none() {
         let mesh = HexMesh::from_octree(Octree::build(Vec3::ONE, &UniformRefinement(1)));
         assert!(mesh.node_at(3, 0, 0).is_none()); // grid only spans 0..=2
+    }
+
+    /// The definition `sorted_unique` replaces, kept as the oracle.
+    fn sort_dedup(mut ids: Vec<NodeId>) -> Vec<NodeId> {
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    fn check_sorted_unique(ids: Vec<NodeId>) {
+        assert_eq!(sorted_unique(ids.iter().copied()), sort_dedup(ids.clone()), "input {ids:?}");
+    }
+
+    #[test]
+    fn sorted_unique_equals_sort_dedup() {
+        check_sorted_unique(vec![]);
+        check_sorted_unique(vec![42]);
+        check_sorted_unique(vec![7; 100]);
+        check_sorted_unique(vec![0, 0, 3, 1, 0, 2]);
+        check_sorted_unique(vec![NodeId::MAX, NodeId::MAX - 5, NodeId::MAX, NodeId::MAX - 64]);
+        // spans ending at bit 63, 64 and 65 of a word
+        for (base, span) in [(0, 63), (0, 64), (0, 65), (1000, 63), (1000, 64), (1000, 65)] {
+            check_sorted_unique(vec![base + span, base, base + span / 2, base + span]);
+        }
+        let mut rng = quakeviz_rt::rng::SplitMix64::new(0x50_47_ed);
+        for _ in 0..200 {
+            let len = rng.next_below(10_001) as usize;
+            let range = 1 + rng.next_below(4 * len as u64 + 64);
+            let base = rng.next_below(NodeId::MAX as u64 - range) as NodeId;
+            check_sorted_unique((0..len).map(|_| base + rng.next_below(range) as NodeId).collect());
+        }
+    }
+
+    #[test]
+    fn node_lists_equal_sort_dedup_on_top_heavy() {
+        let mesh = HexMesh::from_octree(Octree::build(Vec3::ONE, &TopHeavy));
+        let corners = |b: &OctreeBlock| {
+            (b.leaf_start..b.leaf_end).flat_map(|i| *mesh.cell_nodes(i)).collect::<Vec<_>>()
+        };
+        assert!(mesh.merged_block_nodes(&[]).is_empty());
+        let mut rng = quakeviz_rt::rng::SplitMix64::new(31);
+        for block_level in 0..=mesh.octree().max_leaf_level() {
+            let blocks = mesh.octree().blocks(block_level);
+            for b in &blocks {
+                assert_eq!(mesh.block_nodes(b), sort_dedup(corners(b)), "block {}", b.id);
+            }
+            for _ in 0..16 {
+                let subset: Vec<&OctreeBlock> =
+                    blocks.iter().filter(|_| rng.next_below(3) == 0).collect();
+                let want = sort_dedup(subset.iter().flat_map(|b| corners(b)).collect());
+                assert_eq!(mesh.merged_block_nodes(&subset), want);
+            }
+        }
+    }
+
+    #[test]
+    fn cell_count_at_level_equals_extracted_len_on_top_heavy() {
+        let tree = Octree::build(Vec3::ONE, &TopHeavy);
+        let counts = tree.cell_counts_by_level();
+        for level in 0..=tree.max_leaf_level() {
+            assert_eq!(tree.cell_count_at_level(level), tree.extract_level(level).len());
+            assert_eq!(counts[level as usize], tree.extract_level(level).len());
+        }
     }
 }

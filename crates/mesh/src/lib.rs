@@ -35,7 +35,7 @@ pub mod quadtree;
 pub mod region;
 
 pub use field::{NodeField, VectorField};
-pub use hexmesh::{HexCell, HexMesh, NodeId};
+pub use hexmesh::{sorted_unique, HexCell, HexMesh, NodeId};
 pub use morton::{Loc2, Loc3};
 pub use octree::{BlockId, Octree, OctreeBlock, RefineOracle, UniformRefinement};
 pub use partition::{lpt_place, Partition, WorkloadModel};

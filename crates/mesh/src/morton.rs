@@ -187,6 +187,17 @@ impl Loc3 {
         other.level >= self.level && other.ancestor_at(self.level) == *self
     }
 
+    /// The coarsest level ℓ at which this cell *starts* the level-ℓ cell
+    /// holding it: is that cell, or shares its anchor. Of leaves that tile
+    /// the domain, each level-ℓ tiling cell is started by exactly one —
+    /// the first inside it in SFC order — and those are the leaves with
+    /// `start_level() ≤ ℓ`.
+    #[inline]
+    pub fn start_level(&self) -> u8 {
+        let shared = (self.x | self.y | self.z).trailing_zeros().min(self.level as u32);
+        self.level - shared as u8
+    }
+
     /// Anchor coordinates expressed on the grid of `level` (≥ self.level).
     #[inline]
     pub fn anchor_at_level(&self, level: u8) -> (u32, u32, u32) {

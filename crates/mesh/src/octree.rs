@@ -212,8 +212,24 @@ impl Octree {
 
     /// Number of cells that adaptive fetching at `level` touches. Used by
     /// the I/O cost model: bytes fetched scale with this count.
+    ///
+    /// One pass over the leaves, no allocation: each level-`level` cell is
+    /// counted at the one leaf that starts it ([`Loc3::start_level`]).
     pub fn cell_count_at_level(&self, level: u8) -> usize {
-        self.extract_level(level).len()
+        self.leaves.iter().filter(|leaf| leaf.start_level() <= level).count()
+    }
+
+    /// [`Octree::cell_count_at_level`] for every level `0..=max_leaf_level`
+    /// at once, indexed by level: one pass over the leaves.
+    pub fn cell_counts_by_level(&self) -> Vec<usize> {
+        let mut counts = vec![0usize; self.max_leaf_level as usize + 1];
+        for leaf in &self.leaves {
+            counts[leaf.start_level() as usize] += 1;
+        }
+        for level in 1..counts.len() {
+            counts[level] += counts[level - 1];
+        }
+        counts
     }
 
     /// Decompose the octree into blocks: subtrees rooted at cells of level
@@ -332,6 +348,17 @@ mod tests {
         // Coarser level => no more cells.
         assert!(t.cell_count_at_level(3) <= t.cell_count_at_level(5));
         assert_eq!(t.cell_count_at_level(5), t.cell_count());
+    }
+
+    #[test]
+    fn cell_count_at_level_equals_extracted_len() {
+        let t = Octree::build(Vec3::ONE, &SurfaceRefinement { max: 5 });
+        let counts = t.cell_counts_by_level();
+        assert_eq!(counts.len(), t.max_leaf_level() as usize + 1);
+        for level in 0..=t.max_leaf_level() {
+            assert_eq!(t.cell_count_at_level(level), t.extract_level(level).len());
+            assert_eq!(counts[level as usize], t.extract_level(level).len());
+        }
     }
 
     #[test]

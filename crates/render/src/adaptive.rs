@@ -33,8 +33,11 @@ impl Default for AdaptivePolicy {
 impl AdaptivePolicy {
     /// Expected elements per covered pixel at `level`.
     pub fn cells_per_pixel(&self, octree: &Octree, level: u8, width: u32, height: u32) -> f64 {
-        let pixels = (width as f64 * height as f64 * self.coverage).max(1.0);
-        octree.cell_count_at_level(level) as f64 / pixels
+        octree.cell_count_at_level(level) as f64 / self.covered_pixels(width, height)
+    }
+
+    fn covered_pixels(&self, width: u32, height: u32) -> f64 {
+        (width as f64 * height as f64 * self.coverage).max(1.0)
     }
 
     /// Choose the rendering level for an image of `width`×`height`.
@@ -43,17 +46,15 @@ impl AdaptivePolicy {
     /// the coarsest level exceeds it (a tiny image), returns level 0's
     /// nearest usable level. The result never exceeds the data resolution
     /// (`max_leaf_level`) — rendering finer than the data adds nothing.
+    /// Every level's cell count comes from one pass over the leaves.
     pub fn choose_level(&self, octree: &Octree, width: u32, height: u32) -> u8 {
-        let max = octree.max_leaf_level();
-        let mut chosen = 0;
-        for level in 0..=max {
-            if self.cells_per_pixel(octree, level, width, height) <= self.max_cells_per_pixel {
-                chosen = level;
-            } else {
-                break;
-            }
-        }
-        chosen
+        let pixels = self.covered_pixels(width, height);
+        let within = octree
+            .cell_counts_by_level()
+            .iter()
+            .take_while(|&&cells| cells as f64 / pixels <= self.max_cells_per_pixel)
+            .count();
+        within.saturating_sub(1) as u8
     }
 
     /// Predicted render-cost ratio of full resolution vs the adaptive

@@ -92,6 +92,17 @@ ratchet "byte-serial digest over payloads (proto.rs, cache.rs)" 0 "$(( \
     $(count_sites 'Fnv1a::' crates/core/src/proto.rs) + \
     $(count_sites '\\.words\\(data' crates/core/src/cache.rs) ))"
 
+# Set-up in linear time: a run's node-id sets (block lists, level corner
+# lists) come from `mesh::sorted_unique`'s bitmap, never a sort + dedup;
+# `from_octree`'s `corner_keys.dedup()` is over sparse Morton keys and is
+# not counted. A level's cell count is one pass over the leaves, never the
+# length of a materialised `extract_level`.
+ratchet "sort+dedup node set (hexmesh.rs, reader.rs)" 0 "$(count_sites \
+    'ids\\.dedup\\(\\)' crates/mesh/src/hexmesh.rs crates/core/src/reader.rs)"
+mapfile -t level_sources < <(find crates/mesh/src crates/render/src -name '*.rs')
+ratchet "materialised level count (crates/{mesh,render}/src)" 0 "$(count_sites \
+    'extract_level\\([^)]*\\)\\.len\\(\\)' "${level_sources[@]}")"
+
 # Wall-clock sites: `Instant::now()` / `thread::sleep(` in the runtime
 # crates — each is a place real time leaks into the protocol, and the
 # count the virtual-time work (ROADMAP) drives down to its
