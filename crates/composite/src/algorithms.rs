@@ -6,8 +6,8 @@
 //! frame. Identical final images across algorithms — and against the
 //! sequential reference — is the correctness contract.
 
-use crate::rle::{rle_decode, rle_encode};
-use crate::schedule::FrameInfo;
+use crate::rle::{rle_decode, rle_decode_span, rle_encode, rle_encode_rows};
+use crate::schedule::{FrameInfo, Run};
 use quakeviz_render::image::over;
 use quakeviz_render::{Fragment, Rgba, RgbaImage};
 use quakeviz_rt::{obs, Comm};
@@ -32,11 +32,11 @@ pub struct CompositeResult {
     pub image: Option<RgbaImage>,
 }
 
-/// A pixel span annotated with its source fragment (for ordering).
+/// A direct-send pixel span annotated with its source fragment (for
+/// ordering).
 #[derive(Debug, Clone)]
 struct Span {
-    /// Index into `FrameInfo::frags`; `u32::MAX` for already-composited
-    /// output spans.
+    /// Index into `FrameInfo::frags`.
     frag: u32,
     y: u32,
     x0: u32,
@@ -101,34 +101,9 @@ fn frag_span(f: &Fragment, y: u32, x0: u32, x1: u32) -> Vec<Rgba> {
     f.pixels[a..b].to_vec()
 }
 
-/// Row-major rect `[x0,x1) × [y0,y1)` out of a fragment.
-fn frag_rect(f: &Fragment, y0: u32, y1: u32, x0: u32, x1: u32) -> Vec<Rgba> {
-    let mut out = Vec::with_capacity(((y1 - y0) * (x1 - x0)) as usize);
-    for y in y0..y1 {
-        let w = f.rect.width() as usize;
-        let row = (y - f.rect.y0) as usize * w;
-        let a = row + (x0 - f.rect.x0) as usize;
-        let b = row + (x1 - f.rect.x0) as usize;
-        out.extend_from_slice(&f.pixels[a..b]);
-    }
-    out
-}
-
 fn send_batch(comm: &Comm, dst: usize, tag: u64, batch: Vec<Span>) {
     let bytes: u64 = batch.iter().map(|s| s.data.bytes()).sum();
     comm.send_with_size(dst, tag, batch, bytes);
-}
-
-/// Paint an already-composited rect run into the final image.
-fn paint_run(img: &mut RgbaImage, run: &crate::schedule::Run, pixels: &[Rgba]) {
-    debug_assert_eq!(pixels.len(), run.len());
-    let w = run.width();
-    for (ry, y) in (run.y0..run.y1).enumerate() {
-        for (rx, x) in (run.x0..run.x1).enumerate() {
-            let cur = img.get(x, y);
-            img.set(x, y, over(cur, pixels[ry * w + rx]));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -264,6 +239,103 @@ pub fn direct_send(
 // SLIC
 // ---------------------------------------------------------------------
 
+/// The pixels one rank sends another in one SLIC round: spans packed
+/// back to back in schedule order — raw, or each span RLE-coded on its
+/// own, so no record crosses a span. No keys travel: the receiver walks
+/// the same schedule and reads each span back by its pixel count.
+enum Batch {
+    Raw(Vec<Rgba>),
+    Rle(Vec<u8>),
+}
+
+impl Batch {
+    /// An empty batch for `pixels` pixels of spans.
+    fn new(compress: bool, pixels: usize) -> Batch {
+        if compress {
+            Batch::Rle(Vec::new())
+        } else {
+            Batch::Raw(Vec::with_capacity(pixels))
+        }
+    }
+
+    /// Append one span, given as its rows.
+    fn push_span<'a>(&mut self, rows: impl Iterator<Item = &'a [Rgba]>) {
+        match self {
+            Batch::Raw(px) => rows.for_each(|row| px.extend_from_slice(row)),
+            Batch::Rle(bytes) => rle_encode_rows(bytes, rows),
+        }
+    }
+
+    /// Bytes charged on the wire: 16 per raw pixel, the coded length
+    /// under RLE.
+    fn bytes(&self) -> u64 {
+        match self {
+            Batch::Raw(px) => px.len() as u64 * 16,
+            Batch::Rle(bytes) => bytes.len() as u64,
+        }
+    }
+
+    fn send(self, comm: &Comm, dst: usize, tag: u64) {
+        let bytes = self.bytes();
+        comm.send_with_size(dst, tag, self, bytes);
+    }
+}
+
+/// A received [`Batch`] and the read position in it.
+struct Cursor {
+    batch: Batch,
+    at: usize,
+    /// The decoded span of an RLE batch; a raw span is read in place.
+    decoded: Vec<Rgba>,
+}
+
+impl Cursor {
+    /// The next `len`-pixel span, row-major.
+    fn next_span(&mut self, len: usize) -> &[Rgba] {
+        match &self.batch {
+            Batch::Raw(px) => {
+                self.at += len;
+                &px[self.at - len..self.at]
+            }
+            Batch::Rle(bytes) => {
+                self.decoded.clear();
+                self.at = rle_decode_span(bytes, self.at, len, &mut self.decoded);
+                &self.decoded
+            }
+        }
+    }
+}
+
+/// Receive the `tag` batches of `senders` ranks: a cursor per source.
+fn receive(comm: &Comm, tag: u64, senders: usize) -> Vec<Option<Cursor>> {
+    let mut from: Vec<Option<Cursor>> = (0..comm.size()).map(|_| None).collect();
+    for _ in 0..senders {
+        let (src, batch): (usize, Batch) = comm.recv_any(tag);
+        from[src] = Some(Cursor { batch, at: 0, decoded: Vec::new() });
+    }
+    from
+}
+
+/// `run`'s rows out of a fragment that covers it.
+fn rows<'a>(f: &'a Fragment, run: &Run) -> impl Iterator<Item = &'a [Rgba]> {
+    let w = f.rect.width() as usize;
+    let a = (run.y0 - f.rect.y0) as usize * w + (run.x0 - f.rect.x0) as usize;
+    let rw = run.width();
+    f.pixels[a..].chunks(w).take((run.y1 - run.y0) as usize).map(move |row| &row[..rw])
+}
+
+/// Blend a finished run's rows into the frame, `over(frame, ·)`.
+fn paint<'a>(img: &mut RgbaImage, run: &Run, rows: impl Iterator<Item = &'a [Rgba]>) {
+    let w = img.width() as usize;
+    let px = img.pixels_mut();
+    for (y, row) in (run.y0..run.y1).zip(rows) {
+        let a = y as usize * w + run.x0 as usize;
+        for (f, p) in px[a..a + row.len()].iter_mut().zip(row) {
+            *f = over(*f, *p);
+        }
+    }
+}
+
 /// SLIC compositing (Stompel et al. 2003): scanline runs, one compositor
 /// per overlapped run, single-fragment runs bypass compositing, all spans
 /// between a rank pair batched into one message.
@@ -275,162 +347,110 @@ pub fn slic(
     opts: CompositeOptions,
 ) -> CompositeResult {
     let n = comm.size();
-    let me = comm.rank() as u32;
-    let runs = info.runs();
-    let frag_by_index: std::collections::HashMap<u32, &Fragment> = local
-        .iter()
-        .map(|f| (info.index_of(f.block).expect("fragment missing from FrameInfo") as u32, f))
-        .collect();
+    let me = comm.rank();
+    let sched = info.runs();
+    let owner = |fi: u32| info.frags[fi as usize].2 as usize;
+    // my fragments by their index in `info.frags`
+    let mut mine: Vec<Option<&Fragment>> = vec![None; info.frags.len()];
+    for f in local {
+        mine[info.index_of(f.block).expect("fragment missing from FrameInfo")] = Some(f);
+    }
+    let my = |fi: u32| mine[fi as usize].expect("scheduled layer is not mine");
 
     // schedule-derived traffic matrix (identical on all ranks)
-    let mut comp_traffic = vec![vec![false; n]; n]; // src -> compositor
-    let mut out_traffic = vec![false; n]; // src -> collector
-    for run in &runs {
-        let comp = info.compositor_of(run);
-        if run.frags.len() > 1 {
-            for &fi in &run.frags {
-                let owner = info.frags[fi].2;
-                if owner != comp {
-                    comp_traffic[owner as usize][comp as usize] = true;
-                }
-            }
-        }
-        if comp as usize != collector {
-            out_traffic[comp as usize] = true;
-        }
-    }
+    let traffic = info.slic_traffic(&sched, n, collector);
 
-    // phase 1: ship my spans of overlapped runs to their compositors
+    // phase 1: ship my layers of overlapped runs to their compositors,
+    // one span per (run, layer) in schedule order
     let sp = obs::auto_span(obs::Phase::CompositeRound, 1);
-    let mut comp_out: Vec<Vec<Span>> = vec![Vec::new(); n];
-    for (run_id, run) in runs.iter().enumerate() {
-        if run.frags.len() < 2 {
-            continue;
-        }
-        let comp = info.compositor_of(run);
+    let mut to_comp: Vec<Batch> =
+        traffic.to_comp[me].iter().map(|&px| Batch::new(opts.compress, px)).collect();
+    for (run, layers) in sched.iter() {
+        let comp = owner(layers[0]);
         if comp == me {
             continue;
         }
-        for &fi in &run.frags {
-            if info.frags[fi].2 == me {
-                let f = frag_by_index[&(fi as u32)];
-                comp_out[comp as usize].push(Span {
-                    frag: run_id as u32, // carries the run id in phase 1
-                    y: fi as u32,        // and the fragment index here
-                    x0: run.x0,
-                    data: SpanData::encode(
-                        frag_rect(f, run.y0, run.y1, run.x0, run.x1),
-                        opts.compress,
-                    ),
-                });
+        for &fi in &layers[1..] {
+            if owner(fi) == me {
+                to_comp[comp].push_span(rows(my(fi), run));
             }
         }
     }
-    for (dst, batch) in comp_out.into_iter().enumerate() {
-        if comp_traffic[me as usize][dst] {
-            send_batch(comm, dst, TAG_SLIC_COMP, batch);
+    for (dst, batch) in to_comp.into_iter().enumerate() {
+        if traffic.to_comp[me][dst] > 0 {
+            batch.send(comm, dst, TAG_SLIC_COMP);
         }
     }
-
     drop(sp);
 
-    // phase 2: receive inputs for runs I composite
+    // phase 2: receive the layers of the runs I composite, one batch per
+    // source
     let sp = obs::auto_span(obs::Phase::CompositeRound, 2);
-    let expected: usize =
-        (0..n).filter(|&src| src != me as usize && comp_traffic[src][me as usize]).count();
-    let mut inbox: std::collections::HashMap<(u32, u32), Vec<Rgba>> =
-        std::collections::HashMap::new();
-    for _ in 0..expected {
-        let (_, batch): (usize, Vec<Span>) = comm.recv_any(TAG_SLIC_COMP);
-        for s in batch {
-            inbox.insert((s.frag, s.y), s.data.decode()); // (run_id, frag_idx)
-        }
-    }
-
+    let senders = (0..n).filter(|&src| traffic.to_comp[src][me] > 0).count();
+    let mut from = receive(comm, TAG_SLIC_COMP, senders);
     drop(sp);
 
-    // phase 3: composite my runs and emit output spans to the collector
-    // (output spans are addressed by run id — the collector derives the
-    // same run list from the shared FrameInfo)
+    // phase 3: finish my runs — fold each overlapped one front to back —
+    // and paint them (collector) or batch them for the collector
     let sp = obs::auto_span(obs::Phase::CompositeRound, 3);
-    let mut final_batch: Vec<Span> = Vec::new();
-    let mut local_paint: Vec<(usize, Vec<Rgba>)> = Vec::new();
+    let mut frame = (me == collector).then(|| RgbaImage::new(info.width, info.height));
+    let mut to_collector = Batch::new(opts.compress, traffic.to_collector[me]);
+    let mut acc: Vec<Rgba> = Vec::new();
     // over-operator pixel blends performed by this rank (QUAKEVIZ_PROF
     // work metric — deterministic for a fixed fragment layout)
     let mut over_px = 0u64;
-    for (run_id, run) in runs.iter().enumerate() {
-        let comp = info.compositor_of(run);
-        if run.frags.len() == 1 {
-            // singleton: owner ships straight to the collector
-            let fi = run.frags[0];
-            if info.frags[fi].2 != me {
-                continue;
-            }
-            let f = frag_by_index[&(fi as u32)];
-            let pixels = frag_rect(f, run.y0, run.y1, run.x0, run.x1);
-            if me as usize == collector {
-                local_paint.push((run_id, pixels));
-            } else {
-                final_batch.push(Span {
-                    frag: run_id as u32,
-                    y: 0,
-                    x0: 0,
-                    data: SpanData::encode(pixels, opts.compress),
-                });
+    for (run, layers) in sched.iter() {
+        if owner(layers[0]) != me {
+            continue;
+        }
+        if let [only] = *layers {
+            // singleton: the owner ships it straight to the collector
+            match &mut frame {
+                Some(img) => paint(img, run, rows(my(only), run)),
+                None => to_collector.push_span(rows(my(only), run)),
             }
             continue;
         }
-        if comp != me {
-            continue;
-        }
-        // gather the run's spans front-to-back and composite
-        let mut acc = vec![[0.0f32; 4]; run.len()];
-        for &fi in &run.frags {
-            let owner = info.frags[fi].2;
-            let pixels = if owner == me {
-                frag_rect(frag_by_index[&(fi as u32)], run.y0, run.y1, run.x0, run.x1)
+        acc.clear();
+        acc.resize(run.len(), [0.0; 4]);
+        for &fi in layers {
+            if owner(fi) == me {
+                for (acc_row, row) in acc.chunks_exact_mut(run.width()).zip(rows(my(fi), run)) {
+                    for (a, p) in acc_row.iter_mut().zip(row) {
+                        *a = over(*a, *p);
+                    }
+                }
             } else {
-                inbox
-                    .remove(&(run_id as u32, fi as u32))
-                    .expect("scheduled span missing from inbox")
-            };
-            for (a, p) in acc.iter_mut().zip(&pixels) {
-                *a = over(*a, *p);
+                let span = from[owner(fi)].as_mut().expect("scheduled span never arrived");
+                for (a, p) in acc.iter_mut().zip(span.next_span(run.len())) {
+                    *a = over(*a, *p);
+                }
             }
             over_px += run.len() as u64;
         }
-        if me as usize == collector {
-            local_paint.push((run_id, acc));
-        } else {
-            final_batch.push(Span {
-                frag: run_id as u32,
-                y: 0,
-                x0: 0,
-                data: SpanData::encode(acc, opts.compress),
-            });
+        match &mut frame {
+            Some(img) => paint(img, run, acc.chunks_exact(run.width())),
+            None => to_collector.push_span(acc.chunks_exact(run.width())),
         }
     }
     quakeviz_rt::obs::prof::ticks("slic.over_px", over_px);
-    if me as usize != collector && out_traffic[me as usize] {
-        send_batch(comm, collector, TAG_SLIC_OUT, final_batch);
+    if traffic.to_collector[me] > 0 {
+        to_collector.send(comm, collector, TAG_SLIC_OUT);
     }
     drop(sp);
 
-    // phase 4: collector assembles
-    if me as usize != collector {
+    // phase 4: the collector paints every other rank's finished runs
+    let Some(mut img) = frame else {
         return CompositeResult { image: None };
-    }
+    };
     let _sp = obs::auto_span(obs::Phase::CompositeRound, 4);
-    let mut img = RgbaImage::new(info.width, info.height);
-    for (run_id, pixels) in local_paint {
-        paint_run(&mut img, &runs[run_id], &pixels);
-    }
-    let senders = (0..n).filter(|&r| r != collector && out_traffic[r]).count();
-    for _ in 0..senders {
-        let (_, batch): (usize, Vec<Span>) = comm.recv_any(TAG_SLIC_OUT);
-        for s in batch {
-            let pixels = s.data.decode();
-            paint_run(&mut img, &runs[s.frag as usize], &pixels);
+    let senders = traffic.to_collector.iter().filter(|&&px| px > 0).count();
+    let mut from = receive(comm, TAG_SLIC_OUT, senders);
+    for (run, layers) in sched.iter() {
+        let src = owner(layers[0]);
+        if src != collector {
+            let span = from[src].as_mut().expect("finished run never arrived");
+            paint(&mut img, run, span.next_span(run.len()).chunks_exact(run.width()));
         }
     }
     CompositeResult { image: Some(img) }

@@ -36,4 +36,4 @@ pub use algorithms::{
     binary_swap, direct_send, sequential_reference, slic, CompositeOptions, CompositeResult,
 };
 pub use rle::{rle_decode, rle_encode};
-pub use schedule::{FrameInfo, Run};
+pub use schedule::{FrameInfo, Run, Schedule};

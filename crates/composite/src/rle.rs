@@ -15,23 +15,45 @@ use quakeviz_render::Rgba;
 /// 16 B/pixel to 20 B/pixel.
 pub fn rle_encode(pixels: &[Rgba]) -> Vec<u8> {
     let mut out = Vec::with_capacity(pixels.len() / 2 * 20 + 20);
-    let mut i = 0;
-    while i < pixels.len() {
-        let v = pixels[i];
-        let mut count = 1u32;
-        while i + (count as usize) < pixels.len()
-            && pixels[i + count as usize] == v
-            && count < u32::MAX
-        {
-            count += 1;
-        }
-        out.extend_from_slice(&count.to_le_bytes());
-        for c in v {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        i += count as usize;
-    }
+    rle_encode_rows(&mut out, [pixels]);
     out
+}
+
+/// Append the encoding of one span, given as consecutive rows, to `out`:
+/// the bytes [`rle_encode`] gives for the rows' concatenation.
+pub(crate) fn rle_encode_rows<'a>(out: &mut Vec<u8>, rows: impl IntoIterator<Item = &'a [Rgba]>) {
+    let mut record: Option<(Rgba, u32)> = None;
+    for &p in rows.into_iter().flatten() {
+        match &mut record {
+            Some((v, count)) if *v == p && *count < u32::MAX => *count += 1,
+            _ => {
+                if let Some((v, count)) = record.replace((p, 1)) {
+                    push_record(out, v, count);
+                }
+            }
+        }
+    }
+    if let Some((v, count)) = record {
+        push_record(out, v, count);
+    }
+}
+
+fn push_record(out: &mut Vec<u8>, v: Rgba, count: u32) {
+    out.extend_from_slice(&count.to_le_bytes());
+    for c in v {
+        out.extend_from_slice(&c.to_le_bytes());
+    }
+}
+
+/// `(count, value)` of one 20-byte record.
+fn read_record(rec: &[u8]) -> (usize, Rgba) {
+    let count = u32::from_le_bytes(rec[0..4].try_into().unwrap()) as usize;
+    let mut v = [0.0f32; 4];
+    for (c, vslot) in v.iter_mut().enumerate() {
+        let o = 4 + c * 4;
+        *vslot = f32::from_le_bytes(rec[o..o + 4].try_into().unwrap());
+    }
+    (count, v)
 }
 
 /// Decode an RLE span (inverse of [`rle_encode`]).
@@ -39,15 +61,29 @@ pub fn rle_decode(bytes: &[u8]) -> Vec<Rgba> {
     assert_eq!(bytes.len() % 20, 0, "corrupt RLE stream");
     let mut out = Vec::new();
     for rec in bytes.chunks_exact(20) {
-        let count = u32::from_le_bytes(rec[0..4].try_into().unwrap()) as usize;
-        let mut v = [0.0f32; 4];
-        for (c, vslot) in v.iter_mut().enumerate() {
-            let o = 4 + c * 4;
-            *vslot = f32::from_le_bytes(rec[o..o + 4].try_into().unwrap());
-        }
+        let (count, v) = read_record(rec);
         out.resize(out.len() + count, v);
     }
     out
+}
+
+/// Decode the `len`-pixel span that starts at byte `at` of a stream of
+/// separately encoded spans, appending it to `out`; returns the byte
+/// offset of the next span.
+pub(crate) fn rle_decode_span(
+    bytes: &[u8],
+    mut at: usize,
+    len: usize,
+    out: &mut Vec<Rgba>,
+) -> usize {
+    let end = out.len() + len;
+    while out.len() < end {
+        let (count, v) = read_record(bytes.get(at..at + 20).expect("corrupt RLE stream"));
+        assert!(out.len() + count <= end, "corrupt RLE stream: record crosses a span");
+        out.resize(out.len() + count, v);
+        at += 20;
+    }
+    at
 }
 
 /// `encoded size / raw size` — below 1.0 means compression helped.
@@ -101,6 +137,31 @@ mod tests {
         px.extend(vec![[0.5f32, 0.2, 0.1, 0.9]; 100]);
         let r = compression_ratio(&px);
         assert!(r < 0.01, "two runs over 1000 pixels should compress hard, got {r}");
+    }
+
+    #[test]
+    fn spans_encode_and_decode_one_by_one() {
+        let a: Vec<Rgba> = [[0.0; 4]; 5].into_iter().chain([[0.5, 0.0, 0.0, 0.5]; 3]).collect();
+        let b = vec![[0.5f32, 0.0, 0.0, 0.5]; 4];
+        let mut stream = Vec::new();
+        // a span given as rows codes like its concatenation
+        rle_encode_rows(&mut stream, a.chunks(2));
+        assert_eq!(stream, rle_encode(&a));
+        rle_encode_rows(&mut stream, [&b[..]]);
+        // b's first pixel equals a's last, yet no record crosses the seam
+        assert_eq!(stream.len(), rle_encode(&a).len() + rle_encode(&b).len());
+        let mut out = Vec::new();
+        let at = rle_decode_span(&stream, 0, a.len(), &mut out);
+        assert_eq!(out, a);
+        out.clear();
+        assert_eq!(rle_decode_span(&stream, at, b.len(), &mut out), stream.len());
+        assert_eq!(out, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "crosses a span")]
+    fn decode_span_rejects_a_record_past_the_span() {
+        rle_decode_span(&rle_encode(&[[0.0; 4]; 4]), 0, 3, &mut Vec::new());
     }
 
     #[test]

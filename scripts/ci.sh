@@ -103,6 +103,14 @@ mapfile -t level_sources < <(find crates/mesh/src crates/render/src -name '*.rs'
 ratchet "materialised level count (crates/{mesh,render}/src)" 0 "$(count_sites \
     'extract_level\\([^)]*\\)\\.len\\(\\)' "${level_sources[@]}")"
 
+# SLIC at the cost of its pixels: the schedule is one x-sweep per band
+# with every run's layers in one flat list, and each round's spans travel
+# as one schedule-ordered buffer per peer, read back by cursor — no
+# per-run pixel copies, no per-window line scan, no keyed inbox.
+ratchet "per-run copies and keyed spans in SLIC (composite)" 0 "$(count_sites \
+    'frag_rect\\(|runs_of_line\\(|HashMap<\\(u32, u32\\)' \
+    crates/composite/src/algorithms.rs crates/composite/src/schedule.rs)"
+
 # Wall-clock sites: `Instant::now()` / `thread::sleep(` in the runtime
 # crates — each is a place real time leaks into the protocol, and the
 # count the virtual-time work (ROADMAP) drives down to its

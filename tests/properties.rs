@@ -4,19 +4,22 @@
 //! the reproducing seed.
 //!
 //! * RLE pixel coding is a lossless roundtrip for any span,
-//! * SLIC compositing equals the sequential over-operator reference for
-//!   any fragment layout,
+//! * SLIC compositing equals the sequential over-operator reference bit
+//!   for bit for any fragment layout, with the message and byte counts
+//!   its schedule predicts,
 //! * octree block decomposition tiles the leaf array exactly at every
 //!   level,
 //! * block ownership (`membership::owners`) covers every block exactly
 //!   once on live active ranks for any assignment and dead rank.
 
-use quakeviz::composite::{rle_decode, rle_encode, slic, CompositeOptions, FrameInfo};
+use quakeviz::composite::{
+    rle_decode, rle_encode, sequential_reference, slic, CompositeOptions, FrameInfo,
+};
 use quakeviz::mesh::{Aabb, Loc3, Octree, RefineOracle, Vec3};
-use quakeviz::render::raycast::{composite_fragments, Fragment};
+use quakeviz::render::raycast::Fragment;
 use quakeviz::render::{Rgba, RgbaImage, ScreenRect};
 use quakeviz::rt::rng::SplitMix64;
-use quakeviz::rt::World;
+use quakeviz::rt::{TrafficStats, World};
 
 // --- RLE roundtrip ------------------------------------------------------
 
@@ -94,43 +97,157 @@ fn random_fragment(rng: &mut SplitMix64, block: u32) -> Fragment {
     Fragment { block, rect, pixels }
 }
 
-/// Sequential reference: every fragment composited front-to-back with the
-/// plain over operator on one image.
-fn reference(all: &mut [Fragment], order: &[u32]) -> RgbaImage {
-    let pos: std::collections::HashMap<u32, usize> =
-        order.iter().enumerate().map(|(i, &b)| (b, i)).collect();
-    all.sort_by_key(|f| pos[&f.block]);
-    let refs: Vec<&Fragment> = all.iter().collect();
-    composite_fragments(&refs, W, H)
+/// A frame's worth of fragments: each with its owner rank, plus the
+/// visibility order (block ids, front to back).
+struct Panel {
+    frags: Vec<(u32, Fragment)>,
+    order: Vec<u32>,
+    width: u32,
+    height: u32,
+}
+
+impl Panel {
+    /// The shared frame description every rank derives from the panel.
+    fn info(&self) -> FrameInfo {
+        let pos = |b: u32| self.order.iter().position(|&o| o == b).unwrap();
+        let mut frags: Vec<(u32, ScreenRect, u32)> =
+            self.frags.iter().map(|(owner, f)| (f.block, f.rect, *owner)).collect();
+        frags.sort_by_key(|&(b, _, _)| pos(b));
+        FrameInfo::from_sorted(frags, self.width, self.height)
+    }
+
+    fn local(&self, rank: usize) -> Vec<Fragment> {
+        self.frags.iter().filter(|(o, _)| *o as usize == rank).map(|(_, f)| f.clone()).collect()
+    }
+
+    fn fragment(&self, block: u32) -> &Fragment {
+        &self.frags.iter().find(|(_, f)| f.block == block).unwrap().1
+    }
+}
+
+/// Small random rects on a 32 × 24 frame, in block-id order.
+fn random_panel(rng: &mut SplitMix64, n: usize, per_rank: usize) -> Panel {
+    let frags = panel_fragments(rng, n, per_rank);
+    let order = (0..(n * per_rank) as u32).collect();
+    Panel { frags, order, width: W, height: H }
+}
+
+/// Shaped like a rendered 64² frame: 64 projected-box fragments, each
+/// large enough that covered pixels sit under ≥ 8 layers on average,
+/// mostly transparent `[0; 4]`, dealt to ranks round-robin and seen in a
+/// shuffled visibility order.
+fn frame_shaped_panel(rng: &mut SplitMix64, n: usize) -> Panel {
+    const S: u32 = 64;
+    let mut frags = Vec::new();
+    for b in 0..64u32 {
+        let (w, h) = (24 + rng.next_below(25) as u32, 24 + rng.next_below(25) as u32);
+        let (x0, y0) =
+            (rng.next_below((S - w + 1) as u64) as u32, rng.next_below((S - h + 1) as u64) as u32);
+        let rect = ScreenRect::new(x0, y0, x0 + w, y0 + h);
+        let mut pixels = Vec::with_capacity(rect.area() as usize);
+        while pixels.len() < rect.area() as usize {
+            let len = (1 + rng.next_below(24) as usize).min(rect.area() as usize - pixels.len());
+            if rng.next_below(3) == 0 {
+                let a = rng.next_f32() * 0.3;
+                pixels.extend(
+                    (0..len)
+                        .map(|_| [rng.next_f32() * a, rng.next_f32() * a, rng.next_f32() * a, a]),
+                );
+            } else {
+                pixels.extend(std::iter::repeat_n([0.0f32; 4], len));
+            }
+        }
+        frags.push((b % n as u32, Fragment { block: b, rect, pixels }));
+    }
+    let mut order: Vec<u32> = (0..64).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.next_below(i as u64 + 1) as usize);
+    }
+    Panel { frags, order, width: S, height: S }
+}
+
+/// The bytes SLIC must charge for `info`'s schedule: every layer shipped
+/// to a compositor and every finished run shipped to the collector — 16
+/// per pixel raw, or each span's own RLE length. A finished run's pixels
+/// are the reference frame's, which SLIC matches bit for bit.
+fn predicted_bytes(
+    panel: &Panel,
+    info: &FrameInfo,
+    want: &RgbaImage,
+    collector: u32,
+    compress: bool,
+) -> u64 {
+    let span_bytes = |px: Vec<Rgba>| {
+        if compress {
+            rle_encode(&px).len() as u64
+        } else {
+            16 * px.len() as u64
+        }
+    };
+    let sched = info.runs();
+    let mut bytes = 0;
+    for (run, layers) in sched.iter() {
+        let comp = info.compositor_of(layers);
+        for &fi in &layers[1..] {
+            let (block, _, owner) = info.frags[fi as usize];
+            if owner != comp {
+                let f = panel.fragment(block);
+                bytes += span_bytes(
+                    (run.y0..run.y1)
+                        .flat_map(|y| (run.x0..run.x1).map(move |x| f.get(x, y)))
+                        .collect(),
+                );
+            }
+        }
+        if comp != collector {
+            bytes += span_bytes(
+                (run.y0..run.y1)
+                    .flat_map(|y| (run.x0..run.x1).map(move |x| want.get(x, y)))
+                    .collect(),
+            );
+        }
+    }
+    bytes
 }
 
 #[test]
 fn slic_matches_sequential_over_for_random_layouts() {
-    for trial in 0..6u64 {
-        let n = 2 + (trial % 3) as usize; // 2..=4 ranks
-        let frags_per_rank = 1 + (trial % 2) as usize * 2;
-        let order: Vec<u32> = (0..(n * frags_per_rank) as u32).collect();
-        let compress = trial % 2 == 0;
-        World::run(n, |comm| {
-            // rank-seeded: each rank draws its own fragments, blocks are
-            // globally unique so the visibility order is total
-            let mut rng = SplitMix64::new(0x5EED ^ (trial << 8) ^ comm.rank() as u64);
-            let local: Vec<Fragment> = (0..frags_per_rank)
-                .map(|i| random_fragment(&mut rng, (comm.rank() * frags_per_rank + i) as u32))
-                .collect();
-            let info = FrameInfo::exchange(&comm, &local, &order, W, H);
-            let gathered = comm.gather(0, local.clone());
-            let got = slic(&comm, &local, &info, 0, CompositeOptions { compress });
-            if comm.rank() == 0 {
-                let mut all: Vec<Fragment> = gathered.unwrap().into_iter().flatten().collect();
-                let want = reference(&mut all, &order);
-                let img = got.image.expect("collector image");
-                let rms = img.rms_difference(&want);
-                assert!(rms < 1e-6, "trial {trial}: SLIC differs from reference (rms {rms})");
-            } else {
-                assert!(got.image.is_none());
-            }
+    for trial in 0..32u64 {
+        let n = 1 + (trial % 4) as usize; // 1..=4 ranks
+        let compress = trial / 4 % 2 == 0;
+        let mut rng = SplitMix64::new(0x5EED ^ trial << 8);
+        let panel = if trial < 16 {
+            random_panel(&mut rng, n, 1 + (trial / 8 % 2) as usize * 2)
+        } else {
+            frame_shaped_panel(&mut rng, n)
+        };
+        let info = panel.info();
+        let collector = (trial / 8 % n as u64) as u32;
+        let all: Vec<Fragment> = panel.frags.iter().map(|(_, f)| f.clone()).collect();
+        let want = sequential_reference(&all, &panel.order, panel.width, panel.height);
+        if trial >= 16 {
+            let sched = info.runs();
+            let covered: usize = sched.runs().iter().map(|r| r.len()).sum();
+            let layered: usize = sched.iter().map(|(r, l)| r.len() * l.len()).sum();
+            assert!(layered >= 8 * covered, "trial {trial}: only {layered}/{covered} layers");
+        }
+        let stats = TrafficStats::new();
+        let images = World::run_traced(n, stats.clone(), |comm| {
+            let local = panel.local(comm.rank());
+            let got = slic(&comm, &local, &info, collector as usize, CompositeOptions { compress });
+            assert_eq!(got.image.is_some(), comm.rank() == collector as usize, "trial {trial}");
+            got.image
         });
+        let img = images[collector as usize].as_ref().expect("collector image");
+        for (i, (a, b)) in img.pixels().iter().zip(want.pixels()).enumerate() {
+            assert_eq!(a.map(f32::to_bits), b.map(f32::to_bits), "trial {trial}: pixel {i}");
+        }
+        assert_eq!(stats.messages(), info.slic_message_count(n, collector), "trial {trial}");
+        assert_eq!(
+            stats.bytes(),
+            predicted_bytes(&panel, &info, &want, collector, compress),
+            "trial {trial} (compress {compress})"
+        );
     }
 }
 
@@ -171,11 +288,11 @@ fn slic_schedule_over_every_surviving_subset_partitions_the_frame() {
             assert_eq!(sub.frags.len(), live.len() * per_rank, "n={n} mask={mask:b}");
             // paint every run: each covered pixel lands in exactly one run
             let mut painted = vec![0u32; (W * H) as usize];
-            for run in sub.runs() {
-                assert!(!run.frags.is_empty(), "n={n} mask={mask:b}: empty run emitted");
-                let comp = sub.compositor_of(&run);
+            for (run, layers) in sub.runs().iter() {
+                assert!(!layers.is_empty(), "n={n} mask={mask:b}: empty run emitted");
+                let comp = sub.compositor_of(layers);
                 assert_eq!(
-                    comp, sub.frags[run.frags[0]].2,
+                    comp, sub.frags[layers[0] as usize].2,
                     "n={n} mask={mask:b}: compositor is not the front-most owner"
                 );
                 for y in run.y0..run.y1 {
@@ -207,7 +324,6 @@ fn slic_schedule_over_every_surviving_subset_partitions_the_frame() {
 /// post-failover frames bit-identical to a clean run over the survivors.
 #[test]
 fn slic_over_surviving_subsets_matches_sequential_reference() {
-    use quakeviz::composite::sequential_reference;
     for n in 3..=6usize {
         let mut rng = SplitMix64::new(0xDEAD ^ (n as u64) << 4);
         let per_rank = 2;
@@ -241,11 +357,13 @@ fn slic_over_surviving_subsets_matches_sequential_reference() {
                 if comm.rank() == 0 {
                     let want = sequential_reference(&subset, order_ref, W, H);
                     let img = got.image.expect("collector image");
-                    let rms = img.rms_difference(&want);
-                    assert!(
-                        rms < 1e-6,
-                        "n={n} live={live_ref:?}: subset SLIC differs from reference (rms {rms})"
-                    );
+                    for (a, b) in img.pixels().iter().zip(want.pixels()) {
+                        assert_eq!(
+                            a.map(f32::to_bits),
+                            b.map(f32::to_bits),
+                            "n={n} live={live_ref:?}: subset SLIC differs from reference"
+                        );
+                    }
                 } else {
                     assert!(got.image.is_none());
                 }
