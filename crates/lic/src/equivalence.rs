@@ -98,6 +98,77 @@ fn lockstep_kernel_matches_the_reference() {
     assert!(stagnant_pixels > 0 && short_lines > 0);
 }
 
+/// Components a field can hold that a smooth flow never does: NaN, the
+/// infinities, magnitudes whose square overflows `f32`, and subnormals.
+const NON_FINITE: [f32; 9] = [
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    1e30,
+    -1e30,
+    f32::MIN_POSITIVE / 4.0,
+    -f32::MIN_POSITIVE / 4.0,
+    f32::from_bits(1),
+    f32::from_bits(0x007f_ffff),
+];
+
+#[test]
+fn lockstep_kernel_matches_the_reference_on_non_finite_fields() {
+    let mut rng = SplitMix64::new(0x11c_0bad);
+    let shapes = [(1, 1), (5, 3), (8, 8), (19, 37), (64, 48)];
+    // cases by the stagnation floor they end up with
+    let (mut finite_floor, mut infinite_floor, mut nan_floor, mut flowing_cases) = (0, 0, 0, 0);
+    for round in 0..12 {
+        for (k, &(w, h)) in shapes.iter().enumerate() {
+            let kind = rng.next_below(6);
+            let mut field = random_field(&mut rng, kind, w, h);
+            // some cases plant only what leaves the maximum finite
+            let palette = if rng.next_below(2) == 0 { &NON_FINITE[..] } else { &NON_FINITE[5..] };
+            let palette = if round % 3 == 0 { &NON_FINITE[..1] } else { palette };
+            for _ in 0..1 + rng.next_below(1 + (w * h) as u64 / 8) {
+                let texel = &mut field.vectors[rng.next_below((w * h) as u64) as usize];
+                let value = palette[rng.next_below(palette.len() as u64) as usize];
+                match rng.next_below(3) {
+                    0 => texel.0 = value,
+                    1 => texel.1 = value,
+                    _ => *texel = (value, palette[rng.next_below(palette.len() as u64) as usize]),
+                }
+            }
+            let noise = white_noise(w, h, rng.next_u64());
+            let params = LicParams {
+                kernel_half: [1, 12, 5][(round + k) % 3],
+                step_px: 0.3 + 1.2 * rng.next_f64(),
+                phase: match rng.next_below(9) {
+                    8 => None,
+                    p => Some(p as f64 / 8.0),
+                },
+                // a zero floor times an infinite maximum is a NaN floor
+                stagnation_eps: [1e-6, 0.4, 0.0][rng.next_below(3) as usize],
+            };
+            let max_mag = field.max_magnitude();
+            let (got, steps) = convolve(&field, &noise, &params, max_mag);
+            let (want, ref_steps) = reference::compute_lic(&field, &noise, &params);
+            let what = format!("{w}×{h} kind {kind} round {round} {params:?}");
+            assert_eq!(bits(&got), bits(&want), "{what}");
+            assert_eq!(steps, ref_steps, "streamline steps, {what}");
+            let floor = max_mag * params.stagnation_eps;
+            if floor.is_nan() {
+                nan_floor += 1;
+            } else if floor.is_infinite() {
+                infinite_floor += 1;
+            } else {
+                finite_floor += 1;
+            }
+            flowing_cases += (steps > 0) as u32;
+        }
+    }
+    assert!(
+        finite_floor > 10 && infinite_floor > 0 && nan_floor > 0 && flowing_cases > 10,
+        "floors finite / infinite / NaN: {finite_floor} / {infinite_floor} / {nan_floor}, \
+         {flowing_cases} cases traced anything"
+    );
+}
+
 /// A surface velocity field with structure at every scale of the mesh.
 fn surface_field(mesh: &HexMesh, seed: u64) -> VectorField {
     let mut rng = SplitMix64::new(seed);

@@ -10,6 +10,7 @@
 use quakeviz_mesh::{HexMesh, NodeId, Quadtree, VectorField};
 use quakeviz_rt::obs::prof;
 use quakeviz_rt::par::par_chunks_mut;
+use std::array::from_fn;
 use std::ops::Range;
 
 /// A regular grid of 2D vectors over the ground rectangle.
@@ -50,27 +51,65 @@ impl RegularField2D {
     /// Bilinear sample at *pixel* coordinates (continuous, clamped).
     #[inline]
     pub fn sample_px(&self, px: f64, py: f64) -> (f32, f32) {
-        let (w, h) = (self.width as usize, self.height as usize);
-        let fx = (px - 0.5).clamp(0.0, (w - 1) as f64);
-        let fy = (py - 0.5).clamp(0.0, (h - 1) as f64);
-        // split through i32, which converts to and from f64 in one
-        // instruction where usize takes a sequence; the clamp keeps both
-        // inside it for any grid that fits in memory
-        let (i0, j0) = (fx as i32, fy as i32);
-        let (u, v) = ((fx - i0 as f64) as f32, (fy - j0 as f64) as f32);
-        let (i0, j0) = (i0 as usize, j0 as usize);
-        let (i1, j1) = ((i0 + 1).min(w - 1), (j0 + 1).min(h - 1));
-        let g = |i: usize, j: usize| self.vectors[j * w + i];
-        let lerp2 =
-            |a: (f32, f32), b: (f32, f32), t: f32| (a.0 + (b.0 - a.0) * t, a.1 + (b.1 - a.1) * t);
-        let top = lerp2(g(i0, j0), g(i1, j0), u);
-        let bot = lerp2(g(i0, j1), g(i1, j1), u);
-        lerp2(top, bot, v)
+        let ([vx], [vy]) = Bilinear::new(self).at(&[px], &[py]);
+        (vx, vy)
     }
 
     /// Largest magnitude (normalization).
     pub fn max_magnitude(&self) -> f32 {
         self.vectors.iter().map(|&(x, y)| (x * x + y * y).sqrt()).fold(0.0, f32::max)
+    }
+}
+
+/// The bilinear sampler of one field with its size and clamp limits
+/// resolved once, so a loop that samples many points pays for them once.
+pub(crate) struct Bilinear<'a> {
+    vectors: &'a [(f32, f32)],
+    pub(crate) w: usize,
+    pub(crate) h: usize,
+    /// The largest texel coordinates, `w − 1` and `h − 1`.
+    xmax: f64,
+    ymax: f64,
+}
+
+impl<'a> Bilinear<'a> {
+    pub(crate) fn new(field: &'a RegularField2D) -> Self {
+        let (w, h) = (field.width as usize, field.height as usize);
+        Bilinear { vectors: &field.vectors, w, h, xmax: (w - 1) as f64, ymax: (h - 1) as f64 }
+    }
+
+    /// The field at `N` points in *pixel* coordinates (continuous,
+    /// clamped), as their x and their y components. Phase by phase over the
+    /// points, so the coordinate and lerp arithmetic runs as vector
+    /// instructions and only the texel loads go one point at a time. A NaN
+    /// coordinate survives the clamp and reads texel 0 with a NaN weight.
+    #[inline(always)]
+    pub(crate) fn at<const N: usize>(&self, px: &[f64; N], py: &[f64; N]) -> ([f32; N], [f32; N]) {
+        let fx: [f64; N] = from_fn(|l| (px[l] - 0.5).clamp(0.0, self.xmax));
+        let fy: [f64; N] = from_fn(|l| (py[l] - 0.5).clamp(0.0, self.ymax));
+        // split through i32, which converts to and from f64 in one
+        // instruction where usize takes a sequence; the clamp keeps both
+        // inside it for any grid that fits in memory
+        let i0: [i32; N] = from_fn(|l| fx[l] as i32);
+        let j0: [i32; N] = from_fn(|l| fy[l] as i32);
+        let u: [f32; N] = from_fn(|l| (fx[l] - i0[l] as f64) as f32);
+        let v: [f32; N] = from_fn(|l| (fy[l] - j0[l] as f64) as f32);
+        let corners: [[(f32, f32); 4]; N] = from_fn(|l| {
+            let (i0, j0) = (i0[l] as usize, j0[l] as usize);
+            let (i1, j1) = ((i0 + 1).min(self.w - 1), (j0 + 1).min(self.h - 1));
+            let g = |i: usize, j: usize| self.vectors[j * self.w + i];
+            [g(i0, j0), g(i1, j0), g(i0, j1), g(i1, j1)]
+        });
+        let lerp = |a: f32, b: f32, t: f32| a + (b - a) * t;
+        let vx = from_fn(|l| {
+            let [c00, c10, c01, c11] = corners[l];
+            lerp(lerp(c00.0, c10.0, u[l]), lerp(c01.0, c11.0, u[l]), v[l])
+        });
+        let vy = from_fn(|l| {
+            let [c00, c10, c01, c11] = corners[l];
+            lerp(lerp(c00.1, c10.1, u[l]), lerp(c01.1, c11.1, u[l]), v[l])
+        });
+        (vx, vy)
     }
 }
 

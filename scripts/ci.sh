@@ -111,6 +111,12 @@ ratchet "per-run copies and keyed spans in SLIC (composite)" 0 "$(count_sites \
     'frag_rect\\(|runs_of_line\\(|HashMap<\\(u32, u32\\)' \
     crates/composite/src/algorithms.rs crates/composite/src/schedule.rs)"
 
+# LIC at the cost of its arithmetic: every lane of a streamline group runs
+# every phase of a step and a `live` mask decides what it keeps, so no lane
+# branches out of the kernel and no second path serves a ragged group.
+ratchet "per-lane branches in the LIC kernel (lic.rs)" 0 "$(count_sites \
+    '(^|[^A-Za-z0-9_])continue([^A-Za-z0-9_]|$)' crates/lic/src/lic.rs)"
+
 # Wall-clock sites: `Instant::now()` / `thread::sleep(` in the runtime
 # crates — each is a place real time leaks into the protocol, and the
 # count the virtual-time work (ROADMAP) drives down to its
