@@ -6,7 +6,8 @@
 //! 3. the I/O-hiding summary (how much input-group work overlapped
 //!    rendering — the paper's Figures 8–9 effect, measured live),
 //! 4. the measured-vs-predicted model validation table (§5.1/§5.2),
-//! 5. the per-class traffic totals and the session metrics.
+//! 5. the per-class traffic totals, the run's metrics table (one row per
+//!    counter, built after the run) and its exact interframe distribution.
 //!
 //! Usage:
 //!   pipeline-report [--renderers N] [--input-procs M] [--twodip NxM]
@@ -451,14 +452,7 @@ fn main() {
     }
 
     if tier.is_some() || osts > 0 {
-        use quakeviz_rt::obs::MetricValue;
-        let counter = |name: &str| {
-            tr.metrics.iter().find(|m| m.name == name).map_or(0, |m| match m.value {
-                MetricValue::Counter(v) => v,
-                MetricValue::Gauge { value, .. } => value.max(0) as u64,
-                MetricValue::Histogram { .. } => 0,
-            })
-        };
+        let counter = |name: &str| tr.metrics.get(name).copied().unwrap_or(0);
         println!("\nstorage tier:");
         if tier.is_some() {
             println!(
@@ -497,16 +491,22 @@ fn main() {
 
     if !tr.metrics.is_empty() {
         println!("\nmetrics:");
-        for m in &tr.metrics {
-            use quakeviz_rt::obs::MetricValue::*;
-            let text = match &m.value {
-                Counter(v) => format!("{v}"),
-                Gauge { value, max } => format!("{value} (max {max})"),
-                Histogram { count, mean, p50, p95, p99, max, .. } => {
-                    format!("n={count} mean={mean:.0} p50={p50} p95={p95} p99={p99} max={max}")
-                }
-            };
-            println!("  {:<28} {}", m.name, text);
+        for (name, v) in &tr.metrics {
+            println!("  {name:<28} {v}");
+        }
+        // the delivered frames' own stamps, exact (nearest-rank)
+        let mut us: Vec<u64> = report.interframe().iter().map(|d| (d * 1e6) as u64).collect();
+        us.sort_unstable();
+        if let Some(&max) = us.last() {
+            let (n, pct) = (us.len(), |q| prof::pct_sorted(&us, q));
+            let mean = us.iter().sum::<u64>() as f64 / n as f64;
+            println!(
+                "  {:<28} n={n} mean={mean:.0} p50={} p95={} p99={} max={max}",
+                "interframe_us",
+                pct(0.5),
+                pct(0.95),
+                pct(0.99)
+            );
         }
     }
 

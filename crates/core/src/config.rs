@@ -416,7 +416,7 @@ impl PipelineBuilder {
     }
 
     /// Enable the elastic control plane, ticking every `every` steps
-    /// (rebalance on, resize/reshape off — see
+    /// (rebalancing only, resize/reshape off — see
     /// [`PipelineConfig::control`]).
     pub fn elastic(mut self, every: usize) -> Self {
         self.config.control = Some(ControlConfig::every(every));

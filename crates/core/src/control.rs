@@ -48,8 +48,6 @@ pub struct ControlConfig {
     /// Tick period: the controller evaluates a plan before every step `S`
     /// with `S % every == 0` (S ≥ 1).
     pub every: usize,
-    /// Shift blocks between render ranks on measured per-rank skew.
-    pub rebalance: bool,
     /// Grow/shrink the active render prefix to the §5 closed form.
     pub resize: bool,
     /// Switch the effective 2DIP group width at the Ts/Tr crossover.
@@ -58,9 +56,10 @@ pub struct ControlConfig {
 
 impl ControlConfig {
     /// Rebalance-only controller with the given tick period — the
-    /// default elastic mode.
+    /// default elastic mode. Every controller rebalances on measured
+    /// per-rank skew; `resize` and `reshape` add to that.
     pub fn every(every: usize) -> ControlConfig {
-        ControlConfig { every, rebalance: true, resize: false, reshape: false }
+        ControlConfig { every, resize: false, reshape: false }
     }
 
     /// Steps `S` at which the controller ticks: every `every` steps,
@@ -350,27 +349,18 @@ impl Controller {
         };
         // -- rebalance: capacity-aware LPT over quantized skew ----------
         let resized = active != self.state.active;
-        let assignment = if self.cfg.rebalance {
-            let (weights, busy, rates) = self.measured(m, block_weights, active);
-            let skewed = rates.iter().any(|&r| r >= 2);
-            let candidate = (skewed || resized).then(|| self.assign(block_weights, &rates));
-            // a new prefix needs a new assignment; the same prefix only
-            // one that pays for its commit
-            match candidate {
-                Some(a)
-                    if resized
-                        || projected_gain(&busy, &weights, &a, block_weights) >= MIN_GAIN =>
-                {
-                    a
-                }
-                _ => self.state.assignment.clone(),
+        let (weights, busy, rates) = self.measured(m, block_weights, active);
+        let skewed = rates.iter().any(|&r| r >= 2);
+        let candidate = (skewed || resized).then(|| self.assign(block_weights, &rates));
+        // a new prefix needs a new assignment; the same prefix only one
+        // that pays for its commit
+        let assignment = match candidate {
+            Some(a)
+                if resized || projected_gain(&busy, &weights, &a, block_weights) >= MIN_GAIN =>
+            {
+                a
             }
-        } else if resized {
-            // resize without rebalance still needs an assignment over the
-            // new prefix: uniform rates
-            self.assign(block_weights, &vec![1; active])
-        } else {
-            self.state.assignment.clone()
+            _ => self.state.assignment.clone(),
         };
         if active == self.state.active
             && input_width == self.state.input_width
@@ -613,7 +603,7 @@ mod tests {
     #[test]
     fn resize_shrinks_to_the_model_optimum() {
         let w = weights8();
-        let cfg = ControlConfig { every: 1, rebalance: true, resize: true, reshape: false };
+        let cfg = ControlConfig { every: 1, resize: true, reshape: false };
         let ctl = Controller::new(cfg, initial(4, &w), 1);
         // rendering is cheap (0.4 s/frame aggregate) against a 2 s
         // delivery cadence: one renderer suffices
@@ -637,9 +627,11 @@ mod tests {
     #[test]
     fn reshape_follows_the_ts_tr_crossover() {
         let w = weights8();
-        let cfg = ControlConfig { every: 1, rebalance: false, resize: false, reshape: true };
+        let cfg = ControlConfig { every: 1, resize: false, reshape: true };
         let ctl = Controller::new(cfg, initial(2, &w), 4);
-        // Ts = 3 s vs Tr = 1 s per frame: the §5 crossover wants m = 3
+        // Ts = 3 s vs Tr = 1 s per frame: the §5 crossover wants m = 3.
+        // Both ranks retire their equal weight in equal time, so nothing
+        // skews and the plan changes the width alone.
         let m = WindowMeasurement {
             render_busy: vec![1.0, 1.0],
             input_busy: 4.0,
@@ -648,6 +640,7 @@ mod tests {
         };
         let plan = ctl.decide(&m, &w, 2).expect("crossover must produce a plan");
         assert_eq!(plan.input_width, 3);
+        assert_eq!(plan.assignment, ctl.state.assignment, "no skew, no block moves");
         // width is capped by the configured group size
         let m_huge = WindowMeasurement { send_busy: 100.0, ..m.clone() };
         assert_eq!(ctl.decide(&m_huge, &w, 2).unwrap().input_width, 4);

@@ -44,7 +44,7 @@ use quakeviz_rt::{
     TrafficEdge, TrafficStats, World,
 };
 use quakeviz_seismic::Dataset;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -90,19 +90,12 @@ struct FrameSink {
     /// Checkpoints committed by the rank holding this sink.
     checkpoints: u64,
     start: Instant,
-    /// When the previous frame was delivered — before the first, when the
-    /// sink opened (the start barrier, or the moment of takeover).
-    prev: f64,
     /// Whether delivered frames are kept for the report.
     keep_frames: bool,
-    m_frames: Arc<obs::Counter>,
-    m_bytes: Arc<obs::Counter>,
-    m_latency: Arc<obs::Histogram>,
 }
 
 impl FrameSink {
     fn open(run: &Run, keep_frames: bool, start: Instant) -> FrameSink {
-        let m = run.session.metrics();
         FrameSink {
             frames: Vec::new(),
             done_at: Vec::with_capacity(run.steps.len()),
@@ -110,16 +103,12 @@ impl FrameSink {
             checkpoints: 0,
             keep_frames,
             start,
-            prev: start.elapsed().as_secs_f64(),
-            m_frames: m.counter("pipeline.frames"),
-            m_bytes: m.counter("pipeline.frame_bytes"),
-            m_latency: m.histogram("pipeline.interframe_us"),
         }
     }
 
     /// Deliver the next frame with its degradation flags — sorted and
-    /// deduplicated here, whoever raised them in whatever order: count it,
-    /// stamp it, keep it if the run keeps frames.
+    /// deduplicated here, whoever raised them in whatever order: stamp it,
+    /// keep it if the run keeps frames.
     fn deliver(&mut self, run: &Run, vol: RgbaImage, mut deg: Vec<Degradation>) {
         deg.sort_unstable();
         deg.dedup();
@@ -128,12 +117,7 @@ impl FrameSink {
             run.faults.note_degraded_frame(blocks as u64);
         }
         self.degraded.push(deg);
-        let now = self.start.elapsed().as_secs_f64();
-        self.m_frames.inc();
-        self.m_bytes.add((vol.width() * vol.height() * 16) as u64);
-        self.m_latency.record(((now - self.prev) * 1e6) as u64);
-        self.prev = now;
-        self.done_at.push(now);
+        self.done_at.push(self.start.elapsed().as_secs_f64());
         if self.keep_frames {
             self.frames.push(vol);
         }
@@ -154,6 +138,8 @@ enum RankResult {
         /// Elastic plans committed by the hosted controller, in epoch
         /// order (empty without the control plane).
         plans: Vec<ControlPlan>,
+        /// Plan-commit rounds the controller hosted.
+        ticks: u64,
     },
 }
 
@@ -187,7 +173,7 @@ pub struct PipelineReport {
     /// every send site charges its real wire size).
     pub traffic: Vec<TrafficEdge>,
     /// Every span recorded during the run — one track per rank — plus the
-    /// metrics snapshot. Stage spans are always present; runtime auto
+    /// run's metrics table. Stage spans are always present; runtime auto
     /// spans only when tracing was enabled ([`PipelineConfig::trace`] or
     /// `QUAKEVIZ_TRACE`).
     pub trace: TraceData,
@@ -809,6 +795,7 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
     let mut render_rank_seconds = Vec::new();
     let mut delivered = None;
     let mut control_plans = Vec::new();
+    let mut control_ticks = 0;
     let mut takeover_tail = None;
     for r in results {
         match r {
@@ -818,9 +805,10 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
                 render_frames.extend(v);
                 takeover_tail = takeover_tail.or(takeover);
             }
-            RankResult::Output { sink, plans } => {
+            RankResult::Output { sink, plans, ticks } => {
                 delivered = Some(sink);
                 control_plans = plans;
+                control_ticks = ticks;
             }
         }
     }
@@ -838,21 +826,26 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         degraded.extend(tk.degraded);
         checkpoints += tk.checkpoints;
     }
-    // every counter table of the run reaches the metrics snapshot through
-    // one loop, zero rows left out: injected faults, recovery actions,
-    // per-class traffic and raw-vs-wire bytes, and — as *this run's* deltas,
-    // since a shared tier or disk accumulates across runs — the cache tier
-    // and the per-OST counters of a sharded disk
-    let (rec, metrics) = (run.faults.recovery(), run.session.metrics());
+    // the run's metrics: one table, built here once the ranks have joined,
+    // from every counter table of the run, zero rows left out — injected
+    // faults, recovery actions, per-class traffic and raw-vs-wire bytes,
+    // and, as *this run's* deltas (a shared tier or disk accumulates
+    // across runs), the cache tier and the per-OST counters of a sharded
+    // disk — plus what the assembled report itself counts
+    let rec = run.faults.recovery();
     let named = |(name, v): (&str, u64)| (name.to_string(), v);
-    let plans = control_plans.len() as u64;
+    let n_frames = frame_done.len() as u64;
+    let frame_bytes = n_frames * u64::from(config.width) * u64::from(config.height) * 16;
     let osts = dataset.disk().ost_stats();
     let rows = (run.faults.named_counts())
         .chain(rec.named().map(named))
         .chain(
             [
                 ("checkpoint.commits", checkpoints),
-                ("control.plans_committed", plans),
+                ("control.plans_committed", control_plans.len() as u64),
+                ("control.ticks", control_ticks),
+                ("pipeline.frames", n_frames),
+                ("pipeline.frame_bytes", frame_bytes),
                 ("render.plan_bytes", plan_bytes),
             ]
             .map(named),
@@ -867,11 +860,7 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
                 st.named_since(i, &ost_base.get(i).copied().unwrap_or_default())
             }),
         );
-    for (name, v) in rows {
-        if v > 0 {
-            metrics.counter(&name).add(v);
-        }
-    }
+    let mut metrics: BTreeMap<String, u64> = rows.filter(|&(_, v)| v > 0).collect();
     // the report's recovery section exists when a fault spec was given
     let (fault_events, recovery) = (run.faults.events(), fault_spec_given.then_some(rec));
     // per-render-rank utilization: each rank's Render-phase busy time
@@ -891,13 +880,13 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         let permille = busy.iter().map(|per_step| per_step.values().sum::<u64>() * 1000 / total);
         let mut sum = 0;
         for (rr, permille) in permille.enumerate() {
-            metrics.counter(&format!("pipeline.render_utilization.r{rr}")).add(permille);
+            metrics.insert(format!("pipeline.render_utilization.r{rr}"), permille);
             sum += permille;
         }
         let mean = sum / busy.len() as u64;
-        metrics.counter("pipeline.render_utilization.mean").add(mean);
+        metrics.insert("pipeline.render_utilization.mean".into(), mean);
     }
-    let trace = run.session.snapshot(Some(&stats));
+    let trace = TraceData { metrics, ..run.session.snapshot(Some(&stats)) };
     write_trace_if_requested(&trace);
     Ok(PipelineReport {
         frames,
@@ -964,8 +953,8 @@ fn rank_main(comm: Comm, run: &Run, roles: (&InputCtx, &RenderCtx, &OutputCtx)) 
 /// A warm replay: every frame of the run was found in the frame cache
 /// under this exact (camera, transfer, level) identity, so no rank runs —
 /// nothing is read, rendered, injected, checkpointed or ticked — and the
-/// frames are served on the output rank's track: same metrics, same
-/// interframe-delay histogram, no traffic.
+/// frames are served on the output rank's track: the same delivery
+/// stamps and frame rows, no traffic.
 fn replay(run: &Run, out: &OutputCtx) -> RankResult {
     let _rec = run.session.attach(run.sched.output_rank(), "output");
     let mut sink = FrameSink::open(run, out.keep_frames, Instant::now());
@@ -984,7 +973,7 @@ fn replay(run: &Run, out: &OutputCtx) -> RankResult {
             }
         }
     }
-    RankResult::Output { sink, plans: Vec::new() }
+    RankResult::Output { sink, plans: Vec::new(), ticks: 0 }
 }
 
 /// Seconds spent per `(phase, step)`, summed in one pass over this thread's
@@ -2067,7 +2056,7 @@ fn output_main(comm: &Comm, run: &Run, out: &OutputCtx, start: Instant) -> RankR
         Some(Role::Render) => ctl.min_active = 2,
         _ => {}
     }
-    let mut kill_noted = false;
+    let (mut kill_noted, mut ticks) = (false, 0);
     for t in run.steps.clone() {
         if !run.sched.presence(me, t).active() {
             // scripted output-rank death: go silent; the supervising render
@@ -2101,7 +2090,7 @@ fn output_main(comm: &Comm, run: &Run, out: &OutputCtx, start: Instant) -> RankR
             } else {
                 ctl.decide(&m, &run.block_weights, t as u32)
             };
-            run.session.metrics().counter("control.ticks").inc();
+            ticks += 1;
             let participants: Vec<usize> = run.sched.participants(t).collect();
             for &p in &participants {
                 CTL.send(comm, p, t, proposal.clone());
@@ -2153,7 +2142,7 @@ fn output_main(comm: &Comm, run: &Run, out: &OutputCtx, start: Instant) -> RankR
             sink.checkpoints += 1;
         }
     }
-    RankResult::Output { sink, plans: ctl.history }
+    RankResult::Output { sink, plans: ctl.history, ticks }
 }
 
 /// Put step `t`'s LIC surface overlay behind the assembled volume frame —
@@ -2268,7 +2257,6 @@ mod tests {
     #[test]
     fn plan_bytes_are_a_formula_independent_of_run_length() {
         use quakeviz_render::{Brick, RayTable};
-        use quakeviz_rt::obs::MetricValue;
         let ds = dataset();
         let plan_bytes = |steps: usize| {
             let report = PipelineBuilder::new(&ds)
@@ -2277,11 +2265,7 @@ mod tests {
                 .max_steps(steps)
                 .run()
                 .expect("pipeline");
-            let metric = report.trace.metrics.iter().find(|m| m.name == "render.plan_bytes");
-            match metric.map(|m| &m.value) {
-                Some(&MetricValue::Counter(bytes)) => (bytes, report.level),
-                other => panic!("render.plan_bytes is {other:?}"),
-            }
+            (report.trace.metrics["render.plan_bytes"], report.level)
         };
         let (bytes, level) = plan_bytes(2);
         assert_eq!(plan_bytes(4), (bytes, level), "twice the steps, the same plans");
@@ -2547,7 +2531,8 @@ mod tests {
             2 => Some(output_main(&comm, &run, &out, Instant::now())),
             _ => None,
         });
-        let Some(RankResult::Output { sink, plans }) = results.into_iter().flatten().next() else {
+        let Some(RankResult::Output { sink, plans, .. }) = results.into_iter().flatten().next()
+        else {
             panic!("the output rank returned no sink");
         };
         assert!(plans.is_empty());

@@ -183,7 +183,7 @@ mod tests {
             render_rank_seconds: Vec::new(),
             traffic: Vec::new(),
             prefetch: false,
-            trace: TraceData { tracks: Vec::new(), edges: Vec::new(), metrics: Vec::new() },
+            trace: TraceData::default(),
             degraded: Vec::new(),
             fault_events: Vec::new(),
             recovery: None,

@@ -274,53 +274,17 @@ impl FaultSpec {
     }
 }
 
-/// Kinds of injected faults, for the log and the per-kind counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum FaultKind {
-    ReadTransient,
-    ReadCorrupt,
-    ReadSlow,
-    SendDrop,
-    SendDelay,
-    WireCorrupt,
-    RankFail,
-}
-
-impl FaultKind {
-    pub const COUNT: usize = 7;
-    pub const ALL: [FaultKind; FaultKind::COUNT] = [
-        FaultKind::ReadTransient,
-        FaultKind::ReadCorrupt,
-        FaultKind::ReadSlow,
-        FaultKind::SendDrop,
-        FaultKind::SendDelay,
-        FaultKind::WireCorrupt,
-        FaultKind::RankFail,
-    ];
-
-    #[inline]
-    pub fn index(self) -> usize {
-        match self {
-            FaultKind::ReadTransient => 0,
-            FaultKind::ReadCorrupt => 1,
-            FaultKind::ReadSlow => 2,
-            FaultKind::SendDrop => 3,
-            FaultKind::SendDelay => 4,
-            FaultKind::WireCorrupt => 5,
-            FaultKind::RankFail => 6,
-        }
-    }
-
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FaultKind::ReadTransient => "read_transient",
-            FaultKind::ReadCorrupt => "read_corrupt",
-            FaultKind::ReadSlow => "read_slow",
-            FaultKind::SendDrop => "send_drop",
-            FaultKind::SendDelay => "send_delay",
-            FaultKind::WireCorrupt => "wire_corrupt",
-            FaultKind::RankFail => "rank_fail",
-        }
+enum_table! {
+    /// Kinds of injected faults, for the log and the per-kind counters.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum FaultKind {
+        ReadTransient => "read_transient";
+        ReadCorrupt => "read_corrupt";
+        ReadSlow => "read_slow";
+        SendDrop => "send_drop";
+        SendDelay => "send_delay";
+        WireCorrupt => "wire_corrupt";
+        RankFail => "rank_fail";
     }
 }
 
@@ -496,7 +460,7 @@ impl FaultPlan {
     }
 
     fn log(&self, kind: FaultKind, site: String, attempt: u32) {
-        self.counts[kind.index()].fetch_add(1, Ordering::Relaxed);
+        self.counts[kind as usize].fetch_add(1, Ordering::Relaxed);
         self.events.lock().unwrap().push(FaultEvent { kind, site, attempt });
     }
 
@@ -670,7 +634,7 @@ impl FaultPlan {
     /// names they are published as: `fault.<kind>`.
     pub fn named_counts(&self) -> impl Iterator<Item = (String, u64)> + '_ {
         FaultKind::ALL.iter().map(|&k| {
-            (format!("fault.{}", k.as_str()), self.counts[k.index()].load(Ordering::Relaxed))
+            (format!("fault.{}", k.as_str()), self.counts[k as usize].load(Ordering::Relaxed))
         })
     }
 

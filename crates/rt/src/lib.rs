@@ -40,6 +40,86 @@
 
 #![forbid(unsafe_code)]
 
+/// Declares a field-less enum once, one row per variant — its doc comment
+/// and its name — and derives the rest from that one list: `COUNT`, `ALL`
+/// in declaration order (so a variant's position is `variant as usize`)
+/// and `as_str()`. A row of [`obs::Phase`] adds its Gantt glyph and
+/// whether it is a stage, which give `gantt_char()`, `is_stage()` and
+/// `STAGES`.
+macro_rules! enum_table {
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident {
+            $($(#[$doc:meta])* $variant:ident => $name:literal, $glyph:literal, $stage:literal;)*
+        }
+    ) => {
+        enum_table! {
+            $(#[$meta])*
+            pub enum $ty {
+                $($(#[$doc])* $variant => $name;)*
+            }
+        }
+
+        impl $ty {
+            const GLYPHS: [char; $ty::COUNT] = [$($glyph),*];
+            const IS_STAGE: [bool; $ty::COUNT] = [$($stage),*];
+            const N_STAGES: usize = {
+                let (mut n, mut i) = (0, 0);
+                while i < $ty::COUNT {
+                    n += $ty::IS_STAGE[i] as usize;
+                    i += 1;
+                }
+                n
+            };
+
+            /// The stage variants, in declaration order.
+            pub const STAGES: [$ty; $ty::N_STAGES] = {
+                let mut out = [$ty::ALL[0]; $ty::N_STAGES];
+                let (mut i, mut j) = (0, 0);
+                while i < $ty::COUNT {
+                    if $ty::IS_STAGE[i] {
+                        out[j] = $ty::ALL[i];
+                        j += 1;
+                    }
+                    i += 1;
+                }
+                out
+            };
+
+            /// One-character key for ASCII Gantt rendering.
+            pub fn gantt_char(self) -> char {
+                $ty::GLYPHS[self as usize]
+            }
+
+            /// Whether this is a stage variant.
+            pub fn is_stage(self) -> bool {
+                $ty::IS_STAGE[self as usize]
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident {
+            $($(#[$doc:meta])* $variant:ident => $name:literal;)*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $ty {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl $ty {
+            const NAMES: &'static [&'static str] = &[$($name),*];
+            pub const COUNT: usize = $ty::NAMES.len();
+            pub const ALL: [$ty; $ty::COUNT] = [$($ty::$variant),*];
+
+            pub fn as_str(self) -> &'static str {
+                $ty::NAMES[self as usize]
+            }
+        }
+    };
+}
+
 pub mod chaos;
 pub mod comm;
 pub mod fault;

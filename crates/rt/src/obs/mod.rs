@@ -1,5 +1,4 @@
-//! Observability: per-rank phase span recording, a metrics registry, and
-//! trace export.
+//! Observability: per-rank phase span recording and trace export.
 //!
 //! The paper's §3 claims are about *where time goes* in the
 //! input→render→output pipeline, so the runtime records it first-class:
@@ -21,171 +20,81 @@
 //!   `detail = true` (`PipelineConfig::trace` / `QUAKEVIZ_TRACE`), so the
 //!   default path stays a cheap no-op: one relaxed atomic load when no
 //!   session is attached at all.
+//!
+//! Nothing here counts while a run is in progress: a run's metrics are
+//! [`TraceData::metrics`], one table of `(name, value)` rows the pipeline
+//! builds once, after the ranks have joined, from the counters it already
+//! holds. [`prof`]'s process-wide kernel work ticks are the exception.
 
-pub mod metrics;
 pub mod prof;
 pub mod trace;
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-pub use metrics::{Counter, Gauge, Histogram, MetricSample, MetricValue, Registry};
 pub use trace::{RankTrack, TraceData};
 
-/// Pipeline phase of a recorded span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Phase {
-    /// Input processor: fetch a step from the parallel file system (`Tf`).
-    Read,
-    /// Input processor: magnitude/quantize/enhance (`Tp`).
-    Preprocess,
-    /// Input processor: LIC texture synthesis (part of `Tp`).
-    Lic,
-    /// Input processor: distribute block data to renderers (`Ts`).
-    Send,
-    /// Input processor: backpressure wait on in-flight prefetch sends
-    /// (exposed, un-hidden send time of the overlapped runtime).
-    SendWait,
-    /// Rendering processor: wait for + ingest block data.
-    Receive,
-    /// Rendering processor: ray-cast local blocks (`Tr` part 1).
-    Render,
-    /// Rendering processor: SLIC compositing (`Tr` part 2).
-    Composite,
-    /// Output processor: assemble/overlay/deliver one frame.
-    Assemble,
-    /// Input processor: liveness exchange within a 2DIP group before a
-    /// step (failure detection for input-rank failover).
-    Heartbeat,
-    /// Runtime: barrier wait.
-    Barrier,
-    /// Runtime: blocking receive.
-    CommRecv,
-    /// MPI-IO layer: a disk read on the calling rank.
-    IoRead,
-    /// One communication phase inside a compositing algorithm.
-    CompositeRound,
-    /// Retry backoff after a failed/corrupt read (nests inside [`Phase::Read`],
-    /// so it is an auto phase, not a stage).
-    Retry,
-    /// Checkpoint write/collect at a checkpoint boundary (render field
-    /// snapshots, output manifest).
-    Checkpoint,
-    /// Elastic control-plane tick: plan decision on the controller,
-    /// propose/ack/commit exchange and plan application on every
-    /// participant.
-    Control,
-    /// Wire-codec compression of an outgoing payload (nests inside
-    /// [`Phase::Send`]/[`Phase::Lic`], so it is an auto phase, not a stage).
-    Encode,
-    /// Wire-codec decompression of an incoming payload (nests inside
-    /// [`Phase::Receive`]/[`Phase::Assemble`]; auto phase).
-    Decode,
-    /// Uncategorized.
-    Other,
-}
-
-impl Phase {
-    pub const COUNT: usize = 20;
-    pub const ALL: [Phase; Phase::COUNT] = [
-        Phase::Read,
-        Phase::Preprocess,
-        Phase::Lic,
-        Phase::Send,
-        Phase::SendWait,
-        Phase::Receive,
-        Phase::Render,
-        Phase::Composite,
-        Phase::Assemble,
-        Phase::Heartbeat,
-        Phase::Barrier,
-        Phase::CommRecv,
-        Phase::IoRead,
-        Phase::CompositeRound,
-        Phase::Retry,
-        Phase::Checkpoint,
-        Phase::Control,
-        Phase::Encode,
-        Phase::Decode,
-        Phase::Other,
-    ];
-
-    /// The stage phases recorded by the pipeline itself (disjoint within
-    /// a rank thread — the prefetch runtime's worker thread records its
+enum_table! {
+    /// Pipeline phase of a recorded span. Each row: the name spans are
+    /// exported under, the ASCII Gantt glyph, and whether the phase is a
+    /// stage — recorded by the pipeline itself, disjoint within a rank
+    /// thread (the prefetch runtime's worker thread records its
     /// Read/Preprocess spans on the same rank *track*, where they overlap
-    /// the consumer's Send/SendWait spans by design); auto phases may
-    /// nest inside them.
-    pub const STAGES: [Phase; 12] = [
-        Phase::Read,
-        Phase::Preprocess,
-        Phase::Lic,
-        Phase::Send,
-        Phase::SendWait,
-        Phase::Receive,
-        Phase::Render,
-        Phase::Composite,
-        Phase::Assemble,
-        Phase::Heartbeat,
-        Phase::Checkpoint,
-        Phase::Control,
-    ];
-
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Phase::Read => "read",
-            Phase::Preprocess => "preprocess",
-            Phase::Lic => "lic",
-            Phase::Send => "send",
-            Phase::SendWait => "send_wait",
-            Phase::Receive => "receive",
-            Phase::Render => "render",
-            Phase::Composite => "composite",
-            Phase::Assemble => "assemble",
-            Phase::Heartbeat => "heartbeat",
-            Phase::Barrier => "barrier",
-            Phase::CommRecv => "comm_recv",
-            Phase::IoRead => "io_read",
-            Phase::CompositeRound => "composite_round",
-            Phase::Retry => "retry",
-            Phase::Checkpoint => "checkpoint",
-            Phase::Control => "control",
-            Phase::Encode => "encode",
-            Phase::Decode => "decode",
-            Phase::Other => "other",
-        }
-    }
-
-    /// One-character key for ASCII Gantt rendering.
-    pub fn gantt_char(self) -> char {
-        match self {
-            Phase::Read => 'F',
-            Phase::Preprocess => 'P',
-            Phase::Lic => 'L',
-            Phase::Send => 'S',
-            Phase::SendWait => 'W',
-            Phase::Receive => 'w',
-            Phase::Render => 'R',
-            Phase::Composite => 'C',
-            Phase::Assemble => 'A',
-            Phase::Heartbeat => 'H',
-            Phase::Barrier => 'b',
-            Phase::CommRecv => 'r',
-            Phase::IoRead => 'i',
-            Phase::CompositeRound => 'c',
-            Phase::Retry => 'B',
-            Phase::Checkpoint => 'K',
-            Phase::Control => 'X',
-            Phase::Encode => 'e',
-            Phase::Decode => 'd',
-            Phase::Other => '?',
-        }
-    }
-
-    /// Whether this is a pipeline stage phase (vs runtime auto phase).
-    pub fn is_stage(self) -> bool {
-        Phase::STAGES.contains(&self)
+    /// the consumer's Send/SendWait spans by design) — or a runtime auto
+    /// phase, which may nest inside them.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum Phase {
+        /// Input processor: fetch a step from the parallel file system (`Tf`).
+        Read => "read", 'F', true;
+        /// Input processor: magnitude/quantize/enhance (`Tp`).
+        Preprocess => "preprocess", 'P', true;
+        /// Input processor: LIC texture synthesis (part of `Tp`).
+        Lic => "lic", 'L', true;
+        /// Input processor: distribute block data to renderers (`Ts`).
+        Send => "send", 'S', true;
+        /// Input processor: backpressure wait on in-flight prefetch sends
+        /// (exposed, un-hidden send time of the overlapped runtime).
+        SendWait => "send_wait", 'W', true;
+        /// Rendering processor: wait for + ingest block data.
+        Receive => "receive", 'w', true;
+        /// Rendering processor: ray-cast local blocks (`Tr` part 1).
+        Render => "render", 'R', true;
+        /// Rendering processor: SLIC compositing (`Tr` part 2).
+        Composite => "composite", 'C', true;
+        /// Output processor: assemble/overlay/deliver one frame.
+        Assemble => "assemble", 'A', true;
+        /// Input processor: liveness exchange within a 2DIP group before a
+        /// step (failure detection for input-rank failover).
+        Heartbeat => "heartbeat", 'H', true;
+        /// Runtime: barrier wait.
+        Barrier => "barrier", 'b', false;
+        /// Runtime: blocking receive.
+        CommRecv => "comm_recv", 'r', false;
+        /// MPI-IO layer: a disk read on the calling rank.
+        IoRead => "io_read", 'i', false;
+        /// One communication phase inside a compositing algorithm.
+        CompositeRound => "composite_round", 'c', false;
+        /// Retry backoff after a failed/corrupt read (nests inside [`Phase::Read`],
+        /// so it is an auto phase, not a stage).
+        Retry => "retry", 'B', false;
+        /// Checkpoint write/collect at a checkpoint boundary (render field
+        /// snapshots, output manifest).
+        Checkpoint => "checkpoint", 'K', true;
+        /// Elastic control-plane tick: plan decision on the controller,
+        /// propose/ack/commit exchange and plan application on every
+        /// participant.
+        Control => "control", 'X', true;
+        /// Wire-codec compression of an outgoing payload (nests inside
+        /// [`Phase::Send`]/[`Phase::Lic`], so it is an auto phase, not a stage).
+        Encode => "encode", 'e', false;
+        /// Wire-codec decompression of an incoming payload (nests inside
+        /// [`Phase::Receive`]/[`Phase::Assemble`]; auto phase).
+        Decode => "decode", 'd', false;
+        /// Uncategorized.
+        Other => "other", '?', false;
     }
 }
 
@@ -241,13 +150,12 @@ impl RankRecorder {
     }
 }
 
-/// One observability session: the epoch, the per-rank recorders, and the
-/// metrics registry. Created per pipeline run (or per test world).
+/// One observability session: the epoch and the per-rank recorders.
+/// Created per pipeline run (or per test world).
 pub struct Obs {
     detail: bool,
     epoch: Instant,
     ranks: Mutex<Vec<Arc<RankRecorder>>>,
-    metrics: Registry,
 }
 
 /// Count of attached recorders across all sessions — the global fast
@@ -269,12 +177,7 @@ impl Obs {
     /// barrier / I/O / compositing instrumentation); stage spans are
     /// always recorded on attached threads.
     pub fn new(detail: bool) -> Arc<Obs> {
-        Arc::new(Obs {
-            detail,
-            epoch: Instant::now(),
-            ranks: Mutex::new(Vec::new()),
-            metrics: Registry::new(),
-        })
+        Arc::new(Obs { detail, epoch: Instant::now(), ranks: Mutex::new(Vec::new()) })
     }
 
     /// Whether `QUAKEVIZ_TRACE` asks for detailed tracing (any non-empty
@@ -285,10 +188,6 @@ impl Obs {
 
     pub fn detail(&self) -> bool {
         self.detail
-    }
-
-    pub fn metrics(&self) -> &Registry {
-        &self.metrics
     }
 
     /// Register this thread as `rank` of group `group`. Returns a guard;
@@ -315,7 +214,8 @@ impl Obs {
 
     /// Collect everything recorded so far into an exportable
     /// [`TraceData`], merging in the traffic matrix of `stats` when
-    /// given. Tracks are ordered by rank.
+    /// given. Tracks are ordered by rank; the metrics table is left empty
+    /// for the caller to fill once its run has ended.
     pub fn snapshot(&self, stats: Option<&crate::TrafficStats>) -> TraceData {
         let mut tracks: Vec<RankTrack> = self
             .recorders()
@@ -326,7 +226,7 @@ impl Obs {
         TraceData {
             tracks,
             edges: stats.map_or_else(Vec::new, |s| s.edges()),
-            metrics: self.metrics.snapshot(),
+            metrics: BTreeMap::new(),
         }
     }
 }

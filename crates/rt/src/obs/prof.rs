@@ -119,7 +119,7 @@ pub struct SelfTime {
 }
 
 /// Exact sample percentile of a **sorted** slice (nearest-rank).
-fn pct_sorted(sorted: &[u64], q: f64) -> u64 {
+pub fn pct_sorted(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
@@ -188,8 +188,7 @@ pub fn self_times(data: &TraceData) -> Vec<SelfTime> {
     let mut by_phase: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
     for t in &data.tracks {
         for (phase, excl) in track_self_times(&t.spans) {
-            let idx = Phase::ALL.iter().position(|&p| p == phase).unwrap();
-            by_phase.entry(idx).or_default().push(excl);
+            by_phase.entry(phase as usize).or_default().push(excl);
         }
     }
     let mut out: Vec<SelfTime> = by_phase
@@ -280,8 +279,7 @@ mod tests {
                     spans: vec![ev(Phase::Render, 0, 400)],
                 },
             ],
-            edges: Vec::new(),
-            metrics: Vec::new(),
+            ..TraceData::default()
         };
         let st = self_times(&data);
         assert_eq!(st[0].phase, Phase::IoRead, "largest total first: {st:?}");

@@ -2,8 +2,9 @@
 //! `chrome://tracing` loadable), CSV, per-rank utilization, and an ASCII
 //! Gantt chart for terminal reports.
 
-use crate::obs::{MetricSample, MetricValue, Phase, SpanEvent, NO_STEP};
+use crate::obs::{Phase, SpanEvent, NO_STEP};
 use crate::stats::TrafficEdge;
+use std::collections::BTreeMap;
 
 /// All spans recorded by one rank, with its processor-group label.
 #[derive(Debug, Clone)]
@@ -45,12 +46,15 @@ impl RankUtilization {
 }
 
 /// One exportable trace: per-rank span tracks, the traffic matrix, and
-/// the metrics snapshot.
+/// the run's metrics.
 #[derive(Debug, Clone, Default)]
 pub struct TraceData {
     pub tracks: Vec<RankTrack>,
     pub edges: Vec<TrafficEdge>,
-    pub metrics: Vec<MetricSample>,
+    /// Counter rows named by their source (`recovery.rejoins`,
+    /// `traffic.block_data.bytes`, …), built once after the run; a row
+    /// that is absent reads 0.
+    pub metrics: BTreeMap<String, u64>,
 }
 
 fn json_escape(s: &str) -> String {
@@ -147,24 +151,13 @@ impl TraceData {
                 &mut out,
             );
         }
-        for m in &self.metrics {
-            let val = match &m.value {
-                MetricValue::Counter(v) => format!("{{\"counter\":{v}}}"),
-                MetricValue::Gauge { value, max } => {
-                    format!("{{\"gauge\":{value},\"max\":{max}}}")
-                }
-                MetricValue::Histogram { count, sum, min, max, mean, p50, p95, p99 } => format!(
-                    "{{\"count\":{count},\"sum\":{sum},\"min\":{min},\"max\":{max},\
-                     \"mean\":{mean:.3},\"p50\":{p50},\"p95\":{p95},\"p99\":{p99}}}"
-                ),
-            };
+        for (name, v) in &self.metrics {
             push(
                 format!(
                     "{{\"name\":\"metric:{}\",\"ph\":\"i\",\"s\":\"g\",\"pid\":0,\"tid\":0,\
-                     \"ts\":{},\"args\":{}}}",
-                    json_escape(&m.name),
+                     \"ts\":{},\"args\":{{\"counter\":{v}}}}}",
+                    json_escape(name),
                     self.end_us(),
-                    val
                 ),
                 &mut out,
             );
@@ -325,9 +318,8 @@ impl TraceData {
                 let c0 = ((s.start_us - t0) as f64 / span * width as f64) as usize;
                 let c1 =
                     (((s.end_us() - t0) as f64 / span * width as f64).ceil() as usize).min(width);
-                let pidx = Phase::ALL.iter().position(|&p| p == s.phase).unwrap();
                 for cell in cells.iter_mut().take(c1.max(c0 + 1).min(width)).skip(c0) {
-                    cell[pidx] += 1;
+                    cell[s.phase as usize] += 1;
                 }
             }
             let row: String = cells
@@ -385,7 +377,7 @@ mod tests {
                 messages: 2,
                 bytes: 4096,
             }],
-            metrics: Vec::new(),
+            metrics: BTreeMap::new(),
         }
     }
 

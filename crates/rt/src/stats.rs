@@ -14,68 +14,29 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Coarse classification of a message by its tag, for the traffic matrix.
-/// The mapping from raw tags to classes is application-defined (see
-/// [`TrafficStats::with_matrix`]); collective-internal traffic is always
-/// classified by the runtime itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TagClass {
-    /// Block value distribution: input → rendering processors.
-    BlockData,
-    /// LIC surface textures: input → output processor.
-    LicImage,
-    /// Composited frames: rendering root → output processor.
-    VolumeImage,
-    /// Compositing spans/strips between rendering processors.
-    Composite,
-    /// Piece redistribution inside a collective read (MPI-IO layer).
-    IoPieces,
-    /// Runtime-internal collective traffic (barriers, bcast, gather…).
-    Collective,
-    /// Recovery control traffic: heartbeats and degraded-block reports.
-    Recovery,
-    /// Anything else.
-    Other,
-}
-
-impl TagClass {
-    pub const COUNT: usize = 8;
-    pub const ALL: [TagClass; TagClass::COUNT] = [
-        TagClass::BlockData,
-        TagClass::LicImage,
-        TagClass::VolumeImage,
-        TagClass::Composite,
-        TagClass::IoPieces,
-        TagClass::Collective,
-        TagClass::Recovery,
-        TagClass::Other,
-    ];
-
-    #[inline]
-    pub fn index(self) -> usize {
-        match self {
-            TagClass::BlockData => 0,
-            TagClass::LicImage => 1,
-            TagClass::VolumeImage => 2,
-            TagClass::Composite => 3,
-            TagClass::IoPieces => 4,
-            TagClass::Collective => 5,
-            TagClass::Recovery => 6,
-            TagClass::Other => 7,
-        }
-    }
-
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TagClass::BlockData => "block_data",
-            TagClass::LicImage => "lic_image",
-            TagClass::VolumeImage => "volume_image",
-            TagClass::Composite => "composite",
-            TagClass::IoPieces => "io_pieces",
-            TagClass::Collective => "collective",
-            TagClass::Recovery => "recovery",
-            TagClass::Other => "other",
-        }
+enum_table! {
+    /// Coarse classification of a message by its tag, for the traffic matrix.
+    /// The mapping from raw tags to classes is application-defined (see
+    /// [`TrafficStats::with_matrix`]); collective-internal traffic is always
+    /// classified by the runtime itself.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum TagClass {
+        /// Block value distribution: input → rendering processors.
+        BlockData => "block_data";
+        /// LIC surface textures: input → output processor.
+        LicImage => "lic_image";
+        /// Composited frames: rendering root → output processor.
+        VolumeImage => "volume_image";
+        /// Compositing spans/strips between rendering processors.
+        Composite => "composite";
+        /// Piece redistribution inside a collective read (MPI-IO layer).
+        IoPieces => "io_pieces";
+        /// Runtime-internal collective traffic (barriers, bcast, gather…).
+        Collective => "collective";
+        /// Recovery control traffic: heartbeats and degraded-block reports.
+        Recovery => "recovery";
+        /// Anything else.
+        Other => "other";
     }
 }
 
@@ -175,7 +136,7 @@ impl TrafficStats {
             if src < m.ranks && dst < m.ranks {
                 let class =
                     if tag & (1 << 63) != 0 { TagClass::Collective } else { (m.classify)(tag) };
-                let cell = m.cell(src, dst, class.index());
+                let cell = m.cell(src, dst, class as usize);
                 m.cells[cell].fetch_add(1, Ordering::Relaxed);
                 m.cells[cell + 1].fetch_add(bytes, Ordering::Relaxed);
             }
@@ -196,7 +157,7 @@ impl TrafficStats {
     pub fn edge(&self, src: usize, dst: usize, class: TagClass) -> (u64, u64) {
         match &self.matrix {
             Some(m) if src < m.ranks && dst < m.ranks => {
-                let cell = m.cell(src, dst, class.index());
+                let cell = m.cell(src, dst, class as usize);
                 (m.cells[cell].load(Ordering::Relaxed), m.cells[cell + 1].load(Ordering::Relaxed))
             }
             _ => (0, 0),
@@ -212,7 +173,7 @@ impl TrafficStats {
         for src in 0..m.ranks {
             for dst in 0..m.ranks {
                 for class in TagClass::ALL {
-                    let cell = m.cell(src, dst, class.index());
+                    let cell = m.cell(src, dst, class as usize);
                     let messages = m.cells[cell].load(Ordering::Relaxed);
                     let bytes = m.cells[cell + 1].load(Ordering::Relaxed);
                     if messages > 0 {
@@ -228,10 +189,10 @@ impl TrafficStats {
     pub fn class_totals(&self) -> Vec<(TagClass, u64, u64)> {
         let mut totals = [(0u64, 0u64); TagClass::COUNT];
         for e in self.edges() {
-            totals[e.class.index()].0 += e.messages;
-            totals[e.class.index()].1 += e.bytes;
+            totals[e.class as usize].0 += e.messages;
+            totals[e.class as usize].1 += e.bytes;
         }
-        TagClass::ALL.iter().map(|&c| (c, totals[c.index()].0, totals[c.index()].1)).collect()
+        TagClass::ALL.iter().map(|&c| (c, totals[c as usize].0, totals[c as usize].1)).collect()
     }
 
     /// [`TrafficStats::class_totals`] under the metric names they are

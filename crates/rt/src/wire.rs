@@ -296,7 +296,7 @@ impl WireSpec {
     }
 
     pub fn codec_for(&self, class: TagClass) -> Codec {
-        self.codecs[class.index()]
+        self.codecs[class as usize]
     }
 
     /// Anything non-default configured?
@@ -420,18 +420,18 @@ impl WireLedger {
     }
 
     pub fn record_send(&self, class: TagClass, raw_bytes: u64, wire_bytes: u64, encode_ns: u64) {
-        let cell = &self.cells[class.index()];
+        let cell = &self.cells[class as usize];
         cell[0].fetch_add(raw_bytes, Ordering::Relaxed);
         cell[1].fetch_add(wire_bytes, Ordering::Relaxed);
         cell[2].fetch_add(encode_ns, Ordering::Relaxed);
     }
 
     pub fn record_decode(&self, class: TagClass, decode_ns: u64) {
-        self.cells[class.index()][3].fetch_add(decode_ns, Ordering::Relaxed);
+        self.cells[class as usize][3].fetch_add(decode_ns, Ordering::Relaxed);
     }
 
     pub fn record_pieces(&self, class: TagClass, keyframes: u64, deltas: u64) {
-        let cell = &self.cells[class.index()];
+        let cell = &self.cells[class as usize];
         cell[4].fetch_add(keyframes, Ordering::Relaxed);
         cell[5].fetch_add(deltas, Ordering::Relaxed);
     }
@@ -441,7 +441,7 @@ impl WireLedger {
         TagClass::ALL
             .iter()
             .map(|&class| {
-                let cell = &self.cells[class.index()];
+                let cell = &self.cells[class as usize];
                 WireClassStats {
                     class,
                     raw_bytes: cell[0].load(Ordering::Relaxed),

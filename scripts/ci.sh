@@ -117,6 +117,19 @@ ratchet "per-run copies and keyed spans in SLIC (composite)" 0 "$(count_sites \
 ratchet "per-lane branches in the LIC kernel (lic.rs)" 0 "$(count_sites \
     '(^|[^A-Za-z0-9_])continue([^A-Za-z0-9_]|$)' crates/lic/src/lic.rs)"
 
+# A run's metrics are one table `run_pipeline` builds after the ranks
+# have joined (`TraceData::metrics`): no live registry, gauge or histogram —
+# nothing a rank writes while the run is in progress — may grow back.
+mapfile -t crate_sources < <(find crates/*/src -name '*.rs')
+ratchet "live metric kinds (crates/*/src)" 0 "$(count_sites \
+    'Registry|Gauge|Histogram|MetricValue|MetricSample|obs::Counter' "${crate_sources[@]}")"
+
+# Enum tables are declared once (`enum_table!`): a variant's position is
+# `variant as usize`, never a hand-synced `index()` match.
+mapfile -t rt_sources < <(find crates/rt/src -name '*.rs')
+ratchet "hand-synced enum index (crates/rt/src)" 0 "$(count_sites \
+    'fn index\\(self\\)' "${rt_sources[@]}")"
+
 # Wall-clock sites: `Instant::now()` / `thread::sleep(` in the runtime
 # crates — each is a place real time leaks into the protocol, and the
 # count the virtual-time work (ROADMAP) drives down to its

@@ -10,7 +10,6 @@
 use quakeviz::pipeline::{
     CacheConfig, CacheTier, IoStrategy, PipelineBuilder, PipelineReport, RetryPolicy,
 };
-use quakeviz::rt::obs::MetricValue;
 use quakeviz::rt::FaultSpec;
 use quakeviz::seismic::{Dataset, SimulationBuilder};
 use std::sync::Arc;
@@ -30,12 +29,9 @@ fn tier() -> Arc<CacheTier> {
     CacheTier::new(CacheConfig { blocks_mb: 64, frames: 64 })
 }
 
-/// A counter from the run's metrics snapshot (0 when never emitted).
+/// A row of the run's metrics table (0 when never emitted).
 fn counter(report: &PipelineReport, name: &str) -> u64 {
-    report.trace.metrics.iter().find(|m| m.name == name).map_or(0, |m| match m.value {
-        MetricValue::Counter(v) => v,
-        _ => 0,
-    })
+    report.trace.metrics.get(name).copied().unwrap_or(0)
 }
 
 fn assert_frames_identical(oracle: &PipelineReport, got: &PipelineReport, what: &str) {
@@ -255,10 +251,10 @@ fn disabled_cache_emits_no_metrics() {
     let ds = dataset();
     let report = builder(&ds).run().expect("plain run");
     assert!(
-        report.trace.metrics.iter().all(|m| !m.name.starts_with("cache.")),
+        report.trace.metrics.keys().all(|name| !name.starts_with("cache.")),
         "a cache-off run must not emit cache metrics"
     );
     let zero =
         builder(&ds).cache_blocks_mb(0).cache_frames(0).run().expect("explicit zero-capacity run");
-    assert!(zero.trace.metrics.iter().all(|m| !m.name.starts_with("cache.")));
+    assert!(zero.trace.metrics.keys().all(|name| !name.starts_with("cache.")));
 }

@@ -18,7 +18,7 @@
 //! are process-wide, so this file holds a single test.
 
 use quakeviz::pipeline::{CacheConfig, CacheTier, IoStrategy, PipelineBuilder, PipelineReport};
-use quakeviz::rt::obs::{prof, MetricValue};
+use quakeviz::rt::obs::prof;
 use quakeviz::rt::{FaultSpec, WireSpec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -229,12 +229,12 @@ fn pipeline_ledger(run: &str, report: &PipelineReport) -> Ledger {
         put(&format!("wire.keyframes.{class}"), w.keyframe_pieces);
         put(&format!("wire.deltas.{class}"), w.delta_pieces);
     }
-    for m in &report.trace.metrics {
+    for (name, &v) in &report.trace.metrics {
         // `work.` is the tick registry's namespace: nothing span-derived
-        assert!(!m.name.starts_with("work."), "{run}: session metric {} in work.*", m.name);
-        let kept = ["cache.", "parfs.ost", "recovery."].iter().any(|p| m.name.starts_with(p));
-        if let (true, MetricValue::Counter(v)) = (kept && !wall_clock_derived(&m.name), &m.value) {
-            put(&m.name, *v);
+        assert!(!name.starts_with("work."), "{run}: metric {name} in work.*");
+        let kept = ["cache.", "parfs.ost", "recovery."].iter().any(|p| name.starts_with(p));
+        if kept && !wall_clock_derived(name) {
+            put(name, v);
         }
     }
     l

@@ -1,17 +1,20 @@
 //! End-to-end observability tests: a traced pipeline run must export a
 //! valid Chrome trace with one track per rank, disjoint stage spans, a
 //! populated traffic matrix, and metrics; an untraced run must record
-//! stage spans only (the auto instrumentation stays off); the JSON/CSV
-//! exporters must round-trip the metrics registry and the traffic
+//! stage spans only (the auto instrumentation stays off); the metrics
+//! table's derived rows must follow the assembled report; the JSON/CSV
+//! exporters must round-trip the metrics table and the traffic
 //! matrix, and the Chrome trace must keep timestamps non-decreasing
 //! per tid (spans are recorded at drop time, so the exporter has to
 //! reorder them).
 
-use quakeviz::pipeline::{IoStrategy, PipelineBuilder};
-use quakeviz::rt::obs::{MetricValue, Obs, Phase};
-use quakeviz::rt::{TagClass, WireSpec};
+use quakeviz::pipeline::membership::{Schedule, Tick, WorldShape};
+use quakeviz::pipeline::{ControlConfig, IoStrategy, PipelineBuilder};
+use quakeviz::rt::obs::{Obs, Phase};
+use quakeviz::rt::{FaultSpec, TagClass, WireSpec};
 use quakeviz::seismic::SimulationBuilder;
 use quakeviz_bench::json::Json;
+use std::collections::BTreeMap;
 
 fn run(trace: bool) -> quakeviz::pipeline::PipelineReport {
     let ds = SimulationBuilder::new().resolution(16).steps(4).run_to_dataset().unwrap();
@@ -143,32 +146,51 @@ fn traced_run_exports_valid_chrome_trace() {
 
     // the codec ledger publishes both sides of every encoded class
     for w in &report.wire {
-        let counter = |name: String| {
-            tr.metrics
-                .iter()
-                .find(|m| m.name == name)
-                .unwrap_or_else(|| panic!("missing metric {name}"))
-                .value
-                .clone()
-        };
         let class = w.class.as_str();
-        assert_eq!(
-            counter(format!("traffic.{class}.raw_bytes")),
-            MetricValue::Counter(w.raw_bytes)
-        );
-        assert_eq!(
-            counter(format!("traffic.{class}.wire_bytes")),
-            MetricValue::Counter(w.wire_bytes)
-        );
+        assert_eq!(tr.metrics.get(&format!("traffic.{class}.raw_bytes")), Some(&w.raw_bytes));
+        assert_eq!(tr.metrics.get(&format!("traffic.{class}.wire_bytes")), Some(&w.wire_bytes));
     }
 
-    // metrics: the output processor counted every frame
-    let frames =
-        tr.metrics.iter().find(|m| m.name == "pipeline.frames").expect("pipeline.frames metric");
-    assert_eq!(
-        frames.value,
-        quakeviz::rt::obs::MetricValue::Counter(report.frame_done.len() as u64)
-    );
+    // metrics: the table counts every delivered frame
+    assert_eq!(tr.metrics.get("pipeline.frames"), Some(&(report.frame_done.len() as u64)));
+}
+
+/// The rows derived from the assembled report, whoever delivered the
+/// frames: the output processor, or — after it died — the render root
+/// that assumed assembly, whose migrated frames must count once each.
+#[test]
+fn counter_table_rows_follow_the_report() {
+    let ds = SimulationBuilder::new().resolution(16).steps(4).run_to_dataset().unwrap();
+    let (io, (w, h)) = (IoStrategy::OneDip { input_procs: 2 }, (48u32, 40u32));
+    let base = || PipelineBuilder::new(&ds).renderers(2).io_strategy(io).image_size(w, h);
+    // world: [0,1 inputs | 2,3 renderers | 4 output] — the output dies at step 2
+    let failover = base()
+        .faults(FaultSpec::parse("seed=1,fail_rank=4@2").unwrap())
+        .delivery_deadline_ms(500)
+        .run()
+        .expect("the run survives the output-rank failure");
+    let elastic = base().elastic(2).run().expect("elastic pipeline");
+    // the plan-commit rounds the membership schedule hands the controller
+    let rounds = |control: Option<ControlConfig>| {
+        let (groups, per_group) = io.shape();
+        let shape = WorldShape { groups, per_group, renderers: 2, spares: 0 };
+        let sched = Schedule::new(&[], None, shape, control, ds.steps()).unwrap();
+        (0..ds.steps()).filter(|&t| matches!(sched.tick(t), Tick::Round { .. })).count() as u64
+    };
+    let runs = [
+        ("output failover", &failover, 2, rounds(None)),
+        ("elastic(2)", &elastic, 0, rounds(Some(ControlConfig::every(2)))),
+    ];
+    assert_eq!(runs[1].3, 1, "a 4-step run ticking every 2 steps has one round");
+    for (what, report, migrated, ticks) in runs {
+        let row = |name: &str| report.trace.metrics.get(name).copied().unwrap_or(0);
+        let steps = ds.steps() as u64;
+        assert_eq!(report.frame_done.len() as u64, steps, "{what}: one delivery per step");
+        assert_eq!(row("pipeline.frames"), steps, "{what}: every frame counted once");
+        assert_eq!(row("recovery.migrated_frames"), migrated, "{what}: migrated frames");
+        assert_eq!(row("pipeline.frame_bytes"), steps * u64::from(w * h) * 16, "{what}");
+        assert_eq!(row("control.ticks"), ticks, "{what}: controller rounds");
+    }
 }
 
 #[test]
@@ -235,7 +257,7 @@ fn chrome_trace_ts_non_decreasing_per_tid() {
     let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");
     // spans are recorded at drop time (a nested auto span drops before
     // its parent), so ordered output proves the exporter re-sorts
-    let mut last_ts: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
+    let mut last_ts: BTreeMap<u64, u64> = BTreeMap::new();
     let mut span_events = 0usize;
     for ev in events {
         if ev.get("ph").and_then(Json::as_str) != Some("X") {
@@ -297,39 +319,27 @@ fn traffic_matrix_round_trips_through_csv() {
 }
 
 #[test]
-fn metrics_registry_round_trips_through_chrome_export() {
+fn metrics_table_round_trips_through_chrome_export() {
     let report = run(true);
     let tr = &report.trace;
     assert!(!tr.metrics.is_empty());
     let doc = Json::parse(&tr.chrome_trace_json()).unwrap();
     let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-    for m in &tr.metrics {
-        let name = format!("metric:{}", m.name);
-        let ev = events
-            .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some(name.as_str()))
-            .unwrap_or_else(|| panic!("metric {:?} missing from chrome export", m.name));
-        let args = ev.get("args").expect("metric args");
-        match &m.value {
-            MetricValue::Counter(v) => {
-                assert_eq!(args.get("counter").and_then(Json::as_u64), Some(*v), "{}", m.name);
-            }
-            MetricValue::Gauge { value, max } => {
-                assert_eq!(args.get("gauge").and_then(Json::as_f64), Some(*value as f64));
-                assert_eq!(args.get("max").and_then(Json::as_f64), Some(*max as f64));
-            }
-            MetricValue::Histogram { count, sum, min, max, p50, p95, p99, .. } => {
-                assert_eq!(args.get("count").and_then(Json::as_u64), Some(*count), "{}", m.name);
-                assert_eq!(args.get("sum").and_then(Json::as_u64), Some(*sum));
-                assert_eq!(args.get("min").and_then(Json::as_u64), Some(*min));
-                assert_eq!(args.get("max").and_then(Json::as_u64), Some(*max));
-                assert_eq!(args.get("p50").and_then(Json::as_u64), Some(*p50));
-                assert_eq!(args.get("p95").and_then(Json::as_u64), Some(*p95));
-                assert_eq!(args.get("p99").and_then(Json::as_u64), Some(*p99));
-                assert!(p50 <= p95 && p95 <= p99, "{}: quantiles out of order", m.name);
-            }
-        }
-    }
+    // every metric event is one row of the table, and every row is one
+    // event carrying exactly its counter
+    let exported: BTreeMap<&str, u64> = events
+        .iter()
+        .filter_map(|e| {
+            let name = e.get("name").and_then(Json::as_str)?.strip_prefix("metric:")?;
+            let args = e.get("args").expect("metric args");
+            let v = args.get("counter").and_then(Json::as_u64).expect("a counter");
+            let one = Json::Obj(vec![("counter".into(), Json::Num(v as f64))]);
+            assert_eq!(args, &one, "{name}: a row exports its counter and nothing else");
+            Some((name, v))
+        })
+        .collect();
+    let table: BTreeMap<&str, u64> = tr.metrics.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    assert_eq!(exported, table);
 }
 
 #[test]
