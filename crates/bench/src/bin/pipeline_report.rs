@@ -6,8 +6,9 @@
 //! 3. the I/O-hiding summary (how much input-group work overlapped
 //!    rendering — the paper's Figures 8–9 effect, measured live),
 //! 4. the measured-vs-predicted model validation table (§5.1/§5.2),
-//! 5. the per-class traffic totals, the run's metrics table (one row per
-//!    counter, built after the run) and its exact interframe distribution.
+//! 5. the traffic totals, the run's metrics table (one row per counter —
+//!    traffic per class, faults, recovery, cache, OSTs — built after the
+//!    run) and its exact interframe distribution.
 //!
 //! Usage:
 //!   pipeline-report [--renderers N] [--input-procs M] [--twodip NxM]
@@ -31,13 +32,13 @@
 //! syntax as `QUAKEVIZ_FAULTS`, e.g.
 //! `seed=11,read_transient=0.1,send_drop=0.05`, or `fail_rank=R@S` to
 //! script a rank death — input, render and output ranks all fail over);
-//! the report then adds a recovery section: injected-fault counts by
-//! kind, the retry/backoff/checksum counters, the input/render/output
-//! failover and migrated-frame counters, and a per-frame degradation
-//! column.
+//! its injected faults and recovery actions are the `fault.*` and
+//! `recovery.*` rows of the metrics table, and the report adds a recovery
+//! section with the per-frame degradation flags.
 //!
 //! `--checkpoint-every K` commits a checkpoint every K steps through the
-//! parallel file system and adds the checkpoint/restart section (resume
+//! parallel file system (`checkpoint.commits`) and adds the
+//! checkpoint/restart section's resume line (resume
 //! itself is exercised by `tests/checkpoint_restart.rs`: the simulated
 //! disk lives in memory, so a checkpoint cannot outlive the process).
 //!
@@ -61,11 +62,10 @@
 //! `--cache SPEC` arms the block/frame cache tier (same grammar as
 //! `QUAKEVIZ_CACHE`, e.g. `1` or `blocks_mb=32,frames=16`) and
 //! `--osts N` shards the dataset disk across N simulated object storage
-//! targets; either adds the storage-tier section — per-level cache
-//! hit/miss/eviction counters and the per-OST reads/bytes/peak-queue
-//! table. `--warm` first primes the tier with an unreported identical
-//! run, so the reported run shows the warm-replay path (frame hits,
-//! collapsed interframe delay).
+//! targets; their counters are the `cache.*` and `parfs.ost*` rows of
+//! the metrics table. `--warm` first primes the tier with an unreported
+//! identical run, so the reported run shows the warm-replay path (frame
+//! hits, collapsed interframe delay).
 //!
 //! `--prefetch` adds the read-ahead stage to the input ranks
 //! (read+preprocess on a worker thread up to two steps ahead, at most
@@ -82,7 +82,6 @@ use quakeviz_bench::standard_dataset;
 use quakeviz_core::{CacheConfig, CacheTier, IoStrategy, ModelValidation, PipelineBuilder};
 use quakeviz_rt::obs::{prof, Phase};
 use quakeviz_rt::{chaos as rt_chaos, FaultSpec, WireSpec};
-use std::collections::BTreeMap;
 
 /// A usage error: name what was wrong and exit 2, like an unknown flag.
 fn fail(msg: &str) -> ! {
@@ -320,16 +319,7 @@ fn main() {
     println!();
     print!("{}", ModelValidation::from_report(&report, io));
 
-    println!("\ntraffic ({} messages, {} bytes):", report.messages, report.bytes_sent);
-    let mut classes: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-    for e in &report.traffic {
-        let c = classes.entry(e.class.as_str()).or_default();
-        c.0 += e.messages;
-        c.1 += e.bytes;
-    }
-    for (class, (msgs, bytes)) in classes {
-        println!("  {class:<14} {msgs:>8} msgs {bytes:>14} bytes");
-    }
+    println!("\ntraffic ({} messages, {} bytes)", report.messages, report.bytes_sent);
 
     if !report.wire.is_empty() {
         println!("\nwire compression ({}):", report.wire_spec);
@@ -352,40 +342,9 @@ fn main() {
         }
     }
 
-    if let Some(rec) = &report.recovery {
+    if report.recovery.is_some() {
+        // its counters are the `fault.*` and `recovery.*` metrics rows
         println!("\nrecovery (fault plan armed):");
-        let mut kinds: BTreeMap<&str, u64> = BTreeMap::new();
-        for e in &report.fault_events {
-            *kinds.entry(e.kind.as_str()).or_default() += 1;
-        }
-        if kinds.is_empty() {
-            println!("  injected: none (clean run)");
-        } else {
-            println!("  injected:");
-            for (kind, n) in kinds {
-                println!("    {kind:<18} {n:>6}");
-            }
-        }
-        println!(
-            "  read retries        {:>6} (backoff {:.1} ms total)",
-            rec.read_retries,
-            rec.backoff_us as f64 / 1000.0
-        );
-        println!("  exhausted reads     {:>6}", rec.exhausted_reads);
-        println!("  checksum failures   {:>6}", rec.checksum_failures);
-        println!("  input failovers     {:>6}", rec.failover_events);
-        println!("  render failovers    {:>6}", rec.render_failovers);
-        println!("  output failovers    {:>6}", rec.output_failovers);
-        println!("  migrated frames     {:>6}", rec.migrated_frames);
-        println!("  rejoins             {:>6}", rec.rejoins);
-        println!("  catch-up plans      {:>6}", rec.catchup_plans);
-        println!("  catch-up fields     {:>6}", rec.catchup_fields);
-        println!(
-            "  degraded            {:>6} blocks across {} of {} frames",
-            rec.degraded_blocks,
-            report.degraded_frame_count(),
-            report.frame_done.len()
-        );
         if report.degraded_frame_count() > 0 {
             println!("  frame  degradation flags");
             for (t, d) in report.degraded.iter().enumerate() {
@@ -430,7 +389,6 @@ fn main() {
     }
     if report.checkpoints > 0 || report.resumed_from.is_some() {
         println!("\ncheckpoint/restart:");
-        println!("  commits             {:>6}", report.checkpoints);
         match report.resumed_from {
             Some(step) => println!("  resumed from step   {step:>6}"),
             None => println!("  resumed from        {:>6}", "-"),
@@ -448,44 +406,6 @@ fn main() {
                 "  epoch {:>3} @ step {:>4}: active {}, input width {}, blocks/rank {counts:?}",
                 p.epoch, p.apply_at, p.active, p.input_width
             );
-        }
-    }
-
-    if tier.is_some() || osts > 0 {
-        let counter = |name: &str| tr.metrics.get(name).copied().unwrap_or(0);
-        println!("\nstorage tier:");
-        if tier.is_some() {
-            println!(
-                "  {:<8} {:>8} {:>8} {:>10} {:>8} {:>12}",
-                "cache", "hits", "misses", "evictions", "rejects", "bytes"
-            );
-            for level in ["block", "frame"] {
-                println!(
-                    "  {:<8} {:>8} {:>8} {:>10} {:>8} {:>12}",
-                    level,
-                    counter(&format!("cache.{level}.hits")),
-                    counter(&format!("cache.{level}.misses")),
-                    counter(&format!("cache.{level}.evictions")),
-                    counter(&format!("cache.{level}.rejects")),
-                    if level == "block" {
-                        format!("{}", counter("cache.block.bytes"))
-                    } else {
-                        "-".into()
-                    },
-                );
-            }
-        }
-        if osts > 0 {
-            println!("  {:<8} {:>8} {:>14} {:>10}", "ost", "reads", "bytes", "peak_queue");
-            for i in 0..osts {
-                println!(
-                    "  {:<8} {:>8} {:>14} {:>10}",
-                    i,
-                    counter(&format!("parfs.ost{i}.reads")),
-                    counter(&format!("parfs.ost{i}.bytes")),
-                    counter(&format!("parfs.ost{i}.peak_queue")),
-                );
-            }
         }
     }
 

@@ -5,19 +5,21 @@
 //! (same on all ranks), and the `collector` rank receives the finished
 //! frame. Identical final images across algorithms — and against the
 //! sequential reference — is the correctness contract.
+//!
+//! SLIC and direct-send ship one span format, a keyless `Batch` per rank
+//! pair read back in an order derived from the [`FrameInfo`].
 
-use crate::rle::{rle_decode, rle_decode_span, rle_encode, rle_encode_rows};
+use crate::rle::{rle_decode_span, rle_encode_rows};
 use crate::schedule::{FrameInfo, Run};
 use quakeviz_render::image::over;
-use quakeviz_render::{Fragment, Rgba, RgbaImage};
+use quakeviz_render::{Fragment, Rgba, RgbaImage, ScreenRect};
 use quakeviz_rt::{obs, Comm};
 
 const TAG_DS_SPANS: u64 = 0xc0de_0001;
-const TAG_DS_STRIP: u64 = 0xc0de_0002;
+const TAG_ROWS: u64 = 0xc0de_0002;
 const TAG_SLIC_COMP: u64 = 0xc0de_0003;
 const TAG_SLIC_OUT: u64 = 0xc0de_0004;
 const TAG_BSWAP: u64 = 0xc0de_0005;
-const TAG_BSWAP_GATHER: u64 = 0xc0de_0006;
 
 /// Options shared by the algorithms.
 #[derive(Debug, Clone, Copy, Default)]
@@ -30,47 +32,6 @@ pub struct CompositeOptions {
 #[derive(Debug, Clone)]
 pub struct CompositeResult {
     pub image: Option<RgbaImage>,
-}
-
-/// A direct-send pixel span annotated with its source fragment (for
-/// ordering).
-#[derive(Debug, Clone)]
-struct Span {
-    /// Index into `FrameInfo::frags`.
-    frag: u32,
-    y: u32,
-    x0: u32,
-    data: SpanData,
-}
-
-#[derive(Debug, Clone)]
-enum SpanData {
-    Raw(Vec<Rgba>),
-    Rle(Vec<u8>),
-}
-
-impl SpanData {
-    fn encode(pixels: Vec<Rgba>, compress: bool) -> SpanData {
-        if compress {
-            SpanData::Rle(rle_encode(&pixels))
-        } else {
-            SpanData::Raw(pixels)
-        }
-    }
-
-    fn bytes(&self) -> u64 {
-        match self {
-            SpanData::Raw(p) => p.len() as u64 * 16,
-            SpanData::Rle(b) => b.len() as u64,
-        }
-    }
-
-    fn decode(self) -> Vec<Rgba> {
-        match self {
-            SpanData::Raw(p) => p,
-            SpanData::Rle(b) => rle_decode(&b),
-        }
-    }
 }
 
 /// Sequential over-operator oracle: composite `frags` into a fresh
@@ -88,151 +49,6 @@ pub fn sequential_reference(
     let mut sorted: Vec<&Fragment> = frags.iter().collect();
     sorted.sort_by_key(|f| pos(f.block));
     quakeviz_render::composite_fragments(&sorted, width, height)
-}
-
-/// Slice `[x0, x1)` of row `y` out of a fragment.
-fn frag_span(f: &Fragment, y: u32, x0: u32, x1: u32) -> Vec<Rgba> {
-    debug_assert!(y >= f.rect.y0 && y < f.rect.y1);
-    debug_assert!(x0 >= f.rect.x0 && x1 <= f.rect.x1);
-    let w = f.rect.width() as usize;
-    let row = (y - f.rect.y0) as usize * w;
-    let a = row + (x0 - f.rect.x0) as usize;
-    let b = row + (x1 - f.rect.x0) as usize;
-    f.pixels[a..b].to_vec()
-}
-
-fn send_batch(comm: &Comm, dst: usize, tag: u64, batch: Vec<Span>) {
-    let bytes: u64 = batch.iter().map(|s| s.data.bytes()).sum();
-    comm.send_with_size(dst, tag, batch, bytes);
-}
-
-// ---------------------------------------------------------------------
-// direct send
-// ---------------------------------------------------------------------
-
-/// Classic direct-send compositing: the image is split into one row-strip
-/// per rank; every fragment piece is shipped to the strip owner, which
-/// composites its strip in visibility order and forwards it to the
-/// collector. Worst case `n(n−1)` span messages (paper §4.4).
-pub fn direct_send(
-    comm: &Comm,
-    local: &[Fragment],
-    info: &FrameInfo,
-    collector: usize,
-    opts: CompositeOptions,
-) -> CompositeResult {
-    let n = comm.size();
-    let me = comm.rank();
-    let h = info.height;
-    let strip_of = |y: u32| ((y as usize * n) / h as usize).min(n - 1);
-    let strip_rows = |r: usize| {
-        let y0 = (r * h as usize / n) as u32;
-        let y1 = ((r + 1) * h as usize / n) as u32;
-        (y0, y1)
-    };
-
-    // which (src, strip) pairs carry traffic — identical on all ranks
-    let mut pair_has_traffic = vec![vec![false; n]; n];
-    for &(_, rect, owner) in &info.frags {
-        let s0 = strip_of(rect.y0);
-        let s1 = strip_of(rect.y1.saturating_sub(1).max(rect.y0));
-        for s in s0..=s1 {
-            pair_has_traffic[owner as usize][s] = true;
-        }
-    }
-
-    // outgoing spans, batched per destination strip owner
-    let mut outgoing: Vec<Vec<Span>> = vec![Vec::new(); n];
-    for f in local {
-        let fi = info.index_of(f.block).expect("fragment missing from FrameInfo") as u32;
-        for y in f.rect.y0..f.rect.y1 {
-            let s = strip_of(y);
-            outgoing[s].push(Span {
-                frag: fi,
-                y,
-                x0: f.rect.x0,
-                data: SpanData::encode(frag_span(f, y, f.rect.x0, f.rect.x1), opts.compress),
-            });
-        }
-    }
-    for (dst, batch) in outgoing.into_iter().enumerate() {
-        if dst == me {
-            continue; // local spans handled below without messaging
-        }
-        if pair_has_traffic[me][dst] {
-            send_batch(comm, dst, TAG_DS_SPANS, batch);
-        }
-    }
-
-    // receive spans for my strip from every rank the schedule names
-    let mut spans: Vec<Span> = Vec::new();
-    for f in local {
-        let fi = info.index_of(f.block).unwrap() as u32;
-        for y in f.rect.y0..f.rect.y1 {
-            if strip_of(y) == me {
-                spans.push(Span {
-                    frag: fi,
-                    y,
-                    x0: f.rect.x0,
-                    data: SpanData::Raw(frag_span(f, y, f.rect.x0, f.rect.x1)),
-                });
-            }
-        }
-    }
-    let expected = (0..n).filter(|&src| src != me && pair_has_traffic[src][me]).count();
-    for _ in 0..expected {
-        let (_, batch): (usize, Vec<Span>) = comm.recv_any(TAG_DS_SPANS);
-        spans.extend(batch);
-    }
-
-    // composite my strip in visibility order
-    spans.sort_by_key(|s| (s.y, s.frag));
-    let (y0, y1) = strip_rows(me);
-    let strip_h = y1.saturating_sub(y0);
-    let mut strip = RgbaImage::new(info.width, strip_h.max(1));
-    for s in spans {
-        let pixels = s.data.decode();
-        let ry = s.y - y0;
-        for (i, &p) in pixels.iter().enumerate() {
-            let x = s.x0 + i as u32;
-            let cur = strip.get(x, ry);
-            strip.set(x, ry, over(cur, p));
-        }
-    }
-
-    // deliver strips to the collector
-    let my_strip_busy = (0..n).any(|src| pair_has_traffic[src][me]);
-    if me != collector {
-        if my_strip_busy && strip_h > 0 {
-            let bytes = strip.pixels().len() as u64 * 16;
-            comm.send_with_size(collector, TAG_DS_STRIP, (y0, strip), bytes);
-        }
-        return CompositeResult { image: None };
-    }
-    let mut img = RgbaImage::new(info.width, info.height);
-    if my_strip_busy {
-        for ry in 0..strip_h {
-            for x in 0..info.width {
-                img.set(x, y0 + ry, strip.get(x, ry));
-            }
-        }
-    }
-    let senders = (0..n)
-        .filter(|&r| r != collector)
-        .filter(|&r| {
-            let (sy0, sy1) = strip_rows(r);
-            sy1 > sy0 && (0..n).any(|src| pair_has_traffic[src][r])
-        })
-        .count();
-    for _ in 0..senders {
-        let (_, (sy0, s)): (usize, (u32, RgbaImage)) = comm.recv_any(TAG_DS_STRIP);
-        for ry in 0..s.height() {
-            for x in 0..info.width {
-                img.set(x, sy0 + ry, s.get(x, ry));
-            }
-        }
-    }
-    CompositeResult { image: Some(img) }
 }
 
 // ---------------------------------------------------------------------
@@ -457,6 +273,131 @@ pub fn slic(
 }
 
 // ---------------------------------------------------------------------
+// direct send
+// ---------------------------------------------------------------------
+
+/// Rows `[y0, y1)` of strip `s` when `h` rows are split over `n` ranks —
+/// direct-send's one split: it routes spans, decides which `(src, strip)`
+/// pairs carry traffic, and bounds each strip owner's compositing.
+fn strip_rows(s: usize, n: usize, h: u32) -> (u32, u32) {
+    ((s * h as usize / n) as u32, ((s + 1) * h as usize / n) as u32)
+}
+
+/// The rows of `rect` inside a strip.
+fn rows_within(rect: &ScreenRect, (y0, y1): (u32, u32)) -> std::ops::Range<u32> {
+    rect.y0.max(y0)..rect.y1.min(y1)
+}
+
+/// Row `y` of a fragment.
+fn row_of(f: &Fragment, y: u32) -> &[Rgba] {
+    let w = f.rect.width() as usize;
+    &f.pixels[(y - f.rect.y0) as usize * w..][..w]
+}
+
+/// Classic direct-send compositing: the image is split into one row-strip
+/// per rank; every fragment row is shipped to its strip owner — one span
+/// per row, in a `Batch` per `(src, strip)` pair — which composites its
+/// strip front to back and forwards it to the collector. Worst case
+/// `n(n−1)` span messages (paper §4.4).
+pub fn direct_send(
+    comm: &Comm,
+    local: &[Fragment],
+    info: &FrameInfo,
+    collector: usize,
+    opts: CompositeOptions,
+) -> CompositeResult {
+    let n = comm.size();
+    let me = comm.rank();
+    let strips: Vec<(u32, u32)> = (0..n).map(|s| strip_rows(s, n, info.height)).collect();
+    // rows each rank ships each strip owner — identical on all ranks
+    let mut traffic = vec![vec![0usize; n]; n];
+    for &(_, rect, owner) in &info.frags {
+        for (s, &strip) in strips.iter().enumerate() {
+            traffic[owner as usize][s] += rows_within(&rect, strip).len();
+        }
+    }
+    let mut mine: Vec<Option<&Fragment>> = vec![None; info.frags.len()];
+    for f in local {
+        mine[info.index_of(f.block).expect("fragment missing from FrameInfo")] = Some(f);
+    }
+
+    // ship my fragments' rows to the other strip owners, in FrameInfo order
+    let mut to_strip: Vec<Batch> = (0..n).map(|_| Batch::new(opts.compress, 0)).collect();
+    for f in mine.iter().flatten() {
+        for (s, &strip) in strips.iter().enumerate().filter(|&(s, _)| s != me) {
+            for y in rows_within(&f.rect, strip) {
+                to_strip[s].push_span(std::iter::once(row_of(f, y)));
+            }
+        }
+    }
+    for (dst, batch) in to_strip.into_iter().enumerate() {
+        if dst != me && traffic[me][dst] > 0 {
+            batch.send(comm, dst, TAG_DS_SPANS);
+        }
+    }
+
+    // composite my strip front to back, reading each source's spans in
+    // the order it packed them
+    let senders = (0..n).filter(|&src| src != me && traffic[src][me] > 0).count();
+    let mut from = receive(comm, TAG_DS_SPANS, senders);
+    let (y0, y1) = strips[me];
+    let w = info.width as usize;
+    let mut strip = vec![[0.0; 4]; (y1 - y0) as usize * w];
+    for (fi, &(_, rect, owner)) in info.frags.iter().enumerate() {
+        for y in rows_within(&rect, strips[me]) {
+            let row = match mine[fi] {
+                Some(f) => row_of(f, y),
+                None => from[owner as usize]
+                    .as_mut()
+                    .expect("strip span never arrived")
+                    .next_span(rect.width() as usize),
+            };
+            let a = (y - y0) as usize * w + rect.x0 as usize;
+            for (s, p) in strip[a..a + row.len()].iter_mut().zip(row) {
+                *s = over(*s, *p);
+            }
+        }
+    }
+
+    let busy = |s: usize| (0..n).any(|src| traffic[src][s] > 0);
+    let senders = (0..n).filter(|&s| s != collector && busy(s)).count();
+    gather_rows(comm, info, collector, y0, strip, busy(me), senders)
+}
+
+/// Deliver finished rows to the collector. A rank other than the
+/// collector ships its rows `[y0, …)` in one message (16 bytes a pixel)
+/// when `send` is set; the collector places its own rows and those of
+/// `senders` others into the frame.
+fn gather_rows(
+    comm: &Comm,
+    info: &FrameInfo,
+    collector: usize,
+    y0: u32,
+    rows: Vec<Rgba>,
+    send: bool,
+    senders: usize,
+) -> CompositeResult {
+    if comm.rank() != collector {
+        if send {
+            let bytes = rows.len() as u64 * 16;
+            comm.send_with_size(collector, TAG_ROWS, (y0, rows), bytes);
+        }
+        return CompositeResult { image: None };
+    }
+    let mut img = RgbaImage::new(info.width, info.height);
+    let mut place = |y0: u32, rows: &[Rgba]| {
+        let a = y0 as usize * info.width as usize;
+        img.pixels_mut()[a..a + rows.len()].copy_from_slice(rows);
+    };
+    place(y0, &rows);
+    for _ in 0..senders {
+        let (_, (y0, rows)): (usize, (u32, Vec<Rgba>)) = comm.recv_any(TAG_ROWS);
+        place(y0, &rows);
+    }
+    CompositeResult { image: Some(img) }
+}
+
+// ---------------------------------------------------------------------
 // binary swap
 // ---------------------------------------------------------------------
 
@@ -492,8 +433,7 @@ pub fn binary_swap(
         for y in f.rect.y0..f.rect.y1 {
             for x in f.rect.x0..f.rect.x1 {
                 let i = (y * w + x) as usize;
-                let cur = layer.get(x, y);
-                layer.set(x, y, over(cur, f.get(x, y)));
+                layer.set(x, y, over(layer.get(x, y), f.get(x, y)));
                 if keys[i] == u32::MAX {
                     keys[i] = oi as u32;
                 }
@@ -509,16 +449,9 @@ pub fn binary_swap(
         let mid = lo + (hi - lo) / 2;
         let (keep, send) =
             if me & (1 << k) == 0 { ((lo, mid), (mid, hi)) } else { ((mid, hi), (lo, mid)) };
-        // extract the half to send
-        let rows = (send.1 - send.0) as usize;
-        let mut px = Vec::with_capacity(rows * w as usize);
-        let mut ks = Vec::with_capacity(rows * w as usize);
-        for y in send.0..send.1 {
-            for x in 0..w {
-                px.push(layer.get(x, y));
-                ks.push(keys[(y * w + x) as usize]);
-            }
-        }
+        // the half to send
+        let half = (send.0 * w) as usize..(send.1 * w) as usize;
+        let (px, ks) = (layer.pixels()[half.clone()].to_vec(), keys[half].to_vec());
         let bytes = px.len() as u64 * 20;
         comm.send_with_size(partner, TAG_BSWAP, (send.0, px, ks), bytes);
         let (ry0, rpx, rks): (u32, Vec<Rgba>, Vec<u32>) = comm.recv(partner, TAG_BSWAP);
@@ -541,40 +474,14 @@ pub fn binary_swap(
     }
 
     // gather the final pieces at the collector
-    if me != collector {
-        let rows = (hi - lo) as usize;
-        let mut px = Vec::with_capacity(rows * w as usize);
-        for y in lo..hi {
-            for x in 0..w {
-                px.push(layer.get(x, y));
-            }
-        }
-        let bytes = px.len() as u64 * 16;
-        comm.send_with_size(collector, TAG_BSWAP_GATHER, (lo, px), bytes);
-        return CompositeResult { image: None };
-    }
-    let mut img = RgbaImage::new(w, h);
-    for y in lo..hi {
-        for x in 0..w {
-            img.set(x, y, layer.get(x, y));
-        }
-    }
-    for _ in 0..n - 1 {
-        let (_, (ry0, px)): (usize, (u32, Vec<Rgba>)) = comm.recv_any(TAG_BSWAP_GATHER);
-        for (i, &p) in px.iter().enumerate() {
-            let x = i as u32 % w;
-            let y = ry0 + i as u32 / w;
-            img.set(x, y, p);
-        }
-    }
-    CompositeResult { image: Some(img) }
+    let mine = layer.pixels()[(lo * w) as usize..(hi * w) as usize].to_vec();
+    gather_rows(comm, info, collector, lo, mine, true, n - 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use quakeviz_render::composite_fragments;
-    use quakeviz_render::ScreenRect;
     use quakeviz_rt::{TrafficStats, World};
     use std::sync::Arc;
 
@@ -642,7 +549,10 @@ mod tests {
             let want = reference(&comm, &local, &order);
             let got = direct_send(&comm, &local, &info, 0, CompositeOptions::default());
             if comm.rank() == 0 {
-                assert_images_close(&got.image.unwrap(), &want.unwrap(), 1e-6);
+                let (got, want) = (got.image.unwrap(), want.unwrap());
+                for (a, b) in got.pixels().iter().zip(want.pixels()) {
+                    assert_eq!(a.map(f32::to_bits), b.map(f32::to_bits));
+                }
             } else {
                 assert!(got.image.is_none());
             }

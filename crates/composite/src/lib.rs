@@ -7,8 +7,8 @@
 //! the frame. This crate implements the paper's choice and its baselines:
 //!
 //! * [`direct_send`] — the classic direct-send
-//!   compositor: the image is cut into one strip per rank; every rank
-//!   ships each fragment piece to the strip owner. Worst case `n(n−1)`
+//!   compositor: the image is cut into one row strip per rank; every rank
+//!   ships each fragment row to the strip owner. Worst case `n(n−1)`
 //!   messages — "for low-bandwidth networks, care should be taken".
 //! * [`slic`] — SLIC (Stompel et al. 2003): a
 //!   view-dependent **schedule** is precomputed from the globally known
@@ -22,9 +22,16 @@
 //! * [`rle`] — run-length compression of pixel payloads, the optimization
 //!   the paper's §7 reports cutting compositing time by ~50%.
 //!
+//! Direct-send and SLIC share one span format: each message between a
+//! pair of ranks is its spans back to back in an order both sides derive
+//! from the shared [`FrameInfo`] (raw, or RLE per span), so no keys travel.
+//! Direct-send and binary swap deliver finished row ranges to the
+//! collector the same way.
+//!
 //! All algorithms are *collective* over a [`quakeviz_rt::Comm`] and
-//! produce the identical final image (the property tests verify this
-//! against a sequential reference).
+//! produce the identical final image (the property tests verify SLIC and
+//! direct-send bit for bit against a sequential reference, binary swap on
+//! disjoint layouts).
 
 #![forbid(unsafe_code)]
 

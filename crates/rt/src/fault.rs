@@ -417,7 +417,6 @@ const SALT_BIT: u64 = 0x6269_7470_6963_6b31;
 pub struct FaultPlan {
     spec: FaultSpec,
     events: Mutex<Vec<FaultEvent>>,
-    counts: [AtomicU64; FaultKind::COUNT],
     rec: RecoveryCounters,
 }
 
@@ -426,7 +425,6 @@ impl FaultPlan {
         Arc::new(FaultPlan {
             spec,
             events: Mutex::new(Vec::new()),
-            counts: [const { AtomicU64::new(0) }; FaultKind::COUNT],
             rec: RecoveryCounters::default(),
         })
     }
@@ -460,7 +458,6 @@ impl FaultPlan {
     }
 
     fn log(&self, kind: FaultKind, site: String, attempt: u32) {
-        self.counts[kind as usize].fetch_add(1, Ordering::Relaxed);
         self.events.lock().unwrap().push(FaultEvent { kind, site, attempt });
     }
 
@@ -630,12 +627,14 @@ impl FaultPlan {
         self.rec.snapshot()
     }
 
-    /// Injected faults per kind (zero rows included), under the metric
-    /// names they are published as: `fault.<kind>`.
+    /// Injected faults per kind (zero rows included), folded from the
+    /// log, under the metric names they are published as: `fault.<kind>`.
     pub fn named_counts(&self) -> impl Iterator<Item = (String, u64)> + '_ {
-        FaultKind::ALL.iter().map(|&k| {
-            (format!("fault.{}", k.as_str()), self.counts[k as usize].load(Ordering::Relaxed))
-        })
+        let mut counts = [0u64; FaultKind::COUNT];
+        for e in self.events.lock().unwrap().iter() {
+            counts[e.kind as usize] += 1;
+        }
+        FaultKind::ALL.iter().map(move |&k| (format!("fault.{}", k.as_str()), counts[k as usize]))
     }
 
     /// Copy of the injected-fault log. Order is arrival order across

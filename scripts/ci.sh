@@ -130,6 +130,13 @@ mapfile -t rt_sources < <(find crates/rt/src -name '*.rs')
 ratchet "hand-synced enum index (crates/rt/src)" 0 "$(count_sites \
     'fn index\\(self\\)' "${rt_sources[@]}")"
 
+# One span format, one strip split: direct-send ships SLIC's keyless
+# `Batch`es and routes, counts and composites by `strip_rows` alone — no
+# keyed span type and no second row-to-strip function may grow back.
+mapfile -t composite_sources < <(find crates/composite/src -name '*.rs')
+ratchet "keyed spans and second strip split (composite)" 0 "$(count_sites \
+    'SpanData|frag_span\\(|send_batch\\(|strip_of' "${composite_sources[@]}")"
+
 # Wall-clock sites: `Instant::now()` / `thread::sleep(` in the runtime
 # crates — each is a place real time leaks into the protocol, and the
 # count the virtual-time work (ROADMAP) drives down to its

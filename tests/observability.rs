@@ -28,86 +28,6 @@ fn run(trace: bool) -> quakeviz::pipeline::PipelineReport {
         .expect("pipeline")
 }
 
-/// Minimal JSON syntax checker (no serde in the offline build): consumes
-/// one value and returns the rest, or panics with position context.
-fn skip_json(s: &[u8], mut i: usize) -> usize {
-    fn ws(s: &[u8], mut i: usize) -> usize {
-        while i < s.len() && (s[i] as char).is_ascii_whitespace() {
-            i += 1;
-        }
-        i
-    }
-    fn string(s: &[u8], mut i: usize) -> usize {
-        assert_eq!(s[i], b'"', "expected string at {i}");
-        i += 1;
-        while s[i] != b'"' {
-            i += if s[i] == b'\\' { 2 } else { 1 };
-        }
-        i + 1
-    }
-    i = ws(s, i);
-    match s[i] {
-        b'{' => {
-            i = ws(s, i + 1);
-            if s[i] == b'}' {
-                return i + 1;
-            }
-            loop {
-                i = string(s, ws(s, i));
-                i = ws(s, i);
-                assert_eq!(s[i], b':', "expected ':' at {i}");
-                i = skip_json(s, i + 1);
-                i = ws(s, i);
-                match s[i] {
-                    b',' => i += 1,
-                    b'}' => return i + 1,
-                    c => panic!("expected ',' or '}}' at {i}, got {:?}", c as char),
-                }
-            }
-        }
-        b'[' => {
-            i = ws(s, i + 1);
-            if s[i] == b']' {
-                return i + 1;
-            }
-            loop {
-                i = skip_json(s, i);
-                i = ws(s, i);
-                match s[i] {
-                    b',' => i += 1,
-                    b']' => return i + 1,
-                    c => panic!("expected ',' or ']' at {i}, got {:?}", c as char),
-                }
-            }
-        }
-        b'"' => string(s, i),
-        b't' | b'f' | b'n' => {
-            let lit: &[u8] = match s[i] {
-                b't' => b"true",
-                b'f' => b"false",
-                _ => b"null",
-            };
-            assert_eq!(&s[i..i + lit.len()], lit, "bad literal at {i}");
-            i + lit.len()
-        }
-        _ => {
-            let start = i;
-            while i < s.len() && matches!(s[i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-                i += 1;
-            }
-            assert!(i > start, "expected a JSON value at {i}");
-            i
-        }
-    }
-}
-
-fn assert_valid_json(text: &str) {
-    let bytes = text.as_bytes();
-    let end = skip_json(bytes, 0);
-    let rest = text[end..].trim();
-    assert!(rest.is_empty(), "trailing garbage after JSON: {rest:?}");
-}
-
 #[test]
 fn traced_run_exports_valid_chrome_trace() {
     let report = run(true);
@@ -130,7 +50,7 @@ fn traced_run_exports_valid_chrome_trace() {
 
     // the Chrome export is syntactically valid JSON and names every track
     let json = tr.chrome_trace_json();
-    assert_valid_json(&json);
+    Json::parse(&json).expect("chrome trace is valid JSON");
     for t in &tr.tracks {
         assert!(json.contains(&format!("rank{} ({})", t.rank, t.group)));
     }

@@ -4,22 +4,23 @@
 //! the reproducing seed.
 //!
 //! * RLE pixel coding is a lossless roundtrip for any span,
-//! * SLIC compositing equals the sequential over-operator reference bit
-//!   for bit for any fragment layout, with the message and byte counts
-//!   its schedule predicts,
+//! * SLIC and direct-send compositing equal the sequential over-operator
+//!   reference bit for bit for any fragment layout and frame height, with
+//!   the message and byte counts their schedules predict,
 //! * octree block decomposition tiles the leaf array exactly at every
 //!   level,
 //! * block ownership (`membership::owners`) covers every block exactly
 //!   once on live active ranks for any assignment and dead rank.
 
 use quakeviz::composite::{
-    rle_decode, rle_encode, sequential_reference, slic, CompositeOptions, FrameInfo,
+    direct_send, rle_decode, rle_encode, sequential_reference, slic, CompositeOptions,
+    CompositeResult, FrameInfo,
 };
 use quakeviz::mesh::{Aabb, Loc3, Octree, RefineOracle, Vec3};
 use quakeviz::render::raycast::Fragment;
 use quakeviz::render::{Rgba, RgbaImage, ScreenRect};
 use quakeviz::rt::rng::SplitMix64;
-use quakeviz::rt::{TrafficStats, World};
+use quakeviz::rt::{Comm, TrafficStats, World};
 
 // --- RLE roundtrip ------------------------------------------------------
 
@@ -166,10 +167,19 @@ fn frame_shaped_panel(rng: &mut SplitMix64, n: usize) -> Panel {
     Panel { frags, order, width: S, height: S }
 }
 
+/// Wire bytes of one span: 16 per pixel raw, or its own RLE length.
+fn span_bytes(px: &[Rgba], compress: bool) -> u64 {
+    if compress {
+        rle_encode(px).len() as u64
+    } else {
+        16 * px.len() as u64
+    }
+}
+
 /// The bytes SLIC must charge for `info`'s schedule: every layer shipped
-/// to a compositor and every finished run shipped to the collector — 16
-/// per pixel raw, or each span's own RLE length. A finished run's pixels
-/// are the reference frame's, which SLIC matches bit for bit.
+/// to a compositor and every finished run shipped to the collector, each
+/// a span. A finished run's pixels are the reference frame's, which SLIC
+/// matches bit for bit.
 fn predicted_bytes(
     panel: &Panel,
     info: &FrameInfo,
@@ -177,13 +187,7 @@ fn predicted_bytes(
     collector: u32,
     compress: bool,
 ) -> u64 {
-    let span_bytes = |px: Vec<Rgba>| {
-        if compress {
-            rle_encode(&px).len() as u64
-        } else {
-            16 * px.len() as u64
-        }
-    };
+    let span_bytes = |px: Vec<Rgba>| span_bytes(&px, compress);
     let sched = info.runs();
     let mut bytes = 0;
     for (run, layers) in sched.iter() {
@@ -210,8 +214,44 @@ fn predicted_bytes(
     bytes
 }
 
+/// The messages and bytes direct-send must charge for `panel` over `n`
+/// ranks, with strip `s` holding rows `[s·h/n, (s+1)·h/n)`: one batch per
+/// `(src, strip)` pair of distinct ranks with a fragment row in the strip,
+/// each row its own span, then one message of 16 bytes a pixel per strip,
+/// other than the collector's, that any rank had a row for.
+fn direct_send_traffic(panel: &Panel, n: usize, collector: u32, compress: bool) -> (u64, u64) {
+    let h = panel.height as usize;
+    let (mut messages, mut bytes) = (0, 0);
+    for s in 0..n {
+        let (y0, y1) = ((s * h / n) as u32, ((s + 1) * h / n) as u32);
+        let mut busy = false;
+        for src in 0..n {
+            let mut pair = false;
+            for (_, f) in panel.frags.iter().filter(|(o, _)| *o as usize == src) {
+                let w = f.rect.width() as usize;
+                for y in f.rect.y0.max(y0)..f.rect.y1.min(y1) {
+                    pair = true;
+                    if src != s {
+                        bytes +=
+                            span_bytes(&f.pixels[(y - f.rect.y0) as usize * w..][..w], compress);
+                    }
+                }
+            }
+            busy |= pair;
+            messages += u64::from(pair && src != s);
+        }
+        if busy && s != collector as usize {
+            messages += 1;
+            bytes += 16 * u64::from(y1 - y0) * u64::from(panel.width);
+        }
+    }
+    (messages, bytes)
+}
+
+type Compositor = fn(&Comm, &[Fragment], &FrameInfo, usize, CompositeOptions) -> CompositeResult;
+
 #[test]
-fn slic_matches_sequential_over_for_random_layouts() {
+fn slic_and_direct_send_match_sequential_over_for_random_layouts() {
     for trial in 0..32u64 {
         let n = 1 + (trial % 4) as usize; // 1..=4 ranks
         let compress = trial / 4 % 2 == 0;
@@ -231,23 +271,34 @@ fn slic_matches_sequential_over_for_random_layouts() {
             let layered: usize = sched.iter().map(|(r, l)| r.len() * l.len()).sum();
             assert!(layered >= 8 * covered, "trial {trial}: only {layered}/{covered} layers");
         }
-        let stats = TrafficStats::new();
-        let images = World::run_traced(n, stats.clone(), |comm| {
-            let local = panel.local(comm.rank());
-            let got = slic(&comm, &local, &info, collector as usize, CompositeOptions { compress });
-            assert_eq!(got.image.is_some(), comm.rank() == collector as usize, "trial {trial}");
-            got.image
-        });
-        let img = images[collector as usize].as_ref().expect("collector image");
-        for (i, (a, b)) in img.pixels().iter().zip(want.pixels()).enumerate() {
-            assert_eq!(a.map(f32::to_bits), b.map(f32::to_bits), "trial {trial}: pixel {i}");
-        }
-        assert_eq!(stats.messages(), info.slic_message_count(n, collector), "trial {trial}");
-        assert_eq!(
-            stats.bytes(),
+        let slic_traffic = (
+            info.slic_message_count(n, collector),
             predicted_bytes(&panel, &info, &want, collector, compress),
-            "trial {trial} (compress {compress})"
         );
+        let algorithms: [(&str, Compositor, (u64, u64)); 2] = [
+            ("slic", slic, slic_traffic),
+            ("direct_send", direct_send, direct_send_traffic(&panel, n, collector, compress)),
+        ];
+        for (name, algorithm, (messages, bytes)) in algorithms {
+            let stats = TrafficStats::new();
+            let images = World::run_traced(n, stats.clone(), |comm| {
+                let local = panel.local(comm.rank());
+                let opts = CompositeOptions { compress };
+                let got = algorithm(&comm, &local, &info, collector as usize, opts);
+                assert_eq!(got.image.is_some(), comm.rank() == collector as usize, "trial {trial}");
+                got.image
+            });
+            let img = images[collector as usize].as_ref().expect("collector image");
+            for (i, (a, b)) in img.pixels().iter().zip(want.pixels()).enumerate() {
+                assert_eq!(
+                    a.map(f32::to_bits),
+                    b.map(f32::to_bits),
+                    "trial {trial} {name}: pixel {i}"
+                );
+            }
+            assert_eq!(stats.messages(), messages, "trial {trial} {name}");
+            assert_eq!(stats.bytes(), bytes, "trial {trial} {name} (compress {compress})");
+        }
     }
 }
 
