@@ -51,7 +51,7 @@
 //!
 //! `--elastic K` arms the closed-loop control plane (DESIGN.md "Control
 //! plane"): the output rank measures phase spans over each K-step window
-//! and two-phase-commits rebalance plans at epoch boundaries;
+//! and commits rebalance plans at epoch boundaries;
 //! `--elastic-resize` / `--elastic-reshape` additionally let it
 //! grow/shrink the active render group and switch the 2DIP group width.
 //! The report then adds a control-plane section listing every committed
@@ -183,6 +183,9 @@ fn main() {
     });
 
     let ds = standard_dataset();
+    if osts > 0 {
+        ds.disk().set_shards(osts);
+    }
     let tier = cache.filter(CacheConfig::enabled).map(CacheTier::new);
     let build = || {
         let mut builder = PipelineBuilder::new(&ds)
@@ -216,9 +219,6 @@ fn main() {
         }
         if let Some(t) = &tier {
             builder = builder.cache_tier(std::sync::Arc::clone(t));
-        }
-        if osts > 0 {
-            builder = builder.ost_shards(osts);
         }
         builder
     };

@@ -1,6 +1,6 @@
 //! Pipeline configuration and the builder API.
 
-use crate::cache::{CacheConfig, CacheTier};
+use crate::cache::CacheTier;
 use crate::control::ControlConfig;
 use quakeviz_render::{Camera, TransferFunction};
 use quakeviz_rt::fault::FaultSpec;
@@ -196,28 +196,20 @@ pub struct PipelineConfig {
     /// elastic and static runs produce bit-identical frames, so their
     /// checkpoints are interchangeable.
     pub control: Option<ControlConfig>,
-    /// Two-level cache tier sizing (see [`crate::cache`]). `None` falls
-    /// back to the `QUAKEVIZ_CACHE` environment variable (unset/empty/`0`
-    /// = no caching). Cached data is checksum-verified before every serve,
-    /// so cached runs are bit-identical to cache-off runs; the setting is
-    /// excluded from the checkpoint config fingerprint.
-    pub cache: Option<CacheConfig>,
-    /// An existing cache tier to attach instead of creating a private one
-    /// — the handle a cold run shares with the warm runs that follow it
-    /// (benchmarks, interactive seeking). The tier is stamped with the
-    /// run's config fingerprint and flushed on mismatch.
+    /// The two-level cache tier (see [`crate::cache`]) to attach — the
+    /// handle a cold run shares with the warm runs that follow it
+    /// (benchmarks, interactive seeking). `None` falls back to a private
+    /// tier sized by the `QUAKEVIZ_CACHE` environment variable
+    /// (unset/empty/`0` = no caching). Cached data is checksum-verified
+    /// before every serve, so cached runs are bit-identical to cache-off
+    /// runs; the tier is excluded from the checkpoint config fingerprint,
+    /// stamped with it instead and flushed on mismatch.
     pub cache_tier: Option<Arc<CacheTier>>,
-    /// Shard the dataset's virtual parfs across this many simulated object
-    /// storage targets (per-OST bandwidth, seek and contention queues —
-    /// see [`quakeviz_parfs::ShardModel`]). `0` (the default) keeps the
-    /// flat aggregate cost model. Affects only simulated I/O timing, never
-    /// bytes, so it too stays out of the config fingerprint.
-    pub ost_shards: usize,
     /// Spare render ranks parked beyond the active prefix: the world is
     /// sized `renderers + spare_renderers` but epoch 0 assigns work only
     /// to the first `renderers` ranks. A spare holds no state until a
     /// scripted `recover_rank` join admits it through the control plane's
-    /// two-phase epoch commit (requires [`PipelineConfig::control`]).
+    /// epoch commit (requires [`PipelineConfig::control`]).
     pub spare_renderers: usize,
     /// Heartbeat failure-detection threshold, milliseconds: a rank whose
     /// liveness beacon is not observed within this window is declared dead
@@ -257,9 +249,7 @@ impl Default for PipelineConfig {
             resume: false,
             wire: None,
             control: None,
-            cache: None,
             cache_tier: None,
-            ost_shards: 0,
             spare_renderers: 0,
             heartbeat_timeout_ms: None,
         }
@@ -439,28 +429,9 @@ impl PipelineBuilder {
         self
     }
 
-    /// Size the block cache in mebibytes (see [`PipelineConfig::cache`]).
-    pub fn cache_blocks_mb(mut self, mb: usize) -> Self {
-        self.config.cache.get_or_insert(CacheConfig::off()).blocks_mb = mb;
-        self
-    }
-
-    /// Size the frame cache in frames (see [`PipelineConfig::cache`]).
-    pub fn cache_frames(mut self, n: usize) -> Self {
-        self.config.cache.get_or_insert(CacheConfig::off()).frames = n;
-        self
-    }
-
     /// Attach an existing cache tier (see [`PipelineConfig::cache_tier`]).
     pub fn cache_tier(mut self, tier: Arc<CacheTier>) -> Self {
         self.config.cache_tier = Some(tier);
-        self
-    }
-
-    /// Shard the parfs across `n` simulated OSTs (see
-    /// [`PipelineConfig::ost_shards`]).
-    pub fn ost_shards(mut self, n: usize) -> Self {
-        self.config.ost_shards = n;
         self
     }
 

@@ -18,14 +18,14 @@
 //!   `Ts/Tr` ratio crosses the [`crate::model::twodip_optimal_m`]
 //!   crossover.
 //!
-//! **Epoch clock + two-phase commit.** Plans are stamped with a
-//! monotonically increasing epoch and an `apply_at` step. The controller
-//! broadcasts the proposal to every participant, collects one ack per
-//! participant, and broadcasts the commit decision; every rank applies a
-//! committed plan at the same step boundary, so a reconfiguration is
-//! indistinguishable from the failovers the test suite already proves
-//! bit-identical. A plan that fails to ack commits nowhere — every rank
-//! keeps running the last committed epoch.
+//! **Epoch clock, one message per commit.** Plans are stamped with a
+//! monotonically increasing epoch and an `apply_at` step. At a tick the
+//! controller sends every participant the plan (or none) and commits it
+//! locally; each participant applies it when it receives it, at the same
+//! step boundary, so a reconfiguration is indistinguishable from the
+//! failovers the test suite already proves bit-identical. A rank that
+//! slept through commits adopts the controller's committed state when it
+//! rejoins.
 //!
 //! **Determinism.** The *decisions* depend on wall-clock measurements and
 //! are therefore not replay-stable, but the *frames* are: a block renders
@@ -35,8 +35,8 @@
 //! the property `tests/elastic.rs` pins.
 //!
 //! The measurement→decision math lives here, pure and unit-tested; the
-//! propose/ack/commit round lives in `core::pipeline`, over the `CTL`,
-//! `CTL_ACK` and `CTL_VERDICT` channels of `core::proto`.
+//! commit round lives in `core::pipeline`, over the `CTL` channel of
+//! `core::proto`, and a rejoin's catch-up over `CATCHUP`.
 
 use quakeviz_mesh::lpt_place;
 
@@ -371,7 +371,7 @@ impl Controller {
         Some(ControlPlan { epoch: self.state.epoch + 1, apply_at, active, assignment, input_width })
     }
 
-    /// Record a committed plan (every ack collected, commit broadcast).
+    /// Record a committed plan (sent to every participant).
     pub fn commit(&mut self, plan: &ControlPlan) {
         debug_assert_eq!(plan.epoch, self.state.epoch + 1, "epochs must be consecutive");
         self.state.apply(plan);

@@ -39,7 +39,7 @@
 //! * [`control`] — the closed-loop elastic control plane: an
 //!   epoch-clocked controller on the output rank that rebalances blocks,
 //!   resizes the render group, and reshapes the input width from live
-//!   span measurements, committed to every rank via two-phase commit.
+//!   span measurements, committed to every rank in one message.
 //! * [`membership`] — the one block-ownership function (committed epoch
 //!   state + the fault plan's death window) and the one heartbeat round.
 //! * [`validate`] — condenses a run's span-derived timings into the

@@ -63,8 +63,8 @@ pub enum Role {
 pub enum Presence {
     /// Taking part (a parked spare too: it stays on the epoch clock).
     Present,
-    /// Back this very step (`recover_rank`): it takes part, after asking
-    /// the output rank what it missed.
+    /// Back this very step (`recover_rank`): it takes part, after adopting
+    /// the committed state the output rank pushes it.
     Joining,
     /// Scripted dead with a recovery to come: the rank stopped cold,
     /// mid-pipeline, and stays parked in its loop — silent, calling no
@@ -274,17 +274,6 @@ impl Schedule {
         matches!(self.last_event(rank, t), Some(MembershipEvent::Recover { .. }))
     }
 
-    /// The steps whose committed plans the rank joining at `t` slept
-    /// through: since its kill (a spare join missed nothing), but not before
-    /// this run's start — the checkpoint carried those.
-    pub fn catchup_window(&self, t: usize) -> Range<usize> {
-        let killed = self.timeline.iter().rev().find_map(|ev| match *ev {
-            MembershipEvent::Fail { step, .. } if step < t => Some(step),
-            _ => None,
-        });
-        killed.map_or(t, |k| k.max(self.start))..t
-    }
-
     /// The group the timeline kills a member of, if any: it decides which
     /// heartbeat runs ([`Schedule::watch`]), whether renderers allow for a
     /// detection stall on top of the delivery deadline (an input kill), and
@@ -327,7 +316,8 @@ impl Schedule {
     }
 
     /// The ranks below the output taking part in a round at step `t`. A
-    /// dormant rank neither acks nor applies — it catches up on rejoining.
+    /// dormant rank receives no plan — it adopts the committed state on
+    /// rejoining.
     pub fn participants(&self, t: usize) -> impl Iterator<Item = usize> + '_ {
         (0..self.output_rank()).filter(move |&p| self.presence(p, t).active())
     }
@@ -462,7 +452,7 @@ impl std::fmt::Display for FaultConfigError {
 /// sides: the joiner fast-forwarded past peers who may still be burning
 /// detection timeouts, so it waits for all of them; and every peer reads
 /// the rejoin step from the shared plan and waits for the joiner, who is
-/// first asking the output rank what it missed.
+/// first adopting the committed state the output rank pushes it.
 pub fn heartbeat(
     comm: &Comm,
     t: usize,
@@ -537,8 +527,6 @@ mod tests {
         /// Heartbeat duty of ranks 0 (an input), 2 (the render root), 3 and
         /// 5 (the output).
         watch: [Watch; 4],
-        /// Catch-up window of every join step.
-        catchup: &'static [(usize, Range<usize>)],
         frame_dst: [usize; STEPS],
         lic_source: [usize; STEPS],
     }
@@ -557,7 +545,6 @@ mod tests {
                 presence: "PPPPPPPP",
                 ticks: "..R.R.R.",
                 watch: quiet.clone(),
-                catchup: &[],
                 frame_dst: [5; STEPS],
                 lic_source: [0; STEPS],
             },
@@ -571,7 +558,6 @@ mod tests {
                 presence: "PPPGGGGG",
                 ticks: "........",
                 watch: [Watch::Nobody, renderers(), renderers(), Watch::Nobody],
-                catchup: &[],
                 frame_dst: [5; STEPS],
                 lic_source: [0; STEPS],
             },
@@ -585,7 +571,6 @@ mod tests {
                 presence: "PPGGGGGG",
                 ticks: "........",
                 watch: [Watch::Group(0..2), Watch::Nobody, Watch::Nobody, Watch::Nobody],
-                catchup: &[],
                 frame_dst: [5; STEPS],
                 lic_source: [0, 0, 1, 1, 1, 1, 1, 1],
             },
@@ -599,7 +584,6 @@ mod tests {
                 presence: "PPPPGGGG",
                 ticks: "........",
                 watch: [Watch::Nobody, Watch::Listen(5), Watch::Nobody, Watch::Beacon(2)],
-                catchup: &[],
                 frame_dst: [5, 5, 5, 5, 2, 2, 2, 2],
                 lic_source: [0; STEPS],
             },
@@ -617,7 +601,6 @@ mod tests {
                 presence: "PDDJPGGG",
                 ticks: "..R.K.K.",
                 watch: [Watch::Nobody, renderers(), renderers(), Watch::Nobody],
-                catchup: &[(3, 1..3)],
                 frame_dst: [5; STEPS],
                 lic_source: [0; STEPS],
             },
@@ -635,7 +618,6 @@ mod tests {
                 presence: "PJPDDDJP",
                 ticks: ".A..R...",
                 watch: [Watch::Nobody, Watch::Group(2..5), Watch::Group(2..5), Watch::Nobody],
-                catchup: &[(1, 1..1), (6, 3..6)],
                 frame_dst: [5; STEPS],
                 lic_source: [0, 1, 0, 1, 0, 1, 0, 1],
             },
@@ -686,9 +668,6 @@ mod tests {
                 .collect();
             assert_eq!(ticks, c.ticks, "{}: ticks", c.name);
             assert_eq!([0, 2, 3, 5].map(|r| s.watch(r)), c.watch, "{}: watch", c.name);
-            for (t, window) in c.catchup {
-                assert_eq!(s.catchup_window(*t), *window, "{}: catch-up at {t}", c.name);
-            }
             assert_eq!([0, 1, 2, 3, 4, 5, 6, 7].map(|t| s.frame_dst(t)), c.frame_dst, "{}", c.name);
             assert_eq!(
                 [0, 1, 2, 3, 4, 5, 6, 7].map(|t| s.lic_source(t)),
@@ -701,8 +680,8 @@ mod tests {
 
     /// Asked past the run's end the answers keep their shape: a death
     /// without a recovery is permanent, a controller kill too, a spare
-    /// that joined stays, and a resumed run neither ticks at its first
-    /// step nor replays plans from before it.
+    /// that joined stays, and a resumed run does not tick at its first
+    /// step.
     #[test]
     fn answers_hold_beyond_the_run_and_across_a_resume() {
         let all = cases();
@@ -716,7 +695,6 @@ mod tests {
         assert_eq!(rejoin.presence(3, 100), Presence::Gone, "the second window never closes");
         let resumed = rejoin.clone().resumed_at(2);
         assert_eq!(resumed.tick(2), Tick::None, "no measurement window within this run yet");
-        assert_eq!(resumed.catchup_window(3), 2..3, "the checkpoint carried the earlier plans");
         let spare = build(&all[5]);
         assert_eq!(spare.presence(4, 100), Presence::Present);
         assert_eq!(spare.kill_role(), Some(Role::Render));

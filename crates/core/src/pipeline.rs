@@ -23,8 +23,8 @@ use crate::membership::{self, Presence, Role, Schedule, Tick, Watch, WorldShape}
 pub use crate::proto::Degradation;
 use crate::proto::{
     self, decode_image, encode_image, gather_values, ingest_piece, missing_piece, pack_piece,
-    scatter_values, BlockBatch, DeltaMap, Ingest, StepAccount, CATCHUP, CKPT, CTL, CTL_ACK,
-    CTL_VERDICT, DATA, JOIN, KEYFRAME, LIC, VOL,
+    scatter_values, BlockBatch, DeltaMap, Ingest, StepAccount, CATCHUP, CKPT, CTL, DATA, KEYFRAME,
+    LIC, VOL,
 };
 use crate::reader::{
     self, block_level_nodes, level_node_ids, member_node_range, FaultCtx, FetchPlan, ReadStats,
@@ -624,15 +624,12 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         (0, Vec::new(), Vec::new())
     };
 
-    // cache tier: an attached tier (shared across runs) wins; else
-    // explicit sizing; else the QUAKEVIZ_CACHE environment. Deliberately
-    // *not* part of the config fingerprint — cached data is
-    // checksum-verified and bit-identical to a cache-off run, so the
-    // knob can change without invalidating checkpoints.
-    let cache_cfg = match config.cache {
-        Some(c) => Some(c),
-        None => crate::cache::CacheConfig::from_env()?,
-    };
+    // cache tier: an attached tier (shared across runs) wins; else the
+    // QUAKEVIZ_CACHE environment. Deliberately *not* part of the config
+    // fingerprint — cached data is checksum-verified and bit-identical to
+    // a cache-off run, so the tier can change without invalidating
+    // checkpoints.
+    let cache_cfg = crate::cache::CacheConfig::from_env()?;
     let cache: Option<Arc<CacheTier>> = match (&config.cache_tier, cache_cfg) {
         (Some(tier), _) => Some(Arc::clone(tier)),
         (None, Some(c)) if c.enabled() => Some(CacheTier::new(c)),
@@ -644,12 +641,6 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
     // runs with different fault luck never share entries either
     if let Some(tier) = &cache {
         tier.stamp(fingerprint);
-    }
-    // shard the dataset's parfs across simulated OSTs when asked (0
-    // leaves the disk's current model alone — flat by default, or
-    // whatever the caller already set up)
-    if config.ost_shards > 0 {
-        dataset.disk().set_shards(config.ost_shards);
     }
     let ost_base = dataset.disk().ost_stats();
     let cache_base = cache.as_ref().map(|t| t.counters()).unwrap_or_default();
@@ -1468,41 +1459,32 @@ fn heartbeat_round(
 }
 
 /// The joiner's half of a scripted rejoin at step `t`, the same for an
-/// input, render or spare rank: ask the output rank — it keeps the plan
-/// history — what committed while this rank was out, and apply it. (A
-/// missed commit cleared the peers' delta lanes; what they send next is a
-/// keyframe, which needs no base of the joiner'run.)
+/// input, render or spare rank: adopt the committed epoch state the output
+/// rank pushes. Every plan it slept through advanced the epoch by one.
+/// (A missed commit cleared the peers' delta lanes; what they send next is
+/// a keyframe, which needs no base of the joiner's.)
 fn rejoin(comm: &Comm, run: &Run, t: usize, state: &mut EpochState) {
-    let output_rank = run.sched.output_rank();
-    JOIN.send(comm, output_rank, t, ());
-    let missed = CATCHUP.recv(comm, output_rank, t);
-    for plan in &missed {
-        state.apply(plan);
-    }
+    let committed = CATCHUP.recv(comm, run.sched.output_rank(), t);
     run.faults.note_rejoin();
-    run.faults.note_catchup_plans(missed.len() as u64);
+    run.faults.note_catchup_plans(committed.epoch - state.epoch);
+    *state = committed;
 }
 
-/// The participant's half of the two-phase plan commit at tick `t`, the
-/// same on every rank: receive the controller's proposal, acknowledge it,
-/// receive the verdict, and on commit apply the plan at this step
-/// boundary. A committed plan clears the caller's delta lanes — senders'
-/// and receivers' alike, so the next piece on every (possibly
+/// The participant's half of the plan commit at tick `t`, the same on
+/// every rank: receive the controller's plan, if any, and apply it at this
+/// step boundary. A committed plan clears the caller's delta lanes —
+/// senders' and receivers' alike, so the next piece on every (possibly
 /// reconfigured) route is a natural keyframe — and, since a rebalance
 /// reshapes fetch plans from this step on, conservatively drops cached
 /// blocks and any not-yet-served frames at or past the commit step.
 fn plan_commit(comm: &Comm, run: &Run, t: usize, state: &mut EpochState, delta: &mut DeltaMap) {
-    let ctl_rank = run.sched.output_rank();
-    let Some(plan) = CTL.recv(comm, ctl_rank, t) else {
+    let Some(plan) = CTL.recv(comm, run.sched.output_rank(), t) else {
         return;
     };
-    CTL_ACK.send(comm, ctl_rank, t, ());
-    if CTL_VERDICT.recv(comm, ctl_rank, t) {
-        state.apply(&plan);
-        delta.clear();
-        if let Some(tier) = &run.cache {
-            tier.flush_for_commit(t as u32);
-        }
+    state.apply(&plan);
+    delta.clear();
+    if let Some(tier) = &run.cache {
+        tier.flush_for_commit(t as u32);
     }
 }
 
@@ -1510,9 +1492,9 @@ fn plan_commit(comm: &Comm, run: &Run, t: usize, state: &mut EpochState, delta: 
 /// `(*cursor)..=upto`: its own scripted rejoin, then the plan-commit round,
 /// of each. An input rank owns only every `groups`-th step, so before
 /// working step `t` it must catch up on every round the controller clocked
-/// in between — and drain the remainder after its last owned step, so the
-/// controller's ack collection never starves. A dormant rank is no
-/// participant. Returns whether the rank rejoined on the way.
+/// in between — and drain the remainder after its last owned step, so it
+/// ends the run on the controller's epoch like every other rank. A dormant
+/// rank is no participant. Returns whether the rank rejoined on the way.
 fn input_clock(
     comm: &Comm,
     run: &Run,
@@ -1797,7 +1779,7 @@ fn render_main(comm: &Comm, run: &Run, ren: &RenderCtx, start: Instant) -> RankR
         };
         // a scripted rejoin — a recovered member's or a parked spare's —
         // is the end of an overlay, read from the schedule by joiner and
-        // peers alike. The joiner catches up on the plan history, warm-starts
+        // peers alike. The joiner adopts the committed epoch state, warm-starts
         // from the latest checkpointed field and forgets the communicator it
         // held before the window (its receive-delta lanes survive as the
         // senders' lanes to it do: nothing travelled on them meanwhile);
@@ -1830,7 +1812,7 @@ fn render_main(comm: &Comm, run: &Run, ren: &RenderCtx, start: Instant) -> RankR
             }
             _ => {}
         }
-        // epoch clock: the controller's proposal arrives before any of this
+        // epoch clock: the controller's plan arrives before any of this
         // step's data. Apply-on-commit keeps every rank's epoch state in
         // lockstep, and the cleared receive-delta state matches the
         // senders' forced keyframes on the (possibly new) routes.
@@ -2067,14 +2049,11 @@ fn output_main(comm: &Comm, run: &Run, out: &OutputCtx, start: Instant) -> RankR
             // so the render root can detect the scripted death by silence
             membership::heartbeat(comm, t, &[supervisor], &[], |_| None);
         }
-        // a scripted rejoin: this rank keeps the plan history, so the
-        // joiner asks it what committed while it was out
+        // a scripted rejoin: this rank holds the committed state, so it
+        // pushes it to the joiner, which reads its step off the schedule
         if let Some(j) = run.sched.joiner(t) {
             let _sp = obs::span(Phase::Heartbeat, t as u32);
-            JOIN.recv(comm, j, t);
-            let window = run.sched.catchup_window(t);
-            let missed = ctl.history.iter().filter(|c| window.contains(&(c.apply_at as usize)));
-            CATCHUP.send(comm, j, t, missed.cloned().collect());
+            CATCHUP.send(comm, j, t, ctl.state.clone());
         }
         // epoch clock: host the plan-commit round — unless the schedule
         // kills it, and then the frame cadence below never stalls
@@ -2085,26 +2064,18 @@ fn output_main(comm: &Comm, run: &Run, out: &OutputCtx, start: Instant) -> RankR
             let m = measure_window(run, lo, t);
             // a spare-pool join grows the active prefix: its admit
             // plan is forced; everything else is the free decision
-            let proposal = if admit {
+            let plan = if admit {
                 Some(ctl.admit_plan(&m, &run.block_weights, t as u32))
             } else {
                 ctl.decide(&m, &run.block_weights, t as u32)
             };
             ticks += 1;
-            let participants: Vec<usize> = run.sched.participants(t).collect();
-            for &p in &participants {
-                CTL.send(comm, p, t, proposal.clone());
+            // the plan commits here and with each participant as it
+            // receives it: every rank applies it at this step boundary
+            for p in run.sched.participants(t) {
+                CTL.send(comm, p, t, plan.clone());
             }
-            if let Some(plan) = proposal {
-                // two-phase commit: every participant acks the
-                // proposal before anyone is told to apply it — a plan
-                // that fails to ack commits nowhere
-                for &p in &participants {
-                    CTL_ACK.recv(comm, p, t);
-                }
-                for &p in &participants {
-                    CTL_VERDICT.send(comm, p, t, true);
-                }
+            if let Some(plan) = plan {
                 ctl.commit(&plan);
                 if let Some(tier) = &run.cache {
                     tier.flush_for_commit(t as u32);
@@ -2226,11 +2197,11 @@ mod tests {
         let mut recoded = base.clone();
         recoded.wire = Some(WireSpec::parse("rle,delta,keyframe=3").unwrap());
         assert_eq!(fp(&base), fp(&recoded), "wire codec must not invalidate a checkpoint");
-        // caches and sharding change costs, never decoded values or frames
+        // a cache changes costs, never decoded values or frames
         let mut cached = base.clone();
-        cached.cache = Some(crate::cache::CacheConfig { blocks_mb: 8, frames: 8 });
-        cached.ost_shards = 4;
-        assert_eq!(fp(&base), fp(&cached), "cache/shard knobs must not invalidate a checkpoint");
+        cached.cache_tier =
+            Some(CacheTier::new(crate::cache::CacheConfig { blocks_mb: 8, frames: 8 }));
+        assert_eq!(fp(&base), fp(&cached), "a cache tier must not invalidate a checkpoint");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! same table. Below it: block pieces (gather → delta → codec → checksum
 //! and back), the image codec, and the degradation flags beside a frame.
 
-use crate::control::ControlPlan;
+use crate::control::{ControlPlan, EpochState};
 use quakeviz_mesh::{NodeField, NodeId};
 use quakeviz_render::RgbaImage;
 use quakeviz_rt::obs::{self, Phase};
@@ -112,8 +112,7 @@ macro_rules! channels {
     };
 }
 
-// The two directions of a handshake share a tag: who sent a message tells
-// `CTL_ACK` from `CTL_VERDICT`, `JOIN` from `CATCHUP`.
+// Every channel has a tag base of its own.
 channels! {
     /// Block batches, input → render.
     DATA: BlockBatch = 0x20, BlockData, Of(|batch| batch.iter().map(|p| p.body.len() as u64).sum());
@@ -126,16 +125,11 @@ channels! {
     HB: () = 0x24, Recovery, Fixed(8);
     /// Checkpoint acks `(render rank, field checksum)`, render → frame assembler.
     CKPT: (u32, u64) = 0x26, Recovery, Fixed(12);
-    /// A plan proposal — or none this tick — controller → participants.
+    /// The plan committed this tick — or none — controller → participants.
     CTL: Option<ControlPlan> = 0x28, Recovery, Fixed(64);
-    /// A participant's ack of the proposal, → controller.
-    CTL_ACK: () = 0x29, Recovery, Fixed(8);
-    /// Commit or abort, controller → participants.
-    CTL_VERDICT: bool = 0x29, Recovery, Fixed(1);
-    /// A joiner's catch-up request, → output.
-    JOIN: () = 0x2a, Recovery, Fixed(8);
-    /// The plans committed while the joiner was out, output → joiner.
-    CATCHUP: Vec<ControlPlan> = 0x2a, Recovery, Fixed(64);
+    /// The controller's committed epoch state, output → a joiner at its
+    /// rejoin step.
+    CATCHUP: EpochState = 0x2a, Recovery, Fixed(64);
 }
 
 /// Map a wire tag to its traffic-matrix class (the runtime classifies its
@@ -646,16 +640,15 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
-    /// The table is the protocol: eight distinct tags, shared only by the
-    /// two directions of a handshake; every channel's class is what
-    /// [`classify_tag`] says of its tags; and the table of DESIGN.md
+    /// The table is the protocol: seven channels on seven distinct tag
+    /// bases; every channel's class is what [`classify_tag`] says of its
+    /// tags; and the table of DESIGN.md
     /// "Message channels" has these rows, in this order, each opening with
     /// the channel's name, tag, class and bytes.
     #[test]
     fn channel_table_is_consistent_and_documented() {
         let bases: BTreeSet<u64> = TABLE.iter().map(|row| row.1).collect();
-        assert_eq!(bases.len(), 8, "tag bases must be distinct but for the two handshakes");
-        assert_eq!((CTL_ACK.base, JOIN.base), (CTL_VERDICT.base, CATCHUP.base));
+        assert_eq!((TABLE.len(), bases.len()), (7, 7), "tag bases must be distinct");
         assert_eq!(classify_tag(0xc0de_0001), TagClass::Composite);
         assert_eq!(classify_tag(quakeviz_parfs::mpiio::PIECES_TAG), TagClass::IoPieces);
         assert_eq!(classify_tag(0x25 << 40), TagClass::Other);

@@ -390,11 +390,11 @@ recovery_counters! {
     /// pipeline froze on its last committed epoch from that step on.
     controller_kills => "recovery.controller_kills",
     /// Ranks folded back into the run (recovered dead ranks and spare-pool
-    /// joins alike), one count per joiner's completed catch-up handshake
-    /// with the output rank.
+    /// joins alike), one count per joiner once it adopted the committed
+    /// state the output rank pushed it.
     rejoins => "recovery.rejoins",
-    /// Committed control plans a joiner replayed from the output rank's
-    /// plan history to catch up on epochs it slept through.
+    /// Committed control plans a joiner slept through: the epochs between
+    /// its own state and the committed state the output rank pushed it.
     catchup_plans => "recovery.catchup_plans",
     /// Checkpointed field snapshots a joiner restored from parfs on
     /// rejoin (warm-start; at most one per rejoin).
@@ -607,12 +607,12 @@ impl FaultPlan {
     }
 
     /// Record a joiner folded back into the run (counted by the joiner,
-    /// once its catch-up handshake completed).
+    /// once it adopted the committed state).
     pub fn note_rejoin(&self) {
         self.rec.rejoins.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record `n` committed plans a joiner replayed from history.
+    /// Record `n` committed plans a joiner slept through.
     pub fn note_catchup_plans(&self, n: u64) {
         self.rec.catchup_plans.fetch_add(n, Ordering::Relaxed);
     }

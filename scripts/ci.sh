@@ -137,6 +137,15 @@ mapfile -t composite_sources < <(find crates/composite/src -name '*.rs')
 ratchet "keyed spans and second strip split (composite)" 0 "$(count_sites \
     'SpanData|frag_span\\(|send_batch\\(|strip_of' "${composite_sources[@]}")"
 
+# The control plane says each thing once: a plan commits in the one `CTL`
+# message of its tick and a joiner catches up from the one `CATCHUP` the
+# output rank pushes — no ack, verdict, join request or catch-up window
+# may grow back. (awk has no `\b`: the word boundary is spelled out.)
+mapfile -t all_core_sources < <(find crates/core/src -name '*.rs')
+ratchet "information-free control messages (core)" 0 "$(count_sites \
+    'CTL_ACK|CTL_VERDICT|(^|[^A-Za-z0-9_])JOIN([^A-Za-z0-9_]|$)|catchup_window' \
+    "${all_core_sources[@]}")"
+
 # Wall-clock sites: `Instant::now()` / `thread::sleep(` in the runtime
 # crates — each is a place real time leaks into the protocol, and the
 # count the virtual-time work (ROADMAP) drives down to its

@@ -238,8 +238,8 @@ fn live_replay_and_posthoc_runs_share_a_tier_coherently() {
     assert_frames_identical(&live_oracle, &again, "replay after the post-hoc run");
 }
 
-/// `QUAKEVIZ_CACHE=0` / no config / an explicit zero config all mean
-/// *off*: no tier is constructed and no cache metrics are emitted.
+/// No tier (`QUAKEVIZ_CACHE` unset or `0`) and an attached zero-capacity
+/// tier both mean *off*: no cache metrics are emitted.
 #[test]
 fn disabled_cache_emits_no_metrics() {
     // the CI cache matrix arms a blanket tier through the environment,
@@ -254,7 +254,7 @@ fn disabled_cache_emits_no_metrics() {
         report.trace.metrics.keys().all(|name| !name.starts_with("cache.")),
         "a cache-off run must not emit cache metrics"
     );
-    let zero =
-        builder(&ds).cache_blocks_mb(0).cache_frames(0).run().expect("explicit zero-capacity run");
+    let tier = CacheTier::new(CacheConfig { blocks_mb: 0, frames: 0 });
+    let zero = builder(&ds).cache_tier(tier).run().expect("zero-capacity tier run");
     assert!(zero.trace.metrics.keys().all(|name| !name.starts_with("cache.")));
 }

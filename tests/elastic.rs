@@ -105,9 +105,24 @@ fn skewed_load_triggers_rebalance_and_frames_stay_identical() {
     }
 }
 
+/// The control plane says each thing once: a tick is one `CTL` message to
+/// each of the five participants (2 inputs + 3 renderers), whether it
+/// carries a plan or none — a commit adds no ack and no verdict. Nothing
+/// else of the recovery class travels in an unfaulted, uncheckpointed run.
+#[test]
+fn control_plane_traffic_is_one_message_per_participant_and_tick() {
+    let ds = dataset();
+    let report = skew(builder(&ds)).elastic(2).run().expect("elastic pipeline");
+    let row = |name: &str| report.trace.metrics.get(name).copied().unwrap_or(0);
+    assert!(!report.control_plans.is_empty(), "the skew must commit at least one plan");
+    let ticks = row("control.ticks");
+    assert!(ticks > 0, "an elastic(2) run over 8 steps ticks");
+    assert_eq!(row("traffic.recovery.msgs"), ticks * 5, "one CTL per participant and tick");
+}
+
 /// Robustness headline: killing the controller mid-run freezes every
 /// rank on the last committed epoch — the tick stops happening anywhere,
-/// no two-phase commit dangles, and the frame cadence never stalls.
+/// no commit dangles, and the frame cadence never stalls.
 #[test]
 fn controller_kill_degrades_to_static_without_stalling() {
     let ds = dataset();
@@ -165,9 +180,10 @@ fn resume_across_epoch_change_replays_plan_history() {
 }
 
 /// A render rank dies mid-run and rejoins — on a controller tick or off
-/// one, it is the end of an overlay either way. The joiner asks the output
-/// rank for the plans committed while it slept (the skewed schedules make
-/// the controller commit some) and replays exactly those; nothing is
+/// one, it is the end of an overlay either way. The output rank pushes the
+/// joiner its committed state, and the joiner counts the plans committed
+/// while it slept (the skewed schedules make the controller commit some)
+/// as the epochs that state is ahead of its own; nothing is
 /// forced to commit at the rejoin step; and every frame — before, during
 /// and after the dormancy window — stays bit-identical to the static
 /// oracle.

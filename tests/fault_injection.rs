@@ -366,11 +366,11 @@ fn pinned_seed_render_kill_505() {
     assert_flags_sorted(&report, "pinned seed 505");
 }
 
-/// Rank rejoin through the `JOIN`/`CATCHUP` handshake, twice over: a render
+/// Rank rejoin through the output rank's `CATCHUP` push, twice over: a render
 /// rank is killed, recovers, and is killed again. Inside each dormancy
 /// window frames must match the survivor-set oracle; outside them —
 /// including after the rejoin — frames must match the full-set oracle
-/// bit-for-bit, with the rejoin counters proving both handshakes ran.
+/// bit-for-bit, with the rejoin counters proving both rejoins ran.
 #[test]
 fn render_rank_rejoin_and_rekill_keep_frames_bit_identical() {
     let ds = SimulationBuilder::new().resolution(16).steps(8).run_to_dataset().unwrap();
@@ -388,7 +388,7 @@ fn render_rank_rejoin_and_rekill_keep_frames_bit_identical() {
         .expect("pipeline must survive kill, rejoin, and re-kill");
     let rec = faulted.recovery.expect("fault plan active");
     assert!(rec.render_failovers >= 2, "both kill windows must be detected");
-    assert_eq!(rec.rejoins, 1, "exactly one rejoin handshake must complete");
+    assert_eq!(rec.rejoins, 1, "exactly one rejoin must complete");
     assert_eq!(faulted.degraded_frame_count(), 0, "rejoin is full recovery");
     assert_eq!(faulted.frames.len(), ds.steps(), "cadence must never stall");
     for t in 0..ds.steps() {
@@ -551,7 +551,7 @@ fn recover_rank_validation_rejects_impossible_schedules() {
 
 /// A rejoin scheduled on a tick the plan itself kills (`fail_controller`
 /// at or before it) runs, every frame bit-identical: a rejoin needs no
-/// tick, the output rank keeps the plan history whether or not its
+/// tick, the output rank holds the committed state whether or not its
 /// controller still ticks. (Regression: such a schedule once passed
 /// validation, then panicked two render ranks in SLIC and deadlocked.)
 /// Only a spare-pool join, whose admit plan a dead controller cannot

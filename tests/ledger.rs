@@ -49,9 +49,9 @@ const PINNED: &str = "
   work.raycast.bricks_skipped=183 work.raycast.rays=18109 work.raycast.samples=86478
   work.raycast.samples_culled=54163 work.slic.over_px=29948
 1dip_rejoin_s1: bytes.block_data=676352 bytes.collective=3084 bytes.composite=285888
-  bytes.raw.block_data=676352 bytes.raw.volume_image=262144 bytes.recovery=216 bytes.total=1227684
-  bytes.volume_image=262144 fault_events=2 frames=4 messages=75 msgs.block_data=10
-  msgs.collective=28 msgs.composite=13 msgs.recovery=20 msgs.volume_image=4 recovery.rejoins=1
+  bytes.raw.block_data=676352 bytes.raw.volume_image=262144 bytes.recovery=208 bytes.total=1227676
+  bytes.volume_image=262144 fault_events=2 frames=4 messages=74 msgs.block_data=10
+  msgs.collective=28 msgs.composite=13 msgs.recovery=19 msgs.volume_image=4 recovery.rejoins=1
   recovery.render_failovers=2 wire.keyframes.block_data=256 work.raycast.bricks_skipped=183
   work.raycast.rays=18109 work.raycast.samples=86478 work.raycast.samples_culled=54163
   work.slic.over_px=29948
@@ -341,11 +341,12 @@ fn deterministic_counters_match_the_pinned_table() {
         });
     assert!(same(&works), "a codec changes how bytes are coded, not kernel work");
 
-    // last of the pipeline runs: `ost_shards` re-stripes the dataset's
-    // disk for good. Cold fills the tier, warm replays every frame from it.
+    // last of the pipeline runs: sharding re-stripes the dataset's disk
+    // for good. Cold fills the tier, warm replays every frame from it.
+    ds.disk().set_shards(4);
     let tier = CacheTier::new(CacheConfig { blocks_mb: 64, frames: 64 });
     for run in ["cache_cold", "cache_warm"] {
-        book.pipeline(run, "QUAKEVIZ_CACHE", base(4).cache_tier(Arc::clone(&tier)).ost_shards(4));
+        book.pipeline(run, "QUAKEVIZ_CACHE", base(4).cache_tier(Arc::clone(&tier)));
     }
     book.check("parfs_ost4", sharded_read_ledger(), |_| true);
     book.check("kernels", kernel_ledger(), |_| true);
