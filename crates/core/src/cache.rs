@@ -480,6 +480,17 @@ impl std::fmt::Debug for CacheTier {
 mod tests {
     use super::*;
 
+    impl FrameCache {
+        /// Flip a bit of the first pixel of every cached frame of `step`,
+        /// as drift in the stored payload would: its next `get` rejects it.
+        pub(crate) fn corrupt_step(&self, step: u32) {
+            for (_, e) in self.0.lock().map.iter_mut().filter(|(k, _)| k.step == step) {
+                let px = &mut e.value.pixels_mut()[0][0];
+                *px = f32::from_bits(px.to_bits() ^ 1);
+            }
+        }
+    }
+
     fn field(n: usize, seed: f32) -> Arc<Vec<[f32; 3]>> {
         Arc::new((0..n).map(|i| [seed, i as f32, seed + i as f32]).collect())
     }

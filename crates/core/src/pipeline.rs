@@ -696,12 +696,17 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
     // all-or-nothing warm serving: frames come from the cache only when
     // *every* executed step is present (only clean frames are ever
     // cached), so a partially-warm run recomputes everything — with
-    // block-cache help — instead of mixing cached and stale-state frames
-    let warm = run.cache.as_ref().is_some_and(|tier| {
+    // block-cache help — instead of mixing cached and stale-state frames.
+    // The probe leaves a cold run's counters alone; a warm one then takes
+    // every frame, checksum-verified, and if one fails the run renders
+    let key = |t| out.frame_key(&run.dataset, t);
+    let warm = run.cache.as_ref().filter(|tier| {
         tier.frames.enabled()
-            && run.steps.clone().all(|t| {
-                out.frame_key(&run.dataset, t).is_some_and(|key| tier.frames.contains(key))
-            })
+            && run.steps.clone().all(|t| key(t).is_some_and(|key| tier.frames.contains(key)))
+    });
+    let warm = warm.and_then(|tier| {
+        let frames = run.steps.clone().map(|t| key(t).and_then(|key| tier.frames.get(key)));
+        frames.collect::<Option<Vec<_>>>()
     });
 
     let world = run.sched.world();
@@ -710,8 +715,8 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         quakeviz_rt::obs::prof::set_enabled(true);
     }
     let stats = TrafficStats::with_matrix(world, proto::classify_tag);
-    let (results, plan_bytes) = if warm {
-        (vec![replay(&run, &out)], 0)
+    let (results, plan_bytes) = if let Some(frames) = warm {
+        (vec![replay(&run, &out, frames)], 0)
     } else {
         let fetch_level = config.adaptive_fetch.then_some(level);
         let ids_per_block: Vec<Arc<Vec<NodeId>>> =
@@ -941,28 +946,17 @@ fn rank_main(comm: Comm, run: &Run, roles: (&InputCtx, &RenderCtx, &OutputCtx)) 
     }
 }
 
-/// A warm replay: every frame of the run was found in the frame cache
-/// under this exact (camera, transfer, level) identity, so no rank runs —
-/// nothing is read, rendered, injected, checkpointed or ticked — and the
-/// frames are served on the output rank's track: the same delivery
-/// stamps and frame rows, no traffic.
-fn replay(run: &Run, out: &OutputCtx) -> RankResult {
+/// A warm replay: every frame of the run was served, checksum-verified,
+/// from the frame cache under this exact (camera, transfer, level)
+/// identity, so no rank runs — nothing is read, rendered, injected,
+/// checkpointed or ticked — and `frames` are delivered on the output
+/// rank's track: the same delivery stamps and frame rows, no traffic.
+fn replay(run: &Run, out: &OutputCtx, frames: Vec<RgbaImage>) -> RankResult {
     let _rec = run.session.attach(run.sched.output_rank(), "output");
     let mut sink = FrameSink::open(run, out.keep_frames, Instant::now());
-    for t in run.steps.clone() {
+    for (t, img) in run.steps.clone().zip(frames) {
         let _sp = obs::span(Phase::Assemble, t as u32);
-        let key = out.frame_key(&run.dataset, t);
-        match run.cache.as_ref().zip(key).and_then(|(tier, key)| tier.frames.get(key)) {
-            Some(img) => sink.deliver(run, img, Vec::new()),
-            None => {
-                // the setup probe saw this key, but the entry failed its
-                // serve-time checksum (or was evicted mid-replay): ship a
-                // blank degraded frame rather than wrong pixels
-                eprintln!("quakeviz: step {t}: cached frame lost mid-replay; frame degraded");
-                let blank = RgbaImage::new(out.size.0, out.size.1);
-                sink.deliver(run, blank, vec![Degradation::CorruptImage]);
-            }
-        }
+        sink.deliver(run, img, Vec::new());
     }
     RankResult::Output { sink, plans: Vec::new(), ticks: 0 }
 }
@@ -2449,6 +2443,33 @@ mod tests {
         assert_eq!(report.frames.len(), 4);
         let busy = report.frames.iter().any(|f| f.pixels().iter().any(|p| p[3] > 0.01));
         assert!(busy, "no frame shows any volume contribution");
+    }
+
+    /// A warm replay that finds one cached frame corrupt renders the run
+    /// instead of shipping a blank: every frame comes back undegraded and
+    /// equal, bit for bit, to the cold run's.
+    #[test]
+    fn warm_replay_with_a_corrupt_cached_frame_renders_instead() {
+        let ds = dataset();
+        let tier = CacheTier::new(crate::cache::CacheConfig { blocks_mb: 8, frames: 8 });
+        let run = || {
+            let builder = PipelineBuilder::new(&ds).renderers(2).image_size(48, 48);
+            builder.cache_tier(Arc::clone(&tier)).run().expect("pipeline")
+        };
+        let cold = run();
+        assert_eq!(cold.degraded_frame_count(), 0);
+        tier.frames.corrupt_step(2);
+        let warm = run();
+        assert_eq!(warm.degraded_frame_count(), 0, "{:?}", warm.degraded);
+        assert!(warm.messages > 0, "the frames were replayed, not rendered");
+        assert_eq!(warm.trace.metrics.get("cache.frame.rejects"), Some(&1));
+        let bits = |r: &PipelineReport| -> Vec<Vec<[u32; 4]>> {
+            r.frames
+                .iter()
+                .map(|f| f.pixels().iter().map(|p| p.map(f32::to_bits)).collect())
+                .collect()
+        };
+        assert_eq!(bits(&warm), bits(&cold));
     }
 
     /// The output role alone, from literal contexts and no `run_pipeline`:

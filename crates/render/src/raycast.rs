@@ -237,6 +237,8 @@ fn publish((fragment, work): (Option<Fragment>, Work)) -> Option<Fragment> {
     prof::ticks("raycast.samples_culled", work.samples_culled);
     prof::ticks("raycast.early_terminated", work.early_terminated);
     prof::ticks("raycast.bricks_skipped", work.bricks_skipped);
+    prof::ticks("raycast.gradients", work.gradients);
+    prof::ticks("raycast.gradients_skipped", work.gradients_skipped);
     fragment
 }
 
@@ -257,6 +259,11 @@ struct Work {
     early_terminated: u64,
     /// 1 when the transfer function cannot see the brick's value range.
     bricks_skipped: u64,
+    /// Lit samples over the gate whose six gradient taps were taken.
+    gradients: u64,
+    /// Lit samples over the gate in a [`Cell::Flat`] cell: no taps, no
+    /// shading.
+    gradients_skipped: u64,
 }
 
 /// March `brick` along its rays — built by `rays` only once the brick
@@ -269,7 +276,8 @@ fn cast<R: Borrow<RayTable>>(
     params: &RenderParams,
 ) -> (Option<Fragment>, Work) {
     let mut work = Work::default();
-    let h = brick.min_spacing();
+    let axes = Axes::of(brick);
+    let h = axes.h;
     let ds = h * params.step_scale;
     let ds_ratio = (ds / params.opacity_unit.unwrap_or(h)) as f32;
     let baked = tf.baked(ds_ratio);
@@ -283,22 +291,17 @@ fn cast<R: Borrow<RayTable>>(
     }
     let rays = rays();
     let RayTable { rect, runs, hits } = rays.borrow();
-    let seen = visible_cells(brick, &baked);
 
     // index space: axis a of world point p sits at (p − min)·s with
     // s = (n−1)/extent, so along a ray it is fo + fd·t — no divide per
     // sample, and every ray leaves from the eye, so fo is per brick
-    let (nx, ny, nz) = brick.dims();
+    let (nx, ny, _) = brick.dims();
     let grid = Grid { values: brick.values(), nx, nxy: nx * ny };
-    let top = [(nx - 1) as f64, (ny - 1) as f64, (nz - 1) as f64];
-    let last = [nx - 2, ny - 2, nz - 2];
-    let e = brick.bounds.extent();
-    let s = Vec3::new(top[0] / e.x, top[1] / e.y, top[2] / e.z);
+    let s = axes.s;
     let eye = camera.eye - brick.bounds.min;
     let fo = [eye.x * s.x, eye.y * s.y, eye.z * s.z];
-    // the gradient taps' reach along each axis, in cells
-    let reach = [h * s.x, h * s.y, h * s.z];
     let light = params.lighting.as_ref().map(|lp| (lp, -lp.light_dir.normalized()));
+    let cells = classify_cells(brick, &baked, &axes, params.lighting.as_ref());
 
     let w = rect.width() as usize;
     let mut pixels = vec![[0.0f32; 4]; rect.area() as usize];
@@ -315,31 +318,25 @@ fn cast<R: Borrow<RayTable>>(
             let mut t = t0 + ds * 0.5;
             while t < t1 && acc[3] < params.early_termination {
                 let f = [fo[0] + fd[0] * t, fo[1] + fd[1] * t, fo[2] + fd[2] * t];
-                let at = |a: usize, f: f64| split(f, top[a], last[a]);
-                let (x, y, z) = (at(0, f[0]), at(1, f[1]), at(2, f[2]));
+                let xyz = (axes.split(0, f[0]), axes.split(1, f[1]), axes.split(2, f[2]));
+                let (x, y, z) = xyz;
                 work.samples += 1;
                 t += ds;
-                if !seen[grid.base(x.0, y.0, z.0)] {
+                let cell = cells[grid.base(x.0, y.0, z.0)];
+                if cell == Cell::Hidden {
                     work.samples_culled += 1;
                     continue;
                 }
                 let mut c = baked.sample(grid.trilinear(x, y, z));
                 if c[3] > OPACITY_GATE {
                     if let Some((lp, l, half)) = lit {
-                        // central differences at ±h: each tap moves along
-                        // one axis and keeps the centre's cell and weight
-                        // on the other two. Written out per axis on
-                        // purpose: a loop that patches element `a` of an
-                        // array of the three measured 3× slower lit.
-                        let (xh, xl) = (at(0, f[0] + reach[0]), at(0, f[0] - reach[0]));
-                        let (yh, yl) = (at(1, f[1] + reach[1]), at(1, f[1] - reach[1]));
-                        let (zh, zl) = (at(2, f[2] + reach[2]), at(2, f[2] - reach[2]));
-                        let g = Vec3::new(
-                            (grid.trilinear(xh, y, z) - grid.trilinear(xl, y, z)) as f64,
-                            (grid.trilinear(x, yh, z) - grid.trilinear(x, yl, z)) as f64,
-                            (grid.trilinear(x, y, zh) - grid.trilinear(x, y, zl)) as f64,
-                        ) * (0.5 / h);
-                        shade(&mut c, g, l, half, lp);
+                        // in a flat cell `shade` would return untouched
+                        if cell == Cell::Flat {
+                            work.gradients_skipped += 1;
+                        } else {
+                            work.gradients += 1;
+                            shade(&mut c, axes.gradient(&grid, f, xyz), l, half, lp);
+                        }
                     }
                     // front-to-back accumulation
                     let tr = 1.0 - acc[3];
@@ -361,34 +358,114 @@ fn cast<R: Borrow<RayTable>>(
     (any.then_some(Fragment { block: brick.block_id, rect: *rect, pixels }), work)
 }
 
-/// Per cell, at the index of its lowest corner: whether the trilinear
-/// interpolant of its eight corners can pass the gate. It stays inside
-/// their `[lo, hi]` up to the rounding of a few lerps, which `pad` covers,
-/// and the table's opacity over a range is decided exactly
-/// ([`BakedTransfer::opacity_exceeds`]) — so a culled sample is one that
-/// would have added nothing. A brick holding a non-finite value (whose
-/// interpolant can be NaN anywhere it reaches) culls nothing.
-fn visible_cells(brick: &Brick, baked: &BakedTransfer) -> Vec<bool> {
+/// What a sample needs in a cell, decided per brick and per frame from
+/// the cell's corners.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cell {
+    /// The transfer function cannot see the cell: no interpolation, no
+    /// table lookup.
+    Hidden,
+    /// Seen; a lit sample in it takes its gradient.
+    Seen,
+    /// Seen, but no gradient its lit samples can take reaches the floor:
+    /// `shade` would return at `gm < gradient_floor`, so the taps and the
+    /// shading are skipped.
+    Flat,
+}
+
+/// Head-room of the flat bound over the arithmetic it does not model:
+/// the f32 rounding of a tap difference (2⁻²⁴ relative), the f64 scale
+/// and `length()` (a few 2⁻⁵³).
+const FLAT_MARGIN: f64 = 1e-6;
+
+/// Per cell, at the index of its lowest corner, a [`Cell`].
+///
+/// *Hidden*: the trilinear interpolant of the cell's eight corners cannot
+/// pass the gate. It stays inside their `[lo, hi]` up to the rounding of
+/// a few lerps, which `pad` covers, and the table's opacity over a range
+/// is decided exactly ([`BakedTransfer::opacity_exceeds`]) — so a culled
+/// sample is one that would have added nothing.
+///
+/// *Flat* (lit casts only): a tap along axis `a` of a sample in the cell
+/// keeps the sample's cell on the other two axes and lands in a cell at
+/// most `c = ⌈reach_a⌉` away along `a` (one that rounds onto the node
+/// `c + 1` cells up gives that node weight 1 and the next weight 0). So
+/// both taps of the axis lie in the padded corner range of the cells
+/// within `c` of it along `a`, of width `R_a + 2·pad`: that bounds their
+/// difference, and the gradient's length by `√Σ(R_a + 2·pad)² · 0.5/h`.
+/// With [`FLAT_MARGIN`] on top and still under the floor, no sample in
+/// the cell is shaded.
+///
+/// A brick holding a non-finite value (whose interpolant can be NaN
+/// anywhere it reaches) hides no cell and has no flat one.
+fn classify_cells(
+    brick: &Brick,
+    baked: &BakedTransfer,
+    axes: &Axes,
+    lighting: Option<&LightingParams>,
+) -> Vec<Cell> {
     let values = brick.values();
     let (vmin, vmax) = brick.value_range();
     if !(vmin.is_finite() && vmax.is_finite()) {
-        return vec![true; values.len()];
+        return vec![Cell::Seen; values.len()];
     }
     let pad = cull_pad(vmin, vmax);
-    let (nx, ny, _) = brick.dims();
+    let (nx, ny, nz) = brick.dims();
+    let strides = [1, nx, nx * ny];
     // min and max over a cell's corners one axis at a time; entries that
     // are not a cell's lowest corner mix unrelated nodes and are never read
     let (mut lo, mut hi) = (values.to_vec(), values.to_vec());
-    for stride in [1, nx, nx * ny] {
+    for stride in strides {
         for i in 0..values.len() - stride {
             lo[i] = lo[i].min(lo[i + stride]);
             hi[i] = hi[i].max(hi[i + stride]);
         }
     }
-    lo.iter()
+    let mut cells: Vec<Cell> = lo
+        .iter()
         .zip(&hi)
-        .map(|(&l, &h)| baked.opacity_exceeds(l - pad, h + pad, OPACITY_GATE))
-        .collect()
+        .map(|(&l, &h)| match baked.opacity_exceeds(l - pad, h + pad, OPACITY_GATE) {
+            true => Cell::Seen,
+            false => Cell::Hidden,
+        })
+        .collect();
+    let Some(lp) = lighting else {
+        return cells;
+    };
+    let mut sum_sq = vec![0.0f64; values.len()];
+    for (a, (stride, n)) in strides.into_iter().zip([nx, ny, nz]).enumerate() {
+        let c = axes.reach[a].ceil() as usize;
+        let (lo_a, hi_a) = (along(&lo, stride, n, c, f32::min), along(&hi, stride, n, c, f32::max));
+        for ((sq, &l), &h) in sum_sq.iter_mut().zip(&lo_a).zip(&hi_a) {
+            let r = (h as f64 - l as f64) + 2.0 * pad as f64;
+            *sq += r * r;
+        }
+    }
+    let scale = 0.5 / axes.h * (1.0 + FLAT_MARGIN);
+    for (cell, sq) in cells.iter_mut().zip(sum_sq) {
+        if *cell == Cell::Seen && sq.sqrt() * scale < lp.gradient_floor {
+            *cell = Cell::Flat;
+        }
+    }
+    cells
+}
+
+/// Per cell of a per-cell table `m`, `pick` over the cells within `c` of
+/// it along one axis (of stride `stride` and `n` nodes), clamped to the
+/// brick. Entries that are not a cell's lowest corner along that axis are
+/// left as they were.
+fn along(m: &[f32], stride: usize, n: usize, c: usize, pick: fn(f32, f32) -> f32) -> Vec<f32> {
+    let mut out = m.to_vec();
+    for plane in (0..m.len()).step_by(stride * n) {
+        for a in 0..n - 1 {
+            let near = a.saturating_sub(c)..=(a + c).min(n - 2);
+            for k in plane..plane + stride {
+                let at = |b: usize| m[k + b * stride];
+                out[k + a * stride] = near.clone().map(at).fold(at(a), pick);
+            }
+        }
+    }
+    out
 }
 
 /// How far past its corners' `[lo, hi]` a cell's interpolant may round,
@@ -412,6 +489,56 @@ fn split(f: f64, top: f64, last_cell: usize) -> Axis {
     // f64 in one instruction where usize takes a sequence
     let i = (f as i32).min(last_cell as i32);
     (i as usize, (f - i as f64) as f32)
+}
+
+/// A brick's index space: where its nodes end along each axis, its
+/// world-to-index scale, and how far its gradient taps reach.
+struct Axes {
+    /// The top node's index, `n − 1`.
+    top: [f64; 3],
+    /// The last cell's index, `n − 2`.
+    last: [usize; 3],
+    /// Index units per world unit, `(n − 1)/extent`.
+    s: Vec3,
+    /// The smallest cell edge, in world units: the taps are ± it.
+    h: f64,
+    /// The taps' reach, `h·s`, in cells.
+    reach: [f64; 3],
+}
+
+impl Axes {
+    fn of(brick: &Brick) -> Axes {
+        let (nx, ny, nz) = brick.dims();
+        let top = [(nx - 1) as f64, (ny - 1) as f64, (nz - 1) as f64];
+        let e = brick.bounds.extent();
+        let s = Vec3::new(top[0] / e.x, top[1] / e.y, top[2] / e.z);
+        let h = brick.min_spacing();
+        Axes { top, last: [nx - 2, ny - 2, nz - 2], s, h, reach: [h * s.x, h * s.y, h * s.z] }
+    }
+
+    /// [`split`] along axis `a`.
+    #[inline(always)]
+    fn split(&self, a: usize, f: f64) -> Axis {
+        split(f, self.top[a], self.last[a])
+    }
+
+    /// The gradient at `f` (split as `(x, y, z)`): central differences
+    /// at ±h. Each tap moves along one axis and keeps the centre's cell
+    /// and weight on the other two. Written out per axis on purpose: a
+    /// loop that patches element `a` of an array of the three measured
+    /// 3× slower lit.
+    #[inline(always)]
+    fn gradient(&self, grid: &Grid, f: [f64; 3], (x, y, z): (Axis, Axis, Axis)) -> Vec3 {
+        let r = self.reach;
+        let (xh, xl) = (self.split(0, f[0] + r[0]), self.split(0, f[0] - r[0]));
+        let (yh, yl) = (self.split(1, f[1] + r[1]), self.split(1, f[1] - r[1]));
+        let (zh, zl) = (self.split(2, f[2] + r[2]), self.split(2, f[2] - r[2]));
+        Vec3::new(
+            (grid.trilinear(xh, y, z) - grid.trilinear(xl, y, z)) as f64,
+            (grid.trilinear(x, yh, z) - grid.trilinear(x, yl, z)) as f64,
+            (grid.trilinear(x, y, zh) - grid.trilinear(x, y, zl)) as f64,
+        ) * (0.5 / self.h)
+    }
 }
 
 /// The brick's samples with the strides the eight corners of a cell need.

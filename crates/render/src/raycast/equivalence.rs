@@ -3,8 +3,8 @@
 //! the brick skip and cell cull rules at their edges.
 
 use super::{
-    cast, composite_fragments, cull_pad, reference, split, Fragment, Grid, LightingParams,
-    RayTable, RenderParams, Work,
+    cast, classify_cells, composite_fragments, cull_pad, reference, split, Axes, Cell, Fragment,
+    Grid, LightingParams, RayTable, RenderParams, Work,
 };
 use crate::brick::Brick;
 use crate::camera::Camera;
@@ -54,7 +54,8 @@ fn planned(
 
 /// Hold a cast to the per-pixel kernel: the same fragment — rect and every
 /// pixel — to the bit, and the same work, of which the culled samples
-/// are a part. Returns the work.
+/// are a part; the kernel's gradient counts, which the per-pixel form does
+/// not keep, split the lit samples over the gate. Returns the work.
 fn assert_bit_identical(got: (Option<Fragment>, Work), want: (Option<Fragment>, Work)) -> Work {
     let ((got, work), (want, old)) = (got, want);
     let bits = |f: &Option<Fragment>| {
@@ -68,7 +69,10 @@ fn assert_bit_identical(got: (Option<Fragment>, Work), want: (Option<Fragment>, 
         "fragment of block {at:?} differs from the per-pixel kernel's"
     );
     assert!(work.samples_culled <= work.samples, "{work:?}");
-    assert_eq!(Work { samples_culled: 0, ..work }, old, "work of block {at:?}");
+    let lit = work.gradients + work.gradients_skipped;
+    assert!(lit <= work.samples - work.samples_culled, "{work:?}");
+    let unshared = Work { samples_culled: 0, gradients: 0, gradients_skipped: 0, ..work };
+    assert_eq!(unshared, old, "work of block {at:?}");
     work
 }
 
@@ -252,7 +256,7 @@ fn workload_shaped_frames_match_the_per_pixel_kernel_at_every_step() {
         let before = (t > 0).then(|| ds.load_step(t - 1).magnitude());
         let enhanced = TemporalEnhance::default().apply(&now, before.as_ref(), None);
         let norm = (0.0, ds.norm_at(t));
-        let (mut samples, mut culled) = (0, 0);
+        let mut sum = Work::default();
         for (size, lit, camera, params, order, rays) in &scenes {
             let field = if *lit { &enhanced } else { &now };
             let mut bricks = Vec::new();
@@ -261,7 +265,10 @@ fn workload_shaped_frames_match_the_per_pixel_kernel_at_every_step() {
                 let brick = stencils[b].brick(field, norm);
                 let got = cast(&brick, || rays, camera, &tf, params);
                 let work = assert_bit_identical(got, reference::cast(&brick, camera, &tf, params));
-                (samples, culled) = (samples + work.samples, culled + work.samples_culled);
+                sum.samples += work.samples;
+                sum.samples_culled += work.samples_culled;
+                sum.gradients += work.gradients;
+                sum.gradients_skipped += work.gradients_skipped;
                 bricks.push(brick);
             }
             if t == steps - 1 {
@@ -269,19 +276,29 @@ fn workload_shaped_frames_match_the_per_pixel_kernel_at_every_step() {
                 assert!(shown * 10 > (size * size) as usize, "{size}²: only {shown} pixels drawn");
             }
         }
-        (samples, culled)
+        sum
     };
-    let (samples, culled) = std::thread::scope(|scope| {
+    let sum = std::thread::scope(|scope| {
         let halves: Vec<_> = (0..2)
             .map(|h| scope.spawn(move || (h..steps).step_by(2).map(check).collect::<Vec<_>>()))
             .collect();
-        halves
-            .into_iter()
-            .flat_map(|h| h.join().expect("a step's check panicked"))
-            .fold((0, 0), |(s, c), (ds, dc)| (s + ds, c + dc))
+        halves.into_iter().flat_map(|h| h.join().expect("a step's check panicked")).fold(
+            Work::default(),
+            |s, w| Work {
+                samples: s.samples + w.samples,
+                samples_culled: s.samples_culled + w.samples_culled,
+                gradients: s.gradients + w.gradients,
+                gradients_skipped: s.gradients_skipped + w.gradients_skipped,
+                ..s
+            },
+        )
     });
     // the quiet region ahead of the wave front is most of what is marched
+    let Work { samples, samples_culled: culled, gradients, gradients_skipped: flat, .. } = sum;
     assert!(culled * 4 > samples, "{culled} of {samples} samples culled");
+    // and most lit samples over the gate sit where no gradient can light
+    let lit = flat + gradients;
+    assert!(flat * 2 > lit, "{flat} of {lit} lit samples skipped their gradient taps");
 }
 
 fn cam(size: u32) -> Camera {
@@ -437,4 +454,98 @@ fn a_cells_interpolant_stays_inside_its_padded_corner_range() {
             );
         }
     }
+}
+
+/// A flat cell's lit samples stay under the gradient floor. Seeded bricks
+/// are scaled to the floor so that their gradients straddle it: noise
+/// whose amplitude sweeps across it, ramps, a kink where a ramp starts,
+/// and constants away from zero, where the lerps' rounding is all a tap
+/// difference holds. Cells are cubic (reach 1 on every axis), 2:2:1
+/// (reach ½ on x and y) or, with unequal node counts per axis, of any
+/// aspect; floors run from 1e-8 to 1e-2. In every flat
+/// cell, positions at its corners, on its faces, a hair inside them and
+/// anywhere in it are split as the march splits them; where one lands in
+/// a flat cell its six taps are taken as `cast` takes them, and the
+/// gradient's length is under the floor.
+#[test]
+fn a_flat_cells_lit_samples_stay_under_the_gradient_floor() {
+    let tf = TransferFunction::new(vec![(0.0, [1.0, 1.0, 1.0, 0.5]), (1.0, [1.0, 1.0, 1.0, 0.5])]);
+    let baked = tf.baked(0.7);
+    let mut rng = SplitMix64::new(0xf1a7_ce11);
+    let (mut flat_cells, mut under, mut over) = (0, 0, 0);
+    for round in 0..600 {
+        let extent = [Vec3::new(1.0, 1.0, 1.0), Vec3::new(2.0, 2.0, 1.0)][round % 2];
+        let d = 3 + rng.next_below(6) as usize;
+        let dims =
+            [0; 3].map(|_| if round / 8 % 2 == 0 { d } else { 3 + rng.next_below(6) as usize });
+        let n = dims[0] * dims[1] * dims[2];
+        let floor = 10f64.powf(-8.0 + 6.0 * rng.next_f64());
+        let lighting = LightingParams { gradient_floor: floor, ..LightingParams::default() };
+        let bounds = Aabb::from_extent(extent);
+        let edges = [extent.x, extent.y, extent.z].into_iter().zip(dims);
+        let h = edges.map(|(e, d)| e / (d - 1) as f64).fold(f64::INFINITY, f64::min);
+        // a value step per cell at which the gradient is about the floor
+        let step = (floor * h * 10f64.powf(rng.next_f64() * 2.0 - 1.0)) as f32;
+        let base = [0.0f32, 0.5, -3.0][rng.next_below(3) as usize];
+        let cut = rng.next_below(dims[0] as u64) as f32;
+        let slope = [0; 3].map(|_| rng.next_f32() * 2.0 - 1.0);
+        let ijk = |v: usize| [v % dims[0], v / dims[0] % dims[1], v / dims[0] / dims[1]];
+        let values: Vec<f32> = (0..n)
+            .map(|v| {
+                let [i, j, k] = ijk(v).map(|c| c as f32);
+                base + step
+                    * match round / 2 % 4 {
+                        // amplitude rising from 1/10 to 10 steps along x
+                        0 => 10f32.powf(2.0 * i / dims[0] as f32 - 1.0) * (rng.next_f32() - 0.5),
+                        1 => slope[0] * i + slope[1] * j + slope[2] * k,
+                        2 => (i - cut).max(0.0) * 4.0,
+                        _ => 0.0,
+                    }
+            })
+            .collect();
+        let brick = Brick::from_values(0, bounds, (dims[0], dims[1], dims[2]), values);
+        let axes = Axes::of(&brick);
+        let cells = classify_cells(&brick, &baked, &axes, Some(&lighting));
+        let grid = Grid { values: brick.values(), nx: dims[0], nxy: dims[0] * dims[1] };
+        for v in (0..n).filter(|&v| ijk(v).iter().zip(&dims).all(|(&c, &d)| c + 1 < d)) {
+            if cells[v] == Cell::Flat {
+                flat_cells += 1;
+            }
+            for _ in 0..6 {
+                let f = ijk(v).map(|c| {
+                    let c = c as f64;
+                    match rng.next_below(8) {
+                        0 => c,
+                        1 => c + 1.0,
+                        2 => f64::from_bits((c + 1.0).to_bits() - 1),
+                        3 => c - 1e-12,
+                        4 => c + 1.0 + 1e-12,
+                        _ => c + rng.next_f64(),
+                    }
+                });
+                let xyz = (axes.split(0, f[0]), axes.split(1, f[1]), axes.split(2, f[2]));
+                let cell = cells[grid.base(xyz.0 .0, xyz.1 .0, xyz.2 .0)];
+                let gm = axes.gradient(&grid, f, xyz).length();
+                match cell {
+                    Cell::Flat => {
+                        assert!(
+                            gm < floor,
+                            "|∇| {gm:e} ≥ floor {floor:e} in a flat cell at {f:?} of a {dims:?} \
+                             brick, round {round}"
+                        );
+                        under += 1;
+                    }
+                    _ => over += (gm >= floor) as u64,
+                }
+            }
+        }
+        // a non-finite value anywhere: no cell is flat, none hidden
+        let mut values = brick.values().to_vec();
+        values[rng.next_below(n as u64) as usize] =
+            [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][round % 3];
+        let brick = Brick::from_values(0, bounds, (dims[0], dims[1], dims[2]), values);
+        let cells = classify_cells(&brick, &baked, &axes, Some(&lighting));
+        assert!(cells.iter().all(|&c| c == Cell::Seen), "round {round}: a non-finite brick");
+    }
+    assert!(flat_cells > 5_000 && under > 20_000 && over > 20_000, "{flat_cells} {under} {over}");
 }

@@ -98,6 +98,8 @@ parfs_ost4: parfs.ost0.bytes=262144 parfs.ost0.reads=4 parfs.ost1.bytes=262144 p
   parfs.sim_contig_us.flat=65929 parfs.sim_contig_us.ost4=22107
 kernels: work.lic.pixels=16384 work.lic.streamline_steps=384152 work.raycast.early_terminated=1264
   work.raycast.rays=4900 work.raycast.samples=69268 work.raycast.samples_culled=33772
+kernels_lit: work.raycast.early_terminated=1264 work.raycast.gradients=35408 work.raycast.rays=4900
+  work.raycast.samples=69268 work.raycast.samples_culled=33772
 ";
 
 fn parse(table: &'static str) -> Vec<(&'static str, Ledger)> {
@@ -269,10 +271,13 @@ fn sharded_read_ledger() -> Ledger {
 
 /// One unlit ray-cast of a synthetic 16³-cell shell brick and one LIC of
 /// a 128² vortex: the kernels' work counts with no pipeline around them.
-fn kernel_ledger() -> Ledger {
+/// Then, counted on their own, the same cast lit.
+fn kernel_ledgers() -> [Ledger; 2] {
     use quakeviz::lic::{compute_lic, white_noise, LicParams, RegularField2D};
     use quakeviz::mesh::{Aabb, Vec3};
-    use quakeviz::render::{render_brick, Brick, Camera, RenderParams, TransferFunction};
+    use quakeviz::render::{
+        render_brick, Brick, Camera, LightingParams, RenderParams, TransferFunction,
+    };
     let n = 17usize; // grid points per axis, x fastest
     let c = |i: usize| (i % n) as f32 / (n - 1) as f32 - 0.5;
     let shell = |i: usize| {
@@ -284,11 +289,17 @@ fn kernel_ledger() -> Ledger {
     let camera = Camera::look_at(eye, at, Vec3::new(0.0, 1.0, 0.0), 0.7, 128, 128);
     let field =
         RegularField2D::from_fn(128, 128, (1.0, 1.0), |x, y| (-(y - 0.5) as f32, (x - 0.5) as f32));
+    let tf = TransferFunction::seismic();
+    let ticks = || prof::snapshot().into_iter().map(|(k, v)| (format!("work.{k}"), v)).collect();
     prof::set_enabled(true);
     prof::reset();
-    render_brick(&brick, &camera, &TransferFunction::seismic(), &RenderParams::default());
+    render_brick(&brick, &camera, &tf, &RenderParams::default());
     compute_lic(&field, &white_noise(128, 128, 1), &LicParams::default());
-    prof::snapshot().into_iter().map(|(k, v)| (format!("work.{k}"), v)).collect()
+    let unlit = ticks();
+    prof::reset();
+    let lit = RenderParams { lighting: Some(LightingParams::default()), ..Default::default() };
+    render_brick(&brick, &camera, &tf, &lit);
+    [unlit, ticks()]
 }
 
 #[test]
@@ -349,7 +360,9 @@ fn deterministic_counters_match_the_pinned_table() {
         book.pipeline(run, "QUAKEVIZ_CACHE", base(4).cache_tier(Arc::clone(&tier)));
     }
     book.check("parfs_ost4", sharded_read_ledger(), |_| true);
-    book.check("kernels", kernel_ledger(), |_| true);
+    let [kernels, kernels_lit] = kernel_ledgers();
+    book.check("kernels", kernels, |_| true);
+    book.check("kernels_lit", kernels_lit, |_| true);
 
     for (run, _) in &book.pinned {
         assert!(book.now.iter().any(|(r, _)| r == run), "pinned run {run} no longer runs");
