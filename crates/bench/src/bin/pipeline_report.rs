@@ -28,10 +28,14 @@
 //! and the delivered/degraded frame verdict. Mutually exclusive with
 //! `--faults`.
 //!
-//! `--faults SPEC` arms a deterministic fault plan (same `key=value,...`
-//! syntax as `QUAKEVIZ_FAULTS`, e.g.
-//! `seed=11,read_transient=0.1,send_drop=0.05`, or `fail_rank=R@S` to
-//! script a rank death — input, render and output ranks all fail over);
+//! `--faults SPEC` arms a deterministic fault plan. SPEC is a
+//! `key=value,...` list (`FaultSpec::parse`): `seed=N`; the probabilities
+//! `read_transient`, `read_corrupt`, `read_slow`, `send_drop`,
+//! `send_delay` and `wire_corrupt` with `slow_factor=F` and `delay_ms=MS`;
+//! and the scripted events `fail_rank=R@S` / `recover_rank=R@S` (a rank
+//! death or rejoin — input, render and output ranks all fail over),
+//! `fail_controller=S`, `slow_rank=R@F` and `fail_prefetch=S`, e.g.
+//! `seed=11,read_transient=0.1,send_drop=0.05`;
 //! its injected faults and recovery actions are the `fault.*` and
 //! `recovery.*` rows of the metrics table, and the report adds a recovery
 //! section with the per-frame degradation flags.
@@ -42,9 +46,12 @@
 //! itself is exercised by `tests/checkpoint_restart.rs`: the simulated
 //! disk lives in memory, so a checkpoint cannot outlive the process).
 //!
-//! `--codec SPEC` selects the wire codec (same grammar as
-//! `QUAKEVIZ_CODEC`, e.g. `rle`, `shuffle,delta,keyframe=4`, or
-//! `block_data=shuffle,lic_image=rle`); the report then adds a wire
+//! `--codec SPEC` selects the wire codec. SPEC's tokens, split on `,` or
+//! `+` (`WireSpec::parse`): `raw`, `rle` or `shuffle` for every payload
+//! class, `<class>=<codec>` for one, `delta` for temporal block deltas and
+//! `keyframe=K` for their keyframe period — e.g. `rle`,
+//! `shuffle,delta,keyframe=4` or `block_data=shuffle,lic_image=rle`; the
+//! report then adds a wire
 //! compression section — per-class raw vs wire bytes, the compression
 //! ratio, codec CPU cost, and the keyframe/delta piece mix — and the
 //! model table annotates `Ts` with the measured block-data ratio.
@@ -59,8 +66,9 @@
 //! counts). Combine with `--faults seed=1,slow_rank=R@F` to watch the
 //! controller shed load off a scripted straggler.
 //!
-//! `--cache SPEC` arms the block/frame cache tier (same grammar as
-//! `QUAKEVIZ_CACHE`, e.g. `1` or `blocks_mb=32,frames=16`) and
+//! `--cache SPEC` arms the block/frame cache tier (`CacheConfig::parse`:
+//! `0` off, `1` both levels at their default sizes, or
+//! `blocks_mb=N,frames=N`, an unnamed level at its default) and
 //! `--osts N` shards the dataset disk across N simulated object storage
 //! targets; their counters are the `cache.*` and `parfs.ost*` rows of
 //! the metrics table. `--warm` first primes the tier with an unreported

@@ -37,7 +37,7 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Default block-cache capacity when `QUAKEVIZ_CACHE` enables the tier
+/// Default block-cache capacity when a cache spec enables the tier
 /// without sizing it.
 pub const DEFAULT_BLOCKS_MB: usize = 64;
 /// Default frame-cache capacity (frames) under the same condition.
@@ -64,7 +64,7 @@ impl CacheConfig {
         self.blocks_mb > 0 || self.frames > 0
     }
 
-    /// Parse a `QUAKEVIZ_CACHE` value: empty or `0` disables, `1` enables
+    /// Parse a cache spec (`pipeline-report --cache`): empty or `0` disables, `1` enables
     /// both levels at the defaults, otherwise a `key=value` list over
     /// `blocks_mb` and `frames` (unnamed levels default on), e.g.
     /// `blocks_mb=32,frames=16` or `frames=0`.
@@ -93,11 +93,6 @@ impl CacheConfig {
             }
         }
         Ok(cfg)
-    }
-
-    /// The sizing from `QUAKEVIZ_CACHE` ([`quakeviz_rt::env_overlay`]).
-    pub fn from_env() -> Result<Option<CacheConfig>, String> {
-        quakeviz_rt::env_overlay("QUAKEVIZ_CACHE", CacheConfig::parse)
     }
 }
 
@@ -514,11 +509,6 @@ mod tests {
         assert!(CacheConfig::parse("nope=1").unwrap_err().contains("unknown key"));
         assert!(CacheConfig::parse("frames=abc").unwrap_err().contains("not a number"));
         assert!(CacheConfig::parse("frames").unwrap_err().contains("key=value"));
-        // the same strings as a `QUAKEVIZ_CACHE` value
-        let env = |v| quakeviz_rt::overlay("QUAKEVIZ_CACHE", v, CacheConfig::parse);
-        assert_eq!((env(None), env(Some("0"))), (Ok(None), Ok(None)));
-        assert_eq!(env(Some("frames=0")), Ok(Some(CacheConfig::parse("frames=0").unwrap())));
-        assert!(env(Some("frames")).unwrap_err().starts_with("invalid QUAKEVIZ_CACHE: cache spec"));
         assert!(!CacheConfig::off().enabled());
         assert!(CacheConfig { blocks_mb: 0, frames: 1 }.enabled());
     }

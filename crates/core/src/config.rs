@@ -150,9 +150,8 @@ pub struct PipelineConfig {
     /// `QUAKEVIZ_PROF=1`. Off by default: the counters cost one relaxed
     /// atomic load per kernel invocation when disabled.
     pub profile: bool,
-    /// Deterministic fault-injection spec. `None` falls back to the
-    /// `QUAKEVIZ_FAULTS` environment variable (unset/empty/`0` = the
-    /// empty spec). Every run carries the plan of its spec and runs the
+    /// Deterministic fault-injection spec (`None` = the empty spec, whose
+    /// plan never fires). Every run carries the plan of its spec and runs the
     /// same protocol — bounded retry, checksum verification, graceful
     /// degradation, failover; a plan that cannot inject anything never
     /// gives it cause to.
@@ -182,12 +181,11 @@ pub struct PipelineConfig {
     /// resumed frame sequence is bit-identical to an uninterrupted run.
     pub resume: bool,
     /// Wire codecs + temporal block deltas for the payload-bearing sends
-    /// (block distribution, LIC and volume images). `None` falls back to
-    /// the `QUAKEVIZ_CODEC` environment variable (unset/empty/`0` = plain
-    /// raw wire). Decoded payloads are bit-identical to the raw path, so
-    /// the setting is excluded from the checkpoint config fingerprint —
+    /// (block distribution, LIC and volume images); the default is the
+    /// plain raw wire. Decoded payloads are bit-identical to the raw path,
+    /// so the setting is excluded from the checkpoint config fingerprint —
     /// checkpoints written under one codec resume under any other.
-    pub wire: Option<WireSpec>,
+    pub wire: WireSpec,
     /// Closed-loop elastic control plane: a controller on the output rank
     /// watches the live phase spans and periodically commits epoch-stamped
     /// rebalance plans (see [`crate::control`]). `None` (the default) keeps
@@ -198,12 +196,11 @@ pub struct PipelineConfig {
     pub control: Option<ControlConfig>,
     /// The two-level cache tier (see [`crate::cache`]) to attach — the
     /// handle a cold run shares with the warm runs that follow it
-    /// (benchmarks, interactive seeking). `None` falls back to a private
-    /// tier sized by the `QUAKEVIZ_CACHE` environment variable
-    /// (unset/empty/`0` = no caching). Cached data is checksum-verified
-    /// before every serve, so cached runs are bit-identical to cache-off
-    /// runs; the tier is excluded from the checkpoint config fingerprint,
-    /// stamped with it instead and flushed on mismatch.
+    /// (benchmarks, interactive seeking); `None` = no caching. Cached data
+    /// is checksum-verified before every serve, so cached runs are
+    /// bit-identical to cache-off runs; the tier is excluded from the
+    /// checkpoint config fingerprint, stamped with it instead and flushed
+    /// on mismatch.
     pub cache_tier: Option<Arc<CacheTier>>,
     /// Spare render ranks parked beyond the active prefix: the world is
     /// sized `renderers + spare_renderers` but epoch 0 assigns work only
@@ -247,7 +244,7 @@ impl Default for PipelineConfig {
             checkpoint_every: None,
             checkpoint_path: "ckpt".to_string(),
             resume: false,
-            wire: None,
+            wire: WireSpec::raw(),
             control: None,
             cache_tier: None,
             spare_renderers: 0,
@@ -401,7 +398,7 @@ impl PipelineBuilder {
 
     /// Full wire configuration (see [`PipelineConfig::wire`]).
     pub fn wire_spec(mut self, spec: WireSpec) -> Self {
-        self.config.wire = Some(spec);
+        self.config.wire = spec;
         self
     }
 

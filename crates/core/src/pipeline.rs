@@ -40,8 +40,8 @@ use quakeviz_render::{
 use quakeviz_rt::obs::{self, Obs, Phase, TraceData};
 use quakeviz_rt::wire::{WireClassStats, WireLedger, WireSpec};
 use quakeviz_rt::{
-    wait_all, Comm, FaultEvent, FaultPlan, FaultSpec, Fnv1a, RecoveryStats, SendHandle, TagClass,
-    TrafficEdge, TrafficStats, World,
+    wait_all, Comm, FaultEvent, FaultPlan, Fnv1a, RecoveryStats, SendHandle, TagClass, TrafficEdge,
+    TrafficStats, World,
 };
 use quakeviz_seismic::Dataset;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -187,8 +187,7 @@ pub struct PipelineReport {
     /// (empty when nothing was injected).
     pub fault_events: Vec<FaultEvent>,
     /// Recovery counters (retries, backoff, checksum failures, degraded
-    /// frames, failovers); `None` unless a fault spec was given (the
-    /// config's, or `QUAKEVIZ_FAULTS`).
+    /// frames, failovers); `None` unless a fault spec was given.
     pub recovery: Option<RecoveryStats>,
     /// Checkpoints committed (manifest written) during the run.
     pub checkpoints: u64,
@@ -426,26 +425,14 @@ impl OutputCtx {
 }
 
 /// Resolve the run's fault plan and membership schedule — every run has
-/// both: from an explicit [`PipelineConfig::faults`] spec (its timeline
-/// validated hard, with a typed [`membership::FaultConfigError`]), else
-/// `QUAKEVIZ_FAULTS` (sanitized: a scripted rank failure an arbitrary suite
-/// configuration cannot survive — or whose detection stall would skew its
-/// timing — is dropped so a blanket environment spec still applies
-/// everywhere; only input-group failover survives the blanket treatment,
-/// render/output kills and rejoins must be requested explicitly), else the
-/// empty spec, whose plan never fires and whose schedule never changes.
-/// Also returns whether a spec was given at all — what the report's
-/// recovery section hangs on.
+/// both: from [`PipelineConfig::faults`] (its timeline validated hard, with
+/// a typed [`membership::FaultConfigError`]), else from the empty spec,
+/// whose plan never fires and whose schedule never changes.
 fn resolve_faults(
     config: &PipelineConfig,
     steps: usize,
-) -> Result<(Arc<FaultPlan>, Schedule, bool), String> {
-    let given = match &config.faults {
-        Some(spec) => Some((spec.clone(), false)),
-        None => FaultSpec::from_env()?.map(|spec| (spec, true)),
-    };
-    let spec_given = given.is_some();
-    let (mut spec, from_env) = given.unwrap_or_default();
+) -> Result<(Arc<FaultPlan>, Schedule), String> {
+    let spec = config.faults.clone().unwrap_or_default();
     let (groups, per_group) = config.io.shape();
     let shape = WorldShape {
         groups,
@@ -453,33 +440,20 @@ fn resolve_faults(
         renderers: config.renderers,
         spares: config.spare_renderers,
     };
-    let fail_controller = spec.fail_controller;
-    let build =
-        |timeline: &[_]| Schedule::new(timeline, fail_controller, shape, config.control, steps);
-    let mut sched = build(&spec.rank_timeline);
-    if from_env && !sched.as_ref().is_ok_and(|s| s.kill_role() == Some(Role::Input)) {
-        spec.rank_timeline.clear();
-        sched = build(&[]);
-    }
-    let sched = sched.map_err(|e| e.to_string())?;
-    Ok((FaultPlan::new(spec), sched, spec_given))
+    let sched =
+        Schedule::new(&spec.rank_timeline, spec.fail_controller, shape, config.control, steps)
+            .map_err(|e| e.to_string())?;
+    Ok((FaultPlan::new(spec), sched))
 }
 
 /// FNV-1a fingerprint of every configuration field that shapes the frame
 /// stream (processor counts, octree levels, image geometry, preprocessing
-/// flags, camera) and of `faults`, the spec the run resolved — the
-/// builder's or the sanitized `QUAKEVIZ_FAULTS`, `None` when neither was
-/// given. `max_steps`, checkpoint settings and the prefetch flag are
+/// flags, camera) and of the run's fault spec. `max_steps`, checkpoint settings and the prefetch flag are
 /// deliberately excluded: a run killed early and a run resumed to the end
 /// must agree with the uninterrupted run's checkpoint. The literal
 /// `IndependentContiguous` is the read strategy every fingerprint has
 /// always hashed: every run reads that way.
-fn config_fingerprint(
-    config: &PipelineConfig,
-    level: u8,
-    camera: &Camera,
-    faults: Option<&FaultSpec>,
-) -> u64 {
+fn config_fingerprint(config: &PipelineConfig, level: u8, camera: &Camera) -> u64 {
     let desc = format!(
         "{}+{};{:?};IndependentContiguous;{}x{};lvl{};blk{};l{}e{}lic{}q{}af{};{:?};{:?};{};{:?}",
         config.renderers,
@@ -497,7 +471,7 @@ fn config_fingerprint(
         camera,
         config.retry,
         config.deadline_ms,
-        faults,
+        config.faults,
     );
     Fnv1a::pipeline().bytes(desc.bytes()).finish()
 }
@@ -597,19 +571,13 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         Camera::default_for(&Aabb::from_extent(extent), config.width, config.height)
     });
 
-    let (faults, sched, fault_spec_given) = resolve_faults(&config, steps)?;
-    // explicit wire config wins; else the QUAKEVIZ_CODEC environment
-    // variable; else the plain raw wire. Deliberately *not* part of the
-    // config fingerprint: decoded payloads are bit-identical to the raw
-    // path, so checkpoints stay interchangeable across codec settings.
-    let wire_spec = match config.wire.clone() {
-        Some(spec) => spec,
-        None => WireSpec::from_env()?.unwrap_or_default(),
-    };
-
+    let (faults, sched) = resolve_faults(&config, steps)?;
     let total_renderers = sched.n_renderers();
-    let fingerprint =
-        config_fingerprint(&config, level, &camera, fault_spec_given.then(|| faults.spec()));
+    // the wire spec and the cache tier are deliberately *not* part of the
+    // fingerprint: decoded payloads and cached data are bit-identical to
+    // the raw, cache-off path, so checkpoints stay interchangeable across
+    // both
+    let fingerprint = config_fingerprint(&config, level, &camera);
     let (start_step, resume_fields, resume_plans) = if config.resume {
         load_checkpoint(
             dataset.disk(),
@@ -624,17 +592,7 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         (0, Vec::new(), Vec::new())
     };
 
-    // cache tier: an attached tier (shared across runs) wins; else the
-    // QUAKEVIZ_CACHE environment. Deliberately *not* part of the config
-    // fingerprint — cached data is checksum-verified and bit-identical to
-    // a cache-off run, so the tier can change without invalidating
-    // checkpoints.
-    let cache_cfg = crate::cache::CacheConfig::from_env()?;
-    let cache: Option<Arc<CacheTier>> = match (&config.cache_tier, cache_cfg) {
-        (Some(tier), _) => Some(Arc::clone(tier)),
-        (None, Some(c)) if c.enabled() => Some(CacheTier::new(c)),
-        _ => None,
-    };
+    let cache = config.cache_tier.clone();
     // a tier reused under a different fingerprint flushes both levels
     // first: checkpoint-resume under changed settings never sees stale
     // data, and the resolved fault schedule is part of the fingerprint, so
@@ -673,7 +631,7 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         session: Obs::new(config.trace || Obs::detail_from_env()),
         sched: sched.resumed_at(start_step),
         faults,
-        wire: wire_spec,
+        wire: config.wire.clone(),
         ledger: Arc::new(WireLedger::new()),
         elastic,
         block_weights,
@@ -858,7 +816,7 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         );
     let mut metrics: BTreeMap<String, u64> = rows.filter(|&(_, v)| v > 0).collect();
     // the report's recovery section exists when a fault spec was given
-    let (fault_events, recovery) = (run.faults.events(), fault_spec_given.then_some(rec));
+    let (fault_events, recovery) = (run.faults.events(), config.faults.is_some().then_some(rec));
     // per-render-rank utilization: each rank's Render-phase busy time
     // against the per-step makespan (the slowest rank each step), in
     // permille so the counters stay integral. This is the number the
@@ -1482,54 +1440,19 @@ fn plan_commit(comm: &Comm, run: &Run, t: usize, state: &mut EpochState, delta: 
     }
 }
 
-/// Advance this input rank's epoch clock over every step `S` in
-/// `(*cursor)..=upto`: its own scripted rejoin, then the plan-commit round,
-/// of each. An input rank owns only every `groups`-th step, so before
-/// working step `t` it must catch up on every round the controller clocked
-/// in between — and drain the remainder after its last owned step, so it
-/// ends the run on the controller's epoch like every other rank. A dormant
-/// rank is no participant. Returns whether the rank rejoined on the way.
-fn input_clock(
-    comm: &Comm,
-    run: &Run,
-    elastic: &mut EpochState,
-    delta: &mut DeltaMap,
-    cursor: &mut usize,
-    upto: usize,
-) -> bool {
-    let me = comm.rank();
-    let mut rejoined = false;
-    while *cursor <= upto {
-        let t = *cursor;
-        *cursor += 1;
-        match run.sched.presence(me, t) {
-            Presence::Dormant | Presence::Gone => continue,
-            Presence::Joining => {
-                let _sp = obs::span(Phase::Heartbeat, t as u32);
-                rejoin(comm, run, t, elastic);
-                rejoined = true;
-            }
-            Presence::Present => {}
-        }
-        if let Tick::Round { .. } = run.sched.tick(t) {
-            let _sp = obs::span(Phase::Control, t as u32);
-            plan_commit(comm, run, t, elastic, delta);
-        }
-    }
-    rejoined
-}
-
-/// The per-step input protocol — the only one. For each owned step `t`:
-/// scripted death window → epoch clock up to `t` (rejoin, plan commits) →
-/// this step's slice, from the group heartbeat and the committed
-/// input width → the prepared field → LIC if lead → pack, on this thread,
-/// against this thread's one [`DeltaMap`], under the committed
-/// [`EpochState`] → sends. `ahead` adds the read-ahead stage: the field
-/// comes from a worker that prepared it up to [`PREFETCH_SLOTS`] owned
-/// steps early, and at most that many steps' sends stay in flight.
-/// Without it (the reference runtime) every step is prepared inline — the
-/// code a dead worker or a stale slice falls back to — and sends are
-/// fire-and-forget: a dropped [`SendHandle`] is a buffered send.
+/// The per-step input protocol — the only one. It walks every step of the
+/// run, as the render and output ranks do: on each, the rank's presence
+/// (its own scripted death window or rejoin) and the plan-commit round of
+/// a tick. On an owned step `t` it then does the step's work: this step's
+/// slice, from the group heartbeat and the committed input width → the
+/// prepared field → LIC if lead → pack, on this thread, against this
+/// thread's one [`DeltaMap`], under the committed [`EpochState`] → sends.
+/// `ahead` adds the read-ahead stage: the field comes from a worker that
+/// prepared it up to [`PREFETCH_SLOTS`] owned steps early, and at most
+/// that many steps' sends stay in flight. Without it (the reference
+/// runtime) every step is prepared inline — the code a dead worker or a
+/// stale slice falls back to — and sends are fire-and-forget: a dropped
+/// [`SendHandle`] is a buffered send.
 ///
 /// The order within a step — ticks(t) → … → wait on handles older than
 /// `t` → send `t` — is what keeps the ticks and the in-flight cap
@@ -1547,7 +1470,9 @@ fn input_steps(
     let mut delta = DeltaMap::new();
     // committed epoch state: advances at every committed tick
     let mut elastic = run.elastic.clone();
-    let mut clock = run.steps.start;
+    // a rejoin on a step this rank does not own is carried to the
+    // heartbeat of its next owned one
+    let mut joined = false;
     let mut sf = Arc::new(slice_fetch(run, input, (me - plan.group.start, plan.group.len())));
     let mut inflight: VecDeque<(usize, Vec<SendHandle>)> = VecDeque::new();
     let await_sends = |(t0, handles): (usize, Vec<SendHandle>)| {
@@ -1555,22 +1480,39 @@ fn input_steps(
         wait_all(handles);
     };
     let mut timings = Vec::with_capacity(plan.my_steps.len());
-    for (i, &t) in plan.my_steps.iter().enumerate() {
+    for t in run.steps.clone() {
+        // one timing per owned step, so the next owned step is the one at
+        // the timings' length
+        let i = timings.len();
+        let owned = plan.my_steps.get(i) == Some(&t);
         // a scripted death comes with no farewell — survivors must *detect*
         // it via heartbeat timeouts; a dormant rank still counts its owned
         // steps, so the zip alignment with the group survives the outage
         match run.sched.presence(me, t) {
             Presence::Gone => break,
             Presence::Dormant => {
-                timings.push(InputStepTiming::default());
+                if owned {
+                    timings.push(InputStepTiming::default());
+                }
                 continue;
             }
-            Presence::Present | Presence::Joining => {}
+            Presence::Joining => {
+                let _sp = obs::span(Phase::Heartbeat, t as u32);
+                rejoin(comm, run, t, &mut elastic);
+                joined = true;
+            }
+            Presence::Present => {}
         }
-        // catch up on the epoch clock before this step's routing decisions;
+        if let Tick::Round { .. } = run.sched.tick(t) {
+            let _sp = obs::span(Phase::Control, t as u32);
+            plan_commit(comm, run, t, &mut elastic, &mut delta);
+        }
+        if !owned {
+            continue;
+        }
         // the first sends back from a death window are natural keyframes,
         // never deltas against pre-death receiver state
-        let joining = input_clock(comm, run, &mut elastic, &mut delta, &mut clock, t);
+        let joining = std::mem::take(&mut joined);
         if joining {
             alive = plan.group.clone().collect();
             delta.clear();
@@ -1628,10 +1570,7 @@ fn input_steps(
         }
         timings.push(timing);
     }
-    // the controller keeps clocking ticks after my last owned step: stay
-    // on the line until the schedule runs out, then drain the tail so the
-    // trace sees the full send lifetime
-    input_clock(comm, run, &mut elastic, &mut delta, &mut clock, run.steps.end - 1);
+    // drain the tail so the trace sees the full send lifetime
     inflight.into_iter().for_each(await_sends);
     timings
 }
@@ -2147,6 +2086,7 @@ fn overlay_lic(
 mod tests {
     use super::*;
     use crate::config::{IoStrategy, PipelineBuilder};
+    use quakeviz_rt::FaultSpec;
     use quakeviz_seismic::SimulationBuilder;
 
     fn dataset() -> Dataset {
@@ -2164,7 +2104,7 @@ mod tests {
             base.width,
             base.height,
         );
-        let fp = |c: &PipelineConfig| config_fingerprint(c, 3, &camera, c.faults.as_ref());
+        let fp = |c: &PipelineConfig| config_fingerprint(c, 3, &camera);
         let mut killed = base.clone();
         killed.max_steps = Some(2);
         killed.checkpoint_every = Some(2);
@@ -2174,22 +2114,19 @@ mod tests {
         let mut reshaped = base.clone();
         reshaped.width = 97;
         assert_ne!(fp(&base), fp(&reshaped), "image geometry must invalidate a checkpoint");
-        // the fault schedule that shapes frames is the one the run resolved:
-        // a spec from `QUAKEVIZ_FAULTS` counts like the builder's. The no-spec
-        // digest is the one of PR 20; a spec's hashes `{:?}` of the `FaultSpec`
-        // and moved once, with the `fail_rank` field (checkpoints live on one
-        // process's in-memory parfs: no stored one can observe it)
-        let spec = FaultSpec::parse("seed=1,read_transient=0.5").unwrap();
-        let from_env = config_fingerprint(&base, 3, &camera, Some(&spec));
-        let mut explicit = base.clone();
-        explicit.faults = Some(spec);
-        assert_ne!(from_env, fp(&base), "a schedule from the environment is not no schedule");
-        assert_eq!(from_env, fp(&explicit));
-        assert_eq!((fp(&base), fp(&explicit)), (0x8bed_c9b5_f887_c853, 0x61c2_4d79_5006_7687));
+        // the fault schedule shapes frames: a spec is not no spec. The
+        // no-spec digest has not moved since it was first pinned; a spec's
+        // hashes `{:?}` of the `FaultSpec` and moved once, with the
+        // `fail_rank` field (checkpoints live on one process's in-memory
+        // parfs: no stored one can observe it)
+        let mut faulted = base.clone();
+        faulted.faults = Some(FaultSpec::parse("seed=1,read_transient=0.5").unwrap());
+        assert_ne!(fp(&faulted), fp(&base), "a fault schedule is not no schedule");
+        assert_eq!((fp(&base), fp(&faulted)), (0x8bed_c9b5_f887_c853, 0x61c2_4d79_5006_7687));
         // wire codecs shape bytes in flight, never decoded values: a
         // checkpoint written under one codec must resume under another
         let mut recoded = base.clone();
-        recoded.wire = Some(WireSpec::parse("rle,delta,keyframe=3").unwrap());
+        recoded.wire = WireSpec::parse("rle,delta,keyframe=3").unwrap();
         assert_eq!(fp(&base), fp(&recoded), "wire codec must not invalidate a checkpoint");
         // a cache changes costs, never decoded values or frames
         let mut cached = base.clone();
@@ -2364,11 +2301,6 @@ mod tests {
                 .io_strategy(IoStrategy::OneDip { input_procs: 2 })
                 .image_size(64, 64)
                 .quantize(q)
-                // the full-vs-quantized byte ratio below is about payload
-                // width, not wire compression: pin the raw codec so a
-                // QUAKEVIZ_CODEC environment (the CI codec matrix) cannot
-                // shrink one side's traffic differently
-                .wire_spec(WireSpec::raw())
                 .run()
                 .expect("pipeline")
         };

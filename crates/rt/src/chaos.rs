@@ -36,8 +36,8 @@ pub struct ChaosTopology {
 /// One `key=value` clause per injected fault dimension, composed from
 /// `seed`. The same seed always yields the same schedule; the clause list
 /// always parses into a valid [`FaultSpec`] for the given topology (see
-/// the generator tests). Join with [`compose`] to feed `QUAKEVIZ_FAULTS`
-/// or `PipelineBuilder::faults`.
+/// the generator tests). Join with [`compose`] to feed
+/// `PipelineBuilder::faults` or `pipeline-report --faults`.
 pub fn chaos_clauses(seed: u64, topo: &ChaosTopology) -> Vec<String> {
     let mut rng = SplitMix64::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xc4a0_55ed);
     let mut clauses = vec![format!("seed={seed}")];

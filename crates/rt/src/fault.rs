@@ -8,9 +8,8 @@
 //! clock or thread interleaving — two runs with the same spec inject the
 //! same faults at the same sites and therefore produce the same frames.
 //!
-//! The spec is a compact `key=value` string, settable via the
-//! `QUAKEVIZ_FAULTS` environment variable so the whole test suite can run
-//! under a fault matrix:
+//! The spec is a compact `key=value` string ([`FaultSpec::parse`]), given
+//! to a run by `PipelineBuilder::faults` or `pipeline-report --faults`:
 //!
 //! ```text
 //! seed=42,read_transient=0.05,read_corrupt=0.02,read_slow=0.05,slow_factor=4,
@@ -266,11 +265,6 @@ impl FaultSpec {
             || self.fail_controller.is_some()
             || self.slow_rank.is_some()
             || self.fail_prefetch.is_some()
-    }
-
-    /// The spec from `QUAKEVIZ_FAULTS` ([`crate::env_overlay`]).
-    pub fn from_env() -> Result<Option<FaultSpec>, String> {
-        crate::env_overlay("QUAKEVIZ_FAULTS", FaultSpec::parse)
     }
 }
 

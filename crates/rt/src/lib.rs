@@ -138,46 +138,3 @@ pub use fault::{
 pub use fnv::{Fnv1a, FnvLanes};
 pub use stats::{TagClass, TrafficEdge, TrafficStats};
 pub use wire::{Codec, WireClassStats, WireLedger, WireSpec};
-
-/// `QUAKEVIZ_FAULTS`, `QUAKEVIZ_CODEC` and `QUAKEVIZ_CACHE` overlay a run's
-/// configuration from outside, by one rule: unset, empty or `0` is "not
-/// configured"; anything else must parse, or it is `invalid NAME: …`.
-pub fn env_overlay<T>(
-    name: &str,
-    parse: impl FnOnce(&str) -> Result<T, String>,
-) -> Result<Option<T>, String> {
-    overlay(name, std::env::var(name).ok().as_deref(), parse)
-}
-
-/// [`env_overlay`] over the variable's value (`None` = unset).
-pub fn overlay<T>(
-    name: &str,
-    value: Option<&str>,
-    parse: impl FnOnce(&str) -> Result<T, String>,
-) -> Result<Option<T>, String> {
-    match value.map(str::trim) {
-        None | Some("" | "0") => Ok(None),
-        Some(v) => parse(v).map(Some).map_err(|e| format!("invalid {name}: {e}")),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn overlay_values_map_to_unconfigured_a_spec_or_a_named_error() {
-        for off in [None, Some(""), Some("0"), Some(" 0 ")] {
-            assert_eq!(overlay("QUAKEVIZ_FAULTS", off, FaultSpec::parse), Ok(None), "{off:?}");
-            assert_eq!(overlay("QUAKEVIZ_CODEC", off, WireSpec::parse), Ok(None), "{off:?}");
-        }
-        let faults = overlay("QUAKEVIZ_FAULTS", Some("seed=3,fail_rank=1@2"), FaultSpec::parse);
-        assert_eq!(faults, Ok(Some(FaultSpec::parse("seed=3,fail_rank=1@2").unwrap())));
-        let codec = overlay("QUAKEVIZ_CODEC", Some(" rle,delta "), WireSpec::parse);
-        assert_eq!(codec, Ok(Some(WireSpec::parse("rle,delta").unwrap())));
-        let err = overlay("QUAKEVIZ_FAULTS", Some("fail_rank=3"), FaultSpec::parse).unwrap_err();
-        assert!(err.starts_with("invalid QUAKEVIZ_FAULTS: ") && err.contains("rank@step"), "{err}");
-        let err = overlay("QUAKEVIZ_CODEC", Some("zstd"), WireSpec::parse).unwrap_err();
-        assert!(err.starts_with("invalid QUAKEVIZ_CODEC: "), "{err}");
-    }
-}

@@ -19,9 +19,9 @@
 //! records which branch was taken is the entire header — the documented
 //! per-piece overhead bound is **1 byte** ([`HEADER_BOUND_BYTES`]).
 //!
-//! Codec selection is per [`TagClass`] via [`WireSpec`], built from
-//! `PipelineBuilder` or the `QUAKEVIZ_CODEC` environment variable
-//! (see [`WireSpec::parse`] for the grammar). [`WireLedger`] accumulates the
+//! Codec selection is per [`TagClass`] via [`WireSpec`], set on
+//! `PipelineBuilder` or by `pipeline-report --codec` (see
+//! [`WireSpec::parse`] for the grammar). [`WireLedger`] accumulates the
 //! raw-vs-wire byte counts and encode/decode time per class that feed
 //! `traffic.<class>.raw_bytes` / `.wire_bytes` metrics, `pipeline-report`,
 //! and the wire rows of `tests/ledger.rs`.
@@ -349,12 +349,6 @@ impl WireSpec {
             }
         }
         Ok(spec)
-    }
-
-    /// The spec from `QUAKEVIZ_CODEC` ([`crate::env_overlay`]): a typo is an
-    /// error, never silently the wrong codec.
-    pub fn from_env() -> Result<Option<WireSpec>, String> {
-        crate::env_overlay("QUAKEVIZ_CODEC", WireSpec::parse)
     }
 
     /// Short human description for reports ("block_data=shuffle delta k=4",

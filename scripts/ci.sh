@@ -146,6 +146,14 @@ ratchet "information-free control messages (core)" 0 "$(count_sites \
     'CTL_ACK|CTL_VERDICT|(^|[^A-Za-z0-9_])JOIN([^A-Za-z0-9_]|$)|catchup_window' \
     "${all_core_sources[@]}")"
 
+# A run is configured in one place: its faults, codec and cache come from
+# its `PipelineConfig` (the builder, or `pipeline-report`'s flags), never
+# from an environment variable. The environment may ask a run to record
+# (QUAKEVIZ_TRACE, QUAKEVIZ_PROF), never to compute differently.
+ratchet "environment overlays (crates/*/src)" 0 "$(count_sites \
+    'env_overlay|QUAKEVIZ_(FAULTS|CODEC|CACHE)|(FaultSpec|WireSpec|CacheConfig)::from_env|fn from_env' \
+    "${crate_sources[@]}")"
+
 # Wall-clock sites: `Instant::now()` / `thread::sleep(` in the runtime
 # crates — each is a place real time leaks into the protocol, and the
 # count the virtual-time work (ROADMAP) drives down to its
@@ -169,12 +177,13 @@ echo "==> cargo test"
 cargo test --workspace -q
 
 # Release-mode test pass over the trace matrix: the deterministic harness
-# (prefetch equivalence, property tests, overlap invariants) must hold
-# both with spans off and with the detailed QUAKEVIZ_TRACE auto spans on.
-# An externally pinned QUAKEVIZ_TRACE (the CI job matrix) runs just that
-# cell; locally both cells run.
+# (prefetch equivalence, property tests, overlap invariants, the
+# configuration lattice) must hold both with spans off and with the
+# detailed QUAKEVIZ_TRACE auto spans on. An externally pinned
+# QUAKEVIZ_TRACE (the CI job matrix) runs just that cell; locally both
+# cells run.
 if [[ -n "${QUAKEVIZ_TRACE+x}" ]]; then
-    echo "==> cargo test --release (QUAKEVIZ_TRACE=${QUAKEVIZ_TRACE} QUAKEVIZ_FAULTS=${QUAKEVIZ_FAULTS:-} QUAKEVIZ_CODEC=${QUAKEVIZ_CODEC:-} QUAKEVIZ_CACHE=${QUAKEVIZ_CACHE:-})"
+    echo "==> cargo test --release (QUAKEVIZ_TRACE=${QUAKEVIZ_TRACE})"
     cargo test --workspace -q --release
 else
     for trace in 0 1; do
@@ -183,57 +192,16 @@ else
     done
 fi
 
-# Fault matrix: the whole release suite must also pass under a
-# deterministic environment-injected fault plan (read faults only —
-# message loss and rank death need per-test deadlines and topologies, and
-# are exercised by tests/fault_injection.rs). Every differential oracle in
-# the suite still demands bit-identical frames, so this proves the
-# retry/recovery machinery is invisible when it wins. An externally
-# pinned QUAKEVIZ_FAULTS (the CI job matrix) is covered by the release
-# pass above; locally all three seeds run.
-if [[ -z "${QUAKEVIZ_FAULTS:-}" && -z "${QUAKEVIZ_TRACE+x}" ]]; then
-    for spec in \
-        "seed=101,read_transient=0.02,read_slow=0.03,slow_factor=2" \
-        "seed=202,read_corrupt=0.02,read_transient=0.02" \
-        "seed=303,read_transient=0.03,read_corrupt=0.01,read_slow=0.02,slow_factor=2"; do
-        echo "==> cargo test --release (QUAKEVIZ_FAULTS=${spec})"
-        QUAKEVIZ_FAULTS="${spec}" QUAKEVIZ_TRACE=0 cargo test --workspace -q --release
-    done
-    # Codec matrix: the whole release suite must also pass with a wire
-    # codec (and temporal deltas) injected through QUAKEVIZ_CODEC. Every
-    # differential oracle still demands bit-identical frames, so these
-    # cells prove the codec layer is invisible to everything above it.
-    # Tests that pin .wire_spec() explicitly (the raw baselines of the
-    # delta/codec oracles) are unaffected by the env. An externally
-    # pinned QUAKEVIZ_CODEC (the CI job matrix) is covered by the
-    # release pass above; locally all cells run.
-    for codec in \
-        "raw,delta,keyframe=3" \
-        "rle" \
-        "rle,delta,keyframe=3" \
-        "shuffle" \
-        "shuffle,delta,keyframe=4"; do
-        echo "==> cargo test --release (QUAKEVIZ_CODEC=${codec})"
-        QUAKEVIZ_CODEC="${codec}" QUAKEVIZ_TRACE=0 cargo test --workspace -q --release
-    done
-    # Cache cell: the whole release suite must also pass with a blanket
-    # per-run cache tier armed through QUAKEVIZ_CACHE. Every run gets a
-    # fresh tier (no warmth crosses runs without an explicit
-    # .cache_tier), so every differential oracle still demands frames
-    # bit-identical to its cache-off twin — the cell proves the tier is
-    # invisible above the reader. Warm-replay coherence is exercised by
-    # tests/cache_coherence.rs, which shares tiers explicitly.
-    echo "==> cargo test --release (QUAKEVIZ_CACHE=1)"
-    QUAKEVIZ_CACHE=1 QUAKEVIZ_TRACE=0 cargo test --workspace -q --release
-fi
+# A run is configured by its `PipelineConfig` alone: fault, codec and
+# cache variables set to values that would each move a counter, were they
+# read, change nothing — every pinned ledger row still matches exactly.
+echo "==> cargo test --release --test ledger (inert QUAKEVIZ_FAULTS/CODEC/CACHE)"
+QUAKEVIZ_FAULTS="seed=1,send_drop=0.5" QUAKEVIZ_CODEC="rle,delta,keyframe=2" \
+    QUAKEVIZ_CACHE=1 cargo test -q --release --test ledger
 
 # The repository benchmark's own plumbing check: every workload once,
-# oracle on (benchmark/README.md); ~15 s. Runs locally and in every CI
-# job that pins no fault, codec or cache cell (the job matrix always
-# defines QUAKEVIZ_TRACE, so that is not the test).
-if [[ -z "${QUAKEVIZ_FAULTS:-}" && -z "${QUAKEVIZ_CODEC:-}" && -z "${QUAKEVIZ_CACHE:-}" ]]; then
-    echo "==> benchmark run --smoke"
-    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
-fi
+# oracle on (benchmark/README.md); ~15 s.
+echo "==> benchmark run --smoke"
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
 
 echo "CI OK"

@@ -186,10 +186,6 @@ fn late_data_degrades_without_stalling_the_prefetch_cap() {
     // the same slept reads with nothing to inject: data can only be slow,
     // never lost, so the renderers wait for it however short the delivery
     // deadline is — a clean run never degrades because its input was late
-    if FaultSpec::from_env().is_ok_and(|spec| spec.is_some()) {
-        println!("QUAKEVIZ_FAULTS arms the delivery deadline of the no-spec run: case skipped");
-        return;
-    }
     let clean = |b: PipelineBuilder| b.prefetch(true).run().expect("clean pipeline");
     let prompt = clean(builder(&ds, IoStrategy::OneDip { input_procs: 1 }));
     let slept = clean(

@@ -12,11 +12,10 @@ fn simulation(steps: usize) -> SimulationBuilder {
     SimulationBuilder::new().resolution(16).steps(steps).frequency(0.3)
 }
 
-/// The delivery deadline only exists under a fault plan (the CI
-/// environment matrix injects one); pinned far out so a renderer never
-/// gives a step up because the solver has not computed it yet.
+/// No fault plan, so no delivery deadline: a renderer waits for a step the
+/// solver has not computed yet instead of giving it up.
 fn builder(ds: &Dataset) -> PipelineBuilder {
-    PipelineBuilder::new(ds).renderers(2).image_size(64, 64).delivery_deadline_ms(60_000)
+    PipelineBuilder::new(ds).renderers(2).image_size(64, 64)
 }
 
 fn assert_bit_identical(live: &PipelineReport, replay: &PipelineReport, what: &str) {

@@ -139,20 +139,8 @@ fn wall_clock_derived(name: &str) -> bool {
     !name.starts_with("parfs.sim_") && marks.iter().any(|m| name.contains(m))
 }
 
-/// The variables of the CI env matrix. A run names the one its builder
-/// call overrides (an explicit fault spec, an explicit wire spec, an
-/// attached tier), or none.
-const ENV_MATRIX: [&str; 3] = ["QUAKEVIZ_FAULTS", "QUAKEVIZ_CODEC", "QUAKEVIZ_CACHE"];
-
-/// What holds whichever fault, codec or cache layer the environment arms:
-/// they change who moves which bytes, never what is rendered.
-fn env_invariant(name: &str, raw_wire: bool) -> bool {
-    name == "frames" || name.starts_with("work.") || (raw_wire && name == "bytes.volume_image")
-}
-
 struct Book {
     pinned: Vec<(&'static str, Ledger)>,
-    armed: Vec<&'static str>,
     now: Vec<(&'static str, Ledger)>,
     diffs: Vec<String>,
 }
@@ -175,23 +163,19 @@ impl Book {
         self.now.push((run, now));
     }
 
-    /// Run one configuration and check its full row — or, when an armed
-    /// environment variable reaches it, the env-invariant subset. Returns
-    /// the run's kernel work.
-    fn pipeline(&mut self, run: &'static str, pins: &str, builder: PipelineBuilder) -> Ledger {
-        assert!(pins.is_empty() || ENV_MATRIX.contains(&pins), "{run}: unknown pin {pins}");
+    /// Run one configuration and check its row. Returns the run's kernel
+    /// work.
+    fn pipeline(&mut self, run: &'static str, builder: PipelineBuilder) -> Ledger {
         prof::reset();
         let report = builder.run().unwrap_or_else(|e| panic!("{run}: {e}"));
         let now = pipeline_ledger(run, &report);
         let work = now.iter().filter(|(k, _)| k.starts_with("work.")).map(|(k, v)| (k.clone(), *v));
         let work = work.collect();
-        let raw_wire = report.wire_spec == "raw";
-        let pinned_down = self.armed.iter().all(|a| *a == pins);
-        if !pinned_down {
-            println!("{run}: {:?} reaches this run, checking frames and work.* only", self.armed);
-        }
-        let stable = |k: &str| !run.contains("elastic") || k == "bytes.block_data";
-        self.check(run, now, |k| env_invariant(k, raw_wire) || (pinned_down && stable(k)));
+        let stable = |k: &str| {
+            let rendered = ["frames", "bytes.block_data", "bytes.volume_image"].contains(&k);
+            !run.contains("elastic") || rendered || k.starts_with("work.")
+        };
+        self.check(run, now, stable);
         work
     }
 }
@@ -304,9 +288,7 @@ fn kernel_ledgers() -> [Ledger; 2] {
 
 #[test]
 fn deterministic_counters_match_the_pinned_table() {
-    let on = |var: &&str| std::env::var(var).is_ok_and(|v| !v.is_empty() && v != "0");
-    let armed = ENV_MATRIX.into_iter().filter(on).collect();
-    let mut book = Book { pinned: parse(PINNED), armed, now: Vec::new(), diffs: Vec::new() };
+    let mut book = Book { pinned: parse(PINNED), now: Vec::new(), diffs: Vec::new() };
     let timed = book.pinned.iter().flat_map(|(_, row)| row.keys()).find(|k| wall_clock_derived(k));
     assert_eq!(timed, None, "a pinned counter is wall-clock-derived: unpin it");
 
@@ -326,29 +308,27 @@ fn deterministic_counters_match_the_pinned_table() {
     let rejoin = base(4).faults(rejoin).delivery_deadline_ms(400);
     let same = |works: &[Ledger]| works.iter().all(|w| *w == works[0]);
     let works = [
-        book.pipeline("1dip_r3_i2", "", base(4)),
-        book.pipeline("2dip_g2x2_r3", "", base(4).io_strategy(twodip)),
-        book.pipeline("1dip_faulted_s11", "QUAKEVIZ_FAULTS", base(4).faults(read_faults)),
-        book.pipeline("1dip_r3_elastic_t2", "", base(4).elastic(2)),
-        book.pipeline("1dip_rejoin_s1", "QUAKEVIZ_FAULTS", rejoin),
+        book.pipeline("1dip_r3_i2", base(4)),
+        book.pipeline("2dip_g2x2_r3", base(4).io_strategy(twodip)),
+        book.pipeline("1dip_faulted_s11", base(4).faults(read_faults)),
+        book.pipeline("1dip_r3_elastic_t2", base(4).elastic(2)),
+        book.pipeline("1dip_rejoin_s1", rejoin),
     ];
     assert!(same(&works), "faults, 2DIP, rejoin and elastic move bytes differently, not work");
     // every run has a fault plan, so one that only ever loses to retry
-    // moves exactly the messages a clean run moves (full rows: no env armed)
+    // moves exactly the messages a clean run moves
     let row = |run: &str| {
         let (_, row) = book.now.iter().find(|(r, _)| *r == run).expect("run checked above");
         let mut row = row.clone();
         row.retain(|k, _| k != "fault_events" && !k.starts_with("recovery."));
         row
     };
-    if book.armed.is_empty() {
-        assert_eq!(row("1dip_r3_i2"), row("1dip_faulted_s11"), "retried reads moved traffic");
-    }
+    assert_eq!(row("1dip_r3_i2"), row("1dip_faulted_s11"), "retried reads moved traffic");
     // the wire runs are named by their spec
     let works =
         ["raw", "rle", "rle,delta,keyframe=4", "shuffle", "shuffle,delta,keyframe=4"].map(|run| {
             let spec = WireSpec::parse(run).expect("wire spec");
-            book.pipeline(run, "QUAKEVIZ_CODEC", base(6).quantize(true).wire_spec(spec))
+            book.pipeline(run, base(6).quantize(true).wire_spec(spec))
         });
     assert!(same(&works), "a codec changes how bytes are coded, not kernel work");
 
@@ -357,7 +337,7 @@ fn deterministic_counters_match_the_pinned_table() {
     ds.disk().set_shards(4);
     let tier = CacheTier::new(CacheConfig { blocks_mb: 64, frames: 64 });
     for run in ["cache_cold", "cache_warm"] {
-        book.pipeline(run, "QUAKEVIZ_CACHE", base(4).cache_tier(Arc::clone(&tier)));
+        book.pipeline(run, base(4).cache_tier(Arc::clone(&tier)));
     }
     book.check("parfs_ost4", sharded_read_ledger(), |_| true);
     let [kernels, kernels_lit] = kernel_ledgers();
@@ -367,10 +347,10 @@ fn deterministic_counters_match_the_pinned_table() {
     for (run, _) in &book.pinned {
         assert!(book.now.iter().any(|(r, _)| r == run), "pinned run {run} no longer runs");
     }
-    let table = match book.armed.is_empty() {
-        true => format!("if the change is intended, PINNED becomes:\n{}", render(&book.now)),
-        false => format!("(unset {:?} to print a paste-ready table)", book.armed),
-    };
     let diffs = book.diffs.join("\n  ");
-    assert!(diffs.is_empty(), "counters moved, pinned → now:\n  {diffs}\n{table}");
+    let table = render(&book.now);
+    assert!(
+        diffs.is_empty(),
+        "counters moved, pinned → now:\n  {diffs}\nif the change is intended, PINNED becomes:\n{table}"
+    );
 }
