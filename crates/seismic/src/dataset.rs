@@ -442,6 +442,7 @@ impl SimulationBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quakeviz_rt::FnvLanes;
 
     fn tiny() -> Dataset {
         SimulationBuilder::new()
@@ -466,6 +467,19 @@ mod tests {
         }
         assert!(ds.vmag_max() > 0.0);
         assert!(ds.output_dt() > 0.0);
+    }
+
+    #[test]
+    fn step_files_hash_to_the_pinned_digest() {
+        // the solver's output bytes, pinned: a solver change that moves one
+        // bit of one step (an operation reordered, a reciprocal taken)
+        // fails here before it shows in a frame
+        let ds = tiny();
+        let digest = (0..ds.steps()).fold(FnvLanes::new(), |h, t| {
+            let (bytes, _) = ds.disk().read_full(&Dataset::step_path(t)).expect("step file");
+            h.slice(&bytes)
+        });
+        assert_eq!(digest.finish(), 0xe0cf_f1a5_c541_58f2, "dataset digest moved");
     }
 
     #[test]

@@ -35,9 +35,11 @@ pub struct WaveSolver {
     spacing: (f64, f64, f64),
     dt: f64,
     step: u64,
-    u_prev: Vec<[f32; 3]>,
-    u_curr: Vec<[f32; 3]>,
-    u_next: Vec<[f32; 3]>,
+    /// Displacement at the previous, current and next step, component-major:
+    /// component `c` of node `i` at `c·n + i`.
+    u_prev: Vec<f32>,
+    u_curr: Vec<f32>,
+    u_next: Vec<f32>,
     div: Vec<f32>,
     /// Per-node 1/ρ.
     rho_inv: Vec<f32>,
@@ -122,9 +124,9 @@ impl WaveSolver {
             spacing,
             dt,
             step: 0,
-            u_prev: vec![[0.0; 3]; n],
-            u_curr: vec![[0.0; 3]; n],
-            u_next: vec![[0.0; 3]; n],
+            u_prev: vec![0.0; 3 * n],
+            u_curr: vec![0.0; 3 * n],
+            u_next: vec![0.0; 3 * n],
             div: vec![0.0; n],
             rho_inv,
             mu,
@@ -161,52 +163,43 @@ impl WaveSolver {
     }
 
     /// Advance one time step.
+    ///
+    /// Both passes, divergence and update, go row by row. The two edge
+    /// nodes of an x-row take their mirrored neighbours one at a time; the
+    /// interior is one branch-free loop over equal-length slices (`x ± 1`
+    /// within the row, the `y ± 1` rows, the `z ± 1` planes), which the
+    /// compiler vectorizes across nodes. Every node runs the same
+    /// operations in the same order wherever it sits, so the result is the
+    /// node-at-a-time scheme's bit for bit.
     pub fn step(&mut self) {
         let (nx, ny, nz) = self.dims;
+        let rows = Rows { nx, ny, nz };
+        let n = nx * ny * nz;
         let plane = nx * ny;
-        let (hx2, hy2, hz2) = (
+        let h2 = [
             (self.spacing.0 * self.spacing.0) as f32,
             (self.spacing.1 * self.spacing.1) as f32,
             (self.spacing.2 * self.spacing.2) as f32,
-        );
-        let (ihx, ihy, ihz) = (
+        ];
+        let ih = [
             (0.5 / self.spacing.0) as f32,
             (0.5 / self.spacing.1) as f32,
             (0.5 / self.spacing.2) as f32,
-        );
+        ];
         let u = &self.u_curr;
-
-        // mirrored neighbour index along one axis: interior uses ±1,
-        // boundaries reflect (free surface at z=0 and a cheap symmetric
-        // treatment elsewhere — the sponge handles actual absorption)
-        #[inline(always)]
-        fn mirror(i: usize, n: usize, up: bool) -> usize {
-            if up {
-                if i + 1 < n {
-                    i + 1
-                } else {
-                    i - 1
-                }
-            } else if i > 0 {
-                i - 1
-            } else {
-                1
-            }
-        }
 
         // pass 1: divergence of u at every node
         par_chunks_mut(&mut self.div, plane, |z, dplane| {
-            for y in 0..ny {
-                for x in 0..nx {
-                    let i = x + nx * y;
-                    let g = |xx: usize, yy: usize, zz: usize| u[xx + nx * (yy + ny * zz)];
-                    let dux =
-                        (g(mirror(x, nx, true), y, z)[0] - g(mirror(x, nx, false), y, z)[0]) * ihx;
-                    let duy =
-                        (g(x, mirror(y, ny, true), z)[1] - g(x, mirror(y, ny, false), z)[1]) * ihy;
-                    let duz =
-                        (g(x, y, mirror(z, nz, true))[2] - g(x, y, mirror(z, nz, false))[2]) * ihz;
-                    dplane[i] = dux + duy + duz;
+            for (y, drow) in dplane.chunks_exact_mut(nx).enumerate() {
+                let t = [0, 1, 2].map(|a| rows.taps(&u[a * n..][..n], y, z, a));
+                for x in [0, nx - 1] {
+                    drow[x] = divergence(t.map(|t| t.at(x)), ih);
+                }
+                let out = &mut drow[1..nx - 1];
+                let k = out.len();
+                let [(xp, xm), (yp, ym), (zp, zm)] = t.map(|t| t.interior(k));
+                for j in 0..k {
+                    out[j] = divergence([(xp[j], xm[j]), (yp[j], ym[j]), (zp[j], zm[j])], ih);
                 }
             }
         });
@@ -221,46 +214,37 @@ impl WaveSolver {
             self.source.direction.z as f32,
         ];
 
-        // pass 2: update
+        // pass 2: update, one component of one plane per chunk
         let div = &self.div;
         let u_prev = &self.u_prev;
-        let mu = &self.mu;
-        let lam_mu = &self.lam_mu;
-        let rho_inv = &self.rho_inv;
-        let sponge = &self.sponge;
-        par_chunks_mut(&mut self.u_next, plane, |z, nplane| {
-            for y in 0..ny {
-                for x in 0..nx {
-                    let li = x + nx * y;
-                    let i = li + plane * z;
-                    let g = |xx: usize, yy: usize, zz: usize| u[xx + nx * (yy + ny * zz)];
-                    let d = |xx: usize, yy: usize, zz: usize| div[xx + nx * (yy + ny * zz)];
-                    let uc = u[i];
-                    let xm = g(mirror(x, nx, false), y, z);
-                    let xp = g(mirror(x, nx, true), y, z);
-                    let ym = g(x, mirror(y, ny, false), z);
-                    let yp = g(x, mirror(y, ny, true), z);
-                    let zm = g(x, y, mirror(z, nz, false));
-                    let zp = g(x, y, mirror(z, nz, true));
-                    let gd = [
-                        (d(mirror(x, nx, true), y, z) - d(mirror(x, nx, false), y, z)) * ihx,
-                        (d(x, mirror(y, ny, true), z) - d(x, mirror(y, ny, false), z)) * ihy,
-                        (d(x, y, mirror(z, nz, true)) - d(x, y, mirror(z, nz, false))) * ihz,
-                    ];
-                    let mut next = [0.0f32; 3];
-                    for c in 0..3 {
-                        let lap = (xp[c] + xm[c] - 2.0 * uc[c]) / hx2
-                            + (yp[c] + ym[c] - 2.0 * uc[c]) / hy2
-                            + (zp[c] + zm[c] - 2.0 * uc[c]) / hz2;
-                        let accel = rho_inv[i] * (mu[i] * lap + lam_mu[i] * gd[c]);
-                        next[c] = 2.0 * uc[c] - u_prev[i][c] + dt2 * accel;
-                    }
-                    // sponge damps the new value (Cerjan)
-                    let s = sponge[i];
-                    for c in &mut next {
-                        *c *= s;
-                    }
-                    nplane[li] = next;
+        let material = [&self.rho_inv, &self.mu, &self.lam_mu, &self.sponge];
+        par_chunks_mut(&mut self.u_next, plane, |cz, nplane| {
+            let (c, z) = (cz / nz, cz % nz);
+            let node = Node { h2, ih: ih[c], dt2 };
+            let (uc, prev) = (&u[c * n..][..n], &u_prev[c * n..][..n]);
+            for (y, nrow) in nplane.chunks_exact_mut(nx).enumerate() {
+                let t = [0, 1, 2].map(|a| rows.taps(uc, y, z, a));
+                let g = rows.taps(div, y, z, c);
+                let (uc, prev) = (rows.row(uc, y, z), rows.row(prev, y, z));
+                let m = material.map(|f| rows.row(f, y, z));
+                for x in [0, nx - 1] {
+                    nrow[x] =
+                        node.update(uc[x], prev[x], t.map(|t| t.at(x)), g.at(x), m.map(|f| f[x]));
+                }
+                let out = &mut nrow[1..nx - 1];
+                let k = out.len();
+                let [(xp, xm), (yp, ym), (zp, zm)] = t.map(|t| t.interior(k));
+                let (gp, gm) = g.interior(k);
+                let (uc, prev) = (&uc[1..][..k], &prev[1..][..k]);
+                let [rho_inv, mu, lam_mu, sponge] = m.map(|f| &f[1..][..k]);
+                for j in 0..k {
+                    out[j] = node.update(
+                        uc[j],
+                        prev[j],
+                        [(xp[j], xm[j]), (yp[j], ym[j]), (zp[j], zm[j])],
+                        (gp[j], gm[j]),
+                        [rho_inv[j], mu[j], lam_mu[j], sponge[j]],
+                    );
                 }
             }
         });
@@ -270,7 +254,7 @@ impl WaveSolver {
             for &(i, w) in &self.source_nodes {
                 let f = stf * w * dt2 * self.rho_inv[i];
                 for c in 0..3 {
-                    self.u_next[i][c] += f * dir[c];
+                    self.u_next[c * n + i] += f * dir[c];
                 }
             }
         }
@@ -285,47 +269,161 @@ impl WaveSolver {
     /// states: `v = (u_curr − u_prev) / dt`.
     #[inline]
     pub fn velocity(&self, i: usize) -> [f32; 3] {
-        let dt = self.dt as f32;
-        [
-            (self.u_curr[i][0] - self.u_prev[i][0]) / dt,
-            (self.u_curr[i][1] - self.u_prev[i][1]) / dt,
-            (self.u_curr[i][2] - self.u_prev[i][2]) / dt,
-        ]
+        let (n, dt) = (self.rho_inv.len(), self.dt as f32);
+        [0, 1, 2].map(|c| (self.u_curr[c * n + i] - self.u_prev[c * n + i]) / dt)
     }
 
     /// Displacement at node `i`.
     #[inline]
     pub fn displacement(&self, i: usize) -> [f32; 3] {
-        self.u_curr[i]
+        let n = self.rho_inv.len();
+        [0, 1, 2].map(|c| self.u_curr[c * n + i])
+    }
+
+    /// Squared velocity magnitude of every node, in node order.
+    fn speeds_sq(&self) -> impl Iterator<Item = f64> + '_ {
+        (0..self.rho_inv.len()).map(|i| {
+            let v = self.velocity(i);
+            (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]) as f64
+        })
     }
 
     /// Largest velocity magnitude over the grid (diagnostics and tests).
     pub fn max_velocity(&self) -> f64 {
-        let dt = self.dt as f32;
-        self.u_curr
-            .iter()
-            .zip(&self.u_prev)
-            .map(|(c, p)| {
-                let v = [(c[0] - p[0]) / dt, (c[1] - p[1]) / dt, (c[2] - p[2]) / dt];
-                (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]) as f64
-            })
-            .fold(0.0, f64::max)
-            .sqrt()
+        self.speeds_sq().fold(0.0, f64::max).sqrt()
     }
 
     /// Sum of squared velocities — a kinetic-energy proxy for decay tests.
     pub fn kinetic_proxy(&self) -> f64 {
-        let dt = self.dt as f32;
-        self.u_curr
-            .iter()
-            .zip(&self.u_prev)
-            .map(|(c, p)| {
-                let v = [(c[0] - p[0]) / dt, (c[1] - p[1]) / dt, (c[2] - p[2]) / dt];
-                (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]) as f64
-            })
-            .sum()
+        self.speeds_sq().sum()
     }
 }
+
+/// Mirrored neighbour index along one axis: interior uses ±1, boundaries
+/// reflect (free surface at z=0 and a cheap symmetric treatment
+/// elsewhere — the sponge handles actual absorption).
+#[inline(always)]
+fn mirror(i: usize, n: usize, up: bool) -> usize {
+    if up {
+        if i + 1 < n {
+            i + 1
+        } else {
+            i - 1
+        }
+    } else if i > 0 {
+        i - 1
+    } else {
+        1
+    }
+}
+
+/// The grid's x-rows: a component-major field holds one per `(y, z)`.
+#[derive(Clone, Copy)]
+struct Rows {
+    nx: usize,
+    ny: usize,
+    nz: usize,
+}
+
+impl Rows {
+    /// Row `(y, z)` of the one-component field `f`.
+    #[inline(always)]
+    fn row(self, f: &[f32], y: usize, z: usize) -> &[f32] {
+        &f[self.nx * (y + self.ny * z)..][..self.nx]
+    }
+
+    /// The neighbours along axis `axis` of row `(y, z)`'s nodes in `f`.
+    #[inline(always)]
+    fn taps(self, f: &[f32], y: usize, z: usize, axis: usize) -> Taps<'_> {
+        let across = |(yp, zp), (ym, zm)| Taps {
+            p: self.row(f, yp, zp),
+            m: self.row(f, ym, zm),
+            along_x: false,
+        };
+        match axis {
+            0 => {
+                let row = self.row(f, y, z);
+                Taps { p: row, m: row, along_x: true }
+            }
+            1 => across((mirror(y, self.ny, true), z), (mirror(y, self.ny, false), z)),
+            _ => across((y, mirror(z, self.nz, true)), (y, mirror(z, self.nz, false))),
+        }
+    }
+}
+
+/// The `+` and `−` neighbours of one row's nodes along one axis. Along x
+/// both are the row itself, one node over and mirrored at its two ends;
+/// along y or z they are the matching nodes of the two neighbouring rows,
+/// mirrored once when the rows were picked.
+#[derive(Clone, Copy)]
+struct Taps<'a> {
+    p: &'a [f32],
+    m: &'a [f32],
+    along_x: bool,
+}
+
+impl<'a> Taps<'a> {
+    /// The `(+, −)` pair of node `x` — for the two edge nodes of the row.
+    #[inline(always)]
+    fn at(self, x: usize) -> (f32, f32) {
+        if self.along_x {
+            let n = self.p.len();
+            (self.p[mirror(x, n, true)], self.m[mirror(x, n, false)])
+        } else {
+            (self.p[x], self.m[x])
+        }
+    }
+
+    /// The `+` and `−` neighbours of the `k` interior nodes `1..=k`, as two
+    /// slices of length `k`.
+    #[inline(always)]
+    fn interior(self, k: usize) -> (&'a [f32], &'a [f32]) {
+        if self.along_x {
+            (&self.p[2..][..k], &self.m[..k])
+        } else {
+            (&self.p[1..][..k], &self.m[1..][..k])
+        }
+    }
+}
+
+/// `∇·u` at one node from its `(+, −)` neighbours' x, y and z components.
+#[inline(always)]
+fn divergence(t: [(f32, f32); 3], ih: [f32; 3]) -> f32 {
+    (t[0].0 - t[0].1) * ih[0] + (t[1].0 - t[1].1) * ih[1] + (t[2].0 - t[2].1) * ih[2]
+}
+
+/// The update of one displacement component.
+#[derive(Clone, Copy)]
+struct Node {
+    /// Squared spacing per axis.
+    h2: [f32; 3],
+    /// `1 / 2h` along the component's own axis (its gradient of `∇·u`).
+    ih: f32,
+    dt2: f32,
+}
+
+impl Node {
+    /// The new value of one component from its current and previous value,
+    /// its `(+, −)` neighbours along x, y and z, the divergence's `(+, −)`
+    /// neighbours along its own axis, and the node's `[1/ρ, μ, λ+μ,
+    /// sponge]`.
+    #[inline(always)]
+    fn update(self, uc: f32, prev: f32, t: [(f32, f32); 3], g: (f32, f32), m: [f32; 4]) -> f32 {
+        let [rho_inv, mu, lam_mu, sponge] = m;
+        let gd = (g.0 - g.1) * self.ih;
+        let lap = (t[0].0 + t[0].1 - 2.0 * uc) / self.h2[0]
+            + (t[1].0 + t[1].1 - 2.0 * uc) / self.h2[1]
+            + (t[2].0 + t[2].1 - 2.0 * uc) / self.h2[2];
+        let accel = rho_inv * (mu * lap + lam_mu * gd);
+        // the sponge damps the new value (Cerjan)
+        (2.0 * uc - prev + self.dt2 * accel) * sponge
+    }
+}
+
+#[cfg(test)]
+mod equivalence;
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

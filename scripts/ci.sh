@@ -117,6 +117,13 @@ ratchet "per-run copies and keyed spans in SLIC (composite)" 0 "$(count_sites \
 ratchet "per-lane branches in the LIC kernel (lic.rs)" 0 "$(count_sites \
     '(^|[^A-Za-z0-9_])continue([^A-Za-z0-9_]|$)' crates/lic/src/lic.rs)"
 
+# The wave solver vectorizes across nodes: its displacement state is
+# component-major (component c of node i at `c·n + i`), so each pass runs
+# over equal-length slices of one component. No per-node `[f32; 3]` state
+# may grow back; the test-only `solver/reference.rs` keeps the old form.
+ratchet "array-of-structs solver state (seismic/src/solver.rs, outside \`reference\`)" 0 "$(count_sites \
+    'Vec<\\[f32; 3\\]>' crates/seismic/src/solver.rs)"
+
 # A run's metrics are one table `run_pipeline` builds after the ranks
 # have joined (`TraceData::metrics`): no live registry, gauge or histogram —
 # nothing a rank writes while the run is in progress — may grow back.
