@@ -35,6 +35,11 @@ const MESH_KEYS_AT: usize = 6 + 24 + 8;
 /// Floor of the running normalization maximum: the first outputs of a run
 /// can precede any motion, and a zero scale would divide by zero.
 const NORM_FLOOR: f32 = 1e-12;
+/// 2⁻⁶³, the smallest magnitude whose square is a normal `f32`: a step
+/// file stores a smaller velocity component as 0, so no consumer squaring
+/// it (`vmag_max` here, the pipeline's magnitudes, the LIC tracer) passes
+/// through subnormals.
+const VELOCITY_FLOOR: f32 = 1.0 / (1u64 << 63) as f32;
 
 /// A generated (or reopened) time-varying earthquake dataset — finished,
 /// or still being written by a running simulation
@@ -188,12 +193,23 @@ impl Dataset {
                 _ => {}
             }
         }
+        let components = components.ok_or("meta missing components")?;
+        if components != 3 {
+            return Err(format!("meta components={components}: a step holds 3 per node"));
+        }
+        let vmag_max = vmag_max.ok_or("meta missing vmag_max")?;
+        if !(vmag_max.is_finite() && vmag_max > 0.0) {
+            return Err(format!(
+                "meta vmag_max={vmag_max}: frames are normalised by it, so it must be finite \
+                 and > 0"
+            ));
+        }
         Ok(Dataset {
             disk,
             mesh,
             steps: steps.ok_or("meta missing steps")?,
-            components: components.ok_or("meta missing components")?,
-            norm: Norm::Global(vmag_max.ok_or("meta missing vmag_max")?),
+            components,
+            norm: Norm::Global(vmag_max),
             output_dt: output_dt.ok_or("meta missing output_dt")?,
         })
     }
@@ -284,7 +300,7 @@ impl SimulationBuilder {
         self
     }
 
-    /// Source centre frequency in Hz (default 0.35 — scaled-down analogue
+    /// Source centre frequency in Hz (default 0.15 — scaled-down analogue
     /// of the paper's 1 Hz Northridge runs).
     pub fn frequency(mut self, f: f64) -> Self {
         self.frequency = f;
@@ -374,11 +390,15 @@ impl SimulationBuilder {
                 solver.step();
             }
             sim_seconds += t0.elapsed().as_secs_f64();
-            let values: Vec<[f32; 3]> = node_map.iter().map(|&i| solver.velocity(i)).collect();
+            let floor = |c: f32| if c.abs() < VELOCITY_FLOOR { 0.0 } else { c };
+            let values: Vec<[f32; 3]> =
+                node_map.iter().map(|&i| solver.velocity(i).map(floor)).collect();
             for v in &values {
                 let m = (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt();
-                if m.is_nan() {
-                    return Err(format!("solver produced NaN at output step {t}"));
+                if !m.is_finite() {
+                    return Err(format!(
+                        "solver produced a non-finite velocity at output step {t}"
+                    ));
                 }
                 vmag_max = vmag_max.max(m);
             }
@@ -444,13 +464,28 @@ mod tests {
     use super::*;
     use quakeviz_rt::FnvLanes;
 
+    fn tiny_builder() -> SimulationBuilder {
+        SimulationBuilder::new().resolution(16).steps(6).frequency(0.3)
+    }
+
     fn tiny() -> Dataset {
-        SimulationBuilder::new()
-            .resolution(16)
-            .steps(6)
-            .frequency(0.3)
-            .run_to_dataset()
-            .expect("simulation")
+        tiny_builder().run_to_dataset().expect("simulation")
+    }
+
+    /// `tiny()`'s meta with the `key` line's value replaced by `value`.
+    fn open_with_meta(key: &str, value: &str) -> Result<Dataset, String> {
+        let ds = tiny();
+        let (meta, _) = ds.disk().read_full(META_FILE).unwrap();
+        let meta = String::from_utf8(meta).unwrap();
+        let meta: String = meta
+            .lines()
+            .map(|l| match l.split_once('=') {
+                Some((k, _)) if k == key => format!("{k}={value}\n"),
+                _ => format!("{l}\n"),
+            })
+            .collect();
+        ds.disk().write_file(META_FILE, meta.into_bytes());
+        Dataset::open(Arc::clone(ds.disk()))
     }
 
     #[test]
@@ -473,13 +508,57 @@ mod tests {
     fn step_files_hash_to_the_pinned_digest() {
         // the solver's output bytes, pinned: a solver change that moves one
         // bit of one step (an operation reordered, a reciprocal taken)
-        // fails here before it shows in a frame
+        // fails here before it shows in a frame. Re-pinned once, on purpose,
+        // when the solver began flushing below its subnormal horizon and
+        // the step files below the velocity floor: the solver answers to a
+        // budget since (DESIGN.md, quakeviz-seismic).
         let ds = tiny();
         let digest = (0..ds.steps()).fold(FnvLanes::new(), |h, t| {
             let (bytes, _) = ds.disk().read_full(&Dataset::step_path(t)).expect("step file");
             h.slice(&bytes)
         });
-        assert_eq!(digest.finish(), 0xe0cf_f1a5_c541_58f2, "dataset digest moved");
+        assert_eq!(digest.finish(), 0xde74_925d_09c2_841b, "dataset digest moved");
+    }
+
+    #[test]
+    fn the_solver_state_holds_no_subnormal_after_any_substep() {
+        let p = tiny_builder().producer().expect("producer");
+        let (mut solver, substeps) = (p.solver, p.substeps);
+        for step in 1..=substeps * 6 {
+            solver.step();
+            for (level, u) in solver.state().into_iter().enumerate() {
+                let sub = u.iter().position(|v| v.is_subnormal());
+                assert_eq!(sub, None, "substep {step}, time level {level}: a subnormal stored");
+            }
+        }
+    }
+
+    #[test]
+    fn step_files_hold_no_component_below_the_velocity_floor() {
+        let ds = tiny();
+        for t in 0..ds.steps() {
+            for c in ds.load_step(t).values().iter().flatten() {
+                assert!(*c == 0.0 || c.abs() >= VELOCITY_FLOOR, "step {t}: component {c:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn open_rejects_a_vmag_max_it_cannot_normalise_by() {
+        for bad in ["NaN", "inf", "-inf", "0", "-1"] {
+            let err = open_with_meta("vmag_max", bad).err().expect(bad);
+            assert!(err.contains("vmag_max=") && err.contains("finite and > 0"), "{bad}: {err}");
+        }
+        assert!(open_with_meta("vmag_max", "1e-3").is_ok());
+    }
+
+    #[test]
+    fn open_rejects_components_other_than_three() {
+        for bad in ["0", "1", "4"] {
+            let err = open_with_meta("components", bad).err().expect(bad);
+            assert!(err.contains(&format!("components={bad}")), "{bad}: {err}");
+        }
+        assert!(open_with_meta("components", "3").is_ok());
     }
 
     #[test]

@@ -4,14 +4,19 @@
 //! State is array-of-structs (`[f32; 3]` per node) and every neighbour goes
 //! through [`mirror`] inside the loop, so the loop cannot be vectorized
 //! across nodes; it is the plain statement of the arithmetic the kernel
-//! must reproduce bit for bit.
+//! must reproduce bit for bit. It flushes below the solver's horizon at the
+//! same two points the kernel does ([`AosSolver::new`]), or nowhere
+//! ([`AosSolver::unflushed`]), the form the flush's budget is measured
+//! against.
 
-use super::{mirror, WaveSolver};
+use super::{flush, mirror, WaveSolver};
 use quakeviz_rt::par::par_chunks_mut;
 
 /// A copy of a [`WaveSolver`]'s set-up with its own array-of-structs state.
 pub struct AosSolver<'a> {
     s: &'a WaveSolver,
+    /// Magnitudes below this are stored as 0; 0 flushes nothing.
+    horizon: f32,
     step: u64,
     u_prev: Vec<[f32; 3]>,
     u_curr: Vec<[f32; 3]>,
@@ -20,13 +25,23 @@ pub struct AosSolver<'a> {
 }
 
 impl<'a> AosSolver<'a> {
-    /// Start from `s`'s material, sponge and source at rest; `s` itself
-    /// must not have stepped.
+    /// Start from `s`'s material, sponge, source and horizon at rest; `s`
+    /// itself must not have stepped.
     pub fn new(s: &'a WaveSolver) -> AosSolver<'a> {
+        AosSolver::with_horizon(s, s.horizon)
+    }
+
+    /// [`AosSolver::new`] storing every value it computes, subnormal or not.
+    pub fn unflushed(s: &'a WaveSolver) -> AosSolver<'a> {
+        AosSolver::with_horizon(s, 0.0)
+    }
+
+    fn with_horizon(s: &'a WaveSolver, horizon: f32) -> AosSolver<'a> {
         assert_eq!(s.step, 0, "the reference starts from a solver at rest");
         let n = s.rho_inv.len();
         AosSolver {
             s,
+            horizon,
             step: 0,
             u_prev: vec![[0.0; 3]; n],
             u_curr: vec![[0.0; 3]; n],
@@ -77,6 +92,7 @@ impl<'a> AosSolver<'a> {
         let div = &self.div;
         let u_prev = &self.u_prev;
         let (mu, lam_mu, rho_inv, sponge) = (&s.mu, &s.lam_mu, &s.rho_inv, &s.sponge);
+        let eps = self.horizon;
         par_chunks_mut(&mut self.u_next, plane, |z, nplane| {
             for y in 0..ny {
                 for x in 0..nx {
@@ -107,7 +123,7 @@ impl<'a> AosSolver<'a> {
                     // sponge damps the new value (Cerjan)
                     let s = sponge[i];
                     for c in &mut next {
-                        *c *= s;
+                        *c = flush(*c * s, eps).0;
                     }
                     nplane[li] = next;
                 }
@@ -119,7 +135,7 @@ impl<'a> AosSolver<'a> {
             for &(i, w) in &s.source_nodes {
                 let f = stf * w * dt2 * s.rho_inv[i];
                 for c in 0..3 {
-                    self.u_next[i][c] += f * dir[c];
+                    self.u_next[i][c] = flush(self.u_next[i][c] + f * dir[c], eps).0;
                 }
             }
         }

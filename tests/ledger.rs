@@ -100,6 +100,7 @@ kernels: work.lic.pixels=16384 work.lic.streamline_steps=384152 work.raycast.ear
   work.raycast.rays=4900 work.raycast.samples=69268 work.raycast.samples_culled=33772
 kernels_lit: work.raycast.early_terminated=1264 work.raycast.gradients=35408 work.raycast.rays=4900
   work.raycast.samples=69268 work.raycast.samples_culled=33772
+seismic_16: work.seismic.flushed=187
 ";
 
 fn parse(table: &'static str) -> Vec<(&'static str, Ledger)> {
@@ -286,6 +287,17 @@ fn kernel_ledgers() -> [Ledger; 2] {
     [unlit, ticks()]
 }
 
+/// A 16³ × 6 generation, counted on its own: the displacement values its
+/// solver flushed below the subnormal horizon.
+fn solver_ledger() -> Ledger {
+    use quakeviz::seismic::SimulationBuilder;
+    prof::set_enabled(true);
+    prof::reset();
+    let sim = SimulationBuilder::new().resolution(16).steps(6).frequency(0.3);
+    sim.run_to_dataset().expect("generation");
+    prof::snapshot().into_iter().map(|(k, v)| (format!("work.{k}"), v)).collect()
+}
+
 #[test]
 fn deterministic_counters_match_the_pinned_table() {
     let mut book = Book { pinned: parse(PINNED), now: Vec::new(), diffs: Vec::new() };
@@ -343,6 +355,7 @@ fn deterministic_counters_match_the_pinned_table() {
     let [kernels, kernels_lit] = kernel_ledgers();
     book.check("kernels", kernels, |_| true);
     book.check("kernels_lit", kernels_lit, |_| true);
+    book.check("seismic_16", solver_ledger(), |_| true);
 
     for (run, _) in &book.pinned {
         assert!(book.now.iter().any(|(r, _)| r == run), "pinned run {run} no longer runs");
