@@ -3,7 +3,9 @@
 //! The network-data-cache architecture of Bethel et al. (PAPERS.md), cut
 //! to this pipeline's two repeat-consumers:
 //!
-//! * a **block cache** — an LRU over decoded field data keyed by
+//! * a **block cache** — an LRU over the per-node velocity magnitudes an
+//!   input rank's fetch reduced (4 bytes a node, what the read path
+//!   consumes — no vector field is kept) keyed by
 //!   `(step, block, level)`, capacity-bounded in bytes, sitting between
 //!   the input ranks and the parallel file system. A hit skips the disk
 //!   read (and its simulated cost) entirely; temporal enhancement's
@@ -47,7 +49,7 @@ pub const DEFAULT_FRAMES: usize = 64;
 /// `frames == 0` the frame level; both zero means the tier is off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Block-cache capacity, mebibytes of decoded field data.
+    /// Block-cache capacity, mebibytes of fetched magnitudes.
     pub blocks_mb: usize,
     /// Frame-cache capacity, number of rendered frames.
     pub frames: usize,
@@ -96,7 +98,7 @@ impl CacheConfig {
     }
 }
 
-/// Key of one decoded block of field data.
+/// Key of one fetch's magnitudes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlockKey {
     pub step: u32,
@@ -106,12 +108,12 @@ pub struct BlockKey {
     pub level: u8,
 }
 
-/// Checksum of a buffer of `f32` vectors (decoded field nodes, pixels):
+/// Checksum of a buffer of `f32` values (magnitudes, pixel channels):
 /// the word-parallel digest ([`FnvLanes`]) over their little-endian bytes,
 /// staged 64 values at a time.
-pub fn field_checksum<const N: usize>(data: &[[f32; N]]) -> u64 {
+pub fn field_checksum(data: &[f32]) -> u64 {
     let mut h = FnvLanes::new();
-    for chunk in data.as_flattened().chunks(64) {
+    for chunk in data.chunks(64) {
         let mut bytes = [[0u8; 4]; 64];
         for (b, v) in bytes.iter_mut().zip(chunk) {
             *b = v.to_le_bytes();
@@ -226,8 +228,9 @@ impl<K: Copy + Eq + Hash, V: Clone> Lru<K, V> {
     }
 }
 
-/// The per-input-rank block level: byte-bounded LRU over decoded fields.
-pub struct BlockCache(Lru<BlockKey, Arc<Vec<[f32; 3]>>>);
+/// The per-input-rank block level: byte-bounded LRU over fetched
+/// per-node magnitudes.
+pub struct BlockCache(Lru<BlockKey, Arc<Vec<f32>>>);
 
 impl BlockCache {
     pub fn new(capacity_bytes: u64) -> BlockCache {
@@ -240,15 +243,15 @@ impl BlockCache {
     }
 
     /// Look up a block, checksum-verified: a mismatch is a reject+miss.
-    pub fn get(&self, key: BlockKey) -> Option<Arc<Vec<[f32; 3]>>> {
+    pub fn get(&self, key: BlockKey) -> Option<Arc<Vec<f32>>> {
         self.0.get(key)
     }
 
     /// Insert a block and return the keys evicted to restore the capacity
     /// bound, in eviction order (the recency certificate the property tests
     /// check). An entry larger than the whole capacity is not stored.
-    pub fn insert(&self, key: BlockKey, data: Arc<Vec<[f32; 3]>>) -> Vec<BlockKey> {
-        let bytes = (data.len() * 12) as u64;
+    pub fn insert(&self, key: BlockKey, data: Arc<Vec<f32>>) -> Vec<BlockKey> {
+        let bytes = (data.len() * 4) as u64;
         self.0.insert(key, data, bytes)
     }
 
@@ -329,7 +332,9 @@ pub struct FrameCache(Lru<FrameKey, RgbaImage>);
 
 impl FrameCache {
     pub fn new(capacity_frames: usize) -> FrameCache {
-        FrameCache(Lru::new(capacity_frames as u64, |img| field_checksum(img.pixels())))
+        FrameCache(Lru::new(capacity_frames as u64, |img| {
+            field_checksum(img.pixels().as_flattened())
+        }))
     }
 
     pub fn enabled(&self) -> bool {
@@ -486,8 +491,8 @@ mod tests {
         }
     }
 
-    fn field(n: usize, seed: f32) -> Arc<Vec<[f32; 3]>> {
-        Arc::new((0..n).map(|i| [seed, i as f32, seed + i as f32]).collect())
+    fn field(n: usize, seed: f32) -> Arc<Vec<f32>> {
+        Arc::new((0..n).map(|i| seed + i as f32).collect())
     }
 
     #[test]
@@ -521,7 +526,7 @@ mod tests {
         let data = field(100, 1.0);
         c.insert(k, Arc::clone(&data));
         assert_eq!(c.get(k).unwrap(), data);
-        assert_eq!(c.bytes(), 1200);
+        assert_eq!(c.bytes(), 400);
         let c2 = c.0.lock().map.len();
         assert_eq!(c2, 1);
         assert_eq!(c.0.hits.load(Ordering::Relaxed), 1);
@@ -530,8 +535,8 @@ mod tests {
 
     #[test]
     fn block_cache_evicts_lru_within_capacity() {
-        // capacity for exactly two 1200-byte entries
-        let c = BlockCache::new(2400);
+        // capacity for exactly two 400-byte entries
+        let c = BlockCache::new(800);
         let keys: Vec<BlockKey> =
             (0..3).map(|i| BlockKey { step: i, block: i, level: 0 }).collect();
         assert!(c.insert(keys[0], field(100, 0.0)).is_empty());
@@ -541,7 +546,7 @@ mod tests {
         let evicted = c.insert(keys[2], field(100, 2.0));
         assert_eq!(evicted, vec![keys[1]]);
         assert!(c.get(keys[0]).is_some() && c.get(keys[2]).is_some());
-        assert!(c.bytes() <= 2400);
+        assert!(c.bytes() <= 800);
         // an entry bigger than the whole capacity is refused, not stored
         assert!(c.insert(BlockKey { step: 9, block: 9, level: 9 }, field(300, 9.0)).is_empty());
         assert!(c.get(BlockKey { step: 9, block: 9, level: 9 }).is_none());
@@ -565,12 +570,12 @@ mod tests {
     #[test]
     fn field_checksum_covers_every_bit_of_every_value() {
         let data = field(70, 0.5);
-        let bytes: Vec<u8> = data.iter().flatten().flat_map(|v| v.to_le_bytes()).collect();
+        let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
         let clean = field_checksum(&data);
         assert_eq!(clean, FnvLanes::new().slice(&bytes).finish());
-        for (i, bit) in (0..70 * 3).flat_map(|i| (0..32).map(move |bit| (i, bit))) {
+        for (i, bit) in (0..70).flat_map(|i| (0..32).map(move |bit| (i, bit))) {
             let mut flipped = data.as_ref().clone();
-            let v = &mut flipped[i / 3][i % 3];
+            let v = &mut flipped[i];
             *v = f32::from_bits(v.to_bits() ^ 1 << bit);
             assert_ne!(field_checksum(&flipped), clean, "value {i} bit {bit}");
         }

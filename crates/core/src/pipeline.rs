@@ -1046,41 +1046,39 @@ fn fetch_identity(plan: &FetchPlan) -> u32 {
     (h as u32) ^ ((h >> 32) as u32)
 }
 
-/// Dense per-node vectors for the step plus the stats of getting them.
-/// `Err` means the read failed for good (retries exhausted under the
-/// fault plan); nothing is charged to the step's stats.
+/// Per-node velocity magnitudes of the step plus the stats of getting
+/// them, reduced from the bytes the store lends
+/// ([`FetchPlan::read_magnitudes`]). `Err` means the read failed for good
+/// (retries exhausted under the fault plan, or a malformed step file);
+/// nothing is charged to the step's stats.
 fn fetch_step(
     run: &Run,
     input: &InputCtx,
     t: usize,
     sf: &SliceFetch,
-) -> Result<(Vec<[f32; 3]>, ReadStats), ReadError> {
+) -> Result<(Vec<f32>, ReadStats), ReadError> {
     let cached = run.cache.as_ref().zip(sf.cache_id).map(|(tier, block)| {
         (&tier.blocks, BlockKey { step: t as u32, block, level: input.level })
     });
     if let Some((blocks, key)) = &cached {
-        if let Some(data) = blocks.get(*key) {
+        if let Some(mag) = blocks.get(*key) {
             // a checksum-verified hit skips the disk entirely: no
             // simulated cost, no fault roll (rolls are stateless per
             // site, so skipping one cannot shift another read's luck),
             // no injected delay
-            return Ok((data.as_ref().clone(), ReadStats::default()));
+            return Ok((mag.as_ref().clone(), ReadStats::default()));
         }
     }
     let ctx = FaultCtx { plan: &run.faults, retry: input.retry, step: t as u32 };
     let (disk, mesh) = (run.dataset.disk(), run.dataset.mesh());
-    let (dense, mut stats) = sf.fetch.read(disk, mesh, t, 1 << 16, Some(&ctx))?;
+    let (mag, mut stats) = sf.fetch.read_magnitudes(disk, mesh, t, 1 << 16, Some(&ctx))?;
     input.inject_io_delay(&mut stats);
     // only fully successful fetches are cached — a hit can therefore
     // never mask the recovery path a cache-off run would have taken
     if let Some((blocks, key)) = cached {
-        blocks.insert(key, Arc::new(dense.clone()));
+        blocks.insert(key, Arc::new(mag.clone()));
     }
-    Ok((dense, stats))
-}
-
-fn magnitudes(dense: &[[f32; 3]]) -> Vec<f32> {
-    dense.iter().map(|v| (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt()).collect()
+    Ok((mag, stats))
 }
 
 /// Read + preprocess one step into the enhanced magnitude field — the
@@ -1095,30 +1093,26 @@ fn prepare_step(
     t: usize,
 ) -> (Option<Vec<f32>>, ReadStats) {
     let mut sp = obs::span(Phase::Read, t as u32);
-    let Ok((dense, mut stats)) = fetch_step(run, input, t, sf) else {
+    let Ok((mut mag, mut stats)) = fetch_step(run, input, t, sf) else {
         return (None, ReadStats::default());
     };
     sp.add_bytes(stats.useful_bytes);
     drop(sp);
 
-    // preprocessing: magnitude + optional temporal enhancement (the
-    // previous step's re-fetch is disk time, so it gets a Read span of
-    // its own rather than inflating Preprocess)
-    let pp = obs::span(Phase::Preprocess, t as u32);
-    let mut mag = magnitudes(&dense);
-    drop(pp);
+    // preprocessing: optional temporal enhancement (the magnitudes come
+    // with the read; the previous step's re-fetch is disk time, so it gets
+    // a Read span of its own rather than inflating Preprocess)
     if input.enhancement && t > 0 {
         let mut sp = obs::span(Phase::Read, t as u32);
         // enhancement needs the previous step too: if that read fails the
         // enhanced field cannot be computed and the whole step is missing
-        let Ok((prev_dense, prev_stats)) = fetch_step(run, input, t - 1, sf) else {
+        let Ok((prev_mag, prev_stats)) = fetch_step(run, input, t - 1, sf) else {
             return (None, stats);
         };
         sp.add_bytes(prev_stats.useful_bytes);
         drop(sp);
         stats.accumulate(&prev_stats);
         let pp = obs::span(Phase::Preprocess, t as u32);
-        let prev_mag = magnitudes(&prev_dense);
         mag = TemporalEnhance::default()
             .apply(&NodeField::new(mag), Some(&NodeField::new(prev_mag)), None)
             .values()

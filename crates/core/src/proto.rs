@@ -200,8 +200,9 @@ impl std::fmt::Display for Degradation {
 /// bytes — the only form block values take between here and the receiver's
 /// field: `f32` little-endian (`kind` 0), or 8-bit quantized against `scale`
 /// (`kind` 1; paper §4 lists quantization among the input-processor
-/// preprocessing tasks). A slice the sender could not read is not values
-/// but a [`missing_piece`].
+/// preprocessing tasks). Either way each value is written once, into a
+/// buffer allocated at the piece's final size. A slice the sender could
+/// not read is not values but a [`missing_piece`].
 pub(crate) fn gather_values(
     mag: &[f32],
     ids: &[NodeId],
@@ -212,11 +213,8 @@ pub(crate) fn gather_values(
         let q = if scale > 0.0 { 255.0 / scale } else { 0.0 };
         (1, ids.iter().map(|&id| (mag[id as usize] * q).clamp(0.0, 255.0) as u8).collect())
     } else {
-        let mut raw = Vec::with_capacity(ids.len() * 4);
-        for &id in ids {
-            raw.extend_from_slice(&mag[id as usize].to_le_bytes());
-        }
-        (0, raw)
+        let words: Vec<[u8; 4]> = ids.iter().map(|&id| mag[id as usize].to_le_bytes()).collect();
+        (0, words.into_flattened())
     }
 }
 

@@ -23,7 +23,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 
 /// A failed read on the virtual parallel file system.
 ///
-/// The first two variants are genuine caller bugs or dataset mismatches
+/// The first three variants are genuine caller bugs or dataset mismatches
 /// (the readers compute their patterns from the same mesh that wrote the
 /// file); the last two are *injected* transient conditions from a
 /// [`quakeviz_rt::fault::FaultPlan`] and are retryable.
@@ -33,6 +33,9 @@ pub enum ReadError {
     NoSuchFile { path: String },
     /// An extent reaches past end-of-file.
     OutOfRange { path: String, offset: u64, len: u64, file_len: u64 },
+    /// The file's length is not the one its layout requires (a truncated
+    /// or padded step file): nothing is read.
+    WrongLength { path: String, file_len: u64, expected: u64 },
     /// Injected transient I/O failure (nothing was transferred).
     TransientIo { path: String, attempt: u32 },
     /// Injected corrupted stripe: the transfer happened but the stripe
@@ -48,6 +51,9 @@ impl fmt::Display for ReadError {
             }
             ReadError::OutOfRange { path, offset, len, file_len } => {
                 write!(f, "read [{offset}, {}) past EOF of {path} (len {file_len})", offset + len)
+            }
+            ReadError::WrongLength { path, file_len, expected } => {
+                write!(f, "{path} is {file_len} bytes, its layout needs {expected}")
             }
             ReadError::TransientIo { path, attempt } => {
                 write!(f, "transient I/O error reading {path} (attempt {attempt})")
@@ -299,18 +305,27 @@ impl Disk {
         self.file(path).map(|d| d.len() as u64)
     }
 
-    /// Read a set of byte extents from `path`, returning the concatenated
-    /// data (extent order) and the simulated elapsed seconds.
+    /// Lend the bytes of `extents` of `path` to `visit`, one call per
+    /// extent in extent order with the extent's file offset, and return
+    /// the simulated elapsed seconds. Nothing is copied: `visit` reads the
+    /// stored bytes in place.
     ///
-    /// Extents past end-of-file are a typed [`ReadError::OutOfRange`]: the
-    /// readers compute their patterns from the same mesh that wrote the
-    /// file, so a mismatch is a dataset bug, but it must surface as an
-    /// error the pipeline can degrade on, not a panic.
-    pub fn read_extents(
+    /// `visit` runs inside the read's `active_readers` bracket, where
+    /// [`Disk::read_extents`] copies: a stream is reading while it
+    /// consumes. The cost, the concurrency it is charged at and the
+    /// per-OST counters are those of the copying read.
+    ///
+    /// Extents past end-of-file are a typed [`ReadError::OutOfRange`],
+    /// raised before any byte is lent: the readers compute their patterns
+    /// from the same mesh that wrote the file, so a mismatch is a dataset
+    /// bug, but it must surface as an error the pipeline can degrade on,
+    /// not a panic.
+    pub fn lend_extents(
         &self,
         path: &str,
         extents: &[(u64, u64)],
-    ) -> Result<(Vec<u8>, f64), ReadError> {
+        mut visit: impl FnMut(u64, &[u8]),
+    ) -> Result<f64, ReadError> {
         let data = self.file(path)?;
         for &(off, len) in extents {
             if off + len > data.len() as u64 {
@@ -323,18 +338,27 @@ impl Disk {
             }
         }
         let shards = self.shards();
-        let concurrent = self.active_readers.fetch_add(1, Ordering::SeqCst) + 1;
+        let reading = Reading::enter(&self.active_readers);
+        for &(off, len) in extents {
+            visit(off, &data[off as usize..(off + len) as usize]);
+        }
+        Ok(match &shards {
+            Some(sh) => sh.read_cost(&self.cost, extents),
+            None => self.cost.read_cost(extents, reading.concurrent),
+        })
+    }
+
+    /// Read a set of byte extents from `path`, returning the concatenated
+    /// data (extent order) and the simulated elapsed seconds: the copying
+    /// sink over [`Disk::lend_extents`].
+    pub fn read_extents(
+        &self,
+        path: &str,
+        extents: &[(u64, u64)],
+    ) -> Result<(Vec<u8>, f64), ReadError> {
         let total: u64 = extents.iter().map(|&(_, l)| l).sum();
         let mut out = Vec::with_capacity(total as usize);
-        for &(off, len) in extents {
-            let (off, len) = (off as usize, len as usize);
-            out.extend_from_slice(&data[off..off + len]);
-        }
-        let cost = match &shards {
-            Some(sh) => sh.read_cost(&self.cost, extents),
-            None => self.cost.read_cost(extents, concurrent),
-        };
-        self.active_readers.fetch_sub(1, Ordering::SeqCst);
+        let cost = self.lend_extents(path, extents, |_, bytes| out.extend_from_slice(bytes))?;
         Ok((out, cost))
     }
 
@@ -347,6 +371,27 @@ impl Disk {
     pub fn read_full(&self, path: &str) -> Result<(Vec<u8>, f64), ReadError> {
         let len = self.published_len(path)?;
         self.read_at(path, 0, len)
+    }
+}
+
+/// One stream inside a read call: counted into `active_readers` on entry
+/// and out again on drop, so a visitor that panics cannot leave the disk
+/// charging every later read for a reader that is gone.
+struct Reading<'a> {
+    active: &'a AtomicUsize,
+    /// Streams reading, this one included, when it entered.
+    concurrent: usize,
+}
+
+impl<'a> Reading<'a> {
+    fn enter(active: &'a AtomicUsize) -> Reading<'a> {
+        Reading { active, concurrent: active.fetch_add(1, Ordering::SeqCst) + 1 }
+    }
+}
+
+impl Drop for Reading<'_> {
+    fn drop(&mut self) {
+        self.active.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -404,6 +449,34 @@ mod tests {
         disk.write_file("b", (0..100u8).collect());
         let (got, _) = disk.read_extents("b", &[(90, 5), (0, 3)]).unwrap();
         assert_eq!(got, vec![90, 91, 92, 93, 94, 0, 1, 2]);
+    }
+
+    #[test]
+    fn lent_extents_are_the_copied_bytes_in_place() {
+        let disk = Disk::new(small_model());
+        disk.write_file("l", (0..250u8).collect());
+        let extents = [(90, 5), (0, 3), (120, 130)];
+        let mut lent = Vec::new();
+        let cost = disk.lend_extents("l", &extents, |off, bytes| lent.push((off, bytes.to_vec())));
+        let (copied, copy_cost) = disk.read_extents("l", &extents).unwrap();
+        assert_eq!(cost.unwrap().to_bits(), copy_cost.to_bits());
+        assert_eq!(lent.iter().map(|(off, b)| (*off, b.len() as u64)).collect::<Vec<_>>(), extents);
+        assert_eq!(lent.into_iter().flat_map(|(_, b)| b).collect::<Vec<_>>(), copied);
+        // nothing is lent from a read that fails its range check
+        let mut called = false;
+        assert!(disk.lend_extents("l", &[(0, 1), (249, 2)], |_, _| called = true).is_err());
+        assert!(!called);
+    }
+
+    #[test]
+    fn a_panicking_visitor_leaves_no_reader_behind() {
+        let disk = Disk::new(small_model());
+        disk.write_file("p", vec![0u8; 100]);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            disk.lend_extents("p", &[(0, 10)], |_, _| panic!("visitor fails"))
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(disk.active_readers.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -106,11 +106,13 @@ pub fn sieve_extents(extents: &[(u64, u64)], window: u64) -> Vec<(u64, u64)> {
     out
 }
 
-/// The result of a read: data in pattern order plus accounting.
+/// The result of a read: data in pattern order plus accounting. A lent
+/// read ([`PFile::lend_contiguous_with`] and its siblings) hands its bytes
+/// to a visitor instead and carries no data (`T = ()`).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReadOutcome {
+pub struct ReadOutcome<T = Vec<u8>> {
     /// The requested bytes, concatenated in datatype (extent) order.
-    pub data: Vec<u8>,
+    pub data: T,
     /// Simulated elapsed seconds of disk activity on the calling rank's
     /// critical path.
     pub sim_seconds: f64,
@@ -123,6 +125,27 @@ pub struct ReadOutcome {
     /// Bytes exchanged between ranks during a collective read (0 for
     /// independent reads).
     pub bytes_exchanged: u64,
+}
+
+impl<T> ReadOutcome<T> {
+    /// The same accounting over other data.
+    pub fn with_data<U>(self, data: U) -> ReadOutcome<U> {
+        let ReadOutcome {
+            sim_seconds, disk_bytes, useful_bytes, requests, bytes_exchanged, ..
+        } = self;
+        ReadOutcome { data, sim_seconds, disk_bytes, useful_bytes, requests, bytes_exchanged }
+    }
+}
+
+/// The copying sink over a lent read: run `lend` with a visitor that
+/// appends each lent extent to one buffer of `len` bytes.
+fn collect(
+    len: u64,
+    lend: impl FnOnce(&mut dyn FnMut(u64, &[u8])) -> Result<ReadOutcome<()>, ReadError>,
+) -> Result<ReadOutcome, ReadError> {
+    let mut data = Vec::with_capacity(len as usize);
+    let out = lend(&mut |_, bytes| data.extend_from_slice(bytes))?;
+    Ok(out.with_data(data))
 }
 
 /// A handle to one file on the virtual parallel file system.
@@ -202,12 +225,27 @@ impl PFile {
         plan: Option<&FaultPlan>,
         attempt: u32,
     ) -> Result<ReadOutcome, ReadError> {
+        collect(len, |visit| self.lend_contiguous_with(offset, len, plan, attempt, visit))
+    }
+
+    /// [`PFile::read_contiguous_with`] lending the bytes instead of copying
+    /// them: `visit` gets `(offset, bytes)` of the extent, in place
+    /// ([`Disk::lend_extents`]). The fault roll comes first, so a failed
+    /// attempt lends nothing.
+    pub fn lend_contiguous_with(
+        &self,
+        offset: u64,
+        len: u64,
+        plan: Option<&FaultPlan>,
+        attempt: u32,
+        visit: impl FnMut(u64, &[u8]),
+    ) -> Result<ReadOutcome<()>, ReadError> {
         let mut sp = obs::auto_span(obs::Phase::IoRead, obs::NO_STEP);
         sp.add_bytes(len);
         let slow = self.check_fault(plan, attempt, &[(offset, len)])?;
-        let (data, cost) = self.disk.read_at(&self.path, offset, len)?;
+        let cost = self.disk.lend_extents(&self.path, &[(offset, len)], visit)?;
         Ok(ReadOutcome {
-            data,
+            data: (),
             sim_seconds: cost * slow + self.retry_seek_cost(attempt),
             disk_bytes: len,
             useful_bytes: len,
@@ -237,35 +275,69 @@ impl PFile {
         plan: Option<&FaultPlan>,
         attempt: u32,
     ) -> Result<ReadOutcome, ReadError> {
+        collect(dt.total_bytes(), |visit| {
+            self.lend_indexed_with(dt, sieve_window, plan, attempt, visit)
+        })
+    }
+
+    /// [`PFile::read_indexed_with`] lending the bytes: the disk lends each
+    /// sieved extent in place and `visit` gets `(offset, bytes)` of every
+    /// wanted extent inside it, in extent order — the sieving waste is
+    /// skipped, never copied.
+    pub fn lend_indexed_with(
+        &self,
+        dt: &IndexedBlockType,
+        sieve_window: u64,
+        plan: Option<&FaultPlan>,
+        attempt: u32,
+        mut visit: impl FnMut(u64, &[u8]),
+    ) -> Result<ReadOutcome<()>, ReadError> {
         let mut sp = obs::auto_span(obs::Phase::IoRead, obs::NO_STEP);
         let wanted = dt.extents();
         let merged = sieve_extents(&wanted, sieve_window);
         let slow = self.check_fault(plan, attempt, &merged)?;
-        let (buf, cost) = self.disk.read_extents(&self.path, &merged)?;
+        // sieving merges whole extents, so each wanted extent lies inside
+        // exactly one merged one, and both lists are sorted
+        let mut next = 0usize;
+        let cost = self.disk.lend_extents(&self.path, &merged, |moff, buf| {
+            let mend = moff + buf.len() as u64;
+            while let Some(&(off, len)) = wanted.get(next).filter(|&&(o, l)| o + l <= mend) {
+                debug_assert!(off >= moff, "wanted extent outside its merged extent");
+                let p = (off - moff) as usize;
+                visit(off, &buf[p..p + len as usize]);
+                next += 1;
+            }
+        })?;
         let disk_bytes: u64 = merged.iter().map(|&(_, l)| l).sum();
         sp.add_bytes(disk_bytes);
-        // extract the wanted pieces out of the merged buffer
-        let mut data = Vec::with_capacity(dt.total_bytes() as usize);
-        let mut mi = 0usize;
-        let mut mstart = 0u64; // position of merged[mi] in buf
-        for &(off, len) in &wanted {
-            while mi < merged.len() && off >= merged[mi].0 + merged[mi].1 {
-                mstart += merged[mi].1;
-                mi += 1;
-            }
-            let (moff, mlen) = merged[mi];
-            debug_assert!(off >= moff && off + len <= moff + mlen);
-            let p = (mstart + (off - moff)) as usize;
-            data.extend_from_slice(&buf[p..p + len as usize]);
-        }
         Ok(ReadOutcome {
-            data,
+            data: (),
             sim_seconds: cost * slow + self.retry_seek_cost(attempt),
             disk_bytes,
             useful_bytes: dt.total_bytes(),
             requests: merged.len() as u64,
             bytes_exchanged: 0,
         })
+    }
+
+    /// [`PFile::read_all`] lending its result: the two-phase exchange
+    /// assembles each rank's extents from pieces cut at file-domain
+    /// boundaries (which split elements), so the assembled buffer is lent
+    /// to `visit` as `(offset, bytes)` per extent, in extent order.
+    pub fn lend_all(
+        &self,
+        comm: &Comm,
+        dt: &IndexedBlockType,
+        sieve_window: u64,
+        mut visit: impl FnMut(u64, &[u8]),
+    ) -> Result<ReadOutcome<()>, ReadError> {
+        let out = self.read_all(comm, dt, sieve_window)?;
+        let mut at = 0usize;
+        for (off, len) in dt.extents() {
+            visit(off, &out.data[at..at + len as usize]);
+            at += len as usize;
+        }
+        Ok(out.with_data(()))
     }
 
     /// Collective noncontiguous read (paper §5.3.1): all ranks of `comm`

@@ -533,6 +533,22 @@ mod tests {
         }
     }
 
+    /// The flush itself, pinned. `tiny()`'s digest cannot see it: a
+    /// non-flushing `WaveSolver::step` writes the same step bytes from
+    /// 16³ × 6 up to 16³ × 192, every dropped value far below the 2⁻⁶³
+    /// velocity floor and half an ulp of what it feeds. At 32³ the
+    /// flush's rounding reaches the step files from the first output step
+    /// on, so one step of the 32³ generation is the smallest dataset whose
+    /// bytes pin the flushing solver.
+    #[test]
+    fn the_flush_reaches_the_pinned_32_cubed_step_file() {
+        let ds = SimulationBuilder::new().resolution(32).steps(1).frequency(0.3);
+        let ds = ds.run_to_dataset().expect("simulation");
+        let (bytes, _) = ds.disk().read_full(&Dataset::step_path(0)).expect("step file");
+        let digest = FnvLanes::new().slice(&bytes).finish();
+        assert_eq!(digest, 0xf48b_afe6_3676_336f, "32³ step digest moved");
+    }
+
     #[test]
     fn step_files_hold_no_component_below_the_velocity_floor() {
         let ds = tiny();

@@ -83,6 +83,13 @@ ratchet "one input read path (crates/core/src)" 0 "$(count_sites \
     'ReadStrategy|read_collective|group_comm|comm_group|contiguous_reads' \
     "${core_sources[@]}" crates/core/src/proto.rs)"
 
+# The input rank touches each step once: its reads reduce the bytes the
+# store lends straight to magnitudes (`FetchPlan::read_magnitudes`), so no
+# dense vector field and no second magnitude pass may grow back into the
+# pipeline.
+ratchet "dense vector step on the input path (pipeline.rs)" 0 "$(count_sites \
+    'Vec<\\[f32; 3\\]>|magnitudes\\(&' crates/core/src/pipeline.rs)"
+
 # Payload digests: the in-memory bulk integrity checks — wire pieces
 # (`proto::piece_checksum`) and cache entries (`cache::field_checksum`) —
 # run through the word-parallel `rt::FnvLanes`; the byte-serial `Fnv1a`

@@ -23,6 +23,33 @@ fn assert_all_frames_identical(a: &PipelineReport, b: &PipelineReport, what: &st
     }
 }
 
+/// A step file one node short — a dataset bug, not an injected fault —
+/// fails that step's reads with a typed error instead of panicking the
+/// input rank: its frame is delivered within seconds, flagged for every
+/// block and the overlay, and the frames around it are the clean run's.
+#[test]
+fn a_truncated_step_file_degrades_its_frame_not_the_run() {
+    let ds = SimulationBuilder::new().resolution(16).steps(3).run_to_dataset().unwrap();
+    let io = IoStrategy::OneDip { input_procs: 2 };
+    let clean = builder(&ds, io).lic(true).run().expect("clean pipeline");
+    let path = Dataset::step_path(1);
+    let (mut bytes, _) = ds.disk().read_full(&path).expect("step file");
+    bytes.truncate(bytes.len() - 12);
+    ds.disk().write_file(&path, bytes);
+    let start = std::time::Instant::now();
+    let report = builder(&ds, io).lic(true).run().expect("a malformed step must not fail the run");
+    let took = start.elapsed();
+    assert!(took.as_secs() < 10, "the malformed step stalled the run for {took:?}");
+    assert_eq!(report.frames.len(), ds.steps());
+    assert_eq!(report.degraded_frame_count(), 1, "{:?}", report.degraded);
+    let flags = &report.degraded[1];
+    assert!(flags.contains(&Degradation::MissingLic), "{flags:?}");
+    assert!(flags.iter().any(|d| matches!(d, Degradation::MissingBlock { .. })), "{flags:?}");
+    for t in [0, 2] {
+        assert_eq!(report.frames[t].pixels(), clean.frames[t].pixels(), "frame {t}");
+    }
+}
+
 /// Every frame's degradation flags are sorted with no duplicates, in
 /// whatever order the ranks raised them.
 fn assert_flags_sorted(report: &PipelineReport, what: &str) {

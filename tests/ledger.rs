@@ -32,67 +32,73 @@ const PINNED: &str = "
   bytes.volume_image=262144 frames=4 messages=71 msgs.block_data=12 msgs.collective=34
   msgs.composite=21 msgs.volume_image=4 wire.keyframes.block_data=256
   work.raycast.bricks_skipped=183 work.raycast.rays=18109 work.raycast.samples=86478
-  work.raycast.samples_culled=54163 work.slic.over_px=29948
+  work.raycast.samples_culled=54163 work.reader.bytes_lent=1543632 work.slic.over_px=29948
 2dip_g2x2_r3: bytes.block_data=676352 bytes.collective=3892 bytes.composite=328960
   bytes.raw.block_data=676352 bytes.raw.volume_image=262144 bytes.total=1271348
   bytes.volume_image=262144 frames=4 messages=87 msgs.block_data=24 msgs.collective=38
   msgs.composite=21 msgs.volume_image=4 wire.keyframes.block_data=348
   work.raycast.bricks_skipped=183 work.raycast.rays=18109 work.raycast.samples=86478
-  work.raycast.samples_culled=54163 work.slic.over_px=29948
+  work.raycast.samples_culled=54163 work.reader.bytes_lent=1543632 work.slic.over_px=29948
 1dip_faulted_s11: bytes.block_data=676352 bytes.collective=3892 bytes.composite=328960
   bytes.raw.block_data=676352 bytes.raw.volume_image=262144 bytes.total=1271348
   bytes.volume_image=262144 fault_events=3 frames=4 messages=71 msgs.block_data=12
   msgs.collective=34 msgs.composite=21 msgs.volume_image=4 recovery.retries=3
   wire.keyframes.block_data=256 work.raycast.bricks_skipped=183 work.raycast.rays=18109
-  work.raycast.samples=86478 work.raycast.samples_culled=54163 work.slic.over_px=29948
+  work.raycast.samples=86478 work.raycast.samples_culled=54163 work.reader.bytes_lent=1543632
+  work.slic.over_px=29948
 1dip_r3_elastic_t2: bytes.block_data=676352 bytes.volume_image=262144 frames=4
   work.raycast.bricks_skipped=183 work.raycast.rays=18109 work.raycast.samples=86478
-  work.raycast.samples_culled=54163 work.slic.over_px=29948
+  work.raycast.samples_culled=54163 work.reader.bytes_lent=1543632 work.slic.over_px=29948
 1dip_rejoin_s1: bytes.block_data=676352 bytes.collective=3084 bytes.composite=285888
   bytes.raw.block_data=676352 bytes.raw.volume_image=262144 bytes.recovery=208 bytes.total=1227676
   bytes.volume_image=262144 fault_events=2 frames=4 messages=74 msgs.block_data=10
   msgs.collective=28 msgs.composite=13 msgs.recovery=19 msgs.volume_image=4 recovery.rejoins=1
   recovery.render_failovers=2 wire.keyframes.block_data=256 work.raycast.bricks_skipped=183
   work.raycast.rays=18109 work.raycast.samples=86478 work.raycast.samples_culled=54163
-  work.slic.over_px=29948
+  work.reader.bytes_lent=1543632 work.slic.over_px=29948
 raw: bytes.block_data=253632 bytes.collective=5488 bytes.composite=468880
   bytes.raw.block_data=253632 bytes.raw.volume_image=393216 bytes.total=1121216
   bytes.volume_image=393216 frames=6 messages=99 msgs.block_data=18 msgs.collective=46
   msgs.composite=29 msgs.volume_image=6 wire.keyframes.block_data=384
   work.raycast.bricks_skipped=286 work.raycast.early_terminated=5 work.raycast.rays=24261
-  work.raycast.samples=115824 work.raycast.samples_culled=79727 work.slic.over_px=41747
+  work.raycast.samples=115824 work.raycast.samples_culled=79727 work.reader.bytes_lent=2315448
+  work.slic.over_px=41747
 rle: bytes.block_data=25350 bytes.collective=5488 bytes.composite=468880
   bytes.raw.block_data=253632 bytes.raw.volume_image=393216 bytes.total=582698
   bytes.volume_image=82980 frames=6 messages=99 msgs.block_data=18 msgs.collective=46
   msgs.composite=29 msgs.volume_image=6 wire.keyframes.block_data=384
   work.raycast.bricks_skipped=286 work.raycast.early_terminated=5 work.raycast.rays=24261
-  work.raycast.samples=115824 work.raycast.samples_culled=79727 work.slic.over_px=41747
+  work.raycast.samples=115824 work.raycast.samples_culled=79727 work.reader.bytes_lent=2315448
+  work.slic.over_px=41747
 rle,delta,keyframe=4: bytes.block_data=25338 bytes.collective=5488 bytes.composite=468880
   bytes.raw.block_data=253632 bytes.raw.volume_image=393216 bytes.total=582686
   bytes.volume_image=82980 frames=6 messages=99 msgs.block_data=18 msgs.collective=46
   msgs.composite=29 msgs.volume_image=6 wire.deltas.block_data=192 wire.keyframes.block_data=192
   work.raycast.bricks_skipped=286 work.raycast.early_terminated=5 work.raycast.rays=24261
-  work.raycast.samples=115824 work.raycast.samples_culled=79727 work.slic.over_px=41747
+  work.raycast.samples=115824 work.raycast.samples_culled=79727 work.reader.bytes_lent=2315448
+  work.slic.over_px=41747
 shuffle: bytes.block_data=21070 bytes.collective=5488 bytes.composite=468880
   bytes.raw.block_data=253632 bytes.raw.volume_image=393216 bytes.total=541489
   bytes.volume_image=46051 frames=6 messages=99 msgs.block_data=18 msgs.collective=46
   msgs.composite=29 msgs.volume_image=6 wire.keyframes.block_data=384
   work.raycast.bricks_skipped=286 work.raycast.early_terminated=5 work.raycast.rays=24261
-  work.raycast.samples=115824 work.raycast.samples_culled=79727 work.slic.over_px=41747
+  work.raycast.samples=115824 work.raycast.samples_culled=79727 work.reader.bytes_lent=2315448
+  work.slic.over_px=41747
 shuffle,delta,keyframe=4: bytes.block_data=21070 bytes.collective=5488 bytes.composite=468880
   bytes.raw.block_data=253632 bytes.raw.volume_image=393216 bytes.total=541489
   bytes.volume_image=46051 frames=6 messages=99 msgs.block_data=18 msgs.collective=46
   msgs.composite=29 msgs.volume_image=6 wire.deltas.block_data=192 wire.keyframes.block_data=192
   work.raycast.bricks_skipped=286 work.raycast.early_terminated=5 work.raycast.rays=24261
-  work.raycast.samples=115824 work.raycast.samples_culled=79727 work.slic.over_px=41747
+  work.raycast.samples=115824 work.raycast.samples_culled=79727 work.reader.bytes_lent=2315448
+  work.slic.over_px=41747
 cache_cold: bytes.block_data=676352 bytes.collective=3892 bytes.composite=328960
   bytes.raw.block_data=676352 bytes.raw.volume_image=262144 bytes.total=1271348
-  bytes.volume_image=262144 cache.block.bytes=1543632 cache.block.misses=4 frames=4 messages=71
+  bytes.volume_image=262144 cache.block.bytes=514544 cache.block.misses=4 frames=4 messages=71
   msgs.block_data=12 msgs.collective=34 msgs.composite=21 msgs.volume_image=4
   parfs.ost0.bytes=1543632 parfs.ost0.reads=4 wire.keyframes.block_data=256
   work.raycast.bricks_skipped=183 work.raycast.rays=18109 work.raycast.samples=86478
-  work.raycast.samples_culled=54163 work.slic.over_px=29948
-cache_warm: cache.block.bytes=1543632 cache.frame.hits=4 frames=4
+  work.raycast.samples_culled=54163 work.reader.bytes_lent=1543632 work.slic.over_px=29948
+cache_warm: cache.block.bytes=514544 cache.frame.hits=4 frames=4
 parfs_ost4: parfs.ost0.bytes=262144 parfs.ost0.reads=4 parfs.ost1.bytes=262144 parfs.ost1.reads=4
   parfs.ost2.bytes=262144 parfs.ost2.reads=4 parfs.ost3.bytes=262144 parfs.ost3.reads=4
   parfs.sim_contig_us.flat=65929 parfs.sim_contig_us.ost4=22107
@@ -101,6 +107,7 @@ kernels: work.lic.pixels=16384 work.lic.streamline_steps=384152 work.raycast.ear
 kernels_lit: work.raycast.early_terminated=1264 work.raycast.gradients=35408 work.raycast.rays=4900
   work.raycast.samples=69268 work.raycast.samples_culled=33772
 seismic_16: work.seismic.flushed=187
+reader_sinks: work.reader.bytes_copied=385908 work.reader.bytes_lent=771816
 ";
 
 fn parse(table: &'static str) -> Vec<(&'static str, Ledger)> {
@@ -287,6 +294,20 @@ fn kernel_ledgers() -> [Ledger; 2] {
     [unlit, ticks()]
 }
 
+/// One step of `ds` read whole through each sink, counted on its own:
+/// the bytes the store lends and the bytes the dense sink materialises.
+/// The pipeline's rows read through the magnitude sink alone, so they
+/// lend every byte and copy none.
+fn reader_ledger(ds: &quakeviz::seismic::Dataset) -> Ledger {
+    use quakeviz::pipeline::reader::FetchPlan;
+    prof::set_enabled(true);
+    prof::reset();
+    let full = FetchPlan::full();
+    full.read_magnitudes(ds.disk(), ds.mesh(), 1, 0, None).expect("magnitude read");
+    full.read(ds.disk(), ds.mesh(), 1, 0, None).expect("dense read");
+    prof::snapshot().into_iter().map(|(k, v)| (format!("work.{k}"), v)).collect()
+}
+
 /// A 16³ × 6 generation, counted on its own: the displacement values its
 /// solver flushed below the subnormal horizon.
 fn solver_ledger() -> Ledger {
@@ -356,6 +377,7 @@ fn deterministic_counters_match_the_pinned_table() {
     book.check("kernels", kernels, |_| true);
     book.check("kernels_lit", kernels_lit, |_| true);
     book.check("seismic_16", solver_ledger(), |_| true);
+    book.check("reader_sinks", reader_ledger(&ds), |_| true);
 
     for (run, _) in &book.pinned {
         assert!(book.now.iter().any(|(r, _)| r == run), "pinned run {run} no longer runs");

@@ -761,14 +761,14 @@ fn block_cache_lru_matches_shadow_model() {
 
     for seed in 0..40u64 {
         let mut rng = SplitMix64::new(0xCAC4E ^ seed);
-        let capacity = (1 + rng.next_below(40)) * 96; // bytes; blocks are 12 B/node
+        let capacity = (1 + rng.next_below(40)) * 32; // bytes; blocks are 4 B/node
         let cache = BlockCache::new(capacity);
         // shadow: recency-ordered (key, bytes), front = least recent
         let mut shadow: Vec<(BlockKey, u64)> = Vec::new();
-        let blocks: Vec<Arc<Vec<[f32; 3]>>> = (0..12)
+        let blocks: Vec<Arc<Vec<f32>>> = (0..12)
             .map(|_| {
                 let n = 1 + rng.next_below(24) as usize;
-                Arc::new((0..n).map(|_| [rng.next_f32(), rng.next_f32(), rng.next_f32()]).collect())
+                Arc::new((0..n).map(|_| rng.next_f32()).collect())
             })
             .collect();
         let key_of = |i: u64| BlockKey { step: (i % 6) as u32, block: (i / 6) as u32, level: 0 };
@@ -792,7 +792,7 @@ fn block_cache_lru_matches_shadow_model() {
                 }
             } else {
                 let data = Arc::clone(&blocks[i as usize]);
-                let bytes = (data.len() * 12) as u64;
+                let bytes = (data.len() * 4) as u64;
                 let evicted = cache.insert(key, data);
                 if bytes > capacity {
                     assert!(evicted.is_empty(), "seed {seed} op {op}: oversized entry evicted");
