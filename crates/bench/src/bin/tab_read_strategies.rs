@@ -60,7 +60,7 @@ fn main() {
             let outcomes = World::run(m, move |comm| {
                 let f = PFile::open(Arc::clone(&disk), Dataset::step_path(3)).unwrap();
                 let dt = IndexedBlockType::from_node_ids(&ids[comm.rank()], 12);
-                let out = f.read_all(&comm, &dt, sieve).unwrap();
+                let out = f.lend_all(&comm, &dt, sieve, |_, _| {}).unwrap();
                 (out.sim_seconds, out.disk_bytes, out.requests, out.bytes_exchanged)
             });
             let (sim, bytes, reqs, exch) = outcomes[0];
@@ -82,7 +82,7 @@ fn main() {
             let outcomes = World::run(m, move |comm| {
                 let f = PFile::open(Arc::clone(&disk), Dataset::step_path(3)).unwrap();
                 let dt = IndexedBlockType::from_node_ids(&ids[comm.rank()], 12);
-                let out = f.read_indexed(&dt, sieve).unwrap();
+                let out = f.lend(&dt.extents(), sieve, None, 0, |_, _| {}).unwrap();
                 (out.sim_seconds, out.disk_bytes, out.requests)
             });
             let sim = outcomes.iter().map(|o| o.0).fold(0.0f64, f64::max);
@@ -106,7 +106,8 @@ fn main() {
             let outcomes = World::run(m, move |comm| {
                 let f = PFile::open(Arc::clone(&disk), Dataset::step_path(3)).unwrap();
                 let (a, b) = member_node_range(node_count, comm.rank(), comm.size());
-                let out = f.read_contiguous(a as u64 * 12, (b - a) as u64 * 12).unwrap();
+                let slice = [(a as u64 * 12, (b - a) as u64 * 12)];
+                let out = f.lend(&slice, 0, None, 0, |_, _| {}).unwrap();
                 (out.sim_seconds, out.disk_bytes, out.requests)
             });
             let sim = outcomes.iter().map(|o| o.0).fold(0.0f64, f64::max);

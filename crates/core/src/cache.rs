@@ -220,11 +220,11 @@ impl<K: Copy + Eq + Hash, V: Clone> Lru<K, V> {
         evicted
     }
 
-    /// Drop every entry whose key fails `keep`.
-    fn retain(&self, keep: impl Fn(&K) -> bool) {
+    /// Drop every entry.
+    fn clear(&self) {
         let mut inner = self.lock();
-        inner.map.retain(|k, _| keep(k));
-        inner.cost = inner.map.values().map(|e| e.cost).sum();
+        inner.map.clear();
+        inner.cost = 0;
     }
 }
 
@@ -255,9 +255,9 @@ impl BlockCache {
         self.0.insert(key, data, bytes)
     }
 
-    /// Drop every entry (elastic commits, fingerprint mismatches).
+    /// Drop every entry (a fingerprint mismatch).
     pub fn clear(&self) {
-        self.0.retain(|_| false);
+        self.0.clear();
     }
 
     /// Resident bytes.
@@ -359,15 +359,8 @@ impl FrameCache {
         }
     }
 
-    /// Drop every frame at or after `step` (elastic commits: routes and
-    /// assignments changed from that step on, so those keys are suspect;
-    /// earlier frames were already delivered under the old epoch).
-    pub fn flush_from_step(&self, step: u32) {
-        self.0.retain(|k| k.step < step);
-    }
-
     pub fn clear(&self) {
-        self.0.retain(|_| false);
+        self.0.clear();
     }
 
     pub fn len(&self) -> usize {
@@ -442,13 +435,6 @@ impl CacheTier {
         }
         *stamp = Some(fingerprint);
         flush
-    }
-
-    /// Elastic rebalance commit at `step`: block routes and render
-    /// assignments changed, flush the block level and the affected frames.
-    pub fn flush_for_commit(&self, step: u32) {
-        self.blocks.clear();
-        self.frames.flush_from_step(step);
     }
 
     pub fn counters(&self) -> CacheCounters {
@@ -598,10 +584,6 @@ mod tests {
         ] {
             assert!(fc.get(other).is_none(), "{other:?} must not serve {k:?}");
         }
-        fc.flush_from_step(1);
-        assert!(fc.contains(k));
-        fc.flush_from_step(0);
-        assert!(!fc.contains(k));
     }
 
     #[test]
@@ -631,21 +613,6 @@ mod tests {
         assert_eq!(tier.blocks.len(), 1);
         assert!(tier.stamp(43), "fingerprint change must flush");
         assert!(tier.blocks.is_empty() && tier.frames.is_empty());
-    }
-
-    #[test]
-    fn commit_flush_clears_blocks_and_later_frames() {
-        let tier = CacheTier::new(CacheConfig { blocks_mb: 1, frames: 8 });
-        let img = RgbaImage::new(1, 1);
-        for step in 0..4u32 {
-            tier.blocks.insert(BlockKey { step, block: 0, level: 0 }, field(4, step as f32));
-            tier.frames.insert(FrameKey { step, level: 0, camera_hash: 0, tf_hash: 0 }, &img);
-        }
-        tier.flush_for_commit(2);
-        assert!(tier.blocks.is_empty());
-        assert_eq!(tier.frames.len(), 2);
-        assert!(tier.frames.contains(FrameKey { step: 1, level: 0, camera_hash: 0, tf_hash: 0 }));
-        assert!(!tier.frames.contains(FrameKey { step: 2, level: 0, camera_hash: 0, tf_hash: 0 }));
     }
 
     #[test]

@@ -1420,18 +1420,16 @@ fn rejoin(comm: &Comm, run: &Run, t: usize, state: &mut EpochState) {
 /// every rank: receive the controller's plan, if any, and apply it at this
 /// step boundary. A committed plan clears the caller's delta lanes —
 /// senders' and receivers' alike, so the next piece on every (possibly
-/// reconfigured) route is a natural keyframe — and, since a rebalance
-/// reshapes fetch plans from this step on, conservatively drops cached
-/// blocks and any not-yet-served frames at or past the commit step.
+/// reconfigured) route is a natural keyframe. The cache tier keeps every
+/// entry: a block is keyed by the exact nodes it holds, which a reshape
+/// changes and a rebalance does not, and a frame does not depend on the
+/// partition that rendered it.
 fn plan_commit(comm: &Comm, run: &Run, t: usize, state: &mut EpochState, delta: &mut DeltaMap) {
     let Some(plan) = CTL.recv(comm, run.sched.output_rank(), t) else {
         return;
     };
     state.apply(&plan);
     delta.clear();
-    if let Some(tier) = &run.cache {
-        tier.flush_for_commit(t as u32);
-    }
 }
 
 /// The per-step input protocol — the only one. It walks every step of the
@@ -2004,9 +2002,6 @@ fn output_main(comm: &Comm, run: &Run, out: &OutputCtx, start: Instant) -> RankR
             }
             if let Some(plan) = plan {
                 ctl.commit(&plan);
-                if let Some(tier) = &run.cache {
-                    tier.flush_for_commit(t as u32);
-                }
             }
         } else if tick == Tick::Killed && !kill_noted {
             kill_noted = true;

@@ -15,14 +15,16 @@
 //!   level-ℓ cell tiling, cutting fetch bytes by the same factor as the
 //!   rendering work.
 //!
-//! §5.3.1's collective read of the same pattern (two-phase `read_all`),
+//! §5.3.1's collective read of the same pattern (two-phase `lend_all`),
 //! [`read_step_ids_collective`], is what the independent read is measured
 //! against: `tab_read_strategies` and the benchmark walk's
 //! `parfs.collective_read_ms` call it, the pipeline does not.
 //!
 //! Every read runs through one core: parfs *lends* the stored bytes of the
-//! plan's extents to a visitor (no copy), and a sink reduces them in
-//! place. The pipeline's sink is [`FetchPlan::read_magnitudes`], which
+//! plan's extents — the whole step and a contiguous slice are one extent
+//! each, an id list its datatype's extents — to a visitor (no copy), and a
+//! sink reduces them in place. The pipeline's sink is
+//! [`FetchPlan::read_magnitudes`], which
 //! turns each node's 12 bytes straight into its velocity magnitude; the
 //! dense sink behind [`FetchPlan::read`], [`read_step_ids`] and
 //! [`read_step_ids_collective`] builds the per-node vector field for the
@@ -56,10 +58,10 @@ pub struct FaultCtx<'a> {
 /// [`Phase::Retry`] span and in the plan's recovery counters. Without a
 /// context the closure runs exactly once with no plan (the zero-fault
 /// path is byte- and cost-identical to the pre-fault code).
-fn with_retry<T>(
+fn with_retry(
     ctx: Option<&FaultCtx>,
-    mut read: impl FnMut(Option<&FaultPlan>, u32) -> Result<ReadOutcome<T>, ReadError>,
-) -> Result<ReadOutcome<T>, ReadError> {
+    mut read: impl FnMut(Option<&FaultPlan>, u32) -> Result<ReadOutcome, ReadError>,
+) -> Result<ReadOutcome, ReadError> {
     let Some(ctx) = ctx else { return read(None, 0) };
     let mut attempt = 0u32;
     loop {
@@ -197,7 +199,7 @@ fn read_lent(
     disk: &Arc<Disk>,
     mesh: &HexMesh,
     t: usize,
-    read: impl FnOnce(&PFile, &mut dyn FnMut(u64, &[u8])) -> Result<ReadOutcome<()>, ReadError>,
+    read: impl FnOnce(&PFile, &mut dyn FnMut(u64, &[u8])) -> Result<ReadOutcome, ReadError>,
     mut visit: impl FnMut(usize, &[u8]),
 ) -> Result<ReadStats, ReadError> {
     let start = Instant::now();
@@ -217,42 +219,25 @@ fn read_lent(
     })
 }
 
-/// What one independent read fetches (a [`FetchPlan`], borrowed).
-#[derive(Clone, Copy)]
-enum Pattern<'a> {
-    Full,
-    /// Nodes `[a, b)`.
-    Range(usize, usize),
-    /// Sorted unique node ids, read through an indexed datatype with data
-    /// sieving.
-    Ids(&'a [NodeId]),
+/// The byte extents of a sorted unique id list: its indexed datatype's.
+fn id_extents(ids: &[NodeId]) -> Vec<(u64, u64)> {
+    IndexedBlockType::from_node_ids(ids, NODE_BYTES as usize).extents()
 }
 
-/// Lend step `t`'s bytes under `pattern`, each attempt under the fault
-/// plan of `ctx` with bounded retry, to `visit` ([`read_lent`]).
+/// Lend the bytes of `extents` of step `t` to `visit` ([`read_lent`]): one
+/// independent read with data sieving, each attempt under the fault plan
+/// of `ctx` with bounded retry.
 fn lend_step(
     disk: &Arc<Disk>,
     mesh: &HexMesh,
     t: usize,
-    pattern: Pattern,
+    extents: &[(u64, u64)],
     sieve_window: u64,
     ctx: Option<&FaultCtx>,
     visit: impl FnMut(usize, &[u8]),
 ) -> Result<ReadStats, ReadError> {
-    let read = |f: &PFile, lend: &mut dyn FnMut(u64, &[u8])| match pattern {
-        Pattern::Full => with_retry(ctx, |plan, attempt| {
-            f.lend_contiguous_with(0, f.len(), plan, attempt, &mut *lend)
-        }),
-        Pattern::Range(a, b) => with_retry(ctx, |plan, attempt| {
-            let (off, len) = (a as u64 * NODE_BYTES, (b - a) as u64 * NODE_BYTES);
-            f.lend_contiguous_with(off, len, plan, attempt, &mut *lend)
-        }),
-        Pattern::Ids(ids) => {
-            let dt = IndexedBlockType::from_node_ids(ids, NODE_BYTES as usize);
-            with_retry(ctx, |plan, attempt| {
-                f.lend_indexed_with(&dt, sieve_window, plan, attempt, &mut *lend)
-            })
-        }
+    let read = |f: &PFile, lend: &mut dyn FnMut(u64, &[u8])| {
+        with_retry(ctx, |plan, attempt| f.lend(extents, sieve_window, plan, attempt, &mut *lend))
     };
     read_lent(disk, mesh, t, read, visit)
 }
@@ -285,7 +270,8 @@ pub fn read_step_ids(
     sieve_window: u64,
     ctx: Option<&FaultCtx>,
 ) -> Result<(Vec<[f32; 3]>, ReadStats), ReadError> {
-    read_dense(mesh, |visit| lend_step(disk, mesh, t, Pattern::Ids(ids), sieve_window, ctx, visit))
+    let extents = id_extents(ids);
+    read_dense(mesh, |visit| lend_step(disk, mesh, t, &extents, sieve_window, ctx, visit))
 }
 
 /// Collective two-phase read of the given node ids over `comm`
@@ -334,11 +320,13 @@ impl FetchPlan {
         FetchPlan::default()
     }
 
-    fn pattern(&self) -> Pattern<'_> {
+    /// The byte extents this plan reads of a step file of `mesh`: the
+    /// whole file or the slice, as one extent, or the ids' extents.
+    fn extents(&self, mesh: &HexMesh) -> Vec<(u64, u64)> {
         match (&self.ids, self.range) {
-            (Some(ids), _) => Pattern::Ids(ids),
-            (None, Some((a, b))) => Pattern::Range(a, b),
-            (None, None) => Pattern::Full,
+            (Some(ids), _) => id_extents(ids),
+            (None, Some((a, b))) => vec![(a as u64 * NODE_BYTES, (b - a) as u64 * NODE_BYTES)],
+            (None, None) => vec![(0, mesh.node_count() as u64 * NODE_BYTES)],
         }
     }
 
@@ -352,7 +340,8 @@ impl FetchPlan {
         sieve_window: u64,
         ctx: Option<&FaultCtx>,
     ) -> Result<(Vec<[f32; 3]>, ReadStats), ReadError> {
-        read_dense(mesh, |visit| lend_step(disk, mesh, t, self.pattern(), sieve_window, ctx, visit))
+        let extents = self.extents(mesh);
+        read_dense(mesh, |visit| lend_step(disk, mesh, t, &extents, sieve_window, ctx, visit))
     }
 
     /// Read step `t` under this plan straight into its per-node velocity
@@ -369,7 +358,8 @@ impl FetchPlan {
         ctx: Option<&FaultCtx>,
     ) -> Result<(Vec<f32>, ReadStats), ReadError> {
         let mut mag = vec![0.0f32; mesh.node_count()];
-        let stats = lend_step(disk, mesh, t, self.pattern(), sieve_window, ctx, |node, bytes| {
+        let extents = self.extents(mesh);
+        let stats = lend_step(disk, mesh, t, &extents, sieve_window, ctx, |node, bytes| {
             for (m, v) in mag[node..].iter_mut().zip(vectors(bytes)) {
                 *m = magnitude(v);
             }
@@ -489,8 +479,9 @@ mod tests {
     fn fetch_plan_dispatches_to_matching_reader() {
         let ds = dataset();
         let (disk, mesh) = (ds.disk(), ds.mesh());
+        let (stored, _) = disk.read_full(&Dataset::step_path(1)).unwrap();
         for plan in plan_kinds(mesh) {
-            let want = copied_read(disk, mesh, 1, &plan, 256, None).unwrap().0;
+            let want = copied_read(disk, &stored, mesh, 1, &plan, 256, None).unwrap().0;
             let (dense, _) = plan.read(disk, mesh, 1, 256, None).unwrap();
             assert_eq!(magnitudes(&dense), want, "{plan:?}");
         }
@@ -541,11 +532,14 @@ mod tests {
     }
 
     /// The read as it was before reads were lent, kept as the oracle: the
-    /// copying `PFile` reads under the same retry loop, their
-    /// concatenated bytes parsed into a dense field slot by slot, then
-    /// reduced to magnitudes in a second pass.
+    /// plan's extents lent under the same retry loop (so the fault draws
+    /// are the same) and collected into one buffer — which must be those
+    /// extents of `stored`, the step file as [`Disk::read_full`] returns
+    /// it — then parsed into a dense field slot by slot and reduced to
+    /// magnitudes in a second pass.
     fn copied_read(
         disk: &Arc<Disk>,
+        stored: &[u8],
         mesh: &HexMesh,
         t: usize,
         plan: &FetchPlan,
@@ -554,25 +548,23 @@ mod tests {
     ) -> Result<(Vec<f32>, ReadStats), ReadError> {
         let f = PFile::open(Arc::clone(disk), Dataset::step_path(t))?;
         let n = mesh.node_count();
-        let (out, slots): (_, Vec<usize>) = match (&plan.ids, plan.range) {
-            (Some(ids), _) => {
-                let dt = IndexedBlockType::from_node_ids(ids, 12);
-                let read = |p: Option<&FaultPlan>, a| f.read_indexed_with(&dt, sieve_window, p, a);
-                (with_retry(ctx, read)?, ids.iter().map(|&id| id as usize).collect())
-            }
-            (None, Some((a, b))) => {
-                let (off, len) = (a as u64 * 12, (b - a) as u64 * 12);
-                let read = |p: Option<&FaultPlan>, at| f.read_contiguous_with(off, len, p, at);
-                (with_retry(ctx, read)?, (a..b).collect())
-            }
-            (None, None) => {
-                let read = |p: Option<&FaultPlan>, a| f.read_contiguous_with(0, f.len(), p, a);
-                (with_retry(ctx, read)?, (0..n).collect())
-            }
+        let (extents, slots): (_, Vec<usize>) = match (&plan.ids, plan.range) {
+            (Some(ids), _) => (
+                IndexedBlockType::from_node_ids(ids, 12).extents(),
+                ids.iter().map(|&id| id as usize).collect(),
+            ),
+            (None, Some((a, b))) => (vec![(a as u64 * 12, (b - a) as u64 * 12)], (a..b).collect()),
+            (None, None) => (vec![(0, f.len())], (0..n).collect()),
         };
-        assert_eq!(out.data.len(), slots.len() * 12);
+        let mut data = Vec::new();
+        let out = with_retry(ctx, |p, attempt| {
+            f.lend(&extents, sieve_window, p, attempt, |_, bytes| data.extend_from_slice(bytes))
+        })?;
+        let want = extents.iter().flat_map(|&(o, l)| &stored[o as usize..(o + l) as usize]);
+        assert!(data.iter().eq(want), "collected bytes differ from the stored file");
+        assert_eq!(data.len(), slots.len() * 12);
         let mut dense = vec![[0.0f32; 3]; n];
-        for (&slot, v) in slots.iter().zip(out.data.chunks_exact(12)) {
+        for (&slot, v) in slots.iter().zip(data.chunks_exact(12)) {
             let word = |i: usize| f32::from_le_bytes(v[i..i + 4].try_into().unwrap());
             dense[slot] = [word(0), word(4), word(8)];
         }
@@ -646,6 +638,8 @@ mod tests {
         for disk in [Arc::clone(ds.disk()), sharded_copy(&ds)] {
             for plan in plan_kinds(mesh) {
                 for (t, sieve) in (0..ds.steps()).flat_map(|t| [(t, 0), (t, 1 << 16)]) {
+                    // read before the reads under test count their OST reads
+                    let (stored, _) = disk.read_full(&Dataset::step_path(t)).unwrap();
                     for seeded in [false, true] {
                         let mut logs = Vec::new();
                         let mut run = |kind: u8| {
@@ -654,7 +648,7 @@ mod tests {
                             let ctx = seeded.then_some(&ctx);
                             let before = disk.ost_stats();
                             let got = match kind {
-                                0 => copied_read(&disk, mesh, t, &plan, sieve, ctx),
+                                0 => copied_read(&disk, &stored, mesh, t, &plan, sieve, ctx),
                                 1 => plan.read_magnitudes(&disk, mesh, t, sieve, ctx),
                                 _ => plan
                                     .read(&disk, mesh, t, sieve, ctx)

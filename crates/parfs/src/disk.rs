@@ -310,10 +310,10 @@ impl Disk {
     /// the simulated elapsed seconds. Nothing is copied: `visit` reads the
     /// stored bytes in place.
     ///
-    /// `visit` runs inside the read's `active_readers` bracket, where
-    /// [`Disk::read_extents`] copies: a stream is reading while it
-    /// consumes. The cost, the concurrency it is charged at and the
-    /// per-OST counters are those of the copying read.
+    /// `visit` runs inside the read's `active_readers` bracket: a stream
+    /// is reading while it consumes. The cost is charged at the
+    /// concurrency the read entered with, or per OST when the disk is
+    /// sharded, whose counters it advances.
     ///
     /// Extents past end-of-file are a typed [`ReadError::OutOfRange`],
     /// raised before any byte is lent: the readers compute their patterns
@@ -348,29 +348,14 @@ impl Disk {
         })
     }
 
-    /// Read a set of byte extents from `path`, returning the concatenated
-    /// data (extent order) and the simulated elapsed seconds: the copying
-    /// sink over [`Disk::lend_extents`].
-    pub fn read_extents(
-        &self,
-        path: &str,
-        extents: &[(u64, u64)],
-    ) -> Result<(Vec<u8>, f64), ReadError> {
-        let total: u64 = extents.iter().map(|&(_, l)| l).sum();
-        let mut out = Vec::with_capacity(total as usize);
-        let cost = self.lend_extents(path, extents, |_, bytes| out.extend_from_slice(bytes))?;
-        Ok((out, cost))
-    }
-
-    /// Contiguous read helper.
-    pub fn read_at(&self, path: &str, offset: u64, len: u64) -> Result<(Vec<u8>, f64), ReadError> {
-        self.read_extents(path, &[(offset, len)])
-    }
-
-    /// Read a whole file.
+    /// Read a whole file into a copy of its bytes, charged as one lent
+    /// extent. The one copying read: a dataset's mesh, metadata, norms and
+    /// whole-step loads, and checkpoints, go through it.
     pub fn read_full(&self, path: &str) -> Result<(Vec<u8>, f64), ReadError> {
         let len = self.published_len(path)?;
-        self.read_at(path, 0, len)
+        let mut out = Vec::with_capacity(len as usize);
+        let cost = self.lend_extents(path, &[(0, len)], |_, bytes| out.extend_from_slice(bytes))?;
+        Ok((out, cost))
     }
 }
 
@@ -432,6 +417,18 @@ mod tests {
         }
     }
 
+    /// The bytes `lend_extents` lends, concatenated in extent order, beside
+    /// its cost.
+    fn copied(
+        disk: &Disk,
+        path: &str,
+        extents: &[(u64, u64)],
+    ) -> Result<(Vec<u8>, f64), ReadError> {
+        let mut out = Vec::new();
+        let cost = disk.lend_extents(path, extents, |_, bytes| out.extend_from_slice(bytes))?;
+        Ok((out, cost))
+    }
+
     #[test]
     fn write_then_read_roundtrip() {
         let disk = Disk::new(CostModel::free());
@@ -447,7 +444,7 @@ mod tests {
     fn read_extents_concatenates_in_order() {
         let disk = Disk::new(CostModel::free());
         disk.write_file("b", (0..100u8).collect());
-        let (got, _) = disk.read_extents("b", &[(90, 5), (0, 3)]).unwrap();
+        let (got, _) = copied(&disk, "b", &[(90, 5), (0, 3)]).unwrap();
         assert_eq!(got, vec![90, 91, 92, 93, 94, 0, 1, 2]);
     }
 
@@ -456,12 +453,19 @@ mod tests {
         let disk = Disk::new(small_model());
         disk.write_file("l", (0..250u8).collect());
         let extents = [(90, 5), (0, 3), (120, 130)];
+        let (file, _) = disk.read_full("l").unwrap();
+        let stored = disk.file("l").unwrap();
         let mut lent = Vec::new();
-        let cost = disk.lend_extents("l", &extents, |off, bytes| lent.push((off, bytes.to_vec())));
-        let (copied, copy_cost) = disk.read_extents("l", &extents).unwrap();
-        assert_eq!(cost.unwrap().to_bits(), copy_cost.to_bits());
+        let cost = disk.lend_extents("l", &extents, |off, bytes| {
+            // the stored bytes themselves, not a copy of them
+            assert_eq!(bytes.as_ptr(), stored[off as usize..].as_ptr());
+            lent.push((off, bytes.to_vec()));
+        });
+        assert_eq!(cost.unwrap().to_bits(), small_model().read_cost(&extents, 1).to_bits());
         assert_eq!(lent.iter().map(|(off, b)| (*off, b.len() as u64)).collect::<Vec<_>>(), extents);
-        assert_eq!(lent.into_iter().flat_map(|(_, b)| b).collect::<Vec<_>>(), copied);
+        for (off, bytes) in lent {
+            assert_eq!(bytes, file[off as usize..off as usize + bytes.len()]);
+        }
         // nothing is lent from a read that fails its range check
         let mut called = false;
         assert!(disk.lend_extents("l", &[(0, 1), (249, 2)], |_, _| called = true).is_err());
@@ -483,7 +487,7 @@ mod tests {
     fn read_past_eof_is_typed_error() {
         let disk = Disk::new(CostModel::free());
         disk.write_file("c", vec![0u8; 10]);
-        let err = disk.read_at("c", 5, 10).unwrap_err();
+        let err = copied(&disk, "c", &[(5, 10)]).unwrap_err();
         assert_eq!(
             err,
             ReadError::OutOfRange { path: "c".to_string(), offset: 5, len: 10, file_len: 10 }
@@ -495,7 +499,7 @@ mod tests {
     #[test]
     fn missing_file_is_typed_error() {
         let disk = Disk::new(CostModel::free());
-        let err = disk.read_at("nope", 0, 1).unwrap_err();
+        let err = copied(&disk, "nope", &[(0, 1)]).unwrap_err();
         assert_eq!(err, ReadError::NoSuchFile { path: "nope".to_string() });
         assert!(err.to_string().contains("no such file"));
         assert!(disk.read_full("nope").is_err());
@@ -584,7 +588,7 @@ mod tests {
                 let disk = Arc::clone(&disk);
                 s.spawn(move || {
                     for _ in 0..100 {
-                        let (got, cost) = disk.read_at("shared", t * 10, 10).unwrap();
+                        let (got, cost) = copied(&disk, "shared", &[(t * 10, 10)]).unwrap();
                         assert_eq!(got[0], (t * 10) as u8);
                         assert!(cost > 0.0);
                     }
@@ -608,10 +612,11 @@ mod tests {
     fn sharded_disk_charges_per_ost_and_counts() {
         let disk = Disk::new(small_model()); // stripe 100 B, aggregate 4000 B/s
         disk.write_file("s", (0..200).cycle().take(800).collect());
-        let flat = disk.read_at("s", 0, 400).unwrap();
+        let flat = copied(&disk, "s", &[(0, 400)]).unwrap();
+        assert_eq!(flat.0, disk.read_full("s").unwrap().0[..400]);
         disk.set_shards(4); // each OST: seek 0.01, 1000 B/s
         assert_eq!(disk.seek_latency(), 0.01);
-        let (data, cost) = disk.read_at("s", 0, 400).unwrap();
+        let (data, cost) = copied(&disk, "s", &[(0, 400)]).unwrap();
         assert_eq!(data, flat.0, "sharding must not change the bytes");
         // 4 stripes land on 4 OSTs: each moves 100 B at min(1000, 1000)
         // plus its own seek and one stripe latency
@@ -624,7 +629,7 @@ mod tests {
         }
         disk.set_shards(0);
         assert!(disk.ost_stats().is_empty());
-        let again = disk.read_at("s", 0, 400).unwrap();
+        let again = copied(&disk, "s", &[(0, 400)]).unwrap();
         assert_eq!(again.1, flat.1, "unsharding restores the flat cost");
     }
 

@@ -16,12 +16,13 @@
 //!    system concurrently — the quantity the 1DIP/2DIP analysis optimizes.
 //!
 //! This crate reproduces both: [`mpiio`] implements indexed-block
-//! datatypes, views, data sieving, independent and two-phase collective
-//! reads over a [`Disk`]; every operation returns its **simulated elapsed
-//! time** from a configurable [`CostModel`] (seek latency, per-stripe
-//! latency, aggregate bandwidth shared among concurrent streams), so the
-//! same I/O code feeds both the real threaded pipeline and the
-//! discrete-event pipeline model.
+//! datatypes, data sieving and two reads over a [`Disk`] — independent
+//! ([`PFile::lend`]) and two-phase collective ([`PFile::lend_all`]) —
+//! that lend the stored bytes to a visitor instead of copying them out.
+//! Every read returns its **simulated elapsed time** from a configurable
+//! [`CostModel`] (seek latency, per-stripe latency, aggregate bandwidth
+//! shared among concurrent streams), so the same I/O code feeds both the
+//! real threaded pipeline and the discrete-event pipeline model.
 
 #![forbid(unsafe_code)]
 

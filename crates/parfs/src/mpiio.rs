@@ -1,26 +1,28 @@
 //! MPI-IO-shaped reading: derived datatypes, data sieving, independent and
-//! collective (two-phase) reads.
+//! collective (two-phase) reads — all of them *lent*: the stored bytes go
+//! to the caller's visitor in place ([`Disk::lend_extents`]).
 //!
 //! Mirrors the calls the paper names in §5.3.1:
 //!
 //! * `MPI_TYPE_CREATE_INDEXED_BLOCK` → [`IndexedBlockType`] — "an array of
 //!   node data derived from the octree data; the derived type describes one
 //!   reading pattern";
-//! * `MPI_FILE_SET_VIEW` → passing the datatype to a read call;
-//! * `MPI_FILE_READ_ALL` → [`PFile::read_all`] — a two-phase collective
+//! * `MPI_FILE_SET_VIEW` → the datatype's byte extents
+//!   ([`IndexedBlockType::extents`]), passed to a read;
+//! * `MPI_FILE_READ_ALL` → [`PFile::lend_all`] — a two-phase collective
 //!   read in which ranks act as aggregators for contiguous file domains,
 //!   read their domain with data sieving, and redistribute the pieces.
 //!
-//! The *independent contiguous read* strategy of §5.3.2 uses plain
-//! [`PFile::read_contiguous`]; the routing of node data to octree blocks
-//! lives in the pipeline crate.
+//! The *independent contiguous read* strategy of §5.3.2 is
+//! [`PFile::lend`] over one extent; the routing of node data to octree
+//! blocks lives in the pipeline crate.
 
 use crate::disk::{Disk, ReadError};
 use quakeviz_rt::fault::{FaultPlan, ReadFault};
 use quakeviz_rt::{obs, Comm};
 use std::sync::Arc;
 
-/// Tag of the piece-redistribution messages inside [`PFile::read_all`]
+/// Tag of the piece-redistribution messages inside [`PFile::lend_all`]
 /// (exported so traffic-matrix classifiers can map it to
 /// [`quakeviz_rt::TagClass::IoPieces`]).
 pub const PIECES_TAG: u64 = 0x7f17_c011;
@@ -106,13 +108,9 @@ pub fn sieve_extents(extents: &[(u64, u64)], window: u64) -> Vec<(u64, u64)> {
     out
 }
 
-/// The result of a read: data in pattern order plus accounting. A lent
-/// read ([`PFile::lend_contiguous_with`] and its siblings) hands its bytes
-/// to a visitor instead and carries no data (`T = ()`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReadOutcome<T = Vec<u8>> {
-    /// The requested bytes, concatenated in datatype (extent) order.
-    pub data: T,
+/// The accounting of one read; its bytes went to the read's visitor.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReadOutcome {
     /// Simulated elapsed seconds of disk activity on the calling rank's
     /// critical path.
     pub sim_seconds: f64,
@@ -127,44 +125,25 @@ pub struct ReadOutcome<T = Vec<u8>> {
     pub bytes_exchanged: u64,
 }
 
-impl<T> ReadOutcome<T> {
-    /// The same accounting over other data.
-    pub fn with_data<U>(self, data: U) -> ReadOutcome<U> {
-        let ReadOutcome {
-            sim_seconds, disk_bytes, useful_bytes, requests, bytes_exchanged, ..
-        } = self;
-        ReadOutcome { data, sim_seconds, disk_bytes, useful_bytes, requests, bytes_exchanged }
-    }
-}
-
-/// The copying sink over a lent read: run `lend` with a visitor that
-/// appends each lent extent to one buffer of `len` bytes.
-fn collect(
-    len: u64,
-    lend: impl FnOnce(&mut dyn FnMut(u64, &[u8])) -> Result<ReadOutcome<()>, ReadError>,
-) -> Result<ReadOutcome, ReadError> {
-    let mut data = Vec::with_capacity(len as usize);
-    let out = lend(&mut |_, bytes| data.extend_from_slice(bytes))?;
-    Ok(out.with_data(data))
-}
-
 /// A handle to one file on the virtual parallel file system.
 #[derive(Debug, Clone)]
 pub struct PFile {
     disk: Arc<Disk>,
     path: String,
+    len: u64,
 }
 
 impl PFile {
     pub fn open(disk: Arc<Disk>, path: impl Into<String>) -> Result<PFile, ReadError> {
         let path = path.into();
         // waits out a live producer's announcement of the file
-        disk.published_len(&path)?;
-        Ok(PFile { disk, path })
+        let len = disk.published_len(&path)?;
+        Ok(PFile { disk, path, len })
     }
 
+    /// The file's length when it was opened.
     pub fn len(&self) -> u64 {
-        self.disk.file_len(&self.path).expect("file disappeared")
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
@@ -211,150 +190,69 @@ impl PFile {
         attempt as f64 * self.disk.seek_latency()
     }
 
-    /// Independent contiguous read (paper §5.3.2).
-    pub fn read_contiguous(&self, offset: u64, len: u64) -> Result<ReadOutcome, ReadError> {
-        self.read_contiguous_with(offset, len, None, 0)
-    }
-
-    /// [`PFile::read_contiguous`] with fault injection: `attempt` numbers
-    /// the caller's retry loop so each attempt rolls independently.
-    pub fn read_contiguous_with(
+    /// Independent read of sorted, disjoint byte `extents`, lent in place:
+    /// `visit` gets `(offset, bytes)` of every extent, in extent order. An
+    /// indexed datatype passes its [`IndexedBlockType::extents`]; §5.3.2's
+    /// contiguous read (a slice, a whole step) is one extent.
+    ///
+    /// Data sieving reads gaps up to `sieve_window` bytes and skips them
+    /// (fewer requests, more bytes; the waste is never copied); `0`
+    /// disables it, and a single extent is never sieved. `attempt` numbers
+    /// the caller's retry loop so each attempt rolls the fault plan
+    /// independently; the roll comes first, so a failed attempt lends
+    /// nothing.
+    pub fn lend(
         &self,
-        offset: u64,
-        len: u64,
-        plan: Option<&FaultPlan>,
-        attempt: u32,
-    ) -> Result<ReadOutcome, ReadError> {
-        collect(len, |visit| self.lend_contiguous_with(offset, len, plan, attempt, visit))
-    }
-
-    /// [`PFile::read_contiguous_with`] lending the bytes instead of copying
-    /// them: `visit` gets `(offset, bytes)` of the extent, in place
-    /// ([`Disk::lend_extents`]). The fault roll comes first, so a failed
-    /// attempt lends nothing.
-    pub fn lend_contiguous_with(
-        &self,
-        offset: u64,
-        len: u64,
-        plan: Option<&FaultPlan>,
-        attempt: u32,
-        visit: impl FnMut(u64, &[u8]),
-    ) -> Result<ReadOutcome<()>, ReadError> {
-        let mut sp = obs::auto_span(obs::Phase::IoRead, obs::NO_STEP);
-        sp.add_bytes(len);
-        let slow = self.check_fault(plan, attempt, &[(offset, len)])?;
-        let cost = self.disk.lend_extents(&self.path, &[(offset, len)], visit)?;
-        Ok(ReadOutcome {
-            data: (),
-            sim_seconds: cost * slow + self.retry_seek_cost(attempt),
-            disk_bytes: len,
-            useful_bytes: len,
-            requests: 1,
-            bytes_exchanged: 0,
-        })
-    }
-
-    /// Independent noncontiguous read through a derived datatype, with
-    /// data sieving: gaps up to `sieve_window` bytes are read and thrown
-    /// away to reduce the request count. `sieve_window = 0` disables
-    /// sieving (one disk extent per pattern extent, still in one call).
-    pub fn read_indexed(
-        &self,
-        dt: &IndexedBlockType,
-        sieve_window: u64,
-    ) -> Result<ReadOutcome, ReadError> {
-        self.read_indexed_with(dt, sieve_window, None, 0)
-    }
-
-    /// [`PFile::read_indexed`] with fault injection (see
-    /// [`PFile::read_contiguous_with`]).
-    pub fn read_indexed_with(
-        &self,
-        dt: &IndexedBlockType,
-        sieve_window: u64,
-        plan: Option<&FaultPlan>,
-        attempt: u32,
-    ) -> Result<ReadOutcome, ReadError> {
-        collect(dt.total_bytes(), |visit| {
-            self.lend_indexed_with(dt, sieve_window, plan, attempt, visit)
-        })
-    }
-
-    /// [`PFile::read_indexed_with`] lending the bytes: the disk lends each
-    /// sieved extent in place and `visit` gets `(offset, bytes)` of every
-    /// wanted extent inside it, in extent order — the sieving waste is
-    /// skipped, never copied.
-    pub fn lend_indexed_with(
-        &self,
-        dt: &IndexedBlockType,
+        extents: &[(u64, u64)],
         sieve_window: u64,
         plan: Option<&FaultPlan>,
         attempt: u32,
         mut visit: impl FnMut(u64, &[u8]),
-    ) -> Result<ReadOutcome<()>, ReadError> {
+    ) -> Result<ReadOutcome, ReadError> {
         let mut sp = obs::auto_span(obs::Phase::IoRead, obs::NO_STEP);
-        let wanted = dt.extents();
-        let merged = sieve_extents(&wanted, sieve_window);
+        let merged = sieve_extents(extents, sieve_window);
+        let disk_bytes: u64 = merged.iter().map(|&(_, l)| l).sum();
+        sp.add_bytes(disk_bytes);
         let slow = self.check_fault(plan, attempt, &merged)?;
         // sieving merges whole extents, so each wanted extent lies inside
         // exactly one merged one, and both lists are sorted
         let mut next = 0usize;
         let cost = self.disk.lend_extents(&self.path, &merged, |moff, buf| {
             let mend = moff + buf.len() as u64;
-            while let Some(&(off, len)) = wanted.get(next).filter(|&&(o, l)| o + l <= mend) {
+            while let Some(&(off, len)) = extents.get(next).filter(|&&(o, l)| o + l <= mend) {
                 debug_assert!(off >= moff, "wanted extent outside its merged extent");
                 let p = (off - moff) as usize;
                 visit(off, &buf[p..p + len as usize]);
                 next += 1;
             }
         })?;
-        let disk_bytes: u64 = merged.iter().map(|&(_, l)| l).sum();
-        sp.add_bytes(disk_bytes);
         Ok(ReadOutcome {
-            data: (),
             sim_seconds: cost * slow + self.retry_seek_cost(attempt),
             disk_bytes,
-            useful_bytes: dt.total_bytes(),
+            useful_bytes: extents.iter().map(|&(_, l)| l).sum(),
             requests: merged.len() as u64,
             bytes_exchanged: 0,
         })
-    }
-
-    /// [`PFile::read_all`] lending its result: the two-phase exchange
-    /// assembles each rank's extents from pieces cut at file-domain
-    /// boundaries (which split elements), so the assembled buffer is lent
-    /// to `visit` as `(offset, bytes)` per extent, in extent order.
-    pub fn lend_all(
-        &self,
-        comm: &Comm,
-        dt: &IndexedBlockType,
-        sieve_window: u64,
-        mut visit: impl FnMut(u64, &[u8]),
-    ) -> Result<ReadOutcome<()>, ReadError> {
-        let out = self.read_all(comm, dt, sieve_window)?;
-        let mut at = 0usize;
-        for (off, len) in dt.extents() {
-            visit(off, &out.data[at..at + len as usize]);
-            at += len as usize;
-        }
-        Ok(out.with_data(()))
     }
 
     /// Collective noncontiguous read (paper §5.3.1): all ranks of `comm`
     /// call this with their own datatype; requests are merged two-phase:
     /// the file span is cut into one contiguous *domain* per rank, each
     /// rank reads the needed parts of its domain (with sieving) and ships
-    /// pieces to the requesting ranks.
+    /// the pieces, cut from the lent bytes, to the requesting ranks.
     ///
-    /// Returns each rank's own requested data. `sim_seconds` is the
-    /// maximum aggregator disk time across the communicator (the phase is
-    /// synchronous), so every rank reports the same simulated elapsed
-    /// read time.
-    pub fn read_all(
+    /// Pieces are cut at domain boundaries, which split elements, so each
+    /// rank assembles its extents from them and lends the assembled buffer
+    /// to `visit` as `(offset, bytes)` per extent, in extent order.
+    /// `sim_seconds` is the maximum aggregator disk time across the
+    /// communicator (the phase is synchronous), so every rank reports the
+    /// same simulated elapsed read time.
+    pub fn lend_all(
         &self,
         comm: &Comm,
         dt: &IndexedBlockType,
         sieve_window: u64,
+        mut visit: impl FnMut(u64, &[u8]),
     ) -> Result<ReadOutcome, ReadError> {
         let mut sp = obs::auto_span(obs::Phase::IoRead, obs::NO_STEP);
         let my_extents = dt.extents();
@@ -365,15 +263,14 @@ impl PFile {
         // Validate every rank's pattern AFTER the allgather, so all ranks
         // reach the same verdict and nobody blocks in a half-entered
         // collective when one rank's pattern is bad.
-        let file_len = self.disk.file_len(&self.path).unwrap_or(0);
         for exts in &all_extents {
             for &(o, l) in exts {
-                if o + l > file_len {
+                if o + l > self.len {
                     return Err(ReadError::OutOfRange {
                         path: self.path.clone(),
                         offset: o,
                         len: l,
-                        file_len,
+                        file_len: self.len,
                     });
                 }
             }
@@ -388,56 +285,48 @@ impl PFile {
         let my_dom =
             (lo + comm.rank() as u64 * chunk, (lo + (comm.rank() as u64 + 1) * chunk).min(hi));
 
-        // Phase 1: aggregate all requests intersecting my domain.
-        let mut dom_requests: Vec<(u64, u64)> = Vec::new();
-        for exts in &all_extents {
-            for &(o, l) in exts {
-                let s = o.max(my_dom.0);
-                let e = (o + l).min(my_dom.1);
-                if s < e {
-                    dom_requests.push((s, e - s));
-                }
-            }
-        }
+        // Phase 1: every rank's requests clipped to my domain (each list
+        // sorted), read merged and sieved.
+        let wanted: Vec<Vec<(u64, u64)>> = all_extents
+            .iter()
+            .map(|exts| {
+                let clip = |&(o, l): &(u64, u64)| (o.max(my_dom.0), (o + l).min(my_dom.1));
+                exts.iter().map(clip).filter(|(s, e)| s < e).map(|(s, e)| (s, e - s)).collect()
+            })
+            .collect();
+        let mut dom_requests = wanted.concat();
         dom_requests.sort_unstable();
         let merged = sieve_extents(&dom_requests, sieve_window);
-        let (buf, my_cost) = if merged.is_empty() {
-            (Vec::new(), 0.0)
-        } else {
-            self.disk
-                .read_extents(&self.path, &merged)
-                .expect("extents validated against file length")
-        };
         let my_disk_bytes: u64 = merged.iter().map(|&(_, l)| l).sum();
         let my_requests = merged.len() as u64;
         sp.add_bytes(my_disk_bytes);
 
-        // Prefix offsets of merged extents in buf.
-        let mut merged_pos = Vec::with_capacity(merged.len());
-        let mut acc = 0u64;
-        for &(_, l) in &merged {
-            merged_pos.push(acc);
-            acc += l;
-        }
-        let extract = |off: u64, len: u64| -> Vec<u8> {
-            let mi = merged.partition_point(|&(o, l)| o + l <= off);
-            let (mo, ml) = merged[mi];
-            debug_assert!(off >= mo && off + len <= mo + ml, "piece outside merged extent");
-            let p = (merged_pos[mi] + (off - mo)) as usize;
-            buf[p..p + len as usize].to_vec()
-        };
-
-        // Phase 2: ship pieces to requesters.
-        let mut my_exchanged = 0u64;
-        for (r, exts) in all_extents.iter().enumerate() {
-            let mut pieces: Vec<(u64, Vec<u8>)> = Vec::new();
-            for &(o, l) in exts {
-                let s = o.max(my_dom.0);
-                let e = (o + l).min(my_dom.1);
-                if s < e {
-                    pieces.push((s, extract(s, e - s)));
+        // Phase 2: cut each requester's pieces out of the lent extents —
+        // every piece lies inside one merged extent — and ship them.
+        let mut pieces: Vec<Vec<(u64, Vec<u8>)>> =
+            wanted.iter().map(|w| Vec::with_capacity(w.len())).collect();
+        let my_cost = if merged.is_empty() {
+            0.0
+        } else {
+            let cut = |moff: u64, buf: &[u8]| {
+                let mend = moff + buf.len() as u64;
+                // a requester's pieces are sorted and cut in order, so the
+                // next one to cut is at `out.len()`
+                for (want, out) in wanted.iter().zip(&mut pieces) {
+                    while let Some(&(off, len)) =
+                        want.get(out.len()).filter(|&&(o, l)| o + l <= mend)
+                    {
+                        let p = (off - moff) as usize;
+                        out.push((off, buf[p..p + len as usize].to_vec()));
+                    }
                 }
-            }
+            };
+            self.disk
+                .lend_extents(&self.path, &merged, cut)
+                .expect("extents validated against file length")
+        };
+        let mut my_exchanged = 0u64;
+        for (r, pieces) in pieces.into_iter().enumerate() {
             let bytes: u64 = pieces.iter().map(|(_, d)| d.len() as u64).sum();
             if r != comm.rank() {
                 my_exchanged += bytes;
@@ -470,8 +359,10 @@ impl PFile {
         let disk_bytes = comm.allreduce(my_disk_bytes, u64::wrapping_add);
         let requests = comm.allreduce(my_requests, u64::wrapping_add);
         let bytes_exchanged = comm.allreduce(my_exchanged, u64::wrapping_add);
+        for (&(off, len), &p) in my_extents.iter().zip(&ext_pos) {
+            visit(off, &data[p as usize..(p + len) as usize]);
+        }
         Ok(ReadOutcome {
-            data,
             sim_seconds,
             disk_bytes,
             useful_bytes: dt.total_bytes(),
@@ -495,6 +386,44 @@ mod tests {
 
     fn seq_bytes(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i % 251) as u8).collect()
+    }
+
+    type Collected = Result<(Vec<u8>, ReadOutcome), ReadError>;
+
+    /// The bytes a lent read hands its visitor, concatenated in extent
+    /// order, beside the read's accounting.
+    fn gather(
+        lend: impl FnOnce(&mut dyn FnMut(u64, &[u8])) -> Result<ReadOutcome, ReadError>,
+    ) -> Collected {
+        let mut data = Vec::new();
+        let out = lend(&mut |_, bytes| data.extend_from_slice(bytes))?;
+        Ok((data, out))
+    }
+
+    /// §5.3.2's contiguous read: one extent through the independent lend.
+    fn contiguous(
+        f: &PFile,
+        offset: u64,
+        len: u64,
+        plan: Option<&FaultPlan>,
+        attempt: u32,
+    ) -> Collected {
+        gather(|visit| f.lend(&[(offset, len)], 0, plan, attempt, visit))
+    }
+
+    /// A datatype's read: its extents through the independent lend.
+    fn indexed(
+        f: &PFile,
+        dt: &IndexedBlockType,
+        window: u64,
+        plan: Option<&FaultPlan>,
+        attempt: u32,
+    ) -> Collected {
+        gather(|visit| f.lend(&dt.extents(), window, plan, attempt, visit))
+    }
+
+    fn collective(f: &PFile, comm: &Comm, dt: &IndexedBlockType, window: u64) -> Collected {
+        gather(|visit| f.lend_all(comm, dt, window, visit))
     }
 
     #[test]
@@ -530,8 +459,8 @@ mod tests {
     fn read_contiguous_roundtrip() {
         let disk = disk_with("f", seq_bytes(1000));
         let f = PFile::open(disk, "f").unwrap();
-        let out = f.read_contiguous(100, 50).unwrap();
-        assert_eq!(out.data, seq_bytes(1000)[100..150].to_vec());
+        let (data, out) = contiguous(&f, 100, 50, None, 0).unwrap();
+        assert_eq!(data, seq_bytes(1000)[100..150].to_vec());
         assert_eq!(out.useful_bytes, 50);
         assert_eq!(out.requests, 1);
     }
@@ -544,12 +473,12 @@ mod tests {
         let ids: Vec<u32> = vec![3, 4, 5, 100, 250, 251, 999];
         let dt = IndexedBlockType::from_node_ids(&ids, 4);
         for window in [0u64, 16, 1 << 20] {
-            let out = f.read_indexed(&dt, window).unwrap();
+            let (got, out) = indexed(&f, &dt, window, None, 0).unwrap();
             let mut want = Vec::new();
             for &id in &ids {
                 want.extend_from_slice(&data[id as usize * 4..id as usize * 4 + 4]);
             }
-            assert_eq!(out.data, want, "window={window}");
+            assert_eq!(got, want, "window={window}");
             assert_eq!(out.useful_bytes, 28);
             assert!(out.disk_bytes >= out.useful_bytes);
         }
@@ -562,9 +491,9 @@ mod tests {
         // widely spaced single-element reads
         let ids: Vec<u32> = (0..100).map(|i| i * 200).collect();
         let dt = IndexedBlockType::from_node_ids(&ids, 4);
-        let tight = f.read_indexed(&dt, 0).unwrap();
-        let sieved = f.read_indexed(&dt, 4096).unwrap();
-        assert_eq!(tight.data, sieved.data);
+        let (tight_data, tight) = indexed(&f, &dt, 0, None, 0).unwrap();
+        let (sieved_data, sieved) = indexed(&f, &dt, 4096, None, 0).unwrap();
+        assert_eq!(tight_data, sieved_data);
         assert!(sieved.requests < tight.requests);
         assert!(sieved.disk_bytes > tight.disk_bytes);
         assert_eq!(tight.requests, 100);
@@ -580,15 +509,15 @@ mod tests {
             // rank r wants elements r, r+4, r+8, ... (strided, interleaved)
             let ids: Vec<u32> = (0..100).map(|i| (i * 4 + comm.rank()) as u32).collect();
             let dt = IndexedBlockType::from_node_ids(&ids, 4);
-            let out = f.read_all(&comm, &dt, 64).unwrap();
-            (comm.rank(), ids, out)
+            let (got, out) = collective(&f, &comm, &dt, 64).unwrap();
+            (comm.rank(), ids, got, out)
         });
-        for (rank, ids, out) in results {
+        for (rank, ids, got, out) in results {
             let mut want = Vec::new();
             for &id in &ids {
                 want.extend_from_slice(&data[id as usize * 4..id as usize * 4 + 4]);
             }
-            assert_eq!(out.data, want, "rank {rank} data mismatch");
+            assert_eq!(got, want, "rank {rank} data mismatch");
             assert_eq!(out.useful_bytes, 400);
             assert!(out.bytes_exchanged > 0, "interleaved pattern must exchange pieces");
         }
@@ -601,14 +530,14 @@ mod tests {
         let results = World::run(1, |comm| {
             let f = PFile::open(Arc::clone(&disk), "f").unwrap();
             let dt = IndexedBlockType::from_node_ids(&[1, 50, 200], 4);
-            f.read_all(&comm, &dt, 0).unwrap()
+            collective(&f, &comm, &dt, 0).unwrap()
         });
-        let out = &results[0];
+        let (got, out) = &results[0];
         let mut want = Vec::new();
         for id in [1usize, 50, 200] {
             want.extend_from_slice(&data[id * 4..id * 4 + 4]);
         }
-        assert_eq!(out.data, want);
+        assert_eq!(*got, want);
         assert_eq!(out.bytes_exchanged, 0);
     }
 
@@ -622,12 +551,12 @@ mod tests {
             // an empty indexed block type is not constructible from ids —
             // handle via an empty displacement list
             let dt = IndexedBlockType::new(4, 1, ids.iter().map(|&i| i as u64).collect());
-            f.read_all(&comm, &dt, 0).unwrap()
+            collective(&f, &comm, &dt, 0).unwrap().0
         });
-        assert!(results[0].data.is_empty());
-        assert_eq!(results[1].data.len(), 8);
-        assert_eq!(&results[1].data[0..4], &data[40..44]);
-        assert!(results[2].data.is_empty());
+        assert!(results[0].is_empty());
+        assert_eq!(results[1].len(), 8);
+        assert_eq!(&results[1][0..4], &data[40..44]);
+        assert!(results[2].is_empty());
     }
 
     #[test]
@@ -646,7 +575,7 @@ mod tests {
             let f = PFile::open(Arc::clone(&disk), "f").unwrap();
             let ids: Vec<u32> = (0..1000).map(|i| (i * 10 + comm.rank()) as u32).collect();
             let dt = IndexedBlockType::from_node_ids(&ids, 4);
-            f.read_all(&comm, &dt, 1 << 16).unwrap().sim_seconds
+            collective(&f, &comm, &dt, 1 << 16).unwrap().1.sim_seconds
         });
         for w in results.windows(2) {
             assert!((w[0] - w[1]).abs() < 1e-12, "collective sim time must agree");
@@ -670,7 +599,7 @@ mod tests {
             let f = PFile::open(Arc::clone(&disk), "f").unwrap();
             let ids: Vec<u32> = if comm.rank() == 1 { vec![1000] } else { vec![0] };
             let dt = IndexedBlockType::from_node_ids(&ids, 4);
-            f.read_all(&comm, &dt, 0)
+            collective(&f, &comm, &dt, 0)
         });
         for (rank, r) in results.iter().enumerate() {
             match r {
@@ -687,12 +616,12 @@ mod tests {
         let f = PFile::open(disk, "f").unwrap();
         let transient = FaultPlan::new(FaultSpec::parse("seed=1,read_transient=1").unwrap());
         assert_eq!(
-            f.read_contiguous_with(0, 100, Some(&transient), 0).unwrap_err(),
+            contiguous(&f, 0, 100, Some(&transient), 0).unwrap_err(),
             ReadError::TransientIo { path: "f".to_string(), attempt: 0 }
         );
         let corrupt = FaultPlan::new(FaultSpec::parse("seed=1,read_corrupt=1").unwrap());
         let dt = IndexedBlockType::from_node_ids(&[1, 5, 9], 4);
-        let err = f.read_indexed_with(&dt, 0, Some(&corrupt), 2).unwrap_err();
+        let err = indexed(&f, &dt, 0, Some(&corrupt), 2).unwrap_err();
         assert_eq!(err, ReadError::CorruptStripe { path: "f".to_string(), attempt: 2 });
         assert!(err.is_transient());
         // both plans logged exactly one injection
@@ -713,11 +642,11 @@ mod tests {
         });
         disk.write_file("f", seq_bytes(1000));
         let f = PFile::open(disk, "f").unwrap();
-        let clean = f.read_contiguous(0, 1000).unwrap();
+        let clean = contiguous(&f, 0, 1000, None, 0).unwrap();
         let plan = FaultPlan::new(FaultSpec::parse("seed=1,read_slow=1,slow_factor=4").unwrap());
-        let slow = f.read_contiguous_with(0, 1000, Some(&plan), 0).unwrap();
-        assert_eq!(slow.data, clean.data, "slow read must deliver identical data");
-        assert!((slow.sim_seconds - clean.sim_seconds * 4.0).abs() < 1e-12);
+        let slow = contiguous(&f, 0, 1000, Some(&plan), 0).unwrap();
+        assert_eq!(slow.0, clean.0, "slow read must deliver identical data");
+        assert!((slow.1.sim_seconds - clean.1.sim_seconds * 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -735,9 +664,9 @@ mod tests {
         let disk = Disk::new(cost);
         disk.write_file("f", seq_bytes(4000));
         let f = PFile::open(Arc::clone(&disk), "f").unwrap();
-        let first = f.read_contiguous_with(0, 1000, None, 0).unwrap();
-        let third = f.read_contiguous_with(0, 1000, None, 2).unwrap();
-        assert_eq!(first.data, third.data);
+        let (first_data, first) = contiguous(&f, 0, 1000, None, 0).unwrap();
+        let (third_data, third) = contiguous(&f, 0, 1000, None, 2).unwrap();
+        assert_eq!(first_data, third_data);
         assert!(
             (third.sim_seconds - first.sim_seconds - 2.0 * 0.25).abs() < 1e-12,
             "two failed attempts must add two seeks: {} vs {}",
@@ -745,14 +674,14 @@ mod tests {
             third.sim_seconds
         );
         let dt = IndexedBlockType::from_node_ids(&[1, 50, 200], 4);
-        let a0 = f.read_indexed_with(&dt, 0, None, 0).unwrap();
-        let a1 = f.read_indexed_with(&dt, 0, None, 1).unwrap();
-        assert_eq!(a0.data, a1.data);
+        let (a0_data, a0) = indexed(&f, &dt, 0, None, 0).unwrap();
+        let (a1_data, a1) = indexed(&f, &dt, 0, None, 1).unwrap();
+        assert_eq!(a0_data, a1_data);
         assert!((a1.sim_seconds - a0.sim_seconds - 0.25).abs() < 1e-12);
         // sharded disks re-charge the per-OST seek
         disk.set_shards(4);
-        let s0 = f.read_contiguous_with(0, 1000, None, 0).unwrap();
-        let s2 = f.read_contiguous_with(0, 1000, None, 2).unwrap();
+        let s0 = contiguous(&f, 0, 1000, None, 0).unwrap().1;
+        let s2 = contiguous(&f, 0, 1000, None, 2).unwrap().1;
         assert!((s2.sim_seconds - s0.sim_seconds - 2.0 * disk.seek_latency()).abs() < 1e-12);
     }
 
@@ -762,8 +691,8 @@ mod tests {
         let disk = disk_with("f", seq_bytes(1000));
         let f = PFile::open(disk, "f").unwrap();
         let plan = FaultPlan::new(FaultSpec::parse("seed=99").unwrap());
-        let with = f.read_contiguous_with(0, 500, Some(&plan), 0).unwrap();
-        let without = f.read_contiguous(0, 500).unwrap();
+        let with = contiguous(&f, 0, 500, Some(&plan), 0).unwrap();
+        let without = contiguous(&f, 0, 500, None, 0).unwrap();
         assert_eq!(with, without);
         assert!(plan.events().is_empty());
     }

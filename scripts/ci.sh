@@ -90,6 +90,14 @@ ratchet "one input read path (crates/core/src)" 0 "$(count_sites \
 ratchet "dense vector step on the input path (pipeline.rs)" 0 "$(count_sites \
     'Vec<\\[f32; 3\\]>|magnitudes\\(&' crates/core/src/pipeline.rs)"
 
+# parfs reads through its lends (`PFile::lend`, `PFile::lend_all`, both
+# over `Disk::lend_extents`); the one copying read is `Disk::read_full`.
+# The copying wrappers beside the lends (9 sites when they went) may not
+# come back.
+ratchet "copying reads (crates/parfs/src)" 0 "$(count_sites \
+    'fn read_contiguous|fn read_indexed|fn read_extents|fn read_at\\(|fn collect\\(|with_data\\(' \
+    crates/parfs/src/*.rs)"
+
 # Payload digests: the in-memory bulk integrity checks — wire pieces
 # (`proto::piece_checksum`) and cache entries (`cache::field_checksum`) —
 # run through the word-parallel `rt::FnvLanes`; the byte-serial `Fnv1a`

@@ -134,6 +134,40 @@ fn render_failover_stays_coherent() {
     assert_cold_warm_coherent(&ds, make, "render failover");
 }
 
+/// An elastic plan commit invalidates nothing: a block entry is keyed by
+/// the exact nodes it holds and a frame is partition-invariant. A
+/// spare-pool join's admit plan commits at step 2 whatever the timings;
+/// across it, the cold leg's re-read of each step's predecessor (temporal
+/// enhancement) still hits the block level, and the warm leg serves every
+/// frame — both legs equal to the cache-off run's frames.
+#[test]
+fn an_elastic_commit_keeps_every_cached_entry() {
+    let ds = dataset();
+    // world: [0 input | 1,2 renderers | 3 spare | 4 output] — the spare
+    // joins at tick 2 through the forced admit plan; no rank dies, so a
+    // far deadline only keeps a loaded host from degrading a frame
+    let make = |ds: &Dataset| {
+        PipelineBuilder::new(ds)
+            .renderers(2)
+            .io_strategy(IoStrategy::OneDip { input_procs: 1 })
+            .image_size(48, 48)
+            .enhancement(true)
+            .spare_renderers(1)
+            .elastic(2)
+            .faults(FaultSpec::parse("seed=11,recover_rank=3@2").unwrap())
+            .delivery_deadline_ms(60_000)
+    };
+    let (cold, warm) = assert_cold_warm_coherent(&ds, make, "elastic commit");
+    let admit = cold.control_plans.iter().find(|p| p.apply_at == 2);
+    assert_eq!(admit.map(|p| p.active), Some(3), "the join tick must commit the admit plan");
+    assert_eq!(counter(&warm, "cache.frame.hits"), warm.frames.len() as u64);
+    assert_eq!(
+        counter(&cold, "cache.block.hits"),
+        ds.steps() as u64 - 1,
+        "every step's re-read of its predecessor must hit, the commit step's too"
+    );
+}
+
 /// Checkpoint kill-and-resume with the tier alive across all three runs:
 /// the killed half populates the cache, the resumed half rides it, and
 /// the spliced frames stay bit-identical to the uninterrupted

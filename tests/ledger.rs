@@ -243,7 +243,8 @@ fn sharded_read_ledger() -> Ledger {
     let disk = Disk::new(CostModel { stripe_size: 1 << 16, ..CostModel::default() });
     disk.write_file("step", (0..len).map(|i| (i % 251) as u8).collect());
     let read = |disk: &Arc<Disk>, at: u64, n: u64| {
-        PFile::open(Arc::clone(disk), "step").unwrap().read_contiguous(at, n).unwrap()
+        let f = PFile::open(Arc::clone(disk), "step").unwrap();
+        f.lend(&[(at, n)], 0, None, 0, |_, _| {}).unwrap()
     };
     let sim_us = |disk: &Arc<Disk>| (read(disk, 0, len).sim_seconds * 1e6).round() as u64;
     let mut l = Ledger::from([("parfs.sim_contig_us.flat".to_string(), sim_us(&disk))]);
