@@ -104,7 +104,9 @@ pub struct PipelineConfig {
     /// Octree level to render/fetch at; `None` lets the default
     /// [`quakeviz_render::AdaptivePolicy`] choose from the image size.
     pub level: Option<u8>,
-    /// Fetch only the nodes of the selected level (paper §6).
+    /// Read only the nodes of the selected level off disk (paper §6).
+    /// Routing does not depend on it: every run sends each block the
+    /// nodes its brick plans read at the selected level.
     pub adaptive_fetch: bool,
     pub lighting: bool,
     pub enhancement: bool,

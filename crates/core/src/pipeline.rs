@@ -331,9 +331,11 @@ impl Run {
 /// What an input rank reads besides the [`Run`]: how a step is fetched,
 /// preprocessed and packed, and the LIC surface when the overlay is on.
 struct InputCtx {
-    /// Node ids of the whole mesh at the fetch level (adaptive fetch).
+    /// Node ids of the whole mesh at the render level (no coarser than
+    /// the blocks), when the read is pruned to them (adaptive fetch).
     level_ids: Option<Vec<NodeId>>,
-    /// Node ids each block needs at the fetch level, indexed by block id.
+    /// Node ids each block is sent — every node its brick plans read at
+    /// the render level ([`block_level_nodes`]) — indexed by block id.
     ids_per_block: Vec<Arc<Vec<NodeId>>>,
     /// The rendered octree level, part of every block-cache key.
     level: u8,
@@ -349,10 +351,8 @@ struct InputCtx {
 
 /// What a step's LIC overlay is synthesized from.
 struct LicSurface {
-    /// The texel → node stencil.
+    /// The texel → node stencil; its nodes are what a step reads.
     sampler: SurfaceSampler,
-    /// The surface node ids to read each step.
-    ids: Vec<NodeId>,
     noise: Vec<f32>,
     transfer: TransferFunction,
     size: (u32, u32),
@@ -676,11 +676,15 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
     let (results, plan_bytes) = if let Some(frames) = warm {
         (vec![replay(&run, &out, frames)], 0)
     } else {
-        let fetch_level = config.adaptive_fetch.then_some(level);
+        // every block is sent the nodes its brick plans read at the
+        // render level, whatever the disk read fetched: `adaptive_fetch`
+        // prunes the read, not the routing
         let ids_per_block: Vec<Arc<Vec<NodeId>>> =
-            blocks.iter().map(|b| Arc::new(block_level_nodes(mesh, b, fetch_level))).collect();
+            blocks.iter().map(|b| Arc::new(block_level_nodes(mesh, b, Some(level)))).collect();
         let input = InputCtx {
-            level_ids: config.adaptive_fetch.then(|| level_node_ids(mesh, level)),
+            // a block is read no coarser than its root level: the whole
+            // level's nodes there hold every routed list
+            level_ids: config.adaptive_fetch.then(|| level_node_ids(mesh, level.max(block_level))),
             ids_per_block: ids_per_block.clone(),
             level,
             retry: config.retry,
@@ -689,10 +693,9 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
             quantize: config.quantize,
             read_ahead: config.prefetch,
             lic: config.lic.then(|| {
-                let (qt, ids) = Quadtree::from_surface_nodes(mesh);
+                let (qt, _) = Quadtree::from_surface_nodes(mesh);
                 LicSurface {
                     sampler: SurfaceSampler::new(mesh, &qt, config.width, config.height),
-                    ids,
                     noise: white_noise(config.width, config.height, 0x5eed),
                     transfer: config.transfer.clone(),
                     size: (config.width, config.height),
@@ -1242,13 +1245,13 @@ fn lic_step(comm: &Comm, run: &Run, input: &InputCtx, t: usize, read: &mut ReadS
     // degrades to a transparent image and the frame is flagged
     let ctx = FaultCtx { plan: &run.faults, retry: input.retry, step: t as u32 };
     let (disk, mesh) = (run.dataset.disk(), run.dataset.mesh());
-    let (img, missing) = match reader::read_step_ids(disk, mesh, t, &lic.ids, 1 << 16, Some(&ctx)) {
+    let ids = lic.sampler.nodes();
+    let (img, missing) = match reader::read_node_vectors(disk, mesh, t, ids, 1 << 16, Some(&ctx)) {
         Err(_) => (RgbaImage::new(lic.size.0, lic.size.1), true),
-        Ok((surf_dense, mut surf_stats)) => {
+        Ok((surface, mut surf_stats)) => {
             input.inject_io_delay(&mut surf_stats);
             read.accumulate(&surf_stats);
-            let field = quakeviz_mesh::VectorField::new(surf_dense);
-            let reg = lic.sampler.sample(&field);
+            let reg = lic.sampler.sample(&surface);
             // normalize by the surface maximum (surface motion is far
             // weaker than the 3D peak at the hypocentre)
             let max = reg.max_magnitude();
@@ -2203,32 +2206,49 @@ mod tests {
     #[test]
     fn adaptive_fetch_close_to_full_at_coarse_level() {
         let ds = dataset();
-        let level = ds.mesh().octree().max_leaf_level() - 1;
-        let run = |fetch: bool| {
-            PipelineBuilder::new(&ds)
-                .renderers(2)
-                .io_strategy(IoStrategy::OneDip { input_procs: 2 })
-                .image_size(64, 64)
-                .level(level)
-                .adaptive_fetch(fetch)
-                .max_steps(3)
-                .run()
-                .expect("pipeline")
-        };
-        let full = run(false);
-        let adaptive = run(true);
-        // identical pixels: the coarse level only touches the fetched nodes
-        for t in 0..3 {
-            let d = full.frames[t].rms_difference(&adaptive.frames[t]);
-            assert!(d < 1e-6, "frame {t}: adaptive fetch changed the image (rms {d})");
+        // one level coarser than the finest, and one coarser than the
+        // blocks, where a block is read at its root level
+        let max = ds.mesh().octree().max_leaf_level();
+        assert!(1 < PipelineConfig::default().block_level);
+        for level in [max - 1, 1] {
+            let run = |fetch: bool| {
+                PipelineBuilder::new(&ds)
+                    .renderers(2)
+                    .io_strategy(IoStrategy::OneDip { input_procs: 2 })
+                    .image_size(64, 64)
+                    .level(level)
+                    .adaptive_fetch(fetch)
+                    .max_steps(3)
+                    .run()
+                    .expect("pipeline")
+            };
+            let full = run(false);
+            let adaptive = run(true);
+            // identical bits: both route each block the same render-level
+            // nodes, so only their disk reads differ
+            let bits = |r: &PipelineReport| {
+                let px = r.frames.iter().flat_map(|f| f.pixels().iter().flatten());
+                px.map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(full.frames.len(), 3);
+            assert!(bits(&full) == bits(&adaptive), "level {level}: adaptive fetch moved frames");
+            let block_data = |r: &PipelineReport| {
+                let edges = r.traffic.iter().filter(|e| e.class.as_str() == "block_data");
+                edges.map(|e| e.bytes).sum::<u64>()
+            };
+            assert!(block_data(&full) > 0);
+            assert_eq!(block_data(&full), block_data(&adaptive), "level {level}: block data");
+            // and read strictly less
+            let read = |r: &PipelineReport| -> u64 {
+                r.input_steps.iter().map(|s| s.read.useful_bytes).sum()
+            };
+            let (full_bytes, adaptive_bytes) = (read(&full), read(&adaptive));
+            assert!(
+                adaptive_bytes < full_bytes,
+                "level {level}: adaptive fetch must read fewer bytes \
+                 ({adaptive_bytes} vs {full_bytes})"
+            );
         }
-        // and read strictly less
-        let full_bytes: u64 = full.input_steps.iter().map(|s| s.read.useful_bytes).sum();
-        let adaptive_bytes: u64 = adaptive.input_steps.iter().map(|s| s.read.useful_bytes).sum();
-        assert!(
-            adaptive_bytes < full_bytes,
-            "adaptive fetch must read fewer bytes ({adaptive_bytes} vs {full_bytes})"
-        );
     }
 
     #[test]

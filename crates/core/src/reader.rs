@@ -28,18 +28,18 @@
 //! turns each node's 12 bytes straight into its velocity magnitude; the
 //! dense sink behind [`FetchPlan::read`], [`read_step_ids`] and
 //! [`read_step_ids_collective`] builds the per-node vector field for the
-//! consumers that need vectors (the LIC surface, the benchmark walk). A
+//! benchmark walk, and the compact sink [`read_node_vectors`] the vectors
+//! of an id list alone, in its order (the LIC surface). A
 //! step file that is not one vector per mesh node fails every read with
 //! [`ReadError::WrongLength`].
 
 use crate::config::RetryPolicy;
-use quakeviz_mesh::{sorted_unique, HexMesh, NodeId, OctreeBlock};
+use quakeviz_mesh::{sorted_unique, HexMesh, Loc3, NodeId, OctreeBlock};
 use quakeviz_parfs::{Disk, IndexedBlockType, PFile, ReadError, ReadOutcome};
 use quakeviz_rt::obs::{self, prof, Phase};
 use quakeviz_rt::Comm;
 use quakeviz_rt::FaultPlan;
 use quakeviz_seismic::Dataset;
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -111,52 +111,49 @@ impl ReadStats {
     }
 }
 
-/// The mesh nodes at the eight corners of each level-`level` tiling cell
-/// over the leaves `leaves`, sorted and unique. A leaf at or above `level`
-/// is its own tiling cell: its corners are read from the mesh's cell table.
-/// Deeper leaves share a coarsened ancestor, whose corners — each one a
-/// mesh node, the corner of the leaf inside it there — are looked up once,
-/// at the leaf that starts it (or the first of `leaves`). Sorted and
-/// deduplicated by [`sorted_unique`]'s bitmap, O(ids + range/64) — no sort.
-fn corner_nodes(mesh: &HexMesh, leaves: Range<usize>, level: u8) -> Vec<NodeId> {
+/// Sorted unique ids of every mesh node at a level-`level` grid point of
+/// `cell`'s closed bounds (`level` ≥ the cell's): the corners of the cells
+/// of the level-ℓ tiling inside it — a tiling cell's closed bounds hold
+/// no other grid point — plus any node a finer neighbour puts on its
+/// boundary there. `node_at` at each of the (2^(ℓ − cell level) + 1)³
+/// grid points, the loop `Brick::stencil` runs, deduplicated by
+/// [`sorted_unique`]'s bitmap — no sort.
+fn grid_nodes(mesh: &HexMesh, cell: Loc3, level: u8) -> Vec<NodeId> {
     let max = mesh.octree().max_leaf_level();
-    let mut ids = Vec::with_capacity(8 * leaves.len());
-    let first = leaves.start;
-    for i in leaves {
-        let leaf = mesh.octree().leaves()[i];
-        if leaf.level <= level {
-            ids.extend_from_slice(mesh.cell_nodes(i));
-            continue;
-        }
-        // a block finer than `level` begins inside an ancestor started
-        // before it
-        if leaf.start_level() > level && i != first {
-            continue;
-        }
-        let cell = leaf.ancestor_at(level);
-        let (ax, ay, az) = cell.anchor_at_level(max);
-        let size = 1u32 << (max - cell.level);
-        for k in 0..8u32 {
-            let (gx, gy, gz) =
-                (ax + (k & 1) * size, ay + ((k >> 1) & 1) * size, az + ((k >> 2) & 1) * size);
-            ids.push(mesh.node_at(gx, gy, gz).expect("level tiling corner must be a mesh node"));
+    let (ax, ay, az) = cell.anchor_at_level(max);
+    let (step, n) = (1u32 << (max - level), 1u32 << (level - cell.level));
+    let mut ids = Vec::with_capacity(((n + 1) * (n + 1) * (n + 1)) as usize);
+    for k in 0..=n {
+        for j in 0..=n {
+            for i in 0..=n {
+                ids.extend(mesh.node_at(ax + i * step, ay + j * step, az + k * step));
+            }
         }
     }
-    sorted_unique(ids.iter().copied())
+    sorted_unique(ids)
 }
 
 /// Sorted unique node ids needed to render the whole mesh at `level`: the
-/// corners of every cell in the level-ℓ tiling.
+/// corners of every cell in the level-ℓ tiling, which are every node at a
+/// level-ℓ grid point.
 pub fn level_node_ids(mesh: &HexMesh, level: u8) -> Vec<NodeId> {
-    corner_nodes(mesh, 0..mesh.cell_count(), level)
+    grid_nodes(mesh, Loc3::ROOT, level.min(mesh.octree().max_leaf_level()))
 }
 
-/// Sorted unique node ids a renderer needs for `block` when fetching /
-/// rendering at `level` (`None` = full resolution: every block node).
+/// Sorted unique node ids a renderer reads for `block` at `level` — what
+/// the pipeline routes it: every mesh node at a level-ℓ grid point of the
+/// block's closed bounds, with `level` clamped to the block's root level
+/// and the finest level as `Brick::stencil` clamps it. These are the
+/// corners of the block's level-ℓ tiling cells, and the hanging nodes a
+/// finer neighbour puts on its boundary, which a brick reads directly all
+/// the same. `None` = every node of the block's cells.
 pub fn block_level_nodes(mesh: &HexMesh, block: &OctreeBlock, level: Option<u8>) -> Vec<NodeId> {
     match level {
         None => mesh.block_nodes(block),
-        Some(level) => corner_nodes(mesh, block.leaf_start..block.leaf_end, level),
+        Some(level) => {
+            let max = mesh.octree().max_leaf_level();
+            grid_nodes(mesh, block.root, level.clamp(block.root.level, max))
+        }
     }
 }
 
@@ -272,6 +269,31 @@ pub fn read_step_ids(
 ) -> Result<(Vec<[f32; 3]>, ReadStats), ReadError> {
     let extents = id_extents(ids);
     read_dense(mesh, |visit| lend_step(disk, mesh, t, &extents, sieve_window, ctx, visit))
+}
+
+/// Independent indexed read of the given node ids of step `t` (sorted,
+/// unique) into their vectors, in `ids` order: the compact sink, which
+/// materialises 12 bytes per id (ticked as `reader.bytes_copied`) and none
+/// for the rest of the mesh. The LIC surface reads through it.
+pub fn read_node_vectors(
+    disk: &Arc<Disk>,
+    mesh: &HexMesh,
+    t: usize,
+    ids: &[NodeId],
+    sieve_window: u64,
+    ctx: Option<&FaultCtx>,
+) -> Result<(Vec<[f32; 3]>, ReadStats), ReadError> {
+    let mut out = vec![[0.0f32; 3]; ids.len()];
+    let extents = id_extents(ids);
+    // a lent run is consecutive nodes, all of them wanted
+    let stats = lend_step(disk, mesh, t, &extents, sieve_window, ctx, |node, bytes| {
+        let at = ids.partition_point(|&id| (id as usize) < node);
+        for (slot, v) in out[at..].iter_mut().zip(vectors(bytes)) {
+            *slot = vector(v);
+        }
+    })?;
+    prof::ticks("reader.bytes_copied", out.len() as u64 * NODE_BYTES);
+    Ok((out, stats))
 }
 
 /// Collective two-phase read of the given node ids over `comm`
@@ -622,7 +644,8 @@ mod tests {
     }
 
     /// The lent read — magnitudes straight from the store, and the dense
-    /// sink over the same visitor — against the copying read, for every
+    /// and (for id lists) compact sinks over the same visitor — against
+    /// the copying read, for every
     /// plan kind, sieve window 0 and 64 KiB, flat and sharded disks, clean
     /// and under seeded transient and corrupt reads: magnitudes equal to
     /// the bit, stats equal field by field, the same retries and fault
@@ -650,6 +673,18 @@ mod tests {
                             let got = match kind {
                                 0 => copied_read(&disk, &stored, mesh, t, &plan, sieve, ctx),
                                 1 => plan.read_magnitudes(&disk, mesh, t, sieve, ctx),
+                                3 => {
+                                    let ids = plan.ids.as_deref().unwrap_or_default();
+                                    read_node_vectors(&disk, mesh, t, ids, sieve, ctx).map(
+                                        |(vectors, stats)| {
+                                            let mut dense = vec![[0.0f32; 3]; mesh.node_count()];
+                                            for (&id, v) in ids.iter().zip(vectors) {
+                                                dense[id as usize] = v;
+                                            }
+                                            (magnitudes(&dense), stats)
+                                        },
+                                    )
+                                }
                                 _ => plan
                                     .read(&disk, mesh, t, sieve, ctx)
                                     .map(|(dense, stats)| (magnitudes(&dense), stats)),
@@ -666,6 +701,9 @@ mod tests {
                         let what = format!("{plan:?} step {t} sieve {sieve} seeded {seeded}");
                         assert_eq!(run(1), want, "lent magnitudes: {what}");
                         assert_eq!(run(2), want, "dense sink: {what}");
+                        if plan.ids.is_some() {
+                            assert_eq!(run(3), want, "compact sink: {what}");
+                        }
                         assert!(logs.iter().all(|l| *l == logs[0]), "{what}: {logs:?}");
                         faulted += usize::from(logs[0].1 > 0);
                         osts = osts.max(logs[0].2.iter().filter(|&&(reads, _)| reads > 0).count());
@@ -737,8 +775,8 @@ mod tests {
         }
     }
 
-    /// The definition `corner_nodes` replaces, kept as the oracle: every
-    /// corner of every coarsened cell through `node_at`, sorted, deduped.
+    /// The oracle of a level's corner set: every corner of every
+    /// coarsened cell through `node_at`, sorted, deduped.
     fn corner_nodes_by_sort(mesh: &HexMesh, leaves: &[Loc3], level: u8) -> Vec<NodeId> {
         let max = mesh.octree().max_leaf_level();
         let mut ids = Vec::new();
@@ -757,6 +795,21 @@ mod tests {
         ids
     }
 
+    /// Every mesh node at a level-`level` grid point of `block`'s closed
+    /// bounds, found by filtering all nodes on their grid coordinates.
+    fn grid_nodes_by_filter(mesh: &HexMesh, block: &OctreeBlock, level: u8) -> Vec<NodeId> {
+        let max = mesh.octree().max_leaf_level();
+        let (ax, ay, az) = block.root.anchor_at_level(max);
+        let (step, span) = (1u32 << (max - level), 1u32 << (max - block.root.level));
+        let on_grid = |c: u32, lo: u32| (lo..=lo + span).contains(&c) && c.is_multiple_of(step);
+        let ids = 0..mesh.node_count() as NodeId;
+        ids.filter(|&id| {
+            let (x, y, z) = mesh.node_grid_coords(id);
+            on_grid(x, ax) && on_grid(y, ay) && on_grid(z, az)
+        })
+        .collect()
+    }
+
     #[test]
     fn level_node_lists_equal_sort_dedup_on_top_heavy() {
         let mesh = HexMesh::from_octree(Octree::build(Vec3::ONE, &TopHeavy));
@@ -765,14 +818,24 @@ mod tests {
         for level in 0..=max {
             assert_eq!(level_node_ids(&mesh, level), corner_nodes_by_sort(&mesh, leaves, level));
         }
+        let mut hanging = 0;
         for b in (0..=max).flat_map(|block_level| mesh.octree().blocks(block_level)) {
             let own = &leaves[b.leaf_start..b.leaf_end];
             // at the deepest level every leaf is its own tiling cell
             assert_eq!(block_level_nodes(&mesh, &b, None), corner_nodes_by_sort(&mesh, own, max));
             for level in 0..=max {
-                let want = corner_nodes_by_sort(&mesh, own, level);
-                assert_eq!(block_level_nodes(&mesh, &b, Some(level)), want, "block {}", b.id);
+                // below its root level a block is read at its root level
+                let at = level.max(b.root.level);
+                let got = block_level_nodes(&mesh, &b, Some(level));
+                let want = grid_nodes_by_filter(&mesh, &b, at);
+                assert_eq!(got, want, "block {} at level {level}", b.id);
+                // its tiling corners, and the hanging nodes of finer
+                // neighbours on its boundary
+                let corners = corner_nodes_by_sort(&mesh, own, at);
+                assert!(corners.iter().all(|id| got.binary_search(id).is_ok()));
+                hanging += got.len() - corners.len();
             }
         }
+        assert!(hanging > 0, "the coarse blocks border finer ones");
     }
 }

@@ -203,12 +203,16 @@ fn stencil_sampler_matches_the_reference_extraction() {
         let e = mesh.octree().extent();
         for (w, h) in [(16, 16), (64, 64), (256, 128)] {
             let sampler = SurfaceSampler::new(&mesh, &qt, w, h);
+            // a node lies within half a texel diagonal of some texel
+            // centre, well inside the two-texel radius: every one is read
+            assert_eq!(sampler.nodes(), surface, "sampled nodes at {w}×{h}");
             for seed in [1, 2] {
                 let field = surface_field(&mesh, seed);
                 let want = vector_bits(&reference::extract_surface_field(&mesh, &field, &qt, w, h));
                 let what = format!("{} surface nodes at {w}×{h}", surface.len());
                 // one sampler serves every step of a run
-                assert_eq!(vector_bits(&sampler.sample(&field)), want, "sampler, {what}");
+                let nodes: Vec<_> = sampler.nodes().iter().map(|&id| field.get(id)).collect();
+                assert_eq!(vector_bits(&sampler.sample(&nodes)), want, "sampler, {what}");
                 let once = extract_surface_field(&mesh, &field, &qt, w, h);
                 assert_eq!(vector_bits(&once), want, "extract_surface_field, {what}");
                 assert_eq!((once.width, once.height, once.extent), (w, h, (e.x, e.y)));
@@ -240,7 +244,9 @@ fn a_surface_without_nodes_samples_to_zero() {
     let mesh = HexMesh::from_octree(Octree::build(Vec3::new(1.0, 1.0, 1.0), &UniformRefinement(1)));
     let empty = Quadtree::new((0.0, 0.0), (1.0, 1.0));
     let field = surface_field(&mesh, 3);
-    let got = SurfaceSampler::new(&mesh, &empty, 4, 4).sample(&field);
+    let sampler = SurfaceSampler::new(&mesh, &empty, 4, 4);
+    assert!(sampler.nodes().is_empty());
+    let got = sampler.sample(&[]);
     assert_eq!(got, reference::extract_surface_field(&mesh, &field, &empty, 4, 4));
     assert!(got.vectors.iter().all(|&v| v == (0.0, 0.0)));
 }

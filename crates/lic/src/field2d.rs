@@ -7,7 +7,7 @@
 //! … The resolution of the 2D regular-grid vector field is determined by
 //! the image size and the adaptive levels selected by the user."
 
-use quakeviz_mesh::{HexMesh, NodeId, Quadtree, VectorField};
+use quakeviz_mesh::{sorted_unique, HexMesh, NodeId, Quadtree, VectorField};
 use quakeviz_rt::obs::prof;
 use quakeviz_rt::par::par_chunks_mut;
 use std::array::from_fn;
@@ -113,36 +113,40 @@ impl<'a> Bilinear<'a> {
     }
 }
 
-/// What one texel of a [`SurfaceSampler`] reads.
+/// What one texel of a [`SurfaceSampler`] reads. Nodes are named by their
+/// position in [`SurfaceSampler::nodes`].
 #[derive(Debug, Clone)]
 enum Texel {
     /// Surface nodes lie within the radius: this range of its row's
     /// `taps`, whose weights sum to `wsum`.
     Weighted { taps: Range<u32>, wsum: f64 },
     /// None does: the value of the nearest node, as it is.
-    Nearest(NodeId),
+    Nearest(u32),
     /// The surface has no node at all.
     Empty,
 }
 
-/// One row of texels and the `(node, weight)` runs of its weighted ones,
-/// each in the order [`Quadtree::idw_weights`] visits them.
+/// One row of texels and the `(node position, weight)` runs of its
+/// weighted ones, each in the order [`Quadtree::idw_weights`] visits them.
 #[derive(Debug, Clone, Default)]
 struct Row {
     texels: Vec<Texel>,
-    taps: Vec<(NodeId, f64)>,
+    taps: Vec<(u32, f64)>,
 }
 
 /// The scattered-data interpolation of [`extract_surface_field`] with
 /// everything that depends on geometry alone done once: which surface
 /// nodes each texel of the regular grid averages and with what weights.
 /// The mesh is static, so a run builds one and every step only redoes the
-/// sums over that step's node values.
+/// sums over that step's node values — of [`SurfaceSampler::nodes`] alone,
+/// which the taps index by position.
 #[derive(Debug, Clone)]
 pub struct SurfaceSampler {
     width: u32,
     extent: (f64, f64),
     rows: Vec<Row>,
+    /// The nodes the taps read, sorted.
+    nodes: Vec<NodeId>,
 }
 
 impl SurfaceSampler {
@@ -154,6 +158,7 @@ impl SurfaceSampler {
         let extent = (e.x, e.y);
         let cell = (extent.0 / width as f64).max(extent.1 / height as f64);
         let radius = cell * 2.0;
+        // taps and nearest nodes by node id first, by position below
         let mut rows = vec![Row::default(); height as usize];
         par_chunks_mut(&mut rows, 1, |j, row| {
             let Row { texels, taps } = &mut row[0];
@@ -176,16 +181,44 @@ impl SurfaceSampler {
                 });
             }
         });
+        let nearest = |t: &Texel| match *t {
+            Texel::Nearest(id) => Some(id),
+            _ => None,
+        };
+        let nodes = sorted_unique(rows.iter().flat_map(|row| {
+            let taps = row.taps.iter().map(|&(id, _)| id);
+            taps.chain(row.texels.iter().filter_map(nearest))
+        }));
+        let position =
+            |id: NodeId| nodes.binary_search(&id).expect("a tap's node is listed") as u32;
+        for row in &mut rows {
+            for (tap, _) in &mut row.taps {
+                *tap = position(*tap);
+            }
+            for texel in &mut row.texels {
+                if let Texel::Nearest(id) = texel {
+                    *id = position(*id);
+                }
+            }
+        }
         prof::ticks("lic.sampler_builds", 1);
-        SurfaceSampler { width, extent, rows }
+        SurfaceSampler { width, extent, rows, nodes }
     }
 
-    /// The horizontal surface velocity of `field` on the regular grid —
-    /// per texel the arithmetic of [`Quadtree::idw_sample`] over the
-    /// recorded weights.
-    pub fn sample(&self, field: &VectorField) -> RegularField2D {
-        let value = |id: NodeId| {
-            let (vx, vy) = field.horizontal(id);
+    /// The surface nodes the sampler reads, sorted: what
+    /// [`SurfaceSampler::sample`] takes the vectors of.
+    pub fn nodes(&self) -> &[NodeId] {
+        &self.nodes
+    }
+
+    /// The horizontal surface velocity on the regular grid of a field
+    /// given at [`SurfaceSampler::nodes`] alone (`surface[i]` is node
+    /// `nodes()[i]`'s vector) — per texel the arithmetic of
+    /// [`Quadtree::idw_sample`] over the recorded weights.
+    pub fn sample(&self, surface: &[[f32; 3]]) -> RegularField2D {
+        assert_eq!(surface.len(), self.nodes.len(), "one vector per sampled node");
+        let value = |at: u32| {
+            let [vx, vy, _] = surface[at as usize];
             [vx as f64, vy as f64]
         };
         let mut vectors = Vec::with_capacity(self.width as usize * self.rows.len());
@@ -194,14 +227,14 @@ impl SurfaceSampler {
                 let [vx, vy] = match texel {
                     Texel::Weighted { taps, wsum } => {
                         let mut vsum = [0.0; 2];
-                        for &(id, w) in &row.taps[taps.start as usize..taps.end as usize] {
-                            let v = value(id);
+                        for &(at, w) in &row.taps[taps.start as usize..taps.end as usize] {
+                            let v = value(at);
                             vsum[0] += w * v[0];
                             vsum[1] += w * v[1];
                         }
                         vsum.map(|v| v / wsum)
                     }
-                    Texel::Nearest(id) => value(*id),
+                    Texel::Nearest(at) => value(*at),
                     Texel::Empty => [0.0; 2],
                 };
                 (vx as f32, vy as f32)
@@ -224,7 +257,9 @@ pub fn extract_surface_field(
     width: u32,
     height: u32,
 ) -> RegularField2D {
-    SurfaceSampler::new(mesh, quadtree, width, height).sample(field)
+    let sampler = SurfaceSampler::new(mesh, quadtree, width, height);
+    let surface: Vec<_> = sampler.nodes().iter().map(|&id| field.get(id)).collect();
+    sampler.sample(&surface)
 }
 
 #[cfg(test)]

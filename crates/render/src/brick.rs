@@ -63,6 +63,21 @@ impl Stencil {
         self.patches.len()
     }
 
+    /// The mesh nodes its bricks read with nonzero weight: every direct
+    /// read, then every patch corner whose trilinear weight in
+    /// [`NodeField::blend`] is nonzero. What a block must be sent.
+    pub fn reads(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let direct = self.ids.iter().copied().filter(|&id| id != NO_NODE);
+        let corners = self.patches.iter().flat_map(|p| {
+            // corner k takes u (or 1 − u) by bit 0, v by bit 1, w by bit 2
+            let weighs = move |k: usize| {
+                (0..3).all(|a| if k >> a & 1 == 1 { p.uvw[a] } else { 1.0 - p.uvw[a] } != 0.0)
+            };
+            (0..8).filter(move |&k| weighs(k)).map(move |k| p.corners[k])
+        });
+        direct.chain(corners)
+    }
+
     /// Heap bytes held: 4 per brick node, 48 per patch.
     pub fn bytes(&self) -> u64 {
         (self.ids.len() * 4 + self.patches.len() * std::mem::size_of::<Patch>()) as u64

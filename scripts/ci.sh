@@ -84,11 +84,19 @@ ratchet "one input read path (crates/core/src)" 0 "$(count_sites \
     "${core_sources[@]}" crates/core/src/proto.rs)"
 
 # The input rank touches each step once: its reads reduce the bytes the
-# store lends straight to magnitudes (`FetchPlan::read_magnitudes`), so no
-# dense vector field and no second magnitude pass may grow back into the
-# pipeline.
+# store lends straight to magnitudes (`FetchPlan::read_magnitudes`), and
+# the LIC surface is read into its nodes' vectors alone
+# (`reader::read_node_vectors`), so no dense vector field, no second
+# magnitude pass and no dense surface read may grow back into the pipeline.
 ratchet "dense vector step on the input path (pipeline.rs)" 0 "$(count_sites \
-    'Vec<\\[f32; 3\\]>|magnitudes\\(&' crates/core/src/pipeline.rs)"
+    'Vec<\\[f32; 3\\]>|magnitudes\\(&|read_step_ids' crates/core/src/pipeline.rs)"
+
+# Routing follows the render level: every run sends each block the nodes
+# its brick plans read, `block_level_nodes(.., Some(level))`, whatever the
+# disk read fetched; `adaptive_fetch` prunes the read only. No block list
+# at another level (`None`, the fetch level) may route again.
+ratchet "routing follows the fetch knob (pipeline.rs)" 0 "$(count_sites \
+    'block_level_nodes\\([^)]*(None|fetch_level)' crates/core/src/pipeline.rs)"
 
 # parfs reads through its lends (`PFile::lend`, `PFile::lend_all`, both
 # over `Disk::lend_extents`); the one copying read is `Disk::read_full`.

@@ -27,72 +27,78 @@ type Ledger = BTreeMap<String, u64>;
 
 /// `run: counter=value …`; a counter that is absent is pinned at zero.
 const PINNED: &str = "
-1dip_r3_i2: bytes.block_data=676352 bytes.collective=3892 bytes.composite=328960
-  bytes.raw.block_data=676352 bytes.raw.volume_image=262144 bytes.total=1271348
+1dip_r3_i2: bytes.block_data=128000 bytes.collective=3892 bytes.composite=328960
+  bytes.raw.block_data=128000 bytes.raw.volume_image=262144 bytes.total=722996
   bytes.volume_image=262144 frames=4 messages=71 msgs.block_data=12 msgs.collective=34
   msgs.composite=21 msgs.volume_image=4 wire.keyframes.block_data=256
   work.raycast.bricks_skipped=183 work.raycast.rays=18109 work.raycast.samples=86478
   work.raycast.samples_culled=54163 work.reader.bytes_lent=1543632 work.slic.over_px=29948
-2dip_g2x2_r3: bytes.block_data=676352 bytes.collective=3892 bytes.composite=328960
-  bytes.raw.block_data=676352 bytes.raw.volume_image=262144 bytes.total=1271348
+2dip_g2x2_r3: bytes.block_data=128000 bytes.collective=3892 bytes.composite=328960
+  bytes.raw.block_data=128000 bytes.raw.volume_image=262144 bytes.total=722996
   bytes.volume_image=262144 frames=4 messages=87 msgs.block_data=24 msgs.collective=38
   msgs.composite=21 msgs.volume_image=4 wire.keyframes.block_data=348
   work.raycast.bricks_skipped=183 work.raycast.rays=18109 work.raycast.samples=86478
   work.raycast.samples_culled=54163 work.reader.bytes_lent=1543632 work.slic.over_px=29948
-1dip_faulted_s11: bytes.block_data=676352 bytes.collective=3892 bytes.composite=328960
-  bytes.raw.block_data=676352 bytes.raw.volume_image=262144 bytes.total=1271348
+1dip_faulted_s11: bytes.block_data=128000 bytes.collective=3892 bytes.composite=328960
+  bytes.raw.block_data=128000 bytes.raw.volume_image=262144 bytes.total=722996
   bytes.volume_image=262144 fault_events=3 frames=4 messages=71 msgs.block_data=12
   msgs.collective=34 msgs.composite=21 msgs.volume_image=4 recovery.retries=3
   wire.keyframes.block_data=256 work.raycast.bricks_skipped=183 work.raycast.rays=18109
   work.raycast.samples=86478 work.raycast.samples_culled=54163 work.reader.bytes_lent=1543632
   work.slic.over_px=29948
-1dip_r3_elastic_t2: bytes.block_data=676352 bytes.volume_image=262144 frames=4
+1dip_r3_elastic_t2: bytes.block_data=128000 bytes.volume_image=262144 frames=4
   work.raycast.bricks_skipped=183 work.raycast.rays=18109 work.raycast.samples=86478
   work.raycast.samples_culled=54163 work.reader.bytes_lent=1543632 work.slic.over_px=29948
-1dip_rejoin_s1: bytes.block_data=676352 bytes.collective=3084 bytes.composite=285888
-  bytes.raw.block_data=676352 bytes.raw.volume_image=262144 bytes.recovery=208 bytes.total=1227676
+1dip_rejoin_s1: bytes.block_data=128000 bytes.collective=3084 bytes.composite=285888
+  bytes.raw.block_data=128000 bytes.raw.volume_image=262144 bytes.recovery=208 bytes.total=679324
   bytes.volume_image=262144 fault_events=2 frames=4 messages=74 msgs.block_data=10
   msgs.collective=28 msgs.composite=13 msgs.recovery=19 msgs.volume_image=4 recovery.rejoins=1
   recovery.render_failovers=2 wire.keyframes.block_data=256 work.raycast.bricks_skipped=183
   work.raycast.rays=18109 work.raycast.samples=86478 work.raycast.samples_culled=54163
   work.reader.bytes_lent=1543632 work.slic.over_px=29948
-raw: bytes.block_data=253632 bytes.collective=5488 bytes.composite=468880
-  bytes.raw.block_data=253632 bytes.raw.volume_image=393216 bytes.total=1121216
-  bytes.volume_image=393216 frames=6 messages=99 msgs.block_data=18 msgs.collective=46
-  msgs.composite=29 msgs.volume_image=6 wire.keyframes.block_data=384
-  work.raycast.bricks_skipped=286 work.raycast.early_terminated=5 work.raycast.rays=24261
-  work.raycast.samples=115824 work.raycast.samples_culled=79727 work.reader.bytes_lent=2315448
-  work.slic.over_px=41747
-rle: bytes.block_data=25350 bytes.collective=5488 bytes.composite=468880
-  bytes.raw.block_data=253632 bytes.raw.volume_image=393216 bytes.total=582698
-  bytes.volume_image=82980 frames=6 messages=99 msgs.block_data=18 msgs.collective=46
-  msgs.composite=29 msgs.volume_image=6 wire.keyframes.block_data=384
-  work.raycast.bricks_skipped=286 work.raycast.early_terminated=5 work.raycast.rays=24261
-  work.raycast.samples=115824 work.raycast.samples_culled=79727 work.reader.bytes_lent=2315448
-  work.slic.over_px=41747
-rle,delta,keyframe=4: bytes.block_data=25338 bytes.collective=5488 bytes.composite=468880
-  bytes.raw.block_data=253632 bytes.raw.volume_image=393216 bytes.total=582686
+raw: bytes.block_data=48000 bytes.collective=5488 bytes.composite=468880 bytes.raw.block_data=48000
+  bytes.raw.volume_image=393216 bytes.total=915584 bytes.volume_image=393216 frames=6 messages=99
+  msgs.block_data=18 msgs.collective=46 msgs.composite=29 msgs.volume_image=6
+  wire.keyframes.block_data=384 work.raycast.bricks_skipped=286 work.raycast.early_terminated=5
+  work.raycast.rays=24261 work.raycast.samples=115824 work.raycast.samples_culled=79727
+  work.reader.bytes_lent=2315448 work.slic.over_px=41747
+rle: bytes.block_data=5504 bytes.collective=5488 bytes.composite=468880 bytes.raw.block_data=48000
+  bytes.raw.volume_image=393216 bytes.total=562852 bytes.volume_image=82980 frames=6 messages=99
+  msgs.block_data=18 msgs.collective=46 msgs.composite=29 msgs.volume_image=6
+  wire.keyframes.block_data=384 work.raycast.bricks_skipped=286 work.raycast.early_terminated=5
+  work.raycast.rays=24261 work.raycast.samples=115824 work.raycast.samples_culled=79727
+  work.reader.bytes_lent=2315448 work.slic.over_px=41747
+rle,delta,keyframe=4: bytes.block_data=5504 bytes.collective=5488 bytes.composite=468880
+  bytes.raw.block_data=48000 bytes.raw.volume_image=393216 bytes.total=562852
   bytes.volume_image=82980 frames=6 messages=99 msgs.block_data=18 msgs.collective=46
   msgs.composite=29 msgs.volume_image=6 wire.deltas.block_data=192 wire.keyframes.block_data=192
   work.raycast.bricks_skipped=286 work.raycast.early_terminated=5 work.raycast.rays=24261
   work.raycast.samples=115824 work.raycast.samples_culled=79727 work.reader.bytes_lent=2315448
   work.slic.over_px=41747
-shuffle: bytes.block_data=21070 bytes.collective=5488 bytes.composite=468880
-  bytes.raw.block_data=253632 bytes.raw.volume_image=393216 bytes.total=541489
+shuffle: bytes.block_data=4087 bytes.collective=5488 bytes.composite=468880
+  bytes.raw.block_data=48000 bytes.raw.volume_image=393216 bytes.total=524506
   bytes.volume_image=46051 frames=6 messages=99 msgs.block_data=18 msgs.collective=46
   msgs.composite=29 msgs.volume_image=6 wire.keyframes.block_data=384
   work.raycast.bricks_skipped=286 work.raycast.early_terminated=5 work.raycast.rays=24261
   work.raycast.samples=115824 work.raycast.samples_culled=79727 work.reader.bytes_lent=2315448
   work.slic.over_px=41747
-shuffle,delta,keyframe=4: bytes.block_data=21070 bytes.collective=5488 bytes.composite=468880
-  bytes.raw.block_data=253632 bytes.raw.volume_image=393216 bytes.total=541489
+shuffle,delta,keyframe=4: bytes.block_data=4087 bytes.collective=5488 bytes.composite=468880
+  bytes.raw.block_data=48000 bytes.raw.volume_image=393216 bytes.total=524506
   bytes.volume_image=46051 frames=6 messages=99 msgs.block_data=18 msgs.collective=46
   msgs.composite=29 msgs.volume_image=6 wire.deltas.block_data=192 wire.keyframes.block_data=192
   work.raycast.bricks_skipped=286 work.raycast.early_terminated=5 work.raycast.rays=24261
   work.raycast.samples=115824 work.raycast.samples_culled=79727 work.reader.bytes_lent=2315448
   work.slic.over_px=41747
-cache_cold: bytes.block_data=676352 bytes.collective=3892 bytes.composite=328960
-  bytes.raw.block_data=676352 bytes.raw.volume_image=262144 bytes.total=1271348
+lic: bytes.block_data=128000 bytes.collective=3892 bytes.composite=328960 bytes.lic_image=262144
+  bytes.raw.block_data=128000 bytes.raw.lic_image=262144 bytes.raw.volume_image=262144
+  bytes.total=985140 bytes.volume_image=262144 frames=4 messages=75 msgs.block_data=12
+  msgs.collective=34 msgs.composite=21 msgs.lic_image=4 msgs.volume_image=4
+  wire.keyframes.block_data=256 work.lic.pixels=16384 work.lic.sampler_builds=1
+  work.lic.streamline_steps=104960 work.raycast.bricks_skipped=183 work.raycast.rays=18109
+  work.raycast.samples=86478 work.raycast.samples_culled=54163 work.reader.bytes_copied=52272
+  work.reader.bytes_lent=1595904 work.slic.over_px=29948
+cache_cold: bytes.block_data=128000 bytes.collective=3892 bytes.composite=328960
+  bytes.raw.block_data=128000 bytes.raw.volume_image=262144 bytes.total=722996
   bytes.volume_image=262144 cache.block.bytes=514544 cache.block.misses=4 frames=4 messages=71
   msgs.block_data=12 msgs.collective=34 msgs.composite=21 msgs.volume_image=4
   parfs.ost0.bytes=1543632 parfs.ost0.reads=4 wire.keyframes.block_data=256
@@ -365,6 +371,9 @@ fn deterministic_counters_match_the_pinned_table() {
             book.pipeline(run, base(6).quantize(true).wire_spec(spec))
         });
     assert!(same(&works), "a codec changes how bytes are coded, not kernel work");
+    // the LIC surface is read into its nodes' vectors alone: 12 bytes
+    // copied per surface node a step, no node-count field
+    book.pipeline("lic", base(4).lic(true));
 
     // last of the pipeline runs: sharding re-stripes the dataset's disk
     // for good. Cold fills the tier, warm replays every frame from it.
